@@ -13,7 +13,8 @@ and is cross-checked against a second route:
   guard (it splits at p = 2 or uses duality), plus ``mpmath.zeta`` /
   ``mpmath.altzeta`` / ``mpmath.polylog`` at depth 1;
 * relation vectors: planted coefficients are checked exactly over the
-  rationals, and every verdict is cross-checked with ``mpmath.pslq``;
+  rationals, and every verdict is cross-checked with ``mpmath.pslq`` within
+  lindep's norm cap (see ``_pslq_agrees``);
 * identity_session: golden stdout is copied from the README; the catalog
   digest is the byte-stable rendering of ``identity_catalog(8)``.
 
@@ -318,13 +319,20 @@ def relation_cells():
 
 def _pslq_agrees(xs, digits: int, expected) -> bool:
     n = len(xs)
+    # maxcoeff covers every vector within lindep's norm cap C^(1/(n+1))
+    maxcoeff = int(10 ** ((digits - 10) / (n + 1))) + 1
+    if expected is None:
+        # At twice the digits pslq's tolerance, 10^(-1.5 digits), lies far
+        # below the residuals that vectors within the cap reach by the
+        # inputs' finite sampling alone, so it must find nothing.  (At
+        # ``digits`` it reports such vectors once n >= 8.)
+        with mp.workdps(2 * digits):
+            found = mp.pslq([mp.mpf(x.numerator) / x.denominator for x in xs],
+                            maxcoeff=maxcoeff, maxsteps=10 ** 6)
+        return found is None
     with mp.workdps(digits):
         found = mp.pslq([mp.mpf(x.numerator) / x.denominator for x in xs],
-                        maxcoeff=int(10 ** ((digits - 10) / (n + 1))) + 1, maxsteps=10 ** 6)
-    if expected is None:
-        # at the inputs' finite precision pslq may report a relation that
-        # only reflects the sampling; it must not hold exactly
-        return found is None or sum(c * x for c, x in zip(found, xs)) != 0
+                        maxcoeff=maxcoeff, maxsteps=10 ** 6)
     return found is not None and tuple(abs(c) for c in found) == tuple(abs(c) for c in expected)
 
 
@@ -376,8 +384,7 @@ def _write(name: str, payload) -> None:
         fh.write("\n")
 
 
-def main(argv) -> int:
-    which = set(argv) or {"mzv_table", "geometric_hiprec", "relation_hunt", "identity_session"}
+def main() -> int:
     pools = {
         "mzv_table": lambda: {"entries": mzv_pool(random.Random(GEN_SEED + 1))},
         "geometric_hiprec": lambda: {"entries": geometric_pool(random.Random(GEN_SEED + 2))},
@@ -389,10 +396,10 @@ def main(argv) -> int:
         },
         "identity_session": identity_refs,
     }
-    for name in sorted(which):
-        _write(f"{name}.json", pools[name]())
+    for name, build in sorted(pools.items()):
+        _write(f"{name}.json", build())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

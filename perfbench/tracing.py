@@ -3,9 +3,9 @@
 ``Tracer.installed()`` replaces every public function of the six layer
 modules with a wrapper, in every polyzeta module that holds a reference to
 it, so calls through any namespace are seen; leaving the block restores the
-originals.  Each call becomes one span (function, start, end, parent span,
-operation index) kept in flat arrays; ``layer_metrics`` turns a range of
-spans into the per-layer numbers and ``dump`` writes the spans out.
+originals.  Each call becomes one span (function, start, end, parent span)
+kept in flat arrays; ``layer_metrics`` turns a range of spans into the
+per-layer numbers and ``dump`` writes the spans out.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ class Tracer:
         self._wrappers: dict[str, tuple] = {}  # "layer.function" -> (original, wrapper)
         self.span_fid = array("i")
         self.span_parent = array("i")
-        self.span_op = array("i")
         self.span_start = array("d")
         self.span_end = array("d")
         self.span_aux = array("d")  # per-function payload, see _AUX
         self.stack: list[int] = []
-        self.current_op = -1
         self.formal_sums = 0
 
     # -- recording ----------------------------------------------------------
@@ -53,18 +51,16 @@ class Tracer:
         fid = len(self.names)
         self.names.append(f"{layer}.{name}")
         self.fid_layer.append(layer)
-        fids, parents, ops = self.span_fid, self.span_parent, self.span_op
+        fids, parents = self.span_fid, self.span_parent
         starts, ends, auxs = self.span_start, self.span_end, self.span_aux
         stack, clock = self.stack, time.perf_counter
         aux = _AUX.get(f"{layer}.{name}")
         cache_info = getattr(fn, "cache_info", None)
-        tracer = self
 
         def wrapper(*args, **kwargs):
             i = len(fids)
             fids.append(fid)
             parents.append(stack[-1] if stack else -1)
-            ops.append(tracer.current_op)
             ends.append(0.0)
             auxs.append(0.0)
             stack.append(i)
@@ -206,9 +202,9 @@ class Tracer:
         payload = {
             "facts": facts,
             "functions": self.names,
-            "columns": ["function", "parent", "op", "start", "end", "aux"],
+            "columns": ["function", "parent", "start", "end", "aux"],
             "spans": [
-                [self.span_fid[i], self.span_parent[i], self.span_op[i],
+                [self.span_fid[i], self.span_parent[i],
                  round(self.span_start[i], 7), round(self.span_end[i], 7), self.span_aux[i]]
                 for i in range(len(self.span_fid))
             ],

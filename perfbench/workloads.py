@@ -1,10 +1,12 @@
 """The four benchmark workloads.
 
-Each workload turns ``--seed`` into one *round*: a fixed list of operations
-drawn from the checked-in pools under ``refs/`` (``make_refs.py`` wrote them),
-plus the reference each output is checked against.  ``run.py`` repeats the
-round, clearing the ``evaluate_lambda`` cache before each repetition, so
-every repetition does the same cold work.
+Each workload turns ``--seed`` into a list of *rounds*: fixed lists of
+operations drawn from the checked-in pools under ``refs/`` (``make_refs.py``
+wrote them), each with the reference its output is checked against.  A
+seeded shuffle of each pool cell is dealt out over the rounds in turn, so a
+run covers as much of each cell as it has room for, and the run's cost
+depends little on which seed picked its inputs.  ``run.py`` clears the
+``evaluate_lambda`` cache before each round, so every round starts cold.
 
 polyzeta is imported inside ``setup`` on purpose: ``run.py`` drops it from
 ``sys.modules`` before each timed set-up, so the import is part of set-up.
@@ -27,14 +29,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REFS_DIR = os.path.join(HERE, "refs")
 
 MZV_DIGITS = 200
-# two words per weight, three at weight 7: with an odd count per round the
-# median op falls inside one weight's block rather than between two weights
-MZV_PER_CELL = {f"w{w}": 3 if w == 7 else 2 for w in range(3, 11)}
+# Words per weight and round.  Weight 7 sits mid-cost with as many words
+# below it as above, so the median op falls in the middle of its block, and
+# three rounds of four cover its whole 12-word pool, whatever the seed.
+MZV_PER_CELL = {"w3": 1, "w4": 1, "w5": 2, "w6": 2, "w7": 4, "w8": 2, "w9": 2, "w10": 2}
 GEO_DIGITS = 1000
-# one spec per cell, three from zp(3/2, s1, s2): that cell's specs cost
-# alike and sit mid-range, so the median op falls inside its block rather
-# than among cells whose cost depends on the seed
-GEO_PER_CELL = {"zp3/2-d2": 3}
+# Specs per cell and round, one unless named.  Every round runs the whole
+# zp(3/2, s1, s2) cell: its four specs cost alike and sit mid-range, and as
+# many ops cost less as more, so the median op falls inside that block.  The
+# three costliest cells get two a round, so three rounds run all six of
+# each and the tail (ten samples beyond it) falls among them, whatever the
+# seed.
+GEO_PER_CELL = {"zp2-d3": 2, "zp3/2-d2": 4, "mix2-d4": 2, "mix3/2-d3": 2, "mix3/2-d4": 2}
 RELATION_PER_CELL = 2
 REF_EXTRA_DIGITS = 30
 IDENTITY_DIGITS = 40
@@ -97,28 +103,42 @@ def _clear_cache() -> Callable[[], None]:
     return evaluate.evaluate_lambda.cache_clear
 
 
-def _value_round(name: str, seed: int, digits: int, per_cell: dict[str, int]) -> Round:
+def _deal(seed: int, entries, per_cell, rounds: int) -> list[list[dict]]:
+    """Each round's picks: per cell, the next ``per_cell(cell)`` entries of a
+    seeded shuffle of that cell, taken cyclically across the rounds."""
+    rng = random.Random(seed)
+    dealt: list[list[dict]] = [[] for _ in range(rounds)]
+    for cell, pool in sorted(_by_cell(entries).items()):
+        order = rng.sample(pool, len(pool))
+        k = per_cell(cell)
+        for r in range(rounds):
+            dealt[r].extend(order[(r * k + j) % len(order)] for j in range(k))
+    return dealt
+
+
+def _value_rounds(name: str, seed: int, rounds: int, digits: int,
+                  per_cell: dict[str, int]) -> list[Round]:
     from polyzeta import Precision, evaluate, parse_spec
 
-    rng = random.Random(seed)
-    chosen = []
-    for cell, entries in sorted(_by_cell(_load(name)["entries"]).items()):
-        chosen.extend(rng.sample(entries, per_cell.get(cell, 1)))
     prec = Precision(digits)
-    ops = []
-    for entry in chosen:
-        spec = parse_spec(entry["spec"])
-        ops.append(Op(entry["spec"], lambda spec=spec: evaluate.evaluate_lambda(spec, prec),
-                      _value_check(entry, digits)))
-    return Round(ops, _clear_cache(), sha256_lines(e["spec"] for e in chosen))
+    reset = _clear_cache()
+    out = []
+    for chosen in _deal(seed, _load(name)["entries"], lambda c: per_cell.get(c, 1), rounds):
+        ops = []
+        for entry in chosen:
+            spec = parse_spec(entry["spec"])
+            ops.append(Op(entry["spec"], lambda spec=spec: evaluate.evaluate_lambda(spec, prec),
+                          _value_check(entry, digits)))
+        out.append(Round(ops, reset, sha256_lines(e["spec"] for e in chosen)))
+    return out
 
 
-def mzv_table(seed: int) -> Round:
-    return _value_round("mzv_table", seed, MZV_DIGITS, MZV_PER_CELL)
+def mzv_table(seed: int, rounds: int) -> list[Round]:
+    return _value_rounds("mzv_table", seed, rounds, MZV_DIGITS, MZV_PER_CELL)
 
 
-def geometric_hiprec(seed: int) -> Round:
-    return _value_round("geometric_hiprec", seed, GEO_DIGITS, GEO_PER_CELL)
+def geometric_hiprec(seed: int, rounds: int) -> list[Round]:
+    return _value_rounds("geometric_hiprec", seed, rounds, GEO_DIGITS, GEO_PER_CELL)
 
 
 # ---------------------------------------------------------------------------
@@ -156,37 +176,43 @@ def vector_digest(xs) -> str:
     return sha256_lines(f"{x.numerator}/{x.denominator}" for x in xs)[:16]
 
 
-def relation_hunt(seed: int) -> Round:
-    from polyzeta import BigReal, Precision, evaluate_z, relations
+def _relation_op(entry: dict) -> Op:
+    from polyzeta import BigReal, Precision, relations
+
+    cell = entry["cell"]
+    xs, planted = relation_vector(entry["gen_seed"], entry["dim"], entry["digits"], entry["kind"])
+    if vector_digest(xs) != entry["digest"]:
+        raise RuntimeError(f"regenerated vector for {cell} does not match its reference")
+    expected = tuple(entry["coefficients"]) if entry["coefficients"] else None
+    if planted != expected:
+        raise RuntimeError(f"planted relation for {cell} does not match its reference")
+    prec = Precision(entry["digits"])
+    values = [BigReal(x, prec) for x in xs]
+    return Op(cell, lambda: relations.lindep(values),
+              lambda result: result.coefficients == expected)
+
+
+def relation_hunt(seed: int, rounds: int) -> list[Round]:
+    from polyzeta import Precision, evaluate_z, relations
 
     refs = _load("relation_hunt")
-    rng = random.Random(seed)
-    ops = []
-    parts = []
-    picks = [entry for _, entries in sorted(_by_cell(refs["entries"]).items())
-             for entry in rng.sample(entries, RELATION_PER_CELL)]
-    for entry in picks:
-        cell = entry["cell"]
-        xs, planted = relation_vector(entry["gen_seed"], entry["dim"], entry["digits"], entry["kind"])
-        if vector_digest(xs) != entry["digest"]:
-            raise RuntimeError(f"regenerated vector for {cell} does not match its reference")
-        expected = tuple(entry["coefficients"]) if entry["coefficients"] else None
-        if planted != expected:
-            raise RuntimeError(f"planted relation for {cell} does not match its reference")
-        prec = Precision(entry["digits"])
-        values = [BigReal(x, prec) for x in xs]
-        ops.append(Op(cell, lambda values=values: relations.lindep(values),
-                      lambda result, expected=expected: result.coefficients == expected))
-        parts.append(f"{cell}:{entry['digest']}")
     # the README weight-8 vector, evaluated here so the timed op is LLL only
     prec = Precision(README_DIGITS)
     z = {s: evaluate_z(s, prec) for s in [(4, 1, 3), (5, 3), (8,), (5,), (3,), (2,)]}
     readme = [z[(4, 1, 3)], z[(5, 3)], z[(8,)], z[(5,)] * z[(3,)], z[(3,)] ** 2 * z[(2,)]]
     expected = tuple(refs["readme_vector_coefficients"])
-    ops.append(Op("readme-weight8", lambda: relations.lindep(readme),
-                  lambda result: result.coefficients == expected))
-    parts.append("readme-weight8")
-    return Round(ops, lambda: None, sha256_lines(parts))
+    readme_op = Op("readme-weight8", lambda: relations.lindep(readme),
+                   lambda result: result.coefficients == expected)
+    built: dict[str, Op] = {}  # an entry dealt to two rounds is built once
+    out = []
+    for picks in _deal(seed, refs["entries"], lambda c: RELATION_PER_CELL, rounds):
+        for e in picks:
+            if e["digest"] not in built:
+                built[e["digest"]] = _relation_op(e)
+        ops = [built[e["digest"]] for e in picks]
+        parts = [f"{e['cell']}:{e['digest']}" for e in picks] + ["readme-weight8"]
+        out.append(Round(ops + [readme_op], lambda: None, sha256_lines(parts)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +236,7 @@ def _run_cli(cli, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def identity_session(seed: int) -> Round:
+def identity_session(seed: int, rounds: int) -> list[Round]:
     from polyzeta import Precision, cli, identities
 
     os.environ.pop("POLYLOG_DIGITS", None)  # the README lines assume the default
@@ -249,7 +275,7 @@ def identity_session(seed: int) -> Round:
     ops = [Op("catalog", build_catalog, catalog_ok)] + verify_ops + cli_ops
     parts = [op.label for op in verify_ops] + [" ".join(argv) for argv, _ in lines]
     parts += [ident.to_json() for ident in verify]
-    return Round(ops, _clear_cache(), sha256_lines(parts))
+    return [Round(ops, _clear_cache(), sha256_lines(parts))] * rounds
 
 
 WORKLOADS = {
