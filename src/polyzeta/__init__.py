@@ -34,7 +34,6 @@ from .model import (
 )
 from .evaluate import (
     GEOMETRIC_THRESHOLD,
-    NestedSumState,
     SplitTerm,
     SumPlan,
     direct_nested_sum,

@@ -34,6 +34,8 @@ from .relations import RelationResult, lindep
 
 DEFAULT_DIGITS = 50
 DIGITS_ENV = "POLYLOG_DIGITS"
+# bound on a folded exponent chain a^b^c, checked before the power is taken
+MAX_EXPONENT_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +192,16 @@ class _Parser:
             raise ExpressionError("power exponent must be an integer", tok.pos)
         value = int(tok.text)
         if self.peek().text == "^" and self.peek().kind == "op":
-            self.next()
-            value = value ** self.exponent()
+            op = self.next()
+            inner = self.exponent()
+            if inner < 0:
+                raise ExpressionError("power exponent must be an integer", op.pos)
+            # value ** inner has at most inner * bit_length(value) bits
+            if value > 1 and inner * value.bit_length() > MAX_EXPONENT_BITS:
+                raise ExpressionError(
+                    f"power exponent exceeds {MAX_EXPONENT_BITS} bits", op.pos
+                )
+            value = value ** inner
         return -value if neg else value
 
     def signed_int(self) -> int:

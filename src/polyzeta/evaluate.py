@@ -1,23 +1,30 @@
 """Numeric evaluation of convergent multiple polylogarithms.
 
-Two routes:
+One summation kernel, three callers.  The kernel makes a single forward
+pass of N outer steps over a spec in Python-int fixed point (scale 2^bits)
+and returns the truncated value of every suffix of the spec, including the
+suffixes that start inside a block of dx/x forms.  Each step multiplies and
+floor-divides by small integers only: the base numerators and denominators
+and the summation index n.  The truncation point N comes from the closed-form
+tail bound of ``plan_nested_sum``.
 
-* ``direct_nested_sum`` -- a single forward pass over the outer summation
-  index, geometrically convergent whenever every base has modulus > 1.  The
-  per-index work is one update per depth level, and the truncation point is
-  chosen from a closed-form tail bound.
+* direct (``direct_nested_sum``) -- every base has modulus > 1, so the pass
+  converges geometrically; the value is the kernel's full-spec entry.
 
-* the conjugate-parameter split (``holder_split``) -- for words whose bases
-  sit on or near the unit circle (MZVs, alternating sums), the [0,1]
-  iterated integral splits at 1/p into weight+1 products of integrals over
-  [0, 1/q] and [0, 1/p] with 1/p + 1/q = 1.  After a linear change of
-  variable each factor is again a lambda value whose bases have modulus
-  >= min(p, q) * (original gap), so both halves fall to the direct sum.
+* dual -- words whose dual ``1 - reversed(word)`` has every base modulus at
+  least ``GEOMETRIC_THRESHOLD`` take ``sign *`` the dual's full value.
+
+* split (``holder_split``) -- for words whose bases sit on or near the unit
+  circle (MZVs, alternating sums), the [0,1] iterated integral splits at 1/p
+  into weight+1 products sign_r * L_r * R_r with 1/p + 1/q = 1.  Every right
+  half R_r is the suffix ``p * word[r:]`` and every left half L_r is a suffix
+  of ``q * dual``, so two kernel passes, one per scaled word, hold all
+  2(weight+1) factors.
 
 ``evaluate_lambda`` dispatches between them, preferring the direct sum, then
-a duality rewrite when that alone produces fast geometric convergence, then
-the split with p = q = 2 (or an adaptive conjugate pair when unit-gap bases
-make 2 infeasible).
+the dual when that alone produces fast geometric convergence, then the split
+with p = q = 2 (or an adaptive conjugate pair when unit-gap bases make 2
+infeasible).
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .model import (
     lambda_from_z_string,
     lambda_to_word,
     require_convergent,
-    to_goncharov,
     word_convergent,
     word_depth,
     word_to_lambda,
@@ -57,8 +63,13 @@ def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
     return prec.with_guard(20 + _GUARD_PER_WEIGHT * eff)
 
 
+def _tail_budget(prec: Precision) -> float:
+    """log10 of the truncation error allowed for one value."""
+    return -(prec.digits + prec.guard / 2)
+
+
 # ---------------------------------------------------------------------------
-# Direct geometric nested summation
+# Truncation plan and the fixed-point suffix kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -98,56 +109,87 @@ def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
         n += max(1, n // 8)
 
 
-class NestedSumState:
-    """Forward state of the nested sum over the outer index n.
+def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
+    """Bits that `terms` kernel steps of floor rounding can cost.
 
-    accumulators[j] holds P_{j+1}(n) = sum over n >= n_{j+1} > ... > n_k of
-    the inner product; after each step() the first accumulator equals the
-    truncated full sum with outer index <= n.
+    Every multiplier in a step has modulus at most 1 (1/b_j, 1/n) except
+    n^a_j with a_j = max(-s_j, 0), and a level makes at most
+    c = 2 + max(s_j, 0) floor roundings per step, each off by under one
+    unit.  So a level's error grows per step by at most n^a_j times (c plus
+    the error of the level below), and the innermost power b_k^-n gains at
+    most one unit per step.  Induction up the levels bounds every stored
+    value's error after N steps by (1 + k c) N^D units, D = k + 1 + sum a_j.
     """
-
-    def __init__(self, spec: LambdaSpec, dps: int):
-        self.spec = spec
-        self.dps = dps
-        self.n = 0
-        gon = to_goncharov(spec)
-        with mp.workdps(dps):
-            self.ratios = [
-                mp.mpf(x.numerator) / x.denominator for _, x in gon.pairs
-            ]
-            self.powers = [mp.mpf(1)] * spec.depth
-            self.accumulators = [mp.mpf(0)] * spec.depth
-
-    def step(self) -> None:
-        self.n += 1
-        k = self.spec.depth
-        exps = self.spec.exponents
-        with mp.workdps(self.dps):
-            nn = mp.mpf(self.n)
-            powers = self.powers
-            acc = self.accumulators
-            for j in range(k):
-                powers[j] *= self.ratios[j]
-            # ascending j: acc[j+1] still holds its value at n-1
-            for j in range(k):
-                t = powers[j] * nn ** (-exps[j])
-                if j + 1 < k:
-                    acc[j] += t * acc[j + 1]
-                else:
-                    acc[j] += t
-
-    def value(self) -> mp.mpf:
-        return self.accumulators[0] if self.spec.depth else mp.mpf(1)
+    k = spec.depth
+    c = 2 + max(max(s, 0) for s in spec.exponents)
+    degree = k + 1 + sum(max(-s, 0) for s in spec.exponents)
+    return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
 
 
-def _direct_mpf(spec: LambdaSpec, dps: int, eps_log10: float, extra_terms: int = 0) -> mp.mpf:
-    if spec.depth == 0:
-        return mp.mpf(1)
+def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int]:
+    """Truncated values of every suffix of spec, as ints scaled by 2^bits.
+
+    Returns (values, bits).  For positive exponents values[i] is the suffix
+    that starts at position i of the spec's word, so a block (s, b) yields
+    the suffixes with exponents s, s-1, ..., 1 in that order, and the last
+    entry is the empty suffix, 1.  A nonpositive exponent yields only its
+    own block's suffix.  Each value sums the outer index over 1..terms, and
+    its rounding error stays below 10^-dps.
+
+    With b_0 = 1 and P_j(n) the inner sum over n >= n_j > ... > n_k, the
+    scaled partial sums A_j(n) = b_{j-1}^-n P_j(n) obey
+        A_j(n) = A_j(n-1)/b_{j-1} + n^-s_j A_{j+1}(n-1)/b_j,
+    with A_{k+1}(n) = b_k^-n; a suffix starting in block j with exponent
+    s' <= s_j accumulates n^-s' A_{j+1}(n-1)/b_j.  Every |b_j| > 1 keeps
+    each stored A bounded, so b^-n and x^n are never held apart.
+    """
+    bits = math.ceil(dps * math.log2(10)) + _rounding_bits(spec, terms)
+    one = 1 << bits
+    k = spec.depth
+    nums = [b.numerator for b in spec.bases]
+    dens = [b.denominator for b in spec.bases]
+    exps = spec.exponents
+    # inner[j] holds A_{j+2}(n), inner[k-1] the power b_k^-n (1-based A)
+    inner = [0] * (k - 1) + [one]
+    sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
+    for n in range(1, terms + 1):
+        scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+        for j, s in enumerate(exps):
+            t = scaled[j]
+            row = sums[j]
+            if s > 0:
+                for i in range(s):
+                    t //= n
+                    row[i] += t
+            else:
+                t *= n ** -s
+                row[0] += t
+            if j:
+                inner[j - 1] = scaled[j - 1] + t
+        inner[k - 1] = scaled[k - 1]
+    values = [v for row in sums for v in reversed(row)]
+    values.append(one)
+    return values, bits
+
+
+# ---------------------------------------------------------------------------
+# Direct route
+# ---------------------------------------------------------------------------
+
+def _kernel_pass(
+    spec: LambdaSpec, eps_log10: float, dps: int, extra_terms: int = 0
+) -> tuple[list[int], int]:
+    """Every suffix value of spec, summed as far as its plan asks."""
     plan = plan_nested_sum(spec, eps_log10)
-    state = NestedSumState(spec, dps)
-    for _ in range(plan.terms + extra_terms):
-        state.step()
-    return state.value()
+    return _suffix_sums(spec, plan.terms + extra_terms, dps)
+
+
+def _direct(spec: LambdaSpec, prec: Precision, extra_terms: int = 0) -> tuple[int, int]:
+    """Full value of spec as a (mantissa, binary exponent) pair."""
+    if spec.depth == 0:
+        return 1, 0
+    values, bits = _kernel_pass(spec, _tail_budget(prec), prec.working_dps, extra_terms)
+    return values[0], -bits
 
 
 def direct_nested_sum(
@@ -169,8 +211,7 @@ def direct_nested_sum(
             f"{format_spec(spec)}: base modulus below {threshold}; "
             "evaluate through the conjugate split instead"
         )
-    eps = -(prec.digits + prec.guard / 2)
-    return BigReal(_direct_mpf(spec, prec.working_dps, eps, extra_terms), prec)
+    return BigReal(_direct(spec, prec, extra_terms), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -241,46 +282,28 @@ def _split_parameter(word: Word) -> Fraction:
     return q / (q - 1)
 
 
-def _word_value_mpf(word: Word, prec: Precision) -> mp.mpf:
-    """lambda value of a convergent word at working precision."""
-    dps = prec.working_dps
-    spec = word_to_lambda(word)
-    rmin = min(abs(b) for b in spec.bases)
+def _word_value(word: Word, prec: Precision) -> tuple[int, int]:
+    """lambda value of a convergent word whose bases reach below the
+    geometric threshold, as a (mantissa, binary exponent) pair."""
+    dual, sign = dual_word(word)
+    dspec = word_to_lambda(dual)
+    if min(abs(b) for b in dspec.bases) >= GEOMETRIC_THRESHOLD:
+        man, exp = _direct(dspec, prec)
+        return sign * man, exp
+
+    terms = holder_split(word, _split_parameter(word))
     weight = len(word)
-    # budget: each of the <= weight+1 product terms gets half an equal share
-    eps = -(prec.digits + prec.guard / 2)
-    if rmin >= GEOMETRIC_THRESHOLD:
-        return _direct_mpf(spec, dps, eps)
-
-    dual, sign = None, 1
-    try:
-        dual, sign = dual_word(word)
-    except DivergenceError:
-        dual = None
-    if dual is not None:
-        dspec = word_to_lambda(dual)
-        if dspec.depth and min(abs(b) for b in dspec.bases) >= GEOMETRIC_THRESHOLD:
-            with mp.workdps(dps):
-                return sign * _direct_mpf(dspec, dps, eps)
-
-    p = _split_parameter(word)
-    terms = holder_split(word, p)
-    eps_half = eps - math.log10(2 * (weight + 1)) - weight - 1
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for term in terms:
-            left = (
-                _direct_mpf(term.left, dps, eps_half, 0)
-                if term.left.depth
-                else mp.mpf(1)
-            )
-            right = (
-                _direct_mpf(term.right, dps, eps_half, 0)
-                if term.right.depth
-                else mp.mpf(1)
-            )
-            total += term.sign * left * right
-        return total
+    # budget: each of the weight+1 product terms gets half an equal share
+    eps_half = _tail_budget(prec) - math.log10(2 * (weight + 1)) - weight - 1
+    # right halves are the suffixes of p*word (r = 0), left halves the
+    # suffixes of q*dual (r = weight).  A suffix has no more levels and no
+    # smaller base modulus, so the full word's plan bounds its tail too.
+    right, right_bits = _kernel_pass(terms[0].right, eps_half, prec.working_dps)
+    left, left_bits = _kernel_pass(terms[-1].left, eps_half, prec.working_dps)
+    total = sum(
+        t.sign * left[weight - t.split_index] * right[t.split_index] for t in terms
+    )
+    return total, -(left_bits + right_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +329,7 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
         # guarantees all |b_j| > 1 here, so the direct pass still applies
         # at its slower ratio
         return BigReal(direct_nested_sum(spec, wp, threshold=rmin).mpf, prec)
-    word = lambda_to_word(spec)
-    return BigReal(_word_value_mpf(word, wp), prec)
+    return BigReal(_word_value(lambda_to_word(spec), wp), prec)
 
 
 def evaluate_word(word: Word, prec: Precision) -> BigReal:

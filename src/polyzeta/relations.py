@@ -11,6 +11,7 @@ combination is tiny compared to the scale C.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .precision import BigReal
 LOVASZ_NUM = 3
 LOVASZ_DEN = 4
 MIN_LINDEP_DIGITS = 30
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _lll_with_grams(rows):
@@ -112,10 +114,6 @@ class RelationResult:
         return self.coefficients is not None
 
 
-def _exact_fraction(x: BigReal) -> Fraction:
-    return x.to_fraction()
-
-
 def _normalize_sign(coeffs):
     for c in coeffs:
         if c > 0:
@@ -159,7 +157,7 @@ def lindep(values, prec=None) -> RelationResult:
     scale = 10 ** (digits - 10)
     rows = []
     for i, x in enumerate(values):
-        scaled = _exact_fraction(x) * scale
+        scaled = x.to_fraction() * scale
         rounded = (
             int(scaled + Fraction(1, 2))
             if scaled >= 0
@@ -202,12 +200,17 @@ def lindep(values, prec=None) -> RelationResult:
     # no acceptable relation: bound the norm of any exact one from below.
     # min_i |b*_i| bounds the shortest lattice vector; an exact relation c
     # lifts to a lattice vector of norm <= |c| sqrt(1 + n/4).  The searched
-    # norm cap also limits what was certified.
-    min_gso = min(
-        Fraction(grams[i + 1], grams[i]) for i in range(len(reduced))
+    # norm cap also limits what was certified.  Work in natural logs: at
+    # high precision both quantities exceed the float range, and clamping
+    # the bound down to the largest float keeps it a valid lower bound.
+    log_min_gso = min(
+        math.log(grams[i + 1]) - math.log(grams[i]) for i in range(len(reduced))
     )
-    bound = math.sqrt(float(min_gso) / (1 + n / 4))
-    bound = min(bound, float(scale) ** (1 / (n + 1)))
+    log_bound = min(
+        (log_min_gso - math.log(1 + n / 4)) / 2,
+        (digits - 10) * math.log(10) / (n + 1),
+    )
+    bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
     zero = values[0] - values[0]
     best_resid = abs(sum((x * c for c, x in zip(candidate[1], values)), zero)) if candidate else zero
     return RelationResult(

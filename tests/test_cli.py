@@ -81,6 +81,21 @@ def test_parse_precedence_and_power():
     assert parse_expression("-(2^2)") == Neg(Pow(Num(F(2)), 2))
 
 
+def test_parse_exponent_chain_bounds():
+    assert parse_expression("2^3^2") == Pow(Num(F(2)), 9)
+    assert parse_expression("2^1^999") == Pow(Num(F(2)), 1)
+    # each tower is rejected from bit lengths, before its power is taken
+    # (9^9 = 387420489 passes, 9^387420489 does not)
+    for src, pos in [("9^9^9^9", 3), ("1 + 2^2^2^99", 9)]:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(src)
+        assert err.value.position == pos
+    # a negative inner exponent would fold to a non-integer
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("2^3^-1")
+    assert err.value.position == 3
+
+
 def test_parse_nested_lindep_rejected():
     with pytest.raises(ExpressionError):
         parse_expression("lindep([lindep([1, 2]), 3])")

@@ -3,6 +3,7 @@ structure, dispatcher routes, and truncation soundness."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import pytest
@@ -11,7 +12,6 @@ from polyzeta import (
     DivergenceError,
     DomainError,
     LambdaSpec,
-    NestedSumState,
     Precision,
     UnsupportedSpec,
     delta_spec,
@@ -24,17 +24,18 @@ from polyzeta import (
     evaluate_zp,
     holder_split,
     hyp2f1_series,
+    lambda_from_z_string,
     lambda_to_word,
     ln,
     make_word,
     pi,
     plan_nested_sum,
     pow_int,
-    to_decimal_string,
-    word_to_lambda,
+    to_goncharov,
     zeta_spec,
 )
-from conftest import word_pool
+from polyzeta.evaluate import _suffix_sums
+from conftest import random_z_entries, word_pool
 
 F = Fraction
 
@@ -75,19 +76,69 @@ def test_direct_rejects_divergent(prec40):
         direct_nested_sum(LambdaSpec.of((1,), (1,)), prec40)
 
 
-def test_nested_sum_state_matches_exact_partial_sums():
-    # P_1 after n steps must equal the exact truncated nested sum
+def test_suffix_kernel_matches_exact_partial_sums():
+    # the full value after n steps must equal the exact truncated nested sum
     spec = delta_spec(2, 1)
-    state = NestedSumState(spec, dps=50)
-    for _ in range(12):
-        state.step()
+    values, bits = _suffix_sums(spec, 12, dps=50)
     exact = F(0)
     for n1 in range(1, 13):
         for n2 in range(1, n1):
             exact += F(1, 2 ** (n1 - n2) * 2 ** n2) / (n1 ** 2 * n2)
-    with mp.workdps(50):
-        ref = mp.mpf(exact.numerator) / exact.denominator
-        assert abs(state.value() - ref) < mp.mpf(10) ** -45
+    assert abs(F(values[0], 2 ** bits) - exact) < F(10) ** -45
+
+
+def exact_partial_sum(spec, n):
+    """Sum over n >= n_1 > ... > n_k >= 1 of prod x_j^n_j n_j^-s_j, exactly."""
+    pairs = to_goncharov(spec).pairs
+    # inner[j]: the sum over levels j.. with the top index at most m
+    inner = [F(0)] * len(pairs) + [F(1)]
+    for m in range(1, n + 1):
+        for j, (s, x) in enumerate(pairs):
+            inner[j] += x ** m * F(m) ** -s * inner[j + 1]
+    return inner[0]
+
+
+def suffix_specs(spec):
+    """Every suffix of spec in kernel order: block j yields exponents
+    s_j, s_j - 1, ..., 1 (only s_j itself when s_j <= 0), then the empty spec."""
+    out = []
+    for j, (s, b) in enumerate(spec.terms):
+        for head in range(s, 0, -1) if s > 0 else (s,):
+            out.append(LambdaSpec(((head, b),) + spec.terms[j + 1:]))
+    return out + [LambdaSpec(())]
+
+
+def test_suffix_kernel_every_suffix_matches_exact():
+    # the oracle itself against the sum over index tuples n_1 > n_2 > n_3
+    spec = LambdaSpec.of((1, 2, 1), (-2, F(3, 2), 4))
+    x = [x for _, x in to_goncharov(spec).pairs]
+    brute = F(0)
+    for idx in combinations(range(10, 0, -1), 3):
+        term = F(1)
+        for (s, _), xj, nj in zip(spec.terms, x, idx):
+            term *= xj ** nj * F(nj) ** -s
+        brute += term
+    assert exact_partial_sum(spec, 10) == brute
+
+    # the left half of the z(-2,1,-3) split has bases (2, 2, 4, 4, 2): its
+    # last ratio b_4/b_5 = 2 exceeds 1, so x^n grows while b^-n shrinks;
+    # holding those apart as fixed-point powers loses the inner sums once
+    # 4^-n drops below 2^-bits, which 90 steps at 30 digits reach
+    word = lambda_to_word(lambda_from_z_string((-2, 1, -3)))
+    left = holder_split(word, F(2))[-1].left
+    assert left == LambdaSpec.of((2, 1, 1, 1, 1), (2, 2, 4, 4, 2))
+    cases = [
+        (left, 90, 30),
+        (LambdaSpec.of((3, 1, 2), (F(5, 4), -3, F(3, 2))), 40, 50),
+        (LambdaSpec.of((2, -1, 0), (F(-7, 4), 3, 2)), 40, 50),
+    ]
+    for spec, steps, dps in cases:
+        values, bits = _suffix_sums(spec, steps, dps)
+        suffixes = suffix_specs(spec)
+        assert len(values) == len(suffixes)
+        for got, suffix in zip(values, suffixes):
+            want = exact_partial_sum(suffix, steps)
+            assert abs(F(got, 2 ** bits) - want) < F(10) ** -dps, suffix
 
 
 def test_truncation_soundness():
@@ -386,6 +437,29 @@ def test_two_hundred_digit_values():
         assert abs(z3.mpf - mp.zeta(3)) < mp.mpf(10) ** -200
     alt = evaluate_z((-1,), prec)  # -log 2 via the alternating unit sum
     assert abs(alt + ln(2, prec)).to_fraction() < F(1, 10 ** 200)
+
+
+def test_digit_contract_against_thirty_more_digits():
+    # |value at d digits - value at d + 30 digits| < 10^-d on every route
+    rng = random.Random(41)
+    corpus = [
+        # +-1 bases: the Hoelder split at p = 2
+        *(lambda_from_z_string(random_z_entries(rng, max_weight=9)) for _ in range(4)),
+        # duals with every base 2: the dual route
+        lambda_from_z_string((-1,)),
+        lambda_from_z_string((-1, 1, -1)),
+        lambda_from_z_string((-1, -1, -1, -1)),
+        # complements 1 - 5/4 and 1 - 4/3 force an adaptive p != 2
+        LambdaSpec.of((2, 1), (F(5, 4), F(4, 3))),
+        LambdaSpec.of((1, 2), (-2, F(4, 3))),
+        # no word encoding: the direct pass at ratio 4/5
+        LambdaSpec.of((2, -1), (F(5, 4), F(5, 4))),
+    ]
+    for d in (30, 50, 200):
+        for spec in corpus:
+            low = evaluate_lambda(spec, Precision(d)).to_fraction()
+            high = evaluate_lambda(spec, Precision(d + 30)).to_fraction()
+            assert abs(low - high) < F(1, 10 ** d), (spec, d)
 
 
 def test_printed_precision_semantics():

@@ -6,6 +6,7 @@ bookkeeping inside lll_reduce.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,8 @@ from polyzeta import (
     evaluate_z,
     lindep,
     lll_reduce,
+    ln,
+    pi,
 )
 
 F = Fraction
@@ -167,6 +170,25 @@ def test_lindep_no_relation_gives_exclusion_bound():
     assert not result.found
     assert result.coefficients is None
     assert result.exclusion_bound is not None and result.exclusion_bound > 10 ** 3
+
+
+def test_lindep_no_relation_past_float_range():
+    # at 400 digits the scale C = 10^390 exceeds the largest float; the
+    # bound stays finite and under the norm cap C^(1/5) = 10^78
+    prec = Precision(400)
+    result = lindep([ln(2, prec), ln(3, prec), ln(5, prec), pi(prec)])
+    assert not result.found
+    assert 10 ** 3 < result.exclusion_bound <= 1.000001e78
+
+
+def test_lindep_exclusion_bound_clamps_to_largest_float():
+    # n = 2 at 1000 digits: the norm cap C^(1/3) = 10^330 and the
+    # Gram-Schmidt bound both pass the float range, so the bound is clamped
+    # down to the largest float, which is still a valid lower bound
+    prec = Precision(1000)
+    result = lindep([ln(2, prec), pi(prec)])
+    assert not result.found
+    assert result.exclusion_bound == sys.float_info.max
 
 
 def test_lindep_rejects_bogus_sampling_relations():
