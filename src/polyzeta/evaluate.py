@@ -53,6 +53,9 @@ from .precision import BigReal, Precision
 
 GEOMETRIC_THRESHOLD = Fraction(3, 2)
 
+# terms after which hyp2f1_series gives up on reaching its tolerance
+HYP2F1_MAX_TERMS = 100000
+
 # extra decimal digits per unit of weight, on top of the base guard
 _GUARD_PER_WEIGHT = 10
 
@@ -420,6 +423,8 @@ def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
             ratio = abs((av + n) * (bv + n) / ((cv + n) * (n + 1)) * zv)
             if ratio <= rho and abs(term) * rho / (1 - rho) < eps:
                 break
-            if n > 100000:
-                raise RuntimeError("series failed to reach tolerance")
+            if n > HYP2F1_MAX_TERMS:
+                raise DivergenceError(
+                    f"series failed to reach tolerance in {HYP2F1_MAX_TERMS} terms"
+                )
         return BigReal(total, prec)

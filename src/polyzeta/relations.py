@@ -6,6 +6,14 @@ the Gram determinants d_i, so every division below is exact.  `lindep`
 embeds the input reals into the classical relation lattice
 (e_i | round(C x_i)) and accepts a candidate only when the recomputed linear
 combination is tiny compared to the scale C.
+
+The relation lattice is reduced at growing precision, in the lift-reduce
+manner of Novocin, Stehle and Villard: each lift adds the next
+`STAGE_DIGITS` digits of the column to the basis the previous lift reduced,
+truncated to about `LIFT_BITS` bits, and records the unimodular transform.
+The final pass is the exact LLL on the full, untruncated lattice, reached
+through that transform, so its output is LLL-reduced whatever the lifts did;
+they only make it cheaper.
 """
 
 from __future__ import annotations
@@ -21,6 +29,14 @@ from .precision import BigReal
 LOVASZ_NUM = 3
 LOVASZ_DEN = 4
 MIN_LINDEP_DIGITS = 30
+# Digits of the scaled column that each lift of the staged reduction adds.
+# Wider stages make fewer LLL calls but give each more swaps on larger
+# numbers; narrower ones make more calls, each on a lattice closer to reduced.
+STAGE_DIGITS = 30
+# Bits kept in the second-smallest row of a lift after its right shift.
+# Fewer bits make each lift's Gram numbers smaller; too few leave the lift
+# too coarse to reduce, which moves its work on to the next stage.
+LIFT_BITS = 100
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -95,6 +111,41 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     return reduced
 
 
+def _staged_lll(column, total):
+    """Reduce the relation lattice (e_i | column_i) at growing precision.
+
+    ``column`` holds the inputs scaled by 10^total and rounded.  U starts as
+    the identity.  For e = STAGE_DIGITS, 2 STAGE_DIGITS, ... below total, a
+    lift takes the column's leading e digits c, shifts the rows (U_i | U_i c)
+    right until the second-smallest keeps about LIFT_BITS bits, appends
+    identity columns and reduces; the identity part of the reduced basis is
+    the unimodular transform V, and U becomes V U.  The final pass reduces
+    (U_i | U_i column) exactly: U is unimodular, so this is the full
+    lattice, and the result with its Gram determinants is exactly
+    LLL-reduced.  With total <= STAGE_DIGITS there is no lift.
+    """
+    n = len(column)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = identity
+    for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
+        unit = 10 ** (total - e)
+        lifted = [(v + unit // 2) // unit for v in column]
+        rows = [row + [sum(a * b for a, b in zip(row, lifted))] for row in u]
+        sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
+        shift = max(sizes[1] - LIFT_BITS, 0)
+        reduced, _ = _lll_with_grams(
+            [[v >> shift for v in row] + ident for row, ident in zip(rows, identity)]
+        )
+        transform = [row[n + 1:] for row in reduced]
+        u = [
+            [sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
+            for trow in transform
+        ]
+    return _lll_with_grams(
+        [row + [sum(a * b for a, b in zip(row, column))] for row in u]
+    )
+
+
 @dataclass(frozen=True)
 class RelationResult:
     """Outcome of an integer-relation search.
@@ -154,48 +205,33 @@ def lindep(values, prec=None) -> RelationResult:
         )
 
     n = len(values)
-    scale = 10 ** (digits - 10)
-    rows = []
-    for i, x in enumerate(values):
+    total = digits - 10
+    scale = 10 ** total
+    column = []
+    for x in values:
         scaled = x.to_fraction() * scale
-        rounded = (
+        column.append(
             int(scaled + Fraction(1, 2))
             if scaled >= 0
             else -int(-scaled + Fraction(1, 2))
         )
-        row = [0] * (n + 1)
-        row[i] = 1
-        row[n] = rounded
-        rows.append(row)
 
-    reduced, grams = _lll_with_grams(rows)
+    reduced, grams = _staged_lll(column, total)
 
-    candidate = None
-    for row in reduced:
-        coeffs = row[:n]
-        if all(c == 0 for c in coeffs):
-            continue
-        norm2 = sum(c * c for c in row)
-        if candidate is None or norm2 < candidate[0]:
-            candidate = (norm2, coeffs)
-
-    threshold = Fraction(1, 10 ** ((digits - 10) // 2))
-    if candidate is not None:
-        _, coeffs = candidate
-        residual = values[0] * coeffs[0]
-        for c, x in zip(coeffs[1:], values[1:]):
-            residual = residual + x * c
-        residual = abs(residual)
-        norm2 = sum(c * c for c in coeffs)
-        # norm cap C^(1/(n+1)), compared exactly: norm^(2(n+1)) <= C^2
-        norm_ok = norm2 ** (n + 1) <= scale * scale
-        if norm_ok and residual.to_fraction() < threshold:
-            coeffs = _normalize_sign(coeffs)
-            return RelationResult(
-                coefficients=coeffs,
-                residual=residual,
-                norm=math.sqrt(norm2),
-            )
+    best = min(reduced, key=lambda row: sum(v * v for v in row))
+    coeffs = best[:n]
+    residual = abs(
+        sum((x * c for c, x in zip(coeffs[1:], values[1:])), values[0] * coeffs[0])
+    )
+    norm2 = sum(c * c for c in coeffs)
+    threshold = Fraction(1, 10 ** (total // 2))
+    # norm cap C^(1/(n+1)), compared exactly: norm^(2(n+1)) <= C^2
+    if norm2 ** (n + 1) <= scale * scale and residual.to_fraction() < threshold:
+        return RelationResult(
+            coefficients=_normalize_sign(coeffs),
+            residual=residual,
+            norm=math.sqrt(norm2),
+        )
 
     # no acceptable relation: bound the norm of any exact one from below.
     # min_i |b*_i| bounds the shortest lattice vector; an exact relation c
@@ -204,18 +240,16 @@ def lindep(values, prec=None) -> RelationResult:
     # high precision both quantities exceed the float range, and clamping
     # the bound down to the largest float keeps it a valid lower bound.
     log_min_gso = min(
-        math.log(grams[i + 1]) - math.log(grams[i]) for i in range(len(reduced))
+        math.log(grams[i + 1]) - math.log(grams[i]) for i in range(n)
     )
     log_bound = min(
         (log_min_gso - math.log(1 + n / 4)) / 2,
-        (digits - 10) * math.log(10) / (n + 1),
+        total * math.log(10) / (n + 1),
     )
     bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
-    zero = values[0] - values[0]
-    best_resid = abs(sum((x * c for c, x in zip(candidate[1], values)), zero)) if candidate else zero
     return RelationResult(
         coefficients=None,
-        residual=best_resid,
+        residual=residual,
         norm=0.0,
         exclusion_bound=bound,
     )

@@ -207,6 +207,18 @@ def test_run_eval_success(capsys):
     assert out == "1.0173430619844491397"
 
 
+def test_run_eval_lindep_reject_golden(monkeypatch, capsys):
+    # no relation among log 2, log 3, log 5 and Pi at the default 50 digits
+    monkeypatch.delenv("POLYLOG_DIGITS", raising=False)
+    code = run(["eval", "lindep([log(2), log(3), log(5), Pi])"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "no integer relation found (any exact relation has norm > 1e+08)\n"
+    )
+    assert captured.err == ""
+
+
 def test_run_eval_user_errors(capsys):
     assert run(["eval", "z(1,2)", "--digits", "20"]) == 1
     assert run(["eval", "z(6)", "--digits", "5"]) == 1

@@ -34,6 +34,7 @@ from polyzeta import (
     to_goncharov,
     zeta_spec,
 )
+from polyzeta import evaluate
 from polyzeta.evaluate import _suffix_sums
 from conftest import random_z_entries, word_pool
 
@@ -320,6 +321,13 @@ def test_hyp2f1_validation(prec40):
         hyp2f1_series(1, 1, 2, F(3, 4), prec40)
     with pytest.raises(DomainError):
         hyp2f1_series(1, 1, -2, F(1, 2), prec40)
+
+
+def test_hyp2f1_term_cap_raises_divergence(prec40, monkeypatch):
+    # 2F1(1, 1; 2; 1/2) needs about 150 terms at 40 digits
+    monkeypatch.setattr(evaluate, "HYP2F1_MAX_TERMS", 20)
+    with pytest.raises(DivergenceError, match="20 terms"):
+        hyp2f1_series(1, 1, 2, F(1, 2), prec40)
 
 
 def test_hyp2f1_double_generating_function():

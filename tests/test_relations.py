@@ -8,6 +8,7 @@ bookkeeping inside lll_reduce.
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -17,11 +18,13 @@ from polyzeta import (
     InsufficientPrecision,
     Precision,
     evaluate_z,
+    evaluate_zp,
     lindep,
     lll_reduce,
     ln,
     pi,
 )
+from polyzeta.relations import STAGE_DIGITS, _staged_lll
 
 F = Fraction
 
@@ -43,6 +46,7 @@ def assert_lll_reduced(rows, delta=F(3, 4)):
             assert abs(mu[i][j]) <= F(1, 2), f"size reduction fails at {(i, j)}"
     for i in range(1, n):
         assert norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1], f"swap condition at {i}"
+    return norms
 
 
 def lattice_vectors(rows, radius):
@@ -218,28 +222,127 @@ def test_lindep_validation():
         lindep([1, 2])
 
 
+def planted_sample(trial):
+    """Random reals at 60 digits with one planted primitive relation,
+    returned sign-normalized as lindep reports it."""
+    rng = random.Random(31000 + trial)
+    n = rng.randint(3, 6)
+    prec = Precision(60)
+    values = [random_real(rng, prec) for _ in range(n - 1)]
+    coeffs = [rng.randint(-50, 50) or 1 for _ in range(n - 1)]
+    last = rng.randint(1, 50)
+    acc = BigReal(0, prec)
+    for c, v in zip(coeffs, values):
+        acc = acc + v * c
+    values.append(acc / (-last))
+
+    planted = coeffs + [last]
+    g = 0
+    for v in planted:
+        g = gcd(g, abs(v))
+    planted = [v // g for v in planted]
+    if planted[next(i for i, v in enumerate(planted) if v)] < 0:
+        planted = [-v for v in planted]
+    return values, tuple(planted)
+
+
 def test_lindep_planted_relations_sample():
     ok = 0
     for trial in range(20):
-        rng = random.Random(31000 + trial)
-        n = rng.randint(3, 6)
-        prec = Precision(60)
-        values = [random_real(rng, prec) for _ in range(n - 1)]
-        coeffs = [rng.randint(-50, 50) or 1 for _ in range(n - 1)]
-        last = rng.randint(1, 50)
-        acc = BigReal(0, prec)
-        for c, v in zip(coeffs, values):
-            acc = acc + v * c
-        values.append(acc / (-last))
-        from math import gcd
-
-        planted = coeffs + [last]
-        g = 0
-        for v in planted:
-            g = gcd(g, abs(v))
-        planted = [v // g for v in planted]
-        if planted[next(i for i, v in enumerate(planted) if v)] < 0:
-            planted = [-v for v in planted]
-        if lindep(values).coefficients == tuple(planted):
+        values, planted = planted_sample(trial)
+        if lindep(values).coefficients == planted:
             ok += 1
     assert ok == 20
+
+
+def readme_vectors():
+    """The two README lindep inputs at 50 digits, with their relations."""
+    prec = Precision(50)
+    z = {s: evaluate_z(s, prec) for s in [(4, 1, 3), (5, 3), (8,), (5,), (3,), (2,)]}
+    weight8 = [z[(4, 1, 3)], z[(5, 3)], z[(8,)], z[(5,)] * z[(3,)], z[(3,)] ** 2 * z[(2,)]]
+    log_form = [
+        z[(3,)],
+        pi(prec) ** 2 * ln(2, prec),
+        evaluate_zp(2, (2, 1), prec),
+        evaluate_zp(2, (3,), prec),
+    ]
+    return [(weight8, (36, 36, -71, 90, -18)), (log_form, (12, -1, -12, -12))]
+
+
+def pslq_relation(values):
+    """mpmath's PSLQ, an algorithm independent of the lattice reduction,
+    searching coefficients up to lindep's norm cap C^(1/(n+1))."""
+    digits = values[0].prec.digits
+    maxcoeff = int(10 ** ((digits - 10) / (len(values) + 1))) + 1
+    with mp.workdps(digits):
+        found = mp.pslq([+x.mpf for x in values], maxcoeff=maxcoeff, maxsteps=10 ** 6)
+    if found is None:
+        return None
+    if next(c for c in found if c) < 0:
+        found = [-c for c in found]
+    return tuple(found)
+
+
+def test_lindep_agrees_with_pslq():
+    corpus = [planted_sample(trial) for trial in range(20)] + readme_vectors()
+    for values, planted in corpus:
+        assert pslq_relation(values) == planted
+        assert lindep(values).coefficients == planted
+
+
+# -- staged reduction -------------------------------------------------------------
+
+def det_abs(rows):
+    """|det| by exact Fraction elimination."""
+    m = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return abs(det)
+
+
+def scaled_column(rng, n, total, planted):
+    """Entries of about 10^total, as lindep scales its inputs; with
+    ``planted`` the last one solves a relation whose last coefficient is 7,
+    up to the rounding.  Returns the column and the relation (or None)."""
+    column = [rng.randrange(10 ** total // 10, 10 ** total) * rng.choice((1, -1))
+              for _ in range(n)]
+    if not planted:
+        return column, None
+    coeffs = [rng.randint(-9, 9) for _ in range(n - 1)] + [7]
+    column[-1] = -sum(c * s for c, s in zip(coeffs, column[:-1])) // 7
+    return column, coeffs
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["planted", "relation-free"])
+def test_staged_reduction_is_an_lll_basis_of_the_full_lattice(planted):
+    n, total = 12, 400 - 10
+    column, relation = scaled_column(random.Random(4700 + planted), n, total, planted)
+    reduced, grams = _staged_lll(column, total)
+    norms = assert_lll_reduced(reduced)
+    # the Gram determinants that the exclusion bound reads belong to this basis
+    for i in range(n):
+        assert grams[i + 1] == grams[i] * norms[i]
+    transform = [row[:n] for row in reduced]
+    assert det_abs(transform) == 1
+    assert [row[n] for row in reduced] == [
+        sum(a * b for a, b in zip(u, column)) for u in transform
+    ]
+    if relation is not None:
+        assert list(reduced[0][:n]) in (relation, [-c for c in relation])
+
+
+def test_staged_reduction_without_lifts_is_the_single_pass():
+    rng = random.Random(4711)
+    n, total = 6, STAGE_DIGITS
+    column, _ = scaled_column(rng, n, total, planted=False)
+    full = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(column)]
+    reduced, _ = _staged_lll(column, total)
+    assert reduced == lll_reduce(full)
