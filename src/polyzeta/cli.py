@@ -36,6 +36,11 @@ DEFAULT_DIGITS = 50
 DIGITS_ENV = "POLYLOG_DIGITS"
 # bound on a folded exponent chain a^b^c, checked before the power is taken
 MAX_EXPONENT_BITS = 64
+# bound on the nesting depth of an expression.  Each bracket, unary minus and
+# log, and each binary or power operator, opens a level; the parser recurses
+# at most four frames per level and the evaluator and the printer one per
+# node, so all three stay well below Python's recursion limit.
+MAX_PARSE_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,15 @@ class _Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
+
+    def descend(self, tok: Token) -> None:
+        """Open one more nesting level at tok; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_PARSE_DEPTH} levels", tok.pos
+            )
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -162,24 +176,31 @@ class _Parser:
         return e
 
     def expr(self, allow_lindep=False) -> Expr:
+        depth = self.depth
         e = self.term(allow_lindep)
         while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
-            e = BinOp(op, e, self.term(False))
+            op = self.next()
+            self.descend(op)
+            e = BinOp(op.text, e, self.term(False))
+        self.depth = depth
         return e
 
     def term(self, allow_lindep=False) -> Expr:
+        depth = self.depth
         e = self.factor(allow_lindep)
         while self.peek().text in ("*", "/") and self.peek().kind == "op":
-            op = self.next().text
-            e = BinOp(op, e, self.factor(False))
+            op = self.next()
+            self.descend(op)
+            e = BinOp(op.text, e, self.factor(False))
+        self.depth = depth
         return e
 
     def factor(self, allow_lindep=False) -> Expr:
         e = self.atom(allow_lindep)
         if self.peek().text == "^" and self.peek().kind == "op":
-            self.next()
-            return Pow(e, self.exponent())
+            self.descend(self.next())
+            e = Pow(e, self.exponent())
+            self.depth -= 1
         return e
 
     def exponent(self) -> int:
@@ -193,7 +214,9 @@ class _Parser:
         value = int(tok.text)
         if self.peek().text == "^" and self.peek().kind == "op":
             op = self.next()
+            self.descend(op)
             inner = self.exponent()
+            self.depth -= 1
             if inner < 0:
                 raise ExpressionError("power exponent must be an integer", op.pos)
             # value ** inner has at most inner * bit_length(value) bits
@@ -246,11 +269,16 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return Neg(self.atom(False))
+            self.descend(tok)
+            e = Neg(self.atom(False))
+            self.depth -= 1
+            return e
         if tok.kind == "op" and tok.text == "(":
             self.next()
+            self.descend(tok)
             e = self.expr(False)
             self.expect(")")
+            self.depth -= 1
             return e
         if tok.kind == "number":
             self.next()
@@ -260,9 +288,11 @@ class _Parser:
             if tok.text == "Pi":
                 return PiConst()
             if tok.text == "log":
+                self.descend(tok)
                 self.expect("(")
                 e = self.expr(False)
                 self.expect(")")
+                self.depth -= 1
                 return Log(e)
             if tok.text == "z":
                 return ZCall(self.int_list("z"))
@@ -471,7 +501,12 @@ def _cmd_repl(args) -> int:
 def _cmd_identities(args) -> int:
     if args.action != "export":
         raise ValueError(f"unknown identities action {args.action!r}")
-    count = export_identities(identity_catalog(args.weight), args.out)
+    catalog = identity_catalog(args.weight)
+    try:
+        count = export_identities(catalog, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {count} identities to {args.out}", file=sys.stderr)
     return 0
 

@@ -8,6 +8,13 @@ byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
 form parameters), `SpecProduct`s (products of specs, from reversal
 reductions) or `RootDressing`s (symbolic root-of-unity dressings, never
 numerically evaluated).
+
+Reversal reductions eliminate divergent intermediates in a polynomial
+algebra over the formal symbol T = "zeta(1)".  It works on plain exact data:
+a T-polynomial is a dict from (degree of T, sorted tuple of convergent zeta
+exponent strings) to an exact rational coefficient.  Products concatenate
+and sort the factor tuples; sums merge the dicts and drop zeros.  Only the
+final degree-0 part is canonicalized into a `FormalSum`.
 """
 
 from __future__ import annotations
@@ -502,6 +509,19 @@ def mu_to_delta(bases) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _weak_chains(s: tuple[int, ...]):
+    """Exponent strings of the strict chains in the weak-chain expansion of
+    a nonempty s."""
+    for mask in range(1 << (len(s) - 1)):
+        merged = [s[0]]
+        for j in range(1, len(s)):
+            if mask >> (j - 1) & 1:  # n_j == n_{j+1}: merge exponents
+                merged[-1] += s[j]
+            else:
+                merged.append(s[j])
+        yield tuple(reversed(merged))
+
+
 def weak_chain_expand(s) -> FormalSum:
     """Expand the weakly increasing chain sum over n_1 <= ... <= n_k of
     prod n_j^-s_j into strict-chain MZV strings.
@@ -511,53 +531,44 @@ def weak_chain_expand(s) -> FormalSum:
     a reversed, partially merged zeta string with coefficient +1.
     """
     s = tuple(int(x) for x in s)
-    k = len(s)
-    if k == 0:
+    if not s:
         return FormalSum.single(EMPTY_SPEC)
-    terms = []
-    for mask in range(1 << (k - 1)):
-        merged = [s[0]]
-        for j in range(1, k):
-            if mask >> (j - 1) & 1:  # n_j == n_{j+1}: merge exponents
-                merged[-1] += s[j]
-            else:
-                merged.append(s[j])
-        terms.append((Fraction(1), zeta_spec(*reversed(merged))))
-    return FormalSum(terms)
+    return FormalSum((Fraction(1), zeta_spec(*chain)) for chain in _weak_chains(s))
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for deg, fs in q.items():
-        out[deg] = out.get(deg, FormalSum.zero()) + fs
-    return {d: fs for d, fs in out.items() if fs}
+def _t_add_term(out: dict, key, c) -> None:
+    """Add c to the coefficient of key in a T-polynomial, dropping zeros."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
 
-def _poly_scale(p, factor):
-    return {d: fs.scaled(factor) for d, fs in p.items()}
+def _t_accumulate(out: dict, p: dict, factor) -> None:
+    """out += factor * p for T-polynomials."""
+    for key, c in p.items():
+        _t_add_term(out, key, factor * c)
 
 
-def _product_body(x: SpecProduct, y: SpecProduct) -> SpecProduct:
-    return SpecProduct(x.factors + y.factors)
+def _t_mul(p: dict, q: dict) -> dict:
+    """Product of two T-polynomials: degrees add, factor strings merge."""
+    out: dict = {}
+    for (d1, f1), c1 in p.items():
+        for (d2, f2), c2 in q.items():
+            _t_add_term(out, (d1 + d2, tuple(sorted(f1 + f2))), c1 * c2)
+    return out
 
 
-def _poly_mul(p, q):
-    out: dict[int, FormalSum] = {}
-    for d1, f1 in p.items():
-        for d2, f2 in q.items():
-            terms = []
-            for c1, b1 in f1:
-                for c2, b2 in f2:
-                    terms.append((c1 * c2, _product_body(b1, b2)))
-            fs = FormalSum(terms)
-            key = d1 + d2
-            out[key] = out.get(key, FormalSum.zero()) + fs
-    return {d: fs for d, fs in out.items() if fs}
-
-
-def _regularize_string(s: tuple[int, ...]):
+def _regularize_string(s: tuple[int, ...], memo: dict) -> dict:
     """Zeta string (possibly with leading 1s) as a polynomial in the formal
     divergent symbol T = "zeta(1)", with convergent coefficients.
+
+    The polynomial is a dict mapping (degree of T, sorted tuple of convergent
+    zeta exponent strings) to the exact rational coefficient of that product
+    (an int until a division makes it a Fraction); zero coefficients are
+    never stored.  Results are kept in ``memo``, which the caller scopes to
+    one reduction.
 
     Uses the exact product expansion of T with the tail string w = s[1:]:
     inserting the 1 at any slot or merging it into an entry.  Insertions
@@ -568,30 +579,24 @@ def _regularize_string(s: tuple[int, ...]):
     substituting the results back preserves exact identities.
     """
     if not s or s[0] != 1:
-        body = SpecProduct((zeta_spec(*s),)) if s else SpecProduct(())
-        return {0: FormalSum.single(body)}
+        return {(0, (s,) if s else ()): 1}
+    if s in memo:
+        return memo[s]
     w = s[1:]
     lead = 0
     while lead < len(w) and w[lead] == 1:
         lead += 1
-    out = _poly_mul({1: FormalSum.single(SpecProduct(()))}, _regularize_string(w))
+    scale = Fraction(1, lead + 1)
+    out = {
+        (degree + 1, factors): scale * c
+        for (degree, factors), c in _regularize_string(w, memo).items()
+    }
     for i in range(lead + 1, len(w) + 1):
-        inserted = w[:i] + (1,) + w[i:]
-        out = _poly_add(out, _poly_scale(_regularize_string(inserted), -1))
+        _t_accumulate(out, _regularize_string(w[:i] + (1,) + w[i:], memo), -scale)
     for i in range(len(w)):
         merged = w[:i] + (w[i] + 1,) + w[i + 1:]
-        out = _poly_add(out, _poly_scale(_regularize_string(merged), -1))
-    return _poly_scale(out, Fraction(1, lead + 1))
-
-
-def _regularize_sum(fs: FormalSum):
-    """Lift a FormalSum of zeta SpecProducts into the T-polynomial algebra."""
-    out: dict[int, FormalSum] = {}
-    for coeff, body in fs:
-        poly = {0: FormalSum.single(SpecProduct(()), coeff)}
-        for factor in body.factors:
-            poly = _poly_mul(poly, _regularize_string(factor.exponents))
-        out = _poly_add(out, poly)
+        _t_accumulate(out, _regularize_string(merged, memo), -scale)
+    memo[s] = out
     return out
 
 
@@ -603,8 +608,9 @@ def reversal_reduction(s) -> FormalSum:
     chain sums over its maximal runs, and the full-constraint term is the
     reversed string plus merged lower-depth chains.  Interior exponent-1
     entries make individual pieces divergent; those are eliminated exactly
-    through the T-polynomial rewriting, and the divergent degrees provably
-    cancel (asserted).
+    through the T-polynomial rewriting of ``_regularize_string``, and the
+    divergent degrees provably cancel (asserted).  The algebra runs on plain
+    dicts of exact rationals; only the degree-0 result becomes a FormalSum.
     """
     s = tuple(int(x) for x in s)
     k = len(s)
@@ -612,8 +618,9 @@ def reversal_reduction(s) -> FormalSum:
         raise DivergenceError(
             "reversal reduction needs first and last exponents >= 2"
         )
-    unit = FormalSum.single(SpecProduct(()))
-    total: dict[int, FormalSum] = {}
+    memo: dict = {}  # zeta string -> its T-polynomial
+    lifts: dict = {}  # block -> T-polynomial of its weak-chain expansion
+    total: dict = {}
     for mask in range(1 << (k - 1)):
         # runs of consecutive constrained indices partition the variables
         blocks: list[tuple[int, ...]] = []
@@ -626,27 +633,27 @@ def reversal_reduction(s) -> FormalSum:
                 current = [s[j]]
         blocks.append(tuple(current))
         nbits = bin(mask).count("1")
-        piece = {0: unit.scaled(Fraction((-1) ** nbits))}
+        piece = {(0, ()): (-1) ** nbits}
         full_chain = mask == (1 << (k - 1)) - 1
         for block in blocks:
-            expansion = weak_chain_expand(block)
+            lifted = lifts.get(block)
+            if lifted is None:
+                lifted = {}
+                for chain in _weak_chains(block):
+                    _t_accumulate(lifted, _regularize_string(chain, memo), 1)
+                lifts[block] = lifted
             if full_chain:
                 # move the all-strict reversed term to the left-hand side
-                expansion = expansion - FormalSum.single(
-                    zeta_spec(*reversed(block))
-                )
-            piece = _poly_mul(
-                piece,
-                _regularize_sum(
-                    FormalSum(
-                        (c, SpecProduct((b,))) for c, b in expansion
-                    )
-                ),
-            )
-        total = _poly_add(total, piece)
-    bad = {d: fs for d, fs in total.items() if d != 0 and fs}
+                lifted = dict(lifted)
+                _t_accumulate(lifted, _regularize_string(block[::-1], memo), -1)
+            piece = _t_mul(piece, lifted)
+        _t_accumulate(total, piece, 1)
+    bad = {key: c for key, c in total.items() if key[0] != 0}
     assert not bad, f"divergent degrees failed to cancel: {bad}"
-    return total.get(0, FormalSum.zero())
+    return FormalSum(
+        (c, SpecProduct(tuple(zeta_spec(*f) for f in factors)))
+        for (_, factors), c in total.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Expression language and command-line behavior."""
 
+import hashlib
 import io
 import json
 import random
@@ -18,6 +19,7 @@ from polyzeta.cli import (
     Pow,
     ZCall,
     ZpCall,
+    MAX_PARSE_DEPTH,
     eval_expression,
     format_result,
     parse_expression,
@@ -94,6 +96,22 @@ def test_parse_exponent_chain_bounds():
     with pytest.raises(ExpressionError) as err:
         parse_expression("2^3^-1")
     assert err.value.position == 3
+
+
+def test_parse_depth_bound():
+    # the deepest accepted sum and brackets parse, print and evaluate without
+    # a RecursionError; one more level is an error at the token opening it
+    d = MAX_PARSE_DEPTH
+    chain = "+".join(["1"] * (d + 1))
+    e = parse_expression(chain)
+    assert parse_expression(pretty(e)) == e
+    assert eval_expression(e, Precision(12)).to_fraction() == d + 1
+    assert parse_expression("(" * d + "1" + ")" * d) == Num(F(1))
+    deeper = "(" * (d + 1) + "1" + ")" * (d + 1)
+    for src, pos in [(chain + "+1", 2 * d + 1), (deeper, d)]:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(src)
+        assert err.value.position == pos
 
 
 def test_parse_nested_lindep_rejected():
@@ -270,6 +288,54 @@ def test_identities_export_cli(tmp_path, capsys):
     for line in lines:
         rec = json.loads(line)
         assert set(rec) == {"lhs", "rhs", "tag"}
+
+
+def test_identities_export_unwritable_path_is_user_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "ident.jsonl"
+    assert run(["identities", "export", "--weight", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_identities_export_weight_six_golden(tmp_path, capsys):
+    # pinned bytes: term order and coefficients must not drift
+    out = tmp_path / "ident.jsonl"
+    assert run(["identities", "export", "--weight", "6", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 48
+    assert hashlib.sha256(data).hexdigest() == (
+        "d3199a2d531f443593da412ba2a0e1f6aa9aed27f14d020e7436363c5be9778d"
+    )
+
+
+DEEP_INPUTS = [
+    "+".join(["1"] * 3000),
+    "(" * 5000 + "1" + ")" * 5000,
+]
+
+
+@pytest.mark.parametrize("src", DEEP_INPUTS, ids=["sum-3000", "parens-5000"])
+def test_run_eval_deep_input_is_user_error(src, capsys):
+    assert run(["eval", src]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expression nests deeper than")
+    assert captured.err.count("\n") == 1
+
+
+def test_repl_deep_input_is_user_error(monkeypatch, capsys):
+    script = "\n".join(DEEP_INPUTS + ["1+1", ":quit"]) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    assert run(["repl", "--digits", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2.00000000000\n"
+    errors = [line for line in captured.err.split("> ") if "error" in line]
+    assert len(errors) == 2
+    assert all(e.startswith("error: expression nests deeper than") for e in errors)
+    assert "Traceback" not in captured.err
 
 
 def test_repl_eof(monkeypatch, capsys):

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from polyzeta import (
+    BigReal,
     DivergenceError,
     DomainError,
     LambdaSpec,
@@ -463,11 +464,37 @@ def test_digit_contract_against_thirty_more_digits():
         # no word encoding: the direct pass at ratio 4/5
         LambdaSpec.of((2, -1), (F(5, 4), F(5, 4))),
     ]
+
+    def entries_of_weight(weight):
+        while True:
+            entries = random_z_entries(rng, max_weight=weight, max_depth=6)
+            if sum(abs(e) for e in entries) == weight:
+                return entries
+
+    # weights 10 to 12 on the dispatcher's own routes
+    corpus += [lambda_from_z_string(entries_of_weight(w)) for w in (10, 11, 12, 12)]
+    # Hoelder splits of a +-1 word at fixed p: every half is summed directly,
+    # the right halves at ratio p and the left ones at q or 2q (1/p + 1/q = 1)
+    split_word = lambda_to_word(lambda_from_z_string(entries_of_weight(7)))
+
+    def split_value(word, p, prec):
+        return sum(
+            (
+                evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
+                for t in holder_split(word, p)
+            ),
+            BigReal.from_rational(0, prec),
+        )
+
     for d in (30, 50, 200):
         for spec in corpus:
             low = evaluate_lambda(spec, Precision(d)).to_fraction()
             high = evaluate_lambda(spec, Precision(d + 30)).to_fraction()
             assert abs(low - high) < F(1, 10 ** d), (spec, d)
+        for p in (F(2), F(3), F(3, 2)):
+            low = split_value(split_word, p, Precision(d)).to_fraction()
+            high = split_value(split_word, p, Precision(d + 30)).to_fraction()
+            assert abs(low - high) < F(1, 10 ** d), (p, d)
 
 
 def test_printed_precision_semantics():

@@ -2,6 +2,7 @@
 (rational product rule, truncated lattice counts), and numeric consistency
 of every emitter against the evaluator."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -481,15 +482,49 @@ def test_divergent_string_regularization_is_truncation_exact():
     for entries in [(1, 2), (1, 3, 2), (1, 1, 2), (1, 1, 1, 2), (1, 2, 1, 3)]:
         lhs = _truncated_zeta(entries, cap)
         rhs = F(0)
-        for degree, fs in _regularize_string(entries).items():
-            level = F(0)
-            for coeff, body in fs:
-                prod = coeff
-                for factor in body.factors:
-                    prod *= _truncated_zeta(factor.exponents, cap)
-                level += prod
-            rhs += harmonic ** degree * level
+        # keys are (degree of T, sorted convergent factor strings)
+        for (degree, factors), coeff in _regularize_string(entries, {}).items():
+            assert all(f and f[0] != 1 for f in factors)
+            prod = F(coeff)
+            for factor in factors:
+                prod *= _truncated_zeta(factor, cap)
+            rhs += harmonic ** degree * prod
         assert lhs == rhs, entries
+
+
+def _truncated_formal_sum(fs, cap: int, cache: dict) -> F:
+    """A FormalSum of zeta specs and zeta SpecProducts, every string
+    truncated to indices <= cap, as an exact rational."""
+
+    def value(spec):
+        if spec.exponents not in cache:
+            cache[spec.exponents] = _truncated_zeta(spec.exponents, cap)
+        return cache[spec.exponents]
+
+    total = F(0)
+    for coeff, body in fs:
+        factors = body.factors if isinstance(body, SpecProduct) else (body,)
+        prod = coeff
+        for factor in factors:
+            assert set(factor.bases) <= {F(1)}
+            prod *= value(factor)
+        total += prod
+    return total
+
+
+def test_reversal_catalog_is_truncation_exact():
+    # every reversal identity of the weight-7 catalog holds exactly, as
+    # rationals, for the sums truncated to indices <= 9
+    reversals = [i for i in identity_catalog(7) if i.tag == "reversal"]
+    assert len(reversals) == 32
+    cache: dict = {}
+    for ident in reversals:
+        # an odd-depth palindrome has an empty left-hand side
+        for _, spec in ident.lhs:
+            assert spec.exponents[0] >= 2 and spec.exponents[-1] >= 2
+        lhs = _truncated_formal_sum(ident.lhs, 9, cache)
+        rhs = _truncated_formal_sum(ident.rhs, 9, cache)
+        assert lhs == rhs, ident.to_json()
 
 
 def test_reversal_reduction_double_interior_ones(prec40):
@@ -655,6 +690,14 @@ def test_identity_catalog_deterministic(tmp_path):
         rec = json.loads(line)
         assert set(rec) == {"lhs", "rhs", "tag"}
         assert rec["tag"] in {"duality", "stuffle", "shuffle", "reversal"}
+
+
+def test_identity_catalog_weight_eight_golden():
+    # pinned rendering: any drift in term order or coefficients shows here
+    lines = [ident.to_json() for ident in identity_catalog(8)]
+    assert len(lines) == 256
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d81ba9092cd471e8969d69fa7bec293a1a533efa827cd69080af5a1da427857d"
 
 
 def test_identity_catalog_numeric_sample(prec30):
