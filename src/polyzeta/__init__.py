@@ -1,5 +1,10 @@
 """Arbitrary-precision calculator and identity engine for multiple
-polylogarithms, multiple zeta values, and alternating/unit Euler sums."""
+polylogarithms, multiple zeta values, and alternating/unit Euler sums.
+
+The package exports what the README documents; everything else is imported
+from its submodule (``polyzeta.model``, ``polyzeta.evaluate``,
+``polyzeta.identities``, ...).
+"""
 
 from .errors import (
     DivergenceError,
@@ -10,73 +15,49 @@ from .errors import (
     PrecisionMismatch,
     UnsupportedSpec,
 )
-from .precision import BigReal, Precision, ln, pi, pow_int, to_decimal_string
+from .precision import BigReal, Precision, to_decimal_string
 from .model import (
-    GoncharovArgs,
     LambdaSpec,
-    Word,
-    check_convergence,
-    constant_base_spec,
-    delta_spec,
     dual_word,
     format_spec,
-    from_goncharov,
     lambda_from_z_string,
     lambda_to_word,
-    make_word,
-    mu_spec,
-    mzv_dual_string,
     parse_spec,
-    to_goncharov,
     word_to_lambda,
-    z_string_from_lambda,
     zeta_spec,
 )
-from .evaluate import (
-    GEOMETRIC_THRESHOLD,
-    SplitTerm,
-    SumPlan,
-    direct_nested_sum,
-    evaluate_J,
-    evaluate_lambda,
-    evaluate_word,
-    evaluate_z,
-    evaluate_zp,
-    holder_split,
-    hyp2f1_series,
-    plan_nested_sum,
-)
-from .identities import (
-    ClosedFormConstants,
-    FormalSum,
-    Identity,
-    RootDressing,
-    SpecProduct,
-    alternating_source_spec,
-    alternating_to_mu,
-    bernoulli,
-    closed_form,
-    cyclotomic_expand,
-    delta_mu_dual,
-    delta_negative_exact,
-    delta_one_negative_exact,
-    evaluate_formal_sum,
-    export_identities,
-    identity_catalog,
-    mu_source_spec,
-    mu_to_compositions,
-    mu_to_delta,
-    rational_stuffle_check,
-    render_formal_sum,
-    reversal_reduction,
-    shuffle_words,
-    stuffle_count,
-    stuffle_identity,
-    stuffle_set,
-    weak_chain_expand,
-)
-from .relations import RelationResult, lindep, lll_reduce
+from .evaluate import evaluate_lambda, evaluate_z, evaluate_zp
+from .identities import identity_catalog, stuffle_identity
+from .relations import lindep
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # the README's Library block
+    "LambdaSpec",
+    "Precision",
+    "evaluate_lambda",
+    "evaluate_z",
+    "evaluate_zp",
+    "lindep",
+    "stuffle_identity",
+    "to_decimal_string",
+    "zeta_spec",
+    # values and errors
+    "BigReal",
+    "DivergenceError",
+    "DomainError",
+    "ExpressionError",
+    "InsufficientPrecision",
+    "PolyzetaError",
+    "PrecisionMismatch",
+    "UnsupportedSpec",
+    # spec text, words, duality and the identity catalog
+    "dual_word",
+    "format_spec",
+    "identity_catalog",
+    "lambda_from_z_string",
+    "lambda_to_word",
+    "parse_spec",
+    "word_to_lambda",
+]

@@ -40,7 +40,6 @@ from .model import (
     lambda_to_word,
     mu_spec,
     word_to_lambda,
-    zeta_spec,
 )
 from .precision import BigReal, Precision, ln, pi, pow_int
 from .relations import lindep
@@ -330,9 +329,7 @@ def crit_property_suites() -> tuple[bool, str]:
         prec = Precision(60)
         bits = 4 * prec.working_dps
         values = [
-            BigReal.from_rational(
-                Fraction(case.getrandbits(bits), 2 ** bits) + 1, prec
-            )
+            BigReal(Fraction(case.getrandbits(bits), 2 ** bits) + 1, prec)
             for _ in range(n - 1)
         ]
         coeffs = [case.randint(-50, 50) or 1 for _ in range(n - 1)]

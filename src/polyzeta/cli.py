@@ -41,6 +41,9 @@ MAX_EXPONENT_BITS = 64
 # at most four frames per level and the evaluator and the printer one per
 # node, so all three stay well below Python's recursion limit.
 MAX_PARSE_DEPTH = 100
+# bound on `identities export --weight`: the catalog grows about 2.2x per
+# weight, and weight 10 already takes seconds and tens of MB
+MAX_EXPORT_WEIGHT = 10
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +391,7 @@ def _as_number(v, what: str) -> BigReal:
 def eval_expression(e: Expr, prec: Precision):
     """Evaluate to a BigReal, or a RelationResult for a lindep call."""
     if isinstance(e, Num):
-        return BigReal.from_rational(e.value, prec)
+        return BigReal(e.value, prec)
     if isinstance(e, PiConst):
         return pi(prec)
     if isinstance(e, Log):
@@ -501,9 +504,12 @@ def _cmd_repl(args) -> int:
 def _cmd_identities(args) -> int:
     if args.action != "export":
         raise ValueError(f"unknown identities action {args.action!r}")
-    catalog = identity_catalog(args.weight)
+    if not 3 <= args.weight <= MAX_EXPORT_WEIGHT:
+        raise ValueError(f"weight must be in 3..{MAX_EXPORT_WEIGHT}, got {args.weight}")
+    # the output opens first, so a bad path fails before the catalog is built
     try:
-        count = export_identities(catalog, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            count = export_identities(identity_catalog(args.weight), fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -539,7 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identities", help="identity corpus tools")
     p_ident.add_argument("action", choices=["export"])
-    p_ident.add_argument("--weight", type=int, default=6)
+    p_ident.add_argument(
+        "--weight", type=int, default=6, help=f"maximum weight, 3..{MAX_EXPORT_WEIGHT}"
+    )
     p_ident.add_argument("--out", required=True)
     p_ident.set_defaults(fn=_cmd_identities)
 

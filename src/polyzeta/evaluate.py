@@ -8,8 +8,10 @@ floor-divides by small integers only: the base numerators and denominators
 and the summation index n.  The truncation point N comes from the closed-form
 tail bound of ``plan_nested_sum``.
 
-* direct (``direct_nested_sum``) -- every base has modulus > 1, so the pass
-  converges geometrically; the value is the kernel's full-spec entry.
+* direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
+  nonpositive exponent forces every modulus above 1, so the pass converges
+  geometrically; the value is the kernel's full-spec entry.
+  ``direct_nested_sum`` exposes this route for the first case.
 
 * dual -- words whose dual ``1 - reversed(word)`` has every base modulus at
   least ``GEOMETRIC_THRESHOLD`` take ``sign *`` the dual's full value.
@@ -179,42 +181,33 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
 # Direct route
 # ---------------------------------------------------------------------------
 
-def _kernel_pass(
-    spec: LambdaSpec, eps_log10: float, dps: int, extra_terms: int = 0
-) -> tuple[list[int], int]:
+def _kernel_pass(spec: LambdaSpec, eps_log10: float, dps: int) -> tuple[list[int], int]:
     """Every suffix value of spec, summed as far as its plan asks."""
     plan = plan_nested_sum(spec, eps_log10)
-    return _suffix_sums(spec, plan.terms + extra_terms, dps)
+    return _suffix_sums(spec, plan.terms, dps)
 
 
-def _direct(spec: LambdaSpec, prec: Precision, extra_terms: int = 0) -> tuple[int, int]:
+def _direct(spec: LambdaSpec, prec: Precision) -> tuple[int, int]:
     """Full value of spec as a (mantissa, binary exponent) pair."""
     if spec.depth == 0:
         return 1, 0
-    values, bits = _kernel_pass(spec, _tail_budget(prec), prec.working_dps, extra_terms)
+    values, bits = _kernel_pass(spec, _tail_budget(prec), prec.working_dps)
     return values[0], -bits
 
 
-def direct_nested_sum(
-    spec: LambdaSpec,
-    prec: Precision,
-    *,
-    threshold: Fraction = GEOMETRIC_THRESHOLD,
-    extra_terms: int = 0,
-) -> BigReal:
-    """Sum lambda(spec) directly; requires min |b_j| >= threshold (> 1).
+def direct_nested_sum(spec: LambdaSpec, prec: Precision) -> BigReal:
+    """Sum lambda(spec) directly; requires min |b_j| >= GEOMETRIC_THRESHOLD.
 
-    The default threshold 3/2 keeps the term ratio at most 2/3 so the pass
-    length is O(digits); callers may lower it deliberately down to (but not
-    including) 1 at the price of a longer pass.
+    The threshold 3/2 keeps the term ratio at most 2/3, so the pass length
+    is O(digits).
     """
     require_convergent(spec)
-    if spec.depth and min(abs(b) for b in spec.bases) < min(threshold, GEOMETRIC_THRESHOLD):
+    if spec.depth and min(abs(b) for b in spec.bases) < GEOMETRIC_THRESHOLD:
         raise UnsupportedSpec(
-            f"{format_spec(spec)}: base modulus below {threshold}; "
+            f"{format_spec(spec)}: base modulus below {GEOMETRIC_THRESHOLD}; "
             "evaluate through the conjugate split instead"
         )
-    return BigReal(_direct(spec, prec, extra_terms), prec)
+    return BigReal(_direct(spec, prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +317,17 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     wp = working_precision(prec, spec)
     if spec.depth == 0:
         return BigReal(1, prec)
-    rmin = min(abs(b) for b in spec.bases)
-    if rmin >= GEOMETRIC_THRESHOLD:
-        return BigReal(direct_nested_sum(spec, wp).mpf, prec)
-    if any(s < 1 for s in spec.exponents):
+    if min(abs(b) for b in spec.bases) >= GEOMETRIC_THRESHOLD or any(
+        s < 1 for s in spec.exponents
+    ):
         # no word encoding for nonpositive exponents, but convergence
-        # guarantees all |b_j| > 1 here, so the direct pass still applies
+        # guarantees all |b_j| > 1 there, so the direct pass still applies
         # at its slower ratio
-        return BigReal(direct_nested_sum(spec, wp, threshold=rmin).mpf, prec)
-    return BigReal(_word_value(lambda_to_word(spec), wp), prec)
+        value = _direct(spec, wp)
+    else:
+        value = _word_value(lambda_to_word(spec), wp)
+    # one rounding, from the kernel's (mantissa, exponent) pair
+    return BigReal(value, prec)
 
 
 def evaluate_word(word: Word, prec: Precision) -> BigReal:

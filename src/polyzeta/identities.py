@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import mpmath as mp
 
@@ -332,21 +332,16 @@ def shuffle_words(w1, w2) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-def _rational_root(x: Fraction, n: int) -> Fraction | None:
-    """Positive rational n-th root of x, or None."""
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """Positive rational square root of x, or None.
+
+    x is in lowest terms, so it is a square exactly when its numerator and
+    denominator are; the integer square roots decide that exactly.
+    """
     if x <= 0:
         return None
-
-    def iroot(m: int) -> int | None:
-        r = round(m ** (1 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    p = iroot(x.numerator)
-    q = iroot(x.denominator)
-    if p is None or q is None:
+    p, q = isqrt(x.numerator), isqrt(x.denominator)
+    if p * p != x.numerator or q * q != x.denominator:
         return None
     return Fraction(p, q)
 
@@ -370,7 +365,7 @@ def cyclotomic_expand(spec: LambdaSpec, n: int) -> FormalSum:
     if n == 2:
         roots = []
         for b in spec.bases:
-            r = _rational_root(b, 2)
+            r = _rational_sqrt(b)
             if r is None:
                 raise DomainError(
                     f"{format_spec(spec)}: base {b} is not the square of a rational"
@@ -423,22 +418,24 @@ def alternating_to_mu(s) -> FormalSum:
     return FormalSum(terms)
 
 
+def _blocks(seq: tuple, mask: int) -> list[tuple]:
+    """Cut a nonempty seq into consecutive blocks: bit j-1 of mask set keeps
+    seq[j-1] and seq[j] in one block, a clear bit cuts between them."""
+    blocks = []
+    start = 0
+    for j in range(1, len(seq)):
+        if not mask >> (j - 1) & 1:
+            blocks.append(seq[start:j])
+            start = j
+    blocks.append(seq[start:])
+    return blocks
+
+
 def _compositions(total: int):
-    """All positive-integer compositions of total (2^(total-1) of them)."""
-    if total == 0:
-        yield ()
-        return
+    """All positive-integer compositions of total >= 1 (2^(total-1) of them)."""
+    ones = (1,) * total
     for mask in range(1 << (total - 1)):
-        comp = []
-        run = 1
-        for bit in range(total - 1):
-            if mask >> bit & 1:
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        yield tuple(comp)
+        yield tuple(len(block) for block in _blocks(ones, mask))
 
 
 def mu_source_spec(s) -> LambdaSpec:
@@ -513,13 +510,8 @@ def _weak_chains(s: tuple[int, ...]):
     """Exponent strings of the strict chains in the weak-chain expansion of
     a nonempty s."""
     for mask in range(1 << (len(s) - 1)):
-        merged = [s[0]]
-        for j in range(1, len(s)):
-            if mask >> (j - 1) & 1:  # n_j == n_{j+1}: merge exponents
-                merged[-1] += s[j]
-            else:
-                merged.append(s[j])
-        yield tuple(reversed(merged))
+        # a set bit j-1 means n_j == n_{j+1}: the block's exponents merge
+        yield tuple(sum(block) for block in reversed(_blocks(s, mask)))
 
 
 def weak_chain_expand(s) -> FormalSum:
@@ -622,20 +614,11 @@ def reversal_reduction(s) -> FormalSum:
     lifts: dict = {}  # block -> T-polynomial of its weak-chain expansion
     total: dict = {}
     for mask in range(1 << (k - 1)):
-        # runs of consecutive constrained indices partition the variables
-        blocks: list[tuple[int, ...]] = []
-        current = [s[0]]
-        for j in range(1, k):
-            if mask >> (j - 1) & 1:
-                current.append(s[j])
-            else:
-                blocks.append(tuple(current))
-                current = [s[j]]
-        blocks.append(tuple(current))
         nbits = bin(mask).count("1")
         piece = {(0, ()): (-1) ** nbits}
         full_chain = mask == (1 << (k - 1)) - 1
-        for block in blocks:
+        # runs of consecutive constrained indices partition the variables
+        for block in _blocks(s, mask):
             lifted = lifts.get(block)
             if lifted is None:
                 lifted = {}
@@ -972,8 +955,9 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     return identities
 
 
-def export_identities(identities, path) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ident in identities:
-            fh.write(ident.to_json() + "\n")
+def export_identities(identities, fh) -> int:
+    """Write one JSON line per identity to the open text file fh; returns
+    the number written."""
+    for ident in identities:
+        fh.write(ident.to_json() + "\n")
     return len(identities)

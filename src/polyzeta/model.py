@@ -140,10 +140,6 @@ def require_convergent(spec: LambdaSpec) -> None:
 # z-notation (signed exponent strings)
 # ---------------------------------------------------------------------------
 
-def z_string_convergent(entries: MzvString) -> bool:
-    return bool(entries) is False or entries[0] != 1
-
-
 def lambda_from_z_string(entries) -> LambdaSpec:
     """Signed exponent string -> LambdaSpec.
 
@@ -164,19 +160,6 @@ def lambda_from_z_string(entries) -> LambdaSpec:
         running *= 1 if e > 0 else -1
         bases.append(Fraction(running))
     return LambdaSpec.of(tuple(abs(e) for e in entries), tuple(bases))
-
-
-def z_string_from_lambda(spec: LambdaSpec) -> MzvString:
-    """Inverse of lambda_from_z_string; defined for unit (+-1) bases only."""
-    if any(abs(b) != 1 for b in spec.bases):
-        raise ValueError("z notation requires all bases +-1")
-    entries = []
-    prev = Fraction(1)
-    for s, b in spec.terms:
-        sigma = b / prev
-        entries.append(s if sigma > 0 else -s)
-        prev = b
-    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +257,3 @@ def mzv_dual_string(entries) -> MzvString:
         out.append(r + 2)
         out.extend([1] * s)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Nested-sum (Goncharov) argument form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GoncharovArgs:
-    """Pairs (s_j, x_j) of the strictly-decreasing-index nested sum.
-
-    Ordered outermost index first, matching LambdaSpec.terms; the lambda
-    bases are the reciprocal running products b_j = 1/(x_1...x_j).
-    """
-
-    pairs: tuple[tuple[int, Fraction], ...]
-
-
-def to_goncharov(spec: LambdaSpec) -> GoncharovArgs:
-    pairs = []
-    prev = Fraction(1)
-    for s, b in spec.terms:
-        pairs.append((s, prev / b))
-        prev = b
-    return GoncharovArgs(tuple(pairs))
-
-
-def from_goncharov(args: GoncharovArgs) -> LambdaSpec:
-    terms = []
-    running = Fraction(1)
-    for s, x in args.pairs:
-        if x == 0:
-            raise ValueError("nested-sum ratios must be nonzero")
-        running *= x
-        terms.append((s, 1 / running))
-    return LambdaSpec(tuple(terms))

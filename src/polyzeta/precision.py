@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import mpmath as mp
 from mpmath.libmp import to_digits_exp
@@ -20,8 +19,6 @@ from .errors import DomainError, PrecisionMismatch
 MIN_DIGITS = 10
 MAX_DIGITS = 1000
 MIN_GUARD = 20
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,8 @@ def _to_mpf(value, dps: int) -> mp.mpf:
 class BigReal:
     """Immutable arbitrary-precision real bound to a Precision.
 
+    The value may be an int, a Fraction, an mpf or a (mantissa, binary
+    exponent) pair of ints; it is rounded once to the working precision.
     Binary operations require both operands to share the same Precision;
     mixing with int/Fraction is allowed (exact values have no precision of
     their own).
@@ -68,10 +67,6 @@ class BigReal:
 
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
-
-    @classmethod
-    def from_rational(cls, q: Rational, prec: Precision) -> "BigReal":
-        return cls(Fraction(q), prec)
 
     @property
     def mpf(self) -> mp.mpf:

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyzeta import ExpressionError, Precision, RelationResult
+from polyzeta import ExpressionError, Precision
+from polyzeta.relations import RelationResult
 from polyzeta.cli import (
     BinOp,
     LindepCall,
@@ -19,6 +20,7 @@ from polyzeta.cli import (
     Pow,
     ZCall,
     ZpCall,
+    MAX_EXPORT_WEIGHT,
     MAX_PARSE_DEPTH,
     eval_expression,
     format_result,
@@ -290,13 +292,32 @@ def test_identities_export_cli(tmp_path, capsys):
         assert set(rec) == {"lhs", "rhs", "tag"}
 
 
-def test_identities_export_unwritable_path_is_user_error(tmp_path, capsys):
+def _no_catalog(weight):
+    raise AssertionError("the catalog must not be built")
+
+
+def test_identities_export_unwritable_path_is_user_error(tmp_path, monkeypatch, capsys):
+    # the path fails before the catalog is built
+    monkeypatch.setattr("polyzeta.cli.identity_catalog", _no_catalog)
     out = tmp_path / "missing" / "ident.jsonl"
     assert run(["identities", "export", "--weight", "3", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [11, 2])
+def test_identities_export_weight_out_of_range(weight, tmp_path, monkeypatch, capsys):
+    # outside 3..MAX_EXPORT_WEIGHT the command stops before any work
+    assert MAX_EXPORT_WEIGHT == 10
+    monkeypatch.setattr("polyzeta.cli.identity_catalog", _no_catalog)
+    out = tmp_path / "ident.jsonl"
+    assert run(["identities", "export", "--weight", str(weight), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: weight must be in 3..10, got {weight}\n"
     assert not out.exists()
 
 

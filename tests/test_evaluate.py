@@ -15,28 +15,26 @@ from polyzeta import (
     LambdaSpec,
     Precision,
     UnsupportedSpec,
-    delta_spec,
-    direct_nested_sum,
     dual_word,
-    evaluate_J,
     evaluate_lambda,
-    evaluate_word,
     evaluate_z,
     evaluate_zp,
-    holder_split,
-    hyp2f1_series,
     lambda_from_z_string,
     lambda_to_word,
-    ln,
-    make_word,
-    pi,
-    plan_nested_sum,
-    pow_int,
-    to_goncharov,
     zeta_spec,
 )
 from polyzeta import evaluate
-from polyzeta.evaluate import _suffix_sums
+from polyzeta.evaluate import (
+    _suffix_sums,
+    direct_nested_sum,
+    evaluate_J,
+    evaluate_word,
+    holder_split,
+    hyp2f1_series,
+    plan_nested_sum,
+)
+from polyzeta.model import delta_spec, make_word
+from polyzeta.precision import ln, pi, pow_int
 from conftest import random_z_entries, word_pool
 
 F = Fraction
@@ -89,9 +87,15 @@ def test_suffix_kernel_matches_exact_partial_sums():
     assert abs(F(values[0], 2 ** bits) - exact) < F(10) ** -45
 
 
+def nested_sum_ratios(spec):
+    """x_j = b_{j-1}/b_j with b_0 = 1: the ratios of the nested-sum form."""
+    bases = (F(1),) + spec.bases
+    return [prev / b for prev, b in zip(bases, bases[1:])]
+
+
 def exact_partial_sum(spec, n):
     """Sum over n >= n_1 > ... > n_k >= 1 of prod x_j^n_j n_j^-s_j, exactly."""
-    pairs = to_goncharov(spec).pairs
+    pairs = list(zip(spec.exponents, nested_sum_ratios(spec)))
     # inner[j]: the sum over levels j.. with the top index at most m
     inner = [F(0)] * len(pairs) + [F(1)]
     for m in range(1, n + 1):
@@ -113,7 +117,7 @@ def suffix_specs(spec):
 def test_suffix_kernel_every_suffix_matches_exact():
     # the oracle itself against the sum over index tuples n_1 > n_2 > n_3
     spec = LambdaSpec.of((1, 2, 1), (-2, F(3, 2), 4))
-    x = [x for _, x in to_goncharov(spec).pairs]
+    x = nested_sum_ratios(spec)
     brute = F(0)
     for idx in combinations(range(10, 0, -1), 3):
         term = F(1)
@@ -155,9 +159,10 @@ def test_truncation_soundness():
     ]
     for spec in specs:
         plan = plan_nested_sum(spec, -(prec.digits + prec.guard / 2))
-        base = direct_nested_sum(spec, prec)
-        more = direct_nested_sum(spec, prec, extra_terms=25)
-        assert abs(more - base).to_fraction() < F(10) ** int(plan.tail_log10 + 1)
+        base, bits = _suffix_sums(spec, plan.terms, prec.working_dps)
+        more, more_bits = _suffix_sums(spec, plan.terms + 25, prec.working_dps)
+        diff = F(more[0], 2 ** more_bits) - F(base[0], 2 ** bits)
+        assert abs(diff) < F(10) ** int(plan.tail_log10 + 1)
 
 
 # -- split structure ----------------------------------------------------------
@@ -344,7 +349,7 @@ def test_hyp2f1_double_generating_function():
     prec = Precision(40)
     x, y = F(1, 3), F(1, 4)
     log_x, log_y = math.log10(1 / 3), math.log10(1 / 4)
-    acc = BigReal.from_rational(0, prec)
+    acc = BigReal(0, prec)
     kept = 0
     for m in range(0, 69):
         for n in range(0, 33):
@@ -375,7 +380,7 @@ def test_split_parameter_invariance_small(prec40):
     for word in words:
         values = []
         for p in (F(2), F(3), F(3, 2)):
-            total = BigReal.from_rational(0, prec40)
+            total = BigReal(0, prec40)
             for term in holder_split(word, p):
                 total = total + (
                     evaluate_lambda(term.left, prec40)
@@ -412,7 +417,7 @@ def test_mixed_base_words_route_invariance():
 
         # q = 3 at p = 3/2 clears every complement modulus in the pool
         for p in (F(2), F(3), F(3, 2)):
-            total = BigReal.from_rational(0, prec)
+            total = BigReal(0, prec)
             usable = True
             for term in holder_split(word, p):
                 for half in (term.left, term.right):
@@ -483,7 +488,7 @@ def test_digit_contract_against_thirty_more_digits():
                 evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
                 for t in holder_split(word, p)
             ),
-            BigReal.from_rational(0, prec),
+            BigReal(0, prec),
         )
 
     for d in (30, 50, 200):

@@ -9,15 +9,24 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from polyzeta import (
     DomainError,
-    FormalSum,
     LambdaSpec,
     Precision,
-    SpecProduct,
+    evaluate_lambda,
+    evaluate_z,
+    identity_catalog,
+    lambda_to_word,
+    stuffle_identity,
+    zeta_spec,
+)
+from polyzeta.evaluate import direct_nested_sum
+from polyzeta.identities import (
+    FormalSum,
     RootDressing,
+    SpecProduct,
     alternating_source_spec,
     alternating_to_mu,
     bernoulli,
@@ -26,32 +35,21 @@ from polyzeta import (
     delta_mu_dual,
     delta_negative_exact,
     delta_one_negative_exact,
-    delta_spec,
-    direct_nested_sum,
     evaluate_formal_sum,
-    evaluate_lambda,
-    evaluate_z,
     export_identities,
-    identity_catalog,
-    lambda_to_word,
-    ln,
-    make_word,
     mu_source_spec,
-    mu_spec,
     mu_to_compositions,
     mu_to_delta,
-    pi,
-    pow_int,
     rational_stuffle_check,
     render_formal_sum,
     reversal_reduction,
     shuffle_words,
     stuffle_count,
-    stuffle_identity,
     stuffle_set,
     weak_chain_expand,
-    zeta_spec,
 )
+from polyzeta.model import delta_spec, make_word, mu_spec
+from polyzeta.precision import ln, pi, pow_int
 
 F = Fraction
 
@@ -269,6 +267,20 @@ def test_cyclotomic_rejects_non_square():
         cyclotomic_expand(zeta_spec(2), 0)
 
 
+@pytest.mark.parametrize(
+    "root", [10 ** 17 + 3, 10 ** 200, F(10 ** 17 + 3, 10 ** 20 + 1)], ids=["1e17", "1e200", "ratio"]
+)
+def test_cyclotomic_order_two_exact_square_roots(root):
+    # the roots are exact: a float root misses (10^17 + 3)^2 and overflows
+    # on 10^400
+    spec = LambdaSpec.of((3,), (root ** 2,))
+    want = FormalSum([(4, LambdaSpec.of((3,), (root,))), (4, LambdaSpec.of((3,), (-root,)))])
+    assert cyclotomic_expand(spec, 2) == want
+    for near in (root ** 2 + 1, 10 * root ** 2):
+        with pytest.raises(DomainError):
+            cyclotomic_expand(LambdaSpec.of((3,), (near,)), 2)
+
+
 def test_cyclotomic_higher_order_symbolic(prec30):
     fs = cyclotomic_expand(zeta_spec(2, 1), 3)
     assert len(fs) == 9
@@ -381,7 +393,8 @@ def test_delta_mu_dual_numeric(prec30):
 def test_split_then_shuffle_gives_eight_base_two_values():
     # the weight-3 depth-1 MZV value decomposes, after shuffling each split
     # product onto single words, into eight unit-coefficient base-2 values
-    from polyzeta import holder_split, word_to_lambda
+    from polyzeta import word_to_lambda
+    from polyzeta.evaluate import holder_split
 
     word = lambda_to_word(zeta_spec(3))
     total = FormalSum.zero()
@@ -683,7 +696,8 @@ def test_identity_catalog_deterministic(tmp_path):
     cat2 = identity_catalog(5)
     assert [i.to_json() for i in cat1] == [i.to_json() for i in cat2]
     out = tmp_path / "identities.jsonl"
-    count = export_identities(cat1, out)
+    with open(out, "w", encoding="utf-8") as fh:
+        count = export_identities(cat1, fh)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == count == len(cat1)
     for line in lines:

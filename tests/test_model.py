@@ -8,24 +8,22 @@ from hypothesis import given, strategies as st
 
 from polyzeta import (
     DivergenceError,
-    GoncharovArgs,
     LambdaSpec,
     UnsupportedSpec,
-    check_convergence,
-    delta_spec,
     dual_word,
     format_spec,
-    from_goncharov,
     lambda_from_z_string,
     lambda_to_word,
+    parse_spec,
+    word_to_lambda,
+    zeta_spec,
+)
+from polyzeta.model import (
+    check_convergence,
+    delta_spec,
     make_word,
     mu_spec,
     mzv_dual_string,
-    parse_spec,
-    to_goncharov,
-    word_to_lambda,
-    z_string_from_lambda,
-    zeta_spec,
 )
 from conftest import random_z_entries
 
@@ -62,12 +60,10 @@ def test_z_string_roundtrip(exps, flips):
     if entries[0] == 1:
         entries = (2,) + entries[1:]
     spec = lambda_from_z_string(entries)
-    assert z_string_from_lambda(spec) == entries
-
-
-def test_z_string_from_lambda_wants_unit_bases():
-    with pytest.raises(ValueError):
-        z_string_from_lambda(delta_spec(2))
+    assert spec.exponents == tuple(abs(e) for e in entries)
+    # b_j is the running sign product: -1 to the count of negative entries so far
+    signs = tuple((-1) ** sum(e < 0 for e in entries[: j + 1]) for j in range(len(entries)))
+    assert spec.bases == signs
 
 
 # -- words ------------------------------------------------------------------
@@ -162,27 +158,6 @@ def test_mzv_dual_matches_word_route(entries):
     spec = zeta_spec(*entries)
     dual, _ = dual_word(lambda_to_word(spec))
     assert word_to_lambda(dual) == zeta_spec(*mzv_dual_string(entries))
-
-
-# -- nested-sum argument form ------------------------------------------------
-
-def test_goncharov_conversion():
-    spec = LambdaSpec.of((2, 1), (F(3, 2), F(9, 4)))
-    args = to_goncharov(spec)
-    assert args == GoncharovArgs(((2, F(2, 3)), (1, F(2, 3))))
-    assert from_goncharov(args) == spec
-
-
-def test_goncharov_roundtrip_randomized():
-    rng = random.Random(3)
-    for _ in range(200):
-        depth = rng.randint(1, 5)
-        bases = [
-            F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-            for _ in range(depth)
-        ]
-        spec = LambdaSpec.of(tuple(rng.randint(-2, 4) for _ in range(depth)), bases)
-        assert from_goncharov(to_goncharov(spec)) == spec
 
 
 # -- convergence -------------------------------------------------------------

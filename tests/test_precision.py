@@ -12,11 +12,9 @@ from polyzeta import (
     DomainError,
     Precision,
     PrecisionMismatch,
-    ln,
-    pi,
-    pow_int,
     to_decimal_string,
 )
+from polyzeta.precision import ln, pi, pow_int
 
 
 def machin_pi(digits: int) -> Fraction:
@@ -106,41 +104,41 @@ def test_ln_rejects_nonpositive():
 
 def test_pow_int_basics():
     prec = Precision(30)
-    x = BigReal.from_rational(Fraction(7, 3), prec)
+    x = BigReal(Fraction(7, 3), prec)
     assert pow_int(x, 0, prec) == 1
-    two = BigReal.from_rational(2, prec)
+    two = BigReal(2, prec)
     assert pow_int(two, 10, prec) == 1024
     assert pow_int(two, -2, prec).to_fraction() == Fraction(1, 4)
 
 
 def test_pow_int_zero_to_negative_is_domain_error():
     prec = Precision(20)
-    zero = BigReal.from_rational(0, prec)
+    zero = BigReal(0, prec)
     with pytest.raises(DomainError):
         pow_int(zero, -1, prec)
 
 
 def test_decimal_string_golden_cases():
     prec = Precision(30)
-    assert to_decimal_string(BigReal.from_rational(945, prec), 5) == "945.00"
-    assert to_decimal_string(BigReal.from_rational(0, prec), 5) == "0.0000"
+    assert to_decimal_string(BigReal(945, prec), 5) == "945.00"
+    assert to_decimal_string(BigReal(0, prec), 5) == "0.0000"
     assert to_decimal_string(ln(2, Precision(30)), 15) == "0.693147180559945"
 
 
 def test_decimal_string_shapes():
     prec = Precision(30)
-    assert to_decimal_string(BigReal.from_rational(Fraction(-1, 8), prec), 3) == "-0.125"
-    assert to_decimal_string(BigReal.from_rational(Fraction(1, 10 ** 9), prec), 3) == "1.00e-9"
-    assert to_decimal_string(BigReal.from_rational(10 ** 12, prec), 4) == "1.000e+12"
+    assert to_decimal_string(BigReal(Fraction(-1, 8), prec), 3) == "-0.125"
+    assert to_decimal_string(BigReal(Fraction(1, 10 ** 9), prec), 3) == "1.00e-9"
+    assert to_decimal_string(BigReal(10 ** 12, prec), 4) == "1.000e+12"
     # round-to-nearest with carry across the leading digit
-    v = BigReal.from_rational(Fraction(9997, 10), prec)
+    v = BigReal(Fraction(9997, 10), prec)
     assert to_decimal_string(v, 3) == "1.00e+3"
     assert to_decimal_string(v, 4) == "999.7"
 
 
 def test_decimal_string_range_check():
     prec = Precision(20)
-    v = BigReal.from_rational(1, prec)
+    v = BigReal(1, prec)
     with pytest.raises(ValueError):
         to_decimal_string(v, 0)
     with pytest.raises(ValueError):
@@ -149,7 +147,7 @@ def test_decimal_string_range_check():
 
 def test_rendering_truncates_str_but_rounds_decimal():
     prec = Precision(10)
-    v = BigReal.from_rational(Fraction(2, 3), prec)
+    v = BigReal(Fraction(2, 3), prec)
     assert str(v) == "0.6666666666"  # truncated at 10 significant digits
     assert to_decimal_string(v, 10) == "0.6666666667"
 
@@ -165,8 +163,8 @@ def test_precision_validation():
 
 
 def test_mixed_precision_rejected():
-    a = BigReal.from_rational(1, Precision(20))
-    b = BigReal.from_rational(1, Precision(30))
+    a = BigReal(1, Precision(20))
+    b = BigReal(1, Precision(30))
     with pytest.raises(PrecisionMismatch):
         a + b
     with pytest.raises(PrecisionMismatch):
@@ -175,8 +173,8 @@ def test_mixed_precision_rejected():
 
 def test_bigreal_arithmetic_and_comparisons():
     prec = Precision(25)
-    a = BigReal.from_rational(Fraction(3, 4), prec)
-    b = BigReal.from_rational(Fraction(1, 4), prec)
+    a = BigReal(Fraction(3, 4), prec)
+    b = BigReal(Fraction(1, 4), prec)
     assert (a + b) == 1
     assert (a - b).to_fraction() == Fraction(1, 2)
     assert (a * 4) == 3
@@ -188,7 +186,7 @@ def test_bigreal_arithmetic_and_comparisons():
 
 
 def test_bigreal_is_immutable():
-    v = BigReal.from_rational(1, Precision(20))
+    v = BigReal(1, Precision(20))
     with pytest.raises(AttributeError):
         v.prec = Precision(30)
 
@@ -196,10 +194,10 @@ def test_bigreal_is_immutable():
 def test_to_fraction_exact_roundtrip():
     prec = Precision(30)
     q = Fraction(355, 113)
-    v = BigReal.from_rational(q, prec)
+    v = BigReal(q, prec)
     # the stored dyadic is within an ulp of q, and to_fraction is exact
     assert abs(v.to_fraction() - q) < Fraction(1, 10 ** 45)
-    w = BigReal.from_rational(Fraction(5, 8), prec)  # exactly dyadic
+    w = BigReal(Fraction(5, 8), prec)  # exactly dyadic
     assert w.to_fraction() == Fraction(5, 8)
 
 

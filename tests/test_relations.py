@@ -20,11 +20,9 @@ from polyzeta import (
     evaluate_z,
     evaluate_zp,
     lindep,
-    lll_reduce,
-    ln,
-    pi,
 )
-from polyzeta.relations import STAGE_DIGITS, _staged_lll
+from polyzeta.precision import ln, pi
+from polyzeta.relations import STAGE_DIGITS, _staged_lll, lll_reduce
 
 F = Fraction
 
@@ -121,16 +119,16 @@ def test_degenerate_input_rejected():
 
 def test_lindep_trivial():
     prec = Precision(40)
-    xs = [BigReal.from_rational(1, prec), BigReal.from_rational(F(1, 2), prec)]
+    xs = [BigReal(1, prec), BigReal(F(1, 2), prec)]
     result = lindep(xs)
     assert result.found and result.coefficients == (1, -2)
-    xs = [BigReal.from_rational(1, prec), BigReal.from_rational(F(1, 3), prec)]
+    xs = [BigReal(1, prec), BigReal(F(1, 3), prec)]
     assert lindep(xs).coefficients == (1, -3)
 
 
 def test_lindep_sign_normalization():
     prec = Precision(40)
-    xs = [BigReal.from_rational(F(-1, 2), prec), BigReal.from_rational(F(1, 4), prec)]
+    xs = [BigReal(F(-1, 2), prec), BigReal(F(1, 4), prec)]
     result = lindep(xs)
     assert result.coefficients[0] > 0
 
@@ -142,7 +140,7 @@ def test_lindep_scale_invariance():
     vals = [F(3, 7), F(5, 11)]
     vals.append(2 * vals[0] + 7 * vals[1])
     for scale in (F(1), F(7, 3)):
-        xs = [BigReal.from_rational(v * scale, prec) for v in vals]
+        xs = [BigReal(v * scale, prec) for v in vals]
         result = lindep(xs)
         assert result.found
         assert result.coefficients == (2, 7, -1)
@@ -163,7 +161,7 @@ def test_lindep_soundness_recheck_higher_precision():
 def random_real(rng: random.Random, prec: Precision) -> BigReal:
     """A full-entropy random value in [1, 2) at working precision."""
     bits = 4 * prec.working_dps  # comfortably more than the mantissa
-    return BigReal.from_rational(F(rng.getrandbits(bits), 2 ** bits) + 1, prec)
+    return BigReal(F(rng.getrandbits(bits), 2 ** bits) + 1, prec)
 
 
 def test_lindep_no_relation_gives_exclusion_bound():
@@ -210,14 +208,14 @@ def test_lindep_rejects_bogus_sampling_relations():
 
 def test_lindep_validation():
     prec = Precision(40)
-    one = BigReal.from_rational(1, prec)
+    one = BigReal(1, prec)
     with pytest.raises(ValueError):
         lindep([one])
     with pytest.raises(InsufficientPrecision):
-        lindep([one, BigReal.from_rational(2, Precision(50))])
+        lindep([one, BigReal(2, Precision(50))])
     low = Precision(20)
     with pytest.raises(InsufficientPrecision):
-        lindep([BigReal.from_rational(1, low), BigReal.from_rational(2, low)])
+        lindep([BigReal(1, low), BigReal(2, low)])
     with pytest.raises(TypeError):
         lindep([1, 2])
 
