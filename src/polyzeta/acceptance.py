@@ -409,6 +409,12 @@ class Criterion:
     fn: Callable[[], tuple[bool, str]]
     slow: bool = False
 
+    def run(self) -> tuple[bool, str]:
+        """Pass flag and the line ``polyzeta selftest`` prints."""
+        ok, detail = self.fn()
+        status = "pass" if ok else "FAIL"
+        return ok, f"{status} {self.ident}: {self.label} [{detail}]"
+
 
 CRITERIA = (
     Criterion("euler", "z(2,1) equals z(3) at 50 digits", crit_euler),
@@ -436,8 +442,7 @@ def run_criteria(level: str = "full", out=None) -> bool:
         if level == "fast" and crit.slow:
             print(f"skip {crit.ident}: {crit.label}", file=out, flush=True)
             continue
-        ok, detail = crit.fn()
+        ok, line = crit.run()
         all_ok &= ok
-        status = "pass" if ok else "FAIL"
-        print(f"{status} {crit.ident}: {crit.label} [{detail}]", file=out, flush=True)
+        print(line, file=out, flush=True)
     return all_ok

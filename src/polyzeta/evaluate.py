@@ -27,6 +27,26 @@ tail bound of ``plan_nested_sum``.
 the dual when that alone produces fast geometric convergence, then the split
 with p = q = 2 (or an adaptive conjugate pair when unit-gap bases make 2
 infeasible).
+
+Error budget.  Before its one final rounding, every value ``evaluate_lambda``
+returns is within 10^-W of lambda, W = ``prec.working_dps``, so the BigReal
+is right to every digit it carries.  A pass run to D digits stops where the
+plan's tail bound is below 10^-D and keeps its rounding below 10^-D
+(``_rounding_bits``), so each suffix value it returns is within 2*10^-D.
+
+* direct and dual -- the value is one suffix value, so D = W + 1 suffices.
+
+* split -- the value is sum_r sign_r * L_r * R_r over weight+1 products.  A
+  word's suffixes have exponents s_j >= 1 and every |b_j| > 1; writing
+  n_j = m_j + ... + m_k with every gap m_j >= 1 bounds a suffix by
+  prod_j sum_m |b_j|^-m, so |lambda| <= M = prod_j max(1, 1/(|b_j| - 1)) for
+  every suffix of the pass (the max keeps M valid for the shorter ones).
+  With delta = 2*10^-D bounding |L~ - L| and |R~ - R|, each product is off
+  by at most delta*(M_L + M_R + delta) <= delta*(M_L + M_R + 1), so the sum
+  is off by at most (weight+1)*(M_L + M_R + 1)*delta, which is at most 10^-W
+  once 10^(D-W) >= 2*(weight+1)*(M_L + M_R + 1).
+
+``working_precision`` computes D for each spec before any pass.
 """
 
 from __future__ import annotations
@@ -58,19 +78,57 @@ GEOMETRIC_THRESHOLD = Fraction(3, 2)
 # terms after which hyp2f1_series gives up on reaching its tolerance
 HYP2F1_MAX_TERMS = 100000
 
-# extra decimal digits per unit of weight, on top of the base guard
-_GUARD_PER_WEIGHT = 10
+
+def _geometric(bases) -> bool:
+    return min(abs(b) for b in bases) >= GEOMETRIC_THRESHOLD
+
+
+def _summed_directly(spec: LambdaSpec) -> bool:
+    # no word encoding for nonpositive exponents, but convergence guarantees
+    # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
+    return _geometric(spec.bases) or any(s < 1 for s in spec.exponents)
+
+
+def _suffix_bound(bases) -> Fraction:
+    """M = prod_j max(1, 1/(|b_j| - 1)), at least |lambda| of every suffix of
+    a spec with these bases, positive exponents and every |b_j| > 1."""
+    bound = Fraction(1)
+    for b in bases:
+        if abs(b) < 2:
+            bound /= abs(b) - 1
+    return bound
+
+
+def _decimal_exponent(bound: Fraction) -> int:
+    """Smallest e >= 0 with 10^e >= bound."""
+    ceiling = -(-bound.numerator // bound.denominator)
+    return len(str(ceiling - 1)) if ceiling > 1 else 0
 
 
 def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
-    """Widen the guard for deep evaluations: 20 + 10 * (effective weight)."""
-    eff = sum(max(s, 1) for s in spec.exponents)
-    return prec.with_guard(20 + _GUARD_PER_WEIGHT * eff)
+    """Precision whose working_dps D the kernel passes for spec run at.
 
-
-def _tail_budget(prec: Precision) -> float:
-    """log10 of the truncation error allowed for one value."""
-    return -(prec.digits + prec.guard / 2)
+    Each suffix value of a pass run to D digits is within 2*10^-D of its
+    limit.  The direct and dual routes return one such value, so
+    D = W + 1 with W = prec.working_dps.  The split sums weight+1 products
+    of suffix values bounded by M_L and M_R (``_suffix_bound`` of the left
+    and right pass), which multiplies the error by at most
+    (weight+1)*(M_L + M_R + 1); D grows by the decimal exponent of twice
+    that factor.  Either way the value is within 10^-W before its final
+    rounding.
+    """
+    factor = Fraction(2)
+    if spec.depth and not _summed_directly(spec):
+        word = lambda_to_word(spec)
+        dual, _ = dual_word(word)
+        # a word's nonzero letters are its spec's bases
+        if not _geometric(a for a in dual if a):
+            p = _split_parameter(word)
+            q = p / (p - 1)
+            right = _suffix_bound(p * a for a in word if a)
+            left = _suffix_bound(q * a for a in dual if a)
+            factor *= (len(word) + 1) * (left + right + 1)
+    return Precision(prec.digits, prec.guard + _decimal_exponent(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +215,13 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
     # inner[j] holds A_{j+2}(n), inner[k-1] the power b_k^-n (1-based A)
     inner = [0] * (k - 1) + [one]
     sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
+    # integer bases (every +-1 word split at p = 2) skip the multiply by 1
+    integral = all(den == 1 for den in dens)
     for n in range(1, terms + 1):
-        scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+        if integral:
+            scaled = [a // num for a, num in zip(inner, nums)]
+        else:
+            scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
         for j, s in enumerate(exps):
             t = scaled[j]
             row = sums[j]
@@ -181,17 +244,18 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
 # Direct route
 # ---------------------------------------------------------------------------
 
-def _kernel_pass(spec: LambdaSpec, eps_log10: float, dps: int) -> tuple[list[int], int]:
-    """Every suffix value of spec, summed as far as its plan asks."""
-    plan = plan_nested_sum(spec, eps_log10)
+def _kernel_pass(spec: LambdaSpec, dps: int) -> tuple[list[int], int]:
+    """Every suffix value of spec, each within 2*10^-dps: the plan cuts the
+    tail below 10^-dps and the kernel keeps its rounding below 10^-dps."""
+    plan = plan_nested_sum(spec, -dps)
     return _suffix_sums(spec, plan.terms, dps)
 
 
-def _direct(spec: LambdaSpec, prec: Precision) -> tuple[int, int]:
+def _direct(spec: LambdaSpec, dps: int) -> tuple[int, int]:
     """Full value of spec as a (mantissa, binary exponent) pair."""
     if spec.depth == 0:
         return 1, 0
-    values, bits = _kernel_pass(spec, _tail_budget(prec), prec.working_dps)
+    values, bits = _kernel_pass(spec, dps)
     return values[0], -bits
 
 
@@ -202,12 +266,12 @@ def direct_nested_sum(spec: LambdaSpec, prec: Precision) -> BigReal:
     is O(digits).
     """
     require_convergent(spec)
-    if spec.depth and min(abs(b) for b in spec.bases) < GEOMETRIC_THRESHOLD:
+    if spec.depth and not _geometric(spec.bases):
         raise UnsupportedSpec(
             f"{format_spec(spec)}: base modulus below {GEOMETRIC_THRESHOLD}; "
             "evaluate through the conjugate split instead"
         )
-    return BigReal(_direct(spec, prec), prec)
+    return BigReal(_direct(spec, working_precision(prec, spec).working_dps), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +342,22 @@ def _split_parameter(word: Word) -> Fraction:
     return q / (q - 1)
 
 
-def _word_value(word: Word, prec: Precision) -> tuple[int, int]:
+def _word_value(word: Word, dps: int) -> tuple[int, int]:
     """lambda value of a convergent word whose bases reach below the
     geometric threshold, as a (mantissa, binary exponent) pair."""
     dual, sign = dual_word(word)
     dspec = word_to_lambda(dual)
-    if min(abs(b) for b in dspec.bases) >= GEOMETRIC_THRESHOLD:
-        man, exp = _direct(dspec, prec)
+    if _geometric(dspec.bases):
+        man, exp = _direct(dspec, dps)
         return sign * man, exp
 
     terms = holder_split(word, _split_parameter(word))
     weight = len(word)
-    # budget: each of the weight+1 product terms gets half an equal share
-    eps_half = _tail_budget(prec) - math.log10(2 * (weight + 1)) - weight - 1
     # right halves are the suffixes of p*word (r = 0), left halves the
     # suffixes of q*dual (r = weight).  A suffix has no more levels and no
     # smaller base modulus, so the full word's plan bounds its tail too.
-    right, right_bits = _kernel_pass(terms[0].right, eps_half, prec.working_dps)
-    left, left_bits = _kernel_pass(terms[-1].left, eps_half, prec.working_dps)
+    right, right_bits = _kernel_pass(terms[0].right, dps)
+    left, left_bits = _kernel_pass(terms[-1].left, dps)
     total = sum(
         t.sign * left[weight - t.split_index] * right[t.split_index] for t in terms
     )
@@ -310,22 +372,19 @@ def _word_value(word: Word, prec: Precision) -> tuple[int, int]:
 def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     """Evaluate any convergent spec to |error| < 10^-digits.
 
-    Pure in (spec, prec), so results are memoized; identity checks that sum
-    many formal terms revisit the same values constantly.
+    Before the final rounding the value is within 10^-prec.working_dps; see
+    ``working_precision``.  Pure in (spec, prec), so results are memoized;
+    identity checks that sum many formal terms revisit the same values
+    constantly.
     """
     require_convergent(spec)
-    wp = working_precision(prec, spec)
+    dps = working_precision(prec, spec).working_dps
     if spec.depth == 0:
         return BigReal(1, prec)
-    if min(abs(b) for b in spec.bases) >= GEOMETRIC_THRESHOLD or any(
-        s < 1 for s in spec.exponents
-    ):
-        # no word encoding for nonpositive exponents, but convergence
-        # guarantees all |b_j| > 1 there, so the direct pass still applies
-        # at its slower ratio
-        value = _direct(spec, wp)
+    if _summed_directly(spec):
+        value = _direct(spec, dps)
     else:
-        value = _word_value(lambda_to_word(spec), wp)
+        value = _word_value(lambda_to_word(spec), dps)
     # one rounding, from the kernel's (mantissa, exponent) pair
     return BigReal(value, prec)
 
@@ -381,7 +440,8 @@ def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
     """Gauss series sum (a)_n (b)_n / ((c)_n n!) z^n for |z| <= 1/2.
 
     Arguments a, b, c may be BigReal at the same precision, int or Fraction;
-    c must not be a nonpositive integer.
+    c must not be a nonpositive integer.  The series stops once its tail
+    bound is below 10^-prec.working_dps.
     """
     z = Fraction(z)
     if abs(z) > Fraction(1, 2):
@@ -404,7 +464,7 @@ def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
         raise DomainError("parameter c must not be a nonpositive integer")
     with mp.workdps(dps):
         zv = mp.mpf(z.numerator) / z.denominator
-        eps = mp.mpf(10) ** (-(prec.digits + prec.guard // 2))
+        eps = mp.mpf(10) ** -dps
         rho = (1 + abs(zv)) / 2
         term = mp.mpf(1)
         total = mp.mpf(1)

@@ -38,9 +38,6 @@ class Precision:
     def working_dps(self) -> int:
         return self.digits + self.guard
 
-    def with_guard(self, guard: int) -> "Precision":
-        return Precision(self.digits, max(self.guard, guard))
-
 
 def _to_mpf(value, dps: int) -> mp.mpf:
     with mp.workdps(dps):

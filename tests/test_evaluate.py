@@ -21,6 +21,7 @@ from polyzeta import (
     evaluate_zp,
     lambda_from_z_string,
     lambda_to_word,
+    word_to_lambda,
     zeta_spec,
 )
 from polyzeta import evaluate
@@ -453,8 +454,8 @@ def test_two_hundred_digit_values():
     assert abs(alt + ln(2, prec)).to_fraction() < F(1, 10 ** 200)
 
 
-def test_digit_contract_against_thirty_more_digits():
-    # |value at d digits - value at d + 30 digits| < 10^-d on every route
+def contract_corpus():
+    """Specs on every route, and a weight-7 +-1 word for fixed-p splits."""
     rng = random.Random(41)
     corpus = [
         # +-1 bases: the Hoelder split at p = 2
@@ -481,6 +482,12 @@ def test_digit_contract_against_thirty_more_digits():
     # Hoelder splits of a +-1 word at fixed p: every half is summed directly,
     # the right halves at ratio p and the left ones at q or 2q (1/p + 1/q = 1)
     split_word = lambda_to_word(lambda_from_z_string(entries_of_weight(7)))
+    return corpus, split_word
+
+
+def test_digit_contract_against_thirty_more_digits():
+    # |value at d digits - value at d + 30 digits| < 10^-d on every route
+    corpus, split_word = contract_corpus()
 
     def split_value(word, p, prec):
         return sum(
@@ -500,6 +507,68 @@ def test_digit_contract_against_thirty_more_digits():
             low = split_value(split_word, p, Precision(d)).to_fraction()
             high = split_value(split_word, p, Precision(d + 30)).to_fraction()
             assert abs(low - high) < F(1, 10 ** d), (p, d)
+
+
+def test_values_carry_their_working_digits():
+    # before its final rounding every value is within 10^-W, W = d + 20 the
+    # working digits, so the values at d and d + 30 digits agree to
+    # 10^-(d + 19) relative to max(1, |v|), which leaves room for the rounding
+    corpus, _ = contract_corpus()
+    corpus += [
+        lambda_from_z_string((2, 1) * 8),  # weight 24, depth 16
+        lambda_from_z_string((2, 1) * 12),  # weight 36, depth 24
+        lambda_from_z_string((3, 1) * 6),  # weight 24, depth 12
+        # the complement 1 - 11/10 forces p close to 1
+        LambdaSpec.of((2, 1), (F(11, 10), -1)),
+        # nonpositive exponents: the direct pass, large values
+        LambdaSpec.of((3, 0, -2), (2, 3, F(7, 4))),
+    ]
+    cases = [(spec, lambda prec, spec=spec: evaluate_lambda(spec, prec), (30, 50, 200))
+             for spec in corpus]
+    direct_specs = (LambdaSpec.of((-5,), (2,)), LambdaSpec.of((2, 3), (3, F(7, 4))))
+    cases += [
+        ("z(200)", lambda prec: evaluate_z((200,), prec), (50,)),
+        *((f"direct {spec}", lambda prec, spec=spec: direct_nested_sum(spec, prec), (30, 50, 200))
+          for spec in direct_specs),
+        ("2F1(1,1;2;1/2)", lambda prec: hyp2f1_series(1, 1, 2, F(1, 2), prec), (30, 200)),
+        ("2F1(1/3,-2/7;5/2;-1/2)",
+         lambda prec: hyp2f1_series(F(1, 3), F(-2, 7), F(5, 2), F(-1, 2), prec), (50,)),
+    ]
+    for label, make, digits in cases:
+        for d in digits:
+            low = make(Precision(d)).to_fraction()
+            high = make(Precision(d + 30)).to_fraction()
+            assert abs(low - high) < F(1, 10 ** (d + 19)) * max(1, abs(high)), (label, d)
+
+
+def test_split_pass_suffixes_stay_within_their_bound():
+    # every suffix of a scaled word is at most M = prod max(1, 1/(|b_j| - 1)),
+    # the bound the split's error budget multiplies by
+    rng = random.Random(606)
+    base_pool = [F(1), F(-1), F(-2), F(5, 4), F(4, 3), F(11, 10), F(-3, 2)]
+    dps = 30
+    checked = adaptive = 0
+    while checked < 40:
+        depth = rng.randint(1, 4)
+        exps = tuple(rng.randint(1, 3) for _ in range(depth))
+        spec = LambdaSpec.of(exps, tuple(rng.choice(base_pool) for _ in exps))
+        if not spec.is_convergent() or evaluate._summed_directly(spec):
+            continue
+        word = lambda_to_word(spec)
+        dual, _ = dual_word(word)
+        if evaluate._geometric(word_to_lambda(dual).bases):
+            continue
+        p = evaluate._split_parameter(word)
+        adaptive += p != 2
+        terms = holder_split(word, p)
+        for pass_spec in (terms[0].right, terms[-1].left):
+            bound = evaluate._suffix_bound(pass_spec.bases)
+            values, bits = evaluate._kernel_pass(pass_spec, dps)
+            for v in values:
+                # each value is within 2*10^-dps of the suffix it sums
+                assert abs(F(v, 2 ** bits)) <= bound + F(2, 10 ** dps), (word, pass_spec)
+        checked += 1
+    assert adaptive >= 10
 
 
 def test_printed_precision_semantics():
