@@ -440,46 +440,81 @@ def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
     """Gauss series sum (a)_n (b)_n / ((c)_n n!) z^n for |z| <= 1/2.
 
     Arguments a, b, c may be BigReal at the same precision, int or Fraction;
-    c must not be a nonpositive integer.  The series stops once its tail
-    bound is below 10^-prec.working_dps.
+    c must not be a nonpositive integer.  The value is within 10^-W / 2 of
+    2F1 before its one final rounding to W = prec.working_dps digits.
+
+    Error budget.  The loop runs at p = W + g digits, so each rounding has
+    relative error at most u < 10^-p.  A parameter x = P/Q enters each step
+    as (P + nQ)/Q: exact for a rational x, one rounding for a BigReal x
+    (whose value is taken as exact).  A step multiplies the term by
+    (a+n)(b+n) z / ((c+n)(n+1)) with at most 9 roundings, so after n steps
+    the term is t_n (1 + theta_n) with |theta_n| <= (1+u)^(9n) - 1 <= 10 n u
+    while 9 n u <= 0.01 (n <= HYP2F1_MAX_TERMS and p >= 30 keep it so).
+    Each of the N additions to the sum rounds by at most u times the sum of
+    the computed |t_n| so far.  With m the computed sum of |t_n| over the N
+    steps, the rounding error is therefore below 12 N m u.  The series stops
+    once the next step's ratio is at most rho = (1 + |z|)/2 and the tail
+    bound |t_N| rho / (1 - rho) is below 10^-W / 5.  10^g > 48 N m then
+    keeps the rounding below 10^-W / 4 and, with the tail, the total below
+    10^-W / 2.  N and
+    m are known only after the loop, so it runs first with g = 10 and again
+    with the g they require if that is larger.
     """
     z = Fraction(z)
     if abs(z) > Fraction(1, 2):
         raise DomainError(f"series evaluation needs |z| <= 1/2, got {z}")
-    dps = prec.working_dps
 
-    def coerce(v) -> mp.mpf:
+    def split(v):
+        # v = P/Q with Q a positive int, P an int or an exact mpf
         if isinstance(v, BigReal):
             if v.prec != prec:
                 raise PrecisionMismatch(
                     "series parameters bound to a different precision"
                 )
-            return v.mpf
-        with mp.workdps(dps):
-            fv = Fraction(v)
-            return mp.mpf(fv.numerator) / fv.denominator
+            return v.mpf, 1
+        v = Fraction(v)
+        return v.numerator, v.denominator
 
-    av, bv, cv = coerce(a), coerce(b), coerce(c)
-    if cv == mp.floor(cv) and cv <= 0:
+    params = split(a), split(b), split(c)
+    pc, qc = params[2]
+    if qc == 1 and pc <= 0 and pc == int(pc):
         raise DomainError("parameter c must not be a nonpositive integer")
-    with mp.workdps(dps):
-        zv = mp.mpf(z.numerator) / z.denominator
-        eps = mp.mpf(10) ** -dps
-        rho = (1 + abs(zv)) / 2
-        term = mp.mpf(1)
-        total = mp.mpf(1)
+    dps = prec.working_dps
+    guard = 10
+    while True:
+        total, steps, mass = _hyp2f1_sum(params, z, dps, dps + guard)
+        need = len(str(int(48 * steps * mass)))
+        if need <= guard:
+            return BigReal(total, prec)
+        guard = need
+
+
+def _hyp2f1_sum(params, z: Fraction, dps: int, loop_dps: int):
+    """The Gauss series summed at loop_dps digits until its tail is below
+    10^-dps / 5; returns (sum, steps, computed sum of |terms|)."""
+    (pa, qa), (pb, qb), (pc, qc) = params
+    zn = z.numerator * qc
+    zd = z.denominator * qa * qb
+    rho = (1 + abs(z)) / 2
+    tail = rho / (1 - rho)
+    with mp.workdps(loop_dps):
+        eps = mp.mpf(10) ** -dps / 5 * tail.denominator
+        term = total = mass = mp.mpf(1)
         n = 0
         while True:
-            term *= (av + n) * (bv + n) / ((cv + n) * (n + 1)) * zv
-            total += term
-            n += 1
-            if n < 8:
-                continue
-            ratio = abs((av + n) * (bv + n) / ((cv + n) * (n + 1)) * zv)
-            if ratio <= rho and abs(term) * rho / (1 - rho) < eps:
-                break
-            if n > HYP2F1_MAX_TERMS:
+            num = (pa + n * qa) * (pb + n * qb) * zn
+            den = (pc + n * qc) * (n + 1) * zd
+            if (
+                n >= 8
+                and abs(num) * rho.denominator <= abs(den) * rho.numerator
+                and abs(term) * tail.numerator < eps
+            ):
+                return total, n, mass
+            if n >= HYP2F1_MAX_TERMS:
                 raise DivergenceError(
                     f"series failed to reach tolerance in {HYP2F1_MAX_TERMS} terms"
                 )
-        return BigReal(total, prec)
+            term = term * num / den
+            total += term
+            mass += abs(term)
+            n += 1

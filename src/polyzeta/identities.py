@@ -5,16 +5,21 @@ closed forms used as numeric oracles.
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
-form parameters), `SpecProduct`s (products of specs, from reversal
-reductions) or `RootDressing`s (symbolic root-of-unity dressings, never
-numerically evaluated).
+form parameters) or `SpecProduct`s (products of specs, from reversal
+reductions); every one of them can be evaluated.
+
+Every term algebra here is a dict from a hashable key to an exact
+coefficient (an int until a division makes it a Fraction), and `_add_term`
+is its one merge step: it adds a coefficient in and drops the key when the
+sum is zero.  `FormalSum` merges its terms with it, keyed by `_body_key`.
+The shuffle and stuffle products count their raw terms before they build
+bodies, so each distinct body is built and keyed once.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
-algebra over the formal symbol T = "zeta(1)".  It works on plain exact data:
-a T-polynomial is a dict from (degree of T, sorted tuple of convergent zeta
-exponent strings) to an exact rational coefficient.  Products concatenate
-and sort the factor tuples; sums merge the dicts and drop zeros.  Only the
-final degree-0 part is canonicalized into a `FormalSum`.
+algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
+dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
+strings).  Products concatenate and sort the factor tuples; sums merge
+through `_add_term`.  Only the final degree-0 part becomes a `FormalSum`.
 """
 
 from __future__ import annotations
@@ -60,16 +65,6 @@ class SpecProduct:
         )
 
 
-@dataclass(frozen=True)
-class RootDressing:
-    """lambda(s; zeta^r_j * b_j^(1/order)) with zeta a primitive order-th
-    root of unity; symbolic only."""
-
-    order: int
-    powers: tuple[int, ...]
-    radicand: LambdaSpec
-
-
 def _spec_key(spec: LambdaSpec):
     return (
         spec.depth,
@@ -85,44 +80,42 @@ def _body_key(body):
         return (1, len(body), tuple((a.numerator, a.denominator) for a in body))
     if isinstance(body, SpecProduct):
         return (2, len(body.factors), tuple(_spec_key(f) for f in body.factors))
-    if isinstance(body, RootDressing):
-        return (3, body.order, body.powers) + _spec_key(body.radicand)
     raise TypeError(f"unsupported formal-sum body: {type(body)!r}")
 
 
+def _add_term(out: dict, key, c) -> None:
+    """Add the exact coefficient c to out[key], dropping the key at zero."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 class FormalSum:
-    """Exact-rational linear combination of term bodies, canonicalized."""
+    """Exact-rational linear combination of term bodies, canonicalized.
+
+    ``terms`` is a tuple of (coefficient, body) pairs in `_body_key` order,
+    with no zero coefficient and no repeated body.  Coefficients are kept as
+    given, ints or Fractions; the two compare, hash and print alike.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        merged: dict = {}
+        coeffs: dict = {}
+        bodies: dict = {}
         for coeff, body in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
             key = _body_key(body)
-            if key in merged:
-                old_c, _ = merged[key]
-                coeff = old_c + coeff
-            merged[key] = (coeff, body)
+            bodies[key] = body
+            _add_term(coeffs, key, coeff)
         object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                (c, b)
-                for _, (c, b) in sorted(merged.items())
-                if c != 0
-            ),
+            self, "terms", tuple((coeffs[key], bodies[key]) for key in sorted(coeffs))
         )
 
     @classmethod
     def single(cls, body, coeff=1) -> "FormalSum":
-        return cls(((Fraction(coeff), body),))
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls(())
+        return cls(((coeff, body),))
 
     def __iter__(self):
         return iter(self.terms)
@@ -142,10 +135,6 @@ class FormalSum:
     def __neg__(self) -> "FormalSum":
         return FormalSum((-c, b) for c, b in self.terms)
 
-    def scaled(self, factor) -> "FormalSum":
-        factor = Fraction(factor)
-        return FormalSum((factor * c, b) for c, b in self.terms)
-
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
 
@@ -161,18 +150,9 @@ def _render_body(body) -> str:
         return format_spec(body)
     if isinstance(body, tuple):
         return "W[" + ",".join(str(a) for a in body) + "]"
-    if isinstance(body, SpecProduct):
-        if not body.factors:
-            return "1"
-        return "*".join(format_spec(f) for f in body.factors)
-    if isinstance(body, RootDressing):
-        ss = ",".join(str(s) for s in body.radicand.exponents)
-        bs = ",".join(
-            f"r{body.order}^{p}*{b}^(1/{body.order})"
-            for p, b in zip(body.powers, body.radicand.bases)
-        )
-        return f"L[{ss} | {bs}]"
-    raise TypeError(type(body))
+    if not body.factors:  # a SpecProduct
+        return "1"
+    return "*".join(format_spec(f) for f in body.factors)
 
 
 def render_formal_sum(fs: FormalSum) -> str:
@@ -190,19 +170,17 @@ def render_formal_sum(fs: FormalSum) -> str:
 
 
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body)); rejects symbolic dressings."""
+    """Numeric value sum(coeff * value(body))."""
     total = BigReal(0, prec)
     for coeff, body in fs.terms:
         if isinstance(body, LambdaSpec):
             v = evaluate_lambda(body, prec)
         elif isinstance(body, tuple):
             v = evaluate_word(body, prec)
-        elif isinstance(body, SpecProduct):
+        else:  # a SpecProduct
             v = BigReal(1, prec)
             for f in body.factors:
                 v = v * evaluate_lambda(f, prec)
-        else:
-            raise DomainError("root-of-unity dressings are symbolic only")
         total = total + v * coeff
     return total
 
@@ -248,31 +226,16 @@ def stuffle_set(s, t, a, b):
     return tuple(out)
 
 
-def stuffle_count(k: int, r: int) -> int:
-    """Number of interleave/merge paths for depths k and r."""
-    table = [[0] * (r + 1) for _ in range(k + 1)]
-    table[0][0] = 1
-    for i in range(k + 1):
-        for j in range(r + 1):
-            if i == j == 0:
-                continue
-            v = 0
-            if i:
-                v += table[i - 1][j]
-            if j:
-                v += table[i][j - 1]
-            if i and j:
-                v += table[i - 1][j - 1]
-            table[i][j] = v
-    return table[k][r]
-
-
 def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
-    """lambda(u) * lambda(v) as a sum over the interleave/merge set."""
-    pairs = stuffle_set(u.exponents, v.exponents, u.bases, v.bases)
-    return FormalSum(
-        (Fraction(1), LambdaSpec.of(ue, ce)) for ue, ce in pairs
-    )
+    """lambda(u) * lambda(v) as a sum over the interleave/merge set.
+
+    Repeated (exponents, bases) pairs are counted first, so each distinct
+    spec is built once, with its multiplicity as coefficient.
+    """
+    counts: dict = {}
+    for pair in stuffle_set(u.exponents, v.exponents, u.bases, v.bases):
+        _add_term(counts, pair, 1)
+    return FormalSum((n, LambdaSpec.of(ue, ce)) for (ue, ce), n in counts.items())
 
 
 def rational_stuffle_check(a, b) -> bool:
@@ -305,26 +268,36 @@ def rational_stuffle_check(a, b) -> bool:
 
 
 def shuffle_words(w1, w2) -> FormalSum:
-    """All order-preserving interleavings of two words, with multiplicity."""
+    """All order-preserving interleavings of two words, with multiplicity.
+
+    The interleavings run over small-int codes of the distinct letters and
+    are counted in a dict, so each distinct word is built once.
+    """
     w1 = make_word(w1)
     w2 = make_word(w2)
-    terms = []
+    letters = tuple(set(w1 + w2))
+    code = {a: n for n, a in enumerate(letters)}
+    c1 = tuple(code[a] for a in w1)
+    c2 = tuple(code[a] for a in w2)
+    counts: dict = {}
 
     def rec(i, j, acc):
-        if i == len(w1) and j == len(w2):
-            terms.append((Fraction(1), tuple(acc)))
+        if i == len(c1) and j == len(c2):
+            _add_term(counts, tuple(acc), 1)
             return
-        if i < len(w1):
-            acc.append(w1[i])
+        if i < len(c1):
+            acc.append(c1[i])
             rec(i + 1, j, acc)
             acc.pop()
-        if j < len(w2):
-            acc.append(w2[j])
+        if j < len(c2):
+            acc.append(c2[j])
             rec(i, j + 1, acc)
             acc.pop()
 
     rec(0, 0, [])
-    return FormalSum(terms)
+    return FormalSum(
+        (n, tuple(letters[c] for c in codes)) for codes, n in counts.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,38 +324,29 @@ def cyclotomic_expand(spec: LambdaSpec, n: int) -> FormalSum:
     over all n^depth root-of-unity dressings of the n-th roots.
 
     n = 1 is the identity; n = 2 needs every base to be the square of a
-    rational and yields a fully rational sum over sign dressings; n > 2
-    emits symbolic RootDressing bodies.
+    rational and yields a fully rational sum over sign dressings.  Higher
+    orders need complex roots of unity, which nothing here evaluates, so
+    they raise DomainError.
     """
-    if n < 1:
-        raise DomainError("cyclotomic order must be a positive integer")
+    if n not in (1, 2):
+        raise DomainError(f"cyclotomic order must be 1 or 2, got {n}")
     if any(s < 1 for s in spec.exponents):
         raise DomainError("cyclotomic expansion needs positive exponents")
     if n == 1:
         return FormalSum.single(spec)
-    k = spec.depth
-    coeff = Fraction(n) ** (spec.weight - k)
-    if n == 2:
-        roots = []
-        for b in spec.bases:
-            r = _rational_sqrt(b)
-            if r is None:
-                raise DomainError(
-                    f"{format_spec(spec)}: base {b} is not the square of a rational"
-                )
-            roots.append(r)
-        terms = []
-        for signs in iproduct((1, -1), repeat=k):
-            dressed = LambdaSpec.of(
-                spec.exponents, tuple(e * r for e, r in zip(signs, roots))
+    roots = []
+    for b in spec.bases:
+        r = _rational_sqrt(b)
+        if r is None:
+            raise DomainError(
+                f"{format_spec(spec)}: base {b} is not the square of a rational"
             )
-            terms.append((coeff, dressed))
-        return FormalSum(terms)
-    terms = [
-        (coeff, RootDressing(n, powers, spec))
-        for powers in iproduct(range(n), repeat=k)
-    ]
-    return FormalSum(terms)
+        roots.append(r)
+    coeff = 2 ** (spec.weight - spec.depth)
+    return FormalSum(
+        (coeff, LambdaSpec.of(spec.exponents, tuple(e * r for e, r in zip(signs, roots))))
+        for signs in iproduct((1, -1), repeat=spec.depth)
+    )
 
 
 def alternating_source_spec(s) -> LambdaSpec:
@@ -414,7 +378,7 @@ def alternating_to_mu(s) -> FormalSum:
                 e = next(it)
                 coeff *= e
                 bases.append(e)
-        terms.append((Fraction(coeff), mu_spec(*bases)))
+        terms.append((coeff, mu_spec(*bases)))
     return FormalSum(terms)
 
 
@@ -464,7 +428,7 @@ def mu_to_compositions(s) -> FormalSum:
         for part in combo:
             exps.extend(part)
         body = LambdaSpec.of(tuple(exps), (Fraction(-1),) * len(exps))
-        terms.append((Fraction(1), body))
+        terms.append((1, body))
     return FormalSum(terms)
 
 
@@ -525,22 +489,13 @@ def weak_chain_expand(s) -> FormalSum:
     s = tuple(int(x) for x in s)
     if not s:
         return FormalSum.single(EMPTY_SPEC)
-    return FormalSum((Fraction(1), zeta_spec(*chain)) for chain in _weak_chains(s))
-
-
-def _t_add_term(out: dict, key, c) -> None:
-    """Add c to the coefficient of key in a T-polynomial, dropping zeros."""
-    c += out.get(key, 0)
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
+    return FormalSum((1, zeta_spec(*chain)) for chain in _weak_chains(s))
 
 
 def _t_accumulate(out: dict, p: dict, factor) -> None:
     """out += factor * p for T-polynomials."""
     for key, c in p.items():
-        _t_add_term(out, key, factor * c)
+        _add_term(out, key, factor * c)
 
 
 def _t_mul(p: dict, q: dict) -> dict:
@@ -548,7 +503,7 @@ def _t_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for (d1, f1), c1 in p.items():
         for (d2, f2), c2 in q.items():
-            _t_add_term(out, (d1 + d2, tuple(sorted(f1 + f2))), c1 * c2)
+            _add_term(out, (d1 + d2, tuple(sorted(f1 + f2))), c1 * c2)
     return out
 
 
@@ -948,7 +903,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
         if s[0] >= 2 and s[-1] >= 2:
             k = len(s)
             lhs = FormalSum.single(zeta_spec(*s)) + FormalSum.single(
-                zeta_spec(*reversed(s)), Fraction((-1) ** k)
+                zeta_spec(*reversed(s)), (-1) ** k
             )
             identities.append(Identity("reversal", lhs, reversal_reduction(s)))
 

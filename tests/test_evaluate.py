@@ -337,6 +337,26 @@ def test_hyp2f1_term_cap_raises_divergence(prec40, monkeypatch):
         hyp2f1_series(1, 1, 2, F(1, 2), prec40)
 
 
+@pytest.mark.parametrize(
+    "params, digits",
+    [
+        ((F(1, 3), F(-2, 7), F(5, 2), F(-1, 2)), 50),
+        ((F(1), F(1), F(2), F(1, 2)), 30),
+        ((F(1), F(1), F(2), F(1, 2)), 200),
+    ],
+)
+def test_hyp2f1_matches_mpmath_to_working_digits(params, digits):
+    # |error| < 10^-W against mpmath's own 2F1, taken 80 digits deeper
+    prec = Precision(digits)
+    w = prec.working_dps
+    got = hyp2f1_series(*params, prec).to_fraction()
+    with mp.workdps(w + 80):
+        a, b, c, z = (mp.mpf(x.numerator) / x.denominator for x in params)
+        want = mp.hyp2f1(a, b, c, z)
+        err = abs(mp.mpf(got.numerator) / got.denominator - want)
+        assert err < mp.mpf(10) ** -w
+
+
 def test_hyp2f1_double_generating_function():
     # 1 - sum x^(m+1) y^(n+1) * lambda_2(m+2, {1}^n) against the Gauss series.
     # Terms are skipped once the provable bound
