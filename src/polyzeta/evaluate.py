@@ -1,27 +1,30 @@
 """Numeric evaluation of convergent multiple polylogarithms.
 
 One summation kernel, three callers.  The kernel makes a single forward
-pass of N outer steps over a spec in Python-int fixed point (scale 2^bits)
-and returns the truncated value of every suffix of the spec, including the
-suffixes that start inside a block of dx/x forms.  Each step multiplies and
-floor-divides by small integers only: the base numerators and denominators
-and the summation index n.  The truncation point N comes from the closed-form
-tail bound of ``plan_nested_sum``.
+pass of N outer steps over a spec in Python-int fixed point (scale 2^bits).
+Its caller picks what the pass returns: the truncated value of every suffix
+of the spec, including the suffixes that start inside a block of dx/x forms
+(the split), or the full value alone (the direct and dual routes), which
+costs one floor division by n^s_j per level and step instead of s_j.  Each
+step multiplies and floor-divides by small integers only: the base
+numerators and denominators and powers of the summation index n.  The
+truncation point N comes from the closed-form tail bound of
+``plan_nested_sum``.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
-  geometrically; the value is the kernel's full-spec entry.
+  geometrically; the value is the kernel's full-value pass.
   ``direct_nested_sum`` exposes this route for the first case.
 
 * dual -- words whose dual ``1 - reversed(word)`` has every base modulus at
-  least ``GEOMETRIC_THRESHOLD`` take ``sign *`` the dual's full value.
+  least ``GEOMETRIC_THRESHOLD`` take ``sign *`` the dual's full-value pass.
 
 * split (``holder_split``) -- for words whose bases sit on or near the unit
   circle (MZVs, alternating sums), the [0,1] iterated integral splits at 1/p
   into weight+1 products sign_r * L_r * R_r with 1/p + 1/q = 1.  Every right
   half R_r is the suffix ``p * word[r:]`` and every left half L_r is a suffix
-  of ``q * dual``, so two kernel passes, one per scaled word, hold all
-  2(weight+1) factors.
+  of ``q * dual``, so two every-suffix kernel passes, one per scaled word,
+  hold all 2(weight+1) factors.
 
 ``evaluate_lambda`` dispatches between them, preferring the direct sum, then
 the dual when that alone produces fast geometric convergence, then the split
@@ -182,6 +185,12 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     the error of the level below), and the innermost power b_k^-n gains at
     most one unit per step.  Induction up the levels bounds every stored
     value's error after N steps by (1 + k c) N^D units, D = k + 1 + sum a_j.
+
+    The full-value pass is covered by the same bound: a level divides once
+    by n^s_j where the every-suffix pass divides s_j times by n, so it makes
+    at most 2 floor roundings per level and step, never more than c.  Its
+    value is in fact bit-identical to the every-suffix pass's full value,
+    so bits, and every value the evaluator returns, are unchanged.
     """
     k = spec.depth
     c = 2 + max(max(s, 0) for s in spec.exponents)
@@ -189,8 +198,10 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
 
 
-def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int]:
-    """Truncated values of every suffix of spec, as ints scaled by 2^bits.
+def _suffix_sums(
+    spec: LambdaSpec, terms: int, dps: int, every_suffix: bool = True
+) -> tuple[list[int], int]:
+    """Truncated values of the suffixes of spec, as ints scaled by 2^bits.
 
     Returns (values, bits).  For positive exponents values[i] is the suffix
     that starts at position i of the spec's word, so a block (s, b) yields
@@ -198,6 +209,13 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
     entry is the empty suffix, 1.  A nonpositive exponent yields only its
     own block's suffix.  Each value sums the outer index over 1..terms, and
     its rounding error stays below 10^-dps.
+
+    The split needs every suffix.  The direct and dual routes need only the
+    full value, so with every_suffix False the pass skips the partial
+    suffixes and values holds just values[0]: a level then makes one floor
+    division by n^s_j per step instead of s_j divisions by n, and only
+    level 0 accumulates.  floor(floor(t/n)/n) = floor(t/n^2) for n > 0, so
+    values[0] is bit-identical in both modes.
 
     With b_0 = 1 and P_j(n) the inner sum over n >= n_j > ... > n_k, the
     scaled partial sums A_j(n) = b_{j-1}^-n P_j(n) obey
@@ -214,9 +232,25 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
     exps = spec.exponents
     # inner[j] holds A_{j+2}(n), inner[k-1] the power b_k^-n (1-based A)
     inner = [0] * (k - 1) + [one]
-    sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
     # integer bases (every +-1 word split at p = 2) skip the multiply by 1
     integral = all(den == 1 for den in dens)
+    if not every_suffix:
+        total = 0
+        for n in range(1, terms + 1):
+            if integral:
+                scaled = [a // num for a, num in zip(inner, nums)]
+            else:
+                scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+            for j, s in enumerate(exps):
+                t = scaled[j] // n ** s if s > 0 else scaled[j] * n ** -s
+                if j:
+                    inner[j - 1] = scaled[j - 1] + t
+                else:
+                    total += t
+            inner[k - 1] = scaled[k - 1]
+        return [total], bits
+
+    sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
     for n in range(1, terms + 1):
         if integral:
             scaled = [a // num for a, num in zip(inner, nums)]
@@ -244,18 +278,21 @@ def _suffix_sums(spec: LambdaSpec, terms: int, dps: int) -> tuple[list[int], int
 # Direct route
 # ---------------------------------------------------------------------------
 
-def _kernel_pass(spec: LambdaSpec, dps: int) -> tuple[list[int], int]:
-    """Every suffix value of spec, each within 2*10^-dps: the plan cuts the
-    tail below 10^-dps and the kernel keeps its rounding below 10^-dps."""
+def _kernel_pass(
+    spec: LambdaSpec, dps: int, every_suffix: bool = True
+) -> tuple[list[int], int]:
+    """The suffix values of spec (only the full one unless every_suffix),
+    each within 2*10^-dps: the plan cuts the tail below 10^-dps and the
+    kernel keeps its rounding below 10^-dps."""
     plan = plan_nested_sum(spec, -dps)
-    return _suffix_sums(spec, plan.terms, dps)
+    return _suffix_sums(spec, plan.terms, dps, every_suffix)
 
 
 def _direct(spec: LambdaSpec, dps: int) -> tuple[int, int]:
     """Full value of spec as a (mantissa, binary exponent) pair."""
     if spec.depth == 0:
         return 1, 0
-    values, bits = _kernel_pass(spec, dps)
+    values, bits = _kernel_pass(spec, dps, every_suffix=False)
     return values[0], -bits
 
 

@@ -588,8 +588,11 @@ def reversal_reduction(s) -> FormalSum:
         _t_accumulate(total, piece, 1)
     bad = {key: c for key, c in total.items() if key[0] != 0}
     assert not bad, f"divergent degrees failed to cancel: {bad}"
+    # one spec per distinct exponent string, not one per factor
+    strings = {f for _, factors in total for f in factors}
+    specs = {f: zeta_spec(*f) for f in strings}
     return FormalSum(
-        (c, SpecProduct(tuple(zeta_spec(*f) for f in factors)))
+        (c, SpecProduct(tuple(specs[f] for f in factors)))
         for (_, factors), c in total.items()
     )
 

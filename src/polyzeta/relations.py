@@ -4,8 +4,8 @@
 that tracks the Gram-Schmidt data through the scaled integers lambda_ij and
 the Gram determinants d_i, so every division below is exact.  `lindep`
 embeds the input reals into the classical relation lattice
-(e_i | round(C x_i)) and accepts a candidate only when the recomputed linear
-combination is tiny compared to the scale C.
+(e_i | round(C x_i)) and accepts a candidate c only when its norm is under a
+cap and the recomputed |sum c_i x_i| is below |c|_1 / C (``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
@@ -174,18 +174,41 @@ def _normalize_sign(coeffs):
     return tuple(coeffs)
 
 
+def _accepts(coeffs, residual: Fraction, total: int) -> bool:
+    """lindep's acceptance test for a candidate c with |sum c_i x_i| equal to
+    residual, at scale C = 10^total: |c| <= C^(1/(n+1)) and
+    |sum c_i x_i| < |c|_1 / C."""
+    n = len(coeffs)
+    scale = 10 ** total
+    norm2 = sum(c * c for c in coeffs)
+    # norm cap compared exactly: norm^(2(n+1)) <= C^2
+    return (
+        norm2 ** (n + 1) <= scale * scale
+        and residual * scale < sum(abs(c) for c in coeffs)
+    )
+
+
 def lindep(values, prec=None) -> RelationResult:
     """Search for integers c with sum c_i x_i = 0.
 
     The inputs must be BigReal at one common Precision of at least 30
-    digits.  Scaling constant C = 10^(digits-10); a candidate from the
-    reduced lattice is accepted only if |sum c_i x_i| < 10^(-(digits-10)/2)
-    (ten digits of rounding headroom, quadratic gap against coincidental
-    smallness) AND its Euclidean norm stays below C^(1/(n+1)).  The norm cap
-    is what makes "no relation" reachable: generic inputs always admit
-    lattice vectors of norm about C^(1/n) whose residuals pass the threshold
-    but which only reflect the finite sampling of the inputs, not a relation
-    among the underlying reals.
+    digits.  Scaling constant C = 10^(digits-10); the shortest vector of the
+    reduced lattice is accepted only if its Euclidean norm stays below the
+    cap B = C^(1/(n+1)) AND |sum c_i x_i| < |c|_1 / C.
+
+    Why both tests.  An exact relation c leaves a residual of at most |c|_1
+    times the inputs' error, which is ten digits below 1/C, so it passes.
+    A spurious c is an accident of the finite inputs: there are about B^n
+    integer vectors of norm at most B, and their sums c.x spread over a
+    range of about B, so the smallest residual among them is about
+    B^(1-n) = C^(-(n-1)/(n+1)).  The bound |c|_1 / C is at most
+    sqrt(n) B / C = sqrt(n) C^(-n/(n+1)), so under the cap a spurious
+    candidate misses it by a factor of about B / sqrt(n).  A fixed
+    threshold cannot do this: a half-precision threshold C^(-1/2) is above
+    C^(-(n-1)/(n+1)) for every n >= 4, so vectors that the lifts of a
+    relation-free input produce would pass it.  The norm cap is what makes "no
+    relation" reachable at all: without it, lattice vectors of norm about
+    C^(1/n) have residuals that pass either test.
     """
     values = list(values)
     if len(values) < 2:
@@ -223,14 +246,11 @@ def lindep(values, prec=None) -> RelationResult:
     residual = abs(
         sum((x * c for c, x in zip(coeffs[1:], values[1:])), values[0] * coeffs[0])
     )
-    norm2 = sum(c * c for c in coeffs)
-    threshold = Fraction(1, 10 ** (total // 2))
-    # norm cap C^(1/(n+1)), compared exactly: norm^(2(n+1)) <= C^2
-    if norm2 ** (n + 1) <= scale * scale and residual.to_fraction() < threshold:
+    if _accepts(coeffs, residual.to_fraction(), total):
         return RelationResult(
             coefficients=_normalize_sign(coeffs),
             residual=residual,
-            norm=math.sqrt(norm2),
+            norm=math.sqrt(sum(c * c for c in coeffs)),
         )
 
     # no acceptable relation: bound the norm of any exact one from below.

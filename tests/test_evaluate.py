@@ -78,14 +78,45 @@ def test_direct_rejects_divergent(prec40):
 
 
 def test_suffix_kernel_matches_exact_partial_sums():
-    # the full value after n steps must equal the exact truncated nested sum
+    # the full value after n steps must equal the exact truncated nested sum,
+    # in the every-suffix pass and in the full-value pass
     spec = delta_spec(2, 1)
-    values, bits = _suffix_sums(spec, 12, dps=50)
     exact = F(0)
     for n1 in range(1, 13):
         for n2 in range(1, n1):
             exact += F(1, 2 ** (n1 - n2) * 2 ** n2) / (n1 ** 2 * n2)
-    assert abs(F(values[0], 2 ** bits) - exact) < F(10) ** -45
+    for every_suffix in (True, False):
+        values, bits = _suffix_sums(spec, 12, 50, every_suffix)
+        assert abs(F(values[0], 2 ** bits) - exact) < F(10) ** -45, every_suffix
+
+
+def full_value_specs():
+    """Specs the direct and dual routes hand to the full-value pass."""
+    rng = random.Random(8)
+    mixed = [F(2), F(-2), F(3, 2), F(5, 2), F(-3)]
+    specs = [LambdaSpec.of((s,), (2,)) for s in range(1, 6)]
+    specs += [LambdaSpec.of(exps, (F(3, 2),) * len(exps)) for exps in [(3,), (2, 1), (1, 2, 2)]]
+    specs += [
+        LambdaSpec.of(tuple(rng.randint(1, 4) for _ in range(4)), tuple(rng.sample(mixed, 4)))
+        for _ in range(6)
+    ]
+    specs += [LambdaSpec.of((2, -1, 0), (F(-7, 4), 3, 2)), LambdaSpec.of((-3,), (2,))]
+    dual, _ = dual_word(lambda_to_word(lambda_from_z_string((-1,) * 4)))
+    specs.append(word_to_lambda(dual))
+    return specs
+
+
+def test_full_value_pass_matches_every_suffix_pass():
+    # the direct and dual routes read values[0] only; the full-value pass
+    # must give it bit for bit, at the same bits
+    specs = full_value_specs()
+    assert evaluate._geometric(specs[-1].bases)  # the dual takes the direct pass
+    for spec in specs:
+        for dps in (30, 120):
+            terms = plan_nested_sum(spec, -dps).terms
+            every, bits = _suffix_sums(spec, terms, dps)
+            full, full_bits = _suffix_sums(spec, terms, dps, every_suffix=False)
+            assert (full, full_bits) == ([every[0]], bits), (spec, dps)
 
 
 def nested_sum_ratios(spec):
@@ -146,6 +177,9 @@ def test_suffix_kernel_every_suffix_matches_exact():
         for got, suffix in zip(values, suffixes):
             want = exact_partial_sum(suffix, steps)
             assert abs(F(got, 2 ** bits) - want) < F(10) ** -dps, suffix
+        (full,), full_bits = _suffix_sums(spec, steps, dps, every_suffix=False)
+        want = exact_partial_sum(spec, steps)
+        assert abs(F(full, 2 ** full_bits) - want) < F(10) ** -dps, spec
 
 
 def test_truncation_soundness():

@@ -21,8 +21,9 @@ from polyzeta import (
     evaluate_zp,
     lindep,
 )
+from polyzeta import relations
 from polyzeta.precision import ln, pi
-from polyzeta.relations import STAGE_DIGITS, _staged_lll, lll_reduce
+from polyzeta.relations import STAGE_DIGITS, _accepts, _staged_lll, lll_reduce
 
 F = Fraction
 
@@ -204,6 +205,46 @@ def test_lindep_rejects_bogus_sampling_relations():
     result = lindep(xs)
     assert not result.found
     assert result.exclusion_bound is not None
+
+
+def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
+    # a relation-free vector of n = 4 rationals with 130 decimals, at 100
+    # digits: the shortest row of its 60-digit lift has norm 3.7e14, under
+    # the cap C^(1/5) = 1e18, and |sum c_i x_i| = 4.3e-46 is below a fixed
+    # half-precision threshold 1e-45; the scaled test |c|_1 / C rejects it
+    rng = random.Random(635758219)
+    den = 10 ** 130
+    xs = [F(rng.randrange(den // 10, den), den) * rng.choice((1, -1)) for _ in range(4)]
+    prec = Precision(100)
+    total = prec.digits - 10
+    reduced_bases = []
+    lll = relations._lll_with_grams
+
+    def recording(rows):
+        reduced, grams = lll(rows)
+        reduced_bases.append(reduced)
+        return reduced, grams
+
+    monkeypatch.setattr(relations, "_lll_with_grams", recording)
+    assert not lindep([BigReal(x, prec) for x in xs]).found
+    lifts = reduced_bases[:-1]  # the last call is the exact final pass
+    assert len(lifts) == 2
+    # each lift's identity columns hold its transform V; the rows are V U
+    n = len(xs)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for reduced in lifts:
+        u = [
+            [sum(t * u[k][j] for k, t in enumerate(row[n + 1:])) for j in range(n)]
+            for row in reduced
+        ]
+    c = u[0]
+    residual = abs(sum(ci * x for ci, x in zip(c, xs)))
+    norm2 = sum(ci * ci for ci in c)
+    assert 3e14 < norm2 ** 0.5 < 4e14
+    assert norm2 ** (n + 1) <= 10 ** (2 * total)
+    assert residual < F(1, 10 ** (total // 2))  # a fixed threshold accepts c
+    assert not _accepts(c, residual, total)
+    assert _accepts(c, F(0), total)  # an exact relation of that norm passes
 
 
 def test_lindep_validation():
