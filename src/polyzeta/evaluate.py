@@ -59,8 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-
 from .errors import DivergenceError, DomainError, PrecisionMismatch, UnsupportedSpec
 from .model import (
     LambdaSpec,
@@ -74,7 +72,7 @@ from .model import (
     word_depth,
     word_to_lambda,
 )
-from .precision import BigReal, Precision
+from .precision import BigReal, Precision, _context
 
 GEOMETRIC_THRESHOLD = Fraction(3, 2)
 
@@ -529,29 +527,32 @@ def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
 def _hyp2f1_sum(params, z: Fraction, dps: int, loop_dps: int):
     """The Gauss series summed at loop_dps digits until its tail is below
     10^-dps / 5; returns (sum, steps, computed sum of |terms|)."""
-    (pa, qa), (pb, qb), (pc, qc) = params
+    ctx = _context(loop_dps)
+    # a BigReal parameter joins the loop's context, so its steps round there
+    (pa, qa), (pb, qb), (pc, qc) = [
+        (p if isinstance(p, int) else ctx.mpf(p), q) for p, q in params
+    ]
     zn = z.numerator * qc
     zd = z.denominator * qa * qb
     rho = (1 + abs(z)) / 2
     tail = rho / (1 - rho)
-    with mp.workdps(loop_dps):
-        eps = mp.mpf(10) ** -dps / 5 * tail.denominator
-        term = total = mass = mp.mpf(1)
-        n = 0
-        while True:
-            num = (pa + n * qa) * (pb + n * qb) * zn
-            den = (pc + n * qc) * (n + 1) * zd
-            if (
-                n >= 8
-                and abs(num) * rho.denominator <= abs(den) * rho.numerator
-                and abs(term) * tail.numerator < eps
-            ):
-                return total, n, mass
-            if n >= HYP2F1_MAX_TERMS:
-                raise DivergenceError(
-                    f"series failed to reach tolerance in {HYP2F1_MAX_TERMS} terms"
-                )
-            term = term * num / den
-            total += term
-            mass += abs(term)
-            n += 1
+    eps = ctx.mpf(10) ** -dps / 5 * tail.denominator
+    term = total = mass = ctx.mpf(1)
+    n = 0
+    while True:
+        num = (pa + n * qa) * (pb + n * qb) * zn
+        den = (pc + n * qc) * (n + 1) * zd
+        if (
+            n >= 8
+            and abs(num) * rho.denominator <= abs(den) * rho.numerator
+            and abs(term) * tail.numerator < eps
+        ):
+            return total, n, mass
+        if n >= HYP2F1_MAX_TERMS:
+            raise DivergenceError(
+                f"series failed to reach tolerance in {HYP2F1_MAX_TERMS} terms"
+            )
+        term = term * num / den
+        total += term
+        mass += abs(term)
+        n += 1

@@ -655,33 +655,37 @@ class ClosedFormConstants:
 
     def __init__(self, prec: Precision):
         self.prec = prec
+        # a context of its own, not precision._context's: mpmath's polylog
+        # raises and restores the precision of the context it runs in, which
+        # would change the rounding of another thread's values meanwhile
+        self._ctx = mp.MPContext()
+        self._ctx.dps = prec.working_dps
         self._cache: dict = {}
 
     def _mk(self, key, fn) -> BigReal:
         if key not in self._cache:
-            with mp.workdps(self.prec.working_dps):
-                self._cache[key] = BigReal(fn(), self.prec)
+            self._cache[key] = BigReal(fn(self._ctx), self.prec)
         return self._cache[key]
 
     def A(self, r: int) -> BigReal:
         if r < 1:
             raise DomainError("A(r) needs r >= 1")
-        return self._mk(("A", r), lambda: mp.polylog(r, mp.mpf(1) / 2))
+        return self._mk(("A", r), lambda ctx: ctx.polylog(r, ctx.mpf(1) / 2))
 
     def P(self, r: int) -> BigReal:
         if r < 0:
             raise DomainError("P(r) needs r >= 0")
-        return self._mk(("P", r), lambda: mp.log(2) ** r / mp.factorial(r))
+        return self._mk(("P", r), lambda ctx: ctx.log(2) ** r / ctx.factorial(r))
 
     def Z(self, r: int) -> BigReal:
         if r < 2:
             raise DomainError("Z(r) needs r >= 2")
-        return self._mk(("Z", r), lambda: (-1) ** r * mp.zeta(r))
+        return self._mk(("Z", r), lambda ctx: (-1) ** r * ctx.zeta(r))
 
     def zeta(self, r: int) -> BigReal:
         if r < 2:
             raise DomainError("zeta(r) needs r >= 2")
-        return self._mk(("zeta", r), lambda: +mp.zeta(r))
+        return self._mk(("zeta", r), lambda ctx: +ctx.zeta(r))
 
 
 def _cf_zagier(prec: Precision, n: int) -> BigReal:

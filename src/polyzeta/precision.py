@@ -1,15 +1,22 @@
 """Arbitrary-precision real arithmetic bound to explicit precision contexts.
 
 Values are immutable `BigReal` instances carrying the `Precision` they were
-computed under.  All arithmetic runs at ``digits + guard`` working decimal
-digits; rounding to nearest happens only when rendering.  The number backend
-is mpmath (MPF floats on top of gmpy2 integers where available).
+computed under.  A value lives in a private mpmath context (`_context`)
+whose precision, ``digits + guard`` working decimal digits, is set once when
+the context is made and never written again.  Every operation rounds its
+result to nearest at that precision; ``str()`` truncates to ``digits``
+significant digits and `to_decimal_string` rounds to nearest.  Nothing here
+reads or writes mpmath's global precision, so no value depends on it and
+threads may compute at different precisions at once.  The number backend is
+mpmath's binary floats (MPF: an integer mantissa and a binary exponent).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import to_digits_exp
@@ -29,6 +36,10 @@ class Precision:
     guard: int = MIN_GUARD
 
     def __post_init__(self):
+        for field in ("digits", "guard"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{field} must be an int, got {value!r}")
         if not MIN_DIGITS <= self.digits <= MAX_DIGITS:
             raise ValueError(f"digits must be in {MIN_DIGITS}..{MAX_DIGITS}, got {self.digits}")
         if self.guard < MIN_GUARD:
@@ -39,11 +50,37 @@ class Precision:
         return self.digits + self.guard
 
 
-def _to_mpf(value, dps: int) -> mp.mpf:
-    with mp.workdps(dps):
-        if isinstance(value, Fraction):
-            return mp.mpf(value.numerator) / value.denominator
-        return mp.mpf(value)
+@lru_cache(maxsize=64)
+def _context(dps: int) -> mp.MPContext:
+    """A private mpmath context at dps decimal digits, shared by every value
+    and loop at that precision.  Its precision is set here once, so only
+    mpmath code that never changes it (arithmetic, ln, pi) may run on it."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
+def _to_mpf(value, ctx: mp.MPContext):
+    """value rounded to ctx's precision, as one of ctx's floats."""
+    if isinstance(value, Fraction):
+        return ctx.mpf(value.numerator) / value.denominator
+    if type(value) is ctx.mpf:  # made by ctx's arithmetic, so already rounded
+        return value
+    return ctx.mpf(value)
+
+
+def _operator(fn, arithmetic: bool = True):
+    """A BigReal method applying fn to both operands' floats; an arithmetic
+    result is bound to the operands' Precision."""
+
+    def method(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        v = fn(self._v, o)
+        return BigReal(v, self.prec) if arithmetic else v
+
+    return method
 
 
 class BigReal:
@@ -60,15 +97,16 @@ class BigReal:
 
     def __init__(self, value, prec: Precision):
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "_v", _to_mpf(value, prec.working_dps))
+        object.__setattr__(self, "_v", _to_mpf(value, _context(prec.working_dps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
 
     @property
     def mpf(self) -> mp.mpf:
-        """The raw backing float (exact dyadic rational)."""
-        return self._v
+        """The backing float (an exact dyadic rational) as a plain mpmath mpf,
+        not rounded again."""
+        return mp.make_mpf(self._v._mpf_)
 
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
@@ -86,37 +124,20 @@ class BigReal:
                 )
             return other._v
         if isinstance(other, (int, Fraction)):
-            return _to_mpf(Fraction(other), self.prec.working_dps)
+            return _to_mpf(other, self._v.context)
         return NotImplemented
 
-    def _binop(self, other, fn) -> "BigReal":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        with mp.workdps(self.prec.working_dps):
-            return BigReal(fn(self._v, o), self.prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
+    __add__ = __radd__ = _operator(operator.add)
+    __sub__ = _operator(operator.sub)
+    __rsub__ = _operator(lambda a, b: b - a)
+    __mul__ = __rmul__ = _operator(operator.mul)
+    __truediv__ = _operator(operator.truediv)
+    __rtruediv__ = _operator(lambda a, b: b / a)
+    __eq__ = _operator(operator.eq, arithmetic=False)
+    __lt__ = _operator(operator.lt, arithmetic=False)
+    __le__ = _operator(operator.le, arithmetic=False)
+    __gt__ = _operator(operator.gt, arithmetic=False)
+    __ge__ = _operator(operator.ge, arithmetic=False)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -124,41 +145,14 @@ class BigReal:
         return pow_int(self, n, self.prec)
 
     def __neg__(self):
-        with mp.workdps(self.prec.working_dps):
-            return BigReal(-self._v, self.prec)
+        return BigReal(-self._v, self.prec)
 
     def __abs__(self):
-        with mp.workdps(self.prec.working_dps):
-            return BigReal(abs(self._v), self.prec)
-
-    def _cmp_value(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o
-
-    def __eq__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is NotImplemented else self._v == o
-
-    def __lt__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is NotImplemented else self._v < o
-
-    def __le__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is NotImplemented else self._v <= o
-
-    def __gt__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is NotImplemented else self._v > o
-
-    def __ge__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is NotImplemented else self._v >= o
+        return BigReal(abs(self._v), self.prec)
 
     def __hash__(self):
-        return hash((self._v, self.prec))
+        # equal to the hash of an equal int or Fraction
+        return hash(self._v)
 
     def __float__(self):
         return float(self._v)
@@ -217,33 +211,31 @@ def to_decimal_string(x: BigReal, d: int) -> str:
     """Round-to-nearest decimal rendering with d significant digits."""
     if not 1 <= d <= x.prec.digits:
         raise ValueError(f"significant digits must be in 1..{x.prec.digits}, got {d}")
-    return _render(x.mpf, d, rounded=True)
+    return _render(x._v, d, rounded=True)
 
 
 def pi(prec: Precision) -> BigReal:
-    with mp.workdps(prec.working_dps):
-        return BigReal(+mp.pi, prec)
+    return BigReal(+_context(prec.working_dps).pi, prec)
 
 
 def ln(x, prec: Precision) -> BigReal:
     """Natural logarithm of a positive BigReal, int or Fraction."""
+    ctx = _context(prec.working_dps)
     if isinstance(x, BigReal):
         if x.prec != prec:
             raise PrecisionMismatch("ln argument bound to a different precision")
-        v = x.mpf
+        v = x._v
     else:
-        v = _to_mpf(Fraction(x), prec.working_dps)
+        v = _to_mpf(Fraction(x), ctx)
     if v <= 0:
-        raise DomainError(f"ln requires a positive argument, got {v}")
-    with mp.workdps(prec.working_dps):
-        return BigReal(mp.ln(v), prec)
+        raise DomainError(f"ln requires a positive argument, got {mp.nstr(v, 15)}")
+    return BigReal(ctx.ln(v), prec)
 
 
 def pow_int(x: BigReal, n: int, prec: Precision) -> BigReal:
     """x**n by binary powering at working precision."""
     if x.prec != prec:
         raise PrecisionMismatch("pow_int argument bound to a different precision")
-    if n < 0 and x.mpf == 0:
+    if n < 0 and x._v == 0:
         raise DomainError("0 cannot be raised to a negative power")
-    with mp.workdps(prec.working_dps):
-        return BigReal(x.mpf ** n, prec)
+    return BigReal(x._v ** n, prec)

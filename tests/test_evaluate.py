@@ -391,6 +391,18 @@ def test_hyp2f1_matches_mpmath_to_working_digits(params, digits):
         assert err < mp.mpf(10) ** -w
 
 
+def test_hyp2f1_bigreal_parameter_is_taken_exactly():
+    # a BigReal parameter stands for its stored dyadic value; both values
+    # below are within 10^-W / 2 of the same 2F1
+    from polyzeta import BigReal
+
+    prec = Precision(50)
+    a = BigReal(F(1, 3), prec)
+    got = hyp2f1_series(a, F(-2, 7), F(5, 2), F(-1, 2), prec)
+    want = hyp2f1_series(a.to_fraction(), F(-2, 7), F(5, 2), F(-1, 2), prec)
+    assert abs(got - want).to_fraction() < tol(prec.working_dps)
+
+
 def test_hyp2f1_double_generating_function():
     # 1 - sum x^(m+1) y^(n+1) * lambda_2(m+2, {1}^n) against the Gauss series.
     # Terms are skipped once the provable bound

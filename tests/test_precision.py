@@ -4,8 +4,9 @@ rendering, and the exactness/monotonicity contracts."""
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyzeta import (
     BigReal,
@@ -160,6 +161,24 @@ def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(50, guard=10)
     assert Precision(50).working_dps == 70
+    for kwargs, field in (
+        ({"digits": 50.5}, "digits"),
+        ({"digits": "50"}, "digits"),
+        ({"digits": True}, "digits"),
+        ({"digits": 50, "guard": 20.0}, "guard"),
+        ({"digits": 50, "guard": True}, "guard"),
+    ):
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            Precision(**kwargs)
+
+
+def test_bigreal_hashes_like_an_equal_int_or_fraction():
+    prec = Precision(30)
+    for value in (0, 3, -7, 10 ** 40, Fraction(1, 2), Fraction(-5, 8)):
+        v = BigReal(value, prec)
+        assert v == value
+        assert hash(v) == hash(value)
+        assert len({v, value}) == 1
 
 
 def test_mixed_precision_rejected():
@@ -214,3 +233,45 @@ def test_rational_arithmetic_is_exact(x, y):
     assert gcd(s.numerator, s.denominator) == 1
     p = x * y
     assert p == Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+
+
+def _oracle_mpf(q: Fraction):
+    """The old BigReal(q) rounding, made with mpmath's global precision."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+_finite = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_finite,
+    y=_finite.filter(bool),
+    k=st.integers(min_value=-(10 ** 80), max_value=10 ** 80).filter(bool),
+    n=st.integers(min_value=-9, max_value=9),
+    digits=st.sampled_from([10, 37, 150]),
+)
+def test_operations_match_the_global_precision_oracle(x, y, k, n, digits):
+    """Every operation equals, bit for bit, the same operation run under
+    mpmath.workdps(working_dps), the way BigReal used to compute."""
+    prec = Precision(digits)
+    a, b = BigReal(x, prec), BigReal(y, prec)
+    bits = lambda v: v.mpf._mpf_
+    with mpmath.workdps(prec.working_dps):
+        X, Y, K = _oracle_mpf(x), _oracle_mpf(y), mpmath.mpf(k)
+        want = {
+            "BigReal(x)": X, "a+b": X + Y, "a-b": X - Y, "a*b": X * Y, "a/b": X / Y,
+            "a+k": X + K, "k-a": K - X, "a*k": X * K, "k/b": K / Y, "a/k": X / K,
+            "a+y": X + Y, "x-b": X - Y, "a*y": X * Y, "x/b": X / Y,
+            "-a": -X, "abs(a)": abs(X), "b**n": Y ** n,
+            "ln|b|": mpmath.ln(abs(Y)), "ln(|y|)": mpmath.ln(abs(Y)), "pi": +mpmath.pi,
+        }
+    got = {
+        "BigReal(x)": a, "a+b": a + b, "a-b": a - b, "a*b": a * b, "a/b": a / b,
+        "a+k": a + k, "k-a": k - a, "a*k": a * k, "k/b": k / b, "a/k": a / k,
+        "a+y": a + y, "x-b": x - b, "a*y": a * y, "x/b": x / b,
+        "-a": -a, "abs(a)": abs(a), "b**n": pow_int(b, n, prec),
+        "ln|b|": ln(abs(b), prec), "ln(|y|)": ln(abs(y), prec), "pi": pi(prec),
+    }
+    for name, value in got.items():
+        assert bits(value) == want[name]._mpf_, name
