@@ -11,9 +11,12 @@ The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
 `STAGE_DIGITS` digits of the column to the basis the previous lift reduced,
 truncated to about `LIFT_BITS` bits, and records the unimodular transform.
-The final pass is the exact LLL on the full, untruncated lattice, reached
-through that transform, so its output is LLL-reduced whatever the lifts did;
-they only make it cheaper.
+After each lift, `lindep` tests the transform's rows against its acceptance
+test and returns the first that passes, skipping the remaining lifts.  Only
+when no row of any lift passes does the final pass run: the exact LLL on the
+full, untruncated lattice, reached through the transform, so the basis that
+the "no relation" verdict and its exclusion bound read is LLL-reduced
+whatever the lifts did.
 """
 
 from __future__ import annotations
@@ -111,26 +114,32 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     return reduced
 
 
-def _staged_lll(column, total):
-    """Reduce the relation lattice (e_i | column_i) at growing precision.
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _lifts(column, total):
+    """Yield the transform U after each lift of the staged reduction.
 
     ``column`` holds the inputs scaled by 10^total and rounded.  U starts as
     the identity.  For e = STAGE_DIGITS, 2 STAGE_DIGITS, ... below total, a
     lift takes the column's leading e digits c, shifts the rows (U_i | U_i c)
     right until the second-smallest keeps about LIFT_BITS bits, appends
     identity columns and reduces; the identity part of the reduced basis is
-    the unimodular transform V, and U becomes V U.  The final pass reduces
-    (U_i | U_i column) exactly: U is unimodular, so this is the full
-    lattice, and the result with its Gram determinants is exactly
-    LLL-reduced.  With total <= STAGE_DIGITS there is no lift.
+    the unimodular transform V, and U becomes V U.  With total <= STAGE_DIGITS
+    there is no lift.
     """
     n = len(column)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    identity = _identity(n)
     u = identity
     for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
         unit = 10 ** (total - e)
         lifted = [(v + unit // 2) // unit for v in column]
-        rows = [row + [sum(a * b for a, b in zip(row, lifted))] for row in u]
+        rows = [row + [_dot(row, lifted)] for row in u]
         sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
         shift = max(sizes[1] - LIFT_BITS, 0)
         reduced, _ = _lll_with_grams(
@@ -141,9 +150,24 @@ def _staged_lll(column, total):
             [sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
             for trow in transform
         ]
-    return _lll_with_grams(
-        [row + [sum(a * b for a, b in zip(row, column))] for row in u]
-    )
+        yield u
+
+
+def _exact_lll(u, column):
+    """The exact LLL of (U_i | U_i column) and its Gram determinants: U is
+    unimodular, so this reduces the full relation lattice."""
+    return _lll_with_grams([row + [_dot(row, column)] for row in u])
+
+
+def _staged_lll(column, total):
+    """Reduce the relation lattice (e_i | column_i) at growing precision:
+    every lift of `_lifts`, then `_exact_lll` from the last transform, so
+    the result with its Gram determinants is exactly LLL-reduced.  This is
+    the path `lindep` takes when no lift yields a certified relation."""
+    u = _identity(len(column))
+    for u in _lifts(column, total):
+        pass
+    return _exact_lll(u, column)
 
 
 @dataclass(frozen=True)
@@ -188,13 +212,76 @@ def _accepts(coeffs, residual: Fraction, total: int) -> bool:
     )
 
 
+def _scaled_column(values, total):
+    """round(10^total x_i), half away from zero, from each input's exact
+    float."""
+    scale = 10 ** total
+    column = []
+    for x in values:
+        scaled = x.to_fraction() * scale
+        column.append(
+            int(scaled + Fraction(1, 2))
+            if scaled >= 0
+            else -int(-scaled + Fraction(1, 2))
+        )
+    return column
+
+
+def _residual(values, coeffs) -> BigReal:
+    """|sum c_i x_i| in the inputs' working precision, the one residual that
+    lindep's acceptance reads on every path."""
+    return abs(
+        sum((x * c for c, x in zip(coeffs[1:], values[1:])), values[0] * coeffs[0])
+    )
+
+
+def _relation(coeffs, residual) -> RelationResult:
+    return RelationResult(
+        coefficients=_normalize_sign(coeffs),
+        residual=residual,
+        norm=math.sqrt(sum(c * c for c in coeffs)),
+    )
+
+
+def _prefilter_rejects(coeffs, column) -> bool:
+    """True when c is sure to fail lindep's residual test, from integers alone.
+
+    column_i = round(C x_i) for the exact value x_i of each input's float,
+    so |C x_i - column_i| <= 1/2 and C |c.x| >= |c.column| - |c|_1 / 2.  When
+    |c.column| >= 2 |c|_1 that is at least 1.5 |c|_1.  The residual the test
+    reads is c.x summed in working-precision floats; it is off from the exact
+    sum by about |c|_1 max|x_i| 10^-(digits+guard), which C scales to
+    |c|_1 max|x_i| 10^-(guard+10), far below the |c|_1 / 2 to spare unless
+    an input exceeds 10^(guard+9).  So C |residual| > |c|_1 and `_accepts`
+    rejects c, without the cost of the residual and its exact Fraction.  A
+    row skipped wrongly would only send the search on to the next lift and
+    the final pass, which the prefilter does not touch.
+    """
+    return abs(_dot(coeffs, column)) >= 2 * sum(abs(c) for c in coeffs)
+
+
+def _candidates(u, column):
+    """The rows c of a lift's transform U that the prefilter keeps, in order
+    of their norm in the full lattice, |c|^2 + (c.column)^2: the order in
+    which the final pass would rank them."""
+    kept = []
+    for coeffs in u:
+        if not _prefilter_rejects(coeffs, column):
+            kept.append((_dot(coeffs, coeffs) + _dot(coeffs, column) ** 2, coeffs))
+    kept.sort(key=lambda item: item[0])
+    return [coeffs for _, coeffs in kept]
+
+
 def lindep(values, prec=None) -> RelationResult:
     """Search for integers c with sum c_i x_i = 0.
 
     The inputs must be BigReal at one common Precision of at least 30
-    digits.  Scaling constant C = 10^(digits-10); the shortest vector of the
-    reduced lattice is accepted only if its Euclidean norm stays below the
-    cap B = C^(1/(n+1)) AND |sum c_i x_i| < |c|_1 / C.
+    digits.  Scaling constant C = 10^(digits-10); a candidate c is accepted
+    only if its Euclidean norm stays below the cap B = C^(1/(n+1)) AND
+    |sum c_i x_i| < |c|_1 / C.  The candidates are the rows of the transform
+    after each lift of the staged reduction, shortest first, and last the
+    shortest vector of the exact final LLL; the first that passes is
+    returned, and the lifts after it and the final pass are skipped.
 
     Why both tests.  An exact relation c leaves a residual of at most |c|_1
     times the inputs' error, which is ten digits below 1/C, so it passes.
@@ -209,6 +296,21 @@ def lindep(values, prec=None) -> RelationResult:
     relation-free input produce would pass it.  The norm cap is what makes "no
     relation" reachable at all: without it, lattice vectors of norm about
     C^(1/n) have residuals that pass either test.
+
+    Why a candidate from a lift is as certified as one from the final pass.
+    Neither test asks where c came from: the counting argument is about
+    every integer vector under the cap, so a c that passes is a relation
+    with the same confidence whichever reduction produced it.  The lifts
+    only find it sooner.  "No relation" is still the exact final pass's
+    verdict, with the exclusion bound read from its Gram determinants.
+
+    Which relation.  When the inputs satisfy several independent relations,
+    the result is the first candidate that passes: an exact relation under
+    the cap, not necessarily the shortest, and it may change with the
+    precision.  Which of several relations comes back is not part of the
+    contract (LLL never promised the shortest): lindep([log 2, log 3, log 6,
+    log 12, pi]) returns (1, 1, -1, 0, 0) at 50, 100 and 400 digits and
+    (1, 0, 1, -1, 0) at 200.
     """
     values = list(values)
     if len(values) < 2:
@@ -229,29 +331,20 @@ def lindep(values, prec=None) -> RelationResult:
 
     n = len(values)
     total = digits - 10
-    scale = 10 ** total
-    column = []
-    for x in values:
-        scaled = x.to_fraction() * scale
-        column.append(
-            int(scaled + Fraction(1, 2))
-            if scaled >= 0
-            else -int(-scaled + Fraction(1, 2))
-        )
+    column = _scaled_column(values, total)
+    u = _identity(n)
+    for u in _lifts(column, total):
+        for coeffs in _candidates(u, column):
+            residual = _residual(values, coeffs)
+            if _accepts(coeffs, residual.to_fraction(), total):
+                return _relation(coeffs, residual)
 
-    reduced, grams = _staged_lll(column, total)
-
+    reduced, grams = _exact_lll(u, column)
     best = min(reduced, key=lambda row: sum(v * v for v in row))
     coeffs = best[:n]
-    residual = abs(
-        sum((x * c for c, x in zip(coeffs[1:], values[1:])), values[0] * coeffs[0])
-    )
+    residual = _residual(values, coeffs)
     if _accepts(coeffs, residual.to_fraction(), total):
-        return RelationResult(
-            coefficients=_normalize_sign(coeffs),
-            residual=residual,
-            norm=math.sqrt(sum(c * c for c in coeffs)),
-        )
+        return _relation(coeffs, residual)
 
     # no acceptable relation: bound the norm of any exact one from below.
     # min_i |b*_i| bounds the shortest lattice vector; an exact relation c

@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` (or the packaged
 ``polyzeta selftest --level full``) to see the per-criterion report.
 """
 
+import re
+
 import pytest
 
-from polyzeta.acceptance import CRITERIA
+from polyzeta.acceptance import CRITERIA, run_criteria
 
 # the line `polyzeta selftest --level full` prints for each criterion;
 # residuals are exact functions of the evaluator, so any change shows here
@@ -50,3 +52,18 @@ def test_acceptance_criterion(criterion):
     print("\n" + line)
     assert ok, line
     assert line == GOLDEN[criterion.ident]
+
+
+def test_fast_selftest_prints_golden_lines_and_timings_to_stderr(capsys):
+    assert run_criteria(level="fast")
+    out, err = capsys.readouterr()
+    # the fast level skips only the criteria that take 0.18 s or more on 2 cores
+    assert {c.ident for c in CRITERIA if c.slow} == {"duality", "holder-invariance", "property-suites"}
+    assert out.splitlines() == [
+        f"skip {c.ident}: {c.label}" if c.slow else GOLDEN[c.ident] for c in CRITERIA
+    ]
+    run = [c.ident for c in CRITERIA if not c.slow]
+    lines = err.splitlines()
+    assert len(lines) == len(run)
+    for ident, line in zip(run, lines):
+        assert re.fullmatch(rf"time {re.escape(ident)}: \d+\.\d{{3}} s", line), line

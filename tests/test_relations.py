@@ -247,6 +247,127 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     assert _accepts(c, F(0), total)  # an exact relation of that norm passes
 
 
+def rational_vector(rng, n, digits, relations=0):
+    """n exact rationals of digits + 30 decimals; each of the last
+    ``relations`` entries is solved from a relation with small coefficients
+    over the entries before it, so the relations are independent.  Returns
+    the vector and the relations, as lists of integer coefficients."""
+    den = 10 ** (digits + 30)
+    xs = [F(rng.randrange(den // 10, den), den) * rng.choice((1, -1))
+          for _ in range(n - relations)]
+    planted = []
+    for _ in range(relations):
+        coeffs = [rng.randint(-9, 9) for _ in xs]
+        last = rng.randint(1, 9)
+        xs.append(-sum(c * x for c, x in zip(coeffs, xs)) / last)
+        planted.append(coeffs + [last] + [0] * (n - len(xs)))
+    return xs, planted
+
+
+def counting_lll(monkeypatch):
+    """Record each call of the reduction that lindep makes."""
+    calls = []
+    lll = relations._lll_with_grams
+
+    def recording(rows):
+        calls.append(len(rows))
+        return lll(rows)
+
+    monkeypatch.setattr(relations, "_lll_with_grams", recording)
+    return calls
+
+
+def test_lindep_stops_at_the_first_certified_lift(monkeypatch):
+    calls = counting_lll(monkeypatch)
+    prec = Precision(400)
+    xs, (planted,) = rational_vector(random.Random(5100), 12, 400, relations=1)
+    result = lindep([BigReal(x, prec) for x in xs])
+    assert len(calls) == 1  # the first 30-digit lift already holds it
+    assert result.coefficients == relations._normalize_sign(planted)
+
+    calls.clear()
+    weight8, relation = readme_vectors()[0]
+    assert lindep(weight8).coefficients == relation
+    assert len(calls) == 1
+
+
+def test_lindep_without_relation_runs_every_lift_and_the_final_pass(monkeypatch):
+    calls = counting_lll(monkeypatch)
+    prec = Precision(400)
+    xs, _ = rational_vector(random.Random(5101), 12, 400)
+    result = lindep([BigReal(x, prec) for x in xs])
+    assert not result.found
+    assert len(calls) == 13  # lifts at 30, 60, ..., 360 digits, then the exact pass
+    assert calls[-1] == 12  # the final pass reduces the n rows (U_i | U_i column)
+    assert 10 ** 3 < result.exclusion_bound <= 1.000001e30  # the cap C^(1/13)
+
+
+def test_lindep_holds_lift_candidates_to_the_norm_cap():
+    # x = (1, p/q) with p, q of 65 digits at 190 digits: the norm cap is
+    # C^(1/3) = 1e60, and the 150-digit lift holds the relation (p, -q) of
+    # norm 5e64, whose residual passes the prefilter and the residual test
+    rng = random.Random(5400)
+    p, q = rng.randrange(10 ** 64, 10 ** 65), rng.randrange(10 ** 64, 10 ** 65)
+    prec = Precision(190)
+    values = [BigReal(1, prec), BigReal(F(p, q), prec)]
+    total = prec.digits - 10
+    column = relations._scaled_column(values, total)
+    *_, u = relations._lifts(column, total)
+    assert [p, -q] in u or [-p, q] in u
+    assert not relations._prefilter_rejects([p, -q], column)
+    result = lindep(values)
+    assert not result.found
+    assert result.exclusion_bound <= 1.000001e60
+
+
+def multi_relation_corpus():
+    """40 seeded vectors with 2 or 3 independent relations at 60-300 digits."""
+    rng = random.Random(5200)
+    corpus = []
+    for _ in range(40):
+        digits = rng.choice((60, 100, 200, 300))
+        relations_ = rng.randint(2, 3)
+        n = rng.randint(relations_ + 2, 7)
+        xs, _ = rational_vector(rng, n, digits, relations_)
+        corpus.append((xs, Precision(digits)))
+    return corpus
+
+
+def test_lindep_returns_exact_relations_on_multi_relation_inputs():
+    # which of several relations comes back is not part of the contract;
+    # that it is an exact relation under the norm cap is
+    for xs, prec in multi_relation_corpus():
+        result = lindep([BigReal(x, prec) for x in xs])
+        assert result.found
+        c = result.coefficients
+        assert sum(ci * x for ci, x in zip(c, xs)) == 0
+        assert sum(ci * ci for ci in c) ** (len(c) + 1) <= 10 ** (2 * (prec.digits - 10))
+
+
+def test_prefilter_rejects_only_rows_that_fail_the_residual_test():
+    rng = random.Random(5300)
+    free = []
+    for _ in range(10):
+        digits = rng.choice((60, 100, 200, 300))
+        xs, _ = rational_vector(rng, rng.randint(3, 7), digits)
+        free.append((xs, Precision(digits)))
+    rejected = kept = 0
+    for xs, prec in multi_relation_corpus() + free:
+        values = [BigReal(x, prec) for x in xs]
+        total = prec.digits - 10
+        column = relations._scaled_column(values, total)
+        for u in relations._lifts(column, total):
+            for c in u:
+                if not relations._prefilter_rejects(c, column):
+                    kept += 1
+                    continue
+                rejected += 1
+                exact = abs(sum(ci * x.to_fraction() for ci, x in zip(c, values)))
+                assert not _accepts(c, exact, total)
+                assert not _accepts(c, relations._residual(values, c).to_fraction(), total)
+    assert rejected > 500 and kept > 100  # both branches were exercised
+
+
 def test_lindep_validation():
     prec = Precision(40)
     one = BigReal(1, prec)
