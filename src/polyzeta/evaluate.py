@@ -8,7 +8,12 @@ of the spec, including the suffixes that start inside a block of dx/x forms
 costs one floor division by n^s_j per level and step instead of s_j.  Each
 step multiplies and floor-divides by small integers only: the base
 numerators and denominators and powers of the summation index n.  The
-truncation point N comes from the closed-form tail bound of
+division by each base b_j = num/den follows one plan per level, fixed before
+the steps (``_division_plan``): a shift replaces the multiply by den = 2^e
+and the division by num = +-2^u, so the bases +-2 and 4 of a +-1 word split
+at p = 2 cost one shift and the halves 3/2 and 5/2 shift instead of
+multiplying.  A right shift floors exactly as the floor division it
+replaces, so the plan changes the cost of a step, not its value.  The truncation point N comes from the closed-form tail bound of
 ``plan_nested_sum``.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivergenceError, DomainError, PrecisionMismatch, UnsupportedSpec
+from .errors import DivergenceError, DomainError, UnsupportedSpec
 from .model import (
     LambdaSpec,
     Word,
@@ -72,12 +77,9 @@ from .model import (
     word_depth,
     word_to_lambda,
 )
-from .precision import BigReal, Precision, _context
+from .precision import BigReal, Precision
 
 GEOMETRIC_THRESHOLD = Fraction(3, 2)
-
-# terms after which hyp2f1_series gives up on reaching its tolerance
-HYP2F1_MAX_TERMS = 100000
 
 
 def _geometric(bases) -> bool:
@@ -189,11 +191,50 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     at most 2 floor roundings per level and step, never more than c.  Its
     value is in fact bit-identical to the every-suffix pass's full value,
     so bits, and every value the evaluator returns, are unchanged.
+
+    The division plan leaves the count alone too: dividing by b_j is one
+    floor rounding whether it is a right shift or a floor division (both
+    floor the same exact quotient), and a multiply or left shift by den is
+    exact.  So the plan changes neither these bits nor any stored value.
     """
     k = spec.depth
     c = 2 + max(max(s, 0) for s in spec.exponents)
     degree = k + 1 + sum(max(-s, 0) for s in spec.exponents)
     return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+
+
+def _power_of_two_exponent(x: int) -> int | None:
+    """u with x = 2^u, or None when x is not a power of two."""
+    return x.bit_length() - 1 if x > 0 and not x & (x - 1) else None
+
+
+@lru_cache(maxsize=1024)
+def _division_plan(bases: tuple[Fraction, ...]):
+    """The step that takes each level's stored A to floor(A * den / num).
+
+    For b_j = num/den the plan multiplies by den as ``a << e`` when
+    den = 2^e (not at all when den = 1), else as ``a * den``, and divides by
+    num as ``a >> u`` when num = 2^u, ``-a >> u`` when num = -2^u, else as
+    ``a // num``.  Python's shift floors like its floor division, so for
+    every int x, x >> u == x // 2^u and -x >> u == x // -2^u: the plan is
+    bit-identical to ``a * den // num`` and only cheaper (at 3400 bits a
+    shift costs under a third of a division by 2).  The plan is compiled
+    into one list expression, since a call per level would cost more than
+    the shift saves on 40- to 70-digit passes.
+    """
+    levels = []
+    for j, b in enumerate(bases):
+        num, den = b.numerator, b.denominator
+        a = f"a[{j}]"
+        if den > 1:
+            e = _power_of_two_exponent(den)
+            a = f"({a} << {e})" if e is not None else f"{a} * {den}"
+        u = _power_of_two_exponent(abs(num))
+        if u is None:
+            levels.append(f"{a} // {num}")
+        else:
+            levels.append(f"{'-' if num < 0 else ''}{a} >> {u}")
+    return eval(f"lambda a: [{', '.join(levels)}]")
 
 
 def _suffix_sums(
@@ -220,25 +261,23 @@ def _suffix_sums(
         A_j(n) = A_j(n-1)/b_{j-1} + n^-s_j A_{j+1}(n-1)/b_j,
     with A_{k+1}(n) = b_k^-n; a suffix starting in block j with exponent
     s' <= s_j accumulates n^-s' A_{j+1}(n-1)/b_j.  Every |b_j| > 1 keeps
-    each stored A bounded, so b^-n and x^n are never held apart.
+    each stored A bounded, so b^-n and x^n are never held apart.  Both
+    modes take the division by b_j from one ``_division_plan``, built before
+    the steps: shifts where a numerator or denominator is a power of two,
+    each exactly the floor division it replaces, so values and bits do not
+    depend on the plan.
     """
     bits = math.ceil(dps * math.log2(10)) + _rounding_bits(spec, terms)
     one = 1 << bits
     k = spec.depth
-    nums = [b.numerator for b in spec.bases]
-    dens = [b.denominator for b in spec.bases]
     exps = spec.exponents
+    divide = _division_plan(spec.bases)
     # inner[j] holds A_{j+2}(n), inner[k-1] the power b_k^-n (1-based A)
     inner = [0] * (k - 1) + [one]
-    # integer bases (every +-1 word split at p = 2) skip the multiply by 1
-    integral = all(den == 1 for den in dens)
     if not every_suffix:
         total = 0
         for n in range(1, terms + 1):
-            if integral:
-                scaled = [a // num for a, num in zip(inner, nums)]
-            else:
-                scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+            scaled = divide(inner)
             for j, s in enumerate(exps):
                 t = scaled[j] // n ** s if s > 0 else scaled[j] * n ** -s
                 if j:
@@ -250,10 +289,7 @@ def _suffix_sums(
 
     sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
     for n in range(1, terms + 1):
-        if integral:
-            scaled = [a // num for a, num in zip(inner, nums)]
-        else:
-            scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+        scaled = divide(inner)
         for j, s in enumerate(exps):
             t = scaled[j]
             row = sums[j]
@@ -469,90 +505,3 @@ def evaluate_J(x, prec: Precision) -> BigReal:
         return BigReal(0, prec)
     spec = LambdaSpec.of((2, 1), (1 / x, 1 / x))
     return evaluate_lambda(spec, prec)
-
-
-def hyp2f1_series(a, b, c, z, prec: Precision) -> BigReal:
-    """Gauss series sum (a)_n (b)_n / ((c)_n n!) z^n for |z| <= 1/2.
-
-    Arguments a, b, c may be BigReal at the same precision, int or Fraction;
-    c must not be a nonpositive integer.  The value is within 10^-W / 2 of
-    2F1 before its one final rounding to W = prec.working_dps digits.
-
-    Error budget.  The loop runs at p = W + g digits, so each rounding has
-    relative error at most u < 10^-p.  A parameter x = P/Q enters each step
-    as (P + nQ)/Q: exact for a rational x, one rounding for a BigReal x
-    (whose value is taken as exact).  A step multiplies the term by
-    (a+n)(b+n) z / ((c+n)(n+1)) with at most 9 roundings, so after n steps
-    the term is t_n (1 + theta_n) with |theta_n| <= (1+u)^(9n) - 1 <= 10 n u
-    while 9 n u <= 0.01 (n <= HYP2F1_MAX_TERMS and p >= 30 keep it so).
-    Each of the N additions to the sum rounds by at most u times the sum of
-    the computed |t_n| so far.  With m the computed sum of |t_n| over the N
-    steps, the rounding error is therefore below 12 N m u.  The series stops
-    once the next step's ratio is at most rho = (1 + |z|)/2 and the tail
-    bound |t_N| rho / (1 - rho) is below 10^-W / 5.  10^g > 48 N m then
-    keeps the rounding below 10^-W / 4 and, with the tail, the total below
-    10^-W / 2.  N and
-    m are known only after the loop, so it runs first with g = 10 and again
-    with the g they require if that is larger.
-    """
-    z = Fraction(z)
-    if abs(z) > Fraction(1, 2):
-        raise DomainError(f"series evaluation needs |z| <= 1/2, got {z}")
-
-    def split(v):
-        # v = P/Q with Q a positive int, P an int or an exact mpf
-        if isinstance(v, BigReal):
-            if v.prec != prec:
-                raise PrecisionMismatch(
-                    "series parameters bound to a different precision"
-                )
-            return v.mpf, 1
-        v = Fraction(v)
-        return v.numerator, v.denominator
-
-    params = split(a), split(b), split(c)
-    pc, qc = params[2]
-    if qc == 1 and pc <= 0 and pc == int(pc):
-        raise DomainError("parameter c must not be a nonpositive integer")
-    dps = prec.working_dps
-    guard = 10
-    while True:
-        total, steps, mass = _hyp2f1_sum(params, z, dps, dps + guard)
-        need = len(str(int(48 * steps * mass)))
-        if need <= guard:
-            return BigReal(total, prec)
-        guard = need
-
-
-def _hyp2f1_sum(params, z: Fraction, dps: int, loop_dps: int):
-    """The Gauss series summed at loop_dps digits until its tail is below
-    10^-dps / 5; returns (sum, steps, computed sum of |terms|)."""
-    ctx = _context(loop_dps)
-    # a BigReal parameter joins the loop's context, so its steps round there
-    (pa, qa), (pb, qb), (pc, qc) = [
-        (p if isinstance(p, int) else ctx.mpf(p), q) for p, q in params
-    ]
-    zn = z.numerator * qc
-    zd = z.denominator * qa * qb
-    rho = (1 + abs(z)) / 2
-    tail = rho / (1 - rho)
-    eps = ctx.mpf(10) ** -dps / 5 * tail.denominator
-    term = total = mass = ctx.mpf(1)
-    n = 0
-    while True:
-        num = (pa + n * qa) * (pb + n * qb) * zn
-        den = (pc + n * qc) * (n + 1) * zd
-        if (
-            n >= 8
-            and abs(num) * rho.denominator <= abs(den) * rho.numerator
-            and abs(term) * tail.numerator < eps
-        ):
-            return total, n, mass
-        if n >= HYP2F1_MAX_TERMS:
-            raise DivergenceError(
-                f"series failed to reach tolerance in {HYP2F1_MAX_TERMS} terms"
-            )
-        term = term * num / den
-        total += term
-        mass += abs(term)
-        n += 1

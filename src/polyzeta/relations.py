@@ -360,6 +360,10 @@ def lindep(values, prec=None) -> RelationResult:
         total * math.log(10) / (n + 1),
     )
     bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
+    # exp can round past the cap C^(1/(n+1)); compare exactly, as `_accepts`
+    # does, and step down to the float below it
+    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total):
+        bound = math.nextafter(bound, 0)
     return RelationResult(
         coefficients=None,
         residual=residual,

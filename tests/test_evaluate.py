@@ -1,6 +1,7 @@
 """Numeric evaluation: direct sums against exact/independent oracles, split
 structure, dispatcher routes, and truncation soundness."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +32,6 @@ from polyzeta.evaluate import (
     evaluate_J,
     evaluate_word,
     holder_split,
-    hyp2f1_series,
     plan_nested_sum,
 )
 from polyzeta.model import delta_spec, make_word
@@ -117,6 +117,95 @@ def test_full_value_pass_matches_every_suffix_pass():
             every, bits = _suffix_sums(spec, terms, dps)
             full, full_bits = _suffix_sums(spec, terms, dps, every_suffix=False)
             assert (full, full_bits) == ([every[0]], bits), (spec, dps)
+
+
+def two_division_suffix_sums(spec, terms, dps, every_suffix=True):
+    """The kernel before its division plan: each level and step divides by
+    its base as a * den // num, then by n^s_j (or s_j times by n)."""
+    bits = math.ceil(dps * math.log2(10)) + evaluate._rounding_bits(spec, terms)
+    one = 1 << bits
+    k = spec.depth
+    nums = [b.numerator for b in spec.bases]
+    dens = [b.denominator for b in spec.bases]
+    exps = spec.exponents
+    inner = [0] * (k - 1) + [one]
+    if not every_suffix:
+        total = 0
+        for n in range(1, terms + 1):
+            scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+            for j, s in enumerate(exps):
+                t = scaled[j] // n ** s if s > 0 else scaled[j] * n ** -s
+                if j:
+                    inner[j - 1] = scaled[j - 1] + t
+                else:
+                    total += t
+            inner[k - 1] = scaled[k - 1]
+        return [total], bits
+
+    sums = [[0] * max(s, 1) for s in exps]
+    for n in range(1, terms + 1):
+        scaled = [a * den // num for a, den, num in zip(inner, dens, nums)]
+        for j, s in enumerate(exps):
+            t = scaled[j]
+            row = sums[j]
+            if s > 0:
+                for i in range(s):
+                    t //= n
+                    row[i] += t
+            else:
+                t *= n ** -s
+                row[0] += t
+            if j:
+                inner[j - 1] = scaled[j - 1] + t
+        inner[k - 1] = scaled[k - 1]
+    values = [v for row in sums for v in reversed(row)]
+    values.append(one)
+    return values, bits
+
+
+# power-of-two and other numerators and denominators, of both signs
+PLAN_BASES = [F(2), F(-2), F(4), F(-4), F(3), F(-3),
+              F(3, 2), F(-3, 2), F(5, 2), F(5, 4), F(7, 3), F(-7, 4)]
+PLAN_EXPONENTS = [-1, 0, 1, 2, 3, 6]
+
+
+def division_plan_corpus():
+    """Seeded (spec, terms) over PLAN_BASES and PLAN_EXPONENTS at depths
+    1-4; each pass runs about twice as long as it takes some level's
+    |num| * n^s to pass 2^30, where the divisor n^s grows past one 30-bit
+    digit of a Python int."""
+    rng = random.Random(1729)
+    corpus = []
+    while len(corpus) < 24:
+        depth = 1 + len(corpus) % 4
+        spec = LambdaSpec.of(
+            tuple(rng.choice(PLAN_EXPONENTS) for _ in range(depth)),
+            tuple(rng.choice(PLAN_BASES) for _ in range(depth)),
+        )
+        crossings = []
+        for s, b in spec.terms:
+            if s >= 3:
+                n = 1
+                while abs(b.numerator) * n ** s <= 2 ** 30:
+                    n += 1
+                crossings.append(n)
+        if crossings and min(crossings) <= 600:
+            corpus.append((spec, 2 * min(crossings)))
+    return corpus
+
+
+def test_division_plan_matches_the_two_division_kernel():
+    # shifts replace multiplies and divisions by powers of two; every value
+    # and the bits must stay what the plain floor divisions give
+    corpus = division_plan_corpus()
+    assert {b for spec, _ in corpus for b in spec.bases} == set(PLAN_BASES)
+    assert {s for spec, _ in corpus for s in spec.exponents} == set(PLAN_EXPONENTS)
+    for spec, terms in corpus:
+        for dps in (30, 200):
+            for every_suffix in (True, False):
+                got = _suffix_sums(spec, terms, dps, every_suffix)
+                want = two_division_suffix_sums(spec, terms, dps, every_suffix)
+                assert got == want, (spec, terms, dps, every_suffix)
 
 
 def nested_sum_ratios(spec):
@@ -349,95 +438,6 @@ def test_J_functional_equation(prec40):
     assert abs(residual).to_fraction() < tol(35)
 
 
-# -- hypergeometric series ----------------------------------------------------
-
-def test_hyp2f1_trivial_and_log(prec40):
-    assert hyp2f1_series(0, F(1, 3), F(7, 5), F(1, 2), prec40) == 1
-    got = hyp2f1_series(1, 1, 2, F(1, 2), prec40)
-    assert_close(got, ln(2, prec40) * 2, 40)
-
-
-def test_hyp2f1_validation(prec40):
-    with pytest.raises(DomainError):
-        hyp2f1_series(1, 1, 2, F(3, 4), prec40)
-    with pytest.raises(DomainError):
-        hyp2f1_series(1, 1, -2, F(1, 2), prec40)
-
-
-def test_hyp2f1_term_cap_raises_divergence(prec40, monkeypatch):
-    # 2F1(1, 1; 2; 1/2) needs about 150 terms at 40 digits
-    monkeypatch.setattr(evaluate, "HYP2F1_MAX_TERMS", 20)
-    with pytest.raises(DivergenceError, match="20 terms"):
-        hyp2f1_series(1, 1, 2, F(1, 2), prec40)
-
-
-@pytest.mark.parametrize(
-    "params, digits",
-    [
-        ((F(1, 3), F(-2, 7), F(5, 2), F(-1, 2)), 50),
-        ((F(1), F(1), F(2), F(1, 2)), 30),
-        ((F(1), F(1), F(2), F(1, 2)), 200),
-    ],
-)
-def test_hyp2f1_matches_mpmath_to_working_digits(params, digits):
-    # |error| < 10^-W against mpmath's own 2F1, taken 80 digits deeper
-    prec = Precision(digits)
-    w = prec.working_dps
-    got = hyp2f1_series(*params, prec).to_fraction()
-    with mp.workdps(w + 80):
-        a, b, c, z = (mp.mpf(x.numerator) / x.denominator for x in params)
-        want = mp.hyp2f1(a, b, c, z)
-        err = abs(mp.mpf(got.numerator) / got.denominator - want)
-        assert err < mp.mpf(10) ** -w
-
-
-def test_hyp2f1_bigreal_parameter_is_taken_exactly():
-    # a BigReal parameter stands for its stored dyadic value; both values
-    # below are within 10^-W / 2 of the same 2F1
-    from polyzeta import BigReal
-
-    prec = Precision(50)
-    a = BigReal(F(1, 3), prec)
-    got = hyp2f1_series(a, F(-2, 7), F(5, 2), F(-1, 2), prec)
-    want = hyp2f1_series(a.to_fraction(), F(-2, 7), F(5, 2), F(-1, 2), prec)
-    assert abs(got - want).to_fraction() < tol(prec.working_dps)
-
-
-def test_hyp2f1_double_generating_function():
-    # 1 - sum x^(m+1) y^(n+1) * lambda_2(m+2, {1}^n) against the Gauss series.
-    # Terms are skipped once the provable bound
-    #   lambda_2(m+2, {1}^n) <= (n+1)^(-m) (ln 2)^(n+1)/(n+1)!
-    # pushes them below 10^-35; the kept ranges give a residual well under
-    # the 10^-30 target.
-    import math
-
-    from polyzeta import BigReal
-
-    prec = Precision(40)
-    x, y = F(1, 3), F(1, 4)
-    log_x, log_y = math.log10(1 / 3), math.log10(1 / 4)
-    acc = BigReal(0, prec)
-    kept = 0
-    for m in range(0, 69):
-        for n in range(0, 33):
-            bound = (
-                (m + 1) * log_x
-                + (n + 1) * log_y
-                - m * math.log10(n + 1)
-                + (n + 1) * math.log10(0.694)
-                - math.log10(math.factorial(n + 1))
-            )
-            if bound < -35:
-                continue
-            kept += 1
-            lam = evaluate_zp(2, (m + 2,) + (1,) * n, prec)
-            acc = acc + lam * (x ** (m + 1) * y ** (n + 1))
-    assert kept > 200
-    lhs = -acc + 1
-    rhs = hyp2f1_series(y, -x, 1 - x, F(1, 2), prec)
-    assert abs(lhs - rhs).to_fraction() < tol(30)
-
-
 # -- route invariances ----------------------------------------------------------
 
 def test_split_parameter_invariance_small(prec40):
@@ -596,9 +596,6 @@ def test_values_carry_their_working_digits():
         ("z(200)", lambda prec: evaluate_z((200,), prec), (50,)),
         *((f"direct {spec}", lambda prec, spec=spec: direct_nested_sum(spec, prec), (30, 50, 200))
           for spec in direct_specs),
-        ("2F1(1,1;2;1/2)", lambda prec: hyp2f1_series(1, 1, 2, F(1, 2), prec), (30, 200)),
-        ("2F1(1/3,-2/7;5/2;-1/2)",
-         lambda prec: hyp2f1_series(F(1, 3), F(-2, 7), F(5, 2), F(-1, 2), prec), (50,)),
     ]
     for label, make, digits in cases:
         for d in digits:

@@ -11,7 +11,6 @@ import pytest
 
 from polyzeta import BigReal, Precision, evaluate_lambda, lindep, parse_spec, to_decimal_string
 from polyzeta.cli import run
-from polyzeta.evaluate import hyp2f1_series
 from polyzeta.identities import closed_form
 from polyzeta.precision import ln, pi, pow_int
 
@@ -44,7 +43,6 @@ def test_nothing_writes_the_global_precision(frozen_global_precision, capsys):
     assert to_decimal_string(pi(prec) * ln(y * y, prec), 20)
     assert pow_int(x, -5, prec) > 1
     assert closed_form("t5", (2, 1), prec)
-    assert hyp2f1_series(x, 1, 2, Fraction(1, 2), prec) > 1
     value = evaluate_lambda(parse_spec("L[2, 1 | 2, 1]"), prec)
     assert lindep([value, value * 3, pi(prec)]).found
     assert run(["eval", "lindep([z(3), z(2,1)])", "--digits", "33"]) == 0

@@ -165,6 +165,11 @@ def random_real(rng: random.Random, prec: Precision) -> BigReal:
     return BigReal(F(rng.getrandbits(bits), 2 ** bits) + 1, prec)
 
 
+def under_norm_cap(bound: float, n: int, digits: int) -> bool:
+    """bound <= C^(1/(n+1)) with C = 10^(digits-10), compared exactly."""
+    return F(bound) ** (2 * (n + 1)) <= 10 ** (2 * (digits - 10))
+
+
 def test_lindep_no_relation_gives_exclusion_bound():
     prec = Precision(40)
     rng = random.Random(23)
@@ -181,7 +186,19 @@ def test_lindep_no_relation_past_float_range():
     prec = Precision(400)
     result = lindep([ln(2, prec), ln(3, prec), ln(5, prec), pi(prec)])
     assert not result.found
-    assert 10 ** 3 < result.exclusion_bound <= 1.000001e78
+    assert 10 ** 3 < result.exclusion_bound and under_norm_cap(result.exclusion_bound, 4, 400)
+
+
+def test_lindep_exclusion_bound_never_exceeds_the_norm_cap():
+    # n = 4 at 80 digits: the Gram-Schmidt bound is far above the cap
+    # C^(1/5) = 1e14, and exp(ln(10) * 70 / 5) rounds to 100000000000000.12;
+    # the bound is stepped down to the largest float under the cap
+    prec = Precision(80)
+    basis = [evaluate_z(e, prec) for e in ((2, 2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 2))]
+    result = lindep(basis)
+    assert not result.found
+    assert under_norm_cap(result.exclusion_bound, 4, 80)
+    assert result.exclusion_bound == 1e14
 
 
 def test_lindep_exclusion_bound_clamps_to_largest_float():
@@ -299,7 +316,8 @@ def test_lindep_without_relation_runs_every_lift_and_the_final_pass(monkeypatch)
     assert not result.found
     assert len(calls) == 13  # lifts at 30, 60, ..., 360 digits, then the exact pass
     assert calls[-1] == 12  # the final pass reduces the n rows (U_i | U_i column)
-    assert 10 ** 3 < result.exclusion_bound <= 1.000001e30  # the cap C^(1/13)
+    assert 10 ** 3 < result.exclusion_bound  # the cap C^(1/13) = 10^30
+    assert under_norm_cap(result.exclusion_bound, 12, 400)
 
 
 def test_lindep_holds_lift_candidates_to_the_norm_cap():
@@ -317,7 +335,7 @@ def test_lindep_holds_lift_candidates_to_the_norm_cap():
     assert not relations._prefilter_rejects([p, -q], column)
     result = lindep(values)
     assert not result.found
-    assert result.exclusion_bound <= 1.000001e60
+    assert under_norm_cap(result.exclusion_bound, 2, 190)
 
 
 def multi_relation_corpus():
