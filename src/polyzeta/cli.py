@@ -2,13 +2,17 @@
 
 Grammar (whitespace-insensitive)::
 
+    input  := 'lindep' '(' '[' expr (',' expr)* ']' ')' | expr
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := atom ('^' exponent)?          -- integer exponent, right-assoc
     atom   := NUMBER | 'Pi' | 'log' '(' expr ')'
             | 'z' '(' ints ')' | 'zp' '(' number (',' int)+ ')'
-            | 'lindep' '(' '[' expr (',' expr)* ']' ')'
             | '(' expr ')' | '-' atom
+
+As in EZ-Face, `lindep` is a command over a list of values, not a number:
+it takes the whole input, and in any other place it is a parse error with a
+position, raised before any value is computed.
 
 Number literals are decimals or rationals ``p/q`` and are parsed exactly
 (no float intermediary), so ``zp(2, ...)`` keeps its exact base.  Results go
@@ -29,7 +33,7 @@ from typing import Union
 from .errors import ExpressionError, PolyzetaError
 from .evaluate import evaluate_z, evaluate_zp
 from .identities import export_identities, identity_catalog
-from .precision import MAX_DIGITS, MIN_DIGITS, BigReal, Precision, ln, pi, pow_int, to_decimal_string
+from .precision import BigReal, Precision, ln, pi, pow_int, to_decimal_string
 from .relations import RelationResult, lindep
 
 DEFAULT_DIGITS = 50
@@ -38,12 +42,14 @@ DIGITS_ENV = "POLYLOG_DIGITS"
 MAX_EXPONENT_BITS = 64
 # bound on the nesting depth of an expression.  Each bracket, unary minus and
 # log, and each binary or power operator, opens a level; the parser recurses
-# at most four frames per level and the evaluator and the printer one per
+# at most five frames per level and the evaluator and the printer one per
 # node, so all three stay well below Python's recursion limit.
 MAX_PARSE_DEPTH = 100
 # bound on `identities export --weight`: the catalog grows about 2.2x per
 # weight, and weight 10 already takes seconds and tens of MB
 MAX_EXPORT_WEIGHT = 10
+# errors in the user's input or request: printed as one `error:` line
+_USER_ERRORS = (PolyzetaError, ValueError, ZeroDivisionError)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,9 @@ Expr = Union[Num, PiConst, Log, Neg, BinOp, Pow, ZCall, ZpCall, LindepCall]
 # Parser
 # ---------------------------------------------------------------------------
 
+# binary operators by precedence level, read by the parser and by `pretty`
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -172,158 +181,135 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self.expr(allow_lindep=True)
+        if self.peek().text == "lindep":
+            self.next()
+            self.expect("(")
+            self.expect("[")
+            e = LindepCall((self.expr(), *self.more(self.expr)))
+            self.expect("]")
+            self.expect(")")
+        else:
+            e = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return e
 
-    def expr(self, allow_lindep=False) -> Expr:
+    def expr(self, level: int = 1) -> Expr:
+        """Binary operators of `_PREC` level `level` and above, left-assoc."""
+        if level > max(_PREC.values()):
+            return self.factor()
         depth = self.depth
-        e = self.term(allow_lindep)
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
+        e = self.expr(level + 1)
+        while _PREC.get(self.peek().text) == level:
             op = self.next()
             self.descend(op)
-            e = BinOp(op.text, e, self.term(False))
+            e = BinOp(op.text, e, self.expr(level + 1))
         self.depth = depth
         return e
 
-    def term(self, allow_lindep=False) -> Expr:
-        depth = self.depth
-        e = self.factor(allow_lindep)
-        while self.peek().text in ("*", "/") and self.peek().kind == "op":
-            op = self.next()
-            self.descend(op)
-            e = BinOp(op.text, e, self.factor(False))
-        self.depth = depth
-        return e
-
-    def factor(self, allow_lindep=False) -> Expr:
-        e = self.atom(allow_lindep)
-        if self.peek().text == "^" and self.peek().kind == "op":
+    def factor(self) -> Expr:
+        e = self.atom()
+        if self.peek().text == "^":
             self.descend(self.next())
             e = Pow(e, self.exponent())
             self.depth -= 1
         return e
 
     def exponent(self) -> int:
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        tok = self.next()
-        if tok.kind != "number" or "." in tok.text:
-            raise ExpressionError("power exponent must be an integer", tok.pos)
-        value = int(tok.text)
-        if self.peek().text == "^" and self.peek().kind == "op":
+        value = self.signed("power exponent must be an integer")
+        if self.peek().text == "^":
             op = self.next()
             self.descend(op)
             inner = self.exponent()
             self.depth -= 1
             if inner < 0:
                 raise ExpressionError("power exponent must be an integer", op.pos)
-            # value ** inner has at most inner * bit_length(value) bits
-            if value > 1 and inner * value.bit_length() > MAX_EXPONENT_BITS:
+            # |value| ** inner has at most inner * bit_length(value) bits
+            if abs(value) > 1 and inner * value.bit_length() > MAX_EXPONENT_BITS:
                 raise ExpressionError(
                     f"power exponent exceeds {MAX_EXPONENT_BITS} bits", op.pos
                 )
-            value = value ** inner
-        return -value if neg else value
+            # a leading '-' negates the whole chain: -2^2 folds to -4
+            value = -(-value) ** inner if value < 0 else value ** inner
+        return value
 
-    def signed_int(self) -> int:
-        neg = False
-        if self.peek().text == "-":
+    def signed(self, message: str = "expected an integer", integer: bool = True):
+        """Optional '-', then a number token: an int, or any decimal as an
+        exact Fraction when integer is False.  message is the error raised
+        at a token that does not fit."""
+        neg = self.peek().text == "-"
+        if neg:
             self.next()
-            neg = True
         tok = self.next()
-        if tok.kind != "number" or "." in tok.text:
-            raise ExpressionError("expected an integer", tok.pos)
-        return -int(tok.text) if neg else int(tok.text)
+        if tok.kind != "number" or (integer and "." in tok.text):
+            raise ExpressionError(message, tok.pos)
+        value = int(tok.text) if integer else Fraction(tok.text)
+        return -value if neg else value
 
     def number_literal(self) -> Fraction:
         """Decimal or p/q rational, parsed exactly."""
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        tok = self.next()
-        if tok.kind != "number":
-            raise ExpressionError("expected a number", tok.pos)
-        value = Fraction(tok.text)
+        value = self.signed("expected a number", integer=False)
         if self.peek().text == "/" and self.tokens[self.i + 1].kind == "number":
             self.next()
             den = self.next()
+            if Fraction(den.text) == 0:
+                raise ExpressionError("denominator must be nonzero", den.pos)
             value /= Fraction(den.text)
-        return -value if neg else value
+        return value
 
-    def int_list(self, fname: str) -> tuple[int, ...]:
-        self.expect("(")
-        if self.peek().text == ")":
-            tok = self.next()
-            raise ExpressionError(f"{fname} requires at least one argument", tok.pos)
-        args = [self.signed_int()]
+    def more(self, read) -> list:
+        """The items of a (',' item)* tail, each read by read()."""
+        items = []
         while self.peek().text == ",":
             self.next()
-            args.append(self.signed_int())
-        self.expect(")")
-        return tuple(args)
+            items.append(read())
+        return items
 
-    def atom(self, allow_lindep=False) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
+    def atom(self) -> Expr:
+        tok = self.next()
+        if tok.text == "-":
             self.descend(tok)
-            e = Neg(self.atom(False))
+            e = Neg(self.atom())
             self.depth -= 1
             return e
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
+        if tok.text == "(":
             self.descend(tok)
-            e = self.expr(False)
+            e = self.expr()
             self.expect(")")
             self.depth -= 1
             return e
         if tok.kind == "number":
-            self.next()
             return Num(Fraction(tok.text))
+        if tok.text == "Pi":
+            return PiConst()
+        if tok.text == "log":
+            self.descend(tok)
+            self.expect("(")
+            e = Log(self.expr())
+            self.expect(")")
+            self.depth -= 1
+            return e
+        if tok.text == "z":
+            self.expect("(")
+            if self.peek().text == ")":
+                raise ExpressionError("z requires at least one argument", self.peek().pos)
+            args = (self.signed(), *self.more(self.signed))
+            self.expect(")")
+            return ZCall(args)
+        if tok.text == "zp":
+            self.expect("(")
+            p = self.number_literal()
+            args = tuple(self.more(self.signed))
+            self.expect(")")
+            if not args:
+                raise ExpressionError("zp requires exponent arguments", tok.pos)
+            return ZpCall(p, args)
+        if tok.text == "lindep":
+            raise ExpressionError(
+                "lindep cannot be nested inside another expression", tok.pos
+            )
         if tok.kind == "name":
-            self.next()
-            if tok.text == "Pi":
-                return PiConst()
-            if tok.text == "log":
-                self.descend(tok)
-                self.expect("(")
-                e = self.expr(False)
-                self.expect(")")
-                self.depth -= 1
-                return Log(e)
-            if tok.text == "z":
-                return ZCall(self.int_list("z"))
-            if tok.text == "zp":
-                self.expect("(")
-                p = self.number_literal()
-                args = []
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.signed_int())
-                self.expect(")")
-                if not args:
-                    raise ExpressionError("zp requires exponent arguments", tok.pos)
-                return ZpCall(p, tuple(args))
-            if tok.text == "lindep":
-                if not allow_lindep:
-                    raise ExpressionError(
-                        "lindep cannot be nested inside another expression", tok.pos
-                    )
-                self.expect("(")
-                self.expect("[")
-                items = [self.expr(False)]
-                while self.peek().text == ",":
-                    self.next()
-                    items.append(self.expr(False))
-                self.expect("]")
-                self.expect(")")
-                return LindepCall(tuple(items))
             raise ExpressionError(f"unknown name {tok.text!r}", tok.pos)
         raise ExpressionError(
             f"unexpected token {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
@@ -338,8 +324,6 @@ def parse_expression(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Pretty printer (normal form; parse . pretty is the identity)
 # ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def pretty(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
@@ -382,31 +366,25 @@ def pretty(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _as_number(v, what: str) -> BigReal:
-    if isinstance(v, RelationResult):
-        raise ExpressionError(f"relation results cannot be used {what}")
-    return v
-
-
 def eval_expression(e: Expr, prec: Precision):
-    """Evaluate to a BigReal, or a RelationResult for a lindep call."""
+    """Evaluate to a BigReal, or a RelationResult for a lindep call (which
+    the parser admits only as the whole expression)."""
     if isinstance(e, Num):
         return BigReal(e.value, prec)
     if isinstance(e, PiConst):
         return pi(prec)
     if isinstance(e, Log):
-        arg = _as_number(eval_expression(e.arg, prec), "inside log")
-        return ln(arg, prec)
+        return ln(eval_expression(e.arg, prec), prec)
     if isinstance(e, Neg):
-        return -_as_number(eval_expression(e.arg, prec), "under negation")
+        return -eval_expression(e.arg, prec)
     if isinstance(e, Pow):
-        base = _as_number(eval_expression(e.base, prec), "as a power base")
+        base = eval_expression(e.base, prec)
         if e.exponent < 0:
             _check_not_tiny(base, prec, "power base")
         return pow_int(base, e.exponent, prec)
     if isinstance(e, BinOp):
-        left = _as_number(eval_expression(e.left, prec), "in arithmetic")
-        right = _as_number(eval_expression(e.right, prec), "in arithmetic")
+        left = eval_expression(e.left, prec)
+        right = eval_expression(e.right, prec)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -420,11 +398,7 @@ def eval_expression(e: Expr, prec: Precision):
     if isinstance(e, ZpCall):
         return evaluate_zp(e.p, e.args, prec)
     if isinstance(e, LindepCall):
-        values = [
-            _as_number(eval_expression(item, prec), "inside lindep")
-            for item in e.items
-        ]
-        return lindep(values)
+        return lindep([eval_expression(item, prec) for item in e.items])
     raise TypeError(type(e))
 
 
@@ -451,30 +425,24 @@ def format_result(value, digits: int, ezface: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_digits(value) -> int:
-    digits = int(value)
-    if not MIN_DIGITS <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must be in {MIN_DIGITS}..{MAX_DIGITS}, got {digits}")
-    return digits
-
-
 def _default_digits() -> int:
     env = os.environ.get(DIGITS_ENV)
     return int(env) if env else DEFAULT_DIGITS
 
 
+def _eval_line(src: str, prec: Precision, ezface: bool) -> str:
+    return format_result(eval_expression(parse_expression(src), prec), prec.digits, ezface)
+
+
 def _cmd_eval(args) -> int:
-    digits = _resolve_digits(args.digits)
-    prec = Precision(digits)
-    result = eval_expression(parse_expression(args.expression), prec)
-    print(format_result(result, digits, args.ezface_format))
+    print(_eval_line(args.expression, Precision(int(args.digits)), args.ezface_format))
     return 0
 
 
 def _cmd_repl(args) -> int:
-    digits = _resolve_digits(args.digits)
+    prec = Precision(int(args.digits))
     print(
-        f"expression calculator, {digits} digits; :digits N, :quit to exit",
+        f"expression calculator, {prec.digits} digits; :digits N, :quit to exit",
         file=sys.stderr,
     )
     while True:
@@ -489,15 +457,14 @@ def _cmd_repl(args) -> int:
             return 0
         if line.startswith(":digits"):
             try:
-                digits = _resolve_digits(line.split()[1])
-                print(f"precision set to {digits} digits", file=sys.stderr)
+                prec = Precision(int(line.split()[1]))
+                print(f"precision set to {prec.digits} digits", file=sys.stderr)
             except (IndexError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
             continue
         try:
-            result = eval_expression(parse_expression(line), Precision(digits))
-            print(format_result(result, digits, args.ezface_format), flush=True)
-        except (PolyzetaError, ValueError, ZeroDivisionError) as exc:
+            print(_eval_line(line, prec, args.ezface_format), flush=True)
+        except _USER_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
 
 
@@ -566,7 +533,7 @@ def run(argv) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
         return args.fn(args)
-    except (PolyzetaError, ValueError, ZeroDivisionError) as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -133,11 +133,18 @@ class BigReal:
     __mul__ = __rmul__ = _operator(operator.mul)
     __truediv__ = _operator(operator.truediv)
     __rtruediv__ = _operator(lambda a, b: b / a)
-    __eq__ = _operator(operator.eq, arithmetic=False)
     __lt__ = _operator(operator.lt, arithmetic=False)
     __le__ = _operator(operator.le, arithmetic=False)
     __gt__ = _operator(operator.gt, arithmetic=False)
     __ge__ = _operator(operator.ge, arithmetic=False)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # exact, not rounded to this precision, so that equal values
+            # hash alike; inf and nan equal no number
+            return mp.isfinite(self._v) and self.to_fraction() == other
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._v == o
 
     def __pow__(self, n):
         if not isinstance(n, int):

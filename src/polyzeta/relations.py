@@ -43,14 +43,15 @@ LIFT_BITS = 100
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _lll_with_grams(rows):
     b = [list(int(x) for x in row) for row in rows]
     n = len(b)
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
 
     def size_reduce(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -75,7 +76,7 @@ def _lll_with_grams(rows):
 
     if n == 0:
         return [], d
-    d[1] = dot(b[0], b[0])
+    d[1] = _dot(b[0], b[0])
     if d[1] == 0:
         raise ValueError("rows must be linearly independent (zero row)")
     k = 1
@@ -84,7 +85,7 @@ def _lll_with_grams(rows):
         if k > kmax:
             kmax = k
             for j in range(k + 1):
-                u = dot(b[k], b[j])
+                u = _dot(b[k], b[j])
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -112,10 +113,6 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     """Lovasz-condition (delta = 3/4) reduced basis, exact arithmetic."""
     reduced, _ = _lll_with_grams(rows)
     return reduced
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _identity(n):
@@ -157,17 +154,6 @@ def _exact_lll(u, column):
     """The exact LLL of (U_i | U_i column) and its Gram determinants: U is
     unimodular, so this reduces the full relation lattice."""
     return _lll_with_grams([row + [_dot(row, column)] for row in u])
-
-
-def _staged_lll(column, total):
-    """Reduce the relation lattice (e_i | column_i) at growing precision:
-    every lift of `_lifts`, then `_exact_lll` from the last transform, so
-    the result with its Gram determinants is exactly LLL-reduced.  This is
-    the path `lindep` takes when no lift yields a certified relation."""
-    u = _identity(len(column))
-    for u in _lifts(column, total):
-        pass
-    return _exact_lll(u, column)
 
 
 @dataclass(frozen=True)
@@ -272,7 +258,7 @@ def _candidates(u, column):
     return [coeffs for _, coeffs in kept]
 
 
-def lindep(values, prec=None) -> RelationResult:
+def lindep(values) -> RelationResult:
     """Search for integers c with sum c_i x_i = 0.
 
     The inputs must be BigReal at one common Precision of at least 30
@@ -320,10 +306,7 @@ def lindep(values, prec=None) -> RelationResult:
     precs = {x.prec for x in values}
     if len(precs) != 1:
         raise InsufficientPrecision("mixed precisions among lindep inputs")
-    precision = values[0].prec
-    if prec is not None and prec != precision:
-        raise InsufficientPrecision("inputs not bound to the requested precision")
-    digits = precision.digits
+    digits = values[0].prec.digits
     if digits < MIN_LINDEP_DIGITS:
         raise InsufficientPrecision(
             f"lindep needs at least {MIN_LINDEP_DIGITS} digits, got {digits}"

@@ -117,10 +117,40 @@ def test_parse_depth_bound():
 
 
 def test_parse_nested_lindep_rejected():
-    with pytest.raises(ExpressionError):
-        parse_expression("lindep([lindep([1, 2]), 3])")
-    with pytest.raises(ExpressionError):
-        parse_expression("1 + lindep([1, 2])")
+    # lindep is the whole input or nothing: anywhere else the parser itself
+    # rejects it, at the token that breaks the rule
+    for src, pos in [
+        ("lindep([lindep([1, 2]), 3])", 8),
+        ("1 + lindep([1, 2])", 4),
+        ("(lindep([1, 2]))", 1),
+        ("-lindep([1, 2])", 1),
+        ("lindep([1, 2]) * 2", 15),
+        ("lindep([1, 2])^2", 14),
+    ]:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(src)
+        assert err.value.position == pos, src
+
+
+def _no_value(*args):
+    raise AssertionError("no value may be computed")
+
+
+def test_run_eval_misplaced_lindep_fails_before_any_value(monkeypatch, capsys):
+    monkeypatch.setattr("polyzeta.cli.evaluate_z", _no_value)
+    monkeypatch.setattr("polyzeta.cli.lindep", _no_value)
+    src = "lindep([z(4,1,3), z(5,3), z(8), z(5)*z(3), z(3)^2*z(2)]) * 2"
+    assert run(["eval", src, "--digits", "400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected trailing input '*' (at position 57)\n"
+
+
+def test_parse_zero_denominator_in_zp():
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("zp(3/0, 2)")
+    assert err.value.position == 5
+    assert str(err.value) == "denominator must be nonzero (at position 5)"
 
 
 def test_unary_minus_and_log():
@@ -131,7 +161,7 @@ def test_unary_minus_and_log():
 # -- pretty printing -----------------------------------------------------------
 
 
-def _random_expr(rng, depth=0, allow_lindep=True):
+def _random_expr(rng, depth=0):
     # Num nodes stay integral: the only rational-literal position is zp's
     # first argument (elsewhere p/q parses as division)
     choices = ["num", "pi", "z", "zp", "log", "neg", "bin", "pow"]
@@ -148,13 +178,13 @@ def _random_expr(rng, depth=0, allow_lindep=True):
     if kind == "zp":
         return ZpCall(F(rng.randint(1, 4)), tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2))))
     if kind == "log":
-        return Log(_random_expr(rng, depth + 1, False))
+        return Log(_random_expr(rng, depth + 1))
     if kind == "neg":
-        return Neg(_random_expr(rng, depth + 1, False))
+        return Neg(_random_expr(rng, depth + 1))
     if kind == "pow":
-        return Pow(_random_expr(rng, depth + 1, False), rng.randint(0, 5))
+        return Pow(_random_expr(rng, depth + 1), rng.randint(0, 5))
     op = rng.choice("+-*/")
-    return BinOp(op, _random_expr(rng, depth + 1, False), _random_expr(rng, depth + 1, False))
+    return BinOp(op, _random_expr(rng, depth + 1), _random_expr(rng, depth + 1))
 
 
 def test_pretty_parse_roundtrip_corpus():

@@ -181,6 +181,19 @@ def test_bigreal_hashes_like_an_equal_int_or_fraction():
         assert len({v, value}) == 1
 
 
+def test_bigreal_equals_an_int_or_fraction_only_exactly():
+    # 1/3 and 10^60 + 1 round at 50 working digits, so neither equals its
+    # rounded value, and a set keeps both as the hashes say
+    prec = Precision(30)
+    for value in (Fraction(1, 3), 10 ** 60 + 1):
+        v = BigReal(value, prec)
+        assert v != value
+        assert not v == value
+        assert len({v, value}) == 2
+        assert v == v.to_fraction()
+    assert BigReal(float("inf"), prec) != 3
+
+
 def test_mixed_precision_rejected():
     a = BigReal(1, Precision(20))
     b = BigReal(1, Precision(30))

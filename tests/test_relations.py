@@ -23,7 +23,7 @@ from polyzeta import (
 )
 from polyzeta import relations
 from polyzeta.precision import ln, pi
-from polyzeta.relations import STAGE_DIGITS, _accepts, _staged_lll, lll_reduce
+from polyzeta.relations import STAGE_DIGITS, _accepts, _exact_lll, _identity, _lifts, lll_reduce
 
 F = Fraction
 
@@ -499,11 +499,20 @@ def scaled_column(rng, n, total, planted):
     return column, coeffs
 
 
+def staged_lll(column, total):
+    """Every lift of the staged reduction, then the exact final pass from the
+    last transform: the basis lindep's "no relation" verdict reads."""
+    u = _identity(len(column))
+    for u in _lifts(column, total):
+        pass
+    return _exact_lll(u, column)
+
+
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "relation-free"])
 def test_staged_reduction_is_an_lll_basis_of_the_full_lattice(planted):
     n, total = 12, 400 - 10
     column, relation = scaled_column(random.Random(4700 + planted), n, total, planted)
-    reduced, grams = _staged_lll(column, total)
+    reduced, grams = staged_lll(column, total)
     norms = assert_lll_reduced(reduced)
     # the Gram determinants that the exclusion bound reads belong to this basis
     for i in range(n):
@@ -522,5 +531,5 @@ def test_staged_reduction_without_lifts_is_the_single_pass():
     n, total = 6, STAGE_DIGITS
     column, _ = scaled_column(rng, n, total, planted=False)
     full = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(column)]
-    reduced, _ = _staged_lll(column, total)
+    reduced, _ = staged_lll(column, total)
     assert reduced == lll_reduce(full)
