@@ -33,8 +33,17 @@ from typing import Union
 from .errors import ExpressionError, PolyzetaError
 from .evaluate import evaluate_z, evaluate_zp
 from .identities import export_identities, identity_catalog
-from .precision import BigReal, Precision, ln, pi, pow_int, to_decimal_string
-from .relations import RelationResult, lindep
+from .precision import (
+    MAX_DIGITS,
+    MIN_DIGITS,
+    BigReal,
+    Precision,
+    ln,
+    pi,
+    pow_int,
+    to_decimal_string,
+)
+from .relations import RelationResult, lindep, require_lindep_digits
 
 DEFAULT_DIGITS = 50
 DIGITS_ENV = "POLYLOG_DIGITS"
@@ -398,6 +407,7 @@ def eval_expression(e: Expr, prec: Precision):
     if isinstance(e, ZpCall):
         return evaluate_zp(e.p, e.args, prec)
     if isinstance(e, LindepCall):
+        require_lindep_digits(prec.digits)
         return lindep([eval_expression(item, prec) for item in e.items])
     raise TypeError(type(e))
 
@@ -425,9 +435,20 @@ def format_result(value, digits: int, ezface: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _default_digits() -> int:
-    env = os.environ.get(DIGITS_ENV)
-    return int(env) if env else DEFAULT_DIGITS
+def _default_digits() -> str:
+    return os.environ.get(DIGITS_ENV) or str(DEFAULT_DIGITS)
+
+
+def _precision(text: str) -> Precision:
+    """The Precision of a digit count from --digits, POLYLOG_DIGITS or the
+    REPL's :digits."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise ValueError(
+            f"digits must be an integer in {MIN_DIGITS}..{MAX_DIGITS}, got {text!r}"
+        ) from None
+    return Precision(digits)
 
 
 def _eval_line(src: str, prec: Precision, ezface: bool) -> str:
@@ -435,12 +456,12 @@ def _eval_line(src: str, prec: Precision, ezface: bool) -> str:
 
 
 def _cmd_eval(args) -> int:
-    print(_eval_line(args.expression, Precision(int(args.digits)), args.ezface_format))
+    print(_eval_line(args.expression, _precision(args.digits), args.ezface_format))
     return 0
 
 
 def _cmd_repl(args) -> int:
-    prec = Precision(int(args.digits))
+    prec = _precision(args.digits)
     print(
         f"expression calculator, {prec.digits} digits; :digits N, :quit to exit",
         file=sys.stderr,
@@ -457,9 +478,9 @@ def _cmd_repl(args) -> int:
             return 0
         if line.startswith(":digits"):
             try:
-                prec = Precision(int(line.split()[1]))
+                prec = _precision(line[len(":digits"):].strip())
                 print(f"precision set to {prec.digits} digits", file=sys.stderr)
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
             continue
         try:

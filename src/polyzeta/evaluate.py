@@ -1,40 +1,40 @@
 """Numeric evaluation of convergent multiple polylogarithms.
 
-One summation kernel, three callers.  The kernel makes a single forward
-pass of N outer steps over a spec in Python-int fixed point (scale 2^bits).
-Its caller picks what the pass returns: the truncated value of every suffix
-of the spec, including the suffixes that start inside a block of dx/x forms
-(the split), or the full value alone (the direct and dual routes), which
-costs one floor division by n^s_j per level and step instead of s_j.  Each
-step multiplies and floor-divides by small integers only: the base
-numerators and denominators and powers of the summation index n.  The
-division by each base b_j = num/den follows one plan per level, fixed before
-the steps (``_division_plan``): a shift replaces the multiply by den = 2^e
-and the division by num = +-2^u, so the bases +-2 and 4 of a +-1 word split
-at p = 2 cost one shift and the halves 3/2 and 5/2 shift instead of
+One summation kernel.  It makes a single forward pass of N outer steps over
+a spec in Python-int fixed point (scale 2^bits), with N from the closed-form
+tail bound of ``plan_nested_sum``.  A pass returns either the full value
+alone, at one floor division by n^s_j per level and step, or the truncated
+value of every suffix of the spec, including the suffixes that start inside
+a block of dx/x forms, at s_j divisions by n.  Each step multiplies and
+floor-divides by small integers only: the base numerators and denominators
+and powers of the summation index n.  The division by each base
+b_j = num/den follows one plan per level, fixed before the steps
+(``_division_plan``): a shift replaces the multiply by den = 2^e and the
+division by num = +-2^u, so the bases +-2 and 4 of a +-1 word split at
+p = 2 cost one shift and the halves 3/2 and 5/2 shift instead of
 multiplying.  A right shift floors exactly as the floor division it
-replaces, so the plan changes the cost of a step, not its value.  The truncation point N comes from the closed-form tail bound of
-``plan_nested_sum``.
+replaces, so the plan changes the cost of a step, not its value.
+
+Routes.  ``_route`` decides once per spec which passes evaluate it, the
+signs that combine their values, and the error factor that sets their
+digits; ``working_precision`` and ``evaluate_lambda`` both read it.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
-  geometrically; the value is the kernel's full-value pass.
-  ``direct_nested_sum`` exposes this route for the first case.
+  geometrically: one full-value pass of the spec.  ``direct_nested_sum``
+  insists on the first case.
 
-* dual -- words whose dual ``1 - reversed(word)`` has every base modulus at
-  least ``GEOMETRIC_THRESHOLD`` take ``sign *`` the dual's full-value pass.
+* dual -- the dual word ``1 - reversed(word)`` has every base modulus at
+  least ``GEOMETRIC_THRESHOLD``: ``sign *`` one full-value pass of the dual.
 
-* split (``holder_split``) -- for words whose bases sit on or near the unit
-  circle (MZVs, alternating sums), the [0,1] iterated integral splits at 1/p
-  into weight+1 products sign_r * L_r * R_r with 1/p + 1/q = 1.  Every right
-  half R_r is the suffix ``p * word[r:]`` and every left half L_r is a suffix
-  of ``q * dual``, so two every-suffix kernel passes, one per scaled word,
-  hold all 2(weight+1) factors.
-
-``evaluate_lambda`` dispatches between them, preferring the direct sum, then
-the dual when that alone produces fast geometric convergence, then the split
-with p = q = 2 (or an adaptive conjugate pair when unit-gap bases make 2
-infeasible).
+* split -- for words whose bases sit on or near the unit circle (MZVs,
+  alternating sums), the [0,1] iterated integral splits at 1/p into
+  weight+1 products sign_r * L_r * R_r with 1/p + 1/q = 1, as
+  ``holder_split`` lists them.  Every right half R_r is the suffix
+  ``p * word[r:]`` and every left half L_r is a suffix of ``q * dual``, so
+  two every-suffix passes, one per scaled word, hold all 2(weight+1)
+  factors.  p = q = 2 unless unit-gap bases make 2 infeasible, then an
+  adaptive conjugate pair (``_split_parameter``).
 
 Error budget.  Before its one final rounding, every value ``evaluate_lambda``
 returns is within 10^-W of lambda, W = ``prec.working_dps``, so the BigReal
@@ -54,7 +54,9 @@ plan's tail bound is below 10^-D and keeps its rounding below 10^-D
   is off by at most (weight+1)*(M_L + M_R + 1)*delta, which is at most 10^-W
   once 10^(D-W) >= 2*(weight+1)*(M_L + M_R + 1).
 
-``working_precision`` computes D for each spec before any pass.
+``working_precision`` computes D before any pass, as W plus the decimal
+exponent of the route's error factor: 2 on the direct and dual routes,
+2*(weight+1)*(M_L + M_R + 1) on the split.
 """
 
 from __future__ import annotations
@@ -86,12 +88,6 @@ def _geometric(bases) -> bool:
     return min(abs(b) for b in bases) >= GEOMETRIC_THRESHOLD
 
 
-def _summed_directly(spec: LambdaSpec) -> bool:
-    # no word encoding for nonpositive exponents, but convergence guarantees
-    # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
-    return _geometric(spec.bases) or any(s < 1 for s in spec.exponents)
-
-
 def _suffix_bound(bases) -> Fraction:
     """M = prod_j max(1, 1/(|b_j| - 1)), at least |lambda| of every suffix of
     a spec with these bases, positive exponents and every |b_j| > 1."""
@@ -108,29 +104,45 @@ def _decimal_exponent(bound: Fraction) -> int:
     return len(str(ceiling - 1)) if ceiling > 1 else 0
 
 
-def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
-    """Precision whose working_dps D the kernel passes for spec run at.
+@lru_cache(maxsize=4096)
+def _route(spec: LambdaSpec) -> tuple[tuple[LambdaSpec, ...], tuple[int, ...], Fraction]:
+    """(passes, signs, factor): the kernel passes that evaluate spec, the
+    signs that combine their values, and the error factor of the sum.
 
-    Each suffix value of a pass run to D digits is within 2*10^-D of its
-    limit.  The direct and dual routes return one such value, so
-    D = W + 1 with W = prec.working_dps.  The split sums weight+1 products
-    of suffix values bounded by M_L and M_R (``_suffix_bound`` of the left
-    and right pass), which multiplies the error by at most
-    (weight+1)*(M_L + M_R + 1); D grows by the decimal exponent of twice
-    that factor.  Either way the value is within 10^-W before its final
-    rounding.
+    direct and dual make one full-value pass, of spec or of its dual, and
+    the value is signs[0] times it.  The split makes two every-suffix
+    passes, R of p*word and L of q*dual, and the value is
+    sum_r signs[r] * L[weight-r] * R[r] with
+    signs[r] = (-1)^(r + depth + depth(dual[weight-r:]) + depth(word[r:])),
+    the terms of ``holder_split(word, p)``.  See the module docstring for
+    the factor.
     """
-    factor = Fraction(2)
-    if spec.depth and not _summed_directly(spec):
-        word = lambda_to_word(spec)
-        dual, _ = dual_word(word)
-        # a word's nonzero letters are its spec's bases
-        if not _geometric(a for a in dual if a):
-            p = _split_parameter(word)
-            q = p / (p - 1)
-            right = _suffix_bound(p * a for a in word if a)
-            left = _suffix_bound(q * a for a in dual if a)
-            factor *= (len(word) + 1) * (left + right + 1)
+    # no word encoding for nonpositive exponents, but convergence guarantees
+    # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
+    if not spec.depth or _geometric(spec.bases) or min(spec.exponents) < 1:
+        return (spec,), (1,), Fraction(2)
+    word = lambda_to_word(spec)
+    dual, sign = dual_word(word)
+    dual_spec = word_to_lambda(dual)
+    if _geometric(dual_spec.bases):
+        return (dual_spec,), (sign,), Fraction(2)
+    p = _split_parameter(word)
+    right, left = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
+    weight, k = len(word), word_depth(word)
+    signs = tuple(
+        (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
+        for r in range(weight + 1)
+    )
+    bounds = _suffix_bound(left.bases) + _suffix_bound(right.bases)
+    factor = 2 * (weight + 1) * (bounds + 1)
+    return (right, left), signs, factor
+
+
+def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
+    """Precision whose working_dps D the kernel passes for spec run at:
+    W = prec.working_dps plus the decimal exponent of the route's error
+    factor, so the value is within 10^-W before its final rounding."""
+    factor = _route(spec)[2]
     return Precision(prec.digits, prec.guard + _decimal_exponent(factor))
 
 
@@ -140,17 +152,16 @@ def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
 
 @dataclass(frozen=True)
 class SumPlan:
-    """Truncation point N plus the data behind its tail bound.
+    """Truncation point N and the log10 of the tail bound there.
 
-    The tail of the nested sum past outer index N is at most
-    sum_{n>N} n^poly_degree * ratio^n, which the plan bounds in closed form
-    by g(N+1)/(1-rho) with g(n) = n^m r^n and rho = (1+r)/2, valid because N
-    is chosen large enough that g is decaying at least as fast as rho.
+    With r = 1/min |b_j| and m = k - 1 + sum_{s_j < 0} -s_j, the tail of the
+    nested sum past outer index N is at most sum_{n>N} n^m * r^n, which the
+    plan bounds in closed form by g(N+1)/(1-rho) with g(n) = n^m r^n and
+    rho = (1+r)/2, valid because N is chosen large enough that g is decaying
+    at least as fast as rho.
     """
 
     terms: int
-    ratio: Fraction
-    poly_degree: int
     tail_log10: float
 
 
@@ -161,17 +172,16 @@ def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
         raise UnsupportedSpec(
             f"{format_spec(spec)}: direct summation needs all |b_j| > 1"
         )
-    r = 1 / rmin
+    r = float(1 / rmin)
     m = (k - 1) + sum(-s for s in spec.exponents if s < 0)
-    rf = float(r)
-    rho = (1 + rf) / 2
-    log_r = math.log10(rf)
+    rho = (1 + r) / 2
+    log_r = math.log10(r)
     log_gap = -math.log10(1 - rho)
     n = max(k, 1)
     while True:
         tail = m * math.log10(n + 1) + (n + 1) * log_r + log_gap
-        if tail < eps_log10 and rf * (1 + 1 / n) ** m <= rho:
-            return SumPlan(n, r, m, tail)
+        if tail < eps_log10 and r * (1 + 1 / n) ** m <= rho:
+            return SumPlan(n, tail)
         n += max(1, n // 8)
 
 
@@ -309,43 +319,6 @@ def _suffix_sums(
 
 
 # ---------------------------------------------------------------------------
-# Direct route
-# ---------------------------------------------------------------------------
-
-def _kernel_pass(
-    spec: LambdaSpec, dps: int, every_suffix: bool = True
-) -> tuple[list[int], int]:
-    """The suffix values of spec (only the full one unless every_suffix),
-    each within 2*10^-dps: the plan cuts the tail below 10^-dps and the
-    kernel keeps its rounding below 10^-dps."""
-    plan = plan_nested_sum(spec, -dps)
-    return _suffix_sums(spec, plan.terms, dps, every_suffix)
-
-
-def _direct(spec: LambdaSpec, dps: int) -> tuple[int, int]:
-    """Full value of spec as a (mantissa, binary exponent) pair."""
-    if spec.depth == 0:
-        return 1, 0
-    values, bits = _kernel_pass(spec, dps, every_suffix=False)
-    return values[0], -bits
-
-
-def direct_nested_sum(spec: LambdaSpec, prec: Precision) -> BigReal:
-    """Sum lambda(spec) directly; requires min |b_j| >= GEOMETRIC_THRESHOLD.
-
-    The threshold 3/2 keeps the term ratio at most 2/3, so the pass length
-    is O(digits).
-    """
-    require_convergent(spec)
-    if spec.depth and not _geometric(spec.bases):
-        raise UnsupportedSpec(
-            f"{format_spec(spec)}: base modulus below {GEOMETRIC_THRESHOLD}; "
-            "evaluate through the conjugate split instead"
-        )
-    return BigReal(_direct(spec, working_precision(prec, spec).working_dps), prec)
-
-
-# ---------------------------------------------------------------------------
 # Conjugate-parameter split of the iterated integral
 # ---------------------------------------------------------------------------
 
@@ -413,28 +386,6 @@ def _split_parameter(word: Word) -> Fraction:
     return q / (q - 1)
 
 
-def _word_value(word: Word, dps: int) -> tuple[int, int]:
-    """lambda value of a convergent word whose bases reach below the
-    geometric threshold, as a (mantissa, binary exponent) pair."""
-    dual, sign = dual_word(word)
-    dspec = word_to_lambda(dual)
-    if _geometric(dspec.bases):
-        man, exp = _direct(dspec, dps)
-        return sign * man, exp
-
-    terms = holder_split(word, _split_parameter(word))
-    weight = len(word)
-    # right halves are the suffixes of p*word (r = 0), left halves the
-    # suffixes of q*dual (r = weight).  A suffix has no more levels and no
-    # smaller base modulus, so the full word's plan bounds its tail too.
-    right, right_bits = _kernel_pass(terms[0].right, dps)
-    left, left_bits = _kernel_pass(terms[-1].left, dps)
-    total = sum(
-        t.sign * left[weight - t.split_index] * right[t.split_index] for t in terms
-    )
-    return total, -(left_bits + right_bits)
-
-
 # ---------------------------------------------------------------------------
 # Dispatchers
 # ---------------------------------------------------------------------------
@@ -452,12 +403,41 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     dps = working_precision(prec, spec).working_dps
     if spec.depth == 0:
         return BigReal(1, prec)
-    if _summed_directly(spec):
-        value = _direct(spec, dps)
+    passes, signs, _ = _route(spec)
+    split = len(passes) == 2
+    # each pass's values are within 2*10^-dps: the plan cuts the tail below
+    # 10^-dps and the kernel keeps its rounding below 10^-dps.  A suffix has
+    # no more levels and no smaller base modulus, so the pass's plan bounds
+    # its tail too.
+    runs = [
+        _suffix_sums(s, plan_nested_sum(s, -dps).terms, dps, every_suffix=split)
+        for s in passes
+    ]
+    if split:
+        (right, right_bits), (left, left_bits) = runs
+        weight = len(signs) - 1
+        total = sum(sign * left[weight - r] * right[r] for r, sign in enumerate(signs))
+        value = total, -(left_bits + right_bits)
     else:
-        value = _word_value(lambda_to_word(spec), dps)
+        [([full], bits)] = runs
+        value = signs[0] * full, -bits
     # one rounding, from the kernel's (mantissa, exponent) pair
     return BigReal(value, prec)
+
+
+def direct_nested_sum(spec: LambdaSpec, prec: Precision) -> BigReal:
+    """Sum lambda(spec) directly; requires min |b_j| >= GEOMETRIC_THRESHOLD.
+
+    The threshold 3/2 keeps the term ratio at most 2/3, so the pass length
+    is O(digits).  Such a spec takes the direct route of ``evaluate_lambda``.
+    """
+    require_convergent(spec)
+    if spec.depth and not _geometric(spec.bases):
+        raise UnsupportedSpec(
+            f"{format_spec(spec)}: base modulus below {GEOMETRIC_THRESHOLD}; "
+            "evaluate through the conjugate split instead"
+        )
+    return evaluate_lambda(spec, prec)
 
 
 def evaluate_word(word: Word, prec: Precision) -> BigReal:

@@ -258,6 +258,15 @@ def _candidates(u, column):
     return [coeffs for _, coeffs in kept]
 
 
+def require_lindep_digits(digits: int) -> None:
+    """Refuse a lindep at fewer than MIN_LINDEP_DIGITS digits.  The CLI
+    calls this before it computes the values of a lindep list."""
+    if digits < MIN_LINDEP_DIGITS:
+        raise InsufficientPrecision(
+            f"lindep needs at least {MIN_LINDEP_DIGITS} digits, got {digits}"
+        )
+
+
 def lindep(values) -> RelationResult:
     """Search for integers c with sum c_i x_i = 0.
 
@@ -307,10 +316,7 @@ def lindep(values) -> RelationResult:
     if len(precs) != 1:
         raise InsufficientPrecision("mixed precisions among lindep inputs")
     digits = values[0].prec.digits
-    if digits < MIN_LINDEP_DIGITS:
-        raise InsufficientPrecision(
-            f"lindep needs at least {MIN_LINDEP_DIGITS} digits, got {digits}"
-        )
+    require_lindep_digits(digits)
 
     n = len(values)
     total = digits - 10

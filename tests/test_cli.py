@@ -299,6 +299,53 @@ def test_env_var_invalid_is_user_error(monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+BAD_DIGITS = "error: digits must be an integer in 10..1000, got {!r}\n"
+
+
+@pytest.mark.parametrize("text", ["x", "1.5", ""])
+def test_run_eval_non_integer_digits_names_the_range(text, capsys):
+    assert run(["eval", "1", "--digits", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == BAD_DIGITS.format(text)
+
+
+def test_env_var_non_integer_digits_names_the_range(monkeypatch, capsys):
+    monkeypatch.setenv("POLYLOG_DIGITS", "abc")
+    assert run(["eval", "1"]) == 1
+    assert capsys.readouterr().err == BAD_DIGITS.format("abc")
+
+
+def test_out_of_range_digits_keep_their_message(monkeypatch, capsys):
+    assert run(["eval", "1", "--digits", "5"]) == 1
+    assert capsys.readouterr().err == "error: digits must be in 10..1000, got 5\n"
+    monkeypatch.setenv("POLYLOG_DIGITS", "5000")
+    assert run(["eval", "1"]) == 1
+    assert capsys.readouterr().err == "error: digits must be in 10..1000, got 5000\n"
+
+
+def test_repl_bad_digits_keep_the_precision(monkeypatch, capsys):
+    script = ":digits\n:digits x\n:digits 5\n1/3\n:quit\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    assert run(["repl", "--digits", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0.333333333333\n"
+    errors = [line for line in captured.err.split("> ") if line.startswith("error")]
+    assert errors == [
+        BAD_DIGITS.format(""),
+        BAD_DIGITS.format("x"),
+        "error: digits must be in 10..1000, got 5\n",
+    ]
+
+
+def test_run_eval_lindep_below_thirty_digits_fails_before_any_value(monkeypatch, capsys):
+    monkeypatch.setattr("polyzeta.cli.evaluate_z", _no_value)
+    assert run(["eval", "lindep([z(120), z(3)])", "--digits", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lindep needs at least 30 digits, got 20\n"
+
+
 def test_repl_session(monkeypatch, capsys):
     script = "Pi^6/z(6)\n:digits 20\nz(6)\nz(1,2)\n:quit\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(script))

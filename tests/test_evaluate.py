@@ -604,34 +604,105 @@ def test_values_carry_their_working_digits():
             assert abs(low - high) < F(1, 10 ** (d + 19)) * max(1, abs(high)), (label, d)
 
 
-def test_split_pass_suffixes_stay_within_their_bound():
-    # every suffix of a scaled word is at most M = prod max(1, 1/(|b_j| - 1)),
-    # the bound the split's error budget multiplies by
-    rng = random.Random(606)
+def random_split_specs(seed):
+    """Convergent specs with bases near the unit circle that take the split,
+    many of them at an adaptive p."""
+    rng = random.Random(seed)
     base_pool = [F(1), F(-1), F(-2), F(5, 4), F(4, 3), F(11, 10), F(-3, 2)]
-    dps = 30
-    checked = adaptive = 0
-    while checked < 40:
+    while True:
         depth = rng.randint(1, 4)
         exps = tuple(rng.randint(1, 3) for _ in range(depth))
         spec = LambdaSpec.of(exps, tuple(rng.choice(base_pool) for _ in exps))
-        if not spec.is_convergent() or evaluate._summed_directly(spec):
-            continue
-        word = lambda_to_word(spec)
-        dual, _ = dual_word(word)
-        if evaluate._geometric(word_to_lambda(dual).bases):
-            continue
-        p = evaluate._split_parameter(word)
-        adaptive += p != 2
-        terms = holder_split(word, p)
-        for pass_spec in (terms[0].right, terms[-1].left):
+        if spec.is_convergent() and len(evaluate._route(spec)[0]) == 2:
+            yield spec
+
+
+def test_split_pass_suffixes_stay_within_their_bound():
+    # every suffix of a scaled word is at most M = prod max(1, 1/(|b_j| - 1)),
+    # the bound the split's error budget multiplies by
+    dps = 30
+    checked = adaptive = 0
+    for spec in random_split_specs(606):
+        if checked == 40:
+            break
+        right, left = evaluate._route(spec)[0]
+        adaptive += right.bases[0] != 2 * spec.bases[0]  # right is p * word
+        for pass_spec in (right, left):
             bound = evaluate._suffix_bound(pass_spec.bases)
-            values, bits = evaluate._kernel_pass(pass_spec, dps)
+            terms = plan_nested_sum(pass_spec, -dps).terms
+            values, bits = _suffix_sums(pass_spec, terms, dps)
             for v in values:
                 # each value is within 2*10^-dps of the suffix it sums
-                assert abs(F(v, 2 ** bits)) <= bound + F(2, 10 ** dps), (word, pass_spec)
+                assert abs(F(v, 2 ** bits)) <= bound + F(2, 10 ** dps), (spec, pass_spec)
         checked += 1
     assert adaptive >= 10
+
+
+def assert_route_is_holder_split(word, p):
+    passes, signs, _ = evaluate._route(word_to_lambda(word))
+    terms = holder_split(word, p)
+    assert passes == (terms[0].right, terms[-1].left), word
+    assert signs == tuple(t.sign for t in terms), word
+
+
+def test_route_split_matches_holder_split():
+    # the split's passes are the r = 0 right half and the r = weight left
+    # half, and its signs are the split's, at p = 2 on +-1 words ...
+    split_words = [
+        word for word in word_pool(60, seed=21, max_weight=9)
+        if len(evaluate._route(word_to_lambda(word))[0]) == 2
+    ]
+    assert len(split_words) >= 40
+    for word in split_words:
+        assert_route_is_holder_split(word, F(2))
+    # ... and at the adaptive p of bases off the unit circle
+    adaptive = 0
+    for spec in random_split_specs(77):
+        word = lambda_to_word(spec)
+        p = evaluate._split_parameter(word)
+        if p != 2:
+            assert_route_is_holder_split(word, p)
+            adaptive += 1
+            if adaptive == 12:
+                break
+
+
+def test_route_direct_and_dual_make_one_pass():
+    spec = LambdaSpec.of((2, 1), (3, F(-7, 4)))
+    assert evaluate._route(spec) == ((spec,), (1,), 2)
+    spec = LambdaSpec.of((2, -1), (F(5, 4), F(5, 4)))  # no word encoding
+    assert evaluate._route(spec) == ((spec,), (1,), 2)
+    # z(-1, -1, -1): bases -1, 1, -1; the dual word has bases 2, 2
+    spec = lambda_from_z_string((-1, -1, -1))
+    dual, sign = dual_word(lambda_to_word(spec))
+    assert evaluate._route(spec) == ((word_to_lambda(dual),), (sign,), 2)
+
+
+def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
+    prec = Precision(40)
+    specs = [
+        lambda_from_z_string((2, 1)),
+        lambda_from_z_string((-2, 1, -3)),
+        LambdaSpec.of((2, 1), (F(5, 4), F(4, 3))),
+    ]
+    oracles = []
+    for spec in specs:
+        word = lambda_to_word(spec)
+        assert len(evaluate._route(spec)[0]) == 2
+        terms = holder_split(word, evaluate._split_parameter(word))
+        oracles.append(sum(
+            (evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
+             for t in terms),
+            BigReal(0, prec),
+        ))
+
+    def no_split(*args):
+        raise AssertionError("evaluate_lambda called holder_split")
+
+    monkeypatch.setattr(evaluate, "holder_split", no_split)
+    evaluate_lambda.cache_clear()
+    for spec, oracle in zip(specs, oracles):
+        assert_close(evaluate_lambda(spec, prec), oracle, 38)
 
 
 def test_printed_precision_semantics():
