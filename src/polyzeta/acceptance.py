@@ -14,7 +14,6 @@ from typing import Callable
 
 from .cli import eval_expression, format_result, parse_expression
 from .evaluate import (
-    direct_nested_sum,
     evaluate_lambda,
     evaluate_word,
     evaluate_z,
@@ -24,13 +23,19 @@ from .evaluate import (
     working_precision,
 )
 from .identities import (
-    closed_form,
+    delta_12,
     delta_negative_exact,
     evaluate_formal_sum,
+    li2_half,
+    mu_power,
     rational_stuffle_check,
     reversal_reduction,
     shuffle_words,
     stuffle_identity,
+    t4,
+    t5,
+    z213,
+    zagier,
 )
 from .model import (
     LambdaSpec,
@@ -42,7 +47,7 @@ from .model import (
     mu_spec,
     word_to_lambda,
 )
-from .precision import BigReal, Precision, ln, pi, pow_int
+from .precision import BigReal, Precision, ln, pi
 from .relations import lindep
 
 
@@ -131,7 +136,7 @@ def crit_lindep_weight8() -> tuple[bool, str]:
         z(5, 3),
         z(8),
         z(5) * z(3),
-        pow_int(z(3), 2, prec) * z(2),
+        z(3) ** 2 * z(2),
     ]
     result = lindep(values)
     want = (36, 36, -71, 90, -18)
@@ -144,7 +149,7 @@ def crit_lindep_log_form() -> tuple[bool, str]:
     prec = Precision(50)
     values = [
         evaluate_z((3,), prec),
-        pow_int(pi(prec), 2, prec) * ln(2, prec),
+        pi(prec) ** 2 * ln(2, prec),
         evaluate_zp(2, (2, 1), prec),
         evaluate_zp(2, (3,), prec),
     ]
@@ -160,7 +165,7 @@ def crit_zagier() -> tuple[bool, str]:
     residuals = []
     for n in range(4):
         got = evaluate_z((3, 1) * n, prec)
-        want = closed_form("zagier", (n,), prec)
+        want = zagier(n, prec)
         residuals.append(abs(got - want).to_fraction())
     ok = all(r < _tol(45) for r in residuals)
     return ok, _max_residual(residuals)
@@ -171,7 +176,7 @@ def crit_z213_family() -> tuple[bool, str]:
     residuals = []
     for n in (1, 2):
         got = evaluate_z((2,) + (1, 3) * n, prec)
-        want = closed_form("z213", (n,), prec)
+        want = z213(n, prec)
         residuals.append(abs(got - want).to_fraction())
     ok = all(r < _tol(40) for r in residuals)
     return ok, _max_residual(residuals)
@@ -212,17 +217,17 @@ def crit_closed_forms() -> tuple[bool, str]:
     residuals = []
     for n in range(7):
         got = evaluate_lambda(constant_base_spec(2, (1,) * n), prec)
-        want = pow_int(ln(2, prec), n, prec) * Fraction(1, factorial(n))
+        want = ln(2, prec) ** n * Fraction(1, factorial(n))
         residuals.append(abs(got - want).to_fraction())
     for n in range(5):
         got = evaluate_lambda(constant_base_spec(3, (1,) * n), prec)
-        want = closed_form("mu_power", (3, n), prec)
+        want = mu_power(3, n, prec)
         residuals.append(abs(got - want).to_fraction())
     residuals.append(
-        abs(evaluate_lambda(delta_spec(2), prec) - closed_form("li2_half", (), prec)).to_fraction()
+        abs(evaluate_lambda(delta_spec(2), prec) - li2_half(prec)).to_fraction()
     )
     residuals.append(
-        abs(evaluate_lambda(delta_spec(1, 2), prec) - closed_form("delta_12", (), prec)).to_fraction()
+        abs(evaluate_lambda(delta_spec(1, 2), prec) - delta_12(prec)).to_fraction()
     )
     ok = all(r < _tol(40) for r in residuals)
     return ok, _max_residual(residuals)
@@ -235,10 +240,10 @@ def crit_t4_t5() -> tuple[bool, str]:
         for n in (0, 1, 2):
             bases = (-1,) * m + (1,) + (-1,) * n
             got = evaluate_lambda(mu_spec(*bases), prec)
-            want = closed_form("t5", (m, n), prec)
+            want = t5(m, n, prec)
             residuals.append(abs(got - want).to_fraction())
             if n == 0:
-                other = closed_form("t4", (m,), prec)
+                other = t4(m, prec)
                 residuals.append(abs(got - other).to_fraction())
     ok = all(r < _tol(40) for r in residuals)
     return ok, _max_residual(residuals)
@@ -269,7 +274,7 @@ def crit_zagier_dressed() -> tuple[bool, str]:
         + evaluate_z((3, 2, 1), prec)
         + evaluate_z((3, 1, 2), prec)
     )
-    want = pow_int(pi(prec), 6, prec) * Fraction(1, 5040)
+    want = pi(prec) ** 6 * Fraction(1, 5040)
     return _within(total, want, 40)
 
 
@@ -294,7 +299,7 @@ def crit_simplex_lock() -> tuple[bool, str]:
     for n, want in enumerate(expected):
         if delta_negative_exact(n) != want:
             return False, f"recurrence value for n={n} is not {want}"
-        got = direct_nested_sum(LambdaSpec.of((-n,), (2,)), prec)
+        got = evaluate_lambda(LambdaSpec.of((-n,), (2,)), prec)
         residuals.append(abs(got - want).to_fraction())
     ok = all(r < _tol(40) for r in residuals)
     return ok, _max_residual(residuals)

@@ -40,7 +40,6 @@ from .precision import (
     Precision,
     ln,
     pi,
-    pow_int,
     to_decimal_string,
 )
 from .relations import RelationResult, lindep, require_lindep_digits
@@ -390,7 +389,7 @@ def eval_expression(e: Expr, prec: Precision):
         base = eval_expression(e.base, prec)
         if e.exponent < 0:
             _check_not_tiny(base, prec, "power base")
-        return pow_int(base, e.exponent, prec)
+        return base ** e.exponent
     if isinstance(e, BinOp):
         left = eval_expression(e.left, prec)
         right = eval_expression(e.right, prec)
@@ -490,8 +489,6 @@ def _cmd_repl(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.action != "export":
-        raise ValueError(f"unknown identities action {args.action!r}")
     if not 3 <= args.weight <= MAX_EXPORT_WEIGHT:
         raise ValueError(f"weight must be in 3..{MAX_EXPORT_WEIGHT}, got {args.weight}")
     # the output opens first, so a bad path fails before the catalog is built

@@ -21,8 +21,7 @@ digits; ``working_precision`` and ``evaluate_lambda`` both read it.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
-  geometrically: one full-value pass of the spec.  ``direct_nested_sum``
-  insists on the first case.
+  geometrically: one full-value pass of the spec.
 
 * dual -- the dual word ``1 - reversed(word)`` has every base modulus at
   least ``GEOMETRIC_THRESHOLD``: ``sign *`` one full-value pass of the dual.
@@ -423,21 +422,6 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
         value = signs[0] * full, -bits
     # one rounding, from the kernel's (mantissa, exponent) pair
     return BigReal(value, prec)
-
-
-def direct_nested_sum(spec: LambdaSpec, prec: Precision) -> BigReal:
-    """Sum lambda(spec) directly; requires min |b_j| >= GEOMETRIC_THRESHOLD.
-
-    The threshold 3/2 keeps the term ratio at most 2/3, so the pass length
-    is O(digits).  Such a spec takes the direct route of ``evaluate_lambda``.
-    """
-    require_convergent(spec)
-    if spec.depth and not _geometric(spec.bases):
-        raise UnsupportedSpec(
-            f"{format_spec(spec)}: base modulus below {GEOMETRIC_THRESHOLD}; "
-            "evaluate through the conjugate split instead"
-        )
-    return evaluate_lambda(spec, prec)
 
 
 def evaluate_word(word: Word, prec: Precision) -> BigReal:

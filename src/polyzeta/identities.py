@@ -1,6 +1,6 @@
 """Symbolic identity engine: stuffle/shuffle products, duality rewrites,
-sign and composition expansions, reversal reductions, and a catalog of exact
-closed forms used as numeric oracles.
+sign and composition expansions, reversal reductions, and exact closed forms,
+one function each, used as numeric oracles.
 
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
@@ -44,7 +44,7 @@ from .model import (
     mzv_dual_string,
     zeta_spec,
 )
-from .precision import BigReal, Precision, ln, pi, pow_int
+from .precision import BigReal, Precision, ln, pi
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -645,7 +645,7 @@ def delta_one_negative_exact(n: int) -> Fraction:
 
 
 class ClosedFormConstants:
-    """Base constants for the closed-form catalog at a fixed precision.
+    """Base constants for the closed forms at a fixed precision.
 
     A(r) is the polylogarithm of 1/2, P(r) = (ln 2)^r / r!, Z(r) the signed
     zeta value (-1)^r zeta(r).  These are materialized from the library's
@@ -688,19 +688,20 @@ class ClosedFormConstants:
         return self._mk(("zeta", r), lambda ctx: +ctx.zeta(r))
 
 
-def _cf_zagier(prec: Precision, n: int) -> BigReal:
+def zagier(n: int, prec: Precision) -> BigReal:
+    """zeta({3,1}^n) = 2 pi^(4n) / (4n+2)!."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    num = 2 * pow_int(pi(prec), 4 * n, prec)
+    num = 2 * pi(prec) ** (4 * n)
     return num * Fraction(1, factorial(4 * n + 2))
 
 
-def _cf_zeta4_run(prec: Precision, m: int) -> BigReal:
-    # zeta({4}^m) = 4^m * zagier(m)
-    return _cf_zagier(prec, m) * Fraction(4 ** m)
+def _zeta4_run(m: int, prec: Precision) -> BigReal:
+    """zeta({4}^m) = 4^m * zagier(m)."""
+    return zagier(m, prec) * Fraction(4 ** m)
 
 
-def _cf_z213(prec: Precision, n: int) -> BigReal:
+def z213(n: int, prec: Precision) -> BigReal:
     """zeta(2, {1,3}^n) in terms of pi powers and depth-1 zetas."""
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -710,11 +711,11 @@ def _cf_z213(prec: Precision, n: int) -> BigReal:
         acc = c.zeta(4 * k + 2) * (4 * k + 1)
         for j in range(1, k + 1):
             acc = acc - c.zeta(4 * j - 1) * c.zeta(4 * k - 4 * j + 3) * 4
-        total = total + _cf_zeta4_run(prec, n - k) * acc * Fraction((-1) ** k)
+        total = total + _zeta4_run(n - k, prec) * acc * Fraction((-1) ** k)
     return total * Fraction(1, 4 ** n)
 
 
-def _cf_mu_power(prec: Precision, p, n: int) -> BigReal:
+def mu_power(p, n: int, prec: Precision) -> BigReal:
     """mu({p}^n) = (log q)^n / n! with 1/p + 1/q = 1."""
     p = Fraction(p)
     if n < 0:
@@ -722,10 +723,10 @@ def _cf_mu_power(prec: Precision, p, n: int) -> BigReal:
     if not (p > 1 or p <= -1):
         raise DomainError("requires p > 1 or p <= -1")
     q = p / (p - 1)
-    return pow_int(ln(q, prec), n, prec) * Fraction(1, factorial(n))
+    return ln(q, prec) ** n * Fraction(1, factorial(n))
 
 
-def _cf_t4(prec: Precision, m: int) -> BigReal:
+def t4(m: int, prec: Precision) -> BigReal:
     if m < 1:
         raise DomainError("m must be a positive integer")
     c = ClosedFormConstants(prec)
@@ -735,7 +736,7 @@ def _cf_t4(prec: Precision, m: int) -> BigReal:
     return acc * Fraction((-1) ** (m + 1)) - c.Z(m + 1)
 
 
-def _cf_t5(prec: Precision, m: int, n: int) -> BigReal:
+def t5(m: int, n: int, prec: Precision) -> BigReal:
     if m < 1 or n < 0:
         raise DomainError("needs m >= 1 and n >= 0")
     c = ClosedFormConstants(prec)
@@ -748,31 +749,13 @@ def _cf_t5(prec: Precision, m: int, n: int) -> BigReal:
     return first * Fraction((-1) ** (m + 1)) + second * Fraction((-1) ** (n + 1))
 
 
-def _cf_delta_neg(prec: Precision, n: int) -> BigReal:
-    return BigReal(delta_negative_exact(n), prec)
-
-
-def _cf_delta_one_neg(prec: Precision, n: int) -> BigReal:
-    return BigReal(delta_one_negative_exact(n), prec)
-
-
-def _cf_zero_string(prec: Precision, bases) -> BigReal:
-    out = Fraction(1)
-    for b in bases:
-        b = Fraction(b)
-        if b == 1:
-            raise DomainError("base 1 poles the zero-exponent product")
-        out /= b - 1
-    return BigReal(out, prec)
-
-
-def _cf_li2_half(prec: Precision) -> BigReal:
+def li2_half(prec: Precision) -> BigReal:
     p = pi(prec)
     l2 = ln(2, prec)
     return p * p * Fraction(1, 12) - l2 * l2 * Fraction(1, 2)
 
 
-def _cf_zeta_li_log(prec: Precision, n: int) -> BigReal:
+def zeta_li_log(n: int, prec: Precision) -> BigReal:
     """delta(2, {1}^n) = zeta(n+2) - sum_{r=1}^{n+2} A_r P_{n+2-r}."""
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -783,7 +766,7 @@ def _cf_zeta_li_log(prec: Precision, n: int) -> BigReal:
     return acc
 
 
-def _cf_delta_odd(prec: Precision, n: int) -> BigReal:
+def delta_odd(n: int, prec: Precision) -> BigReal:
     """delta(1, 2n-1) = 1/2 sum_{j=1}^{2n-1} (-1)^(j+1) A_j A_{2n-j}."""
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -794,39 +777,13 @@ def _cf_delta_odd(prec: Precision, n: int) -> BigReal:
     return acc * Fraction(1, 2)
 
 
-def _cf_delta_12(prec: Precision) -> BigReal:
+def delta_12(prec: Precision) -> BigReal:
     c = ClosedFormConstants(prec)
     return (
         c.A(2) * c.A(1) * Fraction(5, 7)
         - c.A(3) * Fraction(2, 7)
-        + pow_int(c.A(1), 3, prec) * Fraction(5, 21)
+        + c.A(1) ** 3 * Fraction(5, 21)
     )
-
-
-CLOSED_FORMS = {
-    "zagier": _cf_zagier,
-    "z213": _cf_z213,
-    "mu_power": _cf_mu_power,
-    "t4": _cf_t4,
-    "t5": _cf_t5,
-    "delta_neg": _cf_delta_neg,
-    "delta_one_neg": _cf_delta_one_neg,
-    "zero_string": _cf_zero_string,
-    "li2_half": _cf_li2_half,
-    "zeta_li_log": _cf_zeta_li_log,
-    "delta_odd": _cf_delta_odd,
-    "delta_12": _cf_delta_12,
-}
-
-
-def closed_form(name: str, params, prec: Precision) -> BigReal:
-    """Catalog of exact evaluations; an oracle layer independent of the
-    nested-sum evaluator."""
-    try:
-        fn = CLOSED_FORMS[name]
-    except KeyError:
-        raise KeyError(f"unknown closed form {name!r}; have {sorted(CLOSED_FORMS)}")
-    return fn(prec, *params)
 
 
 # ---------------------------------------------------------------------------

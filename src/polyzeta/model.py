@@ -152,7 +152,8 @@ def lambda_from_z_string(entries) -> LambdaSpec:
         raise ValueError("z arguments must be nonzero integers")
     if entries and entries[0] == 1:
         raise DivergenceError(
-            f"z{entries} diverges: leading argument {entries[0]} is an unsigned 1"
+            f"z({', '.join(map(str, entries))}) diverges: "
+            f"leading argument {entries[0]} is an unsigned 1"
         )
     bases = []
     running = 1

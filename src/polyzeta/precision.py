@@ -147,9 +147,12 @@ class BigReal:
         return o if o is NotImplemented else self._v == o
 
     def __pow__(self, n):
+        """x**n for an int n, by binary powering at working precision."""
         if not isinstance(n, int):
             return NotImplemented
-        return pow_int(self, n, self.prec)
+        if n < 0 and self._v == 0:
+            raise DomainError("0 cannot be raised to a negative power")
+        return BigReal(self._v ** n, self.prec)
 
     def __neg__(self):
         return BigReal(-self._v, self.prec)
@@ -238,11 +241,3 @@ def ln(x, prec: Precision) -> BigReal:
         raise DomainError(f"ln requires a positive argument, got {mp.nstr(v, 15)}")
     return BigReal(ctx.ln(v), prec)
 
-
-def pow_int(x: BigReal, n: int, prec: Precision) -> BigReal:
-    """x**n by binary powering at working precision."""
-    if x.prec != prec:
-        raise PrecisionMismatch("pow_int argument bound to a different precision")
-    if n < 0 and x._v == 0:
-        raise DomainError("0 cannot be raised to a negative power")
-    return BigReal(x._v ** n, prec)

@@ -16,7 +16,9 @@ test and returns the first that passes, skipping the remaining lifts.  Only
 when no row of any lift passes does the final pass run: the exact LLL on the
 full, untruncated lattice, reached through the transform, so the basis that
 the "no relation" verdict and its exclusion bound read is LLL-reduced
-whatever the lifts did.
+whatever the lifts did.  Each lift and the final pass is a stage that offers
+candidates (``_stages``); `lindep` runs the one residual and acceptance test
+over them all.
 """
 
 from __future__ import annotations
@@ -167,7 +169,6 @@ class RelationResult:
 
     coefficients: tuple[int, ...] | None
     residual: BigReal
-    norm: float
     exclusion_bound: float | None = None
 
     @property
@@ -221,14 +222,6 @@ def _residual(values, coeffs) -> BigReal:
     )
 
 
-def _relation(coeffs, residual) -> RelationResult:
-    return RelationResult(
-        coefficients=_normalize_sign(coeffs),
-        residual=residual,
-        norm=math.sqrt(sum(c * c for c in coeffs)),
-    )
-
-
 def _prefilter_rejects(coeffs, column) -> bool:
     """True when c is sure to fail lindep's residual test, from integers alone.
 
@@ -258,6 +251,52 @@ def _candidates(u, column):
     return [coeffs for _, coeffs in kept]
 
 
+def _stages(column, total):
+    """Yield (candidates, grams) for each stage of the reduction, in order.
+
+    A lift offers the rows of its transform that ``_candidates`` keeps, in
+    norm order, with grams None.  The final pass, the exact LLL from the last
+    transform, offers only the shortest row of its basis, with its Gram
+    determinants for the exclusion bound.  It offers no other row: offering
+    every row of the final basis, on 2000 seeded 30-60-digit vectors with
+    relations planted just above the norm cap, turned one "no relation"
+    into a relation that is not exact (n = 10 at 40 digits, |c| = 532.8
+    under the cap of 533.7).
+    """
+    n = len(column)
+    u = _identity(n)
+    for u in _lifts(column, total):
+        yield _candidates(u, column), None
+    reduced, grams = _exact_lll(u, column)
+    best = min(reduced, key=lambda row: sum(v * v for v in row))
+    yield [best[:n]], grams
+
+
+def _exclusion_bound(grams, n: int, total: int) -> float:
+    """A lower bound on the norm of any exact relation, from the Gram
+    determinants of the final pass's basis.
+
+    min_i |b*_i| bounds the shortest lattice vector; an exact relation c
+    lifts to a lattice vector of norm <= |c| sqrt(1 + n/4).  The searched
+    norm cap also limits what was certified.  Work in natural logs: at high
+    precision both quantities exceed the float range, and clamping the bound
+    down to the largest float keeps it a valid lower bound.
+    """
+    log_min_gso = min(
+        math.log(grams[i + 1]) - math.log(grams[i]) for i in range(n)
+    )
+    log_bound = min(
+        (log_min_gso - math.log(1 + n / 4)) / 2,
+        total * math.log(10) / (n + 1),
+    )
+    bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
+    # exp can round past the cap C^(1/(n+1)); compare exactly, as `_accepts`
+    # does, and step down to the float below it
+    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total):
+        bound = math.nextafter(bound, 0)
+    return bound
+
+
 def require_lindep_digits(digits: int) -> None:
     """Refuse a lindep at fewer than MIN_LINDEP_DIGITS digits.  The CLI
     calls this before it computes the values of a lindep list."""
@@ -280,17 +319,23 @@ def lindep(values) -> RelationResult:
 
     Why both tests.  An exact relation c leaves a residual of at most |c|_1
     times the inputs' error, which is ten digits below 1/C, so it passes.
-    A spurious c is an accident of the finite inputs: there are about B^n
-    integer vectors of norm at most B, and their sums c.x spread over a
-    range of about B, so the smallest residual among them is about
-    B^(1-n) = C^(-(n-1)/(n+1)).  The bound |c|_1 / C is at most
-    sqrt(n) B / C = sqrt(n) C^(-n/(n+1)), so under the cap a spurious
-    candidate misses it by a factor of about B / sqrt(n).  A fixed
-    threshold cannot do this: a half-precision threshold C^(-1/2) is above
-    C^(-(n-1)/(n+1)) for every n >= 4, so vectors that the lifts of a
-    relation-free input produce would pass it.  The norm cap is what makes "no
-    relation" reachable at all: without it, lattice vectors of norm about
-    C^(1/n) have residuals that pass either test.
+    A spurious c is an accident of the finite inputs: there are about
+    V_n B^n integer vectors of norm at most B (V_n the volume of the unit
+    n-ball), and their sums c.x spread over a range of about B, so the
+    smallest residual among them is about B^(1-n) = C^(-(n-1)/(n+1)).  A
+    fixed threshold cannot separate that from a relation: a half-precision
+    threshold C^(-1/2) is above C^(-(n-1)/(n+1)) for every n >= 4, so
+    vectors that the lifts of a relation-free input produce would pass it.
+    The bound |c|_1 / C scales with the candidate instead, but it does not
+    make an accidental pass negligible: the expected number of vectors
+    under the cap that pass it is about 1.4 V_n / B (an estimate that fits
+    the rates measured on relation-free inputs, not a derivation).  That is
+    small at 100 digits and more, and not at 30-40 digits with n >= 5: over
+    400 seeded relation-free vectors of n uniform entries at 30 digits,
+    lindep returned a false relation for 16 at n = 10 and 8 at n = 8, and at
+    40 digits for 1 at n = 8.  The norm cap is what makes "no relation"
+    reachable at all: without it, lattice vectors of norm about C^(1/n)
+    have residuals that pass either test.
 
     Why a candidate from a lift is as certified as one from the final pass.
     Neither test asks where c came from: the counting argument is about
@@ -318,44 +363,15 @@ def lindep(values) -> RelationResult:
     digits = values[0].prec.digits
     require_lindep_digits(digits)
 
-    n = len(values)
     total = digits - 10
     column = _scaled_column(values, total)
-    u = _identity(n)
-    for u in _lifts(column, total):
-        for coeffs in _candidates(u, column):
+    for candidates, grams in _stages(column, total):
+        for coeffs in candidates:
             residual = _residual(values, coeffs)
             if _accepts(coeffs, residual.to_fraction(), total):
-                return _relation(coeffs, residual)
-
-    reduced, grams = _exact_lll(u, column)
-    best = min(reduced, key=lambda row: sum(v * v for v in row))
-    coeffs = best[:n]
-    residual = _residual(values, coeffs)
-    if _accepts(coeffs, residual.to_fraction(), total):
-        return _relation(coeffs, residual)
-
-    # no acceptable relation: bound the norm of any exact one from below.
-    # min_i |b*_i| bounds the shortest lattice vector; an exact relation c
-    # lifts to a lattice vector of norm <= |c| sqrt(1 + n/4).  The searched
-    # norm cap also limits what was certified.  Work in natural logs: at
-    # high precision both quantities exceed the float range, and clamping
-    # the bound down to the largest float keeps it a valid lower bound.
-    log_min_gso = min(
-        math.log(grams[i + 1]) - math.log(grams[i]) for i in range(n)
-    )
-    log_bound = min(
-        (log_min_gso - math.log(1 + n / 4)) / 2,
-        total * math.log(10) / (n + 1),
-    )
-    bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
-    # exp can round past the cap C^(1/(n+1)); compare exactly, as `_accepts`
-    # does, and step down to the float below it
-    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total):
-        bound = math.nextafter(bound, 0)
+                return RelationResult(_normalize_sign(coeffs), residual)
+    # no stage yielded a relation: the final stage's one candidate and
+    # Gram determinants give the verdict's residual and exclusion bound
     return RelationResult(
-        coefficients=None,
-        residual=residual,
-        norm=0.0,
-        exclusion_bound=bound,
+        None, residual, exclusion_bound=_exclusion_bound(grams, len(values), total)
     )

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from polyzeta import Precision, lambda_from_z_string, lambda_to_word
+from polyzeta import Precision
 
 
 @pytest.fixture
@@ -39,17 +38,3 @@ def random_z_entries(rng: random.Random, max_weight: int = 8, max_depth: int = 4
         if entries[0] != 1:
             return entries
 
-
-def word_pool(count: int, seed: int, max_weight: int = 8):
-    rng = random.Random(seed)
-    seen, out = set(), []
-    while len(out) < count:
-        word = lambda_to_word(lambda_from_z_string(random_z_entries(rng, max_weight)))
-        if word not in seen:
-            seen.add(word)
-            out.append(word)
-    return out
-
-
-def frac(p, q=1) -> Fraction:
-    return Fraction(p, q)

@@ -230,6 +230,17 @@ def test_eval_divergent_z(prec30):
         eval_expression(parse_expression("z(1,2)"), prec30)
 
 
+def test_run_eval_divergent_z_names_its_arguments(capsys):
+    assert run(["eval", "z(1)"]) == 1
+    assert capsys.readouterr().err == (
+        "error: z(1) diverges: leading argument 1 is an unsigned 1\n"
+    )
+    assert run(["eval", "z(1,2)"]) == 1
+    assert capsys.readouterr().err == (
+        "error: z(1, 2) diverges: leading argument 1 is an unsigned 1\n"
+    )
+
+
 def test_eval_lindep_expression(prec50):
     result = eval_expression(
         parse_expression("lindep([z(3), Pi^2*log(2), zp(2,2,1), zp(2,3)])"),

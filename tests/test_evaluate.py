@@ -15,7 +15,6 @@ from polyzeta import (
     DomainError,
     LambdaSpec,
     Precision,
-    UnsupportedSpec,
     dual_word,
     evaluate_lambda,
     evaluate_z,
@@ -28,15 +27,15 @@ from polyzeta import (
 from polyzeta import evaluate
 from polyzeta.evaluate import (
     _suffix_sums,
-    direct_nested_sum,
     evaluate_J,
     evaluate_word,
     holder_split,
     plan_nested_sum,
 )
 from polyzeta.model import delta_spec, make_word
-from polyzeta.precision import ln, pi, pow_int
-from conftest import random_z_entries, word_pool
+from polyzeta.precision import ln, pi
+from polyzeta.acceptance import word_corpus
+from conftest import random_z_entries
 
 F = Fraction
 
@@ -52,29 +51,24 @@ def assert_close(a, b, exp10):
 # -- direct summation ---------------------------------------------------------
 
 def test_direct_base_two_unit_is_log_two(prec40):
-    got = direct_nested_sum(delta_spec(1), prec40)
+    got = evaluate_lambda(delta_spec(1), prec40)
     assert_close(got, ln(2, prec40), 40)
 
 
 def test_zero_exponents_collapse_to_rational(prec40):
-    got = direct_nested_sum(LambdaSpec.of((0, 0), (3, 2)), prec40)
+    got = evaluate_lambda(LambdaSpec.of((0, 0), (3, 2)), prec40)
     assert_close(got, F(1, 2), 40)
 
 
 def test_negative_exponent_values(prec40):
     for n, want in [(1, 2), (2, 6), (3, 26)]:
-        got = direct_nested_sum(LambdaSpec.of((-n,), (2,)), prec40)
+        got = evaluate_lambda(LambdaSpec.of((-n,), (2,)), prec40)
         assert_close(got, want, 38)
-
-
-def test_direct_threshold_guard(prec40):
-    with pytest.raises(UnsupportedSpec):
-        direct_nested_sum(zeta_spec(2), prec40)
 
 
 def test_direct_rejects_divergent(prec40):
     with pytest.raises(DivergenceError):
-        direct_nested_sum(LambdaSpec.of((1,), (1,)), prec40)
+        evaluate_lambda(LambdaSpec.of((1,), (1,)), prec40)
 
 
 def test_suffix_kernel_matches_exact_partial_sums():
@@ -303,7 +297,7 @@ def test_split_of_weight_three_word():
 
 
 def test_split_term_count_and_empty_halves():
-    for word in word_pool(10, seed=5):
+    for word in word_corpus(10, 8, seed=5):
         terms = holder_split(word, F(2))
         assert len(terms) == len(word) + 1
         assert terms[0].left.depth == 0
@@ -343,7 +337,7 @@ def test_alternating_duality_pair(prec50):
 
 def test_unit_base_two_powers(prec40):
     got = evaluate_lambda(delta_spec(1, 1, 1, 1), prec40)
-    want = pow_int(ln(2, prec40), 4, prec40) * F(1, 24)
+    want = ln(2, prec40) ** 4 * F(1, 24)
     assert_close(got, want, 40)
 
 
@@ -371,12 +365,12 @@ def test_nonpositive_exponent_below_threshold_sums_directly(prec40):
 
 def test_zp_values(prec50):
     assert_close(evaluate_zp(2, (1,), prec50), ln(2, prec50), 45)
-    want = pow_int(pi(prec50), 2, prec50) * F(1, 6)
+    want = pi(prec50) ** 2 * F(1, 6)
     assert_close(evaluate_zp(1, (2,), prec50), want, 45)
     # 12 z(3) - pi^2 ln 2 - 12 zp(2,2,1) - 12 zp(2,3) = 0
     combo = (
         evaluate_z((3,), prec50) * 12
-        - pow_int(pi(prec50), 2, prec50) * ln(2, prec50)
+        - pi(prec50) ** 2 * ln(2, prec50)
         - evaluate_zp(2, (2, 1), prec50) * 12
         - evaluate_zp(2, (3,), prec50) * 12
     )
@@ -443,7 +437,7 @@ def test_J_functional_equation(prec40):
 def test_split_parameter_invariance_small(prec40):
     from polyzeta import BigReal
 
-    words = word_pool(4, seed=9, max_weight=6)
+    words = word_corpus(4, 6, seed=9)
     for word in words:
         values = []
         for p in (F(2), F(3), F(3, 2)):
@@ -460,7 +454,7 @@ def test_split_parameter_invariance_small(prec40):
 
 
 def test_duality_invariance_numeric(prec40):
-    for word in word_pool(6, seed=10, max_weight=7):
+    for word in word_corpus(6, 7, seed=10):
         dual, sign = dual_word(word)
         assert_close(evaluate_word(word, prec40), evaluate_word(dual, prec40) * sign, 38)
 
@@ -588,15 +582,13 @@ def test_values_carry_their_working_digits():
         LambdaSpec.of((2, 1), (F(11, 10), -1)),
         # nonpositive exponents: the direct pass, large values
         LambdaSpec.of((3, 0, -2), (2, 3, F(7, 4))),
+        LambdaSpec.of((-5,), (2,)),
+        # every base at least 3/2: the direct pass
+        LambdaSpec.of((2, 3), (3, F(7, 4))),
     ]
     cases = [(spec, lambda prec, spec=spec: evaluate_lambda(spec, prec), (30, 50, 200))
              for spec in corpus]
-    direct_specs = (LambdaSpec.of((-5,), (2,)), LambdaSpec.of((2, 3), (3, F(7, 4))))
-    cases += [
-        ("z(200)", lambda prec: evaluate_z((200,), prec), (50,)),
-        *((f"direct {spec}", lambda prec, spec=spec: direct_nested_sum(spec, prec), (30, 50, 200))
-          for spec in direct_specs),
-    ]
+    cases.append(("z(200)", lambda prec: evaluate_z((200,), prec), (50,)))
     for label, make, digits in cases:
         for d in digits:
             low = make(Precision(d)).to_fraction()
@@ -649,7 +641,7 @@ def test_route_split_matches_holder_split():
     # the split's passes are the r = 0 right half and the r = weight left
     # half, and its signs are the split's, at p = 2 on +-1 words ...
     split_words = [
-        word for word in word_pool(60, seed=21, max_weight=9)
+        word for word in word_corpus(60, 9, seed=21)
         if len(evaluate._route(word_to_lambda(word))[0]) == 2
     ]
     assert len(split_words) >= 40

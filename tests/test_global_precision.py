@@ -11,8 +11,8 @@ import pytest
 
 from polyzeta import BigReal, Precision, evaluate_lambda, lindep, parse_spec, to_decimal_string
 from polyzeta.cli import run
-from polyzeta.identities import closed_form
-from polyzeta.precision import ln, pi, pow_int
+from polyzeta.identities import delta_odd, t5
+from polyzeta.precision import ln, pi
 
 
 @pytest.fixture
@@ -41,8 +41,8 @@ def test_nothing_writes_the_global_precision(frozen_global_precision, capsys):
     y = (x + 1) * x - Fraction(1, 3) / x
     assert abs(y) > 0
     assert to_decimal_string(pi(prec) * ln(y * y, prec), 20)
-    assert pow_int(x, -5, prec) > 1
-    assert closed_form("t5", (2, 1), prec)
+    assert x ** -5 > 1
+    assert t5(2, 1, prec)
     value = evaluate_lambda(parse_spec("L[2, 1 | 2, 1]"), prec)
     assert lindep([value, value * 3, pi(prec)]).found
     assert run(["eval", "lindep([z(3), z(2,1)])", "--digits", "33"]) == 0
@@ -57,7 +57,7 @@ def test_threads_at_different_precisions_get_their_serial_values():
 
     def polylogs(digits):
         # mpmath's polylog changes the precision of the context it runs in
-        return closed_form("delta_odd", (3,), Precision(digits)).to_fraction()
+        return delta_odd(3, Precision(digits)).to_fraction()
 
     jobs = [(arithmetic, 30), (arithmetic, 300), (polylogs, 30)]
     serial = [f(digits) for f, digits in jobs]

@@ -24,20 +24,21 @@ from polyzeta import (
     stuffle_identity,
     zeta_spec,
 )
-from polyzeta.evaluate import direct_nested_sum
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
     alternating_source_spec,
     alternating_to_mu,
     bernoulli,
-    closed_form,
     cyclotomic_expand,
+    delta_odd,
     delta_mu_dual,
     delta_negative_exact,
     delta_one_negative_exact,
     evaluate_formal_sum,
     export_identities,
+    li2_half,
+    mu_power,
     mu_source_spec,
     mu_to_compositions,
     mu_to_delta,
@@ -46,10 +47,13 @@ from polyzeta.identities import (
     reversal_reduction,
     shuffle_words,
     stuffle_set,
+    t4,
     weak_chain_expand,
+    zagier,
+    zeta_li_log,
 )
 from polyzeta.model import delta_spec, make_word, mu_spec
-from polyzeta.precision import ln, pi, pow_int
+from polyzeta.precision import ln, pi
 
 F = Fraction
 
@@ -660,61 +664,49 @@ def test_delta_negative_exact_values():
 def test_delta_negative_matches_direct_sum_through_eight():
     prec = Precision(40)
     for n in range(9):
-        got = direct_nested_sum(LambdaSpec.of((-n,), (2,)), prec)
+        got = evaluate_lambda(LambdaSpec.of((-n,), (2,)), prec)
         assert_close(got, delta_negative_exact(n), 35)
 
 
 def test_delta_one_negative_matches_direct_sum(prec40):
     for n in range(1, 7):
         want = delta_one_negative_exact(n)
-        got = direct_nested_sum(LambdaSpec.of((1, -n), (2, 2)), prec40)
+        got = evaluate_lambda(LambdaSpec.of((1, -n), (2, 2)), prec40)
         assert_close(got, want, 35)
 
 
 def test_closed_form_zagier(prec40):
-    got = closed_form("zagier", (1,), prec40)
-    want = pow_int(pi(prec40), 4, prec40) * F(1, 360)
+    got = zagier(1, prec40)
+    want = pi(prec40) ** 4 * F(1, 360)
     assert_close(got, want, 40)
     assert_close(evaluate_z((3, 1), prec40), got, 38)
 
 
 def test_closed_form_t4_is_negated_dilog(prec40):
-    got = closed_form("t4", (1,), prec40)
-    want = -closed_form("li2_half", (), prec40)
+    got = t4(1, prec40)
+    want = -li2_half(prec40)
     assert_close(got, want, 40)
 
 
 def test_closed_form_mu_power_empty(prec30):
-    assert closed_form("mu_power", (3, 0), prec30) == 1
-
-
-def test_closed_form_zero_string(prec30):
-    got = closed_form("zero_string", ((F(3), F(2)),), prec30)
-    assert got.to_fraction() == F(1, 2)
-    with pytest.raises(DomainError):
-        closed_form("zero_string", ((F(1),),), prec30)
+    assert mu_power(3, 0, prec30) == 1
 
 
 def test_closed_form_delta_odd(prec40):
     # n=1: delta(1,1) = (ln 2)^2/2
-    got = closed_form("delta_odd", (1,), prec40)
-    want = pow_int(ln(2, prec40), 2, prec40) * F(1, 2)
+    got = delta_odd(1, prec40)
+    want = ln(2, prec40) ** 2 * F(1, 2)
     assert_close(got, want, 40)
     # n=2: delta(1,3) against the evaluator
-    got = closed_form("delta_odd", (2,), prec40)
+    got = delta_odd(2, prec40)
     assert_close(evaluate_lambda(delta_spec(1, 3), prec40), got, 38)
 
 
 def test_closed_form_zeta_li_log(prec40):
     for n in (0, 1, 2):
-        got = closed_form("zeta_li_log", (n,), prec40)
+        got = zeta_li_log(n, prec40)
         want = evaluate_lambda(delta_spec(*((2,) + (1,) * n)), prec40)
         assert_close(got, want, 38)
-
-
-def test_closed_form_unknown_name(prec30):
-    with pytest.raises(KeyError):
-        closed_form("nope", (), prec30)
 
 
 # -- catalog / export --------------------------------------------------------------
