@@ -1,6 +1,18 @@
 """Acceptance criteria, runnable from the CLI (`polyzeta selftest`) and from
 the test suite.  Each criterion pins its tolerance; the runner prints one
-pass/fail line per criterion."""
+pass/fail line per criterion.
+
+The criteria share their checks and their seeded generators:
+
+- `_worst(pairs, exp10)` is the one residual gate: it passes when every
+  |got - want| is below 10^-exp10 and reports the worst residual;
+  `_within` compares a single value and reports only the tolerance;
+- `_recovers(values, want)` runs `lindep` and checks the relation it finds;
+- `exponent_string` draws the exponents of a random word, which
+  `random_z_entries` signs and `word_corpus` collects, and
+  `planted_relation` draws a vector with one planted integer relation.
+  The tests draw from the same generators.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, gcd
 from typing import Callable
 
@@ -61,39 +74,72 @@ def _within(a: BigReal, b, exp10: int) -> tuple[bool, str]:
     return ok, f"|diff| = {diff.to_fraction():.3e} vs 10^-{exp10}" if not ok else f"max residual < 10^-{exp10}"
 
 
-def _max_residual(residuals) -> str:
-    worst = max(residuals) if residuals else Fraction(0)
-    return f"worst residual {float(worst):.3e}"
+def _worst(pairs, exp10: int) -> tuple[bool, str]:
+    """Pass when every |got - want| of the (got, want) pairs is below
+    10^-exp10; the detail names the worst residual."""
+    worst = max((abs(got - want).to_fraction() for got, want in pairs), default=Fraction(0))
+    return worst < _tol(exp10), f"worst residual {float(worst):.3e}"
+
+
+def _recovers(values, want) -> tuple[bool, str]:
+    """Pass when `lindep` returns exactly the relation ``want``."""
+    result = lindep(values)
+    if result.coefficients != want:
+        return False, f"got {result.coefficients}, wanted {want}"
+    return True, f"recovered {want}, residual {float(result.residual.to_fraction()):.1e}"
+
+
+def exponent_string(rng: random.Random, depth: int, max_weight: int, cap: int):
+    """``depth`` exponents in [1, cap] of total weight at most ``max_weight``:
+    each is drawn up to the weight left minus the remaining depth.  None,
+    drawing nothing, when ``depth`` exceeds ``max_weight``."""
+    if depth > max_weight:
+        return None
+    exps = []
+    budget = max_weight
+    for j in range(depth):
+        exps.append(rng.randint(1, min(budget - (depth - j - 1), cap)))
+        budget -= exps[-1]
+    return tuple(exps)
+
+
+def random_z_entries(rng: random.Random, max_weight: int = 8, max_depth: int = 4):
+    """A convergent signed exponent string (no leading unsigned 1)."""
+    while True:
+        exps = exponent_string(rng, rng.randint(1, max_depth), max_weight, 4)
+        if exps is None:
+            continue
+        entries = tuple(e * rng.choice((1, -1)) for e in exps)
+        if entries[0] != 1:
+            return entries
 
 
 def word_corpus(count: int, max_weight: int, seed: int):
     """Deterministic convergent +-1-base words, distinct, weight bounded."""
     rng = random.Random(seed)
-    seen = set()
-    out = []
-    while len(out) < count:
-        depth = rng.randint(1, 4)
-        exps = []
-        budget = max_weight
-        for j in range(depth):
-            hi = budget - (depth - j - 1)
-            if hi < 1:
-                break
-            exps.append(rng.randint(1, min(hi, 4)))
-            budget -= exps[-1]
-        if len(exps) < depth:
-            continue
-        signs = [rng.choice((1, -1)) for _ in exps]
-        entries = tuple(s * e for s, e in zip(signs, exps))
-        if entries[0] == 1:
-            continue
-        spec = lambda_from_z_string(entries)
-        word = lambda_to_word(spec)
-        if word in seen:
-            continue
-        seen.add(word)
-        out.append(word)
-    return out
+    words = {}
+    while len(words) < count:
+        words[lambda_to_word(lambda_from_z_string(random_z_entries(rng, max_weight)))] = None
+    return list(words)
+
+
+def planted_relation(seed: int):
+    """Random reals in [1, 2) at 60 digits, the last one set by a planted
+    primitive relation: (values, coefficients), the coefficients
+    sign-normalized as `lindep` reports them."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    prec = Precision(60)
+    bits = 4 * prec.working_dps  # comfortably more than the mantissa
+    values = [BigReal(Fraction(rng.getrandbits(bits), 2 ** bits) + 1, prec) for _ in range(n - 1)]
+    coeffs = [rng.randint(-50, 50) or 1 for _ in range(n - 1)]
+    last = rng.randint(1, 50)
+    values.append(sum((v * c for c, v in zip(coeffs, values)), BigReal(0, prec)) / (-last))
+    planted = coeffs + [last]
+    g = gcd(*planted)
+    # no planted coefficient is 0, so the first one fixes the sign
+    sign = 1 if planted[0] > 0 else -1
+    return values, tuple(sign * c // g for c in planted)
 
 
 def _evaluate_via_split(word, p: Fraction, prec: Precision) -> BigReal:
@@ -131,18 +177,10 @@ def crit_ezface_golden() -> tuple[bool, str]:
 def crit_lindep_weight8() -> tuple[bool, str]:
     prec = Precision(50)
     z = lambda *a: evaluate_z(a, prec)
-    values = [
-        z(4, 1, 3),
-        z(5, 3),
-        z(8),
-        z(5) * z(3),
-        z(3) ** 2 * z(2),
-    ]
-    result = lindep(values)
-    want = (36, 36, -71, 90, -18)
-    if result.coefficients != want:
-        return False, f"got {result.coefficients}, wanted {want}"
-    return True, f"recovered {want}, residual {float(result.residual.to_fraction()):.1e}"
+    return _recovers(
+        [z(4, 1, 3), z(5, 3), z(8), z(5) * z(3), z(3) ** 2 * z(2)],
+        (36, 36, -71, 90, -18),
+    )
 
 
 def crit_lindep_log_form() -> tuple[bool, str]:
@@ -153,33 +191,17 @@ def crit_lindep_log_form() -> tuple[bool, str]:
         evaluate_zp(2, (2, 1), prec),
         evaluate_zp(2, (3,), prec),
     ]
-    result = lindep(values)
-    want = (12, -1, -12, -12)
-    if result.coefficients != want:
-        return False, f"got {result.coefficients}, wanted {want}"
-    return True, f"recovered {want}, residual {float(result.residual.to_fraction()):.1e}"
+    return _recovers(values, (12, -1, -12, -12))
 
 
 def crit_zagier() -> tuple[bool, str]:
     prec = Precision(50)
-    residuals = []
-    for n in range(4):
-        got = evaluate_z((3, 1) * n, prec)
-        want = zagier(n, prec)
-        residuals.append(abs(got - want).to_fraction())
-    ok = all(r < _tol(45) for r in residuals)
-    return ok, _max_residual(residuals)
+    return _worst(((evaluate_z((3, 1) * n, prec), zagier(n, prec)) for n in range(4)), 45)
 
 
 def crit_z213_family() -> tuple[bool, str]:
     prec = Precision(50)
-    residuals = []
-    for n in (1, 2):
-        got = evaluate_z((2,) + (1, 3) * n, prec)
-        want = z213(n, prec)
-        residuals.append(abs(got - want).to_fraction())
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+    return _worst(((evaluate_z((2,) + (1, 3) * n, prec), z213(n, prec)) for n in (1, 2)), 40)
 
 
 def crit_duality() -> tuple[bool, str]:
@@ -188,65 +210,45 @@ def crit_duality() -> tuple[bool, str]:
     b = evaluate_lambda(LambdaSpec.of((1, 2), (2, 1)), prec)
     if abs(a + b).to_fraction() >= _tol(45):
         return False, f"alternating pair residual {float(abs(a + b).to_fraction()):.3e}"
-    residuals = []
+    pairs = []
     for word in word_corpus(15, 8, seed=20260809):
         dual, sign = dual_word(word)
         # left side through the split so the two routes stay independent
-        lhs = _evaluate_via_split(word, Fraction(2), prec)
-        rhs = evaluate_word(dual, prec) * sign
-        residuals.append(abs(lhs - rhs).to_fraction())
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+        pairs.append((_evaluate_via_split(word, Fraction(2), prec), evaluate_word(dual, prec) * sign))
+    return _worst(pairs, 40)
 
 
 def crit_holder_invariance() -> tuple[bool, str]:
     prec = Precision(50)
     params = (Fraction(2), Fraction(3), Fraction(3, 2))
-    residuals = []
+    pairs = []
     for word in word_corpus(20, 8, seed=77):
-        vals = [_evaluate_via_split(word, p, prec) for p in params]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                residuals.append(abs(vals[i] - vals[j]).to_fraction())
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+        pairs += combinations([_evaluate_via_split(word, p, prec) for p in params], 2)
+    return _worst(pairs, 40)
 
 
 def crit_closed_forms() -> tuple[bool, str]:
     prec = Precision(50)
-    residuals = []
-    for n in range(7):
-        got = evaluate_lambda(constant_base_spec(2, (1,) * n), prec)
-        want = ln(2, prec) ** n * Fraction(1, factorial(n))
-        residuals.append(abs(got - want).to_fraction())
-    for n in range(5):
-        got = evaluate_lambda(constant_base_spec(3, (1,) * n), prec)
-        want = mu_power(3, n, prec)
-        residuals.append(abs(got - want).to_fraction())
-    residuals.append(
-        abs(evaluate_lambda(delta_spec(2), prec) - li2_half(prec)).to_fraction()
-    )
-    residuals.append(
-        abs(evaluate_lambda(delta_spec(1, 2), prec) - delta_12(prec)).to_fraction()
-    )
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+    units = lambda base, n: evaluate_lambda(constant_base_spec(base, (1,) * n), prec)
+    pairs = [(units(2, n), ln(2, prec) ** n * Fraction(1, factorial(n))) for n in range(7)]
+    pairs += [(units(3, n), mu_power(3, n, prec)) for n in range(5)]
+    pairs += [
+        (evaluate_lambda(delta_spec(2), prec), li2_half(prec)),
+        (evaluate_lambda(delta_spec(1, 2), prec), delta_12(prec)),
+    ]
+    return _worst(pairs, 40)
 
 
 def crit_t4_t5() -> tuple[bool, str]:
     prec = Precision(50)
-    residuals = []
+    pairs = []
     for m in (1, 2, 3):
         for n in (0, 1, 2):
-            bases = (-1,) * m + (1,) + (-1,) * n
-            got = evaluate_lambda(mu_spec(*bases), prec)
-            want = t5(m, n, prec)
-            residuals.append(abs(got - want).to_fraction())
+            got = evaluate_lambda(mu_spec(*(-1,) * m, 1, *(-1,) * n), prec)
+            pairs.append((got, t5(m, n, prec)))
             if n == 0:
-                other = t4(m, prec)
-                residuals.append(abs(got - other).to_fraction())
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+                pairs.append((got, t4(m, prec)))
+    return _worst(pairs, 40)
 
 
 def crit_functional_equation() -> tuple[bool, str]:
@@ -281,28 +283,23 @@ def crit_zagier_dressed() -> tuple[bool, str]:
 def crit_reversal_reduction() -> tuple[bool, str]:
     prec = Precision(45)
     lhs2 = evaluate_z((3, 2), prec) + evaluate_z((2, 3), prec)
-    rhs2 = evaluate_z((3,), prec) * evaluate_z((2,), prec) - evaluate_z((5,), prec)
-    r1 = abs(lhs2 - rhs2).to_fraction()
-    fs2 = reversal_reduction((3, 2))
-    r2 = abs(lhs2 - evaluate_formal_sum(fs2, prec)).to_fraction()
-    fs3 = reversal_reduction((3, 1, 2))
     lhs3 = evaluate_z((3, 1, 2), prec) - evaluate_z((2, 1, 3), prec)
-    r3 = abs(lhs3 - evaluate_formal_sum(fs3, prec)).to_fraction()
-    ok = r1 < _tol(35) and r2 < _tol(35) and r3 < _tol(35)
-    return ok, _max_residual([r1, r2, r3])
+    pairs = [
+        (lhs2, evaluate_z((3,), prec) * evaluate_z((2,), prec) - evaluate_z((5,), prec)),
+        (lhs2, evaluate_formal_sum(reversal_reduction((3, 2)), prec)),
+        (lhs3, evaluate_formal_sum(reversal_reduction((3, 1, 2)), prec)),
+    ]
+    return _worst(pairs, 35)
 
 
 def crit_simplex_lock() -> tuple[bool, str]:
     prec = Precision(50)
     expected = [1, 2, 6, 26, 150, 1082]
-    residuals = []
     for n, want in enumerate(expected):
         if delta_negative_exact(n) != want:
             return False, f"recurrence value for n={n} is not {want}"
-        got = evaluate_lambda(LambdaSpec.of((-n,), (2,)), prec)
-        residuals.append(abs(got - want).to_fraction())
-    ok = all(r < _tol(40) for r in residuals)
-    return ok, _max_residual(residuals)
+    pairs = ((evaluate_lambda(LambdaSpec.of((-n,), (2,)), prec), want) for n, want in enumerate(expected))
+    return _worst(pairs, 40)
 
 
 def crit_property_suites() -> tuple[bool, str]:
@@ -329,31 +326,9 @@ def crit_property_suites() -> tuple[bool, str]:
             return False, f"shuffle multiplicity off for {w1} x {w2}"
     # planted relation recovery, 100 cases at 60 digits
     misses = 0
-    for trial in range(100):
-        case = random.Random(9000 + trial)
-        n = case.randint(3, 6)
-        prec = Precision(60)
-        bits = 4 * prec.working_dps
-        values = [
-            BigReal(Fraction(case.getrandbits(bits), 2 ** bits) + 1, prec)
-            for _ in range(n - 1)
-        ]
-        coeffs = [case.randint(-50, 50) or 1 for _ in range(n - 1)]
-        last_coeff = case.randint(1, 50)
-        acc = BigReal(0, prec)
-        for c, v in zip(coeffs, values):
-            acc = acc + v * c
-        values.append(acc / (-last_coeff))
-        planted = coeffs + [last_coeff]
-        g = 0
-        for v in planted:
-            g = gcd(g, abs(v))
-        planted = [v // g for v in planted]
-        if planted[next(i for i, v in enumerate(planted) if v)] < 0:
-            planted = [-v for v in planted]
-        got = lindep(values)
-        if got.coefficients != tuple(planted):
-            misses += 1
+    for seed in range(9000, 9100):
+        values, planted = planted_relation(seed)
+        misses += lindep(values).coefficients != planted
     if misses:
         return False, f"{misses}/100 planted relations missed"
     # precision monotonicity on a sample of exported values
@@ -377,15 +352,9 @@ def crit_property_suites() -> tuple[bool, str]:
 
     def random_spec(max_depth=3, max_weight=6):
         while True:
-            depth = rng.randint(1, max_depth)
-            exps = []
-            budget = max_weight
-            for j in range(depth):
-                hi = budget - (depth - j - 1)
-                exps.append(rng.randint(1, max(1, min(hi, 3))))
-                budget -= exps[-1]
-            bases = [Fraction(rng.choice((1, -1, 2, -2))) for _ in range(depth)]
-            spec = LambdaSpec.of(tuple(exps), tuple(bases))
+            exps = exponent_string(rng, rng.randint(1, max_depth), max_weight, 3)
+            bases = [Fraction(rng.choice((1, -1, 2, -2))) for _ in exps]
+            spec = LambdaSpec.of(exps, tuple(bases))
             if spec.is_convergent():
                 return spec
 
@@ -441,19 +410,18 @@ CRITERIA = (
 )
 
 
-def run_criteria(level: str = "full", out=None) -> bool:
+def run_criteria(level: str = "full") -> bool:
     """Run the criteria of a level, printing one pass/fail/skip line each to
-    ``out`` and the wall time of each criterion run to stderr."""
-    out = out or sys.stdout
+    stdout and the wall time of each criterion run to stderr."""
     all_ok = True
     for crit in CRITERIA:
         if level == "fast" and crit.slow:
-            print(f"skip {crit.ident}: {crit.label}", file=out, flush=True)
+            print(f"skip {crit.ident}: {crit.label}", flush=True)
             continue
         start = time.perf_counter()
         ok, line = crit.run()
         elapsed = time.perf_counter() - start
         all_ok &= ok
-        print(line, file=out, flush=True)
+        print(line, flush=True)
         print(f"time {crit.ident}: {elapsed:.3f} s", file=sys.stderr, flush=True)
     return all_ok

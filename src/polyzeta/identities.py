@@ -442,11 +442,7 @@ def delta_mu_dual(s) -> tuple[int, LambdaSpec]:
     s = tuple(int(x) for x in s)
     if not s or any(x < 1 for x in s):
         raise DomainError("entries must be positive integers")
-    bases: list[int] = []
-    for sj in reversed(s):
-        bases.append(-1)
-        bases.extend([1] * (sj - 1))
-    return (-1) ** len(s), mu_spec(*bases)
+    return (-1) ** len(s), mu_source_spec(x - 1 for x in s)
 
 
 def mu_to_delta(bases) -> tuple[int, tuple[int, ...]]:

@@ -107,8 +107,15 @@ def parse_spec(text: str) -> LambdaSpec:
         return EMPTY_SPEC
     left, _, right = body.partition("|")
     exponents = [int(tok) for tok in left.split(",")]
-    bases = [Fraction(tok.strip()) for tok in right.split(",")]
+    bases = [_base_literal(tok.strip()) for tok in right.split(",")]
     return LambdaSpec.of(exponents, bases)
+
+
+def _base_literal(tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"denominator must be nonzero in base {tok!r}") from None
 
 
 def check_convergence(spec: LambdaSpec) -> tuple[bool, str]:

@@ -152,12 +152,6 @@ def _lifts(column, total):
         yield u
 
 
-def _exact_lll(u, column):
-    """The exact LLL of (U_i | U_i column) and its Gram determinants: U is
-    unimodular, so this reduces the full relation lattice."""
-    return _lll_with_grams([row + [_dot(row, column)] for row in u])
-
-
 @dataclass(frozen=True)
 class RelationResult:
     """Outcome of an integer-relation search.
@@ -267,7 +261,9 @@ def _stages(column, total):
     u = _identity(n)
     for u in _lifts(column, total):
         yield _candidates(u, column), None
-    reduced, grams = _exact_lll(u, column)
+    # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
+    # full relation lattice
+    reduced, grams = _lll_with_grams([row + [_dot(row, column)] for row in u])
     best = min(reduced, key=lambda row: sum(v * v for v in row))
     yield [best[:n]], grams
 

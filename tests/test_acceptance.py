@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from polyzeta.acceptance import CRITERIA, run_criteria
+from polyzeta import cli
+from polyzeta.acceptance import CRITERIA
 
 # the line `polyzeta selftest --level full` prints for each criterion;
 # residuals are exact functions of the evaluator, so any change shows here
@@ -54,15 +55,17 @@ def test_acceptance_criterion(criterion):
     assert line == GOLDEN[criterion.ident]
 
 
-def test_fast_selftest_prints_golden_lines_and_timings_to_stderr(capsys):
-    assert run_criteria(level="fast")
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_selftest_prints_golden_lines_and_timings_to_stderr(level, capsys):
+    assert cli.run(["selftest", "--level", level]) == 0
     out, err = capsys.readouterr()
     # the fast level skips only the criteria that take 0.18 s or more on 2 cores
     assert {c.ident for c in CRITERIA if c.slow} == {"duality", "holder-invariance", "property-suites"}
+    skipped = {c.ident for c in CRITERIA if c.slow and level == "fast"}
     assert out.splitlines() == [
-        f"skip {c.ident}: {c.label}" if c.slow else GOLDEN[c.ident] for c in CRITERIA
+        f"skip {c.ident}: {c.label}" if c.ident in skipped else GOLDEN[c.ident] for c in CRITERIA
     ]
-    run = [c.ident for c in CRITERIA if not c.slow]
+    run = [c.ident for c in CRITERIA if c.ident not in skipped]
     lines = err.splitlines()
     assert len(lines) == len(run)
     for ident, line in zip(run, lines):

@@ -34,8 +34,7 @@ from polyzeta.evaluate import (
 )
 from polyzeta.model import delta_spec, make_word
 from polyzeta.precision import ln, pi
-from polyzeta.acceptance import word_corpus
-from conftest import random_z_entries
+from polyzeta.acceptance import random_z_entries, word_corpus
 
 F = Fraction
 

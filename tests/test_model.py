@@ -18,6 +18,7 @@ from polyzeta import (
     word_to_lambda,
     zeta_spec,
 )
+from polyzeta.acceptance import random_z_entries
 from polyzeta.model import (
     check_convergence,
     delta_spec,
@@ -25,7 +26,6 @@ from polyzeta.model import (
     mu_spec,
     mzv_dual_string,
 )
-from conftest import random_z_entries
 
 
 def F(p, q=1):
@@ -192,6 +192,14 @@ def test_spec_text_roundtrip():
     assert parse_spec(text) == spec
     assert parse_spec("L[]") == LambdaSpec(())
     assert format_spec(LambdaSpec(())) == "L[]"
+
+
+def test_parse_spec_malformed_literals_are_value_errors():
+    for text in ("2 | 1", "L[a | 2]", "L[2 | x]", "L[2, 1 | 2]", "L[2 | 0]"):
+        with pytest.raises(ValueError):
+            parse_spec(text)
+    with pytest.raises(ValueError, match="denominator must be nonzero in base '1/0'"):
+        parse_spec("L[2 | 1/0]")
 
 
 def test_spec_helpers():

@@ -8,7 +8,6 @@ bookkeeping inside lll_reduce.
 import random
 import sys
 from fractions import Fraction
-from math import gcd
 
 import mpmath as mp
 import pytest
@@ -22,8 +21,17 @@ from polyzeta import (
     lindep,
 )
 from polyzeta import relations
+from polyzeta.acceptance import planted_relation
 from polyzeta.precision import ln, pi
-from polyzeta.relations import STAGE_DIGITS, _accepts, _exact_lll, _identity, _lifts, lll_reduce
+from polyzeta.relations import (
+    STAGE_DIGITS,
+    _accepts,
+    _dot,
+    _identity,
+    _lifts,
+    _lll_with_grams,
+    lll_reduce,
+)
 
 F = Fraction
 
@@ -400,34 +408,10 @@ def test_lindep_validation():
         lindep([1, 2])
 
 
-def planted_sample(trial):
-    """Random reals at 60 digits with one planted primitive relation,
-    returned sign-normalized as lindep reports it."""
-    rng = random.Random(31000 + trial)
-    n = rng.randint(3, 6)
-    prec = Precision(60)
-    values = [random_real(rng, prec) for _ in range(n - 1)]
-    coeffs = [rng.randint(-50, 50) or 1 for _ in range(n - 1)]
-    last = rng.randint(1, 50)
-    acc = BigReal(0, prec)
-    for c, v in zip(coeffs, values):
-        acc = acc + v * c
-    values.append(acc / (-last))
-
-    planted = coeffs + [last]
-    g = 0
-    for v in planted:
-        g = gcd(g, abs(v))
-    planted = [v // g for v in planted]
-    if planted[next(i for i, v in enumerate(planted) if v)] < 0:
-        planted = [-v for v in planted]
-    return values, tuple(planted)
-
-
 def test_lindep_planted_relations_sample():
     ok = 0
     for trial in range(20):
-        values, planted = planted_sample(trial)
+        values, planted = planted_relation(31000 + trial)
         if lindep(values).coefficients == planted:
             ok += 1
     assert ok == 20
@@ -462,7 +446,7 @@ def pslq_relation(values):
 
 
 def test_lindep_agrees_with_pslq():
-    corpus = [planted_sample(trial) for trial in range(20)] + readme_vectors()
+    corpus = [planted_relation(31000 + trial) for trial in range(20)] + readme_vectors()
     for values, planted in corpus:
         assert pslq_relation(values) == planted
         assert lindep(values).coefficients == planted
@@ -505,7 +489,7 @@ def staged_lll(column, total):
     u = _identity(len(column))
     for u in _lifts(column, total):
         pass
-    return _exact_lll(u, column)
+    return _lll_with_grams([row + [_dot(row, column)] for row in u])
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "relation-free"])
