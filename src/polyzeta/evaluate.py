@@ -71,6 +71,7 @@ from .model import (
     Word,
     dual_word,
     format_spec,
+    int_tuple,
     lambda_from_z_string,
     lambda_to_word,
     require_convergent,
@@ -441,7 +442,7 @@ def evaluate_zp(p, exponents, prec: Precision) -> BigReal:
     then needs s_1 >= 2.
     """
     p = Fraction(p)
-    exponents = tuple(int(s) for s in exponents)
+    exponents = int_tuple(exponents)
     if p < 1:
         raise DomainError(f"zp requires p >= 1, got {p}")
     if not exponents:

@@ -20,6 +20,17 @@ algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
 dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
 strings).  Products concatenate and sort the factor tuples; sums merge
 through `_add_term`.  Only the final degree-0 part becomes a `FormalSum`.
+
+Exponent strings enter through `model.int_tuple`, so a non-integer exponent
+raises TypeError instead of being truncated.
+
+The closed forms are the paper's evaluations in terms of pi, ln 2 and two
+constant families: A(r) = Li_r(1/2) (`precision.polylog_half`) and the
+signed zeta values Z(r) = (-1)^r zeta(r) (from `precision.zeta`), with
+P(r) = (ln 2)^r / r!.  Both families come from mpmath's zeta and polylog
+through `polyzeta.precision`, the one module that knows the number backend,
+so they stay independent of the nested-sum evaluator they check; each
+value is computed once per (r, prec).
 """
 
 from __future__ import annotations
@@ -30,21 +41,20 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, isqrt
 
-import mpmath as mp
-
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
 from .model import (
     EMPTY_SPEC,
     LambdaSpec,
     format_spec,
+    int_tuple,
     lambda_to_word,
     make_word,
     mu_spec,
     mzv_dual_string,
     zeta_spec,
 )
-from .precision import BigReal, Precision, ln, pi
+from .precision import BigReal, Precision, ln, pi, polylog_half, zeta
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -199,8 +209,8 @@ def stuffle_set(s, t, a, b):
     which is how multiplicities arise.  Base rule: after consuming i letters
     of s and j of t, the emitted base is a_i * b_j (empty products are 1).
     """
-    s = tuple(int(x) for x in s)
-    t = tuple(int(x) for x in t)
+    s = int_tuple(s)
+    t = int_tuple(t)
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
     if len(s) != len(a) or len(t) != len(b):
@@ -351,7 +361,7 @@ def cyclotomic_expand(spec: LambdaSpec, n: int) -> FormalSum:
 
 def alternating_source_spec(s) -> LambdaSpec:
     """lambda(1+s_k, ..., 1+s_1; -1, ..., -1) for nonnegative integers s."""
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     exps = tuple(1 + x for x in reversed(s))
     return LambdaSpec.of(exps, (Fraction(-1),) * len(exps))
 
@@ -363,7 +373,7 @@ def alternating_to_mu(s) -> FormalSum:
     Each term's bases are, for j = 1..k, a -1 followed by the chosen signs
     (eps_i,j); its coefficient is the product of those signs.
     """
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     if any(x < 0 for x in s):
         raise DomainError("entries must be nonnegative")
     total = sum(s)
@@ -404,7 +414,7 @@ def _compositions(total: int):
 
 def mu_source_spec(s) -> LambdaSpec:
     """mu of the concatenation over j = 0..k-1 of {-1} {1}^s_(k-j)."""
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     bases: list[int] = []
     for sj in reversed(s):
         bases.append(-1)
@@ -419,7 +429,7 @@ def mu_to_compositions(s) -> FormalSum:
     the term's exponents are the concatenated composition parts, all bases
     -1.  2^sum(s) terms in total.
     """
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     if any(x < 0 for x in s):
         raise DomainError("entries must be nonnegative")
     terms = []
@@ -439,7 +449,7 @@ def delta_mu_dual(s) -> tuple[int, LambdaSpec]:
     bases are, for j = k down to 1, a -1 followed by s_j - 1 ones and
     sign = (-1)^k.
     """
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     if not s or any(x < 1 for x in s):
         raise DomainError("entries must be positive integers")
     return (-1) ** len(s), mu_source_spec(x - 1 for x in s)
@@ -482,7 +492,7 @@ def weak_chain_expand(s) -> FormalSum:
     the surviving strict chain is read off innermost-first, so every term is
     a reversed, partially merged zeta string with coefficient +1.
     """
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     if not s:
         return FormalSum.single(EMPTY_SPEC)
     return FormalSum((1, zeta_spec(*chain)) for chain in _weak_chains(s))
@@ -555,7 +565,7 @@ def reversal_reduction(s) -> FormalSum:
     divergent degrees provably cancel (asserted).  The algebra runs on plain
     dicts of exact rationals; only the degree-0 result becomes a FormalSum.
     """
-    s = tuple(int(x) for x in s)
+    s = int_tuple(s)
     k = len(s)
     if k == 0 or s[0] < 2 or s[-1] < 2:
         raise DivergenceError(
@@ -640,50 +650,6 @@ def delta_one_negative_exact(n: int) -> Fraction:
     )
 
 
-class ClosedFormConstants:
-    """Base constants for the closed forms at a fixed precision.
-
-    A(r) is the polylogarithm of 1/2, P(r) = (ln 2)^r / r!, Z(r) the signed
-    zeta value (-1)^r zeta(r).  These are materialized from the library's
-    own zeta/polylog routines so they stay independent of the nested-sum
-    evaluator they are used to check.
-    """
-
-    def __init__(self, prec: Precision):
-        self.prec = prec
-        # a context of its own, not precision._context's: mpmath's polylog
-        # raises and restores the precision of the context it runs in, which
-        # would change the rounding of another thread's values meanwhile
-        self._ctx = mp.MPContext()
-        self._ctx.dps = prec.working_dps
-        self._cache: dict = {}
-
-    def _mk(self, key, fn) -> BigReal:
-        if key not in self._cache:
-            self._cache[key] = BigReal(fn(self._ctx), self.prec)
-        return self._cache[key]
-
-    def A(self, r: int) -> BigReal:
-        if r < 1:
-            raise DomainError("A(r) needs r >= 1")
-        return self._mk(("A", r), lambda ctx: ctx.polylog(r, ctx.mpf(1) / 2))
-
-    def P(self, r: int) -> BigReal:
-        if r < 0:
-            raise DomainError("P(r) needs r >= 0")
-        return self._mk(("P", r), lambda ctx: ctx.log(2) ** r / ctx.factorial(r))
-
-    def Z(self, r: int) -> BigReal:
-        if r < 2:
-            raise DomainError("Z(r) needs r >= 2")
-        return self._mk(("Z", r), lambda ctx: (-1) ** r * ctx.zeta(r))
-
-    def zeta(self, r: int) -> BigReal:
-        if r < 2:
-            raise DomainError("zeta(r) needs r >= 2")
-        return self._mk(("zeta", r), lambda ctx: +ctx.zeta(r))
-
-
 def zagier(n: int, prec: Precision) -> BigReal:
     """zeta({3,1}^n) = 2 pi^(4n) / (4n+2)!."""
     if n < 0:
@@ -692,22 +658,17 @@ def zagier(n: int, prec: Precision) -> BigReal:
     return num * Fraction(1, factorial(4 * n + 2))
 
 
-def _zeta4_run(m: int, prec: Precision) -> BigReal:
-    """zeta({4}^m) = 4^m * zagier(m)."""
-    return zagier(m, prec) * Fraction(4 ** m)
-
-
 def z213(n: int, prec: Precision) -> BigReal:
     """zeta(2, {1,3}^n) in terms of pi powers and depth-1 zetas."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    c = ClosedFormConstants(prec)
     total = BigReal(0, prec)
     for k in range(n + 1):
-        acc = c.zeta(4 * k + 2) * (4 * k + 1)
+        acc = zeta(4 * k + 2, prec) * (4 * k + 1)
         for j in range(1, k + 1):
-            acc = acc - c.zeta(4 * j - 1) * c.zeta(4 * k - 4 * j + 3) * 4
-        total = total + _zeta4_run(n - k, prec) * acc * Fraction((-1) ** k)
+            acc = acc - zeta(4 * j - 1, prec) * zeta(4 * k - 4 * j + 3, prec) * 4
+        fours = zagier(n - k, prec) * Fraction(4 ** (n - k))  # zeta({4}^(n-k))
+        total = total + fours * acc * Fraction((-1) ** k)
     return total * Fraction(1, 4 ** n)
 
 
@@ -722,26 +683,25 @@ def mu_power(p, n: int, prec: Precision) -> BigReal:
     return ln(q, prec) ** n * Fraction(1, factorial(n))
 
 
-def t4(m: int, prec: Precision) -> BigReal:
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    c = ClosedFormConstants(prec)
-    acc = BigReal(0, prec)
-    for k in range(m + 1):
-        acc = acc + c.A(k + 1) * c.P(m - k)
-    return acc * Fraction((-1) ** (m + 1)) - c.Z(m + 1)
+def _log2_power(r: int, prec: Precision) -> BigReal:
+    """P(r) = (ln 2)^r / r!.  It divides by r!, where mu_power(2, r)
+    multiplies by 1/r!, which may round differently."""
+    return ln(2, prec) ** r / factorial(r)
 
 
 def t5(m: int, n: int, prec: Precision) -> BigReal:
+    """mu({-1}^m, 1, {-1}^n) from A(r) = Li_r(1/2), P(r) = (ln 2)^r / r! and
+    Z(r) = (-1)^r zeta(r); n = 0 is the paper's T4."""
     if m < 1 or n < 0:
         raise DomainError("needs m >= 1 and n >= 0")
-    c = ClosedFormConstants(prec)
     first = BigReal(0, prec)
     for k in range(m + 1):
-        first = first + c.A(k + n + 1) * c.P(m - k) * comb(n + k, n)
+        a = polylog_half(k + n + 1, prec)
+        first = first + a * _log2_power(m - k, prec) * comb(n + k, n)
     second = BigReal(0, prec)
     for k in range(n + 1):
-        second = second + c.Z(k + m + 1) * c.P(n - k) * comb(m + k, m)
+        z = zeta(k + m + 1, prec) * (-1) ** (k + m + 1)
+        second = second + z * _log2_power(n - k, prec) * comb(m + k, m)
     return first * Fraction((-1) ** (m + 1)) + second * Fraction((-1) ** (n + 1))
 
 
@@ -755,10 +715,9 @@ def zeta_li_log(n: int, prec: Precision) -> BigReal:
     """delta(2, {1}^n) = zeta(n+2) - sum_{r=1}^{n+2} A_r P_{n+2-r}."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    c = ClosedFormConstants(prec)
-    acc = c.zeta(n + 2)
+    acc = zeta(n + 2, prec)
     for r in range(1, n + 3):
-        acc = acc - c.A(r) * c.P(n + 2 - r)
+        acc = acc - polylog_half(r, prec) * _log2_power(n + 2 - r, prec)
     return acc
 
 
@@ -766,20 +725,16 @@ def delta_odd(n: int, prec: Precision) -> BigReal:
     """delta(1, 2n-1) = 1/2 sum_{j=1}^{2n-1} (-1)^(j+1) A_j A_{2n-j}."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    c = ClosedFormConstants(prec)
     acc = BigReal(0, prec)
     for j in range(1, 2 * n):
-        acc = acc + c.A(j) * c.A(2 * n - j) * Fraction((-1) ** (j + 1))
+        term = polylog_half(j, prec) * polylog_half(2 * n - j, prec)
+        acc = acc + term * Fraction((-1) ** (j + 1))
     return acc * Fraction(1, 2)
 
 
 def delta_12(prec: Precision) -> BigReal:
-    c = ClosedFormConstants(prec)
-    return (
-        c.A(2) * c.A(1) * Fraction(5, 7)
-        - c.A(3) * Fraction(2, 7)
-        + c.A(1) ** 3 * Fraction(5, 21)
-    )
+    a1, a2, a3 = (polylog_half(r, prec) for r in (1, 2, 3))
+    return a2 * a1 * Fraction(5, 7) - a3 * Fraction(2, 7) + a1 ** 3 * Fraction(5, 21)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ base arithmetic is exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,12 @@ from .errors import DivergenceError, UnsupportedSpec
 
 Word = tuple[Fraction, ...]
 MzvString = tuple[int, ...]
+
+
+def int_tuple(values) -> tuple[int, ...]:
+    """values as a tuple of ints: the one coercion of exponent strings.  A
+    float, Fraction or str raises TypeError instead of being truncated."""
+    return tuple(map(operator.index, values))
 
 
 def _frac(b) -> Fraction:
@@ -33,9 +40,9 @@ class LambdaSpec:
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((int(s), _frac(b)) for s, b in self.terms)
-        )
+        exponents = int_tuple(s for s, _ in self.terms)
+        bases = (_frac(b) for _, b in self.terms)
+        object.__setattr__(self, "terms", tuple(zip(exponents, bases)))
 
     @classmethod
     def of(cls, exponents, bases) -> "LambdaSpec":
@@ -154,7 +161,7 @@ def lambda_from_z_string(entries) -> LambdaSpec:
     carries sigma_j^(-n_j)), so the lambda bases are the running products
     b_j = sigma_1 * ... * sigma_j.
     """
-    entries = tuple(int(e) for e in entries)
+    entries = int_tuple(entries)
     if any(e == 0 for e in entries):
         raise ValueError("z arguments must be nonzero integers")
     if entries and entries[0] == 1:
@@ -245,7 +252,7 @@ def mzv_dual_string(entries) -> MzvString:
     (s_1+2, {1}^r_1, ..., s_m+2, {1}^r_m) maps to
     (r_m+2, {1}^s_m, ..., r_1+2, {1}^s_1); an involution.
     """
-    entries = tuple(int(e) for e in entries)
+    entries = int_tuple(entries)
     if any(e < 1 for e in entries):
         raise ValueError("MZV duality requires positive integer arguments")
     if not entries:

@@ -8,7 +8,13 @@ result to nearest at that precision; ``str()`` truncates to ``digits``
 significant digits and `to_decimal_string` rounds to nearest.  Nothing here
 reads or writes mpmath's global precision, so no value depends on it and
 threads may compute at different precisions at once.  The number backend is
-mpmath's binary floats (MPF: an integer mantissa and a binary exponent).
+mpmath's binary floats (MPF: an integer mantissa and a binary exponent), and
+this is the one module that imports mpmath.
+
+`pi` and `ln` run on the shared `_context`.  The special functions `zeta`
+and `polylog_half`, the constants of the closed forms in
+`polyzeta.identities`, each run on a new context of their own and are
+memoized per (r, prec).
 """
 
 from __future__ import annotations
@@ -50,14 +56,22 @@ class Precision:
         return self.digits + self.guard
 
 
-@lru_cache(maxsize=64)
-def _context(dps: int) -> mp.MPContext:
-    """A private mpmath context at dps decimal digits, shared by every value
-    and loop at that precision.  Its precision is set here once, so only
-    mpmath code that never changes it (arithmetic, ln, pi) may run on it."""
+def _new_context(dps: int) -> mp.MPContext:
+    """A new private mpmath context at dps decimal digits."""
     ctx = mp.MPContext()
     ctx.dps = dps
     return ctx
+
+
+@lru_cache(maxsize=64)
+def _context(dps: int) -> mp.MPContext:
+    """The private context at dps decimal digits, shared by every value and
+    loop at that precision.  Its precision is set once, so only mpmath code
+    that never changes it (arithmetic, ln, pi) may run on it.  mpmath's zeta
+    and polylog raise and then restore the precision of the context they run
+    on, which here would change the rounding of another thread's values
+    meanwhile; they run on a `_new_context` each."""
+    return _new_context(dps)
 
 
 def _to_mpf(value, ctx: mp.MPContext):
@@ -241,3 +255,19 @@ def ln(x, prec: Precision) -> BigReal:
         raise DomainError(f"ln requires a positive argument, got {mp.nstr(v, 15)}")
     return BigReal(ctx.ln(v), prec)
 
+
+@lru_cache(maxsize=256)
+def zeta(r: int, prec: Precision) -> BigReal:
+    """Riemann zeta(r) for an int r >= 2."""
+    if r < 2:
+        raise DomainError(f"zeta(r) needs r >= 2, got {r}")
+    return BigReal(_new_context(prec.working_dps).zeta(r), prec)
+
+
+@lru_cache(maxsize=256)
+def polylog_half(r: int, prec: Precision) -> BigReal:
+    """Li_r(1/2) = sum_n 2^-n n^-r for an int r >= 1."""
+    if r < 1:
+        raise DomainError(f"Li_r(1/2) needs r >= 1, got {r}")
+    ctx = _new_context(prec.working_dps)
+    return BigReal(ctx.polylog(r, ctx.mpf(1) / 2), prec)

@@ -385,6 +385,13 @@ def test_zp_validation(prec40):
         evaluate_zp(2, (0,), prec40)
 
 
+def test_zp_rejects_non_integer_exponents(prec40):
+    # (1.9,) used to be truncated to zp(2, 1)
+    for exponents in ((1.9,), (2.0,), (F(2),), (2, "1")):
+        with pytest.raises(TypeError):
+            evaluate_zp(2, exponents, prec40)
+
+
 def test_zp_below_geometric_threshold(prec40):
     # base 5/4 forces the adaptive conjugate pair; check against the
     # library polylog since zp(p, s) at depth 1 is Li_s(1/p)

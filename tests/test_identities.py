@@ -47,7 +47,7 @@ from polyzeta.identities import (
     reversal_reduction,
     shuffle_words,
     stuffle_set,
-    t4,
+    t5,
     weak_chain_expand,
     zagier,
     zeta_li_log,
@@ -452,6 +452,25 @@ def test_split_then_shuffle_gives_eight_base_two_values():
     assert sum(c for c, _ in total) == 8
 
 
+@pytest.mark.parametrize(
+    "emit",
+    [
+        lambda s: stuffle_set(s, (2,), (1,) * len(s), (1,)),
+        alternating_source_spec,
+        alternating_to_mu,
+        mu_source_spec,
+        mu_to_compositions,
+        delta_mu_dual,
+        weak_chain_expand,
+        reversal_reduction,
+    ],
+)
+def test_emitters_reject_non_integer_exponents(emit):
+    for s in ((2.5, 2), (2.0, 2), (F(2), 2), ("2", 2)):
+        with pytest.raises(TypeError):
+            emit(s)
+
+
 def test_weak_chain_small():
     assert weak_chain_expand((5,)) == FormalSum.single(zeta_spec(5))
     fs = weak_chain_expand((2, 3))
@@ -683,7 +702,8 @@ def test_closed_form_zagier(prec40):
 
 
 def test_closed_form_t4_is_negated_dilog(prec40):
-    got = t4(1, prec40)
+    # T4(m) is t5(m, 0)
+    got = t5(1, 0, prec40)
     want = -li2_half(prec40)
     assert_close(got, want, 40)
 

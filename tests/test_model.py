@@ -53,6 +53,13 @@ def test_z_string_divergent_and_invalid():
         lambda_from_z_string((2, 0))
 
 
+def test_z_string_rejects_non_integer_entries():
+    # they used to be truncated: (2.7, -1.5) read as L[2,1 | 1,-1]
+    for entries in ((2.7, -1.5), (2.0,), (F(3),), ("2",)):
+        with pytest.raises(TypeError):
+            lambda_from_z_string(entries)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
        st.lists(st.booleans(), min_size=5, max_size=5))
 def test_z_string_roundtrip(exps, flips):
@@ -200,6 +207,14 @@ def test_parse_spec_malformed_literals_are_value_errors():
             parse_spec(text)
     with pytest.raises(ValueError, match="denominator must be nonzero in base '1/0'"):
         parse_spec("L[2 | 1/0]")
+
+
+def test_spec_rejects_non_integer_exponents():
+    # (2.5,) used to be truncated to zeta(2)
+    for exponents in ((2.5,), (2.0,), (F(5, 2),), ("2",), (2, 1.5)):
+        with pytest.raises(TypeError):
+            LambdaSpec.of(exponents, (1,) * len(exponents))
+    assert LambdaSpec.of((True, 2), (2, 2)).exponents == (1, 2)
 
 
 def test_spec_helpers():

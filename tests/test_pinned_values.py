@@ -1,18 +1,32 @@
-"""Every benchmark reference spec evaluates to the same bits as it did when
-these digests were taken: a change to the kernel's arithmetic that claims to
-leave values alone is held to every bit of 148 values, not to a tolerance."""
+"""Every benchmark reference spec and every closed form evaluates to the same
+bits as it did when these digests were taken: a change to the kernel's
+arithmetic, or to where the closed forms get their constants, that claims to
+leave values alone is held to every bit of 148 values and 159 closed forms,
+not to a tolerance."""
 
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 from polyzeta import Precision, evaluate_lambda, parse_spec
+from polyzeta.identities import (
+    delta_12,
+    delta_odd,
+    li2_half,
+    mu_power,
+    t5,
+    z213,
+    zagier,
+    zeta_li_log,
+)
 
 REFS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs")
 # the reference pools and the digits their benchmark workloads run at
 POOLS = (("geometric_hiprec", 1000), ("mzv_table", 200))
 SPECS_SHA256 = "dfab6c289bc6e40a6ddc36e6adca835088532e06981f7e5ebd62771ef5d664b3"
 VALUES_SHA256 = "b08249a5575b98feb944f92a8890aae4082ecc574dd4b00f5d023d804944ba5c"
+CLOSED_FORMS_SHA256 = "da70ef7741dda2c60452577c0e606b96275135821ff536d226c286bac8f6695e"
 
 
 def sha256_lines(lines) -> str:
@@ -39,3 +53,24 @@ def test_reference_values_keep_every_bit():
         for spec, digits in specs
     ]
     assert sha256_lines(raw) == VALUES_SHA256
+
+
+def closed_form_values(prec):
+    yield from (zagier(n, prec) for n in range(4))
+    yield from (z213(n, prec) for n in range(4))
+    yield from (mu_power(p, n, prec) for p in (2, 3, Fraction(3, 2), -1) for n in range(5))
+    yield from (t5(m, n, prec) for m in range(1, 5) for n in range(4))
+    yield li2_half(prec)
+    yield from (zeta_li_log(n, prec) for n in range(4))
+    yield from (delta_odd(n, prec) for n in range(1, 4))
+    yield delta_12(prec)
+
+
+def test_closed_forms_keep_every_bit():
+    raw = [
+        repr(value.mpf._mpf_)
+        for digits in (30, 50, 200)
+        for value in closed_form_values(Precision(digits))
+    ]
+    assert len(raw) == 159
+    assert sha256_lines(raw) == CLOSED_FORMS_SHA256
