@@ -542,11 +542,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _expression_last(argv: list[str]) -> list[str]:
+    """argv with an `eval` expression that starts with '-' ("-Pi", "-2*3")
+    moved behind '--', since argparse reads such an argument as an unknown
+    option.  eval's only short option is -h, and only --digits (or a prefix
+    of it) takes a value, so any other "-x..." argument is the expression."""
+    if argv[:1] != ["eval"]:
+        return argv
+    for i, (prev, arg) in enumerate(zip(argv, argv[1:]), 1):
+        if arg == "--":
+            break
+        if re.match("-[^-h]", arg) and not (len(prev) > 2 and "--digits".startswith(prev)):
+            return argv[:i] + argv[i + 1:] + ["--", arg]
+    return argv
+
+
 def run(argv) -> int:
     try:
         parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_expression_last(list(argv)))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
         return args.fn(args)

@@ -74,6 +74,7 @@ from .model import (
     int_tuple,
     lambda_from_z_string,
     lambda_to_word,
+    rational,
     require_convergent,
     word_convergent,
     word_depth,
@@ -352,7 +353,7 @@ def holder_split(word: Word, p: Fraction) -> tuple[SplitTerm, ...]:
     ok, reason = word_convergent(word)
     if not ok:
         raise DivergenceError(f"word {word} diverges: {reason}")
-    p = Fraction(p)
+    p = rational(p)
     if p <= 1:
         raise DomainError("split parameter p must exceed 1")
     q = p / (p - 1)
@@ -441,7 +442,7 @@ def evaluate_zp(p, exponents, prec: Precision) -> BigReal:
     Equals the constant-base value lambda_p(s); p = 1 reduces to the MZV and
     then needs s_1 >= 2.
     """
-    p = Fraction(p)
+    p = rational(p)
     exponents = int_tuple(exponents)
     if p < 1:
         raise DomainError(f"zp requires p >= 1, got {p}")
@@ -463,7 +464,7 @@ def evaluate_J(x, prec: Precision) -> BigReal:
 
     Equals lambda(2, 1; 1/x, 1/x); J(0) = 0 (empty sum).
     """
-    x = Fraction(x)
+    x = rational(x)
     if not -1 <= x <= 1:
         raise DomainError(f"J is defined on [-1, 1], got {x}")
     if x == 0:

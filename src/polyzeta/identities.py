@@ -2,6 +2,10 @@
 sign and composition expansions, reversal reductions, and exact closed forms,
 one function each, used as numeric oracles.
 
+One enumerator per job: ``_weak_chains`` lists the merges of adjacent
+exponents, for the weakly increasing chain sums of reversal reductions and,
+on a string of 1s, for the compositions of ``mu_to_compositions``.
+
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
@@ -21,8 +25,9 @@ dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
 strings).  Products concatenate and sort the factor tuples; sums merge
 through `_add_term`.  Only the final degree-0 part becomes a `FormalSum`.
 
-Exponent strings enter through `model.int_tuple`, so a non-integer exponent
-raises TypeError instead of being truncated.
+Exponent strings enter through `model.int_tuple` and bases through
+`model.rational`, so a non-integer exponent or a float base raises TypeError
+instead of being truncated or rounded.
 
 The closed forms are the paper's evaluations in terms of pi, ln 2 and two
 constant families: A(r) = Li_r(1/2) (`precision.polylog_half`) and the
@@ -44,7 +49,6 @@ from math import comb, factorial, isqrt
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
 from .model import (
-    EMPTY_SPEC,
     LambdaSpec,
     format_spec,
     int_tuple,
@@ -52,6 +56,7 @@ from .model import (
     make_word,
     mu_spec,
     mzv_dual_string,
+    rational,
     zeta_spec,
 )
 from .precision import BigReal, Precision, ln, pi, polylog_half, zeta
@@ -207,30 +212,29 @@ def stuffle_set(s, t, a, b):
     Returns a tuple of (u, c) pairs, one per combination path; when the
     letters carry equal values, distinct paths may repeat a numeric string,
     which is how multiplicities arise.  Base rule: after consuming i letters
-    of s and j of t, the emitted base is a_i * b_j (empty products are 1).
+    of s and j of t, the emitted base is A[i] * B[j], where A and B are the
+    base strings with a leading 1 (the empty product).
     """
     s = int_tuple(s)
     t = int_tuple(t)
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
+    a = tuple(map(rational, a))
+    b = tuple(map(rational, b))
     if len(s) != len(a) or len(t) != len(b):
         raise ValueError("exponent and base strings must have equal lengths")
+    A = (Fraction(1),) + a
+    B = (Fraction(1),) + b
     out = []
 
     def rec(i, j, u, c):
         if i == len(s) and j == len(t):
             out.append((tuple(u), tuple(c)))
             return
-        ai = a[i] if i < len(s) else None
-        bj = b[j] if j < len(t) else None
-        a_prev = a[i - 1] if i > 0 else Fraction(1)
-        b_prev = b[j - 1] if j > 0 else Fraction(1)
         if i < len(s):
-            rec(i + 1, j, u + [s[i]], c + [ai * b_prev])
+            rec(i + 1, j, u + [s[i]], c + [A[i + 1] * B[j]])
         if i < len(s) and j < len(t):
-            rec(i + 1, j + 1, u + [s[i] + t[j]], c + [ai * bj])
+            rec(i + 1, j + 1, u + [s[i] + t[j]], c + [A[i + 1] * B[j + 1]])
         if j < len(t):
-            rec(i, j + 1, u + [t[j]], c + [a_prev * bj])
+            rec(i, j + 1, u + [t[j]], c + [A[i] * B[j + 1]])
 
     rec(0, 0, [], [])
     return tuple(out)
@@ -255,8 +259,8 @@ def rational_stuffle_check(a, b) -> bool:
     products, so f(a) f(b) must equal the sum of f over the combination set.
     Serves as an independent oracle for stuffle_set.
     """
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
+    a = tuple(map(rational, a))
+    b = tuple(map(rational, b))
     if any(x == 1 for x in a + b):
         raise DomainError("entries equal to 1 pole the rational check")
 
@@ -405,11 +409,20 @@ def _blocks(seq: tuple, mask: int) -> list[tuple]:
     return blocks
 
 
-def _compositions(total: int):
-    """All positive-integer compositions of total >= 1 (2^(total-1) of them)."""
-    ones = (1,) * total
-    for mask in range(1 << (total - 1)):
-        yield tuple(len(block) for block in _blocks(ones, mask))
+def _weak_chains(s: tuple[int, ...]):
+    """Exponent strings of the strict chains in the weak-chain expansion of
+    a nonempty s, one per mask.
+
+    The weakly increasing chain sum over n_1 <= ... <= n_k of
+    prod n_j^-s_j is the sum, with coefficient 1 each, of the MZVs of these
+    strings: each mask merges the exponents of coinciding adjacent indices,
+    and the surviving strict chain is read innermost first.  On s = (1,)*n
+    the strings are the 2^(n-1) compositions of n, each once, which is how
+    ``mu_to_compositions`` draws them.
+    """
+    for mask in range(1 << (len(s) - 1)):
+        # a set bit j-1 means n_j == n_{j+1}: the block's exponents merge
+        yield tuple(sum(block) for block in reversed(_blocks(s, mask)))
 
 
 def mu_source_spec(s) -> LambdaSpec:
@@ -433,7 +446,7 @@ def mu_to_compositions(s) -> FormalSum:
     if any(x < 0 for x in s):
         raise DomainError("entries must be nonnegative")
     terms = []
-    for combo in iproduct(*(tuple(_compositions(sj + 1)) for sj in s)):
+    for combo in iproduct(*(tuple(_weak_chains((1,) * (sj + 1))) for sj in s)):
         exps: list[int] = []
         for part in combo:
             exps.extend(part)
@@ -455,47 +468,9 @@ def delta_mu_dual(s) -> tuple[int, LambdaSpec]:
     return (-1) ** len(s), mu_source_spec(x - 1 for x in s)
 
 
-def mu_to_delta(bases) -> tuple[int, tuple[int, ...]]:
-    """Inverse of delta_mu_dual: a unit +-1 string starting with -1 maps to
-    (sign, delta argument string)."""
-    bases = tuple(int(b) for b in bases)
-    if not bases or bases[0] != -1 or any(b not in (1, -1) for b in bases):
-        raise DomainError("expected a unit +-1 string starting with -1")
-    ones_runs: list[int] = []
-    for b in bases:
-        if b == -1:
-            ones_runs.append(0)
-        else:
-            ones_runs[-1] += 1
-    exps = tuple(r + 1 for r in reversed(ones_runs))
-    return (-1) ** len(ones_runs), exps
-
-
 # ---------------------------------------------------------------------------
-# Weak chains and reversal reduction
+# Reversal reduction
 # ---------------------------------------------------------------------------
-
-
-def _weak_chains(s: tuple[int, ...]):
-    """Exponent strings of the strict chains in the weak-chain expansion of
-    a nonempty s."""
-    for mask in range(1 << (len(s) - 1)):
-        # a set bit j-1 means n_j == n_{j+1}: the block's exponents merge
-        yield tuple(sum(block) for block in reversed(_blocks(s, mask)))
-
-
-def weak_chain_expand(s) -> FormalSum:
-    """Expand the weakly increasing chain sum over n_1 <= ... <= n_k of
-    prod n_j^-s_j into strict-chain MZV strings.
-
-    Each choice of which adjacent indices coincide merges those exponents;
-    the surviving strict chain is read off innermost-first, so every term is
-    a reversed, partially merged zeta string with coefficient +1.
-    """
-    s = int_tuple(s)
-    if not s:
-        return FormalSum.single(EMPTY_SPEC)
-    return FormalSum((1, zeta_spec(*chain)) for chain in _weak_chains(s))
 
 
 def _t_accumulate(out: dict, p: dict, factor) -> None:
@@ -674,7 +649,7 @@ def z213(n: int, prec: Precision) -> BigReal:
 
 def mu_power(p, n: int, prec: Precision) -> BigReal:
     """mu({p}^n) = (log q)^n / n! with 1/p + 1/q = 1."""
-    p = Fraction(p)
+    p = rational(p)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if not (p > 1 or p <= -1):

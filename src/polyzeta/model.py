@@ -5,11 +5,14 @@ string s and exact rational base string b, depth k, weight sum(s).  A `Word`
 is its iterated-integral encoding: a tuple of 1-form parameters where 0
 stands for the form dx/x and a nonzero value b for dx/(x-b).  Conversions,
 convergence checks and duality maps between these encodings live here; all
-base arithmetic is exact.
+base arithmetic is exact.  Exponents enter through `int_tuple` and bases,
+letters and parameters through `rational`, so a float is refused, never
+truncated or read as its binary fraction.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +29,20 @@ def int_tuple(values) -> tuple[int, ...]:
     return tuple(map(operator.index, values))
 
 
+def rational(value) -> Fraction:
+    """value as a Fraction: the one coercion of bases, form parameters and
+    split parameters.  An int or Fraction keeps its value; a float, str or
+    anything else raises TypeError instead of being read as the binary
+    fraction it rounds to."""
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(
+            f"expected an int or Fraction, got {type(value).__name__} {value!r}"
+        )
+    return Fraction(value)
+
+
 def _frac(b) -> Fraction:
-    f = Fraction(b)
+    f = rational(b)
     if f == 0:
         raise ValueError("bases must be nonzero")
     return f
@@ -90,12 +105,12 @@ def delta_spec(*exponents: int) -> LambdaSpec:
 
 def constant_base_spec(base, exponents) -> LambdaSpec:
     exponents = tuple(exponents)
-    return LambdaSpec.of(exponents, (Fraction(base),) * len(exponents))
+    return LambdaSpec.of(exponents, (base,) * len(exponents))
 
 
 def mu_spec(*bases) -> LambdaSpec:
     """Unit Euler sum: all exponents 1."""
-    return LambdaSpec.of((1,) * len(bases), tuple(Fraction(b) for b in bases))
+    return LambdaSpec.of((1,) * len(bases), bases)
 
 
 def format_spec(spec: LambdaSpec) -> str:
@@ -182,7 +197,7 @@ def lambda_from_z_string(entries) -> LambdaSpec:
 # ---------------------------------------------------------------------------
 
 def make_word(values) -> Word:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(rational, values))
 
 
 def word_depth(word: Word) -> int:
@@ -196,6 +211,8 @@ def word_convergent(word: Word) -> tuple[bool, str]:
         return False, "trailing dx/x form diverges at 0"
     if word[0] == 1:
         return False, "leading dx/(x-1) form diverges at 1"
+    if any(0 < a < 1 for a in word):
+        return False, "a letter in (0, 1) puts the pole of dx/(x-a) inside the path"
     return True, ""
 
 
@@ -224,7 +241,7 @@ def word_to_lambda(word: Word) -> LambdaSpec:
         if a == 0:
             zeros += 1
         else:
-            terms.append((zeros + 1, Fraction(a)))
+            terms.append((zeros + 1, a))
             zeros = 0
     return LambdaSpec(tuple(terms))
 
@@ -235,6 +252,7 @@ def dual_word(word: Word) -> tuple[Word, int]:
     Returns (dual, sign) with lambda(word) = sign * lambda(dual); the sign is
     (-1)^(weight + depth(word) + depth(dual)).
     """
+    word = make_word(word)
     ok, reason = word_convergent(word)
     if not ok:
         raise DivergenceError(f"word {word} diverges: {reason}")

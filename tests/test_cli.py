@@ -280,6 +280,41 @@ def test_run_eval_lindep_reject_golden(monkeypatch, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-Pi", "--digits", "12"],
+        ["eval", "--digits", "12", "-Pi"],
+        ["eval", "- Pi", "--digits", "12"],
+        ["eval", "--digits", "12", "--", "-Pi"],
+    ],
+)
+def test_run_eval_expression_may_start_with_minus(argv, capsys):
+    # argparse alone reads "-Pi" as an unknown option, wherever it stands
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "-3.14159265359\n"
+
+
+def test_run_eval_minus_product_and_option_values(capsys):
+    assert run(["eval", "-2*3", "--digits", "10"]) == 0
+    assert capsys.readouterr().out == "-6.000000000\n"
+    # a value after --digits stays its value, even when it starts with '-'
+    assert run(["eval", "--digits", "-12", "z(2)"]) == 1
+    assert capsys.readouterr().err == "error: digits must be in 10..1000, got -12\n"
+    assert run(["eval", "-Pi", "-Pi"]) == 1
+
+
+def test_run_eval_unexpected_character_and_tiny_power_base(capsys):
+    assert run(["eval", "2 $ 3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unexpected character '$' (at position 2)\n"
+    )
+    assert run(["eval", "(10^-40)^-1", "--digits", "30"]) == 1
+    assert capsys.readouterr().err == (
+        "error: power base is within 10^-25 of zero; refusing to divide\n"
+    )
+
+
 def test_run_eval_user_errors(capsys):
     assert run(["eval", "z(1,2)", "--digits", "20"]) == 1
     assert run(["eval", "z(6)", "--digits", "5"]) == 1

@@ -15,6 +15,7 @@ from polyzeta import (
     DomainError,
     LambdaSpec,
     Precision,
+    UnsupportedSpec,
     dual_word,
     evaluate_lambda,
     evaluate_z,
@@ -282,6 +283,12 @@ def test_truncation_soundness():
         assert abs(diff) < F(10) ** int(plan.tail_log10 + 1)
 
 
+def test_plan_needs_every_base_outside_the_unit_circle():
+    for spec in (zeta_spec(2), LambdaSpec.of((2, 1), (2, -1))):
+        with pytest.raises(UnsupportedSpec, match="needs all"):
+            plan_nested_sum(spec, -30)
+
+
 # -- split structure ----------------------------------------------------------
 
 def test_split_of_weight_three_word():
@@ -320,6 +327,27 @@ def test_split_last_term_is_scaled_dual():
 def test_split_rejects_bad_parameter():
     with pytest.raises(DomainError):
         holder_split(make_word((0, 1)), F(1))
+
+
+def test_split_rejects_divergent_words():
+    # a trailing dx/x form diverges at 0; a letter in (0, 1) puts the pole
+    # of dx/(x - a) inside the path
+    for word in ((0, 1, 0), (0, F(1, 2)), (F(-1), F(1, 3), 2)):
+        with pytest.raises(DivergenceError):
+            holder_split(make_word(word), F(2))
+
+
+def test_entry_points_reject_float_bases(prec40):
+    # 1.1 is the binary fraction 2476979795053773/2251799813685248, whose
+    # zp(., 2) differs from zp(11/10, 2) at digit 17: refuse it
+    for p, x in ((1.1, 0.3), (2.0, -1.0), ("2", "1/2")):
+        with pytest.raises(TypeError):
+            evaluate_zp(p, (2,), prec40)
+        with pytest.raises(TypeError):
+            evaluate_J(x, prec40)
+        with pytest.raises(TypeError):
+            holder_split(make_word((0, 1)), p)
+    assert evaluate_zp(2, (2,), prec40) == evaluate_zp(F(2), (2,), prec40)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -383,6 +411,8 @@ def test_zp_validation(prec40):
         evaluate_zp(F(1, 2), (2,), prec40)
     with pytest.raises(DomainError):
         evaluate_zp(2, (0,), prec40)
+    with pytest.raises(ValueError, match="at least one exponent"):
+        evaluate_zp(2, (), prec40)
 
 
 def test_zp_rejects_non_integer_exponents(prec40):

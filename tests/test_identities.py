@@ -27,6 +27,7 @@ from polyzeta import (
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
+    _weak_chains,
     alternating_source_spec,
     alternating_to_mu,
     bernoulli,
@@ -41,14 +42,12 @@ from polyzeta.identities import (
     mu_power,
     mu_source_spec,
     mu_to_compositions,
-    mu_to_delta,
     rational_stuffle_check,
     render_formal_sum,
     reversal_reduction,
     shuffle_words,
     stuffle_set,
     t5,
-    weak_chain_expand,
     zagier,
     zeta_li_log,
 )
@@ -403,13 +402,22 @@ def test_delta_mu_dual_examples():
 
 
 def test_delta_mu_dual_roundtrip():
+    # the runs of 1s after each -1 of the mu bases read back s reversed,
+    # each entry minus one, and the sign is (-1)^k
     rng = random.Random(8)
     for _ in range(50):
         s = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
         sign, mu = delta_mu_dual(s)
-        sign2, back = mu_to_delta(mu.bases)
-        assert back == s
-        assert sign2 == sign
+        assert mu.exponents == (1,) * len(mu.bases)
+        assert mu.bases[0] == -1 and set(mu.bases) <= {-1, 1}
+        runs = []
+        for b in mu.bases:
+            if b == -1:
+                runs.append(0)
+            else:
+                runs[-1] += 1
+        assert tuple(runs) == tuple(x - 1 for x in reversed(s))
+        assert sign == (-1) ** len(s)
 
 
 def test_delta_mu_dual_numeric(prec30):
@@ -461,7 +469,6 @@ def test_split_then_shuffle_gives_eight_base_two_values():
         mu_source_spec,
         mu_to_compositions,
         delta_mu_dual,
-        weak_chain_expand,
         reversal_reduction,
     ],
 )
@@ -471,20 +478,29 @@ def test_emitters_reject_non_integer_exponents(emit):
             emit(s)
 
 
-def test_weak_chain_small():
-    assert weak_chain_expand((5,)) == FormalSum.single(zeta_spec(5))
-    fs = weak_chain_expand((2, 3))
-    assert fs == FormalSum([(F(1), zeta_spec(3, 2)), (F(1), zeta_spec(5))])
-    fs = weak_chain_expand((2, 3, 4))
-    want = FormalSum(
-        [
-            (F(1), zeta_spec(4, 3, 2)),
-            (F(1), zeta_spec(4, 5)),
-            (F(1), zeta_spec(7, 2)),
-            (F(1), zeta_spec(9)),
-        ]
+def test_base_emitters_reject_float_bases(prec30):
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            stuffle_set((2,), (3,), (bad,), (1,))
+        with pytest.raises(TypeError):
+            stuffle_set((2,), (3,), (1,), (bad,))
+        with pytest.raises(TypeError):
+            rational_stuffle_check((bad,), (3,))
+        with pytest.raises(TypeError):
+            mu_power(bad, 2, prec30)
+    assert stuffle_set((2,), (3,), (2,), (F(3),)) == (
+        ((2, 3), (F(2), F(6))),
+        ((5,), (F(6),)),
+        ((3, 2), (F(3), F(6))),
     )
-    assert fs == want
+
+
+def test_weak_chain_small():
+    # every chain once, so each strict-chain MZV has coefficient 1
+    assert list(_weak_chains((5,))) == [(5,)]
+    assert Counter(_weak_chains((2, 3))) == Counter([(3, 2), (5,)])
+    want = [(4, 3, 2), (4, 5), (7, 2), (9,)]
+    assert Counter(_weak_chains((2, 3, 4))) == Counter(want)
 
 
 def test_weak_chain_lattice_count_oracle():
@@ -497,10 +513,10 @@ def test_weak_chain_lattice_count_oracle():
             for n3 in range(n2, cap + 1):
                 lhs += F(1, n1 ** s[0] * n2 ** s[1] * n3 ** s[2])
     rhs = F(0)
-    for coeff, body in weak_chain_expand(s):
+    for chain in _weak_chains(s):
         # zeta strings sum over descending chains; enumerate ascending with
         # the exponents reversed, all variables capped alike
-        exps_asc = body.exponents[::-1]
+        exps_asc = chain[::-1]
         total = F(0)
 
         def rec(level, lower, acc):
@@ -512,7 +528,7 @@ def test_weak_chain_lattice_count_oracle():
                 rec(level + 1, n, acc * F(1, n ** exps_asc[level]))
 
         rec(0, 0, F(1))
-        rhs += coeff * total
+        rhs += total
     assert lhs == rhs
 
 

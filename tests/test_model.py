@@ -1,6 +1,7 @@
 """Data model: conversions, convergence, duality maps, round trips."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,12 @@ from polyzeta import (
 from polyzeta.acceptance import random_z_entries
 from polyzeta.model import (
     check_convergence,
+    constant_base_spec,
     delta_spec,
     make_word,
     mu_spec,
     mzv_dual_string,
+    word_convergent,
 )
 
 
@@ -215,6 +218,35 @@ def test_spec_rejects_non_integer_exponents():
         with pytest.raises(TypeError):
             LambdaSpec.of(exponents, (1,) * len(exponents))
     assert LambdaSpec.of((True, 2), (2, 2)).exponents == (1, 2)
+
+
+def test_spec_and_word_reject_float_bases():
+    # a float is refused, not read as its binary fraction
+    # (1.1 is 2476979795053773/2251799813685248)
+    for bases in ((1.1,), (2.0,), ("2",), (2, Decimal("1.5"))):
+        with pytest.raises(TypeError):
+            LambdaSpec.of((2,) * len(bases), bases)
+        with pytest.raises(TypeError):
+            mu_spec(*bases)
+        with pytest.raises(TypeError):
+            constant_base_spec(bases[-1], (2,))
+        with pytest.raises(TypeError):
+            make_word((0, *bases))
+        with pytest.raises(TypeError):
+            dual_word((0, *bases))
+    assert LambdaSpec.of((2,), (F(11, 10),)).bases == (F(11, 10),)
+    assert make_word((0, 2, F(-3, 2))) == (F(0), F(2), F(-3, 2))
+
+
+def test_words_with_a_letter_in_the_open_unit_interval_diverge():
+    # dx/(x - a) with 0 < a < 1 is singular inside the path [0, 1]
+    assert word_convergent(make_word((0, F(1, 2))))[0] is False
+    with pytest.raises(DivergenceError, match=r"\(0, 1\)"):
+        dual_word((F(1, 2),))
+    with pytest.raises(DivergenceError):
+        dual_word(make_word((0, 1, F(1, 3), -1)))
+    # 0, 1, negative letters and letters above 1 stay convergent
+    assert word_convergent(make_word((-1, 0, 1, 2)))[0] is True
 
 
 def test_spec_helpers():
