@@ -17,6 +17,11 @@ position, raised before any value is computed.
 Number literals are decimals or rationals ``p/q`` and are parsed exactly
 (no float intermediary), so ``zp(2, ...)`` keeps its exact base.  Results go
 to stdout, diagnostics to stderr.
+
+argparse alone reads the command line.  An ``eval`` expression may start
+with '-' or '--' ("-Pi", "--Pi"); argparse leaves such an argument over as
+an unknown option, and when ``eval`` has no other expression a lone
+leftover is it.  Any other leftover is an ``unrecognized arguments`` error.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ DIGITS_ENV = "POLYLOG_DIGITS"
 MAX_EXPONENT_BITS = 64
 # bound on the nesting depth of an expression.  Each bracket, unary minus and
 # log, and each binary or power operator, opens a level; the parser recurses
-# at most five frames per level and the evaluator and the printer one per
-# node, so all three stay well below Python's recursion limit.
+# at most five frames per level and the evaluator one per node, so both stay
+# well below Python's recursion limit.
 MAX_PARSE_DEPTH = 100
 # bound on `identities export --weight`: the catalog grows about 2.2x per
 # weight, and weight 10 already takes seconds and tens of MB
@@ -65,8 +70,8 @@ _USER_ERRORS = (PolyzetaError, ValueError, ZeroDivisionError)
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),\[\]]))"
+    r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),\[\]])|(?P<bad>\S)"
 )
 
 
@@ -79,18 +84,11 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(src) - len(stripped)
-            raise ExpressionError(f"unexpected character {src[bad_at]!r}", bad_at)
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        tokens.append(Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append(Token(kind, m.group(), m.start()))
     tokens.append(Token("end", "", len(src)))
     return tokens
 
@@ -151,7 +149,7 @@ Expr = Union[Num, PiConst, Log, Neg, BinOp, Pow, ZCall, ZpCall, LindepCall]
 # Parser
 # ---------------------------------------------------------------------------
 
-# binary operators by precedence level, read by the parser and by `pretty`
+# binary operators by precedence level
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
@@ -330,45 +328,6 @@ def parse_expression(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (normal form; parse . pretty is the identity)
-# ---------------------------------------------------------------------------
-
-
-def pretty(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, PiConst):
-        return "Pi"
-    if isinstance(e, Log):
-        return f"log({pretty(e.arg)})"
-    if isinstance(e, Neg):
-        inner = pretty(e.arg, 3)
-        text = f"-{inner}"
-        # grammar puts unary minus inside the power base, so a negation
-        # under '^' needs parentheses
-        return f"({text})" if parent_prec >= 4 else text
-    if isinstance(e, Pow):
-        base = pretty(e.base, 4)
-        text = f"{base}^{e.exponent}"
-        return f"({text})" if parent_prec >= 3 else text
-    if isinstance(e, ZCall):
-        return "z(" + ",".join(str(a) for a in e.args) + ")"
-    if isinstance(e, ZpCall):
-        return f"zp({e.p}," + ",".join(str(a) for a in e.args) + ")"
-    if isinstance(e, LindepCall):
-        return "lindep([" + ", ".join(pretty(x) for x in e.items) + "])"
-    if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        left = pretty(e.left, prec, False)
-        right = pretty(e.right, prec, True)
-        text = f"{left} {e.op} {right}"
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({text})"
-        return text
-    raise TypeError(type(e))
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -508,23 +467,24 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="polyzeta",
         description="arbitrary-precision calculator for multiple polylogarithms,"
         " zeta values and Euler sums",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--digits", default=_default_digits())
+    options.add_argument("--ezface-format", action="store_true")
 
-    p_eval = sub.add_parser("eval", help="evaluate one expression")
-    p_eval.add_argument("expression")
-    p_eval.add_argument("--digits", default=_default_digits())
-    p_eval.add_argument("--ezface-format", action="store_true")
+    p_eval = sub.add_parser("eval", parents=[options], help="evaluate one expression")
+    p_eval.add_argument("expression", nargs="?")
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_repl = sub.add_parser("repl", help="interactive per-line evaluation")
-    p_repl.add_argument("--digits", default=_default_digits())
-    p_repl.add_argument("--ezface-format", action="store_true")
+    p_repl = sub.add_parser(
+        "repl", parents=[options], help="interactive per-line evaluation"
+    )
     p_repl.set_defaults(fn=_cmd_repl)
 
     p_ident = sub.add_parser("identities", help="identity corpus tools")
@@ -539,29 +499,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--level", choices=["fast", "full"], default="fast")
     p_self.set_defaults(fn=_cmd_selftest)
 
-    return parser
-
-
-def _expression_last(argv: list[str]) -> list[str]:
-    """argv with an `eval` expression that starts with '-' ("-Pi", "-2*3")
-    moved behind '--', since argparse reads such an argument as an unknown
-    option.  eval's only short option is -h, and only --digits (or a prefix
-    of it) takes a value, so any other "-x..." argument is the expression."""
-    if argv[:1] != ["eval"]:
-        return argv
-    for i, (prev, arg) in enumerate(zip(argv, argv[1:]), 1):
-        if arg == "--":
-            break
-        if re.match("-[^-h]", arg) and not (len(prev) > 2 and "--digits".startswith(prev)):
-            return argv[:i] + argv[i + 1:] + ["--", arg]
-    return argv
+    # argparse reads an expression that starts with '-' ("-Pi", "--Pi") as an
+    # unknown option and leaves it over; a lone leftover is eval's expression
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "eval" and args.expression is None and len(extra) == 1:
+        args.expression = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command == "eval" and args.expression is None:
+        p_eval.error("the following arguments are required: expression")
+    return args
 
 
 def run(argv) -> int:
     try:
-        parser = _build_parser()
         try:
-            args = parser.parse_args(_expression_last(list(argv)))
+            args = _parse_args(list(argv))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
         return args.fn(args)

@@ -418,7 +418,7 @@ def _weak_chains(s: tuple[int, ...]):
     strings: each mask merges the exponents of coinciding adjacent indices,
     and the surviving strict chain is read innermost first.  On s = (1,)*n
     the strings are the 2^(n-1) compositions of n, each once, which is how
-    ``mu_to_compositions`` draws them.
+    ``mu_to_compositions`` and ``_convergent_strings`` draw them.
     """
     for mask in range(1 << (len(s) - 1)):
         # a set bit j-1 means n_j == n_{j+1}: the block's exponents merge
@@ -735,20 +735,11 @@ class Identity:
 
 
 def _convergent_strings(max_weight: int):
-    """All convergent unsigned MZV strings of weight <= max_weight."""
-    out = []
-
-    def rec(prefix, remaining):
-        if prefix:
-            out.append(tuple(prefix))
-        lo = 2 if not prefix else 1
-        for s in range(lo, remaining + 1):
-            prefix.append(s)
-            rec(prefix, remaining - s)
-            prefix.pop()
-
-    rec([], max_weight)
-    return out
+    """All convergent unsigned MZV strings of weight <= max_weight, sorted:
+    the compositions of each weight n >= 2 with a leading part >= 2."""
+    return sorted(
+        c for n in range(2, max_weight + 1) for c in _weak_chains((1,) * n) if c[0] >= 2
+    )
 
 
 def identity_catalog(max_weight: int) -> list[Identity]:

@@ -256,10 +256,9 @@ def dual_word(word: Word) -> tuple[Word, int]:
     ok, reason = word_convergent(word)
     if not ok:
         raise DivergenceError(f"word {word} diverges: {reason}")
+    # the dual converges too: dual[-1] = 1 - word[0] != 0, dual[0] =
+    # 1 - word[-1] != 1, and 1 - a lies in (0, 1) exactly when a does
     dual = tuple(1 - a for a in reversed(word))
-    ok, reason = word_convergent(dual)
-    if not ok:
-        raise DivergenceError(f"dual word {dual} diverges: {reason}")
     sign = -1 if (len(word) + word_depth(word) + word_depth(dual)) % 2 else 1
     return dual, sign
 

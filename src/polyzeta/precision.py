@@ -75,12 +75,28 @@ def _context(dps: int) -> mp.MPContext:
 
 
 def _to_mpf(value, ctx: mp.MPContext):
-    """value rounded to ctx's precision, as one of ctx's floats."""
-    if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
+    """value rounded to ctx's precision, as one of ctx's floats.
+
+    value must be exact: an int, a Fraction, a (mantissa, binary exponent)
+    pair of ints or a finite mpf.  A float or a str would bring its own
+    binary or decimal rounding into the value, and inf or nan is no number.
+    """
     if type(value) is ctx.mpf:  # made by ctx's arithmetic, so already rounded
         return value
-    return ctx.mpf(value)
+    if isinstance(value, Fraction):
+        return ctx.mpf(value.numerator) / value.denominator
+    if isinstance(value, int) or (
+        type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value)
+    ):
+        return ctx.mpf(value)
+    if isinstance(value, mp.ctx_mp_python._mpf):  # the mpf of any context
+        if not ctx.isfinite(value):
+            raise ValueError(f"not a finite value: {value}")
+        return ctx.mpf(value)
+    raise TypeError(
+        "expected an int, a Fraction, a (mantissa, exponent) pair of ints"
+        f" or an mpf, got {type(value).__name__}"
+    )
 
 
 def _operator(fn, arithmetic: bool = True):
@@ -100,8 +116,11 @@ def _operator(fn, arithmetic: bool = True):
 class BigReal:
     """Immutable arbitrary-precision real bound to a Precision.
 
-    The value may be an int, a Fraction, an mpf or a (mantissa, binary
-    exponent) pair of ints; it is rounded once to the working precision.
+    The value may be an int, a Fraction, a finite mpf or a (mantissa, binary
+    exponent) pair of ints, and nothing inexact (a float, a str); it is
+    rounded once to the working precision.  No operation makes inf or nan:
+    division by zero raises, 0 has no negative power and `ln` takes only
+    positive values.
     Binary operations require both operands to share the same Precision;
     mixing with int/Fraction is allowed (exact values have no precision of
     their own).
@@ -125,8 +144,6 @@ class BigReal:
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
         sign, man, exp, _ = self._v._mpf_
-        if man == 0 and exp != 0:
-            raise ValueError("not a finite value")
         f = Fraction(int(man)) * Fraction(2) ** exp
         return -f if sign else f
 
@@ -155,8 +172,8 @@ class BigReal:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # exact, not rounded to this precision, so that equal values
-            # hash alike; inf and nan equal no number
-            return mp.isfinite(self._v) and self.to_fraction() == other
+            # hash alike
+            return self.to_fraction() == other
         o = self._coerce(other)
         return o if o is NotImplemented else self._v == o
 
@@ -192,13 +209,12 @@ class BigReal:
 
 
 def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
-    """Round a decimal digit string to d digits, half away from zero.
+    """Round a decimal digit string of more than d digits to d digits, half
+    away from zero.
 
     Returns (digits, exponent_carry) where exponent_carry is 1 when the
     rounding overflowed (e.g. 999.7 -> 1000).
     """
-    if len(digits) <= d:
-        return digits + "0" * (d - len(digits)), 0
     head, next_digit = digits[:d], digits[d]
     if next_digit < "5":
         return head, 0
@@ -209,18 +225,16 @@ def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
 
 
 def _render(value: mp.mpf, d: int, rounded: bool) -> str:
-    if mp.isnan(value) or mp.isinf(value):
-        return str(value)
     if value == 0:
         return "0." + "0" * (d - 1)
+    # to_digits_exp yields d1.d2d3... x 10^exp, with at least d + 10 digits,
+    # so there is always a digit to round from and none to pad
     sign, digits, exp = to_digits_exp(value._mpf_, d + 10)
-    # to_digits_exp yields d1.d2d3... x 10^exp; switch to integer exponent of
-    # the first digit
     if rounded:
         digits, carry = _round_digit_string(digits, d)
         exp += carry
     else:
-        digits = (digits + "0" * d)[:d]
+        digits = digits[:d]
     point = exp + 1  # digits before the decimal point
     if 1 <= point <= d:
         body = digits[:point] + "." + digits[point:]
@@ -243,14 +257,15 @@ def pi(prec: Precision) -> BigReal:
 
 
 def ln(x, prec: Precision) -> BigReal:
-    """Natural logarithm of a positive BigReal, int or Fraction."""
+    """Natural logarithm of a positive BigReal or exact value (as BigReal
+    takes it)."""
     ctx = _context(prec.working_dps)
     if isinstance(x, BigReal):
         if x.prec != prec:
             raise PrecisionMismatch("ln argument bound to a different precision")
         v = x._v
     else:
-        v = _to_mpf(Fraction(x), ctx)
+        v = _to_mpf(x, ctx)
     if v <= 0:
         raise DomainError(f"ln requires a positive argument, got {mp.nstr(v, 15)}")
     return BigReal(ctx.ln(v), prec)

@@ -171,12 +171,11 @@ class RelationResult:
 
 
 def _normalize_sign(coeffs):
-    for c in coeffs:
-        if c > 0:
-            return tuple(coeffs)
-        if c < 0:
-            return tuple(-v for v in coeffs)
-    return tuple(coeffs)
+    """coeffs with its first nonzero entry positive.  Every candidate is a
+    row of a unimodular transform, or the coefficient part c of a nonzero
+    lattice vector (c | c.column), so c has a nonzero entry."""
+    lead = next(c for c in coeffs if c)
+    return tuple(coeffs) if lead > 0 else tuple(-c for c in coeffs)
 
 
 def _accepts(coeffs, residual: Fraction, total: int) -> bool:

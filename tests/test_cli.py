@@ -3,11 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import polyzeta
 from polyzeta import ExpressionError, Precision
 from polyzeta.relations import RelationResult
 from polyzeta.cli import (
@@ -20,12 +24,12 @@ from polyzeta.cli import (
     Pow,
     ZCall,
     ZpCall,
+    _PREC,
     MAX_EXPORT_WEIGHT,
     MAX_PARSE_DEPTH,
     eval_expression,
     format_result,
     parse_expression,
-    pretty,
     run,
 )
 
@@ -159,6 +163,36 @@ def test_unary_minus_and_log():
 
 
 # -- pretty printing -----------------------------------------------------------
+
+
+def pretty(e, parent_prec=0, right_side=False):
+    """A normal form of e that parses back to e: the round-trip oracle for
+    the parser."""
+    if isinstance(e, Num):
+        return str(e.value)
+    if isinstance(e, PiConst):
+        return "Pi"
+    if isinstance(e, Log):
+        return f"log({pretty(e.arg)})"
+    if isinstance(e, Neg):
+        text = f"-{pretty(e.arg, 3)}"
+        # grammar puts unary minus inside the power base, so a negation
+        # under '^' needs parentheses
+        return f"({text})" if parent_prec >= 4 else text
+    if isinstance(e, Pow):
+        text = f"{pretty(e.base, 4)}^{e.exponent}"
+        return f"({text})" if parent_prec >= 3 else text
+    if isinstance(e, ZCall):
+        return "z(" + ",".join(str(a) for a in e.args) + ")"
+    if isinstance(e, ZpCall):
+        return f"zp({e.p}," + ",".join(str(a) for a in e.args) + ")"
+    if isinstance(e, LindepCall):
+        return "lindep([" + ", ".join(pretty(x) for x in e.items) + "])"
+    prec = _PREC[e.op]
+    text = f"{pretty(e.left, prec, False)} {e.op} {pretty(e.right, prec, True)}"
+    if prec < parent_prec or (prec == parent_prec and right_side):
+        return f"({text})"
+    return text
 
 
 def _random_expr(rng, depth=0):
@@ -302,6 +336,54 @@ def test_run_eval_minus_product_and_option_values(capsys):
     assert run(["eval", "--digits", "-12", "z(2)"]) == 1
     assert capsys.readouterr().err == "error: digits must be in 10..1000, got -12\n"
     assert run(["eval", "-Pi", "-Pi"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["eval", "--Pi", "--digits", "12"], 0, "3.14159265359\n", []),
+        (["eval", "--digits", "12", "--Pi"], 0, "3.14159265359\n", []),
+        (["eval"], 1, "", [
+            "polyzeta eval: error: the following arguments are required: expression"
+        ]),
+        (["eval", "Pi", "--digts", "12"], 1, "", [
+            "polyzeta: error: unrecognized arguments: --digts 12"
+        ]),
+    ],
+    ids=["double-minus-first", "double-minus-last", "no-expression", "misspelt-option"],
+)
+def test_run_eval_reads_a_lone_leftover_as_the_expression(argv, code, out, err, capsys):
+    # argparse leaves "--Pi" over as an unknown option; alone, it is the
+    # expression, and any other leftover is an error
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()[-1:]) == (out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, in_subprocess",
+    [
+        # through main() and the module's __main__ guard
+        (["eval", "--Pi", "--digits", "12"], "", True),
+        # blank lines are skipped
+        (["repl", "--digits", "12"], "\n   \nPi\n:quit\n", False),
+    ],
+    ids=["python-m", "repl-blank-lines"],
+)
+def test_entry_points_print_pi(argv, stdin, in_subprocess, monkeypatch, capsys):
+    if in_subprocess:
+        src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyzeta.cli", *argv],
+            input=stdin, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        code, out = proc.returncode, proc.stdout
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out = run(argv), capsys.readouterr().out
+    assert (code, out) == (0, "3.14159265359\n")
 
 
 def test_run_eval_unexpected_character_and_tiny_power_base(capsys):

@@ -48,6 +48,7 @@ from polyzeta.identities import (
     shuffle_words,
     stuffle_set,
     t5,
+    z213,
     zagier,
     zeta_li_log,
 )
@@ -797,3 +798,38 @@ def test_identity_catalog_weight_six_generates():
     lhs = evaluate_formal_sum(reversals[-1].lhs, prec)
     rhs = evaluate_formal_sum(reversals[-1].rhs, prec)
     assert_close(lhs, rhs, 22)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: FormalSum([(1, "x")]), TypeError),
+        (lambda: stuffle_set((2,), (), (), ()), ValueError),
+        # the bases 2 and 1/2 merge into 2 * 1/2 = 1, a pole
+        (lambda: rational_stuffle_check((2,), (F(1, 2),)), DomainError),
+        (lambda: cyclotomic_expand(LambdaSpec.of((2,), (-4,)), 2), DomainError),
+        (lambda: alternating_to_mu((2, -3)), DomainError),
+        (lambda: mu_to_compositions((-1,)), DomainError),
+        (lambda: delta_mu_dual((0,)), DomainError),
+        (lambda: bernoulli(-1), DomainError),
+        (lambda: delta_negative_exact(-1), DomainError),
+        (lambda: delta_one_negative_exact(0), DomainError),
+        (lambda: zagier(-1, Precision(20)), DomainError),
+        (lambda: z213(-1, Precision(20)), DomainError),
+        (lambda: mu_power(2, -1, Precision(20)), DomainError),
+        (lambda: mu_power(F(1, 2), 1, Precision(20)), DomainError),
+        (lambda: t5(0, 0, Precision(20)), DomainError),
+        (lambda: zeta_li_log(-1, Precision(20)), DomainError),
+        (lambda: delta_odd(0, Precision(20)), DomainError),
+        (lambda: identity_catalog(2), ValueError),
+    ],
+    ids=[
+        "formal-sum-body", "stuffle-lengths", "stuffle-check-pole", "cyclotomic-square",
+        "alternating-negative", "compositions-negative", "dual-zero", "bernoulli",
+        "delta-negative", "delta-one-negative", "zagier", "z213", "mu-power-n",
+        "mu-power-base", "t5", "zeta-li-log", "delta-odd", "catalog-weight",
+    ],
+)
+def test_argument_checks_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -256,3 +256,19 @@ def test_spec_helpers():
     assert zeta_spec(2, 1).depth == 2
     with pytest.raises(ValueError):
         LambdaSpec.of((1,), (0,))
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: mzv_dual_string((0,)), ValueError),
+        (lambda: word_convergent(()), (True, "")),
+    ],
+    ids=["mzv-dual-zero-entry", "empty-word-converges"],
+)
+def test_edge_inputs(call, outcome):
+    if outcome is ValueError:
+        with pytest.raises(ValueError):
+            call()
+    else:
+        assert call() == outcome

@@ -15,7 +15,7 @@ from polyzeta import (
     PrecisionMismatch,
     to_decimal_string,
 )
-from polyzeta.precision import ln, pi
+from polyzeta.precision import ln, pi, polylog_half, zeta
 
 
 def machin_pi(digits: int) -> Fraction:
@@ -191,7 +191,32 @@ def test_bigreal_equals_an_int_or_fraction_only_exactly():
         assert not v == value
         assert len({v, value}) == 2
         assert v == v.to_fraction()
-    assert BigReal(float("inf"), prec) != 3
+    with pytest.raises(TypeError):
+        BigReal(float("inf"), prec)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, "0.1", 2.5, "2", float("nan"), 1j, (1, 2.0), (1, 2, 3)],
+    ids=["float", "decimal-str", "float-2.5", "int-str", "nan", "complex", "float-pair", "triple"],
+)
+def test_bigreal_and_ln_take_exact_values_only(value):
+    # a float or a str would carry its binary or decimal rounding in
+    prec = Precision(30)
+    with pytest.raises(TypeError):
+        BigReal(value, prec)
+    with pytest.raises(TypeError):
+        ln(value, prec)
+
+
+def test_bigreal_takes_finite_mpfs_and_kernel_pairs():
+    prec = Precision(30)
+    assert BigReal(mpmath.mpf(3) / 4, prec) == Fraction(3, 4)
+    assert BigReal((3, -2), prec) == Fraction(3, 4)
+    assert ln((1, 0), prec) == 0
+    for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError):
+            BigReal(bad, prec)
 
 
 def test_mixed_precision_rejected():
@@ -288,3 +313,17 @@ def test_operations_match_the_global_precision_oracle(x, y, k, n, digits):
     }
     for name, value in got.items():
         assert bits(value) == want[name]._mpf_, name
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: zeta(1, Precision(20)), DomainError),
+        (lambda: polylog_half(0, Precision(20)), DomainError),
+        (lambda: BigReal(1, Precision(20)) + 0.5, TypeError),
+    ],
+    ids=["zeta-pole", "polylog-half-order", "float-operand"],
+)
+def test_out_of_domain_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -517,3 +517,8 @@ def test_staged_reduction_without_lifts_is_the_single_pass():
     full = [[int(i == j) for j in range(n)] + [s] for i, s in enumerate(column)]
     reduced, _ = staged_lll(column, total)
     assert reduced == lll_reduce(full)
+
+
+@pytest.mark.parametrize("rows", [[], [(3,)]], ids=["no-rows", "one-row"])
+def test_lll_reduce_keeps_reduced_input(rows):
+    assert lll_reduce(rows) == rows
