@@ -68,9 +68,11 @@ def _tol(exp10: int) -> Fraction:
 
 
 def _within(a: BigReal, b, exp10: int) -> tuple[bool, str]:
-    diff = abs(a - b)
-    ok = diff.to_fraction() < _tol(exp10)
-    return ok, f"|diff| = {diff.to_fraction():.3e} vs 10^-{exp10}" if not ok else f"max residual < 10^-{exp10}"
+    diff = abs(a - b).to_fraction()
+    if diff < _tol(exp10):
+        return True, f"max residual < 10^-{exp10}"
+    # a float, since Fraction has no format spec "e" before Python 3.12
+    return False, f"|diff| = {float(diff):.3e} vs 10^-{exp10}"
 
 
 def _worst(pairs, exp10: int) -> tuple[bool, str]:

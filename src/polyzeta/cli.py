@@ -155,7 +155,6 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.depth = 0

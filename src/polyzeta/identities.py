@@ -4,7 +4,10 @@ one function each, used as numeric oracles.
 
 One enumerator per job: ``_weak_chains`` lists the merges of adjacent
 exponents, for the weakly increasing chain sums of reversal reductions and,
-on a string of 1s, for the compositions of ``mu_to_compositions``.
+on a string of 1s, for the compositions of ``mu_to_compositions``.  One
+duality map, `model.dual_word`: the catalog's MZV duality pairs and
+``delta_mu_dual``'s base-2/unit-sum duality are both read back from the dual
+word.
 
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
@@ -50,13 +53,15 @@ from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
 from .model import (
     LambdaSpec,
+    delta_spec,
+    dual_word,
     format_spec,
     int_tuple,
     lambda_to_word,
     make_word,
     mu_spec,
-    mzv_dual_string,
     rational,
+    word_to_lambda,
     zeta_spec,
 )
 from .precision import BigReal, Precision, ln, pi, polylog_half, zeta
@@ -458,14 +463,17 @@ def mu_to_compositions(s) -> FormalSum:
 def delta_mu_dual(s) -> tuple[int, LambdaSpec]:
     """Base-2 value delta(s_1..s_k) as a signed unit +-1 Euler sum.
 
-    Returns (sign, mu-spec) with delta(s) = sign * mu(...), where the mu
-    bases are, for j = k down to 1, a -1 followed by s_j - 1 ones and
+    Returns (sign, mu-spec) with delta(s) = sign * mu(...): the `dual_word`
+    dual of delta(s)'s word.  That word has 2 at each term's end and 0
+    elsewhere, so x -> 1 - x maps it onto letters -1 and 1 alone: the mu
+    bases are, for j = k down to 1, a -1 followed by s_j - 1 ones, and
     sign = (-1)^k.
     """
     s = int_tuple(s)
     if not s or any(x < 1 for x in s):
         raise DomainError("entries must be positive integers")
-    return (-1) ** len(s), mu_source_spec(x - 1 for x in s)
+    dual, sign = dual_word(lambda_to_word(delta_spec(*s)))
+    return sign, word_to_lambda(dual)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +545,9 @@ def reversal_reduction(s) -> FormalSum:
     reversed string plus merged lower-depth chains.  Interior exponent-1
     entries make individual pieces divergent; those are eliminated exactly
     through the T-polynomial rewriting of ``_regularize_string``, and the
-    divergent degrees provably cancel (asserted).  The algebra runs on plain
-    dicts of exact rationals; only the degree-0 result becomes a FormalSum.
+    divergent degrees provably cancel (a leftover raises AssertionError,
+    under python -O too).  The algebra runs on plain dicts of exact
+    rationals; only the degree-0 result becomes a FormalSum.
     """
     s = int_tuple(s)
     k = len(s)
@@ -568,7 +577,8 @@ def reversal_reduction(s) -> FormalSum:
             piece = _t_mul(piece, lifted)
         _t_accumulate(total, piece, 1)
     bad = {key: c for key, c in total.items() if key[0] != 0}
-    assert not bad, f"divergent degrees failed to cancel: {bad}"
+    if bad:  # an explicit raise, so that python -O keeps the check
+        raise AssertionError(f"divergent degrees failed to cancel: {bad}")
     # one spec per distinct exponent string, not one per factor
     strings = {f for _, factors in total for f in factors}
     specs = {f: zeta_spec(*f) for f in strings}
@@ -749,42 +759,33 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     identities: list[Identity] = []
     strings = _convergent_strings(max_weight)
 
+    specs = {s: zeta_spec(*s) for s in strings}
+    words = {s: lambda_to_word(spec) for s, spec in specs.items()}
+
     for s in strings:
-        dual = mzv_dual_string(s)
-        if dual <= s:  # emit each dual pair once
+        dual = word_to_lambda(dual_word(words[s])[0])
+        if dual.exponents <= s:  # emit each dual pair once
             continue
         identities.append(
-            Identity(
-                "duality",
-                FormalSum.single(zeta_spec(*s)),
-                FormalSum.single(zeta_spec(*dual)),
-            )
+            Identity("duality", FormalSum.single(specs[s]), FormalSum.single(dual))
         )
 
     for u in strings:
         for v in strings:
             if sum(u) + sum(v) > max_weight or u > v:
                 continue
-            lhs = FormalSum.single(SpecProduct((zeta_spec(*u), zeta_spec(*v))))
+            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
             identities.append(
-                Identity("stuffle", lhs, stuffle_identity(zeta_spec(*u), zeta_spec(*v)))
+                Identity("stuffle", lhs, stuffle_identity(specs[u], specs[v]))
             )
             identities.append(
-                Identity(
-                    "shuffle",
-                    lhs,
-                    shuffle_words(
-                        lambda_to_word(zeta_spec(*u)),
-                        lambda_to_word(zeta_spec(*v)),
-                    ),
-                )
+                Identity("shuffle", lhs, shuffle_words(words[u], words[v]))
             )
 
     for s in strings:
-        if s[0] >= 2 and s[-1] >= 2:
-            k = len(s)
-            lhs = FormalSum.single(zeta_spec(*s)) + FormalSum.single(
-                zeta_spec(*reversed(s)), (-1) ** k
+        if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
+            lhs = FormalSum.single(specs[s]) + FormalSum.single(
+                specs[s[::-1]], (-1) ** len(s)
             )
             identities.append(Identity("reversal", lhs, reversal_reduction(s)))
 

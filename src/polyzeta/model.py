@@ -3,8 +3,11 @@
 A `LambdaSpec` is the nested-sum object lambda(s_1..s_k; b_1..b_k): exponent
 string s and exact rational base string b, depth k, weight sum(s).  A `Word`
 is its iterated-integral encoding: a tuple of 1-form parameters where 0
-stands for the form dx/x and a nonzero value b for dx/(x-b).  Conversions,
-convergence checks and duality maps between these encodings live here; all
+stands for the form dx/x and a nonzero value b for dx/(x-b).  Conversions
+and convergence checks between these encodings live here, and so does
+`dual_word`, the package's one duality map: it reverses the path (x -> 1 - x)
+and reads the word back.  MZV duality, the evaluator's dual route and the
+base-2/unit-sum duality of `identities.delta_mu_dual` all go through it.  All
 base arithmetic is exact.  Exponents enter through `int_tuple` and bases,
 letters and parameters through `rational`, so a float is refused, never
 truncated or read as its binary fraction.
@@ -20,7 +23,6 @@ from fractions import Fraction
 from .errors import DivergenceError, UnsupportedSpec
 
 Word = tuple[Fraction, ...]
-MzvString = tuple[int, ...]
 
 
 def int_tuple(values) -> tuple[int, ...]:
@@ -262,30 +264,3 @@ def dual_word(word: Word) -> tuple[Word, int]:
     sign = -1 if (len(word) + word_depth(word) + word_depth(dual)) % 2 else 1
     return dual, sign
 
-
-def mzv_dual_string(entries) -> MzvString:
-    """Duality on unsigned MZV argument strings.
-
-    (s_1+2, {1}^r_1, ..., s_m+2, {1}^r_m) maps to
-    (r_m+2, {1}^s_m, ..., r_1+2, {1}^s_1); an involution.
-    """
-    entries = int_tuple(entries)
-    if any(e < 1 for e in entries):
-        raise ValueError("MZV duality requires positive integer arguments")
-    if not entries:
-        return ()
-    if entries[0] < 2:
-        raise DivergenceError("MZV string with leading 1 diverges")
-    # split into blocks: a head >= 2 followed by its run of 1s
-    blocks: list[tuple[int, int]] = []  # (s_i, r_i) with head = s_i + 2
-    for e in entries:
-        if e >= 2:
-            blocks.append((e - 2, 0))
-        else:
-            s, r = blocks[-1]
-            blocks[-1] = (s, r + 1)
-    out: list[int] = []
-    for s, r in reversed(blocks):
-        out.append(r + 2)
-        out.extend([1] * s)
-    return tuple(out)

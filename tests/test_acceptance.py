@@ -5,11 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` (or the packaged
 """
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from polyzeta import cli
+from polyzeta import BigReal, acceptance, cli
 from polyzeta.acceptance import CRITERIA
+from polyzeta.identities import FormalSum
 
 # the line `polyzeta selftest --level full` prints for each criterion;
 # residuals are exact functions of the evaluator, so any change shows here
@@ -70,3 +72,70 @@ def test_selftest_prints_golden_lines_and_timings_to_stderr(level, capsys):
     assert len(lines) == len(run)
     for ident, line in zip(run, lines):
         assert re.fullmatch(rf"time {re.escape(ident)}: \d+\.\d{{3}} s", line), line
+
+
+# wrong stand-ins for the names polyzeta.acceptance imports
+_NO_RELATION = lambda values: SimpleNamespace(coefficients=None)
+_DEPTH_AS_Z = lambda entries, prec: BigReal(len(entries), prec)
+_MINUS_ONE = lambda *args: BigReal(-1, args[-1])
+# property-suites runs its checks in turn; these pass its planted-relation
+# step at once (no lindep runs), so that a later step is the one that fails
+_PLANTED_FOUND = {
+    "planted_relation": lambda seed: ((), ()),
+    "lindep": lambda values: SimpleNamespace(coefficients=()),
+}
+
+FAILURES = [
+    ("euler", {"evaluate_z": _DEPTH_AS_Z}, r"\|diff\|"),
+    ("ezface-golden", {"eval_expression": lambda e, prec: BigReal(944, prec)}, r"printed '944\."),
+    ("lindep-weight8", {"lindep": _NO_RELATION}, r"got None, wanted \(36,"),
+    ("lindep-log-form", {"lindep": _NO_RELATION}, r"got None, wanted \(12,"),
+    ("zagier", {"zagier": _MINUS_ONE}, r"worst residual"),
+    ("z213-family", {"z213": _MINUS_ONE}, r"worst residual"),
+    ("duality", {"evaluate_lambda": _MINUS_ONE}, r"alternating pair residual"),
+    (
+        "holder-invariance",
+        {"evaluate_lambda": lambda spec, prec: BigReal(sum(spec.bases), prec)},
+        r"worst residual",
+    ),
+    ("closed-forms", {"mu_power": _MINUS_ONE}, r"worst residual"),
+    ("t4-t5", {"t5": _MINUS_ONE}, r"worst residual"),
+    ("functional-equation", {"evaluate_z": _DEPTH_AS_Z}, r"eighth-value residual"),
+    ("zagier-dressed", {"evaluate_z": _DEPTH_AS_Z}, r"\|diff\|"),
+    ("reversal-reduction", {"evaluate_formal_sum": _MINUS_ONE}, r"worst residual"),
+    ("simplex-lock", {"delta_negative_exact": lambda n: 0}, r"recurrence value for n=0"),
+    ("property-suites", {"rational_stuffle_check": lambda a, b: False}, r"rational product rule"),
+    ("property-suites", {"shuffle_words": lambda w1, w2: ()}, r"shuffle multiplicity off"),
+    ("property-suites", {"lindep": _NO_RELATION}, r"100/100 planted relations missed"),
+    (
+        "property-suites",
+        {**_PLANTED_FOUND, "pi": lambda prec: BigReal(prec.digits, prec)},
+        r"monotonicity broke at 30 digits",
+    ),
+    (
+        "property-suites",
+        {**_PLANTED_FOUND, "stuffle_identity": lambda u, v: FormalSum()},
+        r"stuffle consistency failed",
+    ),
+    (
+        "property-suites",
+        {**_PLANTED_FOUND, "evaluate_word": _MINUS_ONE},
+        r"shuffle consistency failed",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ident, patches, detail",
+    FAILURES,
+    ids=[f"{ident}-{'+'.join(patches)}" for ident, patches, _ in FAILURES],
+)
+def test_criterion_fails_on_a_wrong_value(ident, patches, detail, monkeypatch):
+    # every criterion, and every early `return False` of each, reports FAIL
+    for name, fake in patches.items():
+        monkeypatch.setattr(acceptance, name, fake)
+    criterion = next(c for c in CRITERIA if c.ident == ident)
+    ok, line = criterion.run()
+    assert ok is False
+    assert line.startswith(f"FAIL {ident}: {criterion.label} [")
+    assert re.search(detail, line), line

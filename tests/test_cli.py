@@ -314,6 +314,19 @@ def test_run_eval_lindep_reject_golden(monkeypatch, capsys):
     assert captured.err == ""
 
 
+def test_run_reports_an_internal_error_with_a_traceback(monkeypatch, capsys):
+    # an exception outside the user errors is a bug: exit 2, traceback on stderr
+    def broken(e, prec):
+        raise RuntimeError("broken evaluator")
+
+    monkeypatch.setattr("polyzeta.cli.eval_expression", broken)
+    assert run(["eval", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert "RuntimeError: broken evaluator" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,10 @@ of every emitter against the evaluator."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +27,7 @@ from polyzeta import (
     stuffle_identity,
     zeta_spec,
 )
+from polyzeta import identities
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
@@ -663,6 +667,34 @@ def test_reversal_reduction_palindrome_vanishes(prec30):
     if fs:  # cancellation may be numeric rather than structural
         val = evaluate_formal_sum(fs, prec30)
         assert abs(val).to_fraction() < tol(25)
+
+
+def test_reversal_reduction_raises_when_divergent_degrees_survive(monkeypatch):
+    # every string regularizing to T leaves T-degree terms that cannot cancel
+    monkeypatch.setattr(identities, "_regularize_string", lambda s, memo: {(1, ()): 1})
+    with pytest.raises(AssertionError, match="divergent degrees failed to cancel"):
+        reversal_reduction((3, 2))
+
+
+def test_reversal_reduction_cancellation_check_survives_optimize():
+    # python -O strips assert statements; the check is an explicit raise
+    code = (
+        "from polyzeta import identities\n"
+        "identities._regularize_string = lambda s, memo: {(1, ()): 1}\n"
+        "try:\n"
+        "    identities.reversal_reduction((3, 2))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("divergent degrees failed to cancel")
 
 
 def test_reversal_reduction_validates():

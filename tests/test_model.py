@@ -26,7 +26,6 @@ from polyzeta.model import (
     delta_spec,
     make_word,
     mu_spec,
-    mzv_dual_string,
     word_convergent,
 )
 
@@ -138,16 +137,40 @@ def test_dual_word_involution():
         assert sign * sign2 == 1
 
 
+def mzv_dual_string(entries):
+    """Block rewrite of MZV duality, the oracle for the word map:
+    (s_1+2, {1}^r_1, ..., s_m+2, {1}^r_m) maps to
+    (r_m+2, {1}^s_m, ..., r_1+2, {1}^s_1)."""
+    blocks = []  # (s_i, r_i) with head s_i + 2 and r_i trailing 1s
+    for e in entries:
+        if e >= 2:
+            blocks.append((e - 2, 0))
+        else:
+            s, r = blocks[-1]
+            blocks[-1] = (s, r + 1)
+    out = []
+    for s, r in reversed(blocks):
+        out.append(r + 2)
+        out.extend([1] * s)
+    return tuple(out)
+
+
+def word_dual_string(entries):
+    """MZV duality through dual_word, read back as an exponent string."""
+    dual, sign = dual_word(lambda_to_word(zeta_spec(*entries)))
+    assert sign == 1  # (-1)^(w + k + (w - k)): the dual word has depth w - k
+    return word_to_lambda(dual).exponents
+
+
 def test_mzv_dual_examples():
-    assert mzv_dual_string((2, 1)) == (3,)
-    assert mzv_dual_string((4,)) == (2, 1, 1)
-    assert mzv_dual_string((3, 1)) == (3, 1)
-    assert mzv_dual_string(()) == ()
+    for entries, dual in [((2, 1), (3,)), ((4,), (2, 1, 1)), ((3, 1), (3, 1)), ((), ())]:
+        assert mzv_dual_string(entries) == dual
+        assert word_dual_string(entries) == dual
 
 
 def test_mzv_dual_rejects_divergent():
     with pytest.raises(DivergenceError):
-        mzv_dual_string((1, 2))
+        word_dual_string((1, 2))
 
 
 @st.composite
@@ -161,6 +184,7 @@ def convergent_mzv_strings(draw):
 @given(convergent_mzv_strings())
 def test_mzv_dual_involution(entries):
     assert mzv_dual_string(mzv_dual_string(entries)) == entries
+    assert word_dual_string(word_dual_string(entries)) == entries
 
 
 @given(convergent_mzv_strings())
@@ -260,15 +284,8 @@ def test_spec_helpers():
 
 @pytest.mark.parametrize(
     "call, outcome",
-    [
-        (lambda: mzv_dual_string((0,)), ValueError),
-        (lambda: word_convergent(()), (True, "")),
-    ],
-    ids=["mzv-dual-zero-entry", "empty-word-converges"],
+    [(lambda: word_convergent(()), (True, ""))],
+    ids=["empty-word-converges"],
 )
 def test_edge_inputs(call, outcome):
-    if outcome is ValueError:
-        with pytest.raises(ValueError):
-            call()
-    else:
-        assert call() == outcome
+    assert call() == outcome
