@@ -7,13 +7,13 @@ alone, at one floor division by n^s_j per level and step, or the truncated
 value of every suffix of the spec, including the suffixes that start inside
 a block of dx/x forms, at s_j divisions by n.  Each step multiplies and
 floor-divides by small integers only: the base numerators and denominators
-and powers of the summation index n.  The division by each base
-b_j = num/den follows one plan per level, fixed before the steps
-(``_division_plan``): a shift replaces the multiply by den = 2^e and the
-division by num = +-2^u, so the bases +-2 and 4 of a +-1 word split at
-p = 2 cost one shift and the halves 3/2 and 5/2 shift instead of
-multiplying.  A right shift floors exactly as the floor division it
-replaces, so the plan changes the cost of a step, not its value.
+and powers of the summation index n.  Each pass runs as straight-line
+Python compiled once per exponents, bases and mode (``_compiled_pass``):
+locals in place of lists, the s_j divisions by n unrolled, and a shift
+wherever a base's numerator or denominator is a power of two, so the bases
++-2 and 4 of a +-1 word split at p = 2 cost one shift per level and step.
+A right shift floors exactly as the floor division it replaces, so
+compiling changes the cost of a step, not its value.
 
 Routes.  ``_route`` decides once per spec which passes evaluate it, the
 signs that combine their values, and the error factor that sets their
@@ -56,6 +56,14 @@ plan's tail bound is below 10^-D and keeps its rounding below 10^-D
 ``working_precision`` computes D before any pass, as W plus the decimal
 exponent of the route's error factor: 2 on the direct and dual routes,
 2*(weight+1)*(M_L + M_R + 1) on the split.
+
+Memos.  Three ``lru_cache`` memos hold the evaluator's state; clearing all
+three makes the next evaluation cold:
+
+* ``_route`` -- keyed by the spec: its passes, signs and error factor;
+* ``_compiled_pass`` -- keyed by (exponents, (numerator, denominator) of
+  each base, every_suffix): the compiled pass;
+* ``evaluate_lambda`` -- keyed by (spec, prec): the value.
 """
 
 from __future__ import annotations
@@ -203,10 +211,10 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     value is in fact bit-identical to the every-suffix pass's full value,
     so bits, and every value the evaluator returns, are unchanged.
 
-    The division plan leaves the count alone too: dividing by b_j is one
+    The compiled pass leaves the count alone too: dividing by b_j is one
     floor rounding whether it is a right shift or a floor division (both
     floor the same exact quotient), and a multiply or left shift by den is
-    exact.  So the plan changes neither these bits nor any stored value.
+    exact.  So compiling changes neither these bits nor any stored value.
     """
     k = spec.depth
     c = 2 + max(max(s, 0) for s in spec.exponents)
@@ -220,32 +228,72 @@ def _power_of_two_exponent(x: int) -> int | None:
 
 
 @lru_cache(maxsize=1024)
-def _division_plan(bases: tuple[Fraction, ...]):
-    """The step that takes each level's stored A to floor(A * den / num).
+def _compiled_pass(
+    exponents: tuple[int, ...], bases: tuple[tuple[int, int], ...], every_suffix: bool
+):
+    """The kernel pass over these exponents and (numerator, denominator)
+    bases as one straight-line function (terms, one) -> values.
 
-    For b_j = num/den the plan multiplies by den as ``a << e`` when
-    den = 2^e (not at all when den = 1), else as ``a * den``, and divides by
-    num as ``a >> u`` when num = 2^u, ``-a >> u`` when num = -2^u, else as
-    ``a // num``.  Python's shift floors like its floor division, so for
-    every int x, x >> u == x // 2^u and -x >> u == x // -2^u: the plan is
-    bit-identical to ``a * den // num`` and only cheaper (at 3400 bits a
-    shift costs under a third of a division by 2).  The plan is compiled
-    into one list expression, since a call per level would cost more than
-    the shift saves on 40- to 70-digit passes.
+    Each level's stored A, its scaled value and its suffix sums are locals
+    (a0..., c0..., s0_0...).  A step first scales every level,
+    c_j = floor(a_j * den / num): it multiplies by den as ``a << e`` when
+    den = 2^e (not at all when den = 1), else as ``a * den``, and divides
+    by num as ``a >> u`` when num = 2^u, ``-a >> u`` when num = -2^u, else
+    as ``a // num``.  Python's shift floors like its floor division, so for
+    every int x, x >> u == x // 2^u and -x >> u == x // -2^u.  Then level j
+    divides by n: s_j unrolled ``t = t // n`` lines, each added to its
+    suffix sum, in every-suffix mode; one ``// n ** s_j`` in full-value
+    mode; a multiply by ``n ** -s_j`` when s_j <= 0.  It stores
+    a_{j-1} = c_{j-1} + t, and the step ends with a_{k-1} = c_{k-1}.
+
+    The source is exec'd, so every exponent, numerator and denominator
+    must be a plain int; anything else, a bool included, raises TypeError
+    before any source is built.  (A key equal to one already compiled, such
+    as True for 1, gets that pass, which was built from ints.)
     """
-    levels = []
-    for j, b in enumerate(bases):
-        num, den = b.numerator, b.denominator
-        a = f"a[{j}]"
+    if any(type(x) is not int for x in exponents + sum(bases, ())):
+        raise TypeError(
+            "a kernel pass takes int exponents and (int, int) bases, "
+            f"got {exponents!r} and {bases!r}"
+        )
+    k = len(exponents)
+    step = []
+    sums = [] if every_suffix else ["s0_0"]
+    for j, (num, den) in enumerate(bases):
+        a = f"a{j}"
         if den > 1:
             e = _power_of_two_exponent(den)
             a = f"({a} << {e})" if e is not None else f"{a} * {den}"
         u = _power_of_two_exponent(abs(num))
-        if u is None:
-            levels.append(f"{a} // {num}")
-        else:
-            levels.append(f"{'-' if num < 0 else ''}{a} >> {u}")
-    return eval(f"lambda a: [{', '.join(levels)}]")
+        sign = "-" if num < 0 else ""
+        step.append(f"c{j} = {a} // {num}" if u is None else f"c{j} = {sign}{a} >> {u}")
+    for j, s in enumerate(exponents):
+        power = "n" if abs(s) == 1 else f"n ** {abs(s)}"
+        t = f"c{j} // {power}" if s > 0 else f"c{j} * {power}"
+        if every_suffix:
+            divisions = [f"c{j} // n"] + ["t // n"] * (s - 1) if s > 0 else [t]
+            for i, division in enumerate(divisions):
+                step += [f"t = {division}", f"s{j}_{i} += t"]
+            sums += [f"s{j}_{i}" for i in reversed(range(len(divisions)))]
+            t = "t"
+        if j:
+            step.append(f"a{j - 1} = c{j - 1} + {t}")
+        elif not every_suffix:
+            step.append(f"s0_0 += {t}")
+    step.append(f"a{k - 1} = c{k - 1}")
+    values = sums + ["one"] if every_suffix else sums
+    source = [
+        "def kernel_pass(terms, one):",
+        *(f"    a{j} = 0" for j in range(k - 1)),
+        f"    a{k - 1} = one",
+        *(f"    {v} = 0" for v in sums),
+        "    for n in range(1, terms + 1):",
+        *(f"        {line}" for line in step),
+        f"    return [{', '.join(values)}]",
+    ]
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["kernel_pass"]
 
 
 def _suffix_sums(
@@ -272,51 +320,15 @@ def _suffix_sums(
         A_j(n) = A_j(n-1)/b_{j-1} + n^-s_j A_{j+1}(n-1)/b_j,
     with A_{k+1}(n) = b_k^-n; a suffix starting in block j with exponent
     s' <= s_j accumulates n^-s' A_{j+1}(n-1)/b_j.  Every |b_j| > 1 keeps
-    each stored A bounded, so b^-n and x^n are never held apart.  Both
-    modes take the division by b_j from one ``_division_plan``, built before
-    the steps: shifts where a numerator or denominator is a power of two,
-    each exactly the floor division it replaces, so values and bits do not
-    depend on the plan.
+    each stored A bounded, so b^-n and x^n are never held apart.  The steps
+    run in the pass ``_compiled_pass`` builds once per exponents, bases and
+    mode: shifts where a numerator or denominator is a power of two, each
+    exactly the floor division it replaces, so values and bits do not depend
+    on the compilation.
     """
     bits = math.ceil(dps * math.log2(10)) + _rounding_bits(spec, terms)
-    one = 1 << bits
-    k = spec.depth
-    exps = spec.exponents
-    divide = _division_plan(spec.bases)
-    # inner[j] holds A_{j+2}(n), inner[k-1] the power b_k^-n (1-based A)
-    inner = [0] * (k - 1) + [one]
-    if not every_suffix:
-        total = 0
-        for n in range(1, terms + 1):
-            scaled = divide(inner)
-            for j, s in enumerate(exps):
-                t = scaled[j] // n ** s if s > 0 else scaled[j] * n ** -s
-                if j:
-                    inner[j - 1] = scaled[j - 1] + t
-                else:
-                    total += t
-            inner[k - 1] = scaled[k - 1]
-        return [total], bits
-
-    sums = [[0] * max(s, 1) for s in exps]  # sums[j][i]: exponent i+1 (or s_j)
-    for n in range(1, terms + 1):
-        scaled = divide(inner)
-        for j, s in enumerate(exps):
-            t = scaled[j]
-            row = sums[j]
-            if s > 0:
-                for i in range(s):
-                    t //= n
-                    row[i] += t
-            else:
-                t *= n ** -s
-                row[0] += t
-            if j:
-                inner[j - 1] = scaled[j - 1] + t
-        inner[k - 1] = scaled[k - 1]
-    values = [v for row in sums for v in reversed(row)]
-    values.append(one)
-    return values, bits
+    bases = tuple((b.numerator, b.denominator) for b in spec.bases)
+    return _compiled_pass(spec.exponents, bases, every_suffix)(terms, 1 << bits), bits
 
 
 # ---------------------------------------------------------------------------

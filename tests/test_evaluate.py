@@ -25,7 +25,7 @@ from polyzeta import (
     word_to_lambda,
     zeta_spec,
 )
-from polyzeta import evaluate
+from polyzeta import evaluate, precision
 from polyzeta.evaluate import (
     _suffix_sums,
     evaluate_J,
@@ -114,8 +114,9 @@ def test_full_value_pass_matches_every_suffix_pass():
 
 
 def two_division_suffix_sums(spec, terms, dps, every_suffix=True):
-    """The kernel before its division plan: each level and step divides by
-    its base as a * den // num, then by n^s_j (or s_j times by n)."""
+    """The kernel as an interpreted loop over lists: each level and step
+    divides by its base as a * den // num, then by n^s_j (or s_j times by
+    n)."""
     bits = math.ceil(dps * math.log2(10)) + evaluate._rounding_bits(spec, terms)
     one = 1 << bits
     k = spec.depth
@@ -163,7 +164,7 @@ PLAN_BASES = [F(2), F(-2), F(4), F(-4), F(3), F(-3),
 PLAN_EXPONENTS = [-1, 0, 1, 2, 3, 6]
 
 
-def division_plan_corpus():
+def mixed_kernel_corpus():
     """Seeded (spec, terms) over PLAN_BASES and PLAN_EXPONENTS at depths
     1-4; each pass runs about twice as long as it takes some level's
     |num| * n^s to pass 2^30, where the divisor n^s grows past one 30-bit
@@ -188,18 +189,65 @@ def division_plan_corpus():
     return corpus
 
 
-def test_division_plan_matches_the_two_division_kernel():
-    # shifts replace multiplies and divisions by powers of two; every value
-    # and the bits must stay what the plain floor divisions give
-    corpus = division_plan_corpus()
-    assert {b for spec, _ in corpus for b in spec.bases} == set(PLAN_BASES)
-    assert {s for spec, _ in corpus for s in spec.exponents} == set(PLAN_EXPONENTS)
-    for spec, terms in corpus:
+def deep_kernel_corpus():
+    """Seeded (spec, terms) as deep as the split passes of weight-10 words:
+    depths 8-10, exponents 1-9 (each spec has a 9), bases all +-2 or all
+    3/2, each run for its plan's length at 200 digits."""
+    rng = random.Random(2718)
+    corpus = []
+    for depth in (8, 9, 10):
+        for choices in ([F(2), F(-2)], [F(3, 2)]):
+            exponents = [rng.randint(1, 9) for _ in range(depth - 1)] + [9]
+            rng.shuffle(exponents)
+            spec = LambdaSpec.of(exponents, [rng.choice(choices) for _ in range(depth)])
+            corpus.append((spec, plan_nested_sum(spec, -200).terms))
+    return corpus
+
+
+def test_compiled_pass_matches_the_two_division_kernel():
+    # the compiled pass shifts where a numerator or denominator is a power
+    # of two and unrolls the divisions by n; every value and the bits must
+    # stay what the plain floor divisions of the interpreted loop give
+    mixed, deep = mixed_kernel_corpus(), deep_kernel_corpus()
+    assert {b for spec, _ in mixed for b in spec.bases} == set(PLAN_BASES)
+    assert {s for spec, _ in mixed for s in spec.exponents} == set(PLAN_EXPONENTS)
+    assert {spec.depth for spec, _ in deep} == {8, 9, 10}
+    assert {b for spec, _ in deep for b in spec.bases} == {F(2), F(-2), F(3, 2)}
+    assert all(max(spec.exponents) == 9 for spec, _ in deep)
+    for spec, terms in mixed + deep:
         for dps in (30, 200):
             for every_suffix in (True, False):
                 got = _suffix_sums(spec, terms, dps, every_suffix)
                 want = two_division_suffix_sums(spec, terms, dps, every_suffix)
                 assert got == want, (spec, terms, dps, every_suffix)
+
+
+@pytest.mark.parametrize("exponents, bases", [
+    (("2",), ((2, 1),)), ((2.0,), ((2, 1),)), ((True,), ((2, 1),)),
+    ((2,), (("2", 1),)), ((2,), ((2.0, 1),)), ((2,), ((True, 1),)),
+    ((2,), ((3, "2"),)), ((2,), ((3, 2.0),)), ((2,), ((3, True),)),
+])
+def test_compiled_pass_takes_ints_only(monkeypatch, exponents, bases):
+    # the pass source is exec'd, so anything but a plain int is refused
+    # before any source runs
+    def no_exec(*args):
+        raise AssertionError("exec reached")
+
+    evaluate._compiled_pass.cache_clear()
+    monkeypatch.setattr(evaluate, "exec", no_exec, raising=False)
+    for every_suffix in (True, False):
+        with pytest.raises(TypeError, match="takes int exponents"):
+            evaluate._compiled_pass(exponents, bases, every_suffix)
+
+
+def test_long_level_and_deep_dual_pass():
+    # z(120) splits into a 120-line unrolled level and a depth-119 dual
+    prec = Precision(10)
+    passes = evaluate._route(zeta_spec(120))[0]
+    assert [s.exponents[0] for s in passes] == [120, 2]
+    assert [s.depth for s in passes] == [1, 119]
+    got = evaluate_z((120,), prec)
+    assert_close(got, precision.zeta(120, prec), 10)
 
 
 def nested_sum_ratios(spec):
