@@ -235,7 +235,7 @@ class _Parser:
                 raise ExpressionError(
                     f"power exponent exceeds {MAX_EXPONENT_BITS} bits", op.pos
                 )
-            # a leading '-' negates the whole chain: -2^2 folds to -4
+            # a leading '-' negates the whole chain: 2^-2^2 is 2^-4
             value = -(-value) ** inner if value < 0 else value ** inner
         return value
 

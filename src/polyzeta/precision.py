@@ -1,31 +1,34 @@
-"""Arbitrary-precision real arithmetic bound to explicit precision contexts.
+"""Arbitrary-precision real arithmetic bound to explicit precisions.
 
 Values are immutable `BigReal` instances carrying the `Precision` they were
-computed under.  A value lives in a private mpmath context (`_context`)
-whose precision, ``digits + guard`` working decimal digits, is set once when
-the context is made and never written again.  Every operation rounds its
-result to nearest at that precision; ``str()`` truncates to ``digits``
-significant digits and `to_decimal_string` rounds to nearest.  Nothing here
-reads or writes mpmath's global precision, so no value depends on it and
-threads may compute at different precisions at once.  The number backend is
-mpmath's binary floats (MPF: an integer mantissa and a binary exponent), and
-this is the one module that imports mpmath.
+computed under.  A value stores mpmath's raw binary float, the ``_mpf_``
+tuple (sign, mantissa, exponent, bitcount), rounded to nearest at the
+binary precision of ``digits + guard`` working decimal digits.  Every
+operation is one call of a function of `mpmath.libmp`, which takes its
+precision and rounding mode as arguments, so each result is rounded once at
+that precision; these are the calls mpmath's own ``mpf`` methods make, so
+the bits are those of mpmath's arithmetic at that precision.  ``str()``
+truncates to ``digits`` significant digits and `to_decimal_string` rounds
+to nearest.  No mpmath context is shared and mpmath's global precision is
+never read or written, so no value depends on it and threads may compute
+at different precisions at once.  This is the one module that imports
+mpmath.
 
-`pi` and `ln` run on the shared `_context`.  The special functions `zeta`
-and `polylog_half`, the constants of the closed forms in
-`polyzeta.identities`, each run on a new context of their own and are
-memoized per (r, prec).
+`pi`, `ln` and `zeta` are `libmp` calls too.  `polylog_half` has no `libmp`
+form: it runs mpmath's polylog on a new context of its own, since polylog
+raises and restores the precision of the context it runs on.  `zeta` and
+`polylog_half`, the constants of the closed forms in `polyzeta.identities`,
+are memoized per (r, prec).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import to_digits_exp
+from mpmath import libmp
 
 from .errors import DomainError, PrecisionMismatch
 
@@ -56,43 +59,33 @@ class Precision:
         return self.digits + self.guard
 
 
-def _new_context(dps: int) -> mp.MPContext:
-    """A new private mpmath context at dps decimal digits."""
-    ctx = mp.MPContext()
-    ctx.dps = dps
-    return ctx
+def _bits(prec: Precision) -> int:
+    """The binary precision of prec's working digits, as mpmath's dps
+    setting makes it."""
+    return libmp.dps_to_prec(prec.working_dps)
 
 
-@lru_cache(maxsize=64)
-def _context(dps: int) -> mp.MPContext:
-    """The private context at dps decimal digits, shared by every value and
-    loop at that precision.  Its precision is set once, so only mpmath code
-    that never changes it (arithmetic, ln, pi) may run on it.  mpmath's zeta
-    and polylog raise and then restore the precision of the context they run
-    on, which here would change the rounding of another thread's values
-    meanwhile; they run on a `_new_context` each."""
-    return _new_context(dps)
-
-
-def _to_mpf(value, ctx: mp.MPContext):
-    """value rounded to ctx's precision, as one of ctx's floats.
+def _to_mpf(value, bits: int) -> tuple:
+    """value rounded to nearest at bits binary digits, as a raw mpf tuple.
 
     value must be exact: an int, a Fraction, a (mantissa, binary exponent)
     pair of ints or a finite mpf.  A float or a str would bring its own
     binary or decimal rounding into the value, and inf or nan is no number.
+    A Fraction p/q rounds p first and then the quotient, as mpmath's
+    ``mpf(p) / q`` does.
     """
-    if type(value) is ctx.mpf:  # made by ctx's arithmetic, so already rounded
-        return value
+    rnd = libmp.round_nearest
     if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
-    if isinstance(value, int) or (
-        type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value)
-    ):
-        return ctx.mpf(value)
+        p = libmp.from_int(value.numerator, bits, rnd)
+        return libmp.mpf_div(p, libmp.from_int(value.denominator), bits, rnd)
+    if isinstance(value, int):
+        return libmp.from_int(value, bits, rnd)
+    if type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value):
+        return libmp.from_man_exp(value[0], value[1], bits, rnd)
     if isinstance(value, mp.ctx_mp_python._mpf):  # the mpf of any context
-        if not ctx.isfinite(value):
+        if value._mpf_ in (libmp.finf, libmp.fninf, libmp.fnan):
             raise ValueError(f"not a finite value: {value}")
-        return ctx.mpf(value)
+        return libmp.mpf_pos(value._mpf_, bits, rnd)
     raise TypeError(
         "expected an int, a Fraction, a (mantissa, exponent) pair of ints"
         f" or an mpf, got {type(value).__name__}"
@@ -100,15 +93,17 @@ def _to_mpf(value, ctx: mp.MPContext):
 
 
 def _operator(fn, arithmetic: bool = True):
-    """A BigReal method applying fn to both operands' floats; an arithmetic
-    result is bound to the operands' Precision."""
+    """A BigReal method applying the libmp function fn to both operands'
+    floats.  An arithmetic fn rounds to nearest at the operands' precision
+    and its result is bound to it; a comparison returns fn's bool."""
 
     def method(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        v = fn(self._v, o)
-        return BigReal(v, self.prec) if arithmetic else v
+        if not arithmetic:
+            return fn(self._v, o)
+        return _bound(fn(self._v, o, _bits(self.prec), libmp.round_nearest), self.prec)
 
     return method
 
@@ -128,9 +123,8 @@ class BigReal:
 
     __slots__ = ("_v", "prec")
 
-    def __init__(self, value, prec: Precision):
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "_v", _to_mpf(value, _context(prec.working_dps)))
+    def __new__(cls, value, prec: Precision):
+        return _bound(_to_mpf(value, _bits(prec)), prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
@@ -139,15 +133,15 @@ class BigReal:
     def mpf(self) -> mp.mpf:
         """The backing float (an exact dyadic rational) as a plain mpmath mpf,
         not rounded again."""
-        return mp.make_mpf(self._v._mpf_)
+        return mp.make_mpf(self._v)
 
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
-        sign, man, exp, _ = self._v._mpf_
+        sign, man, exp, _ = self._v
         f = Fraction(int(man)) * Fraction(2) ** exp
         return -f if sign else f
 
-    def _coerce(self, other) -> mp.mpf:
+    def _coerce(self, other) -> tuple:
         if isinstance(other, BigReal):
             if other.prec != self.prec:
                 raise PrecisionMismatch(
@@ -155,19 +149,19 @@ class BigReal:
                 )
             return other._v
         if isinstance(other, (int, Fraction)):
-            return _to_mpf(other, self._v.context)
+            return _to_mpf(other, _bits(self.prec))
         return NotImplemented
 
-    __add__ = __radd__ = _operator(operator.add)
-    __sub__ = _operator(operator.sub)
-    __rsub__ = _operator(lambda a, b: b - a)
-    __mul__ = __rmul__ = _operator(operator.mul)
-    __truediv__ = _operator(operator.truediv)
-    __rtruediv__ = _operator(lambda a, b: b / a)
-    __lt__ = _operator(operator.lt, arithmetic=False)
-    __le__ = _operator(operator.le, arithmetic=False)
-    __gt__ = _operator(operator.gt, arithmetic=False)
-    __ge__ = _operator(operator.ge, arithmetic=False)
+    __add__ = __radd__ = _operator(libmp.mpf_add)
+    __sub__ = _operator(libmp.mpf_sub)
+    __rsub__ = _operator(lambda a, b, bits, rnd: libmp.mpf_sub(b, a, bits, rnd))
+    __mul__ = __rmul__ = _operator(libmp.mpf_mul)
+    __truediv__ = _operator(libmp.mpf_div)
+    __rtruediv__ = _operator(lambda a, b, bits, rnd: libmp.mpf_div(b, a, bits, rnd))
+    __lt__ = _operator(libmp.mpf_lt, arithmetic=False)
+    __le__ = _operator(libmp.mpf_le, arithmetic=False)
+    __gt__ = _operator(libmp.mpf_gt, arithmetic=False)
+    __ge__ = _operator(libmp.mpf_ge, arithmetic=False)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,37 +169,46 @@ class BigReal:
             # hash alike
             return self.to_fraction() == other
         o = self._coerce(other)
-        return o if o is NotImplemented else self._v == o
+        return o if o is NotImplemented else libmp.mpf_eq(self._v, o)
 
     def __pow__(self, n):
         """x**n for an int n, by binary powering at working precision."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0 and self._v == 0:
+        if n < 0 and not self:
             raise DomainError("0 cannot be raised to a negative power")
-        return BigReal(self._v ** n, self.prec)
+        v = libmp.mpf_pow_int(self._v, n, _bits(self.prec), libmp.round_nearest)
+        return _bound(v, self.prec)
 
     def __neg__(self):
-        return BigReal(-self._v, self.prec)
+        return _bound(libmp.mpf_neg(self._v, _bits(self.prec), libmp.round_nearest), self.prec)
 
     def __abs__(self):
-        return BigReal(abs(self._v), self.prec)
+        return _bound(libmp.mpf_abs(self._v, _bits(self.prec), libmp.round_nearest), self.prec)
 
     def __hash__(self):
         # equal to the hash of an equal int or Fraction
-        return hash(self._v)
+        return libmp.mpf_hash(self._v)
 
     def __float__(self):
-        return float(self._v)
+        return libmp.to_float(self._v, rnd=libmp.round_nearest)
 
     def __bool__(self):
-        return self._v != 0
+        return self._v != libmp.fzero
 
     def __str__(self):
         return _render(self._v, self.prec.digits, rounded=False)
 
     def __repr__(self):
         return f"BigReal({self}, digits={self.prec.digits})"
+
+
+def _bound(v: tuple, prec: Precision) -> BigReal:
+    """The BigReal of the raw float v, already rounded at prec's bits."""
+    x = object.__new__(BigReal)
+    object.__setattr__(x, "prec", prec)
+    object.__setattr__(x, "_v", v)
+    return x
 
 
 def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
@@ -224,12 +227,12 @@ def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
     return rounded.rjust(d, "0"), 0
 
 
-def _render(value: mp.mpf, d: int, rounded: bool) -> str:
-    if value == 0:
+def _render(value: tuple, d: int, rounded: bool) -> str:
+    if value == libmp.fzero:
         return "0." + "0" * (d - 1)
     # to_digits_exp yields d1.d2d3... x 10^exp, with at least d + 10 digits,
     # so there is always a digit to round from and none to pad
-    sign, digits, exp = to_digits_exp(value._mpf_, d + 10)
+    sign, digits, exp = libmp.to_digits_exp(value, d + 10)
     if rounded:
         digits, carry = _round_digit_string(digits, d)
         exp += carry
@@ -253,22 +256,21 @@ def to_decimal_string(x: BigReal, d: int) -> str:
 
 
 def pi(prec: Precision) -> BigReal:
-    return BigReal(+_context(prec.working_dps).pi, prec)
+    return _bound(libmp.mpf_pi(_bits(prec), libmp.round_nearest), prec)
 
 
 def ln(x, prec: Precision) -> BigReal:
     """Natural logarithm of a positive BigReal or exact value (as BigReal
     takes it)."""
-    ctx = _context(prec.working_dps)
     if isinstance(x, BigReal):
         if x.prec != prec:
             raise PrecisionMismatch("ln argument bound to a different precision")
         v = x._v
     else:
-        v = _to_mpf(x, ctx)
-    if v <= 0:
-        raise DomainError(f"ln requires a positive argument, got {mp.nstr(v, 15)}")
-    return BigReal(ctx.ln(v), prec)
+        v = _to_mpf(x, _bits(prec))
+    if libmp.mpf_le(v, libmp.fzero):
+        raise DomainError(f"ln requires a positive argument, got {libmp.to_str(v, 15)}")
+    return _bound(libmp.mpf_log(v, _bits(prec), libmp.round_nearest), prec)
 
 
 @lru_cache(maxsize=256)
@@ -276,13 +278,15 @@ def zeta(r: int, prec: Precision) -> BigReal:
     """Riemann zeta(r) for an int r >= 2."""
     if r < 2:
         raise DomainError(f"zeta(r) needs r >= 2, got {r}")
-    return BigReal(_new_context(prec.working_dps).zeta(r), prec)
+    return _bound(libmp.mpf_zeta_int(r, _bits(prec), libmp.round_nearest), prec)
 
 
 @lru_cache(maxsize=256)
 def polylog_half(r: int, prec: Precision) -> BigReal:
-    """Li_r(1/2) = sum_n 2^-n n^-r for an int r >= 1."""
+    """Li_r(1/2) = sum_n 2^-n n^-r for an int r >= 1, on a new mpmath context
+    of its own: polylog raises and restores its context's precision."""
     if r < 1:
         raise DomainError(f"Li_r(1/2) needs r >= 1, got {r}")
-    ctx = _new_context(prec.working_dps)
+    ctx = mp.MPContext()
+    ctx.dps = prec.working_dps
     return BigReal(ctx.polylog(r, ctx.mpf(1) / 2), prec)

@@ -37,7 +37,8 @@ def frozen_global_precision(monkeypatch):
 
 def clear_constant_memos():
     """Forget the memoized zeta and polylog values, so that the next closed
-    form runs mpmath's zeta and polylog again."""
+    form computes them again.  zeta is one libmp call; polylog is the only
+    code here that still runs on an mpmath context, a new one per call."""
     zeta.cache_clear()
     polylog_half.cache_clear()
 

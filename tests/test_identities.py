@@ -94,6 +94,15 @@ def test_formal_sum_canonical_order_and_render():
     assert render_formal_sum(s) == "-3/2*L[3 | 1] + L[2,1 | 1,1] + L[2 | 1]*L[3 | 1]"
 
 
+def test_equal_formal_sums_hash_alike():
+    a = FormalSum([(F(1), zeta_spec(2, 1)), (F(-3, 2), zeta_spec(3))])
+    # another order, an int coefficient and a zero term: the same sum
+    b = FormalSum([(F(-3, 2), zeta_spec(3)), (1, zeta_spec(2, 1)), (F(0), zeta_spec(5))])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a - b, FormalSum()}) == 2
+    assert repr(a) == "FormalSum(-3/2*L[3 | 1] + L[2,1 | 1,1])"
+
+
 # -- stuffle -------------------------------------------------------------------
 
 def test_stuffle_set_depth_one_pair():

@@ -119,6 +119,13 @@ def test_pow_int_zero_to_negative_is_domain_error():
         zero ** -1
 
 
+def test_pow_takes_int_exponents_only():
+    x = BigReal(2, Precision(20))
+    assert x.__pow__(Fraction(1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        x ** Fraction(1, 2)
+
+
 def test_decimal_string_golden_cases():
     prec = Precision(30)
     assert to_decimal_string(BigReal(945, prec), 5) == "945.00"
@@ -242,6 +249,11 @@ def test_bigreal_arithmetic_and_comparisons():
     assert bool(a) and not bool(a - a)
 
 
+def test_bigreal_repr_shows_its_digits():
+    assert repr(BigReal(Fraction(1, 3), Precision(10))) == "BigReal(0.3333333333, digits=10)"
+    assert repr(-pi(Precision(12))) == "BigReal(-3.14159265358, digits=12)"
+
+
 def test_bigreal_is_immutable():
     v = BigReal(1, Precision(20))
     with pytest.raises(AttributeError):
@@ -313,6 +325,24 @@ def test_operations_match_the_global_precision_oracle(x, y, k, n, digits):
     }
     for name, value in got.items():
         assert bits(value) == want[name]._mpf_, name
+
+
+@pytest.mark.parametrize("digits", [30, 50, 200])
+def test_constants_match_mpmath_on_a_private_context(digits):
+    """pi, ln and zeta(r) equal, bit for bit, mpmath's own pi, ln and zeta
+    run on a private context at the working dps."""
+    prec = Precision(digits)
+    ctx = mpmath.MPContext()
+    ctx.dps = prec.working_dps
+    bits = lambda v: v.mpf._mpf_
+    assert bits(pi(prec)) == (+ctx.pi)._mpf_
+    for q in (Fraction(2), Fraction(3, 7), Fraction(10 ** 80 + 1, 3), Fraction(1, 10 ** 30)):
+        want = ctx.ln(ctx.mpf(q.numerator) / q.denominator)._mpf_
+        assert bits(ln(q, prec)) == want, q
+        assert bits(ln(BigReal(q, prec), prec)) == want, q
+    for r in range(2, 16):
+        # past the memo, so that the libmp call runs at this precision
+        assert bits(zeta.__wrapped__(r, prec)) == ctx.zeta(r)._mpf_, r
 
 
 @pytest.mark.parametrize(
