@@ -150,7 +150,7 @@ def _evaluate_via_split(word, p: Fraction, prec: Precision) -> BigReal:
         left = evaluate_lambda(term.left, spec_prec)
         right = evaluate_lambda(term.right, spec_prec)
         total = total + left * right * term.sign
-    return BigReal(total.mpf, prec)
+    return BigReal(total.to_fraction(), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,7 @@ def crit_property_suites() -> tuple[bool, str]:
             lambda p: evaluate_zp(2, (2, 1), p),
         ):
             low = str(make(Precision(digits)))
-            high = str(
-                BigReal(make(Precision(digits + 10)).mpf, Precision(digits))
-            )
+            high = str(BigReal(make(Precision(digits + 10)).to_fraction(), Precision(digits)))
             if low != high:
                 return False, f"monotonicity broke at {digits} digits: {low} vs {high}"
     # stuffle / shuffle numeric consistency on random convergent specs with

@@ -33,12 +33,13 @@ Exponent strings enter through `model.int_tuple` and bases through
 instead of being truncated or rounded.
 
 The closed forms are the paper's evaluations in terms of pi, ln 2 and two
-constant families: A(r) = Li_r(1/2) (`precision.polylog_half`) and the
-signed zeta values Z(r) = (-1)^r zeta(r) (from `precision.zeta`), with
-P(r) = (ln 2)^r / r!.  Both families come from mpmath's zeta and polylog
-through `polyzeta.precision`, the one module that knows the number backend,
-so they stay independent of the nested-sum evaluator they check; each
-value is computed once per (r, prec).
+constant families: A(r) = Li_r(1/2) = L[r | 2] and the signed zeta values
+Z(r) = (-1)^r zeta(r), zeta(r) = L[r | 1], with P(r) = (ln 2)^r / r! =
+`mu_power(2, r)`.  Both families are depth-1 kernel values from
+`evaluate_lambda`, memoized per (spec, prec) there.  They check the
+evaluator on other words and routes than their own; the Tier-1 tests hold
+both families to mpmath, so that a kernel fault cannot cancel out of both
+sides.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .model import (
     word_to_lambda,
     zeta_spec,
 )
-from .precision import BigReal, Precision, ln, pi, polylog_half, zeta
+from .precision import BigReal, Precision, ln, pi
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -649,9 +650,10 @@ def z213(n: int, prec: Precision) -> BigReal:
         raise DomainError("n must be nonnegative")
     total = BigReal(0, prec)
     for k in range(n + 1):
-        acc = zeta(4 * k + 2, prec) * (4 * k + 1)
+        acc = evaluate_lambda(zeta_spec(4 * k + 2), prec) * (4 * k + 1)
         for j in range(1, k + 1):
-            acc = acc - zeta(4 * j - 1, prec) * zeta(4 * k - 4 * j + 3, prec) * 4
+            left = evaluate_lambda(zeta_spec(4 * j - 1), prec)
+            acc = acc - left * evaluate_lambda(zeta_spec(4 * k - 4 * j + 3), prec) * 4
         fours = zagier(n - k, prec) * Fraction(4 ** (n - k))  # zeta({4}^(n-k))
         total = total + fours * acc * Fraction((-1) ** k)
     return total * Fraction(1, 4 ** n)
@@ -668,12 +670,6 @@ def mu_power(p, n: int, prec: Precision) -> BigReal:
     return ln(q, prec) ** n * Fraction(1, factorial(n))
 
 
-def _log2_power(r: int, prec: Precision) -> BigReal:
-    """P(r) = (ln 2)^r / r!.  It divides by r!, where mu_power(2, r)
-    multiplies by 1/r!, which may round differently."""
-    return ln(2, prec) ** r / factorial(r)
-
-
 def t5(m: int, n: int, prec: Precision) -> BigReal:
     """mu({-1}^m, 1, {-1}^n) from A(r) = Li_r(1/2), P(r) = (ln 2)^r / r! and
     Z(r) = (-1)^r zeta(r); n = 0 is the paper's T4."""
@@ -681,12 +677,12 @@ def t5(m: int, n: int, prec: Precision) -> BigReal:
         raise DomainError("needs m >= 1 and n >= 0")
     first = BigReal(0, prec)
     for k in range(m + 1):
-        a = polylog_half(k + n + 1, prec)
-        first = first + a * _log2_power(m - k, prec) * comb(n + k, n)
+        a = evaluate_lambda(delta_spec(k + n + 1), prec)
+        first = first + a * mu_power(2, m - k, prec) * comb(n + k, n)
     second = BigReal(0, prec)
     for k in range(n + 1):
-        z = zeta(k + m + 1, prec) * (-1) ** (k + m + 1)
-        second = second + z * _log2_power(n - k, prec) * comb(m + k, m)
+        z = evaluate_lambda(zeta_spec(k + m + 1), prec) * (-1) ** (k + m + 1)
+        second = second + z * mu_power(2, n - k, prec) * comb(m + k, m)
     return first * Fraction((-1) ** (m + 1)) + second * Fraction((-1) ** (n + 1))
 
 
@@ -700,9 +696,9 @@ def zeta_li_log(n: int, prec: Precision) -> BigReal:
     """delta(2, {1}^n) = zeta(n+2) - sum_{r=1}^{n+2} A_r P_{n+2-r}."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    acc = zeta(n + 2, prec)
+    acc = evaluate_lambda(zeta_spec(n + 2), prec)
     for r in range(1, n + 3):
-        acc = acc - polylog_half(r, prec) * _log2_power(n + 2 - r, prec)
+        acc = acc - evaluate_lambda(delta_spec(r), prec) * mu_power(2, n + 2 - r, prec)
     return acc
 
 
@@ -712,13 +708,13 @@ def delta_odd(n: int, prec: Precision) -> BigReal:
         raise DomainError("n must be a positive integer")
     acc = BigReal(0, prec)
     for j in range(1, 2 * n):
-        term = polylog_half(j, prec) * polylog_half(2 * n - j, prec)
+        term = evaluate_lambda(delta_spec(j), prec) * evaluate_lambda(delta_spec(2 * n - j), prec)
         acc = acc + term * Fraction((-1) ** (j + 1))
     return acc * Fraction(1, 2)
 
 
 def delta_12(prec: Precision) -> BigReal:
-    a1, a2, a3 = (polylog_half(r, prec) for r in (1, 2, 3))
+    a1, a2, a3 = (evaluate_lambda(delta_spec(r), prec) for r in (1, 2, 3))
     return a2 * a1 * Fraction(5, 7) - a3 * Fraction(2, 7) + a1 ** 3 * Fraction(5, 21)
 
 

@@ -9,25 +9,21 @@ precision and rounding mode as arguments, so each result is rounded once at
 that precision; these are the calls mpmath's own ``mpf`` methods make, so
 the bits are those of mpmath's arithmetic at that precision.  ``str()``
 truncates to ``digits`` significant digits and `to_decimal_string` rounds
-to nearest.  No mpmath context is shared and mpmath's global precision is
+to nearest.  No mpmath context is made and mpmath's global precision is
 never read or written, so no value depends on it and threads may compute
 at different precisions at once.  This is the one module that imports
-mpmath.
+mpmath, and it imports only `mpmath.libmp`.
 
-`pi`, `ln` and `zeta` are `libmp` calls too.  `polylog_half` has no `libmp`
-form: it runs mpmath's polylog on a new context of its own, since polylog
-raises and restores the precision of the context it runs on.  `zeta` and
-`polylog_half`, the constants of the closed forms in `polyzeta.identities`,
-are memoized per (r, prec).
+`pi` and `ln` are `libmp` calls too.  The constants zeta(r) and Li_r(1/2)
+of the closed forms in `polyzeta.identities` are kernel values,
+``evaluate_lambda(zeta_spec(r), prec)`` and
+``evaluate_lambda(delta_spec(r), prec)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import mpmath as mp
 from mpmath import libmp
 
 from .errors import DomainError, PrecisionMismatch
@@ -68,9 +64,9 @@ def _bits(prec: Precision) -> int:
 def _to_mpf(value, bits: int) -> tuple:
     """value rounded to nearest at bits binary digits, as a raw mpf tuple.
 
-    value must be exact: an int, a Fraction, a (mantissa, binary exponent)
-    pair of ints or a finite mpf.  A float or a str would bring its own
-    binary or decimal rounding into the value, and inf or nan is no number.
+    value must be exact: an int, a Fraction or a (mantissa, binary
+    exponent) pair of ints.  A float or a str would bring its own binary or
+    decimal rounding into the value.
     A Fraction p/q rounds p first and then the quotient, as mpmath's
     ``mpf(p) / q`` does.
     """
@@ -82,13 +78,9 @@ def _to_mpf(value, bits: int) -> tuple:
         return libmp.from_int(value, bits, rnd)
     if type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value):
         return libmp.from_man_exp(value[0], value[1], bits, rnd)
-    if isinstance(value, mp.ctx_mp_python._mpf):  # the mpf of any context
-        if value._mpf_ in (libmp.finf, libmp.fninf, libmp.fnan):
-            raise ValueError(f"not a finite value: {value}")
-        return libmp.mpf_pos(value._mpf_, bits, rnd)
     raise TypeError(
-        "expected an int, a Fraction, a (mantissa, exponent) pair of ints"
-        f" or an mpf, got {type(value).__name__}"
+        "expected an int, a Fraction or a (mantissa, exponent) pair of ints,"
+        f" got {type(value).__name__}"
     )
 
 
@@ -111,9 +103,9 @@ def _operator(fn, arithmetic: bool = True):
 class BigReal:
     """Immutable arbitrary-precision real bound to a Precision.
 
-    The value may be an int, a Fraction, a finite mpf or a (mantissa, binary
-    exponent) pair of ints, and nothing inexact (a float, a str); it is
-    rounded once to the working precision.  No operation makes inf or nan:
+    The value may be an int, a Fraction or a (mantissa, binary exponent)
+    pair of ints, and nothing inexact (a float, a str, an mpmath float); it
+    is rounded once to the working precision.  No operation makes inf or nan:
     division by zero raises, 0 has no negative power and `ln` takes only
     positive values.
     Binary operations require both operands to share the same Precision;
@@ -129,11 +121,10 @@ class BigReal:
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
 
-    @property
-    def mpf(self) -> mp.mpf:
-        """The backing float (an exact dyadic rational) as a plain mpmath mpf,
-        not rounded again."""
-        return mp.make_mpf(self._v)
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the value from its raw float,
+        # which is a plain tuple of ints, without rounding it again
+        return _bound, (self._v, self.prec)
 
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
@@ -271,22 +262,3 @@ def ln(x, prec: Precision) -> BigReal:
     if libmp.mpf_le(v, libmp.fzero):
         raise DomainError(f"ln requires a positive argument, got {libmp.to_str(v, 15)}")
     return _bound(libmp.mpf_log(v, _bits(prec), libmp.round_nearest), prec)
-
-
-@lru_cache(maxsize=256)
-def zeta(r: int, prec: Precision) -> BigReal:
-    """Riemann zeta(r) for an int r >= 2."""
-    if r < 2:
-        raise DomainError(f"zeta(r) needs r >= 2, got {r}")
-    return _bound(libmp.mpf_zeta_int(r, _bits(prec), libmp.round_nearest), prec)
-
-
-@lru_cache(maxsize=256)
-def polylog_half(r: int, prec: Precision) -> BigReal:
-    """Li_r(1/2) = sum_n 2^-n n^-r for an int r >= 1, on a new mpmath context
-    of its own: polylog raises and restores its context's precision."""
-    if r < 1:
-        raise DomainError(f"Li_r(1/2) needs r >= 1, got {r}")
-    ctx = mp.MPContext()
-    ctx.dps = prec.working_dps
-    return BigReal(ctx.polylog(r, ctx.mpf(1) / 2), prec)

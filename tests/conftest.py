@@ -1,6 +1,13 @@
+import mpmath
 import pytest
 
 from polyzeta import Precision
+
+
+def mpf(x):
+    """A BigReal's value as an mpmath float, exactly: the raw float it holds,
+    not rounded again."""
+    return mpmath.make_mpf(x._v)
 
 
 @pytest.fixture

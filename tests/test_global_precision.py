@@ -12,7 +12,7 @@ import pytest
 from polyzeta import BigReal, Precision, evaluate_lambda, lindep, parse_spec, to_decimal_string
 from polyzeta.cli import run
 from polyzeta.identities import delta_odd, t5
-from polyzeta.precision import ln, pi, polylog_half, zeta
+from polyzeta.precision import ln, pi
 
 
 @pytest.fixture
@@ -35,16 +35,8 @@ def frozen_global_precision(monkeypatch):
         mpmath.mp.dps = 30
 
 
-def clear_constant_memos():
-    """Forget the memoized zeta and polylog values, so that the next closed
-    form computes them again.  zeta is one libmp call; polylog is the only
-    code here that still runs on an mpmath context, a new one per call."""
-    zeta.cache_clear()
-    polylog_half.cache_clear()
-
-
 def test_nothing_writes_the_global_precision(frozen_global_precision, capsys):
-    clear_constant_memos()
+    evaluate_lambda.cache_clear()
     prec = Precision(33)
     x = BigReal(Fraction(2, 7), prec)
     y = (x + 1) * x - Fraction(1, 3) / x
@@ -64,13 +56,12 @@ def test_threads_at_different_precisions_get_their_serial_values():
         x = BigReal(Fraction(5, 7), prec)
         return (ln(x + 2, prec) * x).to_fraction()
 
-    def polylogs(digits):
-        # mpmath's polylog changes the precision of the context it runs in;
-        # without the memo it runs on every call
-        clear_constant_memos()
+    def closed_form(digits):
+        # without the memo, the kernel computes its Li_r(1/2) on every call
+        evaluate_lambda.cache_clear()
         return delta_odd(3, Precision(digits)).to_fraction()
 
-    jobs = [(arithmetic, 30), (arithmetic, 300), (polylogs, 30)]
+    jobs = [(arithmetic, 30), (arithmetic, 300), (closed_form, 30)]
     serial = [f(digits) for f, digits in jobs]
     wrong = [0] * len(jobs)
 

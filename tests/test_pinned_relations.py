@@ -73,7 +73,7 @@ def low_digit_vectors():
 def result_line(result) -> str:
     bound = result.exclusion_bound
     return (
-        f"{result.coefficients} {result.residual.mpf._mpf_} "
+        f"{result.coefficients} {result.residual._v} "
         f"{bound.hex() if bound is not None else None}"
     )
 

@@ -33,6 +33,8 @@ from polyzeta.relations import (
     lll_reduce,
 )
 
+from conftest import mpf
+
 F = Fraction
 
 
@@ -225,8 +227,7 @@ def test_lindep_rejects_bogus_sampling_relations():
     # and must be rejected by the norm cap
     prec = Precision(40)
     rng = random.Random(23)
-    with mp.workdps(prec.working_dps):
-        xs = [BigReal(mp.mpf(rng.random()) + 1, prec) for _ in range(3)]
+    xs = [BigReal(Fraction(rng.random()) + 1, prec) for _ in range(3)]
     result = lindep(xs)
     assert not result.found
     assert result.exclusion_bound is not None
@@ -437,7 +438,7 @@ def pslq_relation(values):
     digits = values[0].prec.digits
     maxcoeff = int(10 ** ((digits - 10) / (len(values) + 1))) + 1
     with mp.workdps(digits):
-        found = mp.pslq([+x.mpf for x in values], maxcoeff=maxcoeff, maxsteps=10 ** 6)
+        found = mp.pslq([+mpf(x) for x in values], maxcoeff=maxcoeff, maxsteps=10 ** 6)
     if found is None:
         return None
     if next(c for c in found if c) < 0:
