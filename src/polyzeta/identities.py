@@ -18,15 +18,24 @@ reductions); every one of them can be evaluated.
 Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
 is its one merge step: it adds a coefficient in and drops the key when the
-sum is zero.  `FormalSum` merges its terms with it, keyed by `_body_key`.
-The shuffle and stuffle products count their raw terms before they build
-bodies, so each distinct body is built and keyed once.
+sum is zero.  `FormalSum` merges its terms with it, keyed by `_body_key`; a
+spec's key is built once and kept on the spec.  The shuffle and stuffle
+products count their raw terms on int keys (letter codes; exponent strings
+with base-product codes) before they build bodies, so each distinct body
+is built and keyed once.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
 algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
 dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
-strings).  Products concatenate and sort the factor tuples; sums merge
-through `_add_term`.  Only the final degree-0 part becomes a `FormalSum`.
+strings), with int coefficients: each polynomial is kept scaled by a
+factorial that clears its denominators, and the one division happens when
+the final degree-0 part becomes a `FormalSum`.  Products concatenate and
+sort the factor tuples; sums merge through `_add_term`.  The memos of this
+algebra (string -> T-polynomial, block -> lifted T-polynomial, exponent
+string -> zeta spec) are plain dicts that the caller passes in:
+`reversal_reduction` makes fresh ones per call, and `identity_catalog`
+makes one set per build and shares it among all its reductions.  No memo
+here outlives the call that made it.
 
 Exponent strings enter through `model.int_tuple` and bases through
 `model.rational`, so a non-integer exponent or a float base raises TypeError
@@ -48,7 +57,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, perm, prod
 
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
@@ -87,16 +96,21 @@ class SpecProduct:
 
 
 def _spec_key(spec: LambdaSpec):
-    return (
-        spec.depth,
-        spec.exponents,
-        tuple((b.numerator, b.denominator) for b in spec.bases),
-    )
+    """(0, depth, exponents, n_1, d_1, ..., n_k, d_k) for bases n_j/d_j,
+    built once per spec and kept on it; the 0 ranks specs first among
+    bodies.  Two keys reach the n_j and d_j only at equal depth, so they
+    order as tuples of (numerator, denominator) pairs would."""
+    key = spec._key
+    if key is None:
+        key = (0, spec.depth, spec.exponents)
+        key += tuple(x for b in spec.bases for x in (b.numerator, b.denominator))
+        object.__setattr__(spec, "_key", key)
+    return key
 
 
 def _body_key(body):
     if isinstance(body, LambdaSpec):
-        return (0,) + _spec_key(body)
+        return _spec_key(body)
     if isinstance(body, tuple):  # a word
         return (1, len(body), tuple((a.numerator, a.denominator) for a in body))
     if isinstance(body, SpecProduct):
@@ -211,6 +225,29 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
+def _stuffle_paths(s, t, table) -> list:
+    """Every interleave/merge path of the exponent strings s and t, as
+    (u, c) pairs: u the combined exponent string and c the entries
+    table[i][j] at the (i, j) letters of s and t consumed after each step.
+    """
+    m, n = len(s), len(t)
+    out = []
+
+    def rec(i, j, u, c):
+        if i == m and j == n:
+            out.append((u, c))
+            return
+        if i < m:
+            rec(i + 1, j, u + (s[i],), c + (table[i + 1][j],))
+            if j < n:
+                rec(i + 1, j + 1, u + (s[i] + t[j],), c + (table[i + 1][j + 1],))
+        if j < n:
+            rec(i, j + 1, u + (t[j],), c + (table[i][j + 1],))
+
+    rec(0, 0, (), ())
+    return out
+
+
 def stuffle_set(s, t, a, b):
     """All interleave/merge combinations of two exponent strings with their
     running-product base strings.
@@ -227,35 +264,31 @@ def stuffle_set(s, t, a, b):
     b = tuple(map(rational, b))
     if len(s) != len(a) or len(t) != len(b):
         raise ValueError("exponent and base strings must have equal lengths")
-    A = (Fraction(1),) + a
-    B = (Fraction(1),) + b
-    out = []
-
-    def rec(i, j, u, c):
-        if i == len(s) and j == len(t):
-            out.append((tuple(u), tuple(c)))
-            return
-        if i < len(s):
-            rec(i + 1, j, u + [s[i]], c + [A[i + 1] * B[j]])
-        if i < len(s) and j < len(t):
-            rec(i + 1, j + 1, u + [s[i] + t[j]], c + [A[i + 1] * B[j + 1]])
-        if j < len(t):
-            rec(i, j + 1, u + [t[j]], c + [A[i] * B[j + 1]])
-
-    rec(0, 0, [], [])
-    return tuple(out)
+    table = [[x * y for y in (Fraction(1),) + b] for x in (Fraction(1),) + a]
+    return tuple(_stuffle_paths(s, t, table))
 
 
 def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
     """lambda(u) * lambda(v) as a sum over the interleave/merge set.
 
-    Repeated (exponents, bases) pairs are counted first, so each distinct
-    spec is built once, with its multiplicity as coefficient.
+    The paths run over a (depth(u)+1) x (depth(v)+1) table of small-int
+    codes, one code per distinct base product A[i] * B[j], and are counted
+    by (exponent string, base codes), so each distinct spec is built once,
+    with its multiplicity as coefficient.
     """
+    codes: dict = {}  # base product -> its code, in first-seen order
+    table = [
+        [codes.setdefault(x * y, len(codes)) for y in (Fraction(1),) + v.bases]
+        for x in (Fraction(1),) + u.bases
+    ]
+    values = tuple(codes)
     counts: dict = {}
-    for pair in stuffle_set(u.exponents, v.exponents, u.bases, v.bases):
-        _add_term(counts, pair, 1)
-    return FormalSum((n, LambdaSpec.of(ue, ce)) for (ue, ce), n in counts.items())
+    for key in _stuffle_paths(u.exponents, v.exponents, table):
+        _add_term(counts, key, 1)
+    return FormalSum(
+        (n, LambdaSpec.of(ue, tuple(values[c] for c in ce)))
+        for (ue, ce), n in counts.items()
+    )
 
 
 def rational_stuffle_check(a, b) -> bool:
@@ -497,44 +530,110 @@ def _t_mul(p: dict, q: dict) -> dict:
     return out
 
 
+def _leading_ones(s: tuple[int, ...]) -> int:
+    """L(s), the number of leading 1s of s."""
+    n = 0
+    while n < len(s) and s[n] == 1:
+        n += 1
+    return n
+
+
 def _regularize_string(s: tuple[int, ...], memo: dict) -> dict:
-    """Zeta string (possibly with leading 1s) as a polynomial in the formal
-    divergent symbol T = "zeta(1)", with convergent coefficients.
+    """L(s)! times the zeta string s (possibly with leading 1s) as a
+    polynomial in the formal divergent symbol T = "zeta(1)", with convergent
+    coefficients; L(s) is the number of leading 1s of s.
 
     The polynomial is a dict mapping (degree of T, sorted tuple of convergent
-    zeta exponent strings) to the exact rational coefficient of that product
-    (an int until a division makes it a Fraction); zero coefficients are
-    never stored.  Results are kept in ``memo``, which the caller scopes to
-    one reduction.
+    zeta exponent strings) to the int coefficient of that product; zero
+    coefficients are never stored.  Results are kept in ``memo``, keyed by
+    s alone, which the caller scopes to one reduction or one catalog build.
 
     Uses the exact product expansion of T with the tail string w = s[1:]:
     inserting the 1 at any slot or merging it into an entry.  Insertions
     into the leading run of 1s reproduce s itself, giving it multiplicity
-    (leading-ones(w) + 1) on the left; everything else has strictly fewer
-    leading 1s or is shorter, so the recursion terminates.  The expansion
-    holds for every common truncation of the underlying sums, so
-    substituting the results back preserves exact identities.
+    L(w) + 1 = L(s) on the left, so L(s) reg(s) = T reg(w) - sum reg(x)
+    over the other insertions and the merges x.  Every such x has fewer
+    leading 1s than s or is shorter, so the recursion terminates; a merge
+    at index i < L(w) leaves i leading 1s and every other x keeps L(w).
+    With L(x) <= L(s) - 1, multiplying by (L(s) - 1)! gives
+    L(s)! reg(s) = T L(w)! reg(w) - sum (L(s) - 1)! / L(x)! * L(x)! reg(x),
+    an int combination of int polynomials.  The expansion holds for every
+    common truncation of the underlying sums, so substituting the results
+    back preserves exact identities.
     """
     if not s or s[0] != 1:
         return {(0, (s,) if s else ()): 1}
     if s in memo:
         return memo[s]
     w = s[1:]
-    lead = 0
-    while lead < len(w) and w[lead] == 1:
-        lead += 1
-    scale = Fraction(1, lead + 1)
+    lead = _leading_ones(w)
     out = {
-        (degree + 1, factors): scale * c
+        (degree + 1, factors): c
         for (degree, factors), c in _regularize_string(w, memo).items()
     }
     for i in range(lead + 1, len(w) + 1):
-        _t_accumulate(out, _regularize_string(w[:i] + (1,) + w[i:], memo), -scale)
+        _t_accumulate(out, _regularize_string(w[:i] + (1,) + w[i:], memo), -1)
     for i in range(len(w)):
         merged = w[:i] + (w[i] + 1,) + w[i + 1:]
+        scale = perm(lead, lead - i) if i < lead else 1  # lead! / L(merged)!
         _t_accumulate(out, _regularize_string(merged, memo), -scale)
     memo[s] = out
     return out
+
+
+def _lift(block: tuple[int, ...], memo: dict, lifts: dict) -> dict:
+    """len(block)! times the T-polynomial of block's weak-chain expansion,
+    kept in ``lifts``; every chain has at most len(block) leading 1s."""
+    lifted = lifts.get(block)
+    if lifted is None:
+        n = factorial(len(block))
+        lifted = {}
+        for chain in _weak_chains(block):
+            scale = n // factorial(_leading_ones(chain))
+            _t_accumulate(lifted, _regularize_string(chain, memo), scale)
+        lifts[block] = lifted
+    return lifted
+
+
+def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
+    """`reversal_reduction` of a checked exponent string s, with the
+    caller's memos: ``memo`` for `_regularize_string`, ``lifts`` for
+    `_lift` and ``specs``, exponent string -> zeta spec, for the factors.
+
+    Every piece is kept k! times over, k = len(s): a piece is a product of
+    block lifts, each scaled by len(block)!, times the multinomial
+    k! / prod len(block)!, so the whole algebra runs on ints and divides by
+    k! once, when the degree-0 part becomes a FormalSum.
+    """
+    k = len(s)
+    scale = factorial(k)
+    total: dict = {}
+    for mask in range(1 << (k - 1)):
+        # runs of consecutive constrained indices partition the variables
+        blocks = _blocks(s, mask)
+        coeff = scale // prod(factorial(len(block)) for block in blocks)
+        piece = {(0, ()): -coeff if bin(mask).count("1") % 2 else coeff}
+        for block in blocks:
+            lifted = _lift(block, memo, lifts)
+            if len(block) == k:
+                # move the all-strict reversed term to the left-hand side;
+                # it starts with s[-1] >= 2, so its own scale is 0! = 1
+                lifted = dict(lifted)
+                _t_accumulate(lifted, _regularize_string(s[::-1], memo), -scale)
+            piece = _t_mul(piece, lifted)
+        _t_accumulate(total, piece, 1)
+    bad = {key: c for key, c in total.items() if key[0] != 0}
+    if bad:  # an explicit raise, so that python -O keeps the check
+        raise AssertionError(f"divergent degrees failed to cancel: {bad}")
+    terms = []
+    for (_, factors), c in total.items():
+        for f in factors:
+            if f not in specs:
+                specs[f] = zeta_spec(*f)
+        q, r = divmod(c, scale)
+        coeff = Fraction(c, scale) if r else q
+        terms.append((coeff, SpecProduct(tuple(specs[f] for f in factors))))
+    return FormalSum(terms)
 
 
 def reversal_reduction(s) -> FormalSum:
@@ -547,68 +646,35 @@ def reversal_reduction(s) -> FormalSum:
     entries make individual pieces divergent; those are eliminated exactly
     through the T-polynomial rewriting of ``_regularize_string``, and the
     divergent degrees provably cancel (a leftover raises AssertionError,
-    under python -O too).  The algebra runs on plain dicts of exact
-    rationals; only the degree-0 result becomes a FormalSum.
+    under python -O too).  The algebra runs on plain dicts of ints, scaled
+    by depth!; only the degree-0 result is divided and becomes a FormalSum.
+    Each call makes its own memos.
     """
     s = int_tuple(s)
-    k = len(s)
-    if k == 0 or s[0] < 2 or s[-1] < 2:
+    if not s or s[0] < 2 or s[-1] < 2:
         raise DivergenceError(
             "reversal reduction needs first and last exponents >= 2"
         )
-    memo: dict = {}  # zeta string -> its T-polynomial
-    lifts: dict = {}  # block -> T-polynomial of its weak-chain expansion
-    total: dict = {}
-    for mask in range(1 << (k - 1)):
-        nbits = bin(mask).count("1")
-        piece = {(0, ()): (-1) ** nbits}
-        full_chain = mask == (1 << (k - 1)) - 1
-        # runs of consecutive constrained indices partition the variables
-        for block in _blocks(s, mask):
-            lifted = lifts.get(block)
-            if lifted is None:
-                lifted = {}
-                for chain in _weak_chains(block):
-                    _t_accumulate(lifted, _regularize_string(chain, memo), 1)
-                lifts[block] = lifted
-            if full_chain:
-                # move the all-strict reversed term to the left-hand side
-                lifted = dict(lifted)
-                _t_accumulate(lifted, _regularize_string(block[::-1], memo), -1)
-            piece = _t_mul(piece, lifted)
-        _t_accumulate(total, piece, 1)
-    bad = {key: c for key, c in total.items() if key[0] != 0}
-    if bad:  # an explicit raise, so that python -O keeps the check
-        raise AssertionError(f"divergent degrees failed to cancel: {bad}")
-    # one spec per distinct exponent string, not one per factor
-    strings = {f for _, factors in total for f in factors}
-    specs = {f: zeta_spec(*f) for f in strings}
-    return FormalSum(
-        (c, SpecProduct(tuple(specs[f] for f in factors)))
-        for (_, factors), c in total.items()
-    )
+    return _reversal_reduction(s, {}, {}, {})
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and closed forms
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE: dict[int, Fraction] = {0: Fraction(1)}
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0 .. B_n from the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) / (m + 1))
+    return out
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number (B_1 = -1/2 convention)."""
     if n < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    if n not in _BERNOULLI_CACHE:
-        for m in range(1, n + 1):
-            if m in _BERNOULLI_CACHE:
-                continue
-            acc = Fraction(0)
-            for j in range(m):
-                acc += comb(m + 1, j) * _BERNOULLI_CACHE[j]
-            _BERNOULLI_CACHE[m] = -acc / (m + 1)
-    return _BERNOULLI_CACHE[n]
+    return _bernoulli_numbers(n)[n]
 
 
 def delta_negative_exact(n: int) -> int:
@@ -626,9 +692,10 @@ def delta_one_negative_exact(n: int) -> Fraction:
     """delta(1, -n) for n >= 1, via Bernoulli numbers (exact rational)."""
     if n < 1:
         raise DomainError("index must be a positive integer")
+    b = _bernoulli_numbers(n)
     return sum(
         (
-            Fraction(comb(n, nu)) * bernoulli(n - nu) * delta_negative_exact(nu)
+            Fraction(comb(n, nu)) * b[n - nu] * delta_negative_exact(nu)
             / (nu + 1)
             for nu in range(n + 1)
         ),
@@ -766,9 +833,10 @@ def identity_catalog(max_weight: int) -> list[Identity]:
             Identity("duality", FormalSum.single(specs[s]), FormalSum.single(dual))
         )
 
-    for u in strings:
-        for v in strings:
-            if sum(u) + sum(v) > max_weight or u > v:
+    weights = [sum(s) for s in strings]
+    for i, u in enumerate(strings):
+        for v, weight in zip(strings[i:], weights[i:]):  # every v >= u
+            if weights[i] + weight > max_weight:
                 continue
             lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
             identities.append(
@@ -778,12 +846,15 @@ def identity_catalog(max_weight: int) -> list[Identity]:
                 Identity("shuffle", lhs, shuffle_words(words[u], words[v]))
             )
 
+    memo: dict = {}  # one regularization memo and one lift memo per build
+    lifts: dict = {}
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
             lhs = FormalSum.single(specs[s]) + FormalSum.single(
                 specs[s[::-1]], (-1) ** len(s)
             )
-            identities.append(Identity("reversal", lhs, reversal_reduction(s)))
+            rhs = _reversal_reduction(s, memo, lifts, specs)
+            identities.append(Identity("reversal", lhs, rhs))
 
     return identities
 

@@ -36,6 +36,10 @@ def rational(value) -> Fraction:
     split parameters.  An int or Fraction keeps its value; a float, str or
     anything else raises TypeError instead of being read as the binary
     fraction it rounds to."""
+    if type(value) is Fraction:  # the common cases skip the ABC check
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if not isinstance(value, numbers.Rational):
         raise TypeError(
             f"expected an int or Fraction, got {type(value).__name__} {value!r}"
@@ -52,14 +56,26 @@ def _frac(b) -> Fraction:
 
 @dataclass(frozen=True)
 class LambdaSpec:
-    """Exponent/base pairs of a multiple polylogarithm, outermost first."""
+    """Exponent/base pairs of a multiple polylogarithm, outermost first.
+
+    ``exponents`` and ``bases`` are the two strings as tuples, built once
+    with ``terms``; they are attributes, not fields, so equality and
+    hashing read ``terms`` alone.  ``_text`` and ``_key`` start as None and
+    keep `format_spec`'s text and `identities`' sort key from their first
+    use.  Every instance sets the same attributes in the same order, so
+    they share one attribute layout.
+    """
 
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
         exponents = int_tuple(s for s, _ in self.terms)
-        bases = (_frac(b) for _, b in self.terms)
+        bases = tuple(_frac(b) for _, b in self.terms)
         object.__setattr__(self, "terms", tuple(zip(exponents, bases)))
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def of(cls, exponents, bases) -> "LambdaSpec":
@@ -70,20 +86,12 @@ class LambdaSpec:
         return cls(tuple(zip(exponents, bases)))
 
     @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.terms)
-
-    @property
-    def bases(self) -> tuple[Fraction, ...]:
-        return tuple(b for _, b in self.terms)
-
-    @property
     def depth(self) -> int:
         return len(self.terms)
 
     @property
     def weight(self) -> int:
-        return sum(s for s, _ in self.terms)
+        return sum(self.exponents)
 
     def is_convergent(self) -> bool:
         return check_convergence(self)[0]
@@ -116,10 +124,15 @@ def mu_spec(*bases) -> LambdaSpec:
 
 
 def format_spec(spec: LambdaSpec) -> str:
-    """Canonical text form ``L[s1,...,sk | b1,...,bk]``."""
-    ss = ",".join(str(s) for s in spec.exponents)
-    bs = ",".join(str(b) for b in spec.bases)
-    return f"L[{ss} | {bs}]" if spec.depth else "L[]"
+    """Canonical text form ``L[s1,...,sk | b1,...,bk]``, built once per
+    spec and kept on it."""
+    text = spec._text
+    if text is None:
+        ss = ",".join(map(str, spec.exponents))
+        bs = ",".join(map(str, spec.bases))
+        text = f"L[{ss} | {bs}]" if spec.depth else "L[]"
+        object.__setattr__(spec, "_text", text)
+    return text
 
 
 def parse_spec(text: str) -> LambdaSpec:

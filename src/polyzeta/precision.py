@@ -55,10 +55,17 @@ class Precision:
         return self.digits + self.guard
 
 
+_DPS_BITS: dict[int, int] = {}  # working dps -> libmp.dps_to_prec(dps)
+
+
 def _bits(prec: Precision) -> int:
     """The binary precision of prec's working digits, as mpmath's dps
-    setting makes it."""
-    return libmp.dps_to_prec(prec.working_dps)
+    setting makes it; computed once per working dps."""
+    dps = prec.working_dps
+    bits = _DPS_BITS.get(dps)
+    if bits is None:
+        bits = _DPS_BITS[dps] = libmp.dps_to_prec(dps)
+    return bits
 
 
 def _to_mpf(value, bits: int) -> tuple:

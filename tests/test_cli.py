@@ -550,6 +550,18 @@ def test_identities_export_weight_six_golden(tmp_path, capsys):
     )
 
 
+def test_identities_export_weight_ten_golden(tmp_path, capsys):
+    # the largest weight the CLI exports, whose reversal reductions reach
+    # the longest runs of leading 1s
+    out = tmp_path / "ident.jsonl"
+    assert run(["identities", "export", "--weight", "10", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1280
+    assert hashlib.sha256(data).hexdigest() == (
+        "7833870dc49111737a40f11f102e28a391e0b6516c0c261aa8fb8770a0ce5710"
+    )
+
+
 DEEP_INPUTS = [
     "+".join(["1"] * 3000),
     "(" * 5000 + "1" + ")" * 5000,

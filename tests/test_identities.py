@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -191,6 +191,18 @@ def test_stuffle_identity_mzv_examples():
         ]
     )
     assert fs == want
+
+
+def test_stuffle_identity_merges_equal_base_products():
+    # the running products are A = B = (1, 2, 1), so distinct (i, j) cells
+    # share a product (A[1] B[0] = A[0] B[1] = 2, A[2] B[0] = A[0] B[0] = 1)
+    # and paths through them must count toward one spec
+    a = b = (F(2), F(1, 2))
+    pairs = stuffle_set((2, 1), (2, 1), a, b)
+    fs = stuffle_identity(LambdaSpec.of((2, 1), a), LambdaSpec.of((2, 1), b))
+    want = Counter(LambdaSpec.of(u, c) for u, c in pairs)
+    assert {body: c for c, body in fs} == want
+    assert len(want) < len(pairs)
 
 
 def test_stuffle_identity_empty_unit():
@@ -568,17 +580,19 @@ def _truncated_zeta(entries, cap: int) -> F:
 def test_divergent_string_regularization_is_truncation_exact():
     # the pull-out rewriting holds exactly for every common truncation: with
     # T instantiated as the truncated harmonic number, both sides agree as
-    # rationals, including strings with repeated leading 1s
-    from polyzeta.identities import _regularize_string
+    # rationals, including strings with repeated leading 1s; the int
+    # polynomial of a string with L leading 1s is L! times its value
+    from polyzeta.identities import _leading_ones, _regularize_string
 
     cap = 14
     harmonic = sum((F(1, n) for n in range(1, cap + 1)), F(0))
     for entries in [(1, 2), (1, 3, 2), (1, 1, 2), (1, 1, 1, 2), (1, 2, 1, 3)]:
-        lhs = _truncated_zeta(entries, cap)
+        lhs = _truncated_zeta(entries, cap) * factorial(_leading_ones(entries))
         rhs = F(0)
         # keys are (degree of T, sorted convergent factor strings)
         for (degree, factors), coeff in _regularize_string(entries, {}).items():
             assert all(f and f[0] != 1 for f in factors)
+            assert type(coeff) is int
             prod = F(coeff)
             for factor in factors:
                 prod *= _truncated_zeta(factor, cap)
@@ -704,6 +718,60 @@ def test_reversal_reduction_cancellation_check_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("divergent degrees failed to cancel")
+
+
+def test_catalog_reversals_match_the_reduction_run_alone():
+    # the catalog's reductions share one regularization memo, one lift memo
+    # and its zeta specs; each must equal the reduction with fresh memos
+    # (an odd-depth palindrome has an empty left-hand side, so the strings
+    # come from the catalog's own list, in its order)
+    reversals = [i for i in identity_catalog(9) if i.tag == "reversal"]
+    strings = [s for s in identities._convergent_strings(9) if s[-1] >= 2]
+    assert len(reversals) == len(strings) == 128
+    for ident, s in zip(reversals, strings):
+        alone = reversal_reduction(s)
+        assert ident.rhs == alone, s
+        assert render_formal_sum(ident.rhs) == render_formal_sum(alone)
+
+
+def test_catalog_regularizes_each_string_once_per_build(monkeypatch):
+    # a miss is a call on a string with a leading 1 that the memo lacks; a
+    # build misses each such string once, and nothing carries over from
+    # one build to the next
+    regularize = identities._regularize_string
+    misses: list = []
+
+    def counting(s, memo):
+        if s and s[0] == 1 and s not in memo:
+            misses.append(s)
+        return regularize(s, memo)
+
+    monkeypatch.setattr(identities, "_regularize_string", counting)
+    first = [i.to_json() for i in identity_catalog(8)]
+    first_misses, misses[:] = list(misses), []
+    assert [i.to_json() for i in identity_catalog(8)] == first
+    assert misses == first_misses
+    assert len(first_misses) == len(set(first_misses)) == 30
+
+
+def test_export_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # set and dict iteration orders change with the hash seed; the catalog's
+    # canonical order must not
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"ident-{seed}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyzeta.cli", "identities", "export",
+             "--weight", "8", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 256
 
 
 def test_reversal_reduction_validates():

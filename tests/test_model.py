@@ -26,6 +26,7 @@ from polyzeta.model import (
     delta_spec,
     make_word,
     mu_spec,
+    rational,
     word_convergent,
 )
 
@@ -226,6 +227,30 @@ def test_spec_text_roundtrip():
     assert parse_spec(text) == spec
     assert parse_spec("L[]") == LambdaSpec(())
     assert format_spec(LambdaSpec(())) == "L[]"
+
+
+def test_spec_derived_data_is_built_once():
+    # the strings, the text and the identities sort key are built once per
+    # spec; equality, hashing and repr still read the terms alone
+    from polyzeta.identities import _spec_key
+
+    spec = LambdaSpec.of((2, 1), (1, F(-1, 2)))
+    assert spec.exponents is spec.exponents == (2, 1)
+    assert spec.bases is spec.bases == (F(1), F(-1, 2))
+    text = format_spec(spec)
+    assert format_spec(spec) is text
+    key = _spec_key(spec)
+    assert _spec_key(spec) is key
+    fresh = LambdaSpec.of((2, 1), (1, F(-1, 2)))
+    assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
+
+
+def test_rational_keeps_an_exact_fraction():
+    x = F(-3, 2)
+    assert rational(x) is x
+    for value, want in ((7, F(7)), (True, F(1)), (F(6, 4), F(3, 2))):
+        got = rational(value)
+        assert type(got) is Fraction and got == want
 
 
 def test_parse_spec_malformed_literals_are_value_errors():

@@ -181,6 +181,20 @@ def test_precision_validation():
             Precision(**kwargs)
 
 
+def test_bits_match_dps_to_prec():
+    # the memo of binary precisions per working dps gives libmp's own value,
+    # on first use and from the memo
+    from types import SimpleNamespace
+
+    from mpmath import libmp
+
+    from polyzeta.precision import _bits
+
+    for _ in range(2):
+        for dps in range(1, 2001):
+            assert _bits(SimpleNamespace(working_dps=dps)) == libmp.dps_to_prec(dps)
+
+
 def test_bigreal_hashes_like_an_equal_int_or_fraction():
     prec = Precision(30)
     for value in (0, 3, -7, 10 ** 40, Fraction(1, 2), Fraction(-5, 8)):
