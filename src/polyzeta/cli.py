@@ -33,7 +33,6 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExpressionError, PolyzetaError
 from .evaluate import evaluate_z, evaluate_zp
@@ -142,7 +141,9 @@ class LindepCall:
     items: tuple["Expr", ...]
 
 
-Expr = Union[Num, PiConst, Log, Neg, BinOp, Pow, ZCall, ZpCall, LindepCall]
+# a types.UnionType: typing.Union[...] would be cached process-wide by typing
+# and keep this module's classes alive after a re-import
+Expr = Num | PiConst | Log | Neg | BinOp | Pow | ZCall | ZpCall | LindepCall
 
 
 # ---------------------------------------------------------------------------

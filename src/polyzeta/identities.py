@@ -5,9 +5,9 @@ one function each, used as numeric oracles.
 One enumerator per job: ``_weak_chains`` lists the merges of adjacent
 exponents, for the weakly increasing chain sums of reversal reductions and,
 on a string of 1s, for the compositions of ``mu_to_compositions``.  One
-duality map, `model.dual_word`: the catalog's MZV duality pairs and
-``delta_mu_dual``'s base-2/unit-sum duality are both read back from the dual
-word.
+duality map, `model.dual_word`: ``delta_mu_dual``'s base-2/unit-sum duality
+is read back from the dual word, and the catalog's MZV duality pairs apply
+the same map to 0/1 letter codes (reverse, swap 0 and 1).
 
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
@@ -19,10 +19,22 @@ Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
 is its one merge step: it adds a coefficient in and drops the key when the
 sum is zero.  `FormalSum` merges its terms with it, keyed by `_body_key`; a
-spec's key is built once and kept on the spec.  The shuffle and stuffle
-products count their raw terms on int keys (letter codes; exponent strings
-with base-product codes) before they build bodies, so each distinct body
-is built and keyed once.
+spec's key is built once and kept on the spec.  Producers that emit their
+terms sorted and merged already (the shuffle product, the catalog's
+products, reversal reductions) build it through `FormalSum._canonical`,
+which skips the keying and the sort.
+
+The shuffle and stuffle products count instead of listing: a dynamic
+program over the (i, j) states (i letters of one factor and j of the other
+consumed) maps each distinct prefix to its multiplicity, so merged paths
+are added once, not walked one by one.  Shuffle words are base-k ints of
+letter codes ranked by (numerator, denominator), so their int order is the
+`_body_key` order; stuffle prefixes are exponent strings (with base-product
+codes outside the catalog).
+
+`identity_catalog` keeps one spec table per build: each convergent string
+gets one zeta spec and one word, which its duality, stuffle, shuffle and
+reversal identities share, so each spec is built, keyed and rendered once.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
 algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
@@ -30,12 +42,14 @@ dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
 strings), with int coefficients: each polynomial is kept scaled by a
 factorial that clears its denominators, and the one division happens when
 the final degree-0 part becomes a `FormalSum`.  Products concatenate and
-sort the factor tuples; sums merge through `_add_term`.  The memos of this
-algebra (string -> T-polynomial, block -> lifted T-polynomial, exponent
-string -> zeta spec) are plain dicts that the caller passes in:
-`reversal_reduction` makes fresh ones per call, and `identity_catalog`
-makes one set per build and shares it among all its reductions.  No memo
-here outlives the call that made it.
+sort the factor tuples; sums merge through `_add_term`.  The inclusion-
+exclusion over the cuts of a string into blocks is summed by a prefix DP on
+the last block, O(depth^2) products instead of one per each of the
+2^(depth-1) cuts.  The memos of this algebra (string -> T-polynomial,
+block -> lifted T-polynomial, exponent string -> zeta spec) are plain dicts
+that the caller passes in: `reversal_reduction` makes fresh ones per call,
+and `identity_catalog` makes one set per build and shares it among all its
+reductions.  No memo here outlives the call that made it.
 
 Exponent strings enter through `model.int_tuple` and bases through
 `model.rational`, so a non-integer exponent or a float base raises TypeError
@@ -54,10 +68,11 @@ sides.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, factorial, isqrt, perm, prod
+from math import comb, factorial, isqrt, perm
 
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
@@ -93,6 +108,13 @@ class SpecProduct:
             "factors",
             tuple(sorted(self.factors, key=_spec_key)),
         )
+
+    @classmethod
+    def _sorted(cls, factors: tuple) -> "SpecProduct":
+        """A product of factors already in `_spec_key` order, unsorted."""
+        product = object.__new__(cls)
+        object.__setattr__(product, "factors", factors)
+        return product
 
 
 def _spec_key(spec: LambdaSpec):
@@ -152,6 +174,15 @@ class FormalSum:
     def single(cls, body, coeff=1) -> "FormalSum":
         return cls(((coeff, body),))
 
+    @classmethod
+    def _canonical(cls, terms) -> "FormalSum":
+        """A FormalSum of terms that are already canonical: in `_body_key`
+        order, merged and nonzero.  For producers that emit them so; it
+        skips the keying and the sort."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "terms", tuple(terms))
+        return fs
+
     def __iter__(self):
         return iter(self.terms)
 
@@ -184,7 +215,7 @@ def _render_body(body) -> str:
     if isinstance(body, LambdaSpec):
         return format_spec(body)
     if isinstance(body, tuple):
-        return "W[" + ",".join(str(a) for a in body) + "]"
+        return "W[" + ",".join(map(str, body)) + "]"
     if not body.factors:  # a SpecProduct
         return "1"
     return "*".join(format_spec(f) for f in body.factors)
@@ -268,13 +299,48 @@ def stuffle_set(s, t, a, b):
     return tuple(_stuffle_paths(s, t, table))
 
 
+def _stuffle_counts(s, t, codes=None) -> dict:
+    """The paths of `_stuffle_paths`, counted: a dict from each distinct
+    letter string to its number of paths.
+
+    A step into the (i, j) state (i letters of s and j of t consumed) emits
+    the letter e, its exponent, or (e, codes[i][j]) when codes is given.
+    States run row by row from (0, 0); each maps every distinct prefix to
+    its multiplicity, so paths that agree so far are merged at once.
+    """
+    m, n = len(s), len(t)
+    above: list = []
+    for i in range(m + 1):
+        row: list = []
+        for j in range(n + 1):
+            if i == j == 0:
+                row.append({(): 1})
+                continue
+            steps = []
+            if i:
+                steps.append((s[i - 1], above[j]))
+                if j:
+                    steps.append((s[i - 1] + t[j - 1], above[j - 1]))
+            if j:
+                steps.append((t[j - 1], row[j - 1]))
+            out: dict = {}
+            for e, heads in steps:
+                letter = (e if codes is None else (e, codes[i][j]),)
+                for head, c in heads.items():
+                    key = head + letter
+                    out[key] = out.get(key, 0) + c
+            row.append(out)
+        above = row
+    return above[n]
+
+
 def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
     """lambda(u) * lambda(v) as a sum over the interleave/merge set.
 
-    The paths run over a (depth(u)+1) x (depth(v)+1) table of small-int
-    codes, one code per distinct base product A[i] * B[j], and are counted
-    by (exponent string, base codes), so each distinct spec is built once,
-    with its multiplicity as coefficient.
+    The base products A[i] * B[j] get small-int codes, one per distinct
+    value, and `_stuffle_counts` counts the paths by (exponent, base code)
+    strings, so each distinct spec is built once, with its multiplicity as
+    coefficient.
     """
     codes: dict = {}  # base product -> its code, in first-seen order
     table = [
@@ -282,12 +348,9 @@ def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
         for x in (Fraction(1),) + u.bases
     ]
     values = tuple(codes)
-    counts: dict = {}
-    for key in _stuffle_paths(u.exponents, v.exponents, table):
-        _add_term(counts, key, 1)
     return FormalSum(
-        (n, LambdaSpec.of(ue, tuple(values[c] for c in ce)))
-        for (ue, ce), n in counts.items()
+        (n, LambdaSpec(tuple((e, values[c]) for e, c in letters)))
+        for letters, n in _stuffle_counts(u.exponents, v.exponents, table).items()
     )
 
 
@@ -320,37 +383,63 @@ def rational_stuffle_check(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _shuffle_counts(c1, c2, k: int) -> dict:
+    """The interleavings of two strings of letter codes 0..k-1, counted: a
+    dict from each distinct word's code to its multiplicity.
+
+    A word's code is the base-k int of its letter codes behind a leading
+    digit 1, so words of equal length compare as ints in the order of their
+    code strings.  States (i, j), i letters of c1 and j of c2 consumed, run
+    row by row from (0, 0); each maps every distinct prefix code to its
+    multiplicity, so the work follows the distinct prefixes, not the
+    C(len(c1) + len(c2), len(c1)) interleavings.
+    """
+    above: list = []
+    for i in range(len(c1) + 1):
+        row: list = []
+        for j in range(len(c2) + 1):
+            if i == j == 0:
+                row.append({1: 1})
+                continue
+            out: dict = {}
+            if i:
+                a = c1[i - 1]
+                for head, c in above[j].items():
+                    out[head * k + a] = c
+            if j:
+                a = c2[j - 1]
+                for head, c in row[j - 1].items():
+                    key = head * k + a
+                    out[key] = out.get(key, 0) + c
+            row.append(out)
+        above = row
+    return above[len(c2)]
+
+
 def shuffle_words(w1, w2) -> FormalSum:
     """All order-preserving interleavings of two words, with multiplicity.
 
-    The interleavings run over small-int codes of the distinct letters and
-    are counted in a dict, so each distinct word is built once.
+    The distinct letters are coded 0..k-1 in (numerator, denominator) order,
+    the order `_body_key` compares them in, and `_shuffle_counts` counts the
+    words by their base-k codes.  All words have one length, so the sorted
+    codes are the canonical term order: each distinct word is built once
+    and emitted in place, with no keying or sort.
     """
     w1 = make_word(w1)
     w2 = make_word(w2)
-    letters = tuple(set(w1 + w2))
+    letters = sorted(set(w1 + w2), key=lambda a: (a.numerator, a.denominator))
+    k = len(letters)
     code = {a: n for n, a in enumerate(letters)}
-    c1 = tuple(code[a] for a in w1)
-    c2 = tuple(code[a] for a in w2)
-    counts: dict = {}
-
-    def rec(i, j, acc):
-        if i == len(c1) and j == len(c2):
-            _add_term(counts, tuple(acc), 1)
-            return
-        if i < len(c1):
-            acc.append(c1[i])
-            rec(i + 1, j, acc)
-            acc.pop()
-        if j < len(c2):
-            acc.append(c2[j])
-            rec(i, j + 1, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return FormalSum(
-        (n, tuple(letters[c] for c in codes)) for codes, n in counts.items()
-    )
+    counts = _shuffle_counts([code[a] for a in w1], [code[a] for a in w2], k)
+    length = len(w1) + len(w2)
+    terms = []
+    for word in sorted(counts):
+        rest, digits = word, []
+        for _ in range(length):
+            rest, digit = divmod(rest, k)
+            digits.append(letters[digit])
+        terms.append((counts[word], tuple(reversed(digits))))
+    return FormalSum._canonical(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +610,13 @@ def _t_accumulate(out: dict, p: dict, factor) -> None:
         _add_term(out, key, factor * c)
 
 
-def _t_mul(p: dict, q: dict) -> dict:
-    """Product of two T-polynomials: degrees add, factor strings merge."""
-    out: dict = {}
+def _t_mul(out: dict, p: dict, q: dict, factor: int) -> None:
+    """out += factor * p * q for T-polynomials: degrees add, factor strings
+    merge."""
     for (d1, f1), c1 in p.items():
+        c1 *= factor
         for (d2, f2), c2 in q.items():
             _add_term(out, (d1 + d2, tuple(sorted(f1 + f2))), c1 * c2)
-    return out
 
 
 def _leading_ones(s: tuple[int, ...]) -> int:
@@ -595,45 +684,60 @@ def _lift(block: tuple[int, ...], memo: dict, lifts: dict) -> dict:
     return lifted
 
 
+def _zeta_order(s: tuple[int, ...]):
+    """The order `_spec_key` puts zeta specs in: depth, then exponents."""
+    return len(s), s
+
+
 def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
     """`reversal_reduction` of a checked exponent string s, with the
     caller's memos: ``memo`` for `_regularize_string`, ``lifts`` for
     `_lift` and ``specs``, exponent string -> zeta spec, for the factors.
 
-    Every piece is kept k! times over, k = len(s): a piece is a product of
-    block lifts, each scaled by len(block)!, times the multinomial
-    k! / prod len(block)!, so the whole algebra runs on ints and divides by
-    k! once, when the degree-0 part becomes a FormalSum.
+    The inclusion-exclusion runs over the cuts of s into consecutive blocks
+    (the maximal runs of constrained indices), a cut into b blocks signed
+    (-1)^(k - b), k = len(s), and a prefix DP on the last block sums it:
+    g[i] = sum_j C(i, j) (-1)^(i - j - 1) g[j] lift(s[j:i]), g[0] = 1, is
+    i! times the sum for s[:i], since the binomial turns j! and (i - j)!,
+    the scales of g[j] and of the lift, into i!.  That is O(k^2) products
+    instead of one per each of the 2^(k - 1) cuts.  The one-block term, the
+    fully constrained chain, holds the reversed string, which moves to the
+    left-hand side.  The algebra runs on ints and divides by k! once, when
+    the degree-0 part becomes a FormalSum, whose terms are emitted in
+    canonical order.
     """
     k = len(s)
     scale = factorial(k)
-    total: dict = {}
-    for mask in range(1 << (k - 1)):
-        # runs of consecutive constrained indices partition the variables
-        blocks = _blocks(s, mask)
-        coeff = scale // prod(factorial(len(block)) for block in blocks)
-        piece = {(0, ()): -coeff if bin(mask).count("1") % 2 else coeff}
-        for block in blocks:
-            lifted = _lift(block, memo, lifts)
-            if len(block) == k:
-                # move the all-strict reversed term to the left-hand side;
-                # it starts with s[-1] >= 2, so its own scale is 0! = 1
-                lifted = dict(lifted)
-                _t_accumulate(lifted, _regularize_string(s[::-1], memo), -scale)
-            piece = _t_mul(piece, lifted)
-        _t_accumulate(total, piece, 1)
+    g = [{(0, ()): 1}]
+    for i in range(1, k + 1):
+        g.append({})
+        for j in range(i):
+            c = comb(i, j)
+            _t_mul(g[i], g[j], _lift(s[j:i], memo, lifts), c if (i - j) % 2 else -c)
+    total = g[k]
+    # the reversed string starts with s[-1] >= 2, so its own scale is 0! = 1
+    _t_accumulate(total, _regularize_string(s[::-1], memo), -scale if k % 2 else scale)
     bad = {key: c for key, c in total.items() if key[0] != 0}
     if bad:  # an explicit raise, so that python -O keeps the check
         raise AssertionError(f"divergent degrees failed to cancel: {bad}")
+    # rank the factor strings in `_spec_key` order, so that each term's
+    # sorted ranks give its factor order and, by (count, ranks), its place
+    strings = sorted({f for _, factors in total for f in factors}, key=_zeta_order)
+    rank = {f: n for n, f in enumerate(strings)}
+    for f in strings:
+        if f not in specs:
+            specs[f] = zeta_spec(*f)
+    ranked = [specs[f] for f in strings]
     terms = []
     for (_, factors), c in total.items():
-        for f in factors:
-            if f not in specs:
-                specs[f] = zeta_spec(*f)
+        ranks = tuple(sorted(map(rank.__getitem__, factors)))
         q, r = divmod(c, scale)
-        coeff = Fraction(c, scale) if r else q
-        terms.append((coeff, SpecProduct(tuple(specs[f] for f in factors))))
-    return FormalSum(terms)
+        terms.append((len(ranks), ranks, Fraction(c, scale) if r else q))
+    terms.sort()
+    return FormalSum._canonical(
+        (coeff, SpecProduct._sorted(tuple(map(ranked.__getitem__, ranks))))
+        for _, ranks, coeff in terms
+    )
 
 
 def reversal_reduction(s) -> FormalSum:
@@ -815,44 +919,75 @@ def _convergent_strings(max_weight: int):
     )
 
 
+def _zeta_letters(s: tuple[int, ...]) -> tuple[int, ...]:
+    """The letter codes of zeta(s)'s word, 0 for dx/x and 1 for dx/(x-1):
+    the codes `shuffle_words` gives the letters 0 and 1."""
+    return tuple(c for e in s for c in (0,) * (e - 1) + (1,))
+
+
+def _word_code(letters: tuple[int, ...]) -> int:
+    """The base-2 word code of `_shuffle_counts` for 0/1 letter codes."""
+    code = 1
+    for c in letters:
+        code = 2 * code + c
+    return code
+
+
+_LETTERS = (Fraction(0), Fraction(1))
+
+
 def identity_catalog(max_weight: int) -> list[Identity]:
-    """Deterministic identity corpus up to a weight bound."""
+    """Deterministic identity corpus up to a weight bound.
+
+    One spec table per build: every convergent string of weight <=
+    max_weight gets one zeta spec and one word, and the duality, stuffle,
+    shuffle and reversal identities all take their bodies from it, so each
+    spec is built, keyed and rendered once.  Every body of every identity is
+    in the table: products, duals and reversals of these strings are
+    convergent strings of no larger weight.  Each identity is emitted in
+    canonical form.
+    """
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
     identities: list[Identity] = []
     strings = _convergent_strings(max_weight)
 
     specs = {s: zeta_spec(*s) for s in strings}
-    words = {s: lambda_to_word(spec) for s, spec in specs.items()}
+    letters = {s: _zeta_letters(s) for s in strings}
+    words = {  # word code -> (exponent string, word)
+        _word_code(c): (s, tuple(_LETTERS[x] for x in c)) for s, c in letters.items()
+    }
+
+    def single(body):
+        return FormalSum._canonical(((1, body),))
 
     for s in strings:
-        dual = word_to_lambda(dual_word(words[s])[0])
-        if dual.exponents <= s:  # emit each dual pair once
-            continue
-        identities.append(
-            Identity("duality", FormalSum.single(specs[s]), FormalSum.single(dual))
-        )
+        # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
+        dual, _ = words[_word_code(tuple(1 - c for c in reversed(letters[s])))]
+        if dual > s:  # emit each dual pair once
+            identities.append(Identity("duality", single(specs[s]), single(specs[dual])))
 
     weights = [sum(s) for s in strings]
+    # light[b]: the indices of the strings of weight <= b, ascending
+    light = {b: [j for j, w in enumerate(weights) if w <= b] for b in range(max_weight)}
     for i, u in enumerate(strings):
-        for v, weight in zip(strings[i:], weights[i:]):  # every v >= u
-            if weights[i] + weight > max_weight:
-                continue
-            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
-            identities.append(
-                Identity("stuffle", lhs, stuffle_identity(specs[u], specs[v]))
+        js = light[max_weight - weights[i]]
+        for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
+            lhs = single(SpecProduct((specs[u], specs[v])))
+            counts = _stuffle_counts(u, v)
+            rhs = FormalSum._canonical(
+                (counts[x], specs[x]) for x in sorted(counts, key=_zeta_order)
             )
-            identities.append(
-                Identity("shuffle", lhs, shuffle_words(words[u], words[v]))
-            )
+            identities.append(Identity("stuffle", lhs, rhs))
+            counts = _shuffle_counts(letters[u], letters[v], 2)
+            rhs = FormalSum._canonical((counts[x], words[x][1]) for x in sorted(counts))
+            identities.append(Identity("shuffle", lhs, rhs))
 
     memo: dict = {}  # one regularization memo and one lift memo per build
     lifts: dict = {}
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
-            lhs = FormalSum.single(specs[s]) + FormalSum.single(
-                specs[s[::-1]], (-1) ** len(s)
-            )
+            lhs = FormalSum(((1, specs[s]), ((-1) ** len(s), specs[s[::-1]])))
             rhs = _reversal_reduction(s, memo, lifts, specs)
             identities.append(Identity("reversal", lhs, rhs))
 

@@ -399,6 +399,32 @@ def test_entry_points_print_pi(argv, stdin, in_subprocess, monkeypatch, capsys):
     assert (code, out) == (0, "3.14159265359\n")
 
 
+def test_reimport_leaves_no_old_module_alive():
+    # a module-level alias that typing caches process-wide (Union[...])
+    # would keep the old cli classes, and through their globals every old
+    # polyzeta module, alive after the modules are dropped and imported
+    # again; the check runs in a fresh interpreter, so this one keeps its
+    # modules
+    code = (
+        "import gc, sys, weakref\n"
+        "import polyzeta.cli\n"
+        "ref = weakref.ref(polyzeta.cli.BinOp)\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'polyzeta']:\n"
+        "    del sys.modules[name]\n"
+        "import polyzeta.cli\n"
+        "gc.collect()\n"
+        "print('dead' if ref() is None else 'alive')\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "dead\n"), proc.stderr
+
+
 def test_run_eval_unexpected_character_and_tiny_power_base(capsys):
     assert run(["eval", "2 $ 3"]) == 1
     assert capsys.readouterr().err == (

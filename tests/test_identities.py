@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -250,6 +250,16 @@ def test_shuffle_trivial_cases():
     assert shuffle_words(w, ()) == FormalSum.single(w)
 
 
+def _interleavings(w1, w2) -> Counter:
+    """Brute force: one word per choice of the positions that w1 fills."""
+    n, m = len(w1), len(w2)
+    out = Counter()
+    for pos in map(set, combinations(range(n + m), n)):
+        first, rest = iter(w1), iter(w2)
+        out[tuple(next(first) if p in pos else next(rest) for p in range(n + m))] += 1
+    return out
+
+
 @given(
     st.lists(st.sampled_from([0, 1, -1, 2]), max_size=4),
     st.lists(st.sampled_from([0, 1, -1, 2]), max_size=4),
@@ -259,14 +269,7 @@ def test_shuffle_multiplicity_and_merges(l1, l2):
     w2 = make_word(l2)
     fs = shuffle_words(w1, w2)
     assert sum(c for c, _ in fs) == comb(len(w1) + len(w2), len(w1))
-    # brute force: one word per choice of the positions that w1 fills
-    n, m = len(w1), len(w2)
-    want = Counter()
-    for pos in combinations(range(n + m), n):
-        rest = iter(w2)
-        first = iter(w1)
-        want[tuple(next(first) if p in pos else next(rest) for p in range(n + m))] += 1
-    assert {body: c for c, body in fs} == want
+    assert {body: c for c, body in fs} == _interleavings(w1, w2)
 
     def is_merge(body, i, j, memo):
         if (i, j) in memo:
@@ -285,6 +288,21 @@ def test_shuffle_multiplicity_and_merges(l1, l2):
     for _, body in fs:
         assert len(body) == len(w1) + len(w2)
         assert is_merge(body, 0, 0, {})
+
+
+def test_shuffle_words_match_the_interleavings():
+    # the counted product against every interleaving, on letters whose
+    # (numerator, denominator) order is not their numeric order (1/3 < 1/2
+    # but (1, 3) > (1, 2)), with repeats so that many interleavings merge;
+    # the emitted terms must already be canonical
+    rng = random.Random(26)
+    letters = (F(0), F(-1), F(2), F(1, 2), F(1, 3))
+    for _ in range(60):
+        w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+        w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+        fs = shuffle_words(w1, w2)
+        assert {body: c for c, body in fs} == _interleavings(w1, w2), (w1, w2)
+        assert FormalSum(fs.terms) == fs
 
 
 # -- cyclotomic / sign expansions ------------------------------------------------
@@ -774,6 +792,55 @@ def test_export_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0].count(b"\n") == 256
 
 
+def _reversal_by_masks(s) -> FormalSum:
+    """zeta(s) + (-1)^k zeta(reversed s), k = len(s), as the inclusion-
+    exclusion sum over all 2^(k-1) constraint masks, each mask a cut of s
+    into blocks: the sum that reversal_reduction computes by a prefix DP.
+    The T-polynomials are summed and multiplied here, scaled by k!."""
+    from polyzeta.identities import _blocks, _lift, _regularize_string
+
+    def times(p, q):
+        out = Counter()
+        for (d1, f1), c1 in p.items():
+            for (d2, f2), c2 in q.items():
+                out[d1 + d2, tuple(sorted(f1 + f2))] += c1 * c2
+        return out
+
+    k = len(s)
+    scale = factorial(k)
+    memo, lifts = {}, {}
+    total = Counter()
+    for mask in range(1 << (k - 1)):
+        blocks = _blocks(s, mask)
+        piece = {(0, ()): scale // prod(factorial(len(b)) for b in blocks)}
+        for block in blocks:
+            lifted = Counter(_lift(block, memo, lifts))
+            if len(block) == k:  # the reversed string moves to the left
+                for key, c in _regularize_string(s[::-1], memo).items():
+                    lifted[key] -= scale * c
+            piece = times(piece, lifted)
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        for key, c in piece.items():
+            total[key] += sign * c
+    assert all(degree == 0 for (degree, _), c in total.items() if c)
+    return FormalSum(
+        (F(c, scale), SpecProduct(tuple(zeta_spec(*f) for f in factors)))
+        for (_, factors), c in total.items()
+    )
+
+
+def test_reversal_reduction_matches_the_mask_sum():
+    # seeded strings of depth 2..8 with interior 1s and repeats
+    rng = random.Random(26)
+    for _ in range(40):
+        inner = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(0, 6)))
+        s = (rng.randint(2, 3),) + inner + (rng.randint(2, 3),)
+        fs = reversal_reduction(s)
+        oracle = _reversal_by_masks(s)
+        assert fs == oracle, s
+        assert render_formal_sum(fs) == render_formal_sum(oracle)
+
+
 def test_reversal_reduction_validates():
     from polyzeta import DivergenceError
 
@@ -885,6 +952,54 @@ def test_identity_catalog_weight_nine_golden():
     assert len(lines) == 576
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "a9ad4c10c1c9fcdb4801cbf9c5554439a5959a168342bae3c990bbe6068c3f31"
+
+
+def test_catalog_products_match_the_public_products():
+    # the catalog counts its stuffles and shuffles on exponent strings and
+    # 0/1 letter codes, and reads its duals off the codes; each identity
+    # must equal the public product or `dual_word` dual, and every sum must
+    # come out canonical
+    from polyzeta.model import dual_word, word_to_lambda
+
+    counts = Counter()
+    for ident in identity_catalog(8):
+        counts[ident.tag] += 1
+        for side in (ident.lhs, ident.rhs):
+            assert FormalSum(side.terms) == side, ident.to_json()
+        if ident.tag == "stuffle":
+            (_, product), = ident.lhs
+            assert ident.rhs == stuffle_identity(*product.factors)
+        elif ident.tag == "shuffle":
+            (_, product), = ident.lhs
+            u, v = product.factors
+            assert ident.rhs == shuffle_words(lambda_to_word(u), lambda_to_word(v))
+        elif ident.tag == "duality":
+            (_, spec), = ident.lhs
+            dual, sign = dual_word(lambda_to_word(spec))
+            assert ident.rhs == FormalSum.single(word_to_lambda(dual), sign)
+    assert counts == {"duality": 56, "stuffle": 68, "shuffle": 68, "reversal": 64}
+
+
+def test_catalog_builds_each_spec_once():
+    # within one build, equal spec bodies (and equal words) are one object;
+    # the next build makes its own, so no table outlives its build
+    def bodies(catalog):
+        out = []
+        for ident in catalog:
+            for _, body in ident.lhs.terms + ident.rhs.terms:
+                out.extend(body.factors if isinstance(body, SpecProduct) else (body,))
+        return out
+
+    first = bodies(identity_catalog(8))
+    table: dict = {}
+    for body in first:
+        assert table.setdefault(body, body) is body
+    second = bodies(identity_catalog(8))
+    assert second == first
+    again: dict = {}
+    for body in second:
+        assert again.setdefault(body, body) is body
+    assert not {id(b) for b in table.values()} & {id(b) for b in again.values()}
 
 
 def test_identity_catalog_numeric_sample(prec30):
