@@ -1,30 +1,36 @@
 """Arbitrary-precision real arithmetic bound to explicit precisions.
 
 Values are immutable `BigReal` instances carrying the `Precision` they were
-computed under.  A value stores mpmath's raw binary float, the ``_mpf_``
-tuple (sign, mantissa, exponent, bitcount), rounded to nearest at the
-binary precision of ``digits + guard`` working decimal digits.  Every
-operation is one call of a function of `mpmath.libmp`, which takes its
-precision and rounding mode as arguments, so each result is rounded once at
-that precision; these are the calls mpmath's own ``mpf`` methods make, so
-the bits are those of mpmath's arithmetic at that precision.  ``str()``
-truncates to ``digits`` significant digits and `to_decimal_string` rounds
-to nearest.  No mpmath context is made and mpmath's global precision is
-never read or written, so no value depends on it and threads may compute
-at different precisions at once.  This is the one module that imports
-mpmath, and it imports only `mpmath.libmp`.
+computed under.  A value stores a binary float as the tuple (sign,
+mantissa, exponent, bitcount) of Python ints, the value being
+(-1)^sign * mantissa * 2^exponent: the mantissa is odd and bitcount is its
+bit length, and zero is (0, 0, 0, 0).  This is the layout of mpmath's raw
+``_mpf_`` tuples.  Every operation rounds its exact result once, to
+nearest with ties to even, at the binary precision of ``digits + guard``
+working decimal digits (Brent and Zimmermann, "Modern Computer Arithmetic",
+2010).  The functions below take the rounding steps of mpmath 1.3's
+`libmp`, so a value has the bits mpmath's own arithmetic gives at that
+precision; the tests check this, operation by operation, against `libmp`
+as an oracle.  The package itself imports no mpmath.  No precision is global, so no value
+depends on state outside its arguments and threads may compute at
+different precisions at once.
 
-`pi` and `ln` are `libmp` calls too.  The constants zeta(r) and Li_r(1/2)
-of the closed forms in `polyzeta.identities` are kernel values,
+``str()`` truncates to ``digits`` significant digits and
+`to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
+formula and `ln` an atanh series, in fixed point with `_GUARD` extra bits;
+the fixed-point constants pi, ln 2 and ln 10 are kept at the highest
+precision asked for so far.  The constants zeta(r) and Li_r(1/2) of the
+closed forms in `polyzeta.identities` are kernel values,
 ``evaluate_lambda(zeta_spec(r), prec)`` and
 ``evaluate_lambda(delta_spec(r), prec)``.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from mpmath import libmp
 
 from .errors import DomainError, PrecisionMismatch
 
@@ -55,7 +61,7 @@ class Precision:
         return self.digits + self.guard
 
 
-_DPS_BITS: dict[int, int] = {}  # working dps -> libmp.dps_to_prec(dps)
+_DPS_BITS: dict[int, int] = {}  # working dps -> binary precision
 
 
 def _bits(prec: Precision) -> int:
@@ -64,12 +70,388 @@ def _bits(prec: Precision) -> int:
     dps = prec.working_dps
     bits = _DPS_BITS.get(dps)
     if bits is None:
-        bits = _DPS_BITS[dps] = libmp.dps_to_prec(dps)
+        bits = _DPS_BITS[dps] = max(1, int(round((dps + 1) * 3.3219280948873626)))
     return bits
 
 
-def _to_mpf(value, bits: int) -> tuple:
-    """value rounded to nearest at bits binary digits, as a raw mpf tuple.
+# ---------------------------------------------------------------------------
+# Raw binary floats: (sign, mantissa, exponent, bitcount)
+# ---------------------------------------------------------------------------
+
+_ZERO = (0, 0, 0, 0)
+_ONE = (0, 1, 0, 1)
+_TEN = (0, 5, 1, 3)
+# Rounding modes: to nearest with ties to even, and the magnitude truncated
+# ("down") or raised ("up"), which only the rendering of huge exponents uses.
+_NEAREST, _DOWN, _UP = "n", "d", "u"
+_RECIPROCAL = {_NEAREST: _NEAREST, _DOWN: _UP, _UP: _DOWN}
+
+
+def _round(sign: int, man: int, exp: int, bits: int, rnd: str = _NEAREST) -> tuple:
+    """The raw float (-1)^sign * man * 2^exp, man >= 0, rounded to bits
+    binary digits in the mode rnd; bits = 0 keeps every digit."""
+    if not man:
+        return _ZERO
+    bc = man.bit_length()
+    n = bc - bits
+    if bits and n > 0:
+        if rnd == _NEAREST:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+        elif rnd == _DOWN:
+            man >>= n
+        else:
+            man = -((-man) >> n)
+        exp += n
+    elif man & 1:
+        return (sign, man, exp, bc)
+    zeros = (man & -man).bit_length() - 1
+    if zeros:
+        man >>= zeros
+        exp += zeros
+    return (sign, man, exp, man.bit_length())
+
+
+def _from_man_exp(man: int, exp: int, bits: int = 0) -> tuple:
+    """man * 2^exp for a signed int man, rounded to nearest at bits."""
+    return _round(int(man < 0), abs(man), exp, bits)
+
+
+def _add(s: tuple, t: tuple, bits: int, negate_t: int = 0) -> tuple:
+    """s + t (s - t when negate_t is 1) rounded to nearest at bits."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    tsign ^= negate_t
+    if not tman:
+        return _round(ssign, sman, sexp, bits)
+    if not sman:
+        return _round(tsign, tman, texp, bits)
+    if sexp < texp:
+        (ssign, sman, sexp, sbc), (tsign, tman, texp, tbc) = (tsign, tman, texp, tbc), s
+    offset = sexp - texp
+    if offset > 100 and sbc + sexp - tbc - texp > bits + 4:
+        # t lies wholly below s's rounding position: a unit past s's last
+        # kept bit stands in for it, as libmp's perturbation does
+        man = (sman << (bits + 4)) + (1 if ssign == tsign else -1)
+        return _round(ssign, man, sexp - bits - 4, bits)
+    if ssign == tsign:
+        man = (sman << offset) + tman
+    else:
+        man = (sman << offset) - tman
+        if man < 0:
+            ssign, man = ssign ^ 1, -man
+    return _round(ssign, man, texp, bits)
+
+
+def _mul(s: tuple, t: tuple, bits: int) -> tuple:
+    return _round(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], bits)
+
+
+def _div(s: tuple, t: tuple, bits: int, rnd: str = _NEAREST) -> tuple:
+    """s / t: the quotient to bits + 5 bits past s's, a sticky unit for a
+    remainder, then one rounding."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not tman:
+        raise ZeroDivisionError("division by zero")
+    if not sman:
+        return _ZERO
+    sign = ssign ^ tsign
+    if tman == 1:
+        return _round(sign, sman, sexp - texp, bits, rnd)
+    extra = max(bits - sbc + tbc + 5, 5)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _round(sign, quot, sexp - texp - extra, bits, rnd)
+
+
+def _pow_int(s: tuple, n: int, bits: int, rnd: str = _NEAREST) -> tuple:
+    """s**n: exact and rounded once when the mantissa's power is under 1000
+    bits, else binary powering with the partial products cut to
+    4*bitlength(n) + 4 guard bits; a negative n inverts the power taken at
+    bits + 5."""
+    sign, man, exp, bc = s
+    if n == 0:
+        return _ONE
+    if n == 1:
+        return _round(sign, man, exp, bits, rnd)
+    if n == 2:
+        return _round(0, man * man, exp + exp, bits, rnd)
+    if n < 0:
+        inverse = s if n == -1 else _pow_int(s, -n, bits + 5, _RECIPROCAL[rnd])
+        return _div(_ONE, inverse, bits, rnd)
+    result_sign = sign & n
+    if man == 1:
+        return (result_sign, 1, exp * n, 1)
+    if bc * n < 1000:
+        return _round(result_sign, man ** n, exp * n, bits, rnd)
+    truncate = rnd != _UP
+    work_bits = bits + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm *= man
+            pe += exp
+            cut = pm.bit_length() - work_bits
+            if cut > 0:
+                pm = pm >> cut if truncate else -((-pm) >> cut)
+                pe += cut
+            n -= 1
+            if not n:
+                break
+        man *= man
+        exp += exp
+        cut = man.bit_length() - work_bits
+        if cut > 0:
+            man = man >> cut if truncate else -((-man) >> cut)
+            exp += cut
+        n //= 2
+    return _round(result_sign, pm, pe, bits, rnd)
+
+
+def _cmp(s: tuple, t: tuple) -> int:
+    """-1, 0 or 1 as s <, = or > t: the sign of s - t, which rounding to
+    nearest at any precision keeps."""
+    sign, man, _, _ = _add(s, t, 2, 1)
+    return 0 if not man else -1 if sign else 1
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_BITS = _HASH_MODULUS.bit_length()  # the modulus is 2^_HASH_BITS - 1
+
+
+def _hash(s: tuple) -> int:
+    """hash() of the exact value, as for an equal int or Fraction: since
+    2^_HASH_BITS = 1 modulo the Mersenne modulus, 2^exp reduces to
+    2^(exp mod _HASH_BITS)."""
+    sign, man, exp, _ = s
+    h = ((man % _HASH_MODULUS) << (exp % _HASH_BITS)) % _HASH_MODULUS
+    if sign:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _to_float(s: tuple) -> float:
+    sign, man, exp, bc = s
+    if bc > 53:
+        sign, man, exp, bc = _round(sign, man, exp, 53)
+    try:
+        return math.ldexp(-man if sign else man, exp)
+    except OverflowError:
+        return -math.inf if sign else math.inf
+
+
+# ---------------------------------------------------------------------------
+# Constants and logarithms in fixed point
+# ---------------------------------------------------------------------------
+
+_GUARD = 40  # extra bits of every fixed-point series
+_MACHIN = {  # (coefficient, x) terms of sums of arccot(x), or arccoth(x)
+    "pi": (((16, 5), (-4, 239)), False),
+    "ln2": (((18, 26), (-2, 4801), (8, 8749)), True),
+    "ln10": (((46, 31), (34, 49), (20, 161)), True),
+}
+_CONSTANTS: dict[str, tuple[int, int]] = {}  # name -> (p, floor(c * 2^p))
+
+
+def _acot_fixed(x: int, p: int, hyperbolic: bool) -> int:
+    """arccot(x), or arccoth(x), times 2^p for an int x > 1, within a unit
+    per term of the series sum (+-)1 / ((2k + 1) x^(2k + 1))."""
+    term = total = (1 << p) // x
+    x2 = x * x
+    k = 3
+    while term:
+        term //= x2
+        if hyperbolic or k & 2 == 0:
+            total += term // k
+        else:
+            total -= term // k
+        k += 2
+    return total
+
+
+def _constant(name: str, p: int) -> int:
+    """floor(c * 2^p) for the constant c named: computed with _GUARD extra
+    bits and a margin, kept, and shifted down for lower precisions."""
+    memo = _CONSTANTS.get(name)
+    if memo is None or memo[0] < p:
+        coeffs, hyperbolic = _MACHIN[name]
+        top = int(p * 1.05 + 10)
+        wp = top + _GUARD
+        memo = _CONSTANTS[name] = (
+            top,
+            sum(a * _acot_fixed(x, wp, hyperbolic) for a, x in coeffs) >> _GUARD,
+        )
+    top, value = memo
+    return value >> (top - p)
+
+
+def _named_constant(name: str, bits: int, rnd: str) -> tuple:
+    """The constant from its floor at bits + 20 bits, rounded at bits."""
+    wp = bits + 20
+    return _round(0, _constant(name, wp), -wp, bits, rnd)
+
+
+def _ln_fixed(man: int, bc: int, mag: int, p: int) -> tuple[int, int]:
+    """ln(man / 2^bc) + mag ln 2 times 2^p, for man / 2^bc in [1/2, 1), and a
+    bound on its error in units.  y = man / 2^bc, doubled below 1/sqrt(2),
+    is taken r times to its square root at p + r bits, where
+    ln y = 2^r ln y^(1/2^r) has the same units, and ln y^(1/2^r) is
+    2 atanh(t), t = (y - 1) / (y + 1).  Each square root and series step
+    loses less than two units."""
+    num, den = man, 1 << bc
+    if 2 * man * man < den * den:
+        den >>= 1
+        mag -= 1
+    r = math.isqrt(p) // 3
+    q = p + r
+    y = (num << q) // den
+    for _ in range(r):
+        y = math.isqrt(y << q)
+    one = 1 << q
+    d = y - one
+    t = (abs(d) << q) // (y + one)
+    t2 = (t * t) >> q
+    total = term = t
+    k = 1
+    while term:
+        term = (term * t2) >> q
+        k += 2
+        total += term // k
+    total = -2 * total if d < 0 else 2 * total
+    return total + mag * _constant("ln2", p), 2 * k + 20 + abs(mag)
+
+
+def _ln_floor(man: int, bc: int, mag: int, p: int) -> int:
+    """floor((ln(man / 2^bc) + mag ln 2) * 2^p), with guard bits doubled
+    until the error bound decides it, as in Ziv's strategy: the logarithm
+    of a dyadic other than 1 is irrational, so the loop ends."""
+    guard = _GUARD
+    while True:
+        v, err = _ln_fixed(man, bc, mag, p + guard)
+        lo, hi = (v - err) >> guard, (v + err) >> guard
+        if lo == hi:
+            return lo
+        guard *= 2
+
+
+def _ln(x: tuple, bits: int) -> tuple:
+    """ln x for a positive raw float x with at most bits bits, as
+    libmp.mpf_log makes it: with x = y 2^mag, y in [1/2, 1), the floor of
+    ln y at wp = bits + 20 bits plus mag times the floor of ln 2 at wp,
+    rounded to nearest.  For |mag| <= 1, wp also counts the leading bits of
+    the mantissa that cancel in libmp's x - 1."""
+    _, man, exp, bc = x
+    if man == 1 and not exp:
+        return _ZERO
+    mag = exp + bc
+    wp = bits + 20
+    if abs(mag) <= 1:
+        wp += bc - abs(man - (1 << (bc - abs(mag)))).bit_length()
+    m = _ln_floor(man, bc, 0, wp) + mag * _constant("ln2", wp)
+    return _from_man_exp(m, -wp, bits)
+
+
+# ---------------------------------------------------------------------------
+# Decimal rendering
+# ---------------------------------------------------------------------------
+
+
+def _digits_exp(s: tuple, dps: int) -> tuple[str, str, int]:
+    """(sign, digits, exponent) with |s| ~ d1.d2d3... * 10^exponent, the
+    digits truncated, at least dps of them, as libmp.to_digits_exp gives
+    them.  An exponent beyond 3500 bits is first divided by the power of
+    ten that ln 2 / ln 10 at a few bits estimates, in directed rounding."""
+    sign, man, exp, bc = s
+    bitprec = int(dps * math.log(10, 2)) + 10
+    exponent = 0
+    if abs(exp + bc) > 3500:
+        expprec = abs(exp).bit_length() + 5
+        scaled = _mul(_from_man_exp(exp, 0), _named_constant("ln2", expprec, _DOWN), 0)
+        ln10 = _named_constant("ln10", expprec, _DOWN)
+        tsign, tman, texp, _ = _div(scaled, ln10, expprec, _DOWN)
+        b = tman << texp if texp >= 0 else tman >> -texp  # truncated toward zero
+        exponent = b = -b if tsign else b
+        _, man, exp, bc = _div(
+            (0, man, exp, bc), _pow_int(_TEN, b, bitprec, _DOWN), bitprec, _DOWN
+        )
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    offset = exp + fixprec
+    fixed = man << offset if offset >= 0 else man >> -offset
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    return ("-" if sign else ""), digits, exponent + len(digits) - fixdps - 1
+
+
+def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
+    """Round a decimal digit string of more than d digits to d digits, half
+    away from zero.
+
+    Returns (digits, exponent_carry) where exponent_carry is 1 when the
+    rounding overflowed (e.g. 999.7 -> 1000).
+    """
+    head, next_digit = digits[:d], digits[d]
+    if next_digit < "5":
+        return head, 0
+    rounded = str(int(head) + 1)
+    if len(rounded) > d:
+        return rounded[:d], 1
+    return rounded.rjust(d, "0"), 0
+
+
+def _render(value: tuple, d: int, rounded: bool) -> str:
+    if not value[1]:
+        return "0." + "0" * (d - 1)
+    # _digits_exp yields d1.d2d3... x 10^exp, with at least d + 10 digits,
+    # so there is always a digit to round from and none to pad
+    sign, digits, exp = _digits_exp(value, d + 10)
+    if rounded:
+        digits, carry = _round_digit_string(digits, d)
+        exp += carry
+    else:
+        digits = digits[:d]
+    point = exp + 1  # digits before the decimal point
+    if 1 <= point <= d:
+        body = digits[:point] + "." + digits[point:]
+    elif -5 <= point <= 0:
+        body = "0." + "0" * (-point) + digits
+    else:
+        body = digits[0] + "." + digits[1:] + f"e{exp:+d}"
+    return sign + body
+
+
+def _short_str(value: tuple) -> str:
+    """value to 15 significant digits, trailing zeros dropped, in fixed
+    point for decimal exponents -4..14, as libmp.to_str(value, 15)."""
+    if not value[1]:
+        return "0.0"
+    sign, digits, exp = _digits_exp(value, 18)
+    digits, carry = _round_digit_string(digits, 15)
+    exp += carry
+    if -5 < exp < 15:
+        digits = "0" * -exp + digits if exp < 0 else digits
+        split = max(exp, 0) + 1
+        exp = 0
+    else:
+        split = 1
+    body = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if body.endswith("."):
+        body += "0"
+    return sign + body + (f"e{exp:+d}" if exp else "")
+
+
+# ---------------------------------------------------------------------------
+# BigReal
+# ---------------------------------------------------------------------------
+
+
+def _to_raw(value, bits: int) -> tuple:
+    """value rounded to nearest at bits binary digits, as a raw float.
 
     value must be exact: an int, a Fraction or a (mantissa, binary
     exponent) pair of ints.  A float or a str would bring its own binary or
@@ -77,14 +459,13 @@ def _to_mpf(value, bits: int) -> tuple:
     A Fraction p/q rounds p first and then the quotient, as mpmath's
     ``mpf(p) / q`` does.
     """
-    rnd = libmp.round_nearest
     if isinstance(value, Fraction):
-        p = libmp.from_int(value.numerator, bits, rnd)
-        return libmp.mpf_div(p, libmp.from_int(value.denominator), bits, rnd)
+        p = _from_man_exp(value.numerator, 0, bits)
+        return _div(p, _from_man_exp(value.denominator, 0), bits)
     if isinstance(value, int):
-        return libmp.from_int(value, bits, rnd)
+        return _from_man_exp(value, 0, bits)
     if type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value):
-        return libmp.from_man_exp(value[0], value[1], bits, rnd)
+        return _from_man_exp(value[0], value[1], bits)
     raise TypeError(
         "expected an int, a Fraction or a (mantissa, exponent) pair of ints,"
         f" got {type(value).__name__}"
@@ -92,9 +473,9 @@ def _to_mpf(value, bits: int) -> tuple:
 
 
 def _operator(fn, arithmetic: bool = True):
-    """A BigReal method applying the libmp function fn to both operands'
-    floats.  An arithmetic fn rounds to nearest at the operands' precision
-    and its result is bound to it; a comparison returns fn's bool."""
+    """A BigReal method applying fn to both operands' raw floats.  An
+    arithmetic fn rounds to nearest at the operands' precision and its
+    result is bound to it; a comparison returns fn's bool."""
 
     def method(self, other):
         o = self._coerce(other)
@@ -102,7 +483,7 @@ def _operator(fn, arithmetic: bool = True):
             return NotImplemented
         if not arithmetic:
             return fn(self._v, o)
-        return _bound(fn(self._v, o, _bits(self.prec), libmp.round_nearest), self.prec)
+        return _bound(fn(self._v, o, _bits(self.prec)), self.prec)
 
     return method
 
@@ -123,7 +504,7 @@ class BigReal:
     __slots__ = ("_v", "prec")
 
     def __new__(cls, value, prec: Precision):
-        return _bound(_to_mpf(value, _bits(prec)), prec)
+        return _bound(_to_raw(value, _bits(prec)), prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("BigReal is immutable")
@@ -136,7 +517,7 @@ class BigReal:
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
         sign, man, exp, _ = self._v
-        f = Fraction(int(man)) * Fraction(2) ** exp
+        f = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
         return -f if sign else f
 
     def _coerce(self, other) -> tuple:
@@ -147,19 +528,19 @@ class BigReal:
                 )
             return other._v
         if isinstance(other, (int, Fraction)):
-            return _to_mpf(other, _bits(self.prec))
+            return _to_raw(other, _bits(self.prec))
         return NotImplemented
 
-    __add__ = __radd__ = _operator(libmp.mpf_add)
-    __sub__ = _operator(libmp.mpf_sub)
-    __rsub__ = _operator(lambda a, b, bits, rnd: libmp.mpf_sub(b, a, bits, rnd))
-    __mul__ = __rmul__ = _operator(libmp.mpf_mul)
-    __truediv__ = _operator(libmp.mpf_div)
-    __rtruediv__ = _operator(lambda a, b, bits, rnd: libmp.mpf_div(b, a, bits, rnd))
-    __lt__ = _operator(libmp.mpf_lt, arithmetic=False)
-    __le__ = _operator(libmp.mpf_le, arithmetic=False)
-    __gt__ = _operator(libmp.mpf_gt, arithmetic=False)
-    __ge__ = _operator(libmp.mpf_ge, arithmetic=False)
+    __add__ = __radd__ = _operator(_add)
+    __sub__ = _operator(lambda a, b, bits: _add(a, b, bits, 1))
+    __rsub__ = _operator(lambda a, b, bits: _add(b, a, bits, 1))
+    __mul__ = __rmul__ = _operator(_mul)
+    __truediv__ = _operator(_div)
+    __rtruediv__ = _operator(lambda a, b, bits: _div(b, a, bits))
+    __lt__ = _operator(lambda a, b: _cmp(a, b) < 0, arithmetic=False)
+    __le__ = _operator(lambda a, b: _cmp(a, b) <= 0, arithmetic=False)
+    __gt__ = _operator(lambda a, b: _cmp(a, b) > 0, arithmetic=False)
+    __ge__ = _operator(lambda a, b: _cmp(a, b) >= 0, arithmetic=False)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,7 +548,7 @@ class BigReal:
             # hash alike
             return self.to_fraction() == other
         o = self._coerce(other)
-        return o if o is NotImplemented else libmp.mpf_eq(self._v, o)
+        return o if o is NotImplemented else self._v == o
 
     def __pow__(self, n):
         """x**n for an int n, by binary powering at working precision."""
@@ -175,24 +556,25 @@ class BigReal:
             return NotImplemented
         if n < 0 and not self:
             raise DomainError("0 cannot be raised to a negative power")
-        v = libmp.mpf_pow_int(self._v, n, _bits(self.prec), libmp.round_nearest)
-        return _bound(v, self.prec)
+        return _bound(_pow_int(self._v, n, _bits(self.prec)), self.prec)
 
     def __neg__(self):
-        return _bound(libmp.mpf_neg(self._v, _bits(self.prec), libmp.round_nearest), self.prec)
+        sign, man, exp, _ = self._v
+        return _bound(_round(sign ^ 1, man, exp, _bits(self.prec)), self.prec)
 
     def __abs__(self):
-        return _bound(libmp.mpf_abs(self._v, _bits(self.prec), libmp.round_nearest), self.prec)
+        _, man, exp, _ = self._v
+        return _bound(_round(0, man, exp, _bits(self.prec)), self.prec)
 
     def __hash__(self):
         # equal to the hash of an equal int or Fraction
-        return libmp.mpf_hash(self._v)
+        return _hash(self._v)
 
     def __float__(self):
-        return libmp.to_float(self._v, rnd=libmp.round_nearest)
+        return _to_float(self._v)
 
     def __bool__(self):
-        return self._v != libmp.fzero
+        return self._v[1] != 0
 
     def __str__(self):
         return _render(self._v, self.prec.digits, rounded=False)
@@ -209,43 +591,6 @@ def _bound(v: tuple, prec: Precision) -> BigReal:
     return x
 
 
-def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
-    """Round a decimal digit string of more than d digits to d digits, half
-    away from zero.
-
-    Returns (digits, exponent_carry) where exponent_carry is 1 when the
-    rounding overflowed (e.g. 999.7 -> 1000).
-    """
-    head, next_digit = digits[:d], digits[d]
-    if next_digit < "5":
-        return head, 0
-    rounded = str(int(head) + 1)
-    if len(rounded) > d:
-        return rounded[:d], 1
-    return rounded.rjust(d, "0"), 0
-
-
-def _render(value: tuple, d: int, rounded: bool) -> str:
-    if value == libmp.fzero:
-        return "0." + "0" * (d - 1)
-    # to_digits_exp yields d1.d2d3... x 10^exp, with at least d + 10 digits,
-    # so there is always a digit to round from and none to pad
-    sign, digits, exp = libmp.to_digits_exp(value, d + 10)
-    if rounded:
-        digits, carry = _round_digit_string(digits, d)
-        exp += carry
-    else:
-        digits = digits[:d]
-    point = exp + 1  # digits before the decimal point
-    if 1 <= point <= d:
-        body = digits[:point] + "." + digits[point:]
-    elif -5 <= point <= 0:
-        body = "0." + "0" * (-point) + digits
-    else:
-        body = digits[0] + "." + digits[1:] + f"e{exp:+d}"
-    return sign + body
-
-
 def to_decimal_string(x: BigReal, d: int) -> str:
     """Round-to-nearest decimal rendering with d significant digits."""
     if not 1 <= d <= x.prec.digits:
@@ -254,7 +599,7 @@ def to_decimal_string(x: BigReal, d: int) -> str:
 
 
 def pi(prec: Precision) -> BigReal:
-    return _bound(libmp.mpf_pi(_bits(prec), libmp.round_nearest), prec)
+    return _bound(_named_constant("pi", _bits(prec), _NEAREST), prec)
 
 
 def ln(x, prec: Precision) -> BigReal:
@@ -265,7 +610,7 @@ def ln(x, prec: Precision) -> BigReal:
             raise PrecisionMismatch("ln argument bound to a different precision")
         v = x._v
     else:
-        v = _to_mpf(x, _bits(prec))
-    if libmp.mpf_le(v, libmp.fzero):
-        raise DomainError(f"ln requires a positive argument, got {libmp.to_str(v, 15)}")
-    return _bound(libmp.mpf_log(v, _bits(prec), libmp.round_nearest), prec)
+        v = _to_raw(x, _bits(prec))
+    if v[0] or not v[1]:
+        raise DomainError(f"ln requires a positive argument, got {_short_str(v)}")
+    return _bound(_ln(v, _bits(prec)), prec)

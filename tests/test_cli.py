@@ -425,6 +425,51 @@ def test_reimport_leaves_no_old_module_alive():
     assert (proc.returncode, proc.stdout) == (0, "dead\n"), proc.stderr
 
 
+def test_package_imports_no_mpmath():
+    # mpmath is the tests' oracle, not a dependency: importing the package,
+    # its CLI and its acceptance suite and evaluating an expression with pi
+    # and a logarithm leave no mpmath module loaded
+    code = (
+        "import sys\n"
+        "import polyzeta, polyzeta.cli, polyzeta.acceptance\n"
+        "code = polyzeta.cli.run(['eval', 'Pi^2*log(2)', '--digits', '50'])\n"
+        "print(code, sorted(n for n in sys.modules if n.split('.')[0] == 'mpmath'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "expression, out",
+    [
+        # a decimal exponent beyond 3500 bits takes the rendering's scaled path
+        ("10^10^6", "1.00000000000000000000000000000e+1000000"),
+        ("3^-7000/7", "2.02357321549973762830347474134e-3341"),
+        ("log(10^10^5)", "230258.509299404568401799145468"),
+    ],
+    ids=["huge-power", "tiny-quotient", "log-of-huge"],
+)
+def test_run_eval_extreme_exponent_goldens(expression, out, capsys):
+    assert run(["eval", expression, "--digits", "30"]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize(
+    "expression, shown",
+    [("log(-2/3)", "-0.666666666666667"), ("log(0)", "0.0")],
+)
+def test_run_eval_log_domain_error_text(expression, shown, capsys):
+    # the argument is shown to 15 significant digits, trailing zeros dropped
+    assert run(["eval", expression, "--digits", "30"]) == 1
+    assert capsys.readouterr().err == f"error: ln requires a positive argument, got {shown}\n"
+
+
 def test_run_eval_unexpected_character_and_tiny_power_base(capsys):
     assert run(["eval", "2 $ 3"]) == 1
     assert capsys.readouterr().err == (
