@@ -33,7 +33,7 @@ from .evaluate import (
     evaluate_zp,
     evaluate_J,
     holder_split,
-    working_precision,
+    plan,
 )
 from .identities import (
     delta_12,
@@ -144,7 +144,7 @@ def planted_relation(seed: int):
 
 
 def _evaluate_via_split(word, p: Fraction, prec: Precision) -> BigReal:
-    spec_prec = working_precision(prec, word_to_lambda(word))
+    spec_prec = plan(word_to_lambda(word), prec).working
     total = BigReal(0, spec_prec)
     for term in holder_split(word, p):
         left = evaluate_lambda(term.left, spec_prec)

@@ -15,9 +15,10 @@ wherever a base's numerator or denominator is a power of two, so the bases
 A right shift floors exactly as the floor division it replaces, so
 compiling changes the cost of a step, not its value.
 
-Routes.  ``_route`` decides once per spec which passes evaluate it, the
-signs that combine their values, and the error factor that sets their
-digits; ``working_precision`` and ``evaluate_lambda`` both read it.
+Routes.  ``plan(spec, prec)`` decides once per (spec, prec), before any
+pass, how ``evaluate_lambda`` computes the value: the route and its p, the
+signs that combine the passes' values, the working precision, and per pass
+the spec, the steps and the bits (a frozen ``Plan``).
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
@@ -53,14 +54,14 @@ plan's tail bound is below 10^-D and keeps its rounding below 10^-D
   is off by at most (weight+1)*(M_L + M_R + 1)*delta, which is at most 10^-W
   once 10^(D-W) >= 2*(weight+1)*(M_L + M_R + 1).
 
-``working_precision`` computes D before any pass, as W plus the decimal
-exponent of the route's error factor: 2 on the direct and dual routes,
-2*(weight+1)*(M_L + M_R + 1) on the split.
+The plan's working precision runs the passes at D digits: W plus the
+decimal exponent of the route's error factor, 2 on the direct and dual
+routes, 2*(weight+1)*(M_L + M_R + 1) on the split.
 
 Memos.  Three ``lru_cache`` memos hold the evaluator's state; clearing all
 three makes the next evaluation cold:
 
-* ``_route`` -- keyed by the spec: its passes, signs and error factor;
+* ``plan`` -- keyed by (spec, prec): the Plan;
 * ``_compiled_pass`` -- keyed by (exponents, (numerator, denominator) of
   each base, every_suffix): the compiled pass;
 * ``evaluate_lambda`` -- keyed by (spec, prec): the value.
@@ -72,6 +73,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError, UnsupportedSpec
 from .model import (
@@ -113,65 +115,28 @@ def _decimal_exponent(bound: Fraction) -> int:
     return len(str(ceiling - 1)) if ceiling > 1 else 0
 
 
-@lru_cache(maxsize=4096)
-def _route(spec: LambdaSpec) -> tuple[tuple[LambdaSpec, ...], tuple[int, ...], Fraction]:
-    """(passes, signs, factor): the kernel passes that evaluate spec, the
-    signs that combine their values, and the error factor of the sum.
-
-    direct and dual make one full-value pass, of spec or of its dual, and
-    the value is signs[0] times it.  The split makes two every-suffix
-    passes, R of p*word and L of q*dual, and the value is
-    sum_r signs[r] * L[weight-r] * R[r] with
-    signs[r] = (-1)^(r + depth + depth(dual[weight-r:]) + depth(word[r:])),
-    the terms of ``holder_split(word, p)``.  See the module docstring for
-    the factor.
-    """
-    # no word encoding for nonpositive exponents, but convergence guarantees
-    # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
-    if not spec.depth or _geometric(spec.bases) or min(spec.exponents) < 1:
-        return (spec,), (1,), Fraction(2)
-    word = lambda_to_word(spec)
-    dual, sign = dual_word(word)
-    dual_spec = word_to_lambda(dual)
-    if _geometric(dual_spec.bases):
-        return (dual_spec,), (sign,), Fraction(2)
-    p = _split_parameter(word)
-    right, left = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
-    weight, k = len(word), word_depth(word)
-    signs = tuple(
-        (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
-        for r in range(weight + 1)
-    )
-    bounds = _suffix_bound(left.bases) + _suffix_bound(right.bases)
-    factor = 2 * (weight + 1) * (bounds + 1)
-    return (right, left), signs, factor
-
-
-def working_precision(prec: Precision, spec: LambdaSpec) -> Precision:
-    """Precision whose working_dps D the kernel passes for spec run at:
-    W = prec.working_dps plus the decimal exponent of the route's error
-    factor, so the value is within 10^-W before its final rounding."""
-    factor = _route(spec)[2]
-    return Precision(prec.digits, prec.guard + _decimal_exponent(factor))
-
-
 # ---------------------------------------------------------------------------
 # Truncation plan and the fixed-point suffix kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumPlan:
-    """Truncation point N and the log10 of the tail bound there.
+# The plan's records are NamedTuples, not frozen dataclasses: building a
+# dataclass costs about 0.7 ms at every import, a few percent of a CLI start.
+class SumPlan(NamedTuple):
+    """One kernel pass of spec run to 10^eps: its N outer steps, the log10
+    of the tail bound there, and the bits of its fixed-point scale 2^bits.
 
     With r = 1/min |b_j| and m = k - 1 + sum_{s_j < 0} -s_j, the tail of the
     nested sum past outer index N is at most sum_{n>N} n^m * r^n, which the
     plan bounds in closed form by g(N+1)/(1-rho) with g(n) = n^m r^n and
     rho = (1+r)/2, valid because N is chosen large enough that g is decaying
-    at least as fast as rho.
+    at least as fast as rho.  The bits keep the rounding of N steps below
+    10^eps too (``_rounding_bits``).
     """
 
+    spec: LambdaSpec
     terms: int
     tail_log10: float
+    bits: int
 
 
 def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
@@ -190,7 +155,8 @@ def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
     while True:
         tail = m * math.log10(n + 1) + (n + 1) * log_r + log_gap
         if tail < eps_log10 and r * (1 + 1 / n) ** m <= rho:
-            return SumPlan(n, tail)
+            bits = math.ceil(-eps_log10 * math.log2(10)) + _rounding_bits(spec, n)
+            return SumPlan(spec, n, tail, bits)
         n += max(1, n // 8)
 
 
@@ -232,7 +198,25 @@ def _compiled_pass(
     exponents: tuple[int, ...], bases: tuple[tuple[int, int], ...], every_suffix: bool
 ):
     """The kernel pass over these exponents and (numerator, denominator)
-    bases as one straight-line function (terms, one) -> values.
+    bases as one straight-line function (terms, one) -> values: the
+    truncated values of the spec's suffixes, summing the outer index over
+    1..terms, as ints scaled by one = 2^bits.
+
+    For positive exponents values[i] is the suffix that starts at position
+    i of the spec's word, so a block (s, b) yields the suffixes with
+    exponents s, s-1, ..., 1 in that order, and the last entry is the empty
+    suffix, 1.  A nonpositive exponent yields only its own block's suffix.
+    The split needs every suffix.  The direct and dual routes need only the
+    full value, so with every_suffix False values holds just values[0]:
+    floor(floor(t/n)/n) = floor(t/n^2) for n > 0, so it is bit-identical in
+    both modes.
+
+    With b_0 = 1 and P_j(n) the inner sum over n >= n_j > ... > n_k, the
+    scaled partial sums A_j(n) = b_{j-1}^-n P_j(n) obey
+        A_j(n) = A_j(n-1)/b_{j-1} + n^-s_j A_{j+1}(n-1)/b_j,
+    with A_{k+1}(n) = b_k^-n; a suffix starting in block j with exponent
+    s' <= s_j accumulates n^-s' A_{j+1}(n-1)/b_j.  Every |b_j| > 1 keeps
+    each stored A bounded, so b^-n and x^n are never held apart.
 
     Each level's stored A, its scaled value and its suffix sums are locals
     (a0..., c0..., s0_0...).  A step first scales every level,
@@ -294,41 +278,6 @@ def _compiled_pass(
     namespace = {}
     exec("\n".join(source), namespace)
     return namespace["kernel_pass"]
-
-
-def _suffix_sums(
-    spec: LambdaSpec, terms: int, dps: int, every_suffix: bool = True
-) -> tuple[list[int], int]:
-    """Truncated values of the suffixes of spec, as ints scaled by 2^bits.
-
-    Returns (values, bits).  For positive exponents values[i] is the suffix
-    that starts at position i of the spec's word, so a block (s, b) yields
-    the suffixes with exponents s, s-1, ..., 1 in that order, and the last
-    entry is the empty suffix, 1.  A nonpositive exponent yields only its
-    own block's suffix.  Each value sums the outer index over 1..terms, and
-    its rounding error stays below 10^-dps.
-
-    The split needs every suffix.  The direct and dual routes need only the
-    full value, so with every_suffix False the pass skips the partial
-    suffixes and values holds just values[0]: a level then makes one floor
-    division by n^s_j per step instead of s_j divisions by n, and only
-    level 0 accumulates.  floor(floor(t/n)/n) = floor(t/n^2) for n > 0, so
-    values[0] is bit-identical in both modes.
-
-    With b_0 = 1 and P_j(n) the inner sum over n >= n_j > ... > n_k, the
-    scaled partial sums A_j(n) = b_{j-1}^-n P_j(n) obey
-        A_j(n) = A_j(n-1)/b_{j-1} + n^-s_j A_{j+1}(n-1)/b_j,
-    with A_{k+1}(n) = b_k^-n; a suffix starting in block j with exponent
-    s' <= s_j accumulates n^-s' A_{j+1}(n-1)/b_j.  Every |b_j| > 1 keeps
-    each stored A bounded, so b^-n and x^n are never held apart.  The steps
-    run in the pass ``_compiled_pass`` builds once per exponents, bases and
-    mode: shifts where a numerator or denominator is a power of two, each
-    exactly the floor division it replaces, so values and bits do not depend
-    on the compilation.
-    """
-    bits = math.ceil(dps * math.log2(10)) + _rounding_bits(spec, terms)
-    bases = tuple((b.numerator, b.denominator) for b in spec.bases)
-    return _compiled_pass(spec.exponents, bases, every_suffix)(terms, 1 << bits), bits
 
 
 # ---------------------------------------------------------------------------
@@ -400,42 +349,86 @@ def _split_parameter(word: Word) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Dispatchers
+# One plan per (spec, prec), and the dispatchers
 # ---------------------------------------------------------------------------
+
+class Plan(NamedTuple):
+    """How ``evaluate_lambda`` computes a spec at a precision, before any pass.
+
+    route is "direct", "dual" or "split", and p is the split's parameter
+    (None on the other routes).  The passes run at the working precision,
+    full-value on the direct and dual routes and every-suffix on the split.
+    direct and dual return signs[0] times their pass's value.  The split's
+    passes are R of p*word and L of q*dual, and it returns
+    sum_r signs[r] * L[weight-r] * R[r] with
+    signs[r] = (-1)^(r + depth + depth(dual[weight-r:]) + depth(word[r:])),
+    the terms of ``holder_split(word, p)``.
+    """
+
+    route: str
+    p: Fraction | None
+    signs: tuple[int, ...]
+    working: Precision
+    passes: tuple[SumPlan, ...]
+
+
+@lru_cache(maxsize=4096)
+def plan(spec: LambdaSpec, prec: Precision) -> Plan:
+    """The Plan of spec at prec; the module docstring derives its routes
+    and its working precision."""
+    route, p, specs, signs, factor = "direct", None, (spec,), (1,), 2
+    # no word encoding for nonpositive exponents, but convergence guarantees
+    # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
+    if spec.depth and not _geometric(spec.bases) and min(spec.exponents) >= 1:
+        word = lambda_to_word(spec)
+        dual, sign = dual_word(word)
+        dual_spec = word_to_lambda(dual)
+        if _geometric(dual_spec.bases):
+            route, specs, signs = "dual", (dual_spec,), (sign,)
+        else:
+            route, p = "split", _split_parameter(word)
+            specs = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
+            weight, k = len(word), word_depth(word)
+            signs = tuple(
+                (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
+                for r in range(weight + 1)
+            )
+            factor = 2 * (weight + 1) * (sum(_suffix_bound(s.bases) for s in specs) + 1)
+    working = Precision(prec.digits, prec.guard + _decimal_exponent(factor))
+    # each pass's values are within 2*10^-D: its plan cuts the tail below
+    # 10^-D and its bits keep the rounding below 10^-D.  A suffix has no more
+    # levels and no smaller base modulus, so the pass's plan bounds its tail too.
+    passes = tuple(plan_nested_sum(s, -working.working_dps) for s in specs if s.depth)
+    return Plan(route, p, signs, working, passes)
+
 
 @lru_cache(maxsize=4096)
 def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     """Evaluate any convergent spec to |error| < 10^-digits.
 
-    Before the final rounding the value is within 10^-prec.working_dps; see
-    ``working_precision``.  Pure in (spec, prec), so results are memoized;
-    identity checks that sum many formal terms revisit the same values
-    constantly.
+    Runs the passes of ``plan(spec, prec)`` and combines them, so before the
+    final rounding the value is within 10^-prec.working_dps.  Pure in
+    (spec, prec), so results are memoized; identity checks that sum many
+    formal terms revisit the same values constantly.
     """
     require_convergent(spec)
-    dps = working_precision(prec, spec).working_dps
     if spec.depth == 0:
         return BigReal(1, prec)
-    passes, signs, _ = _route(spec)
-    split = len(passes) == 2
-    # each pass's values are within 2*10^-dps: the plan cuts the tail below
-    # 10^-dps and the kernel keeps its rounding below 10^-dps.  A suffix has
-    # no more levels and no smaller base modulus, so the pass's plan bounds
-    # its tail too.
-    runs = [
-        _suffix_sums(s, plan_nested_sum(s, -dps).terms, dps, every_suffix=split)
-        for s in passes
-    ]
+    how = plan(spec, prec)
+    split = how.route == "split"
+    runs = []
+    for run in how.passes:
+        bases = tuple((b.numerator, b.denominator) for b in run.spec.bases)
+        runs.append(_compiled_pass(run.spec.exponents, bases, split)(run.terms, 1 << run.bits))
     if split:
-        (right, right_bits), (left, left_bits) = runs
-        weight = len(signs) - 1
-        total = sum(sign * left[weight - r] * right[r] for r, sign in enumerate(signs))
-        value = total, -(left_bits + right_bits)
+        right, left = runs
+        weight = len(how.signs) - 1
+        total = sum(sign * left[weight - r] * right[r] for r, sign in enumerate(how.signs))
     else:
-        [([full], bits)] = runs
-        value = signs[0] * full, -bits
+        [[full]] = runs
+        total = how.signs[0] * full
     # one rounding, from the kernel's (mantissa, exponent) pair
-    return BigReal(value, prec)
+    return BigReal((total, -sum(run.bits for run in how.passes)), prec)
 
 
 def evaluate_word(word: Word, prec: Precision) -> BigReal:

@@ -767,18 +767,12 @@ def reversal_reduction(s) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n from the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    """B_0 .. B_n, exactly, from the recurrence sum_{j<=m} C(m+1, j) B_j = 0
+    (so B_1 = -1/2)."""
     out = [Fraction(1)]
     for m in range(1, n + 1):
         out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) / (m + 1))
     return out
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise DomainError("Bernoulli index must be nonnegative")
-    return _bernoulli_numbers(n)[n]
 
 
 def delta_negative_exact(n: int) -> int:

@@ -27,10 +27,10 @@ from polyzeta import (
 )
 from polyzeta import acceptance, evaluate, identities
 from polyzeta.evaluate import (
-    _suffix_sums,
     evaluate_J,
     evaluate_word,
     holder_split,
+    plan,
     plan_nested_sum,
 )
 from polyzeta.model import delta_spec, make_word
@@ -48,6 +48,19 @@ def tol(exp10):
 
 def assert_close(a, b, exp10):
     assert abs(a - b).to_fraction() < tol(exp10)
+
+
+def pass_bits(spec, terms, dps):
+    """The bits that keep `terms` kernel steps over spec within 10^-dps."""
+    return math.ceil(dps * math.log2(10)) + evaluate._rounding_bits(spec, terms)
+
+
+def suffix_sums(spec, terms, dps, every_suffix=True):
+    """(values, bits): the compiled pass over spec, run for `terms` steps at
+    pass_bits(spec, terms, dps)."""
+    bits = pass_bits(spec, terms, dps)
+    bases = tuple((b.numerator, b.denominator) for b in spec.bases)
+    return evaluate._compiled_pass(spec.exponents, bases, every_suffix)(terms, 1 << bits), bits
 
 
 # -- direct summation ---------------------------------------------------------
@@ -82,7 +95,7 @@ def test_suffix_kernel_matches_exact_partial_sums():
         for n2 in range(1, n1):
             exact += F(1, 2 ** (n1 - n2) * 2 ** n2) / (n1 ** 2 * n2)
     for every_suffix in (True, False):
-        values, bits = _suffix_sums(spec, 12, 50, every_suffix)
+        values, bits = suffix_sums(spec, 12, 50, every_suffix)
         assert abs(F(values[0], 2 ** bits) - exact) < F(10) ** -45, every_suffix
 
 
@@ -110,8 +123,8 @@ def test_full_value_pass_matches_every_suffix_pass():
     for spec in specs:
         for dps in (30, 120):
             terms = plan_nested_sum(spec, -dps).terms
-            every, bits = _suffix_sums(spec, terms, dps)
-            full, full_bits = _suffix_sums(spec, terms, dps, every_suffix=False)
+            every, bits = suffix_sums(spec, terms, dps)
+            full, full_bits = suffix_sums(spec, terms, dps, every_suffix=False)
             assert (full, full_bits) == ([every[0]], bits), (spec, dps)
 
 
@@ -119,7 +132,7 @@ def two_division_suffix_sums(spec, terms, dps, every_suffix=True):
     """The kernel as an interpreted loop over lists: each level and step
     divides by its base as a * den // num, then by n^s_j (or s_j times by
     n)."""
-    bits = math.ceil(dps * math.log2(10)) + evaluate._rounding_bits(spec, terms)
+    bits = pass_bits(spec, terms, dps)
     one = 1 << bits
     k = spec.depth
     nums = [b.numerator for b in spec.bases]
@@ -219,7 +232,7 @@ def test_compiled_pass_matches_the_two_division_kernel():
     for spec, terms in mixed + deep:
         for dps in (30, 200):
             for every_suffix in (True, False):
-                got = _suffix_sums(spec, terms, dps, every_suffix)
+                got = suffix_sums(spec, terms, dps, every_suffix)
                 want = two_division_suffix_sums(spec, terms, dps, every_suffix)
                 assert got == want, (spec, terms, dps, every_suffix)
 
@@ -245,9 +258,9 @@ def test_compiled_pass_takes_ints_only(monkeypatch, exponents, bases):
 def test_long_level_and_deep_dual_pass():
     # z(120) splits into a 120-line unrolled level and a depth-119 dual
     prec = Precision(10)
-    passes = evaluate._route(zeta_spec(120))[0]
-    assert [s.exponents[0] for s in passes] == [120, 2]
-    assert [s.depth for s in passes] == [1, 119]
+    passes = plan(zeta_spec(120), prec).passes
+    assert [run.spec.exponents[0] for run in passes] == [120, 2]
+    assert [run.spec.depth for run in passes] == [1, 119]
     got = evaluate_z((120,), prec)
     with mp.workdps(40):
         assert abs(mpf(got) - mp.zeta(120)) < mp.mpf(10) ** -10
@@ -305,13 +318,13 @@ def test_suffix_kernel_every_suffix_matches_exact():
         (LambdaSpec.of((2, -1, 0), (F(-7, 4), 3, 2)), 40, 50),
     ]
     for spec, steps, dps in cases:
-        values, bits = _suffix_sums(spec, steps, dps)
+        values, bits = suffix_sums(spec, steps, dps)
         suffixes = suffix_specs(spec)
         assert len(values) == len(suffixes)
         for got, suffix in zip(values, suffixes):
             want = exact_partial_sum(suffix, steps)
             assert abs(F(got, 2 ** bits) - want) < F(10) ** -dps, suffix
-        (full,), full_bits = _suffix_sums(spec, steps, dps, every_suffix=False)
+        (full,), full_bits = suffix_sums(spec, steps, dps, every_suffix=False)
         want = exact_partial_sum(spec, steps)
         assert abs(F(full, 2 ** full_bits) - want) < F(10) ** -dps, spec
 
@@ -328,8 +341,8 @@ def test_truncation_soundness():
     ]
     for spec in specs:
         plan = plan_nested_sum(spec, -(prec.digits + prec.guard / 2))
-        base, bits = _suffix_sums(spec, plan.terms, prec.working_dps)
-        more, more_bits = _suffix_sums(spec, plan.terms + 25, prec.working_dps)
+        base, bits = suffix_sums(spec, plan.terms, prec.working_dps)
+        more, more_bits = suffix_sums(spec, plan.terms + 25, prec.working_dps)
         diff = F(more[0], 2 ** more_bits) - F(base[0], 2 ** bits)
         assert abs(diff) < F(10) ** int(plan.tail_log10 + 1)
 
@@ -732,6 +745,9 @@ def test_values_carry_their_working_digits():
             assert abs(low - high) < F(1, 10 ** (d + 19)) * max(1, abs(high)), (label, d)
 
 
+ROUTE_PREC = Precision(30)
+
+
 def random_split_specs(seed):
     """Convergent specs with bases near the unit circle that take the split,
     many of them at an adaptive p."""
@@ -741,36 +757,36 @@ def random_split_specs(seed):
         depth = rng.randint(1, 4)
         exps = tuple(rng.randint(1, 3) for _ in range(depth))
         spec = LambdaSpec.of(exps, tuple(rng.choice(base_pool) for _ in exps))
-        if spec.is_convergent() and len(evaluate._route(spec)[0]) == 2:
+        if spec.is_convergent() and plan(spec, ROUTE_PREC).route == "split":
             yield spec
 
 
 def test_split_pass_suffixes_stay_within_their_bound():
     # every suffix of a scaled word is at most M = prod max(1, 1/(|b_j| - 1)),
     # the bound the split's error budget multiplies by
-    dps = 30
     checked = adaptive = 0
     for spec in random_split_specs(606):
         if checked == 40:
             break
-        right, left = evaluate._route(spec)[0]
-        adaptive += right.bases[0] != 2 * spec.bases[0]  # right is p * word
-        for pass_spec in (right, left):
-            bound = evaluate._suffix_bound(pass_spec.bases)
-            terms = plan_nested_sum(pass_spec, -dps).terms
-            values, bits = _suffix_sums(pass_spec, terms, dps)
+        how = plan(spec, ROUTE_PREC)
+        dps = how.working.working_dps
+        adaptive += how.p != 2
+        for run in how.passes:
+            bound = evaluate._suffix_bound(run.spec.bases)
+            values, bits = suffix_sums(run.spec, run.terms, dps)
             for v in values:
                 # each value is within 2*10^-dps of the suffix it sums
-                assert abs(F(v, 2 ** bits)) <= bound + F(2, 10 ** dps), (spec, pass_spec)
+                assert abs(F(v, 2 ** bits)) <= bound + F(2, 10 ** dps), (spec, run.spec)
         checked += 1
     assert adaptive >= 10
 
 
 def assert_route_is_holder_split(word, p):
-    passes, signs, _ = evaluate._route(word_to_lambda(word))
+    how = plan(word_to_lambda(word), ROUTE_PREC)
     terms = holder_split(word, p)
-    assert passes == (terms[0].right, terms[-1].left), word
-    assert signs == tuple(t.sign for t in terms), word
+    assert (how.route, how.p) == ("split", p), word
+    assert tuple(run.spec for run in how.passes) == (terms[0].right, terms[-1].left), word
+    assert how.signs == tuple(t.sign for t in terms), word
 
 
 def test_route_split_matches_holder_split():
@@ -778,7 +794,7 @@ def test_route_split_matches_holder_split():
     # half, and its signs are the split's, at p = 2 on +-1 words ...
     split_words = [
         word for word in word_corpus(60, 9, seed=21)
-        if len(evaluate._route(word_to_lambda(word))[0]) == 2
+        if plan(word_to_lambda(word), ROUTE_PREC).route == "split"
     ]
     assert len(split_words) >= 40
     for word in split_words:
@@ -786,24 +802,33 @@ def test_route_split_matches_holder_split():
     # ... and at the adaptive p of bases off the unit circle
     adaptive = 0
     for spec in random_split_specs(77):
-        word = lambda_to_word(spec)
-        p = evaluate._split_parameter(word)
+        p = plan(spec, ROUTE_PREC).p
         if p != 2:
-            assert_route_is_holder_split(word, p)
+            assert_route_is_holder_split(lambda_to_word(spec), p)
             adaptive += 1
             if adaptive == 12:
                 break
 
 
+def one_pass_route(spec):
+    """(route, p, pass specs, signs) of spec's plan, after checking that it
+    runs one digit past the requested working digits (error factor 2)."""
+    how = plan(spec, ROUTE_PREC)
+    assert how.working == Precision(ROUTE_PREC.digits, ROUTE_PREC.guard + 1)
+    return how.route, how.p, tuple(run.spec for run in how.passes), how.signs
+
+
 def test_route_direct_and_dual_make_one_pass():
     spec = LambdaSpec.of((2, 1), (3, F(-7, 4)))
-    assert evaluate._route(spec) == ((spec,), (1,), 2)
+    assert one_pass_route(spec) == ("direct", None, (spec,), (1,))
     spec = LambdaSpec.of((2, -1), (F(5, 4), F(5, 4)))  # no word encoding
-    assert evaluate._route(spec) == ((spec,), (1,), 2)
+    assert one_pass_route(spec) == ("direct", None, (spec,), (1,))
     # z(-1, -1, -1): bases -1, 1, -1; the dual word has bases 2, 2
     spec = lambda_from_z_string((-1, -1, -1))
     dual, sign = dual_word(lambda_to_word(spec))
-    assert evaluate._route(spec) == ((word_to_lambda(dual),), (sign,), 2)
+    assert one_pass_route(spec) == ("dual", None, (word_to_lambda(dual),), (sign,))
+    # z(3, 1) takes the split, at p = 2
+    assert plan(lambda_from_z_string((3, 1)), ROUTE_PREC).route == "split"
 
 
 def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
@@ -815,9 +840,9 @@ def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
     ]
     oracles = []
     for spec in specs:
-        word = lambda_to_word(spec)
-        assert len(evaluate._route(spec)[0]) == 2
-        terms = holder_split(word, evaluate._split_parameter(word))
+        how = plan(spec, prec)
+        assert how.route == "split"
+        terms = holder_split(lambda_to_word(spec), how.p)
         oracles.append(sum(
             (evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
              for t in terms),
@@ -831,6 +856,59 @@ def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
     evaluate_lambda.cache_clear()
     for spec, oracle in zip(specs, oracles):
         assert_close(evaluate_lambda(spec, prec), oracle, 38)
+
+
+def test_three_memos_and_the_plan_numbers():
+    # the evaluator's state is three lru_cache memos: clearing them makes the
+    # next evaluation cold, and clearing evaluate_lambda's alone (as the
+    # benchmark's rounds do) leaves the plan and the compiled passes warm
+    memos = {name: obj for name, obj in vars(evaluate).items() if hasattr(obj, "cache_clear")}
+    assert sorted(memos) == ["_compiled_pass", "evaluate_lambda", "plan"]
+    prec = Precision(30)
+    cases = [
+        ("direct", None, LambdaSpec.of((3,), (2,)), lambda: evaluate_zp(2, (3,), prec)),
+        ("dual", None, lambda_from_z_string((-1, -1, -1)), lambda: evaluate_z((-1, -1, -1), prec)),
+        ("split", F(2), lambda_from_z_string((3, 1)), lambda: evaluate_z((3, 1), prec)),
+    ]
+
+    def counts():
+        return {name: memo.cache_info()[:2] for name, memo in memos.items()}
+
+    def calls_since(before):
+        return {
+            name: (hits - before[name][0], misses - before[name][1])
+            for name, (hits, misses) in counts().items()
+        }
+
+    for memo in memos.values():
+        memo.cache_clear()
+    for route, p, spec, call in cases:
+        before = counts()
+        call()
+        cold = calls_since(before)
+        how = plan(spec, prec)
+        passes = len(how.passes)
+        assert cold["evaluate_lambda"] == cold["plan"] == (0, 1), route
+        # z(3, 1) is self-dual, so its two split passes share one compiled pass
+        hits, misses = cold["_compiled_pass"]
+        assert misses >= 1 and hits + misses == passes, route
+
+        before = counts()
+        call()
+        assert calls_since(before)["evaluate_lambda"] == (1, 0), route
+        evaluate_lambda.cache_clear()
+        before = counts()
+        call()
+        warm = calls_since(before)
+        assert warm["evaluate_lambda"] == (0, 1), route
+        assert warm["plan"] == (1, 0) and warm["_compiled_pass"] == (passes, 0), route
+
+        assert (how.route, how.p) == (route, p)
+        assert passes == (2 if route == "split" else 1)
+        dps = how.working.working_dps
+        for run in how.passes:
+            assert run.terms == plan_nested_sum(run.spec, -dps).terms, route
+            assert run.bits == pass_bits(run.spec, run.terms, dps), route
 
 
 def test_printed_precision_semantics():

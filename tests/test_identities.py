@@ -34,7 +34,6 @@ from polyzeta.identities import (
     _weak_chains,
     alternating_source_spec,
     alternating_to_mu,
-    bernoulli,
     cyclotomic_expand,
     delta_odd,
     delta_mu_dual,
@@ -852,6 +851,10 @@ def test_reversal_reduction_validates():
 
 # -- Bernoulli and closed forms ---------------------------------------------------
 
+def bernoulli(n):
+    return identities._bernoulli_numbers(n)[n]
+
+
 def test_bernoulli_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == F(-1, 2)
@@ -1035,7 +1038,6 @@ def test_identity_catalog_weight_six_generates():
         (lambda: alternating_to_mu((2, -3)), DomainError),
         (lambda: mu_to_compositions((-1,)), DomainError),
         (lambda: delta_mu_dual((0,)), DomainError),
-        (lambda: bernoulli(-1), DomainError),
         (lambda: delta_negative_exact(-1), DomainError),
         (lambda: delta_one_negative_exact(0), DomainError),
         (lambda: zagier(-1, Precision(20)), DomainError),
@@ -1049,7 +1051,7 @@ def test_identity_catalog_weight_six_generates():
     ],
     ids=[
         "formal-sum-body", "stuffle-lengths", "stuffle-check-pole", "cyclotomic-square",
-        "alternating-negative", "compositions-negative", "dual-zero", "bernoulli",
+        "alternating-negative", "compositions-negative", "dual-zero",
         "delta-negative", "delta-one-negative", "zagier", "z213", "mu-power-n",
         "mu-power-base", "t5", "zeta-li-log", "delta-odd", "catalog-weight",
     ],
