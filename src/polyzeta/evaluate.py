@@ -416,10 +416,15 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
         return BigReal(1, prec)
     how = plan(spec, prec)
     split = how.route == "split"
-    runs = []
+    # a self-dual word's two split passes are equal, so each distinct pass
+    # runs once
+    values = {}
     for run in how.passes:
-        bases = tuple((b.numerator, b.denominator) for b in run.spec.bases)
-        runs.append(_compiled_pass(run.spec.exponents, bases, split)(run.terms, 1 << run.bits))
+        if run not in values:
+            bases = tuple((b.numerator, b.denominator) for b in run.spec.bases)
+            kernel = _compiled_pass(run.spec.exponents, bases, split)
+            values[run] = kernel(run.terms, 1 << run.bits)
+    runs = [values[run] for run in how.passes]
     if split:
         right, left = runs
         weight = len(how.signs) - 1

@@ -172,7 +172,10 @@ class FormalSum:
 
     @classmethod
     def single(cls, body, coeff=1) -> "FormalSum":
-        return cls(((coeff, body),))
+        """coeff * body as one canonical term, and the empty sum for a zero
+        coeff; the body is checked as __init__ checks it."""
+        _body_key(body)
+        return cls._canonical(((coeff, body),) if coeff else ())
 
     @classmethod
     def _canonical(cls, terms) -> "FormalSum":
@@ -952,14 +955,12 @@ def identity_catalog(max_weight: int) -> list[Identity]:
         _word_code(c): (s, tuple(_LETTERS[x] for x in c)) for s, c in letters.items()
     }
 
-    def single(body):
-        return FormalSum._canonical(((1, body),))
-
     for s in strings:
         # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
         dual, _ = words[_word_code(tuple(1 - c for c in reversed(letters[s])))]
         if dual > s:  # emit each dual pair once
-            identities.append(Identity("duality", single(specs[s]), single(specs[dual])))
+            lhs, rhs = FormalSum.single(specs[s]), FormalSum.single(specs[dual])
+            identities.append(Identity("duality", lhs, rhs))
 
     weights = [sum(s) for s in strings]
     # light[b]: the indices of the strings of weight <= b, ascending
@@ -967,7 +968,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     for i, u in enumerate(strings):
         js = light[max_weight - weights[i]]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
-            lhs = single(SpecProduct((specs[u], specs[v])))
+            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
             counts = _stuffle_counts(u, v)
             rhs = FormalSum._canonical(
                 (counts[x], specs[x]) for x in sorted(counts, key=_zeta_order)

@@ -1,19 +1,18 @@
 """Arbitrary-precision real arithmetic bound to explicit precisions.
 
 Values are immutable `BigReal` instances carrying the `Precision` they were
-computed under.  A value stores a binary float as the tuple (sign,
-mantissa, exponent, bitcount) of Python ints, the value being
-(-1)^sign * mantissa * 2^exponent: the mantissa is odd and bitcount is its
-bit length, and zero is (0, 0, 0, 0).  This is the layout of mpmath's raw
-``_mpf_`` tuples.  Every operation rounds its exact result once, to
-nearest with ties to even, at the binary precision of ``digits + guard``
-working decimal digits (Brent and Zimmermann, "Modern Computer Arithmetic",
-2010).  The functions below take the rounding steps of mpmath 1.3's
-`libmp`, so a value has the bits mpmath's own arithmetic gives at that
-precision; the tests check this, operation by operation, against `libmp`
-as an oracle.  The package itself imports no mpmath.  No precision is global, so no value
-depends on state outside its arguments and threads may compute at
-different precisions at once.
+computed under.  A value stores a binary float as the pair (mantissa,
+exponent) of Python ints, the value being mantissa * 2^exponent: the
+mantissa is signed and odd, and zero is (0, 0).  The summation kernel hands
+its fixed-point sums over in the same (mantissa, exponent) form.  Every
+operation rounds its exact result once, to nearest with ties to even, at the
+binary precision of ``digits + guard`` working decimal digits (Brent and
+Zimmermann, "Modern Computer Arithmetic", 2010).  The functions below take
+the rounding steps of mpmath 1.3's `libmp`, so a value has the bits mpmath's
+own arithmetic gives at that precision; the tests check this, operation by
+operation, against `libmp` as an oracle.  The package itself imports no
+mpmath.  No precision is global, so no value depends on state outside its
+arguments and threads may compute at different precisions at once.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
@@ -28,7 +27,6 @@ closed forms in `polyzeta.identities` are kernel values,
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,25 +73,27 @@ def _bits(prec: Precision) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Raw binary floats: (sign, mantissa, exponent, bitcount)
+# Raw binary floats: (signed odd mantissa, exponent)
 # ---------------------------------------------------------------------------
 
-_ZERO = (0, 0, 0, 0)
-_ONE = (0, 1, 0, 1)
-_TEN = (0, 5, 1, 3)
-# Rounding modes: to nearest with ties to even, and the magnitude truncated
-# ("down") or raised ("up"), which only the rendering of huge exponents uses.
+_ZERO = (0, 0)
+_ONE = (1, 0)
+_TEN = (5, 1)
+# Rounding modes: to nearest with ties to even, and down (floor) or up
+# (ceiling), which only the rendering of huge exponents uses, on positive
+# values, where they truncate or raise the magnitude.
 _NEAREST, _DOWN, _UP = "n", "d", "u"
 _RECIPROCAL = {_NEAREST: _NEAREST, _DOWN: _UP, _UP: _DOWN}
 
 
-def _round(sign: int, man: int, exp: int, bits: int, rnd: str = _NEAREST) -> tuple:
-    """The raw float (-1)^sign * man * 2^exp, man >= 0, rounded to bits
-    binary digits in the mode rnd; bits = 0 keeps every digit."""
+def _round(man: int, exp: int, bits: int, rnd: str = _NEAREST) -> tuple:
+    """The raw float man * 2^exp rounded to bits binary digits in the mode
+    rnd; bits = 0 keeps every digit.  The shifts floor, and rounding to
+    nearest with ties to even is the same on either side of zero, so one
+    path serves both signs."""
     if not man:
         return _ZERO
-    bc = man.bit_length()
-    n = bc - bits
+    n = man.bit_length() - bits
     if bits and n > 0:
         if rnd == _NEAREST:
             t = man >> (n - 1)
@@ -107,89 +107,67 @@ def _round(sign: int, man: int, exp: int, bits: int, rnd: str = _NEAREST) -> tup
             man = -((-man) >> n)
         exp += n
     elif man & 1:
-        return (sign, man, exp, bc)
+        return (man, exp)
     zeros = (man & -man).bit_length() - 1
-    if zeros:
-        man >>= zeros
-        exp += zeros
-    return (sign, man, exp, man.bit_length())
+    return (man >> zeros, exp + zeros)
 
 
-def _from_man_exp(man: int, exp: int, bits: int = 0) -> tuple:
-    """man * 2^exp for a signed int man, rounded to nearest at bits."""
-    return _round(int(man < 0), abs(man), exp, bits)
+def _neg(s: tuple) -> tuple:
+    return (-s[0], s[1])
 
 
-def _add(s: tuple, t: tuple, bits: int, negate_t: int = 0) -> tuple:
-    """s + t (s - t when negate_t is 1) rounded to nearest at bits."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    tsign ^= negate_t
-    if not tman:
-        return _round(ssign, sman, sexp, bits)
-    if not sman:
-        return _round(tsign, tman, texp, bits)
+def _add(s: tuple, t: tuple, bits: int) -> tuple:
+    """s + t rounded to nearest at bits."""
+    sman, sexp = s
+    tman, texp = t
+    if not (sman and tman):
+        # one of them is zero, (0, 0), so the sum is the other
+        return _round(sman + tman, sexp + texp, bits)
     if sexp < texp:
-        (ssign, sman, sexp, sbc), (tsign, tman, texp, tbc) = (tsign, tman, texp, tbc), s
+        (sman, sexp), (tman, texp) = t, s
     offset = sexp - texp
-    if offset > 100 and sbc + sexp - tbc - texp > bits + 4:
-        # t lies wholly below s's rounding position: a unit past s's last
-        # kept bit stands in for it, as libmp's perturbation does
-        man = (sman << (bits + 4)) + (1 if ssign == tsign else -1)
-        return _round(ssign, man, sexp - bits - 4, bits)
-    if ssign == tsign:
-        man = (sman << offset) + tman
-    else:
-        man = (sman << offset) - tman
-        if man < 0:
-            ssign, man = ssign ^ 1, -man
-    return _round(ssign, man, texp, bits)
+    if offset > 100 and sman.bit_length() + sexp - tman.bit_length() - texp > bits + 4:
+        # t lies wholly below s's rounding position: a unit of t's sign past
+        # s's last kept bit stands in for it, as libmp's perturbation does
+        man = (sman << (bits + 4)) + (1 if tman > 0 else -1)
+        return _round(man, sexp - bits - 4, bits)
+    return _round((sman << offset) + tman, texp, bits)
 
 
 def _mul(s: tuple, t: tuple, bits: int) -> tuple:
-    return _round(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], bits)
+    return _round(s[0] * t[0], s[1] + t[1], bits)
 
 
 def _div(s: tuple, t: tuple, bits: int, rnd: str = _NEAREST) -> tuple:
-    """s / t: the quotient to bits + 5 bits past s's, a sticky unit for a
-    remainder, then one rounding."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
+    """s / t: the floored quotient to bits + 5 bits past s's, a sticky unit
+    for a remainder, then one rounding.  The exact quotient lies strictly
+    between the floor and the floor plus one, as the sticky unit does, and
+    no rounding boundary at bits does, so both round alike."""
+    sman, sexp = s
+    tman, texp = t
     if not tman:
         raise ZeroDivisionError("division by zero")
-    if not sman:
-        return _ZERO
-    sign = ssign ^ tsign
-    if tman == 1:
-        return _round(sign, sman, sexp - texp, bits, rnd)
-    extra = max(bits - sbc + tbc + 5, 5)
+    extra = max(bits - sman.bit_length() + tman.bit_length() + 5, 5)
     quot, rem = divmod(sman << extra, tman)
     if rem:
         quot = (quot << 1) + 1
         extra += 1
-    return _round(sign, quot, sexp - texp - extra, bits, rnd)
+    return _round(quot, sexp - texp - extra, bits, rnd)
 
 
 def _pow_int(s: tuple, n: int, bits: int, rnd: str = _NEAREST) -> tuple:
-    """s**n: exact and rounded once when the mantissa's power is under 1000
-    bits, else binary powering with the partial products cut to
-    4*bitlength(n) + 4 guard bits; a negative n inverts the power taken at
-    bits + 5."""
-    sign, man, exp, bc = s
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return _round(sign, man, exp, bits, rnd)
-    if n == 2:
-        return _round(0, man * man, exp + exp, bits, rnd)
+    """s**n: exact and rounded once for n <= 2 or when the mantissa's power
+    is under 1000 bits, else binary powering of the magnitude with the
+    partial products cut to 4*bitlength(n) + 4 guard bits; a negative n
+    inverts the power taken at bits + 5."""
+    man, exp = s
     if n < 0:
         inverse = s if n == -1 else _pow_int(s, -n, bits + 5, _RECIPROCAL[rnd])
         return _div(_ONE, inverse, bits, rnd)
-    result_sign = sign & n
-    if man == 1:
-        return (result_sign, 1, exp * n, 1)
-    if bc * n < 1000:
-        return _round(result_sign, man ** n, exp * n, bits, rnd)
+    if n <= 2 or man.bit_length() * n < 1000:
+        return _round(man ** n, exp * n, bits, rnd)
+    negative = man < 0 and n & 1
+    man = abs(man)
     truncate = rnd != _UP
     work_bits = bits + 4 * n.bit_length() + 4
     pm, pe = 1, 0
@@ -211,39 +189,24 @@ def _pow_int(s: tuple, n: int, bits: int, rnd: str = _NEAREST) -> tuple:
             man = man >> cut if truncate else -((-man) >> cut)
             exp += cut
         n //= 2
-    return _round(result_sign, pm, pe, bits, rnd)
+    return _round(-pm if negative else pm, pe, bits, rnd)
 
 
 def _cmp(s: tuple, t: tuple) -> int:
     """-1, 0 or 1 as s <, = or > t: the sign of s - t, which rounding to
     nearest at any precision keeps."""
-    sign, man, _, _ = _add(s, t, 2, 1)
-    return 0 if not man else -1 if sign else 1
-
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_BITS = _HASH_MODULUS.bit_length()  # the modulus is 2^_HASH_BITS - 1
-
-
-def _hash(s: tuple) -> int:
-    """hash() of the exact value, as for an equal int or Fraction: since
-    2^_HASH_BITS = 1 modulo the Mersenne modulus, 2^exp reduces to
-    2^(exp mod _HASH_BITS)."""
-    sign, man, exp, _ = s
-    h = ((man % _HASH_MODULUS) << (exp % _HASH_BITS)) % _HASH_MODULUS
-    if sign:
-        h = -h
-    return -2 if h == -1 else h
+    man, _ = _add(s, _neg(t), 2)
+    return (man > 0) - (man < 0)
 
 
 def _to_float(s: tuple) -> float:
-    sign, man, exp, bc = s
-    if bc > 53:
-        sign, man, exp, bc = _round(sign, man, exp, 53)
+    man, exp = s
+    if man.bit_length() > 53:
+        man, exp = _round(man, exp, 53)
     try:
-        return math.ldexp(-man if sign else man, exp)
+        return math.ldexp(man, exp)
     except OverflowError:
-        return -math.inf if sign else math.inf
+        return math.copysign(math.inf, man)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +257,7 @@ def _constant(name: str, p: int) -> int:
 def _named_constant(name: str, bits: int, rnd: str) -> tuple:
     """The constant from its floor at bits + 20 bits, rounded at bits."""
     wp = bits + 20
-    return _round(0, _constant(name, wp), -wp, bits, rnd)
+    return _round(_constant(name, wp), -wp, bits, rnd)
 
 
 def _ln_fixed(man: int, bc: int, mag: int, p: int) -> tuple[int, int]:
@@ -346,15 +309,16 @@ def _ln(x: tuple, bits: int) -> tuple:
     ln y at wp = bits + 20 bits plus mag times the floor of ln 2 at wp,
     rounded to nearest.  For |mag| <= 1, wp also counts the leading bits of
     the mantissa that cancel in libmp's x - 1."""
-    _, man, exp, bc = x
+    man, exp = x
     if man == 1 and not exp:
         return _ZERO
+    bc = man.bit_length()
     mag = exp + bc
     wp = bits + 20
     if abs(mag) <= 1:
         wp += bc - abs(man - (1 << (bc - abs(mag)))).bit_length()
     m = _ln_floor(man, bc, 0, wp) + mag * _constant("ln2", wp)
-    return _from_man_exp(m, -wp, bits)
+    return _round(m, -wp, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +331,27 @@ def _digits_exp(s: tuple, dps: int) -> tuple[str, str, int]:
     digits truncated, at least dps of them, as libmp.to_digits_exp gives
     them.  An exponent beyond 3500 bits is first divided by the power of
     ten that ln 2 / ln 10 at a few bits estimates, in directed rounding."""
-    sign, man, exp, bc = s
+    man, exp = s
+    sign, man = ("-" if man < 0 else ""), abs(man)
     bitprec = int(dps * math.log(10, 2)) + 10
     exponent = 0
-    if abs(exp + bc) > 3500:
+    if abs(exp + man.bit_length()) > 3500:
+        # libmp truncates the signed exp * ln 2 / ln 10 toward zero, which
+        # is the sign of exp times the same steps on |exp|
         expprec = abs(exp).bit_length() + 5
-        scaled = _mul(_from_man_exp(exp, 0), _named_constant("ln2", expprec, _DOWN), 0)
+        scaled = _mul((abs(exp), 0), _named_constant("ln2", expprec, _DOWN), 0)
         ln10 = _named_constant("ln10", expprec, _DOWN)
-        tsign, tman, texp, _ = _div(scaled, ln10, expprec, _DOWN)
-        b = tman << texp if texp >= 0 else tman >> -texp  # truncated toward zero
-        exponent = b = -b if tsign else b
-        _, man, exp, bc = _div(
-            (0, man, exp, bc), _pow_int(_TEN, b, bitprec, _DOWN), bitprec, _DOWN
-        )
+        tman, texp = _div(scaled, ln10, expprec, _DOWN)
+        b = tman << texp if texp >= 0 else tman >> -texp
+        exponent = b = b if exp >= 0 else -b
+        man, exp = _div((man, exp), _pow_int(_TEN, b, bitprec, _DOWN), bitprec, _DOWN)
+    bc = man.bit_length()
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
     offset = exp + fixprec
     fixed = man << offset if offset >= 0 else man >> -offset
     digits = str(fixed * 10 ** fixdps >> fixprec)
-    return ("-" if sign else ""), digits, exponent + len(digits) - fixdps - 1
+    return sign, digits, exponent + len(digits) - fixdps - 1
 
 
 def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
@@ -405,7 +371,7 @@ def _round_digit_string(digits: str, d: int) -> tuple[str, int]:
 
 
 def _render(value: tuple, d: int, rounded: bool) -> str:
-    if not value[1]:
+    if not value[0]:
         return "0." + "0" * (d - 1)
     # _digits_exp yields d1.d2d3... x 10^exp, with at least d + 10 digits,
     # so there is always a digit to round from and none to pad
@@ -428,7 +394,7 @@ def _render(value: tuple, d: int, rounded: bool) -> str:
 def _short_str(value: tuple) -> str:
     """value to 15 significant digits, trailing zeros dropped, in fixed
     point for decimal exponents -4..14, as libmp.to_str(value, 15)."""
-    if not value[1]:
+    if not value[0]:
         return "0.0"
     sign, digits, exp = _digits_exp(value, 18)
     digits, carry = _round_digit_string(digits, 15)
@@ -460,12 +426,11 @@ def _to_raw(value, bits: int) -> tuple:
     ``mpf(p) / q`` does.
     """
     if isinstance(value, Fraction):
-        p = _from_man_exp(value.numerator, 0, bits)
-        return _div(p, _from_man_exp(value.denominator, 0), bits)
+        return _div(_round(value.numerator, 0, bits), (value.denominator, 0), bits)
     if isinstance(value, int):
-        return _from_man_exp(value, 0, bits)
+        return _round(int(value), 0, bits)
     if type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value):
-        return _from_man_exp(value[0], value[1], bits)
+        return _round(int(value[0]), value[1], bits)
     raise TypeError(
         "expected an int, a Fraction or a (mantissa, exponent) pair of ints,"
         f" got {type(value).__name__}"
@@ -516,9 +481,8 @@ class BigReal:
 
     def to_fraction(self) -> Fraction:
         """Exact value of the backing dyadic float."""
-        sign, man, exp, _ = self._v
-        f = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-        return -f if sign else f
+        man, exp = self._v
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     def _coerce(self, other) -> tuple:
         if isinstance(other, BigReal):
@@ -532,8 +496,8 @@ class BigReal:
         return NotImplemented
 
     __add__ = __radd__ = _operator(_add)
-    __sub__ = _operator(lambda a, b, bits: _add(a, b, bits, 1))
-    __rsub__ = _operator(lambda a, b, bits: _add(b, a, bits, 1))
+    __sub__ = _operator(lambda a, b, bits: _add(a, _neg(b), bits))
+    __rsub__ = _operator(lambda a, b, bits: _add(b, _neg(a), bits))
     __mul__ = __rmul__ = _operator(_mul)
     __truediv__ = _operator(_div)
     __rtruediv__ = _operator(lambda a, b, bits: _div(b, a, bits))
@@ -559,22 +523,21 @@ class BigReal:
         return _bound(_pow_int(self._v, n, _bits(self.prec)), self.prec)
 
     def __neg__(self):
-        sign, man, exp, _ = self._v
-        return _bound(_round(sign ^ 1, man, exp, _bits(self.prec)), self.prec)
+        return _bound(_neg(self._v), self.prec)
 
     def __abs__(self):
-        _, man, exp, _ = self._v
-        return _bound(_round(0, man, exp, _bits(self.prec)), self.prec)
+        man, exp = self._v
+        return _bound((abs(man), exp), self.prec)
 
     def __hash__(self):
         # equal to the hash of an equal int or Fraction
-        return _hash(self._v)
+        return hash(self.to_fraction())
 
     def __float__(self):
         return _to_float(self._v)
 
     def __bool__(self):
-        return self._v[1] != 0
+        return self._v[0] != 0
 
     def __str__(self):
         return _render(self._v, self.prec.digits, rounded=False)
@@ -611,6 +574,6 @@ def ln(x, prec: Precision) -> BigReal:
         v = x._v
     else:
         v = _to_raw(x, _bits(prec))
-    if v[0] or not v[1]:
+    if v[0] <= 0:
         raise DomainError(f"ln requires a positive argument, got {_short_str(v)}")
     return _bound(_ln(v, _bits(prec)), prec)

@@ -1,6 +1,7 @@
 """Numeric evaluation: direct sums against exact/independent oracles, split
 structure, dispatcher routes, and truncation soundness."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from polyzeta import (
     evaluate_zp,
     lambda_from_z_string,
     lambda_to_word,
+    parse_spec,
     word_to_lambda,
     zeta_spec,
 )
@@ -37,7 +39,7 @@ from polyzeta.model import delta_spec, make_word
 from polyzeta.precision import ln, pi
 from polyzeta.acceptance import random_z_entries, word_corpus
 
-from conftest import mpf
+from conftest import libmp_raw, mpf
 
 F = Fraction
 
@@ -888,10 +890,11 @@ def test_three_memos_and_the_plan_numbers():
         cold = calls_since(before)
         how = plan(spec, prec)
         passes = len(how.passes)
+        # z(3, 1) is self-dual, so its two split passes are one pass, run once
+        distinct = len(set(how.passes))
         assert cold["evaluate_lambda"] == cold["plan"] == (0, 1), route
-        # z(3, 1) is self-dual, so its two split passes share one compiled pass
         hits, misses = cold["_compiled_pass"]
-        assert misses >= 1 and hits + misses == passes, route
+        assert misses >= 1 and hits + misses == distinct, route
 
         before = counts()
         call()
@@ -901,7 +904,7 @@ def test_three_memos_and_the_plan_numbers():
         call()
         warm = calls_since(before)
         assert warm["evaluate_lambda"] == (0, 1), route
-        assert warm["plan"] == (1, 0) and warm["_compiled_pass"] == (passes, 0), route
+        assert warm["plan"] == (1, 0) and warm["_compiled_pass"] == (distinct, 0), route
 
         assert (how.route, how.p) == (route, p)
         assert passes == (2 if route == "split" else 1)
@@ -909,6 +912,48 @@ def test_three_memos_and_the_plan_numbers():
         for run in how.passes:
             assert run.terms == plan_nested_sum(run.spec, -dps).terms, route
             assert run.bits == pass_bits(run.spec, run.terms, dps), route
+
+
+# SHA-256 of the libmp-layout bits of z(3,1), L[2 | 1], L[2,1,3 | 1,1,1],
+# L[2,2 | 1,1] and L[4,1,1 | 1,1,1] at 200 digits, taken when each of their
+# split passes ran twice
+SELF_DUAL_SHA256 = "cd76e8f6a5384afa2206fbe40eda4289959869942260cec556e68ffb6ab0fade"
+
+
+def test_a_self_dual_split_runs_its_one_pass_once(monkeypatch):
+    # at p = 2 the left pass q*dual of a self-dual word is its right pass
+    # p*word; the four L[...] words are the self-dual split words of
+    # word_corpus(300, 10, seed=5)
+    prec = Precision(200)
+    z31 = lambda_from_z_string((3, 1))
+    specs = [z31] + [
+        parse_spec(text)
+        for text in ("L[2 | 1]", "L[2,1,3 | 1,1,1]", "L[2,2 | 1,1]", "L[4,1,1 | 1,1,1]")
+    ]
+    how = plan(z31, prec)
+    assert how.route == "split" and how.p == 2
+    assert how.passes[0] == how.passes[1] and how.passes[0].terms == 826
+    for memo in (plan, evaluate._compiled_pass, evaluate_lambda):
+        memo.cache_clear()
+    compiled, runs = evaluate._compiled_pass, []
+
+    def counted(*key):
+        kernel = compiled(*key)
+
+        def run(*args):
+            runs.append(key)
+            return kernel(*args)
+
+        return run
+
+    monkeypatch.setattr(evaluate, "_compiled_pass", counted)
+    raw = []
+    for spec in specs:
+        runs.clear()
+        value = evaluate_lambda(spec, prec)
+        assert len(runs) == 1, spec
+        raw.append(repr(libmp_raw(value)))
+    assert hashlib.sha256("\n".join(raw).encode()).hexdigest() == SELF_DUAL_SHA256
 
 
 def test_printed_precision_semantics():

@@ -102,6 +102,21 @@ def test_equal_formal_sums_hash_alike():
     assert repr(a) == "FormalSum(-3/2*L[3 | 1] + L[2,1 | 1,1])"
 
 
+def test_formal_sum_single_is_one_canonical_term():
+    # FormalSum.single skips the sort but keys its body as __init__ does, and
+    # a zero coefficient leaves no term
+    word = make_word([0, 1])
+    bodies = [zeta_spec(3, 1), word, SpecProduct((zeta_spec(2), zeta_spec(3)))]
+    for body in bodies:
+        for coeff in (1, -2, F(3, 4), 0, F(0)):
+            single = FormalSum.single(body, coeff)
+            assert single == FormalSum([(coeff, body)]), (body, coeff)
+            assert single.terms == (((coeff, body),) if coeff else ())
+    assert FormalSum.single(word).terms == ((1, word),)
+    with pytest.raises(TypeError):
+        FormalSum.single("L[2 | 1]")
+
+
 # -- stuffle -------------------------------------------------------------------
 
 def test_stuffle_set_depth_one_pair():

@@ -1,7 +1,8 @@
 """BigReal's arithmetic against mpmath's libmp as a bit-exact oracle.
 
-polyzeta rounds on Python ints and imports no mpmath; its raw floats keep
-libmp's (sign, mantissa, exponent, bitcount) layout, so every result can be
+polyzeta rounds on Python ints and imports no mpmath; its raw floats are
+(signed mantissa, exponent) pairs, which `libmp_raw` turns into libmp's
+(sign, mantissa, exponent, bitcount) layout, so every result can be
 compared, tuple for tuple, with the libmp function at the same binary
 precision.  The corpus is seeded: values of varied size, exponent gaps that
 reach libmp's perturbed addition, powers on both sides of the exact-power
@@ -18,6 +19,8 @@ from mpmath import libmp
 
 from polyzeta import BigReal, Precision, to_decimal_string
 from polyzeta.precision import _bits, _ln_floor, _round_digit_string, _short_str, ln, pi
+
+from conftest import libmp_raw
 
 RND = libmp.round_nearest
 DIGITS = (30, 50, 200, 1000)
@@ -68,11 +71,11 @@ def _corpus(digits, seed=0, n=40):
 def test_construction_matches_libmp(digits):
     prec, bits, rng, exact, values = _corpus(digits)
     for x, v in zip(exact, values):
-        assert v._v == _oracle_raw(x, bits), x
+        assert libmp_raw(v) == _oracle_raw(x, bits), x
     for _ in range(40):
         man, exp = rng.getrandbits(3 * bits) - 2 ** (3 * bits - 1), rng.randrange(-5000, 5000)
         want = libmp.from_man_exp(man, exp, bits, RND)
-        assert BigReal((man, exp), prec)._v == want
+        assert libmp_raw(BigReal((man, exp), prec)) == want
 
 
 _BINARY = {
@@ -92,10 +95,11 @@ def test_binary_operations_match_libmp(digits, op):
     pairs = [(i, j) for i in range(len(values)) for j in range(len(values))]
     for i, j in rng.sample(pairs, 300):
         a, b, y = values[i], values[j], exact[j]
-        want = theirs(a._v, b._v, bits, RND)
-        assert ours(a, b)._v == want, (op, exact[i], y)
-        assert ours(a, y)._v == want, (op, exact[i], y)
-        assert ours(y, a)._v == theirs(b._v, a._v, bits, RND), (op, y, exact[i])
+        want = theirs(libmp_raw(a), libmp_raw(b), bits, RND)
+        assert libmp_raw(ours(a, b)) == want, (op, exact[i], y)
+        assert libmp_raw(ours(a, y)) == want, (op, exact[i], y)
+        want = theirs(libmp_raw(b), libmp_raw(a), bits, RND)
+        assert libmp_raw(ours(y, a)) == want, (op, y, exact[i])
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -110,11 +114,11 @@ def test_cancelling_and_perturbed_sums_match_libmp(digits):
                 tiny = BigReal(Fraction(man, 2 ** (bits + gap)), prec)
                 small = tiny * v
                 for a, b in ((v, small), (small, v)):
-                    assert (a + b)._v == libmp.mpf_add(a._v, b._v, bits, RND)
-                    assert (a - b)._v == libmp.mpf_sub(a._v, b._v, bits, RND)
+                    assert libmp_raw(a + b) == libmp.mpf_add(libmp_raw(a), libmp_raw(b), bits, RND)
+                    assert libmp_raw(a - b) == libmp.mpf_sub(libmp_raw(a), libmp_raw(b), bits, RND)
         near = v + BigReal(Fraction(1, 2 ** (bits + 10)), prec) * v
-        assert (v - near)._v == libmp.mpf_sub(v._v, near._v, bits, RND)
-        assert (v - v)._v == libmp.fzero
+        assert libmp_raw(v - near) == libmp.mpf_sub(libmp_raw(v), libmp_raw(near), bits, RND)
+        assert libmp_raw(v - v) == libmp.fzero
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -125,7 +129,7 @@ def test_powers_match_libmp(digits):
         for n in (-3, -2, -1, 0, 1, 2, 3, 7, 1000, 10 ** 6):
             if n < 0 and not v:
                 continue
-            assert (v ** n)._v == libmp.mpf_pow_int(v._v, n, bits, RND), (v, n)
+            assert libmp_raw(v ** n) == libmp.mpf_pow_int(libmp_raw(v), n, bits, RND), (v, n)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -134,28 +138,29 @@ def test_unary_comparisons_hash_and_float_match_libmp(digits):
     huge = [BigReal(Fraction(3, 7) * 2 ** 1100, prec), BigReal(Fraction(-5, 2 ** 1100), prec)]
     values = values + huge + [BigReal(0, prec)]
     for a in values:
-        assert (-a)._v == libmp.mpf_neg(a._v, bits, RND)
-        assert abs(a)._v == libmp.mpf_abs(a._v, bits, RND)
-        assert hash(a) == hash(a.to_fraction()) == libmp.mpf_hash(a._v)
-        want = libmp.to_float(a._v, rnd=RND)
+        assert libmp_raw(-a) == libmp.mpf_neg(libmp_raw(a), bits, RND)
+        assert libmp_raw(abs(a)) == libmp.mpf_abs(libmp_raw(a), bits, RND)
+        assert hash(a) == hash(a.to_fraction()) == libmp.mpf_hash(libmp_raw(a))
+        want = libmp.to_float(libmp_raw(a), rnd=RND)
         got = float(a)
         assert got == want and math.copysign(1, got) == math.copysign(1, want)
-        assert bool(a) == (a._v != libmp.fzero)
+        assert bool(a) == (libmp_raw(a) != libmp.fzero)
         for b in rng.sample(values, 8) + [a, -a]:
-            assert (a < b) == libmp.mpf_lt(a._v, b._v)
-            assert (a <= b) == libmp.mpf_le(a._v, b._v)
-            assert (a > b) == libmp.mpf_gt(a._v, b._v)
-            assert (a >= b) == libmp.mpf_ge(a._v, b._v)
-            assert (a == b) == libmp.mpf_eq(a._v, b._v)
+            assert (a < b) == libmp.mpf_lt(libmp_raw(a), libmp_raw(b))
+            assert (a <= b) == libmp.mpf_le(libmp_raw(a), libmp_raw(b))
+            assert (a > b) == libmp.mpf_gt(libmp_raw(a), libmp_raw(b))
+            assert (a >= b) == libmp.mpf_ge(libmp_raw(a), libmp_raw(b))
+            assert (a == b) == libmp.mpf_eq(libmp_raw(a), libmp_raw(b))
 
 
 def test_pi_and_ln_of_powers_of_two_match_libmp_at_every_precision():
     for digits in range(10, 1001):
         prec = Precision(digits)
         bits = _bits(prec)
-        assert pi(prec)._v == libmp.mpf_pi(bits, RND), digits
+        assert libmp_raw(pi(prec)) == libmp.mpf_pi(bits, RND), digits
         for x in (2, Fraction(1, 8)):
-            assert ln(x, prec)._v == libmp.mpf_log(_oracle_raw(x, bits), bits, RND), (digits, x)
+            want = libmp.mpf_log(_oracle_raw(x, bits), bits, RND)
+            assert libmp_raw(ln(x, prec)) == want, (digits, x)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -171,8 +176,8 @@ def test_ln_matches_libmp(digits):
     args += [1 + Fraction(j, 2 ** (bits - 6)) for j in (-33, 33, 35, 37)]
     for x in args:
         want = libmp.mpf_log(_oracle_raw(x, bits), bits, RND)
-        assert ln(x, prec)._v == want, x
-        assert ln(BigReal(x, prec), prec)._v == want, x
+        assert libmp_raw(ln(x, prec)) == want, x
+        assert libmp_raw(ln(BigReal(x, prec), prec)) == want, x
 
 
 def test_ln_floor_is_exact_next_to_an_integer():
@@ -226,7 +231,7 @@ def test_rendering_matches_libmp_digits(digits):
         BigReal(0, prec),
     ]
     for v in values + extra:
-        assert str(v) == _reference_render(v._v, digits, rounded=False)
+        assert str(v) == _reference_render(libmp_raw(v), digits, rounded=False)
         for d in (1, 15, digits):
-            assert to_decimal_string(v, d) == _reference_render(v._v, d, rounded=True)
-        assert _short_str(v._v) == libmp.to_str(v._v, 15)
+            assert to_decimal_string(v, d) == _reference_render(libmp_raw(v), d, rounded=True)
+        assert _short_str(v._v) == libmp.to_str(libmp_raw(v), 15)

@@ -13,6 +13,8 @@ from math import gcd
 
 from polyzeta import BigReal, Precision, lindep
 
+from conftest import libmp_raw
+
 REFS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs")
 RESULTS_SHA256 = "db940c98bb462420dde13be657969260ed1e73aa708a9df441ad0add1e1dc09c"
 
@@ -73,7 +75,7 @@ def low_digit_vectors():
 def result_line(result) -> str:
     bound = result.exclusion_bound
     return (
-        f"{result.coefficients} {result.residual._v} "
+        f"{result.coefficients} {libmp_raw(result.residual)} "
         f"{bound.hex() if bound is not None else None}"
     )
 

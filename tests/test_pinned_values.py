@@ -4,7 +4,9 @@ arithmetic that claims to leave values alone is held to every bit of 148
 values and 159 closed forms, not to a tolerance.  The closed-form digest was
 taken when zeta(r) and Li_r(1/2) came from mpmath; they now come from the
 kernel, with the same bits at these 30, 50 and 200 digits.  A value's bits
-are its raw float, the ``_v`` tuple (sign, mantissa, exponent, bitcount)."""
+are its raw float in libmp's layout, the tuple (sign, mantissa, exponent,
+bitcount) that ``conftest.libmp_raw`` makes of the ``_v`` pair (signed
+mantissa, exponent), so the digests taken on that layout still apply."""
 
 import hashlib
 import json
@@ -22,6 +24,8 @@ from polyzeta.identities import (
     zagier,
     zeta_li_log,
 )
+
+from conftest import libmp_raw
 
 REFS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs")
 # the reference pools and the digits their benchmark workloads run at
@@ -51,7 +55,7 @@ def test_reference_values_keep_every_bit():
         "below pins the old list and must be taken again"
     )
     raw = [
-        repr(evaluate_lambda(parse_spec(spec), Precision(digits))._v)
+        repr(libmp_raw(evaluate_lambda(parse_spec(spec), Precision(digits))))
         for spec, digits in specs
     ]
     assert sha256_lines(raw) == VALUES_SHA256
@@ -70,7 +74,7 @@ def closed_form_values(prec):
 
 def test_closed_forms_keep_every_bit():
     raw = [
-        repr(value._v)
+        repr(libmp_raw(value))
         for digits in (30, 50, 200)
         for value in closed_form_values(Precision(digits))
     ]

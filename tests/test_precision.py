@@ -19,6 +19,8 @@ from polyzeta import (
 )
 from polyzeta.precision import ln, pi
 
+from conftest import libmp_raw
+
 
 def machin_pi(digits: int) -> Fraction:
     """pi via Machin's arctangent formula in pure integer arithmetic.
@@ -243,6 +245,34 @@ def test_bigreal_takes_kernel_pairs():
     assert ln((1, 0), prec) == 0
 
 
+@pytest.mark.parametrize("digits", [10, 50, 1000])
+def test_values_are_signed_odd_mantissa_exponent_pairs(digits):
+    """Every result holds (mantissa, exponent) ints with an odd mantissa, or
+    (0, 0); negation and abs change only the mantissa's sign, the pair reads
+    back unchanged, and the hash is the exact value's, also for exponents
+    far past any float's."""
+    prec = Precision(digits)
+    exact = [
+        0, 1, -1, 6, -(10 ** 60) - 1, Fraction(-1, 3), Fraction(355, 113),
+        Fraction(-7, 2 ** 20000), Fraction(5, 3) * 2 ** 20000, -(3 ** 7000),
+    ]
+    xs = [BigReal(q, prec) for q in exact]
+    results = xs + [pi(prec), -pi(prec), ln(3, prec), ln(Fraction(1, 7), prec)]
+    for a in xs:
+        results += [a + b for b in xs] + [a - b for b in xs] + [a * b for b in xs]
+        results += [a / b for b in xs if b] + [b / a for b in (1, -3) if a]
+        results += [a ** n for n in (0, 1, 2, 3, 5) + ((-1, -2, -7) if a else ())]
+    for x in results:
+        man, exp = x._v
+        assert type(man) is int and type(exp) is int
+        assert (man, exp) == (0, 0) or man & 1, x._v
+        assert x.to_fraction() == (man << exp if exp >= 0 else Fraction(man, 2 ** -exp))
+        assert (-x)._v == (-man, exp) and abs(x)._v == (abs(man), exp)
+        assert abs(x).to_fraction() == abs(x.to_fraction())
+        assert BigReal(x._v, prec)._v == x._v
+        assert hash(x) == hash(x.to_fraction())
+
+
 def test_mixed_precision_rejected():
     a = BigReal(1, Precision(20))
     b = BigReal(1, Precision(30))
@@ -332,7 +362,7 @@ def test_operations_match_the_global_precision_oracle(x, y, k, n, digits):
     mpmath.workdps(working_dps), the way BigReal used to compute."""
     prec = Precision(digits)
     a, b = BigReal(x, prec), BigReal(y, prec)
-    bits = lambda v: v._v
+    bits = libmp_raw
     with mpmath.workdps(prec.working_dps):
         X, Y, K = _oracle_mpf(x), _oracle_mpf(y), mpmath.mpf(k)
         want = {
@@ -360,7 +390,7 @@ def test_constants_match_mpmath_on_a_private_context(digits):
     prec = Precision(digits)
     ctx = mpmath.MPContext()
     ctx.dps = prec.working_dps
-    bits = lambda v: v._v
+    bits = libmp_raw
     assert bits(pi(prec)) == (+ctx.pi)._mpf_
     for q in (Fraction(2), Fraction(3, 7), Fraction(10 ** 80 + 1, 3), Fraction(1, 10 ** 30)):
         want = ctx.ln(ctx.mpf(q.numerator) / q.denominator)._mpf_
