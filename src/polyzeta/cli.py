@@ -372,7 +372,9 @@ def eval_expression(e: Expr, prec: Precision):
 
 
 def _check_not_tiny(v: BigReal, prec: Precision, what: str) -> None:
-    if abs(v) < Fraction(1, 10 ** (prec.digits - 5)):
+    # the bound is rounded at v's precision, so a value that rounds as
+    # 10^-(digits - 5) does, such as that power itself, passes
+    if abs(v) < BigReal(Fraction(1, 10 ** (prec.digits - 5)), prec):
         raise ExpressionError(
             f"{what} is within 10^-{prec.digits - 5} of zero; refusing to divide"
         )

@@ -2,12 +2,16 @@
 sign and composition expansions, reversal reductions, and exact closed forms,
 one function each, used as numeric oracles.
 
-One enumerator per job: ``_weak_chains`` lists the merges of adjacent
-exponents, for the weakly increasing chain sums of reversal reductions and,
-on a string of 1s, for the compositions of ``mu_to_compositions``.  One
-duality map, `model.dual_word`: ``delta_mu_dual``'s base-2/unit-sum duality
-is read back from the dual word, and the catalog's MZV duality pairs apply
-the same map to 0/1 letter codes (reverse, swap 0 and 1).
+One enumerator per object.  ``_stuffle_counts`` counts the stuffle paths
+for `stuffle_identity`, the catalog and the exact product rule of
+`rational_stuffle_check` alike, so that rule checks the DP the package
+runs.  ``_weak_chains`` builds the merges of adjacent exponents, for the
+weakly increasing chain sums of reversal reductions and, on a string of 1s,
+for the compositions of ``mu_to_compositions``.  Sign dressings are one
+`itertools.product` over per-slot sign tuples.  One duality map,
+`model.dual_word`: ``delta_mu_dual``'s base-2/unit-sum duality is read back
+from the dual word, and the catalog's MZV duality pairs apply the same map
+to 0/1 letter codes (reverse, swap 0 and 1).
 
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
@@ -72,7 +76,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, factorial, isqrt, perm
+from math import comb, factorial, isqrt, perm, prod
 
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
@@ -259,57 +263,16 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
-def _stuffle_paths(s, t, table) -> list:
-    """Every interleave/merge path of the exponent strings s and t, as
-    (u, c) pairs: u the combined exponent string and c the entries
-    table[i][j] at the (i, j) letters of s and t consumed after each step.
-    """
-    m, n = len(s), len(t)
-    out = []
-
-    def rec(i, j, u, c):
-        if i == m and j == n:
-            out.append((u, c))
-            return
-        if i < m:
-            rec(i + 1, j, u + (s[i],), c + (table[i + 1][j],))
-            if j < n:
-                rec(i + 1, j + 1, u + (s[i] + t[j],), c + (table[i + 1][j + 1],))
-        if j < n:
-            rec(i, j + 1, u + (t[j],), c + (table[i][j + 1],))
-
-    rec(0, 0, (), ())
-    return out
-
-
-def stuffle_set(s, t, a, b):
-    """All interleave/merge combinations of two exponent strings with their
-    running-product base strings.
-
-    Returns a tuple of (u, c) pairs, one per combination path; when the
-    letters carry equal values, distinct paths may repeat a numeric string,
-    which is how multiplicities arise.  Base rule: after consuming i letters
-    of s and j of t, the emitted base is A[i] * B[j], where A and B are the
-    base strings with a leading 1 (the empty product).
-    """
-    s = int_tuple(s)
-    t = int_tuple(t)
-    a = tuple(map(rational, a))
-    b = tuple(map(rational, b))
-    if len(s) != len(a) or len(t) != len(b):
-        raise ValueError("exponent and base strings must have equal lengths")
-    table = [[x * y for y in (Fraction(1),) + b] for x in (Fraction(1),) + a]
-    return tuple(_stuffle_paths(s, t, table))
-
-
 def _stuffle_counts(s, t, codes=None) -> dict:
-    """The paths of `_stuffle_paths`, counted: a dict from each distinct
-    letter string to its number of paths.
+    """The interleave/merge paths of the exponent strings s and t, counted:
+    a dict from each distinct letter string to its number of paths.
 
-    A step into the (i, j) state (i letters of s and j of t consumed) emits
-    the letter e, its exponent, or (e, codes[i][j]) when codes is given.
-    States run row by row from (0, 0); each maps every distinct prefix to
-    its multiplicity, so paths that agree so far are merged at once.
+    A path consumes, at each step, the next letter of s, the next of t, or
+    both at once, merged into the sum of their exponents.  The step into
+    the (i, j) state (i letters of s and j of t consumed) emits the letter
+    e, its exponent, or (e, codes[i][j]) when codes is given.  States run
+    row by row from (0, 0); each maps every distinct prefix to its
+    multiplicity, so paths that agree so far are merged at once.
     """
     m, n = len(s), len(t)
     above: list = []
@@ -337,32 +300,43 @@ def _stuffle_counts(s, t, codes=None) -> dict:
     return above[n]
 
 
-def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
-    """lambda(u) * lambda(v) as a sum over the interleave/merge set.
+def _stuffle_letters(s, a, t, b) -> dict:
+    """The stuffle of the exponent strings s and t with base strings a and
+    b, counted: a dict from each distinct string of (exponent, base)
+    letters to its number of paths.
 
-    The base products A[i] * B[j] get small-int codes, one per distinct
-    value, and `_stuffle_counts` counts the paths by (exponent, base code)
-    strings, so each distinct spec is built once, with its multiplicity as
-    coefficient.
+    After i letters of s and j of t are consumed, the emitted base is
+    A[i] * B[j], A and B being a and b behind a leading 1 (the empty
+    product).  The distinct products get small-int codes, so that
+    `_stuffle_counts` merges paths by (exponent, code) letters; codes and
+    products correspond one to one, so decoding merges nothing more.
     """
     codes: dict = {}  # base product -> its code, in first-seen order
     table = [
-        [codes.setdefault(x * y, len(codes)) for y in (Fraction(1),) + v.bases]
-        for x in (Fraction(1),) + u.bases
+        [codes.setdefault(x * y, len(codes)) for y in (Fraction(1),) + b]
+        for x in (Fraction(1),) + a
     ]
     values = tuple(codes)
-    return FormalSum(
-        (n, LambdaSpec(tuple((e, values[c]) for e, c in letters)))
-        for letters, n in _stuffle_counts(u.exponents, v.exponents, table).items()
-    )
+    return {
+        tuple((e, values[c]) for e, c in letters): n
+        for letters, n in _stuffle_counts(s, t, table).items()
+    }
+
+
+def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
+    """lambda(u) * lambda(v) as a sum over the interleave/merge set: each
+    distinct spec once, with its number of paths as coefficient."""
+    counts = _stuffle_letters(u.exponents, u.bases, v.exponents, v.bases)
+    return FormalSum((n, LambdaSpec(letters)) for letters, n in counts.items())
 
 
 def rational_stuffle_check(a, b) -> bool:
     """Exact rational check of the product rule for f(g) = prod 1/(g_j - 1).
 
     With zero exponent strings the nested sums collapse to these rational
-    products, so f(a) f(b) must equal the sum of f over the combination set.
-    Serves as an independent oracle for stuffle_set.
+    products, so f(a) f(b) must equal the sum of f over the combination
+    set.  The set is counted by `_stuffle_letters`, the DP that
+    `stuffle_identity` runs, so the rule is an exact oracle for it.
     """
     a = tuple(map(rational, a))
     b = tuple(map(rational, b))
@@ -377,8 +351,9 @@ def rational_stuffle_check(a, b) -> bool:
             out /= g - 1
         return out
 
-    pairs = stuffle_set((0,) * len(a), (0,) * len(b), a, b)
-    return f(a) * f(b) == sum((f(c) for _, c in pairs), Fraction(0))
+    counts = _stuffle_letters((0,) * len(a), a, (0,) * len(b), b)
+    total = sum((n * f(c for _, c in letters) for letters, n in counts.items()), Fraction(0))
+    return f(a) * f(b) == total
 
 
 # ---------------------------------------------------------------------------
@@ -511,49 +486,35 @@ def alternating_to_mu(s) -> FormalSum:
     s = int_tuple(s)
     if any(x < 0 for x in s):
         raise DomainError("entries must be nonnegative")
-    total = sum(s)
+    # slot j holds a -1 and then s_j chosen signs; the coefficient is the
+    # product of the chosen signs, the bases' product with the k -1s undone
+    slots = [[(-1,) + eps for eps in iproduct((1, -1), repeat=sj)] for sj in s]
+    undo = (-1) ** len(s)
     terms = []
-    for eps in iproduct((1, -1), repeat=total):
-        it = iter(eps)
-        bases: list[int] = []
-        coeff = 1
-        for sj in s:
-            bases.append(-1)
-            for _ in range(sj):
-                e = next(it)
-                coeff *= e
-                bases.append(e)
-        terms.append((coeff, mu_spec(*bases)))
+    for dressing in iproduct(*slots):
+        bases = sum(dressing, ())
+        terms.append((undo * prod(bases), mu_spec(*bases)))
     return FormalSum(terms)
 
 
-def _blocks(seq: tuple, mask: int) -> list[tuple]:
-    """Cut a nonempty seq into consecutive blocks: bit j-1 of mask set keeps
-    seq[j-1] and seq[j] in one block, a clear bit cuts between them."""
-    blocks = []
-    start = 0
-    for j in range(1, len(seq)):
-        if not mask >> (j - 1) & 1:
-            blocks.append(seq[start:j])
-            start = j
-    blocks.append(seq[start:])
-    return blocks
-
-
-def _weak_chains(s: tuple[int, ...]):
+def _weak_chains(s: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Exponent strings of the strict chains in the weak-chain expansion of
-    a nonempty s, one per mask.
+    a nonempty s, one per way to merge adjacent exponents.
 
     The weakly increasing chain sum over n_1 <= ... <= n_k of
     prod n_j^-s_j is the sum, with coefficient 1 each, of the MZVs of these
-    strings: each mask merges the exponents of coinciding adjacent indices,
-    and the surviving strict chain is read innermost first.  On s = (1,)*n
-    the strings are the 2^(n-1) compositions of n, each once, which is how
-    ``mu_to_compositions`` and ``_convergent_strings`` draw them.
+    strings: the exponents of coinciding adjacent indices merge, and the
+    surviving strict chain is read innermost first.  The strings are built
+    from the last exponent backwards, the last entry of each being the open
+    block: every earlier exponent opens a block of its own or joins the
+    open one.  On s = (1,)*n the strings are the 2^(n-1) compositions of n,
+    each once, which is how ``mu_to_compositions`` and
+    ``_convergent_strings`` draw them.
     """
-    for mask in range(1 << (len(s) - 1)):
-        # a set bit j-1 means n_j == n_{j+1}: the block's exponents merge
-        yield tuple(sum(block) for block in reversed(_blocks(s, mask)))
+    chains = [s[-1:]]
+    for e in reversed(s[:-1]):
+        chains = [c for head in chains for c in (head + (e,), head[:-1] + (head[-1] + e,))]
+    return chains
 
 
 def mu_source_spec(s) -> LambdaSpec:
@@ -577,12 +538,9 @@ def mu_to_compositions(s) -> FormalSum:
     if any(x < 0 for x in s):
         raise DomainError("entries must be nonnegative")
     terms = []
-    for combo in iproduct(*(tuple(_weak_chains((1,) * (sj + 1))) for sj in s)):
-        exps: list[int] = []
-        for part in combo:
-            exps.extend(part)
-        body = LambdaSpec.of(tuple(exps), (Fraction(-1),) * len(exps))
-        terms.append((1, body))
+    for combo in iproduct(*(_weak_chains((1,) * (sj + 1)) for sj in s)):
+        exps = sum(combo, ())
+        terms.append((1, LambdaSpec.of(exps, (Fraction(-1),) * len(exps))))
     return FormalSum(terms)
 
 

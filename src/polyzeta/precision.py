@@ -27,6 +27,7 @@ closed forms in `polyzeta.identities` are kernel values,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,11 +193,23 @@ def _pow_int(s: tuple, n: int, bits: int, rnd: str = _NEAREST) -> tuple:
     return _round(-pm if negative else pm, pe, bits, rnd)
 
 
-def _cmp(s: tuple, t: tuple) -> int:
-    """-1, 0 or 1 as s <, = or > t: the sign of s - t, which rounding to
-    nearest at any precision keeps."""
-    man, _ = _add(s, _neg(t), 2)
-    return (man > 0) - (man < 0)
+def _cmp(s: tuple, t: tuple, d: int = 1) -> int:
+    """-1, 0 or 1 as the raw float s is <, = or > the raw float t over the
+    positive int d, exactly.  Signs, then bit lengths decide, unless the
+    magnitudes are within a factor of 4; only then are the ints multiplied
+    out, at sizes the operands bound, so a huge exponent never builds a
+    huge int."""
+    man, exp = s
+    p, e = t
+    sign, other = (man > 0) - (man < 0), (p > 0) - (p < 0)
+    if sign != other or not sign:
+        return (sign > other) - (sign < other)
+    # |s| lies in [2^(a-1), 2^a) and |t / d| in (2^(b-1), 2^(b+1))
+    a, b = exp + man.bit_length(), e + p.bit_length() - d.bit_length()
+    if not b - 1 < a < b + 2:
+        return sign if a > b else -sign
+    left, right = (man * d << (exp - e), p) if exp >= e else (man * d, p << (e - exp))
+    return (left > right) - (left < right)
 
 
 def _to_float(s: tuple) -> float:
@@ -437,18 +450,29 @@ def _to_raw(value, bits: int) -> tuple:
     )
 
 
-def _operator(fn, arithmetic: bool = True):
-    """A BigReal method applying fn to both operands' raw floats.  An
-    arithmetic fn rounds to nearest at the operands' precision and its
-    result is bound to it; a comparison returns fn's bool."""
+def _operator(fn):
+    """A BigReal method applying fn to both operands' raw floats, rounding
+    to nearest at the operands' precision; the result is bound to it."""
 
     def method(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not arithmetic:
-            return fn(self._v, o)
         return _bound(fn(self._v, o, _bits(self.prec)), self.prec)
+
+    return method
+
+
+def _comparison(test):
+    """A BigReal comparison: test applied to the sign of self - other.  An
+    int or Fraction is compared exactly, not rounded first, so that ==, the
+    orderings and hash agree with the exact value."""
+
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            return test(_cmp(self._v, (other.numerator, 0), other.denominator))
+        o = self._coerce(other)
+        return o if o is NotImplemented else test(_cmp(self._v, o))
 
     return method
 
@@ -463,7 +487,7 @@ class BigReal:
     positive values.
     Binary operations require both operands to share the same Precision;
     mixing with int/Fraction is allowed (exact values have no precision of
-    their own).
+    their own), and comparisons with them are exact.
     """
 
     __slots__ = ("_v", "prec")
@@ -501,18 +525,11 @@ class BigReal:
     __mul__ = __rmul__ = _operator(_mul)
     __truediv__ = _operator(_div)
     __rtruediv__ = _operator(lambda a, b, bits: _div(b, a, bits))
-    __lt__ = _operator(lambda a, b: _cmp(a, b) < 0, arithmetic=False)
-    __le__ = _operator(lambda a, b: _cmp(a, b) <= 0, arithmetic=False)
-    __gt__ = _operator(lambda a, b: _cmp(a, b) > 0, arithmetic=False)
-    __ge__ = _operator(lambda a, b: _cmp(a, b) >= 0, arithmetic=False)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # exact, not rounded to this precision, so that equal values
-            # hash alike
-            return self.to_fraction() == other
-        o = self._coerce(other)
-        return o if o is NotImplemented else self._v == o
+    __lt__ = _comparison(lambda c: c < 0)
+    __le__ = _comparison(lambda c: c <= 0)
+    __gt__ = _comparison(lambda c: c > 0)
+    __ge__ = _comparison(lambda c: c >= 0)
+    __eq__ = _comparison(lambda c: c == 0)
 
     def __pow__(self, n):
         """x**n for an int n, by binary powering at working precision."""
@@ -530,8 +547,13 @@ class BigReal:
         return _bound((abs(man), exp), self.prec)
 
     def __hash__(self):
-        # equal to the hash of an equal int or Fraction
-        return hash(self.to_fraction())
+        # Python's hash of the equal int or Fraction: |m| 2^e modulo the
+        # Mersenne prime p = 2^n - 1, where 2^e is 2^(e mod n), with m's
+        # sign; hash() of that int negates it and sends -1 to -2
+        man, exp = self._v
+        p = sys.hash_info.modulus
+        h = abs(man) % p * pow(2, exp % p.bit_length(), p) % p
+        return hash(-h if man < 0 else h)
 
     def __float__(self):
         return _to_float(self._v)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polyzeta import BigReal, acceptance, cli
+from polyzeta import BigReal, acceptance, cli, identities
 from polyzeta.acceptance import CRITERIA
 from polyzeta.identities import FormalSum
 
@@ -139,3 +139,21 @@ def test_criterion_fails_on_a_wrong_value(ident, patches, detail, monkeypatch):
     assert ok is False
     assert line.startswith(f"FAIL {ident}: {criterion.label} [")
     assert re.search(detail, line), line
+
+
+def test_rational_rule_fails_on_a_stuffle_dp_without_merges(monkeypatch):
+    # the rational product rule counts its terms through the stuffle DP the
+    # package runs, so a DP that drops its merge step (the paths with fewer
+    # letters) fails it, 1/8 not being 1/28 + 1/56, and property-suites
+    # reports FAIL
+    counts = identities._stuffle_counts
+
+    def no_merge(s, t, codes=None):
+        return {key: n for key, n in counts(s, t, codes).items() if len(key) == len(s) + len(t)}
+
+    monkeypatch.setattr(identities, "_stuffle_counts", no_merge)
+    assert identities.rational_stuffle_check((3,), (5,)) is False
+    criterion = next(c for c in CRITERIA if c.ident == "property-suites")
+    ok, line = criterion.run()
+    assert ok is False
+    assert line.startswith(f"FAIL property-suites: {criterion.label} [rational product rule failed")

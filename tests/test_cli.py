@@ -479,6 +479,10 @@ def test_run_eval_unexpected_character_and_tiny_power_base(capsys):
     assert capsys.readouterr().err == (
         "error: power base is within 10^-25 of zero; refusing to divide\n"
     )
+    # 10^-6 at 11 digits rounds below the exact 10^-6, as the bound does
+    for expression in ("1/10^-6", "(10^-6)^-1", "1/(7/(7*10^6))"):
+        assert run(["eval", expression, "--digits", "11"]) == 0
+        assert capsys.readouterr().out == "1000000.0000\n"
 
 
 def test_run_eval_user_errors(capsys):

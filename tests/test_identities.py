@@ -49,7 +49,6 @@ from polyzeta.identities import (
     render_formal_sum,
     reversal_reduction,
     shuffle_words,
-    stuffle_set,
     t5,
     z213,
     zagier,
@@ -119,11 +118,47 @@ def test_formal_sum_single_is_one_canonical_term():
 
 # -- stuffle -------------------------------------------------------------------
 
+def stuffle_set(s, t, a, b) -> list:
+    """Every interleave/merge path of the exponent strings s and t, listed
+    one by one as (u, c) pairs: u the combined exponent string and c its
+    base string, the product A[i] * B[j] after i letters of s and j of t
+    are consumed, A and B being a and b behind a leading 1.  The test-side
+    reference that the counted DP behind `stuffle_identity` is checked
+    against."""
+    table = [[x * y for y in (F(1),) + tuple(b)] for x in (F(1),) + tuple(a)]
+    m, n = len(s), len(t)
+    out = []
+
+    def rec(i, j, u, c):
+        if i == m and j == n:
+            out.append((u, c))
+            return
+        if i < m:
+            rec(i + 1, j, u + (s[i],), c + (table[i + 1][j],))
+            if j < n:
+                rec(i + 1, j + 1, u + (s[i] + t[j],), c + (table[i + 1][j + 1],))
+        if j < n:
+            rec(i, j + 1, u + (t[j],), c + (table[i][j + 1],))
+
+    rec(0, 0, (), ())
+    return out
+
+
+def assert_stuffle_identity_counts(s, t, a, b):
+    """stuffle_identity gives each spec of the listed paths its number of
+    paths; returns that Counter."""
+    want = Counter(LambdaSpec.of(u, c) for u, c in stuffle_set(s, t, a, b))
+    fs = stuffle_identity(LambdaSpec.of(s, a), LambdaSpec.of(t, b))
+    assert {body: c for c, body in fs} == want
+    return want
+
+
 def test_stuffle_set_depth_one_pair():
     pairs = stuffle_set((5,), (7,), (1,), (1,))
     assert sorted(p[0] for p in pairs) == [(5, 7), (7, 5), (12,)]
     for u, c in pairs:
         assert c == (1,) * len(u)
+    assert_stuffle_identity_counts((5,), (7,), (1,), (1,))
 
 
 def test_stuffle_set_base_running_products():
@@ -133,6 +168,7 @@ def test_stuffle_set_base_running_products():
         pairs[u] = pairs.get(u, []) + [c]
     assert pairs[(0, 0)] == [(a, a * b), (b, a * b)] or pairs[(0, 0)] == [(b, a * b), (a, a * b)]
     assert pairs[(0,)] == [(a * b,)]
+    assert_stuffle_identity_counts((0,), (0,), (a,), (b,))
 
 
 def test_stuffle_set_depth_two_one_example():
@@ -149,6 +185,7 @@ def test_stuffle_set_depth_two_one_example():
         ((r + t, s), (a * c, b * c)),
         ((t, r, s), (c, a * c, b * c)),
     }
+    assert_stuffle_identity_counts((r, s), (t,), (a, b), (c,))
 
 
 def stuffle_count(k: int, r: int) -> int:
@@ -179,11 +216,8 @@ def test_stuffle_cardinality(s, t, base):
     # equal small exponents and bases make many paths land on one spec
     a = (F(base),) * len(s)
     b = (F(1),) * len(t)
-    pairs = stuffle_set(s, t, a, b)
-    assert len(pairs) == stuffle_count(len(s), len(t))
-    fs = stuffle_identity(LambdaSpec.of(s, a), LambdaSpec.of(t, b))
-    want = Counter(LambdaSpec.of(u, c) for u, c in pairs)
-    assert {body: c for c, body in fs} == want
+    assert len(stuffle_set(s, t, a, b)) == stuffle_count(len(s), len(t))
+    assert_stuffle_identity_counts(s, t, a, b)
 
 
 def test_stuffle_identity_mzv_examples():
@@ -212,11 +246,8 @@ def test_stuffle_identity_merges_equal_base_products():
     # share a product (A[1] B[0] = A[0] B[1] = 2, A[2] B[0] = A[0] B[0] = 1)
     # and paths through them must count toward one spec
     a = b = (F(2), F(1, 2))
-    pairs = stuffle_set((2, 1), (2, 1), a, b)
-    fs = stuffle_identity(LambdaSpec.of((2, 1), a), LambdaSpec.of((2, 1), b))
-    want = Counter(LambdaSpec.of(u, c) for u, c in pairs)
-    assert {body: c for c, body in fs} == want
-    assert len(want) < len(pairs)
+    want = assert_stuffle_identity_counts((2, 1), (2, 1), a, b)
+    assert len(want) < len(stuffle_set((2, 1), (2, 1), a, b))
 
 
 def test_stuffle_identity_empty_unit():
@@ -521,7 +552,7 @@ def test_split_then_shuffle_gives_eight_base_two_values():
 @pytest.mark.parametrize(
     "emit",
     [
-        lambda s: stuffle_set(s, (2,), (1,) * len(s), (1,)),
+        lambda s: stuffle_identity(LambdaSpec.of(s, (1,) * len(s)), zeta_spec(2)),
         alternating_source_spec,
         alternating_to_mu,
         mu_source_spec,
@@ -539,17 +570,16 @@ def test_emitters_reject_non_integer_exponents(emit):
 def test_base_emitters_reject_float_bases(prec30):
     for bad in (1.5, 2.0, "2"):
         with pytest.raises(TypeError):
-            stuffle_set((2,), (3,), (bad,), (1,))
+            stuffle_identity(LambdaSpec.of((2,), (bad,)), zeta_spec(3))
         with pytest.raises(TypeError):
-            stuffle_set((2,), (3,), (1,), (bad,))
+            stuffle_identity(zeta_spec(2), LambdaSpec.of((3,), (bad,)))
         with pytest.raises(TypeError):
             rational_stuffle_check((bad,), (3,))
         with pytest.raises(TypeError):
             mu_power(bad, 2, prec30)
-    assert stuffle_set((2,), (3,), (2,), (F(3),)) == (
-        ((2, 3), (F(2), F(6))),
-        ((5,), (F(6),)),
-        ((3, 2), (F(3), F(6))),
+    assert stuffle_identity(LambdaSpec.of((2,), (2,)), LambdaSpec.of((3,), (F(3),))) == FormalSum(
+        (1, LambdaSpec.of(u, c))
+        for u, c in [((2, 3), (F(2), F(6))), ((5,), (F(6),)), ((3, 2), (F(3), F(6)))]
     )
 
 
@@ -559,6 +589,33 @@ def test_weak_chain_small():
     assert Counter(_weak_chains((2, 3))) == Counter([(3, 2), (5,)])
     want = [(4, 3, 2), (4, 5), (7, 2), (9,)]
     assert Counter(_weak_chains((2, 3, 4))) == Counter(want)
+
+
+def _blocks(seq: tuple, mask: int) -> list[tuple]:
+    """Cut a nonempty seq into consecutive blocks: bit j-1 of mask set keeps
+    seq[j-1] and seq[j] in one block, a clear bit cuts between them."""
+    blocks = []
+    start = 0
+    for j in range(1, len(seq)):
+        if not mask >> (j - 1) & 1:
+            blocks.append(seq[start:j])
+            start = j
+    blocks.append(seq[start:])
+    return blocks
+
+
+def test_weak_chains_match_the_mask_cuts():
+    # each of the 2^(k-1) cuts of s into blocks merges each block's
+    # exponents, read innermost first; seeded strings of length 1..9
+    rng = random.Random(30)
+    for k in range(1, 10):
+        for _ in range(6):
+            s = tuple(rng.randint(1, 4) for _ in range(k))
+            masks = Counter(
+                tuple(sum(block) for block in reversed(_blocks(s, mask)))
+                for mask in range(1 << (k - 1))
+            )
+            assert Counter(_weak_chains(s)) == masks, s
 
 
 def test_weak_chain_lattice_count_oracle():
@@ -811,7 +868,7 @@ def _reversal_by_masks(s) -> FormalSum:
     exclusion sum over all 2^(k-1) constraint masks, each mask a cut of s
     into blocks: the sum that reversal_reduction computes by a prefix DP.
     The T-polynomials are summed and multiplied here, scaled by k!."""
-    from polyzeta.identities import _blocks, _lift, _regularize_string
+    from polyzeta.identities import _lift, _regularize_string
 
     def times(p, q):
         out = Counter()
@@ -1046,7 +1103,7 @@ def test_identity_catalog_weight_six_generates():
     "call, error",
     [
         (lambda: FormalSum([(1, "x")]), TypeError),
-        (lambda: stuffle_set((2,), (), (), ()), ValueError),
+        (lambda: stuffle_identity(LambdaSpec.of((2,), ()), zeta_spec(3)), ValueError),
         # the bases 2 and 1/2 merge into 2 * 1/2 = 1, a pole
         (lambda: rational_stuffle_check((2,), (F(1, 2),)), DomainError),
         (lambda: cyclotomic_expand(LambdaSpec.of((2,), (-4,)), 2), DomainError),

@@ -3,6 +3,9 @@ rendering, and the exactness/monotonicity contracts."""
 
 import copy
 import pickle
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -218,6 +221,58 @@ def test_bigreal_equals_an_int_or_fraction_only_exactly():
         assert v == v.to_fraction()
     with pytest.raises(TypeError):
         BigReal(float("inf"), prec)
+
+
+def test_comparisons_agree_with_the_exact_values():
+    # 1/3 and 10^40 + 1 round at 30 working digits, each to a value below
+    # it: every ordering says so, as == does
+    prec = Precision(10)
+    for value in (Fraction(1, 3), 10 ** 40 + 1):
+        v = BigReal(value, prec)
+        assert v.to_fraction() < value
+        assert v < value and v <= value and v != value
+        assert not (v > value or v >= value or v == value)
+    # seeded values up to 2^+-4000 against their own exact value, values
+    # next to it, ints and small ints, and against those rounded to
+    # BigReals: each answer is the exact Fractions'
+    rng = random.Random(30)
+    for _ in range(3000):
+        prec = Precision(rng.choice((10, 30, 100)))
+        scale = 2 ** rng.choice((0, 1, 5, 60, 300, 4000))
+        num = rng.randint(-(10 ** rng.randint(1, 50)), 10 ** rng.randint(1, 50))
+        den = rng.randint(1, 10 ** rng.randint(1, 40))
+        value = Fraction(num * scale, den) if rng.random() < 0.5 else Fraction(num, den * scale)
+        v = BigReal(value, prec)
+        f = v.to_fraction()
+        step = Fraction(1, 10 ** rng.randint(1, 200))
+        for q in (value, value + step, value - step, f, int(value), rng.randint(-5, 5)):
+            w = BigReal(q, prec)
+            for other, exact in ((q, q), (w, w.to_fraction())):
+                got = (v == other, v != other, v < other, v <= other, v > other, v >= other)
+                want = (f == exact, f != exact, f < exact, f <= exact, f > exact, f >= exact)
+                assert got == want, (v._v, q)
+
+
+def test_comparisons_and_hash_of_huge_exponents_stay_small():
+    # the exact comparison decides by bit lengths and the hash works modulo
+    # a Mersenne prime, so neither builds the 10^8-bit value
+    prec = Precision(30)
+    huge = BigReal((3, 10 ** 8), prec)
+    tiny = BigReal((-3, -(10 ** 8)), prec)
+    tracemalloc.start()
+    try:
+        assert huge > 10 ** 50 and huge != 5 and not huge <= Fraction(1, 3)
+        assert tiny < 0 and tiny > Fraction(-1, 10 ** 50) and tiny != Fraction(-3, 7)
+        assert tiny < huge and huge > BigReal(10 ** 50, prec) and tiny > BigReal(-1, prec)
+        # 2^n is 1 modulo the hash modulus 2^n - 1, so 3 * 2^(10^8) hashes
+        # as 3 * 2^(10^8 mod n)
+        n = sys.hash_info.modulus.bit_length()
+        assert hash(huge) == hash(3 * 2 ** (10 ** 8 % n))
+        assert hash(tiny) == hash(Fraction(-3, 2 ** (10 ** 8 % n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
