@@ -19,11 +19,10 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cli import eval_expression, format_result, parse_expression
 from .evaluate import (
@@ -372,8 +371,7 @@ def crit_property_suites() -> tuple[bool, str]:
     return True, "rational rule 200/200, shuffle counts, planted 100/100, monotonic, products consistent"
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     ident: str
     label: str
     fn: Callable[[], tuple[bool, str]]

@@ -31,8 +31,8 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExpressionError, PolyzetaError
 from .evaluate import evaluate_z, evaluate_zp
@@ -76,8 +76,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'number' | 'name' | 'op' | 'end'
     text: str
     pos: int
@@ -94,52 +93,43 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class PiConst:
+class PiConst(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class ZCall:
+class ZCall(NamedTuple):
     args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ZpCall:
+class ZpCall(NamedTuple):
     p: Fraction
     args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LindepCall:
+class LindepCall(NamedTuple):
     items: tuple["Expr", ...]
 
 

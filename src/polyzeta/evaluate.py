@@ -70,7 +70,6 @@ three makes the next evaluation cold:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -119,8 +118,9 @@ def _decimal_exponent(bound: Fraction) -> int:
 # Truncation plan and the fixed-point suffix kernel
 # ---------------------------------------------------------------------------
 
-# The plan's records are NamedTuples, not frozen dataclasses: building a
-# dataclass costs about 0.7 ms at every import, a few percent of a CLI start.
+# Every record in the package is a NamedTuple, or a small slotted class where
+# its type checks an invariant, never a frozen dataclass: building a dataclass
+# costs about 0.7 ms at every import, a few percent of a CLI start.
 class SumPlan(NamedTuple):
     """One kernel pass of spec run to 10^eps: its N outer steps, the log10
     of the tail bound there, and the bits of its fixed-point scale 2^bits.
@@ -284,8 +284,7 @@ def _compiled_pass(
 # Conjugate-parameter split of the iterated integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitTerm:
+class SplitTerm(NamedTuple):
     """One product term of the split: sign * lambda(left) * lambda(right)."""
 
     split_index: int

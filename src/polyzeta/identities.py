@@ -73,10 +73,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, isqrt, perm, prod
+from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError
 from .evaluate import evaluate_lambda, evaluate_word
@@ -100,18 +100,13 @@ from .precision import BigReal, Precision, ln, pi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpecProduct:
     """A product of lambda values, kept in canonical factor order."""
 
-    factors: tuple[LambdaSpec, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "factors",
-            tuple(sorted(self.factors, key=_spec_key)),
-        )
+    def __new__(cls, factors):
+        return cls._sorted(tuple(sorted(factors, key=_spec_key)))
 
     @classmethod
     def _sorted(cls, factors: tuple) -> "SpecProduct":
@@ -119,6 +114,21 @@ class SpecProduct:
         product = object.__new__(cls)
         object.__setattr__(product, "factors", factors)
         return product
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpecProduct is immutable")
+
+    def __reduce__(self):
+        return SpecProduct._sorted, (self.factors,)
+
+    def __eq__(self, other):
+        return isinstance(other, SpecProduct) and self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"SpecProduct(factors={self.factors!r})"
 
 
 def _spec_key(spec: LambdaSpec):
@@ -849,8 +859,7 @@ def delta_12(prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     tag: str
     lhs: FormalSum
     rhs: FormalSum

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, UnsupportedSpec
@@ -54,28 +53,42 @@ def _frac(b) -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
 class LambdaSpec:
     """Exponent/base pairs of a multiple polylogarithm, outermost first.
 
+    An immutable object with slots: assigning an attribute raises
+    AttributeError, and copy and pickle rebuild the spec from ``terms``.
     ``exponents`` and ``bases`` are the two strings as tuples, built once
-    with ``terms``; they are attributes, not fields, so equality and
-    hashing read ``terms`` alone.  ``_text`` and ``_key`` start as None and
-    keep `format_spec`'s text and `identities`' sort key from their first
-    use.  Every instance sets the same attributes in the same order, so
-    they share one attribute layout.
+    with ``terms``; equality and hashing read ``terms`` alone.  ``_text``
+    and ``_key`` start as None and keep `format_spec`'s text and
+    `identities`' sort key from their first use.
     """
 
-    terms: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("terms", "exponents", "bases", "_text", "_key")
 
-    def __post_init__(self):
-        exponents = int_tuple(s for s, _ in self.terms)
-        bases = tuple(_frac(b) for _, b in self.terms)
-        object.__setattr__(self, "terms", tuple(zip(exponents, bases)))
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "_text", None)
-        object.__setattr__(self, "_key", None)
+    def __new__(cls, terms):
+        exponents = int_tuple(s for s, _ in terms)
+        bases = tuple(_frac(b) for _, b in terms)
+        spec = object.__new__(cls)
+        values = (tuple(zip(exponents, bases)), exponents, bases, None, None)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(spec, name, value)
+        return spec
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LambdaSpec is immutable")
+
+    def __reduce__(self):
+        return LambdaSpec, (self.terms,)
+
+    def __eq__(self, other):
+        return isinstance(other, LambdaSpec) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"LambdaSpec(terms={self.terms!r})"
 
     @classmethod
     def of(cls, exponents, bases) -> "LambdaSpec":

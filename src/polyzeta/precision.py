@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionMismatch
@@ -38,22 +38,23 @@ MAX_DIGITS = 1000
 MIN_GUARD = 20
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(namedtuple("Precision", "digits guard")):
     """Requested significant digits plus extra working guard digits."""
 
-    digits: int
-    guard: int = MIN_GUARD
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in ("digits", "guard"):
-            value = getattr(self, field)
+    def __new__(cls, digits: int, guard: int = MIN_GUARD):
+        for field, value in (("digits", digits), ("guard", guard)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{field} must be an int, got {value!r}")
-        if not MIN_DIGITS <= self.digits <= MAX_DIGITS:
-            raise ValueError(f"digits must be in {MIN_DIGITS}..{MAX_DIGITS}, got {self.digits}")
-        if self.guard < MIN_GUARD:
-            raise ValueError(f"guard must be >= {MIN_GUARD}, got {self.guard}")
+        if not MIN_DIGITS <= digits <= MAX_DIGITS:
+            raise ValueError(f"digits must be in {MIN_DIGITS}..{MAX_DIGITS}, got {digits}")
+        if guard < MIN_GUARD:
+            raise ValueError(f"guard must be >= {MIN_GUARD}, got {guard}")
+        return super().__new__(cls, digits, guard)
+
+    # _replace builds through _make, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def working_dps(self) -> int:
@@ -404,26 +405,6 @@ def _render(value: tuple, d: int, rounded: bool) -> str:
     return sign + body
 
 
-def _short_str(value: tuple) -> str:
-    """value to 15 significant digits, trailing zeros dropped, in fixed
-    point for decimal exponents -4..14, as libmp.to_str(value, 15)."""
-    if not value[0]:
-        return "0.0"
-    sign, digits, exp = _digits_exp(value, 18)
-    digits, carry = _round_digit_string(digits, 15)
-    exp += carry
-    if -5 < exp < 15:
-        digits = "0" * -exp + digits if exp < 0 else digits
-        split = max(exp, 0) + 1
-        exp = 0
-    else:
-        split = 1
-    body = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if body.endswith("."):
-        body += "0"
-    return sign + body + (f"e{exp:+d}" if exp else "")
-
-
 # ---------------------------------------------------------------------------
 # BigReal
 # ---------------------------------------------------------------------------
@@ -597,5 +578,5 @@ def ln(x, prec: Precision) -> BigReal:
     else:
         v = _to_raw(x, _bits(prec))
     if v[0] <= 0:
-        raise DomainError(f"ln requires a positive argument, got {_short_str(v)}")
+        raise DomainError(f"ln requires a positive argument, got {_render(v, 15, rounded=True)}")
     return _bound(_ln(v, _bits(prec)), prec)

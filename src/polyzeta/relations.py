@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InsufficientPrecision
 from .precision import BigReal
@@ -152,8 +152,7 @@ def _lifts(column, total):
         yield u
 
 
-@dataclass(frozen=True)
-class RelationResult:
+class RelationResult(NamedTuple):
     """Outcome of an integer-relation search.
 
     ``coefficients`` is None when no relation passed the acceptance test; in

@@ -184,6 +184,12 @@ def test_precision_validation():
     ):
         with pytest.raises(TypeError, match=f"^{field} must be an int"):
             Precision(**kwargs)
+    # the namedtuple's other constructors run the same checks
+    with pytest.raises(ValueError, match="^digits must be in"):
+        Precision(50)._replace(digits=5)
+    with pytest.raises(ValueError, match="^guard must be >="):
+        Precision._make((50, 10))
+    assert repr(Precision(50)._replace(guard=30)) == "Precision(digits=50, guard=30)"
 
 
 def test_bits_match_dps_to_prec():
