@@ -63,8 +63,13 @@ three makes the next evaluation cold:
 
 * ``plan`` -- keyed by (spec, prec): the Plan;
 * ``_compiled_pass`` -- keyed by (exponents, (numerator, denominator) of
-  each base, every_suffix): the compiled pass;
+  each base, every_suffix), the last two parts of the pass spec's
+  ``LambdaSpec.key``: the compiled pass;
 * ``evaluate_lambda`` -- keyed by (spec, prec): the value.
+
+The two (spec, prec) memos are typed, and both functions refuse a prec
+that is not a Precision: a plain tuple equals the Precision of the same
+fields, so an untyped memo would answer it from the cache.
 """
 
 from __future__ import annotations
@@ -371,10 +376,12 @@ class Plan(NamedTuple):
     passes: tuple[SumPlan, ...]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     """The Plan of spec at prec; the module docstring derives its routes
     and its working precision."""
+    if not isinstance(prec, Precision):
+        raise TypeError(f"prec must be a Precision, got {prec!r}")
     route, p, specs, signs, factor = "direct", None, (spec,), (1,), 2
     # no word encoding for nonpositive exponents, but convergence guarantees
     # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
@@ -401,7 +408,7 @@ def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     return Plan(route, p, signs, working, passes)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     """Evaluate any convergent spec to |error| < 10^-digits.
 
@@ -410,6 +417,8 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     (spec, prec), so results are memoized; identity checks that sum many
     formal terms revisit the same values constantly.
     """
+    if not isinstance(prec, Precision):
+        raise TypeError(f"prec must be a Precision, got {prec!r}")
     require_convergent(spec)
     if spec.depth == 0:
         return BigReal(1, prec)
@@ -420,8 +429,7 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     values = {}
     for run in how.passes:
         if run not in values:
-            bases = tuple((b.numerator, b.denominator) for b in run.spec.bases)
-            kernel = _compiled_pass(run.spec.exponents, bases, split)
+            kernel = _compiled_pass(*run.spec.key[1:], split)
             values[run] = kernel(run.terms, 1 << run.bits)
     runs = [values[run] for run in how.passes]
     if split:

@@ -23,7 +23,7 @@ Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
 is its one merge step: it adds a coefficient in and drops the key when the
 sum is zero.  `FormalSum` merges its terms with it, keyed by `_body_key`; a
-spec's key is built once and kept on the spec.  Producers that emit their
+spec's key is read from `LambdaSpec.key`.  Producers that emit their
 terms sorted and merged already (the shuffle product, the catalog's
 products, reversal reductions) build it through `FormalSum._canonical`,
 which skips the keying and the sort.
@@ -71,7 +71,6 @@ sides.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
@@ -106,11 +105,11 @@ class SpecProduct:
     __slots__ = ("factors",)
 
     def __new__(cls, factors):
-        return cls._sorted(tuple(sorted(factors, key=_spec_key)))
+        return cls._sorted(tuple(sorted(factors, key=lambda f: f.key)))
 
     @classmethod
     def _sorted(cls, factors: tuple) -> "SpecProduct":
-        """A product of factors already in `_spec_key` order, unsorted."""
+        """A product of factors already in ``key`` order, unsorted."""
         product = object.__new__(cls)
         object.__setattr__(product, "factors", factors)
         return product
@@ -131,26 +130,15 @@ class SpecProduct:
         return f"SpecProduct(factors={self.factors!r})"
 
 
-def _spec_key(spec: LambdaSpec):
-    """(0, depth, exponents, n_1, d_1, ..., n_k, d_k) for bases n_j/d_j,
-    built once per spec and kept on it; the 0 ranks specs first among
-    bodies.  Two keys reach the n_j and d_j only at equal depth, so they
-    order as tuples of (numerator, denominator) pairs would."""
-    key = spec._key
-    if key is None:
-        key = (0, spec.depth, spec.exponents)
-        key += tuple(x for b in spec.bases for x in (b.numerator, b.denominator))
-        object.__setattr__(spec, "_key", key)
-    return key
-
-
 def _body_key(body):
+    """The canonical order of bodies: specs, then words, then products,
+    specs by `LambdaSpec.key`."""
     if isinstance(body, LambdaSpec):
-        return _spec_key(body)
+        return (0, body.key)
     if isinstance(body, tuple):  # a word
         return (1, len(body), tuple((a.numerator, a.denominator) for a in body))
     if isinstance(body, SpecProduct):
-        return (2, len(body.factors), tuple(_spec_key(f) for f in body.factors))
+        return (2, len(body.factors), tuple(f.key for f in body.factors))
     raise TypeError(f"unsupported formal-sum body: {type(body)!r}")
 
 
@@ -655,11 +643,6 @@ def _lift(block: tuple[int, ...], memo: dict, lifts: dict) -> dict:
     return lifted
 
 
-def _zeta_order(s: tuple[int, ...]):
-    """The order `_spec_key` puts zeta specs in: depth, then exponents."""
-    return len(s), s
-
-
 def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
     """`reversal_reduction` of a checked exponent string s, with the
     caller's memos: ``memo`` for `_regularize_string`, ``lifts`` for
@@ -691,13 +674,13 @@ def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
     bad = {key: c for key, c in total.items() if key[0] != 0}
     if bad:  # an explicit raise, so that python -O keeps the check
         raise AssertionError(f"divergent degrees failed to cancel: {bad}")
-    # rank the factor strings in `_spec_key` order, so that each term's
+    # rank the factor strings by their specs' keys, so that each term's
     # sorted ranks give its factor order and, by (count, ranks), its place
-    strings = sorted({f for _, factors in total for f in factors}, key=_zeta_order)
+    found = {f for _, factors in total for f in factors}
+    for f in found - specs.keys():
+        specs[f] = zeta_spec(*f)
+    strings = sorted(found, key=lambda f: specs[f].key)
     rank = {f: n for n, f in enumerate(strings)}
-    for f in strings:
-        if f not in specs:
-            specs[f] = zeta_spec(*f)
     ranked = [specs[f] for f in strings]
     terms = []
     for (_, factors), c in total.items():
@@ -865,6 +848,8 @@ class Identity(NamedTuple):
     rhs: FormalSum
 
     def to_json(self) -> str:
+        import json  # only the export writes JSON; an eval never loads it
+
         return json.dumps(
             {
                 "lhs": render_formal_sum(self.lhs),
@@ -938,7 +923,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
             lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
             counts = _stuffle_counts(u, v)
             rhs = FormalSum._canonical(
-                (counts[x], specs[x]) for x in sorted(counts, key=_zeta_order)
+                (counts[x], specs[x]) for x in sorted(counts, key=lambda x: specs[x].key)
             )
             identities.append(Identity("stuffle", lhs, rhs))
             counts = _shuffle_counts(letters[u], letters[v], 2)

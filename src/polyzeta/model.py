@@ -58,19 +58,22 @@ class LambdaSpec:
 
     An immutable object with slots: assigning an attribute raises
     AttributeError, and copy and pickle rebuild the spec from ``terms``.
-    ``exponents`` and ``bases`` are the two strings as tuples, built once
-    with ``terms``; equality and hashing read ``terms`` alone.  ``_text``
-    and ``_key`` start as None and keep `format_spec`'s text and
-    `identities`' sort key from their first use.
+    ``exponents`` and ``bases`` are the two strings as tuples, and ``key``
+    is (depth, exponents, (numerator, denominator) of each base), all ints;
+    the three are built once with ``terms``.  ``key`` is the spec's one
+    identity: equality and hashing read it, `identities` sorts by it and
+    the evaluator's compile memo is keyed by its parts.  ``_text`` starts
+    as None and keeps `format_spec`'s text from its first use.
     """
 
-    __slots__ = ("terms", "exponents", "bases", "_text", "_key")
+    __slots__ = ("terms", "exponents", "bases", "key", "_text")
 
     def __new__(cls, terms):
         exponents = int_tuple(s for s, _ in terms)
         bases = tuple(_frac(b) for _, b in terms)
+        key = (len(bases), exponents, tuple(b.as_integer_ratio() for b in bases))
         spec = object.__new__(cls)
-        values = (tuple(zip(exponents, bases)), exponents, bases, None, None)
+        values = (tuple(zip(exponents, bases)), exponents, bases, key, None)
         for name, value in zip(cls.__slots__, values):
             object.__setattr__(spec, name, value)
         return spec
@@ -82,10 +85,10 @@ class LambdaSpec:
         return LambdaSpec, (self.terms,)
 
     def __eq__(self, other):
-        return isinstance(other, LambdaSpec) and self.terms == other.terms
+        return isinstance(other, LambdaSpec) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(self.key)
 
     def __repr__(self):
         return f"LambdaSpec(terms={self.terms!r})"

@@ -914,6 +914,37 @@ def test_three_memos_and_the_plan_numbers():
             assert run.bits == pass_bits(run.spec, run.terms, dps), route
 
 
+def test_warm_lookup_hashes_no_fraction(monkeypatch):
+    # a spec hashes its int key, so a cached value is found without running
+    # Fraction.__hash__, which is Python code and a modular inverse per base
+    spec, prec = zeta_spec(3, 1, 2, 2, 1, 1, 1, 1), Precision(50)
+    value = evaluate_lambda(spec, prec)
+
+    def no_hash(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", no_hash)
+    assert evaluate_lambda(spec, prec) is value
+    other = LambdaSpec.of((2, 1), (F(5, 4), F(-3, 2)))
+    assert hash(other) == hash(LambdaSpec(other.terms))
+
+
+def test_plain_tuple_precision_is_refused_cold_and_warm():
+    # Precision(50) == (50, 20), so an untyped memo would answer the tuple
+    # with the Precision's value once that is cached, and fail on the missing
+    # .digits while it is not; both (spec, prec) entry points refuse it
+    spec = LambdaSpec.of((3, 2), (F(7, 3), F(-5, 2)))
+    plain = tuple(Precision(50))
+    for memo in (plan, evaluate_lambda):
+        memo.cache_clear()
+    for warm in (False, True):
+        if warm:
+            evaluate_lambda(spec, Precision(50))
+        for call in (plan, evaluate_lambda):
+            with pytest.raises(TypeError, match="prec must be a Precision"):
+                call(spec, plain)
+
+
 # SHA-256 of the libmp-layout bits of z(3,1), L[2 | 1], L[2,1,3 | 1,1,1],
 # L[2,2 | 1,1] and L[4,1,1 | 1,1,1] at 200 digits, taken when each of their
 # split passes ran twice

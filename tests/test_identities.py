@@ -101,6 +101,37 @@ def test_equal_formal_sums_hash_alike():
     assert repr(a) == "FormalSum(-3/2*L[3 | 1] + L[2,1 | 1,1])"
 
 
+def _flat_key(body):
+    """A body's place in the canonical order, computed as one flat tuple per
+    spec, (0, depth, exponents, n_1, d_1, ..., n_k, d_k) for bases n_j/d_j,
+    and (2, count, factor keys) per product."""
+    if isinstance(body, SpecProduct):
+        return (2, len(body.factors), tuple(map(_flat_key, body.factors)))
+    pairs = tuple(x for b in body.bases for x in (b.numerator, b.denominator))
+    return (0, body.depth, body.exponents) + pairs
+
+
+def test_canonical_order_is_the_flat_key_order():
+    # specs order by depth, exponents, then (numerator, denominator) pairs,
+    # not by the bases' values: (2, 1) < (5, 4) though 5/4 < 2.  The export
+    # prints sums in this order, so it pins bases other than +-1 too.
+    rng = random.Random(32)
+    bases = [F(1), F(-1), F(2), F(-2), F(3, 2), F(-3, 2), F(5, 4), F(4, 3), F(11, 10), F(3)]
+    specs = []
+    for _ in range(300):
+        depth = rng.randint(1, 4)
+        exponents = [rng.randint(1, 3) for _ in range(depth)]
+        specs.append(LambdaSpec.of(exponents, [rng.choice(bases) for _ in range(depth)]))
+    products = [SpecProduct(rng.sample(specs, rng.randint(1, 3))) for _ in range(100)]
+    for product in products:
+        assert list(product.factors) == sorted(product.factors, key=_flat_key)
+    bodies = specs + products
+    rng.shuffle(bodies)
+    assert sorted(bodies, key=identities._body_key) == sorted(bodies, key=_flat_key)
+    fs = FormalSum((1, body) for body in bodies)
+    assert [body for _, body in fs] == sorted(set(bodies), key=_flat_key)
+
+
 def test_formal_sum_single_is_one_canonical_term():
     # FormalSum.single skips the sort but keys its body as __init__ does, and
     # a zero coefficient leaves no term

@@ -230,18 +230,18 @@ def test_spec_text_roundtrip():
 
 
 def test_spec_derived_data_is_built_once():
-    # the strings, the text and the identities sort key are built once per
-    # spec; equality, hashing and repr still read the terms alone
-    from polyzeta.identities import _spec_key
-
+    # the strings, the int key and the text are built once per spec; an
+    # equal spec built afresh has an equal key, hash and repr
     spec = LambdaSpec.of((2, 1), (1, F(-1, 2)))
     assert spec.exponents is spec.exponents == (2, 1)
     assert spec.bases is spec.bases == (F(1), F(-1, 2))
     text = format_spec(spec)
     assert format_spec(spec) is text
-    key = _spec_key(spec)
-    assert _spec_key(spec) is key
+    key = spec.key
+    assert key is spec.key and key == (2, (2, 1), ((1, 1), (-1, 2)))
+    assert all(type(x) is int for x in (key[0], *key[1], *sum(key[2], ())))
     fresh = LambdaSpec.of((2, 1), (1, F(-1, 2)))
+    assert fresh.key == spec.key
     assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
 
 
