@@ -30,13 +30,11 @@ import argparse
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ExpressionError, PolyzetaError
 from .evaluate import evaluate_z, evaluate_zp
-from .identities import export_identities, identity_catalog
 from .precision import (
     MAX_DIGITS,
     MIN_DIGITS,
@@ -46,6 +44,10 @@ from .precision import (
     pi,
     to_decimal_string,
 )
+# relations stays a top-level import although an `eval` of a value does not
+# use it: imported by the first `lindep` line instead, it compiled after an
+# identity session had built its catalog, and the identity_session
+# benchmark's peak memory rose 1.6 % (8 of 8 pairs)
 from .relations import RelationResult, lindep, require_lindep_digits
 
 DEFAULT_DIGITS = 50
@@ -441,6 +443,9 @@ def _cmd_repl(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    # only this command builds identities, so only it compiles their module
+    from .identities import export_identities, identity_catalog
+
     if not 3 <= args.weight <= MAX_EXPORT_WEIGHT:
         raise ValueError(f"weight must be in 3..{MAX_EXPORT_WEIGHT}, got {args.weight}")
     # the output opens first, so a bad path fails before the catalog is built
@@ -516,6 +521,10 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        # imported here: traceback pulls in linecache and tokenize, which only
+        # a crash needs
+        import traceback
+
         traceback.print_exc()
         return 2
 

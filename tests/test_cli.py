@@ -451,6 +451,47 @@ def test_package_imports_no_mpmath():
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_package_loads_identities_and_relations_on_first_use():
+    # a value-only run compiles neither the identity engine nor the relation
+    # finder: the package's identity_catalog, stuffle_identity and lindep
+    # load on first access, the CLI imports identities in its export command
+    # and traceback in its crash handler.  -S keeps site's imports out
+    code = (
+        "import sys\n"
+        "import polyzeta\n"
+        "print(sorted(m for m in ('polyzeta.identities', 'polyzeta.relations')"
+        " if m in sys.modules))\n"
+        "print(sorted(set(polyzeta.__all__) - set(dir(polyzeta))))\n"
+        "import polyzeta.cli\n"
+        "print(sorted(m for m in ('polyzeta.identities', 'traceback') if m in sys.modules))\n"
+        "from polyzeta import identities, relations\n"
+        "print([getattr(polyzeta, n) is getattr(m, n) for n, m in [('lindep', relations),"
+        " ('identity_catalog', identities), ('stuffle_identity', identities)]])\n"
+        "names = {}\n"
+        "exec('from polyzeta import *', names)\n"
+        "print(len(polyzeta.__all__), sorted(set(polyzeta.__all__) - set(names)))\n"
+        "try:\n"
+        "    polyzeta.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "[]",
+        "[True, True, True]",
+        "24 []",
+        "module 'polyzeta' has no attribute 'no_such_name'",
+    ]
+
+
 @pytest.mark.parametrize(
     "expression, out",
     [
@@ -597,7 +638,7 @@ def _no_catalog(weight):
 
 def test_identities_export_unwritable_path_is_user_error(tmp_path, monkeypatch, capsys):
     # the path fails before the catalog is built
-    monkeypatch.setattr("polyzeta.cli.identity_catalog", _no_catalog)
+    monkeypatch.setattr("polyzeta.identities.identity_catalog", _no_catalog)
     out = tmp_path / "missing" / "ident.jsonl"
     assert run(["identities", "export", "--weight", "3", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -611,7 +652,7 @@ def test_identities_export_unwritable_path_is_user_error(tmp_path, monkeypatch, 
 def test_identities_export_weight_out_of_range(weight, tmp_path, monkeypatch, capsys):
     # outside 3..MAX_EXPORT_WEIGHT the command stops before any work
     assert MAX_EXPORT_WEIGHT == 10
-    monkeypatch.setattr("polyzeta.cli.identity_catalog", _no_catalog)
+    monkeypatch.setattr("polyzeta.identities.identity_catalog", _no_catalog)
     out = tmp_path / "ident.jsonl"
     assert run(["identities", "export", "--weight", str(weight), "--out", str(out)]) == 1
     captured = capsys.readouterr()
