@@ -156,7 +156,8 @@ class FormalSum:
 
     ``terms`` is a tuple of (coefficient, body) pairs in `_body_key` order,
     with no zero coefficient and no repeated body.  Coefficients are kept as
-    given, ints or Fractions; the two compare, hash and print alike.
+    given, ints or Fractions; the two compare, hash and print alike.  A sum
+    is immutable, so its hash holds while it sits in a set or a dict.
     """
 
     __slots__ = ("terms",)
@@ -187,6 +188,12 @@ class FormalSum:
         fs = object.__new__(cls)
         object.__setattr__(fs, "terms", tuple(terms))
         return fs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FormalSum is immutable")
+
+    def __reduce__(self):
+        return FormalSum._canonical, (self.terms,)
 
     def __iter__(self):
         return iter(self.terms)

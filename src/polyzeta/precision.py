@@ -10,16 +10,20 @@ binary precision of ``digits + guard`` working decimal digits (Brent and
 Zimmermann, "Modern Computer Arithmetic", 2010).  The functions below take
 the rounding steps of mpmath 1.3's `libmp`, so a value has the bits mpmath's
 own arithmetic gives at that precision; the tests check this, operation by
-operation, against `libmp` as an oracle.  The package itself imports no
-mpmath.  No precision is global, so no value depends on state outside its
-arguments and threads may compute at different precisions at once.
+operation, against `libmp` as an oracle.  One step departs from libmp's
+steps but not from its bits: `_add` returns the larger operand when the
+other lies wholly below its rounding position, where libmp perturbs it.
+The package itself imports no mpmath.  No precision is global, so no value
+depends on state outside its arguments and threads may compute at
+different precisions at once.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
-formula and `ln` an atanh series, in fixed point with `_GUARD` extra bits;
-the fixed-point constants pi, ln 2 and ln 10 are kept at the highest
-precision asked for so far.  The constants zeta(r) and Li_r(1/2) of the
-closed forms in `polyzeta.identities` are kernel values,
+formula and `ln` an atanh series, in fixed point; one Ziv loop, `_floor`,
+decides every floor, doubling the guard bits until the series' derived
+error bound fixes it.  The floors of pi, ln 2 and ln 10 are kept at the
+highest precision asked for so far.  The constants zeta(r) and Li_r(1/2) of
+the closed forms in `polyzeta.identities` are kernel values,
 ``evaluate_lambda(zeta_spec(r), prec)`` and
 ``evaluate_lambda(delta_spec(r), prec)``.
 """
@@ -119,7 +123,7 @@ def _neg(s: tuple) -> tuple:
 
 
 def _add(s: tuple, t: tuple, bits: int) -> tuple:
-    """s + t rounded to nearest at bits."""
+    """s + t rounded to nearest at bits, for s and t rounded at bits."""
     sman, sexp = s
     tman, texp = t
     if not (sman and tman):
@@ -129,10 +133,10 @@ def _add(s: tuple, t: tuple, bits: int) -> tuple:
         (sman, sexp), (tman, texp) = t, s
     offset = sexp - texp
     if offset > 100 and sman.bit_length() + sexp - tman.bit_length() - texp > bits + 4:
-        # t lies wholly below s's rounding position: a unit of t's sign past
-        # s's last kept bit stands in for it, as libmp's perturbation does
-        man = (sman << (bits + 4)) + (1 if tman > 0 else -1)
-        return _round(man, sexp - bits - 4, bits)
+        # t lies wholly below s's rounding position: |t| is under 2^-5 of
+        # s's last kept bit, so under half the gap to either neighbour of
+        # s (even at a power of two), and s is the sum rounded to nearest
+        return (sman, sexp)
     return _round((sman << offset) + tman, texp, bits)
 
 
@@ -227,7 +231,7 @@ def _to_float(s: tuple) -> float:
 # Constants and logarithms in fixed point
 # ---------------------------------------------------------------------------
 
-_GUARD = 40  # extra bits of every fixed-point series
+_GUARD = 40  # the first guess of _floor's guard bits
 _MACHIN = {  # (coefficient, x) terms of sums of arccot(x), or arccoth(x)
     "pi": (((16, 5), (-4, 239)), False),
     "ln2": (((18, 26), (-2, 4801), (8, 8749)), True),
@@ -236,34 +240,58 @@ _MACHIN = {  # (coefficient, x) terms of sums of arccot(x), or arccoth(x)
 _CONSTANTS: dict[str, tuple[int, int]] = {}  # name -> (p, floor(c * 2^p))
 
 
-def _acot_fixed(x: int, p: int, hyperbolic: bool) -> int:
-    """arccot(x), or arccoth(x), times 2^p for an int x > 1, within a unit
-    per term of the series sum (+-)1 / ((2k + 1) x^(2k + 1))."""
+def _floor(series, p: int) -> int:
+    """floor(c * 2^p) for the irrational c of which series(q) gives, in
+    units of 2^-q, a value v and a bound e with |v - c 2^q| < e.  With q =
+    p + g, the floor is that of v / 2^g once (v - e) >> g and (v + e) >> g
+    agree, since c 2^q lies between them; until they do, g doubles, as in
+    Ziv's strategy.  c 2^p is no integer, so the loop ends."""
+    guard = _GUARD
+    while True:
+        v, err = series(p + guard)
+        lo, hi = (v - err) >> guard, (v + err) >> guard
+        if lo == hi:
+            return lo
+        guard *= 2
+
+
+def _acot_fixed(x: int, p: int, hyperbolic: bool) -> tuple[int, int]:
+    """arccot(x), or arccoth(x), times 2^p for an int x >= 5, from the series
+    sum (+-1)^n / ((2n + 1) x^(2n + 1)), and a bound k on its error in units:
+    k is the next odd divisor when the loop stops.  Each power of 1/x is
+    floored from the one before over x^2, or over -x^2 for arccot, whose
+    terms alternate in sign; a floor of either sign is off by under one
+    unit.  So the first power is off by under one, each later one by under
+    1 + 1/25 + 1/25^2 + ... = 25/24, and its floored quotient by k >= 3 by
+    under 25/72 + 1 < 2.  The loop stops at the first power floored to 0,
+    which is under 25/24 in size, and the tail from it, at most
+    (25/24)^2 / 3 in all, is under one unit.  After n terms k is 2n + 3, so
+    the error is under 1 + 2 (n - 1) + 1 < k."""
     term = total = (1 << p) // x
-    x2 = x * x
+    x2 = x * x if hyperbolic else -x * x
     k = 3
     while term:
         term //= x2
-        if hyperbolic or k & 2 == 0:
-            total += term // k
-        else:
-            total -= term // k
+        total += term // k
         k += 2
-    return total
+    return total, k
+
+
+def _machin(name: str, p: int) -> tuple[int, int]:
+    """The constant named times 2^p as a sum of arccotangents a acot(x), and
+    a bound on its error in units, the sum of |a| times their bounds."""
+    coeffs, hyperbolic = _MACHIN[name]
+    terms = [(a, *_acot_fixed(x, p, hyperbolic)) for a, x in coeffs]
+    return sum(a * v for a, v, _ in terms), sum(abs(a) * k for a, _, k in terms)
 
 
 def _constant(name: str, p: int) -> int:
-    """floor(c * 2^p) for the constant c named: computed with _GUARD extra
-    bits and a margin, kept, and shifted down for lower precisions."""
+    """floor(c * 2^p) for the constant c named: floored at a margin above p,
+    kept, and shifted down for lower precisions."""
     memo = _CONSTANTS.get(name)
     if memo is None or memo[0] < p:
-        coeffs, hyperbolic = _MACHIN[name]
         top = int(p * 1.05 + 10)
-        wp = top + _GUARD
-        memo = _CONSTANTS[name] = (
-            top,
-            sum(a * _acot_fixed(x, wp, hyperbolic) for a, x in coeffs) >> _GUARD,
-        )
+        memo = _CONSTANTS[name] = (top, _floor(lambda q: _machin(name, q), top))
     top, value = memo
     return value >> (top - p)
 
@@ -304,19 +332,6 @@ def _ln_fixed(man: int, bc: int, mag: int, p: int) -> tuple[int, int]:
     return total + mag * _constant("ln2", p), 2 * k + 20 + abs(mag)
 
 
-def _ln_floor(man: int, bc: int, mag: int, p: int) -> int:
-    """floor((ln(man / 2^bc) + mag ln 2) * 2^p), with guard bits doubled
-    until the error bound decides it, as in Ziv's strategy: the logarithm
-    of a dyadic other than 1 is irrational, so the loop ends."""
-    guard = _GUARD
-    while True:
-        v, err = _ln_fixed(man, bc, mag, p + guard)
-        lo, hi = (v - err) >> guard, (v + err) >> guard
-        if lo == hi:
-            return lo
-        guard *= 2
-
-
 def _ln(x: tuple, bits: int) -> tuple:
     """ln x for a positive raw float x with at most bits bits, as
     libmp.mpf_log makes it: with x = y 2^mag, y in [1/2, 1), the floor of
@@ -331,7 +346,7 @@ def _ln(x: tuple, bits: int) -> tuple:
     wp = bits + 20
     if abs(mag) <= 1:
         wp += bc - abs(man - (1 << (bc - abs(mag)))).bit_length()
-    m = _ln_floor(man, bc, 0, wp) + mag * _constant("ln2", wp)
+    m = _floor(lambda q: _ln_fixed(man, bc, 0, q), wp) + mag * _constant("ln2", wp)
     return _round(m, -wp, bits)
 
 

@@ -92,6 +92,12 @@ def test_formal_sum_canonical_order_and_render():
     assert render_formal_sum(s) == "-3/2*L[3 | 1] + L[2,1 | 1,1] + L[2 | 1]*L[3 | 1]"
 
 
+def test_empty_product_renders_and_evaluates_as_one():
+    s = FormalSum.single(SpecProduct(()))
+    assert render_formal_sum(s) == "1"
+    assert evaluate_formal_sum(s, Precision(30)) == 1
+
+
 def test_equal_formal_sums_hash_alike():
     a = FormalSum([(F(1), zeta_spec(2, 1)), (F(-3, 2), zeta_spec(3))])
     # another order, an int coefficient and a zero term: the same sum

@@ -20,6 +20,7 @@ from polyzeta import (
     PrecisionMismatch,
     to_decimal_string,
 )
+from polyzeta import precision
 from polyzeta.precision import ln, pi
 
 from conftest import libmp_raw
@@ -459,10 +460,31 @@ def test_constants_match_mpmath_on_a_private_context(digits):
         assert bits(ln(BigReal(q, prec), prec)) == want, q
 
 
+def test_machin_floors_are_exact_from_a_one_bit_first_guess(monkeypatch):
+    """With one guard bit as its first guess, `_floor` lives on the error
+    bounds that `_acot_fixed` and `_machin` derive: the floors of pi, ln 2
+    and ln 10 must equal the floor at 300 more bits, which their bounds
+    decide, for every p in 8..600."""
+    monkeypatch.setattr(precision, "_GUARD", 1)
+    for name in ("pi", "ln2", "ln10"):
+        for p in range(8, 601):
+            v, err = precision._machin(name, p + 300)
+            want = (v - err) >> 300
+            assert want == (v + err) >> 300, (name, p)
+            assert precision._floor(lambda q: precision._machin(name, q), p) == want, (name, p)
+
+
 @pytest.mark.parametrize(
     "call, error",
-    [(lambda: BigReal(1, Precision(20)) + 0.5, TypeError)],
-    ids=["float-operand"],
+    [
+        (lambda: BigReal(1, Precision(20)) + 0.5, TypeError),
+        (lambda: BigReal(1, Precision(20)) / 0, ZeroDivisionError),
+        (lambda: BigReal(1, Precision(20)) / BigReal(0, Precision(20)), ZeroDivisionError),
+        (lambda: 1 / BigReal(0, Precision(20)), ZeroDivisionError),
+        (lambda: Fraction(1, 3) / BigReal(0, Precision(20)), ZeroDivisionError),
+    ],
+    ids=["float-operand", "divide-by-int-zero", "divide-by-zero", "int-over-zero",
+         "fraction-over-zero"],
 )
 def test_out_of_domain_arguments_raise(call, error):
     with pytest.raises(error):

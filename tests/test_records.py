@@ -1,11 +1,11 @@
 """Records are values: they copy, pickle and stay immutable.
 
-Specs, products, precisions, catalog identities, relation results, parse
-trees and plans each come back equal, with the same hash, repr and str, from
-`copy.copy`, `copy.deepcopy` and a pickle round trip.  A spec's slots are
-``terms``, ``exponents``, ``bases``, ``key`` and ``_text``; its hash reads
-``key`` and its str reads ``exponents``, ``bases`` and ``_text``, so a clone
-that lost one fails.
+Specs, products, formal sums, precisions, catalog identities, relation
+results, parse trees and plans each come back equal, with the same hash,
+repr and str, from `copy.copy`, `copy.deepcopy` and a pickle round trip.
+A spec's slots are ``terms``, ``exponents``, ``bases``, ``key`` and
+``_text``; its hash reads ``key`` and its str reads ``exponents``, ``bases``
+and ``_text``, so a clone that lost one fails.
 """
 
 import copy
@@ -17,7 +17,7 @@ import pytest
 from polyzeta import BigReal, LambdaSpec, Precision, identity_catalog, lindep, zeta_spec
 from polyzeta.cli import parse_expression
 from polyzeta.evaluate import evaluate_lambda, plan
-from polyzeta.identities import SpecProduct
+from polyzeta.identities import FormalSum, SpecProduct
 from polyzeta.precision import pi
 
 PREC = Precision(30, guard=25)
@@ -34,6 +34,7 @@ def _records():
     return {
         "spec": spec,
         "product": product,
+        "formal-sum": FormalSum([(Fraction(-3, 2), spec), (2, product), (1, (Fraction(1),) * 2)]),
         "precision": PREC,
         "identity": stuffle,
         "relation-found": found,
@@ -60,7 +61,8 @@ def test_records_copy_and_pickle(clone):
 
 def test_records_are_immutable():
     records = _records()
-    spec, product = records["spec"], records["product"]
+    spec, product, fs = records["spec"], records["product"], records["formal-sum"]
+    fs_hash = hash(fs)
     value = BigReal(Fraction(1, 3), PREC)
     for obj, name in [
         (spec, "terms"),
@@ -68,6 +70,8 @@ def test_records_are_immutable():
         (spec, "color"),
         (product, "factors"),
         (product, "color"),
+        (fs, "terms"),
+        (fs, "color"),
         (PREC, "digits"),
         (PREC, "color"),
         (value, "prec"),
@@ -75,6 +79,7 @@ def test_records_are_immutable():
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
     assert spec.exponents == (3, 1, 2) and PREC.digits == 30 and value.prec == PREC
+    assert len(fs) == 3 and hash(fs) == fs_hash
 
 
 def test_spec_and_product_are_not_tuples():
