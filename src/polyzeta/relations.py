@@ -1,11 +1,14 @@
 """Integer-relation discovery over vectors of high-precision reals.
 
-`lll_reduce` is the all-integer lattice reduction (Lovasz parameter 3/4)
-that tracks the Gram-Schmidt data through the scaled integers lambda_ij and
-the Gram determinants d_i, so every division below is exact.  `lindep`
-embeds the input reals into the classical relation lattice
-(e_i | round(C x_i)) and accepts a candidate c only when its norm is under a
-cap and the recomputed |sum c_i x_i| is below |c|_1 / C (``_accepts``).
+One integral LLL, `_lll` (Lovasz parameter 3/4), serves every reduction.
+It tracks the Gram-Schmidt data through the scaled integers lambda_ij and
+the Gram determinants d_i, so every division is exact.  It runs on the Gram
+matrix of the basis and moves only the n-column unimodular transform:
+`lll_reduce` and the final pass multiply that transform back into their
+rows, and the lifts use it as it is.  `lindep` embeds the input reals into
+the classical relation lattice (e_i | round(C x_i)) and accepts a candidate
+c only when its norm is under a cap and the recomputed |sum c_i x_i| is
+below |c|_1 / C (``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
@@ -24,11 +27,13 @@ over them all.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InsufficientPrecision
+from .model import int_tuple
 from .precision import BigReal
 
 LOVASZ_NUM = 3
@@ -46,39 +51,75 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
-def _lll_with_grams(rows):
-    b = [list(int(x) for x in row) for row in rows]
-    n = len(b)
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _gram(rows):
+    """The lower triangle of the rows' Gram matrix: row i holds
+    rows_i . rows_j for j <= i, all that `_lll` reads."""
+    return [[_dot(a, b) for b in rows[:i + 1]] for i, a in enumerate(rows)]
+
+
+def _times(v, rows):
+    """The product V rows, reading rows by columns."""
+    columns = list(zip(*rows))
+    return [[_dot(vrow, column) for column in columns] for vrow in v]
+
+
+def _lll(gram):
+    """Integral LLL of a basis B given by its Gram matrix, of which it reads
+    only the lower triangle (``_gram``).
+
+    Returns (V, d): the unimodular transform V, whose rows give the reduced
+    basis as V B, and the Gram determinants d_0 = 1, ..., d_n of that
+    basis.  This is Cohen's all-integer LLL (Algorithm 2.6.7), with Lovasz
+    parameter 3/4 and the scaled integers lambda_kj = d_(j+1) mu_kj, so
+    every division is exact.  It needs b_k . b_j only when it first visits
+    row k, and then row k is still b_k: size reductions and swaps move rows
+    at or below kmax only.  Each row j < k so far combines b_0, ..., b_(k-1)
+    alone, so b_k . b_j is V_j . G[k].  Each size reduction and swap moves
+    V's n entries alone.
+    """
+    n = len(gram)
+    v = _identity(n)
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)
 
     def size_reduce(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
             q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            for i in range(len(b[k])):
-                b[k][i] -= q * b[l][i]
+            # q is +-1 in most reductions, which need no products
+            if q == 1:
+                v[k] = list(map(operator.sub, v[k], v[l]))
+            elif q == -1:
+                v[k] = list(map(operator.add, v[k], v[l]))
+            else:
+                v[k] = [a - q * b for a, b in zip(v[k], v[l])]
             lam[k][l] -= q * d[l + 1]
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
 
     def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lm = lam[k][k - 1]
-        new_d = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
-            lam[i][k - 1] = (new_d * t + lm * lam[i][k]) // d[k + 1]
+        v[k], v[k - 1] = v[k - 1], v[k]
+        # swapping the rows swaps lambda_kj and lambda_(k-1)j for j < k - 1;
+        # lambda_k(k-1) stays, and no entry on or above the diagonal is read
+        lam[k], lam[k - 1] = lam[k - 1], lam[k]
+        lm = lam[k][k - 1] = lam[k - 1][k - 1]
+        old_d, next_d = d[k], d[k + 1]
+        new_d = (d[k - 1] * next_d + lm * lm) // old_d
+        for row in lam[k + 1:kmax + 1]:
+            t = row[k]
+            row[k] = (next_d * row[k - 1] - lm * t) // old_d
+            row[k - 1] = (new_d * t + lm * row[k]) // next_d
         d[k] = new_d
 
     if n == 0:
-        return [], d
-    d[1] = _dot(b[0], b[0])
+        return v, d
+    d[1] = gram[0][0]
     if d[1] == 0:
         raise ValueError("rows must be linearly independent (zero row)")
     k = 1
@@ -87,7 +128,7 @@ def _lll_with_grams(rows):
         if k > kmax:
             kmax = k
             for j in range(k + 1):
-                u = _dot(b[k], b[j])
+                u = _dot(v[j], gram[k])
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -108,17 +149,19 @@ def _lll_with_grams(rows):
                     size_reduce(k, l)
                 k += 1
                 break
-    return [tuple(row) for row in b], d
+    return v, d
 
 
 def lll_reduce(rows) -> list[tuple[int, ...]]:
-    """Lovasz-condition (delta = 3/4) reduced basis, exact arithmetic."""
-    reduced, _ = _lll_with_grams(rows)
-    return reduced
-
-
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    """Lovasz-condition (delta = 3/4) reduced basis, exact arithmetic.  Each
+    entry must be an int: a float, Fraction or str raises TypeError instead
+    of being truncated or parsed.  Rows of unequal lengths raise
+    ValueError."""
+    rows = [int_tuple(row) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must have equal lengths")
+    v, _ = _lll(_gram(rows))
+    return [tuple(row) for row in _times(v, rows)]
 
 
 def _lifts(column, total):
@@ -126,29 +169,27 @@ def _lifts(column, total):
 
     ``column`` holds the inputs scaled by 10^total and rounded.  U starts as
     the identity.  For e = STAGE_DIGITS, 2 STAGE_DIGITS, ... below total, a
-    lift takes the column's leading e digits c, shifts the rows (U_i | U_i c)
-    right until the second-smallest keeps about LIFT_BITS bits, appends
-    identity columns and reduces; the identity part of the reduced basis is
-    the unimodular transform V, and U becomes V U.  With total <= STAGE_DIGITS
-    there is no lift.
+    lift takes the column's leading e digits c and shifts the rows
+    (U_i | U_i c) right until the second-smallest keeps about LIFT_BITS
+    bits.  It reduces them with identity columns appended, whose part of the
+    reduced basis is the unimodular transform V, and U becomes V U.  Those
+    columns only carry V, so the lift hands `_lll` the Gram matrix of the
+    shifted rows with 1 added on its diagonal, which is the Gram matrix of
+    the rows with the identity columns, and takes V from it as it is.  With
+    total <= STAGE_DIGITS there is no lift.
     """
-    n = len(column)
-    identity = _identity(n)
-    u = identity
+    u = _identity(len(column))
     for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
         unit = 10 ** (total - e)
         lifted = [(v + unit // 2) // unit for v in column]
         rows = [row + [_dot(row, lifted)] for row in u]
         sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
         shift = max(sizes[1] - LIFT_BITS, 0)
-        reduced, _ = _lll_with_grams(
-            [[v >> shift for v in row] + ident for row, ident in zip(rows, identity)]
-        )
-        transform = [row[n + 1:] for row in reduced]
-        u = [
-            [sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
-            for trow in transform
-        ]
+        gram = _gram([[v >> shift for v in row] for row in rows])
+        for row in gram:
+            row[-1] += 1  # the diagonal entry
+        transform, _ = _lll(gram)
+        u = _times(transform, u)
         yield u
 
 
@@ -261,8 +302,9 @@ def _stages(column, total):
         yield _candidates(u, column), None
     # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
     # full relation lattice
-    reduced, grams = _lll_with_grams([row + [_dot(row, column)] for row in u])
-    best = min(reduced, key=lambda row: sum(v * v for v in row))
+    rows = [row + [_dot(row, column)] for row in u]
+    transform, grams = _lll(_gram(rows))
+    best = min(_times(transform, rows), key=lambda row: _dot(row, row))
     yield [best[:n]], grams
 
 

@@ -474,6 +474,20 @@ def test_machin_floors_are_exact_from_a_one_bit_first_guess(monkeypatch):
             assert precision._floor(lambda q: precision._machin(name, q), p) == want, (name, p)
 
 
+def test_acot_fixed_error_is_under_its_bound():
+    """`_acot_fixed`'s bound k, checked on each series alone: for the eight
+    Machin arguments and every p in 8..1200, the value is within k units of
+    the same series at 200 more bits.  The worst error measured is 0.335 k,
+    and 2842 of the 9544 cases exceed k / 4, so a bound four times tighter
+    fails here."""
+    for hyperbolic, xs in ((False, (5, 239)), (True, (26, 4801, 8749, 31, 49, 161))):
+        for x in xs:
+            for p in range(8, 1201):
+                v, k = precision._acot_fixed(x, p, hyperbolic)
+                ref, _ = precision._acot_fixed(x, p + 200, hyperbolic)
+                assert abs((v << 200) - ref) < k << 200, (x, p)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

@@ -2,7 +2,9 @@
 
 The reducedness oracle recomputes the Gram-Schmidt data in exact Fraction
 arithmetic straight from the definition, independently of the integral
-bookkeeping inside lll_reduce.
+bookkeeping inside lll_reduce.  The row-form integral LLL below, which moves
+every entry of each row, is the oracle of the Gram-matrix LLL that moves only
+the transform: both must make the same decisions.
 """
 
 import random
@@ -24,12 +26,17 @@ from polyzeta import relations
 from polyzeta.acceptance import planted_relation
 from polyzeta.precision import ln, pi
 from polyzeta.relations import (
+    LIFT_BITS,
+    LOVASZ_DEN,
+    LOVASZ_NUM,
     STAGE_DIGITS,
     _accepts,
     _dot,
+    _gram,
     _identity,
     _lifts,
-    _lll_with_grams,
+    _lll,
+    _times,
     lll_reduce,
 )
 
@@ -73,6 +80,70 @@ def lattice_vectors(rows, radius):
 
     rec(0, [0] * len(rows[0]))
     return out
+
+
+# The row-form oracle of `relations._lll`: the same integral LLL, reducing
+# the rows themselves, so it moves every entry of each row.
+def _lll_with_grams(rows):
+    b = [list(int(x) for x in row) for row in rows]
+    n = len(b)
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            for i in range(len(b[k])):
+                b[k][i] -= q * b[l][i]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lm = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+
+    if n == 0:
+        return [], d
+    d[1] = _dot(b[0], b[0])
+    if d[1] == 0:
+        raise ValueError("rows must be linearly independent (zero row)")
+    k = 1
+    kmax = 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    if u == 0:
+                        raise ValueError("rows must be linearly independent")
+                    d[k + 1] = u
+        while True:
+            size_reduce(k, k - 1)
+            if LOVASZ_DEN * d[k + 1] * d[k - 1] < (
+                LOVASZ_NUM * d[k] * d[k] - LOVASZ_DEN * lam[k][k - 1] ** 2
+            ):
+                swap(k, kmax)
+                k = max(1, k - 1)
+            else:
+                for l in range(k - 2, -1, -1):
+                    size_reduce(k, l)
+                k += 1
+                break
+    return [tuple(row) for row in b], d
 
 
 def test_identity_fixed_point():
@@ -126,6 +197,15 @@ def test_degenerate_input_rejected():
         lll_reduce([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         lll_reduce([[0, 0], [1, 1]])
+    with pytest.raises(ValueError, match="equal lengths"):
+        lll_reduce([[1, 0, 5], [0, 1]])
+
+
+@pytest.mark.parametrize("entry", [1.9, F(7, 2), "3"], ids=["float", "fraction", "str"])
+def test_lll_reduce_refuses_entries_that_are_not_ints(entry):
+    # an entry is coerced as an index, never truncated or parsed
+    with pytest.raises(TypeError):
+        lll_reduce([[entry, 0], [0, 1]])
 
 
 def test_lindep_trivial():
@@ -243,25 +323,25 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     xs = [F(rng.randrange(den // 10, den), den) * rng.choice((1, -1)) for _ in range(4)]
     prec = Precision(100)
     total = prec.digits - 10
-    reduced_bases = []
-    lll = relations._lll_with_grams
+    transforms = []
+    lll = relations._lll
 
-    def recording(rows):
-        reduced, grams = lll(rows)
-        reduced_bases.append(reduced)
-        return reduced, grams
+    def recording(gram):
+        v, grams = lll(gram)
+        transforms.append(v)
+        return v, grams
 
-    monkeypatch.setattr(relations, "_lll_with_grams", recording)
+    monkeypatch.setattr(relations, "_lll", recording)
     assert not lindep([BigReal(x, prec) for x in xs]).found
-    lifts = reduced_bases[:-1]  # the last call is the exact final pass
+    lifts = transforms[:-1]  # the last call is the exact final pass
     assert len(lifts) == 2
-    # each lift's identity columns hold its transform V; the rows are V U
+    # each lift's transform V makes the rows V U
     n = len(xs)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for reduced in lifts:
+    for v in lifts:
         u = [
-            [sum(t * u[k][j] for k, t in enumerate(row[n + 1:])) for j in range(n)]
-            for row in reduced
+            [sum(t * u[k][j] for k, t in enumerate(row)) for j in range(n)]
+            for row in v
         ]
     c = u[0]
     residual = abs(sum(ci * x for ci, x in zip(c, xs)))
@@ -293,13 +373,13 @@ def rational_vector(rng, n, digits, relations=0):
 def counting_lll(monkeypatch):
     """Record each call of the reduction that lindep makes."""
     calls = []
-    lll = relations._lll_with_grams
+    lll = relations._lll
 
-    def recording(rows):
-        calls.append(len(rows))
-        return lll(rows)
+    def recording(gram):
+        calls.append(len(gram))
+        return lll(gram)
 
-    monkeypatch.setattr(relations, "_lll_with_grams", recording)
+    monkeypatch.setattr(relations, "_lll", recording)
     return calls
 
 
@@ -490,7 +570,9 @@ def staged_lll(column, total):
     u = _identity(len(column))
     for u in _lifts(column, total):
         pass
-    return _lll_with_grams([row + [_dot(row, column)] for row in u])
+    rows = [row + [_dot(row, column)] for row in u]
+    v, grams = _lll(_gram(rows))
+    return [tuple(row) for row in _times(v, rows)], grams
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "relation-free"])
@@ -523,3 +605,81 @@ def test_staged_reduction_without_lifts_is_the_single_pass():
 @pytest.mark.parametrize("rows", [[], [(3,)]], ids=["no-rows", "one-row"])
 def test_lll_reduce_keeps_reduced_input(rows):
     assert lll_reduce(rows) == rows
+
+
+# -- the Gram-matrix LLL against the row-form oracle ------------------------------
+
+def oracle_stages(column, total):
+    """lindep's staged reduction with every lattice reduced in row form:
+    for each lift, the identity-column block of its reduced rows (the
+    transform V) and its Gram determinants; last, the final pass's rows
+    (U_i | U_i column), its reduced rows and its Gram determinants."""
+    n = len(column)
+    identity = _identity(n)
+    u = identity
+    stages = []
+    for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
+        unit = 10 ** (total - e)
+        lifted = [(v + unit // 2) // unit for v in column]
+        rows = [row + [_dot(row, lifted)] for row in u]
+        sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
+        shift = max(sizes[1] - LIFT_BITS, 0)
+        reduced, grams = _lll_with_grams(
+            [[v >> shift for v in row] + ident for row, ident in zip(rows, identity)]
+        )
+        transform = [list(row[n + 1:]) for row in reduced]
+        stages.append((transform, grams))
+        u = [[sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
+             for trow in transform]
+    rows = [row + [_dot(row, column)] for row in u]
+    return stages, (rows, *_lll_with_grams(rows))
+
+
+@pytest.mark.parametrize(
+    "n, digits, planted",
+    [(4, 100, False), (6, 200, True), (8, 300, False), (10, 200, False),
+     (12, 300, False), (12, 100, True), (5, 400, False), (9, 400, True)],
+)
+def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, digits, planted):
+    # each lift reduces the Gram matrix of its shifted rows, plus 1 on the
+    # diagonal for the identity columns it drops; its transform V must be the
+    # oracle's identity block, and the final pass's V times its rows the
+    # oracle's reduced rows
+    total = digits - 10
+    column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
+    calls = []
+    lll = relations._lll
+
+    def recording(gram):
+        calls.append(lll(gram))
+        return calls[-1]
+
+    monkeypatch.setattr(relations, "_lll", recording)
+    for _ in relations._stages(column, total):
+        pass
+    lifts, (rows, reduced, grams) = oracle_stages(column, total)
+    assert len(lifts) == (total - 1) // STAGE_DIGITS
+    assert calls[:-1] == lifts
+    v, d = calls[-1]
+    assert d == grams
+    assert [tuple(row) for row in _times(v, rows)] == reduced
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [[5, -3]], [[201, 37], [1648, 297]]], ids=["n0", "n1", "n2"]
+)
+def test_gram_lll_matches_the_row_form_oracle_on_small_bases(rows):
+    reduced, grams = _lll_with_grams(rows)
+    v, d = _lll(_gram(rows))
+    assert d == grams
+    assert [tuple(row) for row in _times(v, rows)] == reduced
+    assert lll_reduce(rows) == reduced
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0], [1, 1]]], ids=["dependent", "zero-row"])
+def test_gram_lll_rejects_dependent_rows_as_the_oracle_does(rows):
+    with pytest.raises(ValueError) as expected:
+        _lll_with_grams(rows)
+    with pytest.raises(ValueError) as raised:
+        lll_reduce(rows)
+    assert str(raised.value) == str(expected.value)

@@ -1,0 +1,87 @@
+"""Compare two checkouts on one benchmark workload in alternated pairs.
+
+Usage: python tools/pair_bench.py PARENT CHANGE WORKLOAD SEED
+
+PARENT and CHANGE are checkouts of this repository.  The script runs
+
+    python3 perfbench/run.py --workload WORKLOAD --seconds 15 --seed SEED
+
+with each checkout as its working directory, PAIRS times per side,
+alternating which side runs first, and stops if any run is not
+``"correct": true``.  For each end-to-end metric of PARENT's
+BENCHMARK.json it prints each side's median and quartiles, the pairs the
+change wins (ties count for neither side) and the verdict of the rule for
+claiming a gain: the change wins at least 9 of 10 pairs, and its median is
+better than the parent's by more than the parent's interquartile range.
+Without a gain, the verdict compares the change's median with the metric's
+bound, unless the parent's interquartile range exceeds that bound, which
+leaves the metric unresolved.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+SECONDS = 15
+
+
+def _run(checkout: Path, workload: str, seed: str) -> dict:
+    """One benchmark run in checkout: its metrics, by name."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(SECONDS), "--seed", seed],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if result["correct"] is not True:
+        sys.exit(f"{checkout}: run not correct: {result}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _summary(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        sys.exit(__doc__)
+    parent, change = Path(argv[0]), Path(argv[1])
+    workload, seed = argv[2], argv[3]
+    spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = {parent: [], change: []}
+    for i in range(PAIRS):
+        order = (parent, change) if i % 2 == 0 else (change, parent)
+        for checkout in order:
+            runs[checkout].append(_run(checkout, workload, seed))
+        print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
+
+    print(f"{workload} seed {seed}, {PAIRS} alternated pairs, parent -> change")
+    print(f"{'metric':<12} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
+          f"{'gap':>8} {'wins':>5}  verdict")
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        before = [run[name] for run in runs[parent]]
+        after = [run[name] for run in runs[change]]
+        wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+        (p1, pm, p3), (c1, cm, c3) = _summary(before), _summary(after)
+        gain = sign * (pm - cm)
+        if wins >= 0.9 * PAIRS and gain > p3 - p1:
+            verdict = "gain"
+        elif p3 - p1 > metric["bound"] * pm:
+            verdict = "unresolved: parent IQR above bound"
+        else:
+            verdict = "within bound" if -gain <= metric["bound"] * pm else "worse than bound"
+        print(f"{name:<12} {p1:>9.4g} {pm:>9.4g} {p3:>9.4g} {c1:>9.4g} {cm:>9.4g} {c3:>9.4g}"
+              f" {(cm - pm) / pm:>+8.1%} {wins:>2}/{PAIRS}  {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
