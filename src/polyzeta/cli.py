@@ -31,6 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .errors import ExpressionError, PolyzetaError
@@ -421,25 +422,23 @@ def _cmd_repl(args) -> int:
     )
     while True:
         print("> ", end="", file=sys.stderr, flush=True)
-        line = sys.stdin.readline()
-        if not line:
-            return 0
-        line = line.strip()
-        if not line:
-            continue
-        if line in (":quit", ":q"):
-            return 0
-        if line.startswith(":digits"):
-            try:
+        try:
+            line = sys.stdin.readline()
+            if not line:
+                return 0
+            line = line.strip()
+            if line in (":quit", ":q"):
+                return 0
+            if line.startswith(":digits"):
                 prec = _precision(line[len(":digits"):].strip())
                 print(f"precision set to {prec.digits} digits", file=sys.stderr)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-            continue
-        try:
-            print(_eval_line(line, prec, args.ezface_format), flush=True)
+            elif line:
+                print(_eval_line(line, prec, args.ezface_format), flush=True)
         except _USER_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
+        except KeyboardInterrupt:
+            # Ctrl-C drops the line, read or running, and prompts again
+            print("interrupted", file=sys.stderr)
 
 
 def _cmd_identities(args) -> int:
@@ -466,7 +465,11 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser and its eval subparser, built on the first
+    call, so a process that runs many commands builds them once.  --digits
+    has no default here: POLYLOG_DIGITS is read after each parse."""
     parser = argparse.ArgumentParser(
         prog="polyzeta",
         description="arbitrary-precision calculator for multiple polylogarithms,"
@@ -474,7 +477,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--digits", default=_default_digits())
+    options.add_argument("--digits")
     options.add_argument("--ezface-format", action="store_true")
 
     p_eval = sub.add_parser("eval", parents=[options], help="evaluate one expression")
@@ -497,7 +500,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--level", choices=["fast", "full"], default="fast")
     p_self.set_defaults(fn=_cmd_selftest)
+    return parser, p_eval
 
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser, p_eval = _parsers()
     # argparse reads an expression that starts with '-' ("-Pi", "--Pi") as an
     # unknown option and leaves it over; a lone leftover is eval's expression
     args, extra = parser.parse_known_args(argv)
@@ -507,6 +514,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "eval" and args.expression is None:
         p_eval.error("the following arguments are required: expression")
+    if "digits" in args and args.digits is None:
+        args.digits = _default_digits()
     return args
 
 
@@ -520,6 +529,10 @@ def run(argv) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # Ctrl-C: the shell's exit status for SIGINT, 128 + 2
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception:
         # imported here: traceback pulls in linecache and tokenize, which only
         # a crash needs

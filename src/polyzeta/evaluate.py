@@ -18,14 +18,12 @@ compiling changes the cost of a step, not its value.
 Routes.  ``plan(spec, prec)`` decides once per (spec, prec), before any
 pass, how ``evaluate_lambda`` computes the value: the route and its p, the
 signs that combine the passes' values, the working precision, and per pass
-the spec, the steps and the bits (a frozen ``Plan``).
+the spec, the steps and the bits (a frozen ``Plan``).  Only the direct and
+split routes run passes.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
   geometrically: one full-value pass of the spec.
-
-* dual -- the dual word ``1 - reversed(word)`` has every base modulus at
-  least ``GEOMETRIC_THRESHOLD``: ``sign *`` one full-value pass of the dual.
 
 * split -- for words whose bases sit on or near the unit circle (MZVs,
   alternating sums), the [0,1] iterated integral splits at 1/p into
@@ -36,13 +34,30 @@ the spec, the steps and the bits (a frozen ``Plan``).
   factors.  p = q = 2 unless unit-gap bases make 2 infeasible, then an
   adaptive conjugate pair (``_split_parameter``).
 
+* dual -- ``sign *`` the dual's own value, ``evaluate_lambda(dual, prec)``
+  through its memo, where ``dual_word`` gives the dual word
+  ``1 - reversed(word)`` and the sign; the plan's p, working precision and
+  passes are those of ``plan(dual, prec)``.  A spec takes it when its
+  dual's bases are all geometric, so the dual's route is direct, or when
+  its dual converges as a sum and has the smaller ``LambdaSpec.key`` of the
+  two.  Then both specs converge, so every letter b of the word other than
+  0 and 1 has |b| >= 1 and |1 - b| >= 1, and both split at p = q = 2: the
+  dual's passes 2*dual and 2*word are the word's two passes, swapped.  Its
+  signs are the word's reversed times (-1)^(weight + depth + depth(dual)),
+  the sign of ``dual_word``, so the dual's total is exactly sign times the
+  word's, over the same bits; the working precision is the same, and
+  rounding to nearest is odd-symmetric, so the value keeps every bit the
+  word's own split gives it.  A pair evaluated on both sides runs its two
+  passes once.  A dual with a letter in (-1, 0) diverges as a sum, so its
+  word keeps its split, often at an adaptive p.
+
 Error budget.  Before its one final rounding, every value ``evaluate_lambda``
-returns is within 10^-W of lambda, W = ``prec.working_dps``, so the BigReal
-is right to every digit it carries.  A pass run to D digits stops where the
-plan's tail bound is below 10^-D and keeps its rounding below 10^-D
+returns is within 10^-W of lambda, W = ``prec.working_dps``, the digits
+plus the guard digits.  A pass run to D digits stops where the plan's tail
+bound is below 10^-D and keeps its rounding below 10^-D
 (``_rounding_bits``), so each suffix value it returns is within 2*10^-D.
 
-* direct and dual -- the value is one suffix value, so D = W + 1 suffices.
+* direct -- the value is one suffix value, so D = W + 1 suffices.
 
 * split -- the value is sum_r sign_r * L_r * R_r over weight+1 products.  A
   word's suffixes have exponents s_j >= 1 and every |b_j| > 1; writing
@@ -54,9 +69,12 @@ plan's tail bound is below 10^-D and keeps its rounding below 10^-D
   is off by at most (weight+1)*(M_L + M_R + 1)*delta, which is at most 10^-W
   once 10^(D-W) >= 2*(weight+1)*(M_L + M_R + 1).
 
+* dual -- the value is the dual's, within its route's budget.
+
 The plan's working precision runs the passes at D digits: W plus the
-decimal exponent of the route's error factor, 2 on the direct and dual
-routes, 2*(weight+1)*(M_L + M_R + 1) on the split.
+decimal exponent of the route's error factor, 2 on the direct route,
+2*(weight+1)*(M_L + M_R + 1) on the split, and the dual's on the dual
+route.
 
 Memos.  Three ``lru_cache`` memos hold the evaluator's state; clearing all
 three makes the next evaluation cold:
@@ -66,6 +84,11 @@ three makes the next evaluation cold:
   each base, every_suffix), the last two parts of the pass spec's
   ``LambdaSpec.key``: the compiled pass;
 * ``evaluate_lambda`` -- keyed by (spec, prec): the value.
+
+The dual route adds none: a spec on it holds its own entries in ``plan``
+and ``evaluate_lambda``, and reads its value from the dual's entry, so
+clearing ``evaluate_lambda`` alone still makes every next value run its
+passes again.
 
 The two (spec, prec) memos are typed, and both functions refuse a prec
 that is not a Precision: a plain tuple equals the Precision of the same
@@ -359,14 +382,15 @@ def _split_parameter(word: Word) -> Fraction:
 class Plan(NamedTuple):
     """How ``evaluate_lambda`` computes a spec at a precision, before any pass.
 
-    route is "direct", "dual" or "split", and p is the split's parameter
-    (None on the other routes).  The passes run at the working precision,
-    full-value on the direct and dual routes and every-suffix on the split.
-    direct and dual return signs[0] times their pass's value.  The split's
-    passes are R of p*word and L of q*dual, and it returns
-    sum_r signs[r] * L[weight-r] * R[r] with
-    signs[r] = (-1)^(r + depth + depth(dual[weight-r:]) + depth(word[r:])),
-    the terms of ``holder_split(word, p)``.
+    route is "direct", "dual" or "split".  The direct route returns its one
+    full-value pass's value.  The split's passes are R of p*word and L of
+    q*dual, every-suffix, and it returns sum_r signs[r] * L[weight-r] * R[r]
+    with signs[r] = (-1)^(r + depth + depth(dual[weight-r:]) + depth(word[r:])),
+    the terms of ``holder_split(word, p)``.  The dual route returns
+    signs[0] times the value of dual, the dual word's spec, and its p,
+    working precision and passes are those of ``plan(dual, prec)``: the
+    passes it costs, run once for the pair.  p is None and dual is None
+    where they do not apply.
     """
 
     route: str
@@ -374,6 +398,7 @@ class Plan(NamedTuple):
     signs: tuple[int, ...]
     working: Precision
     passes: tuple[SumPlan, ...]
+    dual: LambdaSpec | None
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -389,33 +414,47 @@ def plan(spec: LambdaSpec, prec: Precision) -> Plan:
         word = lambda_to_word(spec)
         dual, sign = dual_word(word)
         dual_spec = word_to_lambda(dual)
-        if _geometric(dual_spec.bases):
-            route, specs, signs = "dual", (dual_spec,), (sign,)
-        else:
-            route, p = "split", _split_parameter(word)
-            specs = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
-            weight, k = len(word), word_depth(word)
-            signs = tuple(
-                (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
-                for r in range(weight + 1)
-            )
-            factor = 2 * (weight + 1) * (sum(_suffix_bound(s.bases) for s in specs) + 1)
+        # the dual's own value costs no more than this spec's: one direct
+        # pass when its bases are geometric, else its split, which runs this
+        # spec's two passes in mirror order.  Of such a pair the spec with
+        # the smaller key runs them and the other takes its value; a dual
+        # that diverges as a sum has no value of its own to give.
+        if _geometric(dual_spec.bases) or (
+            dual_spec.key < spec.key and dual_spec.is_convergent()
+        ):
+            how = plan(dual_spec, prec)
+            return Plan("dual", how.p, (sign,), how.working, how.passes, dual_spec)
+        route, p = "split", _split_parameter(word)
+        specs = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
+        weight, k = len(word), word_depth(word)
+        signs = tuple(
+            (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
+            for r in range(weight + 1)
+        )
+        factor = 2 * (weight + 1) * (sum(_suffix_bound(s.bases) for s in specs) + 1)
     working = Precision(prec.digits, prec.guard + _decimal_exponent(factor))
     # each pass's values are within 2*10^-D: its plan cuts the tail below
     # 10^-D and its bits keep the rounding below 10^-D.  A suffix has no more
     # levels and no smaller base modulus, so the pass's plan bounds its tail too.
     passes = tuple(plan_nested_sum(s, -working.working_dps) for s in specs if s.depth)
-    return Plan(route, p, signs, working, passes)
+    return Plan(route, p, signs, working, passes, None)
 
 
 @lru_cache(maxsize=4096, typed=True)
 def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
-    """Evaluate any convergent spec to |error| < 10^-digits.
+    """Evaluate any convergent spec to W = prec.working_dps significant
+    digits, W = digits + guard.
 
     Runs the passes of ``plan(spec, prec)`` and combines them, so before the
-    final rounding the value is within 10^-prec.working_dps.  Pure in
-    (spec, prec), so results are memoized; identity checks that sum many
-    formal terms revisit the same values constantly.
+    final rounding the value is within 10^-W of lambda; that rounding, to
+    the binary precision of W digits, moves it by at most a fifth of
+    10^-W |lambda|.  The contract is relative: |error| < 10^-W max(1,
+    |lambda|) * 6/5, so the value is right to W significant digits, and
+    within 10^-digits absolutely while |lambda| < 10^guard.  Past that only
+    the relative bound holds: lambda(-30; 2), about 2.28e37, comes back at
+    12 digits off by about 4758, 2e-34 of its size.  Pure in (spec, prec),
+    so results are memoized; identity checks that sum many formal terms
+    revisit the same values constantly.
     """
     if not isinstance(prec, Precision):
         raise TypeError(f"prec must be a Precision, got {prec!r}")
@@ -423,6 +462,10 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
     if spec.depth == 0:
         return BigReal(1, prec)
     how = plan(spec, prec)
+    if how.route == "dual":
+        # through the memo, so the pair's second member costs a lookup
+        value = evaluate_lambda(how.dual, prec)
+        return value if how.signs[0] > 0 else -value
     split = how.route == "split"
     # a self-dual word's two split passes are equal, so each distinct pass
     # runs once
@@ -437,8 +480,7 @@ def evaluate_lambda(spec: LambdaSpec, prec: Precision) -> BigReal:
         weight = len(how.signs) - 1
         total = sum(sign * left[weight - r] * right[r] for r, sign in enumerate(how.signs))
     else:
-        [[full]] = runs
-        total = how.signs[0] * full
+        [[total]] = runs
     # one rounding, from the kernel's (mantissa, exponent) pair
     return BigReal((total, -sum(run.bits for run in how.passes)), prec)
 

@@ -4,10 +4,14 @@ Values are immutable `BigReal` instances carrying the `Precision` they were
 computed under.  A value stores a binary float as the pair (mantissa,
 exponent) of Python ints, the value being mantissa * 2^exponent: the
 mantissa is signed and odd, and zero is (0, 0).  The summation kernel hands
-its fixed-point sums over in the same (mantissa, exponent) form.  Every
-operation rounds its exact result once, to nearest with ties to even, at the
-binary precision of ``digits + guard`` working decimal digits (Brent and
-Zimmermann, "Modern Computer Arithmetic", 2010).  The functions below take
+its fixed-point sums over in the same (mantissa, exponent) form.  Addition,
+subtraction, multiplication and division round their exact result once, to
+nearest with ties to even, at the binary precision of ``digits + guard``
+working decimal digits (Brent and Zimmermann, "Modern Computer Arithmetic",
+2010).  A power of over 1000 bits is taken with guard bits on its partial
+products, and ``x ** -n`` is the reciprocal of ``x ** n`` at 5 more bits, so
+it rounds twice (`_pow_int`): a power is within one unit in the last place of
+the correctly rounded value.  The functions below take
 the rounding steps of mpmath 1.3's `libmp`, so a value has the bits mpmath's
 own arithmetic gives at that precision; the tests check this, operation by
 operation, against `libmp` as an oracle.  One step departs from libmp's

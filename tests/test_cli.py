@@ -5,14 +5,16 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import polyzeta
-from polyzeta import ExpressionError, Precision
+from polyzeta import ExpressionError, Precision, cli
 from polyzeta.relations import RelationResult
 from polyzeta.cli import (
     BinOp,
@@ -554,6 +556,64 @@ def test_env_var_default_digits(monkeypatch, capsys):
     out = capsys.readouterr().out.strip()
     assert code == 0
     assert out == "0.693147180560"
+
+
+def test_env_var_is_read_at_each_run_of_one_parser(monkeypatch, capsys):
+    # the parser is built once per process, and POLYLOG_DIGITS is read after
+    # each parse, not frozen into the parser as a default
+    for digits, out in (("12", "0.693147180560"), ("15", "0.693147180559945")):
+        monkeypatch.setenv("POLYLOG_DIGITS", digits)
+        assert run(["eval", "zp(2,1)"]) == 0
+        assert capsys.readouterr().out == out + "\n"
+    assert cli._parsers.cache_info().misses == 1
+
+
+def test_ctrl_c_in_eval_prints_interrupted_and_exits_130(monkeypatch, capsys):
+    def interrupted(e, prec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("polyzeta.cli.eval_expression", interrupted)
+    assert run(["eval", "z(500)", "--digits", "10"]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def read_until(stream, text: str) -> str:
+    """Characters from stream up to and including the first `text`."""
+    seen = ""
+    while not seen.endswith(text):
+        char = stream.read(1)
+        assert char, f"stream ended before {text!r}: {seen!r}"
+        seen += char
+    return seen
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT")
+def test_ctrl_c_in_the_repl_drops_the_line_and_prompts_again():
+    # SIGINT while z(500) runs (several seconds at 10 digits) drops that line
+    # with no traceback, and the REPL reads the next one.  The child gets
+    # SIGINT's default action back, which a shell running this suite in the
+    # background may have set to ignore; Python then installs its handler
+    src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyzeta.cli", "repl"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        proc.stdin.write(":digits 10\n")
+        proc.stdin.flush()
+        read_until(proc.stderr, "precision set to 10 digits\n> ")
+        proc.stdin.write("z(500)\n")
+        proc.stdin.flush()
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        read_until(proc.stderr, "interrupted\n> ")
+        out, err = proc.communicate("1/3\n:quit\n", timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out, err) == (0, "0.3333333333\n", "> ")
 
 
 def test_env_var_invalid_is_user_error(monkeypatch, capsys):

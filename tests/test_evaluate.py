@@ -697,7 +697,8 @@ def contract_corpus():
 
 
 def test_digit_contract_against_thirty_more_digits():
-    # |value at d digits - value at d + 30 digits| < 10^-d on every route
+    # |value at d digits - value at d + 30 digits| < 10^-d on every route,
+    # for values below 10^guard
     corpus, split_word = contract_corpus()
 
     def split_value(word, p, prec):
@@ -718,6 +719,13 @@ def test_digit_contract_against_thirty_more_digits():
             low = split_value(split_word, p, Precision(d)).to_fraction()
             high = split_value(split_word, p, Precision(d + 30)).to_fraction()
             assert abs(low - high) < F(1, 10 ** d), (p, d)
+    # the contract is relative to W = digits + guard significant digits, and
+    # absolute only while |value| < 10^guard: lambda(-30; 2), about 2.28e37,
+    # comes back at 12 digits off by about 4758, 2e-34 of its size
+    big, prec = LambdaSpec.of((-30,), (2,)), Precision(12)
+    low = evaluate_lambda(big, prec).to_fraction()
+    high = evaluate_lambda(big, Precision(42)).to_fraction()
+    assert abs(low - high) < F(1, 10 ** prec.working_dps) * abs(high)
 
 
 def test_values_carry_their_working_digits():
@@ -842,14 +850,20 @@ def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
     ]
     oracles = []
     for spec in specs:
-        how = plan(spec, prec)
+        # z(2, 1) takes its dual z(3)'s value, so its oracle is z(3)'s split
+        how, sign, word = plan(spec, prec), 1, lambda_to_word(spec)
+        if how.route == "dual":
+            sign, word = how.signs[0], lambda_to_word(how.dual)
+            how = plan(how.dual, prec)
         assert how.route == "split"
-        terms = holder_split(lambda_to_word(spec), how.p)
-        oracles.append(sum(
+        terms = holder_split(word, how.p)
+        oracle = sum(
             (evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
              for t in terms),
             BigReal(0, prec),
-        ))
+        )
+        oracles.append(oracle if sign > 0 else -oracle)
+    assert [plan(spec, prec).route for spec in specs] == ["dual", "split", "split"]
 
     def no_split(*args):
         raise AssertionError("evaluate_lambda called holder_split")
@@ -867,10 +881,14 @@ def test_three_memos_and_the_plan_numbers():
     memos = {name: obj for name, obj in vars(evaluate).items() if hasattr(obj, "cache_clear")}
     assert sorted(memos) == ["_compiled_pass", "evaluate_lambda", "plan"]
     prec = Precision(30)
+    # a dual-route spec reads its plan's numbers from its dual's plan: the
+    # direct pass of z(-1, -1, -1)'s geometric dual, and the split of z(3),
+    # z(2, 1)'s dual, which has the smaller key
     cases = [
         ("direct", None, LambdaSpec.of((3,), (2,)), lambda: evaluate_zp(2, (3,), prec)),
         ("dual", None, lambda_from_z_string((-1, -1, -1)), lambda: evaluate_z((-1, -1, -1), prec)),
         ("split", F(2), lambda_from_z_string((3, 1)), lambda: evaluate_z((3, 1), prec)),
+        ("dual", F(2), lambda_from_z_string((2, 1)), lambda: evaluate_z((2, 1), prec)),
     ]
 
     def counts():
@@ -885,6 +903,9 @@ def test_three_memos_and_the_plan_numbers():
     for memo in memos.values():
         memo.cache_clear()
     for route, p, spec, call in cases:
+        # the dual route adds one miss in each (spec, prec) memo, the dual's:
+        # plan(spec) asks plan(dual), which evaluate_lambda(dual) then finds
+        dual = route == "dual"
         before = counts()
         call()
         cold = calls_since(before)
@@ -892,7 +913,8 @@ def test_three_memos_and_the_plan_numbers():
         passes = len(how.passes)
         # z(3, 1) is self-dual, so its two split passes are one pass, run once
         distinct = len(set(how.passes))
-        assert cold["evaluate_lambda"] == cold["plan"] == (0, 1), route
+        assert cold["evaluate_lambda"] == (0, 1 + dual), route
+        assert cold["plan"] == (dual, 1 + dual), route
         hits, misses = cold["_compiled_pass"]
         assert misses >= 1 and hits + misses == distinct, route
 
@@ -903,11 +925,14 @@ def test_three_memos_and_the_plan_numbers():
         before = counts()
         call()
         warm = calls_since(before)
-        assert warm["evaluate_lambda"] == (0, 1), route
-        assert warm["plan"] == (1, 0) and warm["_compiled_pass"] == (distinct, 0), route
+        assert warm["evaluate_lambda"] == (0, 1 + dual), route
+        assert warm["plan"] == (1 + dual, 0), route
+        assert warm["_compiled_pass"] == (distinct, 0), route
 
         assert (how.route, how.p) == (route, p)
-        assert passes == (2 if route == "split" else 1)
+        if dual:
+            assert how.passes == plan(how.dual, prec).passes, route
+        assert passes == (1 if p is None else 2)
         dps = how.working.working_dps
         for run in how.passes:
             assert run.terms == plan_nested_sum(run.spec, -dps).terms, route
@@ -945,6 +970,24 @@ def test_plain_tuple_precision_is_refused_cold_and_warm():
                 call(spec, plain)
 
 
+def counted_kernel_runs(monkeypatch):
+    """A list that each kernel pass run from now on appends its compile key
+    to."""
+    compiled, runs = evaluate._compiled_pass, []
+
+    def counted(*key):
+        kernel = compiled(*key)
+
+        def run(*args):
+            runs.append(key)
+            return kernel(*args)
+
+        return run
+
+    monkeypatch.setattr(evaluate, "_compiled_pass", counted)
+    return runs
+
+
 # SHA-256 of the libmp-layout bits of z(3,1), L[2 | 1], L[2,1,3 | 1,1,1],
 # L[2,2 | 1,1] and L[4,1,1 | 1,1,1] at 200 digits, taken when each of their
 # split passes ran twice
@@ -966,18 +1009,7 @@ def test_a_self_dual_split_runs_its_one_pass_once(monkeypatch):
     assert how.passes[0] == how.passes[1] and how.passes[0].terms == 826
     for memo in (plan, evaluate._compiled_pass, evaluate_lambda):
         memo.cache_clear()
-    compiled, runs = evaluate._compiled_pass, []
-
-    def counted(*key):
-        kernel = compiled(*key)
-
-        def run(*args):
-            runs.append(key)
-            return kernel(*args)
-
-        return run
-
-    monkeypatch.setattr(evaluate, "_compiled_pass", counted)
+    runs = counted_kernel_runs(monkeypatch)
     raw = []
     for spec in specs:
         runs.clear()
@@ -985,6 +1017,112 @@ def test_a_self_dual_split_runs_its_one_pass_once(monkeypatch):
         assert len(runs) == 1, spec
         raw.append(repr(libmp_raw(value)))
     assert hashlib.sha256("\n".join(raw).encode()).hexdigest() == SELF_DUAL_SHA256
+
+
+def own_split(spec, prec):
+    """spec's value from its own Hoelder split, combined as the split route
+    combines it: the every-suffix passes of p*word and q*dual at the split's
+    working precision, the signed products of their suffixes and one
+    rounding.  Returns the value and the two pass plans."""
+    word = lambda_to_word(spec)
+    terms = holder_split(word, evaluate._split_parameter(word))
+    specs = terms[0].right, terms[-1].left
+    weight = len(word)
+    factor = 2 * (weight + 1) * (sum(evaluate._suffix_bound(s.bases) for s in specs) + 1)
+    working = Precision(prec.digits, prec.guard + evaluate._decimal_exponent(factor))
+    runs = [plan_nested_sum(s, -working.working_dps) for s in specs]
+    right, left = (
+        evaluate._compiled_pass(*run.spec.key[1:], True)(run.terms, 1 << run.bits)
+        for run in runs
+    )
+    total = sum(t.sign * left[weight - t.split_index] * right[t.split_index] for t in terms)
+    return BigReal((total, -sum(run.bits for run in runs)), prec), runs
+
+
+def test_a_duality_pair_runs_each_pass_once(monkeypatch):
+    # whichever member comes first runs the pair's passes, and the other one
+    # takes its value: z(2, 1) = z(3) (MZV duality), an alternating word and
+    # its dual of bases 2, 2 and 1, and z(-1, -1, -1) with its geometric dual
+    prec = Precision(40)
+    pairs = []
+    for entries in ((2, 1), (-2, 1), (-1, -1, -1)):
+        spec = lambda_from_z_string(entries)
+        dual, sign = dual_word(lambda_to_word(spec))
+        pairs.append((spec, word_to_lambda(dual), sign))
+    for spec, dual, sign in pairs:
+        for first, second in ((spec, dual), (dual, spec)):
+            for memo in (plan, evaluate._compiled_pass, evaluate_lambda):
+                memo.cache_clear()
+            runs = counted_kernel_runs(monkeypatch)
+            a = evaluate_lambda(first, prec)
+            passes = len(runs)
+            b = evaluate_lambda(second, prec)
+            monkeypatch.undo()
+            assert len(runs) == passes == len(set(runs)), (first, second)
+            assert passes == (1 if plan(spec, prec).p is None else 2), spec
+            assert libmp_raw(a if sign > 0 else -a) == libmp_raw(b), (first, second)
+
+
+def test_redirected_values_keep_their_own_split_bits():
+    # a split word whose convergent dual has the smaller key takes the dual's
+    # value; its own split, at p = 2, runs the same two passes swapped, and
+    # gives the value bit for bit.  The corpus: +-1 words (MZVs and
+    # alternating sums) with their duals, and words with other bases, some of
+    # which split at an adaptive p and so keep their own split
+    words = word_corpus(80, 9, seed=36)
+    words += [dual_word(word)[0] for word in words]
+    specs = [word_to_lambda(word) for word in words]
+    rng = random.Random(36)
+    pool = [F(1), F(-1), F(2), F(-2), F(3), F(-3, 2), F(5, 2), F(5, 4), F(-4, 3)]
+    while len(specs) < 260:
+        exps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        spec = LambdaSpec.of(exps, tuple(rng.choice(pool) for _ in exps))
+        if spec.is_convergent():
+            specs.append(spec)
+    redirected = adaptive = 0
+    for d in (40, 200):
+        prec = Precision(d)
+        for spec in specs[:: 1 if d == 40 else 8]:
+            how = plan(spec, prec)
+            if how.route == "split":
+                adaptive += how.p != 2
+            if how.route != "dual" or how.p is None:
+                continue
+            redirected += 1
+            value, runs = own_split(spec, prec)
+            assert how.p == 2 and how.passes == tuple(reversed(runs)), spec
+            assert how.dual.key < spec.key and plan(how.dual, prec).route == "split"
+            assert libmp_raw(evaluate_lambda(spec, prec)) == libmp_raw(value), (spec, d)
+    assert redirected >= 80 and adaptive >= 20
+
+
+def test_a_word_without_a_mirror_stays_split():
+    # a dual with a letter in (-1, 0) diverges as a sum, so it has no value
+    # to take, and its word keeps its own split.  L[1 | 4/3] splits at the
+    # adaptive p = 4/3, and its dual L[1 | -1/3], of the smaller key, would
+    # split at 7, not at q = 4.  L[1,1 | -1,9/5] splits at 2, and so would its
+    # dual L[1,1 | -4/5,2], whose key is smaller too, but it diverges
+    prec = Precision(40)
+    for spec, p in ((LambdaSpec.of((1,), (F(4, 3),)), F(4, 3)),
+                    (LambdaSpec.of((1, 1), (-1, F(9, 5))), F(2))):
+        dual = word_to_lambda(dual_word(lambda_to_word(spec))[0])
+        assert dual.key < spec.key and not dual.is_convergent(), spec
+        how = plan(spec, prec)
+        assert (how.route, how.p, how.dual) == ("split", p, None), spec
+        value, runs = own_split(spec, prec)
+        assert how.passes == tuple(runs)
+        assert libmp_raw(evaluate_lambda(spec, prec)) == libmp_raw(value), spec
+    # every adaptive split keeps its word's own split: a convergent spec
+    # splits at p != 2 only for a letter in (1, 7/4), whose dual letter lies
+    # in (-3/4, 0)
+    adaptive = 0
+    for spec in random_split_specs(36):
+        word = lambda_to_word(spec)
+        if evaluate._split_parameter(word) != 2:
+            assert not word_to_lambda(dual_word(word)[0]).is_convergent(), spec
+            adaptive += 1
+            if adaptive == 12:
+                break
 
 
 def test_printed_precision_semantics():

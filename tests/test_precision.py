@@ -120,6 +120,46 @@ def test_pow_int_basics():
     assert (two ** -2).to_fraction() == Fraction(1, 4)
 
 
+def nearest_raw(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(m, e): num/den > 0 rounded to bits binary digits, to nearest with ties
+    to even, as m * 2^e; 2^e is the unit in the last place."""
+    k = bits + 2 - (num.bit_length() - den.bit_length())
+    q, r = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+    extra = q.bit_length() - bits  # q has at least bits + 1 bits
+    half, low, m = 1 << (extra - 1), q & ((1 << extra) - 1), q >> extra
+    if low > half or (low == half and (r or m & 1)):
+        m += 1
+    return m, extra - k
+
+
+def test_powers_are_within_one_ulp_and_negative_ones_round_twice():
+    # x ** n rounds the exact power once while it is under 1000 bits, else
+    # the product of partial products cut to guard bits; x ** -n rounds the
+    # reciprocal of x ** n taken at 5 more bits.  So each power is within one
+    # unit in the last place of the correctly rounded value, and some
+    # negative powers come out one unit from it
+    rng = random.Random(36)
+    off = {1: 0, -1: 0}
+    for _ in range(500):
+        prec = Precision(rng.randint(10, 120))  # 40 to 400 bits
+        bits = precision._bits(prec)
+        num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 60))
+        x = BigReal(Fraction(num, rng.randint(1, 10 ** rng.randint(1, 60))), prec)
+        man, exp = x._v
+        for n in (rng.randint(2, 40), rng.randint(41, 400)):
+            power = abs(man) ** n
+            for sign in (1, -1):
+                m, e = nearest_raw(power, 1, bits) if sign > 0 else nearest_raw(1, power, bits)
+                e += sign * n * exp
+                if man < 0 and n % 2:
+                    m = -m
+                got_man, got_exp = (x ** (sign * n))._v
+                ulps = abs(Fraction(got_man) * Fraction(2) ** (got_exp - e) - m)
+                assert ulps <= 1, (x, sign * n)
+                off[sign] += ulps != 0
+    assert off[-1] > 0, off
+
+
 def test_pow_int_zero_to_negative_is_domain_error():
     prec = Precision(20)
     zero = BigReal(0, prec)
