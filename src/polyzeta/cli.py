@@ -62,8 +62,10 @@ MAX_EXPONENT_BITS = 64
 MAX_PARSE_DEPTH = 100
 # bound on `identities export --weight`: the catalog grows about 2.2x per
 # weight; weight 10 (1280 identities) builds and writes in 0.25-0.32 s at
-# 22 MB peak RSS (Python 3.11, 2-core Xeon), and the bound stays at 10 until
-# weights 11 and 12 are measured (ROADMAP item 15)
+# 22 MB peak RSS (Python 3.11, 2-core Xeon).  identity_catalog(11) and (12)
+# took 0.687 s and 2.68 s on the same machine; the bound stays at 10 until
+# the exact MZV reduction that reads the same products lands (ROADMAP
+# items 15 and 5)
 MAX_EXPORT_WEIGHT = 10
 # errors in the user's input or request: printed as one `error:` line
 _USER_ERRORS = (PolyzetaError, ValueError, ZeroDivisionError)

@@ -248,19 +248,33 @@ def render_formal_sum(fs: FormalSum) -> str:
 
 
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body))."""
-    total = BigReal(0, prec)
+    """Numeric value sum(coeff * value(body)), added left to right in term
+    order, each operation rounded at prec.
+
+    It skips the operations whose result is exactly an operand: the first
+    term seeds the sum (no 0 + term), a coefficient of 1 or -1 gives the
+    value or its negation (no product), and a product of specs starts from
+    its first factor (no 1 * factor).  Every value is already rounded at
+    prec, so each skipped operation would return its operand bit for bit.
+    The empty sum is 0 and the empty product 1.
+    """
+    total = None
     for coeff, body in fs.terms:
         if isinstance(body, LambdaSpec):
             v = evaluate_lambda(body, prec)
         elif isinstance(body, tuple):
             v = evaluate_word(body, prec)
         else:  # a SpecProduct
-            v = BigReal(1, prec)
-            for f in body.factors:
+            factors = body.factors
+            v = evaluate_lambda(factors[0], prec) if factors else BigReal(1, prec)
+            for f in factors[1:]:
                 v = v * evaluate_lambda(f, prec)
-        total = total + v * coeff
-    return total
+        if coeff == -1:
+            v = -v
+        elif coeff != 1:
+            v = v * coeff
+        total = v if total is None else total + v
+    return BigReal(0, prec) if total is None else total
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,11 @@ class LambdaSpec:
         bases = tuple(_frac(b) for _, b in terms)
         key = (len(bases), exponents, tuple(b.as_integer_ratio() for b in bases))
         spec = object.__new__(cls)
-        values = (tuple(zip(exponents, bases)), exponents, bases, key, None)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(spec, name, value)
+        _set_terms(spec, tuple(zip(exponents, bases)))
+        _set_exponents(spec, exponents)
+        _set_bases(spec, bases)
+        _set_key(spec, key)
+        _set_text(spec, None)
         return spec
 
     def __setattr__(self, name, value):
@@ -116,6 +118,12 @@ class LambdaSpec:
         return format_spec(self)
 
 
+# __new__ and format_spec bind the slots through their own descriptors,
+# past the __setattr__ that refuses assignment
+_set_terms, _set_exponents, _set_bases, _set_key, _set_text = (
+    getattr(LambdaSpec, name).__set__ for name in LambdaSpec.__slots__
+)
+
 EMPTY_SPEC = LambdaSpec(())
 
 
@@ -147,7 +155,7 @@ def format_spec(spec: LambdaSpec) -> str:
         ss = ",".join(map(str, spec.exponents))
         bs = ",".join(map(str, spec.bases))
         text = f"L[{ss} | {bs}]" if spec.depth else "L[]"
-        object.__setattr__(spec, "_text", text)
+        _set_text(spec, text)
     return text
 
 

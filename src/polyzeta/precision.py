@@ -568,11 +568,17 @@ class BigReal:
         return f"BigReal({self}, digits={self.prec.digits})"
 
 
+# every result binds through the slots' own descriptors, past the
+# __setattr__ that refuses assignment, and cheaper than object.__setattr__
+_set_prec = BigReal.prec.__set__
+_set_v = BigReal._v.__set__
+
+
 def _bound(v: tuple, prec: Precision) -> BigReal:
     """The BigReal of the raw float v, already rounded at prec's bits."""
     x = object.__new__(BigReal)
-    object.__setattr__(x, "prec", prec)
-    object.__setattr__(x, "_v", v)
+    _set_prec(x, prec)
+    _set_v(x, v)
     return x
 
 

@@ -249,10 +249,16 @@ def _scaled_column(values, total):
 
 def _residual(values, coeffs) -> BigReal:
     """|sum c_i x_i| in the inputs' working precision, the one residual that
-    lindep's acceptance reads on every path."""
-    return abs(
-        sum((x * c for c, x in zip(coeffs[1:], values[1:])), values[0] * coeffs[0])
-    )
+    lindep's acceptance reads on every path.  The terms are added left to
+    right, and a term that would return an operand exactly is not computed:
+    a zero coefficient adds nothing and 1 or -1 is a sign, so the sum keeps
+    every bit of the one that multiplies and adds them all."""
+    total = None
+    for c, x in zip(coeffs, values):
+        if c:
+            term = x if c == 1 else -x if c == -1 else x * c
+            total = term if total is None else total + term
+    return BigReal(0, values[0].prec) if total is None else abs(total)
 
 
 def _prefilter_rejects(coeffs, column) -> bool:

@@ -698,7 +698,9 @@ def contract_corpus():
 
 def test_digit_contract_against_thirty_more_digits():
     # |value at d digits - value at d + 30 digits| < 10^-d on every route,
-    # for values below 10^guard
+    # for values below 10^guard; each value also keeps the contract's own
+    # bound, 1.2 x 10^-W max(1, |value|) with W = d + guard.  The split
+    # values keep only 10^-d: split_value rounds each of its w + 1 products.
     corpus, split_word = contract_corpus()
 
     def split_value(word, p, prec):
@@ -710,11 +712,16 @@ def test_digit_contract_against_thirty_more_digits():
             BigReal(0, prec),
         )
 
+    # the worst case a targeted search found: 0.122 x 10^-W max(1, |value|)
+    cases = [(spec, d) for d in (30, 50, 200) for spec in corpus]
+    cases.append((LambdaSpec.of((-1, 0, -1), (F(11, 10), F(11, 10), 4)), 33))
+    for spec, d in cases:
+        prec = Precision(d)
+        low = evaluate_lambda(spec, prec).to_fraction()
+        high = evaluate_lambda(spec, Precision(d + 30)).to_fraction()
+        assert abs(low - high) < F(1, 10 ** d), (spec, d)
+        assert abs(low - high) < F(6, 5 * 10 ** prec.working_dps) * max(1, abs(high)), (spec, d)
     for d in (30, 50, 200):
-        for spec in corpus:
-            low = evaluate_lambda(spec, Precision(d)).to_fraction()
-            high = evaluate_lambda(spec, Precision(d + 30)).to_fraction()
-            assert abs(low - high) < F(1, 10 ** d), (spec, d)
         for p in (F(2), F(3), F(3, 2)):
             low = split_value(split_word, p, Precision(d)).to_fraction()
             high = split_value(split_word, p, Precision(d + 30)).to_fraction()

@@ -54,8 +54,9 @@ from polyzeta.identities import (
     zagier,
     zeta_li_log,
 )
+from polyzeta.evaluate import evaluate_word
 from polyzeta.model import delta_spec, make_word, mu_spec
-from polyzeta.precision import ln, pi
+from polyzeta.precision import BigReal, ln, pi
 
 F = Fraction
 
@@ -96,6 +97,53 @@ def test_empty_product_renders_and_evaluates_as_one():
     s = FormalSum.single(SpecProduct(()))
     assert render_formal_sum(s) == "1"
     assert evaluate_formal_sum(s, Precision(30)) == 1
+
+
+def naive_formal_sum(fs, prec):
+    """0 plus every value times its coefficient, each product built up from
+    1: the plain sum that evaluate_formal_sum shortens."""
+    total = BigReal(0, prec)
+    for coeff, body in fs.terms:
+        if isinstance(body, LambdaSpec):
+            v = evaluate_lambda(body, prec)
+        elif isinstance(body, tuple):
+            v = evaluate_word(body, prec)
+        else:
+            v = BigReal(1, prec)
+            for f in body.factors:
+                v = v * evaluate_lambda(f, prec)
+        total = total + v * coeff
+    return total
+
+
+def test_formal_sum_skips_only_exact_operations():
+    # the first term seeds the sum, a coefficient of +-1 is a sign and a
+    # product starts from its first factor: the value keeps every bit of
+    # the plain sum, over seeded sums of specs, words and products
+    rng = random.Random(37)
+    bases = [F(1), F(-1), F(2), F(-2), F(3, 2), F(4, 3)]
+    specs = []
+    while len(specs) < 12:
+        depth = rng.randint(1, 3)
+        spec = LambdaSpec.of(
+            [rng.randint(1, 3) for _ in range(depth)], [rng.choice(bases) for _ in range(depth)]
+        )
+        if spec.is_convergent():
+            specs.append(spec)
+    bodies = specs[:8] + [lambda_to_word(s) for s in specs[8:]] + [SpecProduct(())]
+    bodies += [SpecProduct(rng.sample(specs, rng.randint(1, 3))) for _ in range(6)]
+    coeffs = [1, -1, F(1), F(-1), 2, -3, F(1, 2), F(-5, 3)]
+    sums = [FormalSum(), FormalSum.single(SpecProduct(()), -1)]
+    sums += [
+        FormalSum((rng.choice(coeffs), rng.choice(bodies)) for _ in range(rng.randint(1, 6)))
+        for _ in range(40)
+    ]
+    kinds = {type(c) for fs in sums for c, _ in fs.terms if abs(c) == 1}
+    assert kinds == {int, F}
+    for prec in (Precision(40), Precision(200)):
+        for fs in sums:
+            got, want = evaluate_formal_sum(fs, prec), naive_formal_sum(fs, prec)
+            assert got.prec == prec and got._v == want._v, render_formal_sum(fs)
 
 
 def test_equal_formal_sums_hash_alike():

@@ -6,8 +6,12 @@ taken when zeta(r) and Li_r(1/2) came from mpmath; they now come from the
 kernel, with the same bits at these 30, 50 and 200 digits.  A value's bits
 are its raw float in libmp's layout, the tuple (sign, mantissa, exponent,
 bitcount) that ``conftest.libmp_raw`` makes of the ``_v`` pair (signed
-mantissa, exponent), so the digests taken on that layout still apply."""
+mantissa, exponent), so the digests taken on that layout still apply.  The
+value digest has a semantic twin: each pinned value within the digit
+contract of its reference, which holds also for a change that moves bits on
+purpose."""
 
+import functools
 import hashlib
 import json
 import os
@@ -39,26 +43,48 @@ def sha256_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def reference_specs():
-    specs = []
+def reference_entries():
+    """(entry, digits) for every reference of the pools: an entry holds the
+    spec and its value rounded to 10^-scale, scale = digits + 30."""
+    entries = []
     for name, digits in POOLS:
         with open(os.path.join(REFS, f"{name}.json"), encoding="utf-8") as fh:
-            specs += [(entry["spec"], digits) for entry in json.load(fh)["entries"]]
-    return specs
+            entries += [(entry, digits) for entry in json.load(fh)["entries"]]
+    return entries
+
+
+@functools.cache
+def pinned_values():
+    """(entry, precision, value) for every reference, evaluated once for
+    both the digest and its semantic twin."""
+    out = []
+    for entry, digits in reference_entries():
+        prec = Precision(digits)
+        out.append((entry, prec, evaluate_lambda(parse_spec(entry["spec"]), prec)))
+    return out
 
 
 def test_reference_values_keep_every_bit():
-    specs = reference_specs()
-    assert len(specs) == 148
-    assert sha256_lines(spec for spec, _ in specs) == SPECS_SHA256, (
+    values = pinned_values()
+    assert len(values) == 148
+    assert sha256_lines(entry["spec"] for entry, _, _ in values) == SPECS_SHA256, (
         "the reference specs under perfbench/refs changed; the value digest "
         "below pins the old list and must be taken again"
     )
-    raw = [
-        repr(libmp_raw(evaluate_lambda(parse_spec(spec), Precision(digits))))
-        for spec, digits in specs
-    ]
+    raw = [repr(libmp_raw(value)) for _, _, value in values]
     assert sha256_lines(raw) == VALUES_SHA256
+
+
+def test_reference_values_keep_the_digit_contract():
+    # the digest's semantic twin: each pinned value lies within
+    # 10^-W max(1, |ref|) of its reference, W = digits + guard the working
+    # digits, whatever its bits.  The references come from an independent
+    # fixed-point sum to digits + 30, so their own error is negligible here.
+    for entry, prec, value in pinned_values():
+        ref = Fraction(int(entry["ref"]), 10 ** entry["scale"])
+        assert entry["scale"] == prec.digits + 30, entry["spec"]
+        bound = Fraction(1, 10 ** prec.working_dps) * max(1, abs(ref))
+        assert abs(value.to_fraction() - ref) < bound, (entry["spec"], prec.digits)
 
 
 def closed_form_values(prec):

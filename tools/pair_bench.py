@@ -4,18 +4,22 @@ Usage: python tools/pair_bench.py PARENT CHANGE WORKLOAD SEED
 
 PARENT and CHANGE are checkouts of this repository.  The script runs
 
-    python3 perfbench/run.py --workload WORKLOAD --seconds 15 --seed SEED
+    python3 perfbench/run.py --workload WORKLOAD --seconds S --seed SEED
 
-with each checkout as its working directory, PAIRS times per side,
-alternating which side runs first, and stops if any run is not
-``"correct": true``.  For each end-to-end metric of PARENT's
-BENCHMARK.json it prints each side's median and quartiles, the pairs the
-change wins (ties count for neither side) and the verdict of the rule for
-claiming a gain: the change wins at least 9 of 10 pairs, and its median is
-better than the parent's by more than the parent's interquartile range.
-Without a gain, the verdict compares the change's median with the metric's
-bound, unless the parent's interquartile range exceeds that bound, which
-leaves the metric unresolved.
+with each checkout as its working directory, S the ``run_seconds`` of
+PARENT's BENCHMARK.json, PAIRS times per side, alternating which side runs
+first, and stops if any run is not ``"correct": true``.  For each
+end-to-end metric of that BENCHMARK.json it prints each side's median and
+quartiles, the pairs the change wins (ties count for neither side) and the
+verdict of the rule for claiming a gain: the change wins at least 9 of 10
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range.  Without a gain, the verdict compares the
+change's median with the metric's bound, unless the parent's interquartile
+range exceeds that bound, which leaves the metric unresolved.
+
+The last line of stdout is one JSON object: the workload, the seed, the
+run length, each side's metrics run by run, and per metric both sides'
+quartiles, the wins and the verdict.
 """
 
 from __future__ import annotations
@@ -27,14 +31,13 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
-SECONDS = 15
 
 
-def _run(checkout: Path, workload: str, seed: str) -> dict:
+def _run(checkout: Path, workload: str, seed: str, seconds: int) -> dict:
     """One benchmark run in checkout: its metrics, by name."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(SECONDS), "--seed", seed],
+         "--seconds", str(seconds), "--seed", seed],
         cwd=checkout, capture_output=True, text=True, check=True,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -55,16 +58,19 @@ def main(argv: list[str]) -> int:
     parent, change = Path(argv[0]), Path(argv[1])
     workload, seed = argv[2], argv[3]
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     runs = {parent: [], change: []}
     for i in range(PAIRS):
         order = (parent, change) if i % 2 == 0 else (change, parent)
         for checkout in order:
-            runs[checkout].append(_run(checkout, workload, seed))
+            runs[checkout].append(_run(checkout, workload, seed, seconds))
         print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
 
-    print(f"{workload} seed {seed}, {PAIRS} alternated pairs, parent -> change")
+    print(f"{workload} seed {seed}, {PAIRS} alternated pairs of {seconds} s runs,"
+          " parent -> change")
     print(f"{'metric':<12} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
           f"{'gap':>8} {'wins':>5}  verdict")
+    summary = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         before = [run[name] for run in runs[parent]]
@@ -80,6 +86,12 @@ def main(argv: list[str]) -> int:
             verdict = "within bound" if -gain <= metric["bound"] * pm else "worse than bound"
         print(f"{name:<12} {p1:>9.4g} {pm:>9.4g} {p3:>9.4g} {c1:>9.4g} {cm:>9.4g} {c3:>9.4g}"
               f" {(cm - pm) / pm:>+8.1%} {wins:>2}/{PAIRS}  {verdict}")
+        summary[name] = {"parent_q1_median_q3": [p1, pm, p3],
+                         "change_q1_median_q3": [c1, cm, c3],
+                         "wins": wins, "verdict": verdict}
+    print(json.dumps({"workload": workload, "seed": int(seed), "run_seconds": seconds,
+                      "pairs": PAIRS, "parent_runs": runs[parent],
+                      "change_runs": runs[change], "metrics": summary}))
     return 0
 
 
