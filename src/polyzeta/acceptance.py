@@ -58,7 +58,7 @@ from .model import (
     mu_spec,
     word_to_lambda,
 )
-from .precision import BigReal, Precision, ln, pi
+from .precision import BigReal, Precision, linear_combination, ln, pi
 from .relations import lindep
 
 
@@ -91,10 +91,8 @@ def _recovers(values, want) -> tuple[bool, str]:
 
 def exponent_string(rng: random.Random, depth: int, max_weight: int, cap: int):
     """``depth`` exponents in [1, cap] of total weight at most ``max_weight``:
-    each is drawn up to the weight left minus the remaining depth.  None,
-    drawing nothing, when ``depth`` exceeds ``max_weight``."""
-    if depth > max_weight:
-        return None
+    each is drawn up to the weight left minus the remaining depth.  Callers
+    keep ``depth <= max_weight``, so every draw has a valid range."""
     exps = []
     budget = max_weight
     for j in range(depth):
@@ -107,8 +105,6 @@ def random_z_entries(rng: random.Random, max_weight: int = 8, max_depth: int = 4
     """A convergent signed exponent string (no leading unsigned 1)."""
     while True:
         exps = exponent_string(rng, rng.randint(1, max_depth), max_weight, 4)
-        if exps is None:
-            continue
         entries = tuple(e * rng.choice((1, -1)) for e in exps)
         if entries[0] != 1:
             return entries
@@ -134,7 +130,7 @@ def planted_relation(seed: int):
     values = [BigReal(Fraction(rng.getrandbits(bits), 2 ** bits) + 1, prec) for _ in range(n - 1)]
     coeffs = [rng.randint(-50, 50) or 1 for _ in range(n - 1)]
     last = rng.randint(1, 50)
-    values.append(sum((v * c for c, v in zip(coeffs, values)), BigReal(0, prec)) / (-last))
+    values.append(linear_combination(zip(coeffs, values), prec) / (-last))
     planted = coeffs + [last]
     g = gcd(*planted)
     # no planted coefficient is 0, so the first one fixes the sign
@@ -144,11 +140,13 @@ def planted_relation(seed: int):
 
 def _evaluate_via_split(word, p: Fraction, prec: Precision) -> BigReal:
     spec_prec = plan(word_to_lambda(word), prec).working
-    total = BigReal(0, spec_prec)
-    for term in holder_split(word, p):
-        left = evaluate_lambda(term.left, spec_prec)
-        right = evaluate_lambda(term.right, spec_prec)
-        total = total + left * right * term.sign
+    total = linear_combination(
+        [
+            (t.sign, evaluate_lambda(t.left, spec_prec) * evaluate_lambda(t.right, spec_prec))
+            for t in holder_split(word, p)
+        ],
+        spec_prec,
+    )
     return BigReal(total.to_fraction(), prec)
 
 

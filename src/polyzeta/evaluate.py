@@ -113,7 +113,6 @@ from .model import (
     lambda_to_word,
     rational,
     require_convergent,
-    word_convergent,
     word_depth,
     word_to_lambda,
 )
@@ -321,37 +320,34 @@ class SplitTerm(NamedTuple):
     right: LambdaSpec
 
 
-def _scaled_spec(word: Word, scale: Fraction) -> LambdaSpec:
-    spec = word_to_lambda(word)
+def _scaled_spec(spec: LambdaSpec, scale: Fraction) -> LambdaSpec:
     return LambdaSpec(tuple((s, scale * b) for s, b in spec.terms))
 
 
 def holder_split(word: Word, p: Fraction) -> tuple[SplitTerm, ...]:
     """Split a convergent word at every prefix length r = 0..weight.
 
-    For each r the prefix is reversed and complemented (a -> 1-a), and both
-    halves are rescaled onto [0,1] (bases multiplied by q on the left, p on
-    the right).  The resulting identity is
+    For each r the left half is the prefix reversed and complemented
+    (a -> 1-a), the suffix ``dual[weight - r:]`` of `model.dual_word`'s
+    dual, and both halves are rescaled onto [0,1] (bases multiplied by q on
+    the left, p on the right).  The resulting identity is
 
         lambda(word) = sum_r sign_r * lambda(left_r) * lambda(right_r),
 
     with sign_r = (-1)^(r + depth(word) + depth(left_r) + depth(right_r))
     and empty halves contributing the factor 1.
     """
-    ok, reason = word_convergent(word)
-    if not ok:
-        raise DivergenceError(f"word {word} diverges: {reason}")
+    dual, _ = dual_word(word)
     p = rational(p)
     if p <= 1:
         raise DomainError("split parameter p must exceed 1")
     q = p / (p - 1)
     k = word_depth(word)
+    weight = len(word)
     terms = []
-    for r in range(len(word) + 1):
-        left_word = tuple(1 - a for a in reversed(word[:r]))
-        right_word = word[r:]
-        left = _scaled_spec(left_word, q)
-        right = _scaled_spec(right_word, p)
+    for r in range(weight + 1):
+        left = _scaled_spec(word_to_lambda(dual[weight - r:]), q)
+        right = _scaled_spec(word_to_lambda(word[r:]), p)
         sign = -1 if (r + k + left.depth + right.depth) % 2 else 1
         terms.append(SplitTerm(r, sign, left, right))
     return tuple(terms)
@@ -425,7 +421,7 @@ def plan(spec: LambdaSpec, prec: Precision) -> Plan:
             how = plan(dual_spec, prec)
             return Plan("dual", how.p, (sign,), how.working, how.passes, dual_spec)
         route, p = "split", _split_parameter(word)
-        specs = _scaled_spec(word, p), _scaled_spec(dual, p / (p - 1))
+        specs = _scaled_spec(spec, p), _scaled_spec(dual_spec, p / (p - 1))
         weight, k = len(word), word_depth(word)
         signs = tuple(
             (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))

@@ -33,8 +33,8 @@ program over the (i, j) states (i letters of one factor and j of the other
 consumed) maps each distinct prefix to its multiplicity, so merged paths
 are added once, not walked one by one.  Shuffle words are base-k ints of
 letter codes ranked by (numerator, denominator), so their int order is the
-`_body_key` order; stuffle prefixes are exponent strings (with base-product
-codes outside the catalog).
+`_body_key` order; stuffle prefixes are exponent strings in the catalog and
+(exponent, base) letter strings outside it.
 
 `identity_catalog` keeps one spec table per build: each convergent string
 gets one zeta spec and one word, which its duality, stuffle, shuffle and
@@ -92,7 +92,7 @@ from .model import (
     word_to_lambda,
     zeta_spec,
 )
-from .precision import BigReal, Precision, ln, pi
+from .precision import BigReal, Precision, linear_combination, ln, pi
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -248,17 +248,11 @@ def render_formal_sum(fs: FormalSum) -> str:
 
 
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body)), added left to right in term
-    order, each operation rounded at prec.
-
-    It skips the operations whose result is exactly an operand: the first
-    term seeds the sum (no 0 + term), a coefficient of 1 or -1 gives the
-    value or its negation (no product), and a product of specs starts from
-    its first factor (no 1 * factor).  Every value is already rounded at
-    prec, so each skipped operation would return its operand bit for bit.
-    The empty sum is 0 and the empty product 1.
-    """
-    total = None
+    """Numeric value sum(coeff * value(body)) in term order, through
+    `precision.linear_combination`, so it skips the operations whose result
+    is exactly an operand.  A product of specs starts from its first factor
+    (no 1 * factor), and the empty product is 1."""
+    terms = []
     for coeff, body in fs.terms:
         if isinstance(body, LambdaSpec):
             v = evaluate_lambda(body, prec)
@@ -269,12 +263,8 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
             v = evaluate_lambda(factors[0], prec) if factors else BigReal(1, prec)
             for f in factors[1:]:
                 v = v * evaluate_lambda(f, prec)
-        if coeff == -1:
-            v = -v
-        elif coeff != 1:
-            v = v * coeff
-        total = v if total is None else total + v
-    return BigReal(0, prec) if total is None else total
+        terms.append((coeff, v))
+    return linear_combination(terms, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +272,23 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
-def _stuffle_counts(s, t, codes=None) -> dict:
+def _stuffle_counts(s, t, bases=None) -> dict:
     """The interleave/merge paths of the exponent strings s and t, counted:
     a dict from each distinct letter string to its number of paths.
 
     A path consumes, at each step, the next letter of s, the next of t, or
     both at once, merged into the sum of their exponents.  The step into
     the (i, j) state (i letters of s and j of t consumed) emits the letter
-    e, its exponent, or (e, codes[i][j]) when codes is given.  States run
-    row by row from (0, 0); each maps every distinct prefix to its
-    multiplicity, so paths that agree so far are merged at once.
+    e, its exponent, or, when bases is the pair (a, b) of base strings of s
+    and t, the letter (e, A[i] * B[j]), A and B being a and b behind a
+    leading 1 (the empty product).  States run row by row from (0, 0); each
+    maps every distinct prefix to its multiplicity, so paths that agree so
+    far are merged at once.
     """
     m, n = len(s), len(t)
+    if bases is not None:
+        a, b = bases
+        table = [[x * y for y in (1,) + b] for x in (1,) + a]
     above: list = []
     for i in range(m + 1):
         row: list = []
@@ -310,7 +305,7 @@ def _stuffle_counts(s, t, codes=None) -> dict:
                 steps.append((t[j - 1], row[j - 1]))
             out: dict = {}
             for e, heads in steps:
-                letter = (e if codes is None else (e, codes[i][j]),)
+                letter = (e if bases is None else (e, table[i][j]),)
                 for head, c in heads.items():
                     key = head + letter
                     out[key] = out.get(key, 0) + c
@@ -319,33 +314,10 @@ def _stuffle_counts(s, t, codes=None) -> dict:
     return above[n]
 
 
-def _stuffle_letters(s, a, t, b) -> dict:
-    """The stuffle of the exponent strings s and t with base strings a and
-    b, counted: a dict from each distinct string of (exponent, base)
-    letters to its number of paths.
-
-    After i letters of s and j of t are consumed, the emitted base is
-    A[i] * B[j], A and B being a and b behind a leading 1 (the empty
-    product).  The distinct products get small-int codes, so that
-    `_stuffle_counts` merges paths by (exponent, code) letters; codes and
-    products correspond one to one, so decoding merges nothing more.
-    """
-    codes: dict = {}  # base product -> its code, in first-seen order
-    table = [
-        [codes.setdefault(x * y, len(codes)) for y in (Fraction(1),) + b]
-        for x in (Fraction(1),) + a
-    ]
-    values = tuple(codes)
-    return {
-        tuple((e, values[c]) for e, c in letters): n
-        for letters, n in _stuffle_counts(s, t, table).items()
-    }
-
-
 def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
     """lambda(u) * lambda(v) as a sum over the interleave/merge set: each
     distinct spec once, with its number of paths as coefficient."""
-    counts = _stuffle_letters(u.exponents, u.bases, v.exponents, v.bases)
+    counts = _stuffle_counts(u.exponents, v.exponents, (u.bases, v.bases))
     return FormalSum((n, LambdaSpec(letters)) for letters, n in counts.items())
 
 
@@ -354,8 +326,9 @@ def rational_stuffle_check(a, b) -> bool:
 
     With zero exponent strings the nested sums collapse to these rational
     products, so f(a) f(b) must equal the sum of f over the combination
-    set.  The set is counted by `_stuffle_letters`, the DP that
-    `stuffle_identity` runs, so the rule is an exact oracle for it.
+    set.  The set is counted by `_stuffle_counts` on the (exponent, base)
+    letters `stuffle_identity` counts, so the rule is an exact oracle for
+    that DP.
     """
     a = tuple(map(rational, a))
     b = tuple(map(rational, b))
@@ -370,7 +343,7 @@ def rational_stuffle_check(a, b) -> bool:
             out /= g - 1
         return out
 
-    counts = _stuffle_letters((0,) * len(a), a, (0,) * len(b), b)
+    counts = _stuffle_counts((0,) * len(a), (0,) * len(b), (a, b))
     total = sum((n * f(c for _, c in letters) for letters, n in counts.items()), Fraction(0))
     return f(a) * f(b) == total
 
@@ -788,15 +761,15 @@ def z213(n: int, prec: Precision) -> BigReal:
     """zeta(2, {1,3}^n) in terms of pi powers and depth-1 zetas."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    total = BigReal(0, prec)
+    terms = []
     for k in range(n + 1):
         acc = evaluate_lambda(zeta_spec(4 * k + 2), prec) * (4 * k + 1)
         for j in range(1, k + 1):
             left = evaluate_lambda(zeta_spec(4 * j - 1), prec)
             acc = acc - left * evaluate_lambda(zeta_spec(4 * k - 4 * j + 3), prec) * 4
         fours = zagier(n - k, prec) * Fraction(4 ** (n - k))  # zeta({4}^(n-k))
-        total = total + fours * acc * Fraction((-1) ** k)
-    return total * Fraction(1, 4 ** n)
+        terms.append(((-1) ** k, fours * acc))
+    return linear_combination(terms, prec) * Fraction(1, 4 ** n)
 
 
 def mu_power(p, n: int, prec: Precision) -> BigReal:
@@ -815,15 +788,15 @@ def t5(m: int, n: int, prec: Precision) -> BigReal:
     Z(r) = (-1)^r zeta(r); n = 0 is the paper's T4."""
     if m < 1 or n < 0:
         raise DomainError("needs m >= 1 and n >= 0")
-    first = BigReal(0, prec)
+    a_terms, z_terms = [], []
     for k in range(m + 1):
         a = evaluate_lambda(delta_spec(k + n + 1), prec)
-        first = first + a * mu_power(2, m - k, prec) * comb(n + k, n)
-    second = BigReal(0, prec)
+        a_terms.append((comb(n + k, n), a * mu_power(2, m - k, prec)))
     for k in range(n + 1):
-        z = evaluate_lambda(zeta_spec(k + m + 1), prec) * (-1) ** (k + m + 1)
-        second = second + z * mu_power(2, n - k, prec) * comb(m + k, m)
-    return first * Fraction((-1) ** (m + 1)) + second * Fraction((-1) ** (n + 1))
+        z = evaluate_lambda(zeta_spec(k + m + 1), prec)
+        z_terms.append(((-1) ** (k + m + 1) * comb(m + k, m), z * mu_power(2, n - k, prec)))
+    first, second = linear_combination(a_terms, prec), linear_combination(z_terms, prec)
+    return linear_combination([((-1) ** (m + 1), first), ((-1) ** (n + 1), second)], prec)
 
 
 def li2_half(prec: Precision) -> BigReal:
@@ -836,21 +809,19 @@ def zeta_li_log(n: int, prec: Precision) -> BigReal:
     """delta(2, {1}^n) = zeta(n+2) - sum_{r=1}^{n+2} A_r P_{n+2-r}."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    acc = evaluate_lambda(zeta_spec(n + 2), prec)
+    terms = [(1, evaluate_lambda(zeta_spec(n + 2), prec))]
     for r in range(1, n + 3):
-        acc = acc - evaluate_lambda(delta_spec(r), prec) * mu_power(2, n + 2 - r, prec)
-    return acc
+        terms.append((-1, evaluate_lambda(delta_spec(r), prec) * mu_power(2, n + 2 - r, prec)))
+    return linear_combination(terms, prec)
 
 
 def delta_odd(n: int, prec: Precision) -> BigReal:
     """delta(1, 2n-1) = 1/2 sum_{j=1}^{2n-1} (-1)^(j+1) A_j A_{2n-j}."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    acc = BigReal(0, prec)
-    for j in range(1, 2 * n):
-        term = evaluate_lambda(delta_spec(j), prec) * evaluate_lambda(delta_spec(2 * n - j), prec)
-        acc = acc + term * Fraction((-1) ** (j + 1))
-    return acc * Fraction(1, 2)
+    a = {r: evaluate_lambda(delta_spec(r), prec) for r in range(1, 2 * n)}
+    terms = [((-1) ** (j + 1), a[j] * a[2 * n - j]) for j in range(1, 2 * n)]
+    return linear_combination(terms, prec) * Fraction(1, 2)
 
 
 def delta_12(prec: Precision) -> BigReal:

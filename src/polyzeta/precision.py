@@ -21,6 +21,10 @@ The package itself imports no mpmath.  No precision is global, so no value
 depends on state outside its arguments and threads may compute at
 different precisions at once.
 
+`linear_combination` is the package's one weighted sum of values: it skips
+the operations whose result is exactly an operand, so it keeps every bit of
+the plain sum.
+
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
 formula and `ln` an atanh series, in fixed point; one Ziv loop, `_floor`,
@@ -605,3 +609,27 @@ def ln(x, prec: Precision) -> BigReal:
     if v[0] <= 0:
         raise DomainError(f"ln requires a positive argument, got {_render(v, 15, rounded=True)}")
     return _bound(_ln(v, _bits(prec)), prec)
+
+
+def linear_combination(terms, prec: Precision) -> BigReal:
+    """sum(c * x) over the (c, x) pairs of terms, c an exact int or Fraction
+    and x a BigReal bound to prec, added left to right, each operation
+    rounded at prec.
+
+    It skips the operations whose result is exactly an operand: a zero
+    coefficient adds nothing, 1 or -1 gives x or -x (no product), and the
+    first term left seeds the sum (no 0 + term).  Every x is already
+    rounded at prec, so the sum keeps every bit of the one that starts from
+    0 and multiplies and adds every term.  The empty sum is 0, and terms
+    bound to another precision raise PrecisionMismatch, as in that sum.
+    """
+    total = None
+    for c, x in terms:
+        if c:
+            term = x if c == 1 else -x if c == -1 else x * c
+            total = term if total is None else total + term
+    if total is None:
+        return BigReal(0, prec)
+    if total.prec != prec:
+        raise PrecisionMismatch(f"terms bound to {total.prec}, not to {prec}")
+    return total

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientPrecision
 from .model import int_tuple
-from .precision import BigReal
+from .precision import BigReal, linear_combination
 
 LOVASZ_NUM = 3
 LOVASZ_DEN = 4
@@ -249,16 +249,9 @@ def _scaled_column(values, total):
 
 def _residual(values, coeffs) -> BigReal:
     """|sum c_i x_i| in the inputs' working precision, the one residual that
-    lindep's acceptance reads on every path.  The terms are added left to
-    right, and a term that would return an operand exactly is not computed:
-    a zero coefficient adds nothing and 1 or -1 is a sign, so the sum keeps
-    every bit of the one that multiplies and adds them all."""
-    total = None
-    for c, x in zip(coeffs, values):
-        if c:
-            term = x if c == 1 else -x if c == -1 else x * c
-            total = term if total is None else total + term
-    return BigReal(0, values[0].prec) if total is None else abs(total)
+    lindep's acceptance reads on every path: `precision.linear_combination`,
+    added left to right."""
+    return abs(linear_combination(zip(coeffs, values), values[0].prec))
 
 
 def _prefilter_rejects(coeffs, column) -> bool:

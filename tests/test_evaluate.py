@@ -36,7 +36,7 @@ from polyzeta.evaluate import (
     plan_nested_sum,
 )
 from polyzeta.model import delta_spec, make_word
-from polyzeta.precision import ln, pi
+from polyzeta.precision import linear_combination, ln, pi
 from polyzeta.acceptance import random_z_entries, word_corpus
 
 from conftest import libmp_raw, mpf
@@ -536,21 +536,19 @@ def test_J_functional_equation(prec40):
 
 # -- route invariances ----------------------------------------------------------
 
-def test_split_parameter_invariance_small(prec40):
-    from polyzeta import BigReal
+def split_sum(terms, prec):
+    """sum_r sign_r * L_r * R_r over holder_split terms, each product and
+    sum rounded at prec."""
+    return linear_combination(
+        [(t.sign, evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec)) for t in terms],
+        prec,
+    )
 
+
+def test_split_parameter_invariance_small(prec40):
     words = word_corpus(4, 6, seed=9)
     for word in words:
-        values = []
-        for p in (F(2), F(3), F(3, 2)):
-            total = BigReal(0, prec40)
-            for term in holder_split(word, p):
-                total = total + (
-                    evaluate_lambda(term.left, prec40)
-                    * evaluate_lambda(term.right, prec40)
-                    * term.sign
-                )
-            values.append(total)
+        values = [split_sum(holder_split(word, p), prec40) for p in (F(2), F(3), F(3, 2))]
         for v in values[1:]:
             assert_close(values[0], v, 38)
 
@@ -576,25 +574,12 @@ def test_mixed_base_words_route_invariance():
         if word[-1] == 0 or word[0] == 1 or all(a == 0 for a in word):
             continue
         values = []
-        from polyzeta import BigReal
-
         # q = 3 at p = 3/2 clears every complement modulus in the pool
         for p in (F(2), F(3), F(3, 2)):
-            total = BigReal(0, prec)
-            usable = True
-            for term in holder_split(word, p):
-                for half in (term.left, term.right):
-                    if half.depth and min(abs(b) for b in half.bases) <= 1:
-                        usable = False
-                if not usable:
-                    break
-                total = total + (
-                    evaluate_lambda(term.left, prec)
-                    * evaluate_lambda(term.right, prec)
-                    * term.sign
-                )
-            if usable:
-                values.append(total)
+            terms = holder_split(word, p)
+            halves = [h for t in terms for h in (t.left, t.right) if h.depth]
+            if all(min(abs(b) for b in h.bases) > 1 for h in halves):
+                values.append(split_sum(terms, prec))
         values.append(evaluate_word(word, prec))  # dispatcher route
         try:
             dual, sign = dual_word(word)
@@ -700,17 +685,8 @@ def test_digit_contract_against_thirty_more_digits():
     # |value at d digits - value at d + 30 digits| < 10^-d on every route,
     # for values below 10^guard; each value also keeps the contract's own
     # bound, 1.2 x 10^-W max(1, |value|) with W = d + guard.  The split
-    # values keep only 10^-d: split_value rounds each of its w + 1 products.
+    # values keep only 10^-d: split_sum rounds each of its w + 1 products.
     corpus, split_word = contract_corpus()
-
-    def split_value(word, p, prec):
-        return sum(
-            (
-                evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
-                for t in holder_split(word, p)
-            ),
-            BigReal(0, prec),
-        )
 
     # the worst case a targeted search found: 0.122 x 10^-W max(1, |value|)
     cases = [(spec, d) for d in (30, 50, 200) for spec in corpus]
@@ -723,8 +699,8 @@ def test_digit_contract_against_thirty_more_digits():
         assert abs(low - high) < F(6, 5 * 10 ** prec.working_dps) * max(1, abs(high)), (spec, d)
     for d in (30, 50, 200):
         for p in (F(2), F(3), F(3, 2)):
-            low = split_value(split_word, p, Precision(d)).to_fraction()
-            high = split_value(split_word, p, Precision(d + 30)).to_fraction()
+            low = split_sum(holder_split(split_word, p), Precision(d)).to_fraction()
+            high = split_sum(holder_split(split_word, p), Precision(d + 30)).to_fraction()
             assert abs(low - high) < F(1, 10 ** d), (p, d)
     # the contract is relative to W = digits + guard significant digits, and
     # absolute only while |value| < 10^guard: lambda(-30; 2), about 2.28e37,
@@ -863,12 +839,7 @@ def test_evaluate_lambda_never_calls_holder_split(monkeypatch):
             sign, word = how.signs[0], lambda_to_word(how.dual)
             how = plan(how.dual, prec)
         assert how.route == "split"
-        terms = holder_split(word, how.p)
-        oracle = sum(
-            (evaluate_lambda(t.left, prec) * evaluate_lambda(t.right, prec) * t.sign
-             for t in terms),
-            BigReal(0, prec),
-        )
+        oracle = split_sum(holder_split(word, how.p), prec)
         oracles.append(oracle if sign > 0 else -oracle)
     assert [plan(spec, prec).route for spec in specs] == ["dual", "split", "split"]
 

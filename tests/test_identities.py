@@ -20,6 +20,7 @@ from polyzeta import (
     DomainError,
     LambdaSpec,
     Precision,
+    PrecisionMismatch,
     evaluate_lambda,
     evaluate_z,
     identity_catalog,
@@ -27,7 +28,7 @@ from polyzeta import (
     stuffle_identity,
     zeta_spec,
 )
-from polyzeta import identities
+from polyzeta import identities, relations
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
@@ -56,7 +57,7 @@ from polyzeta.identities import (
 )
 from polyzeta.evaluate import evaluate_word
 from polyzeta.model import delta_spec, make_word, mu_spec
-from polyzeta.precision import BigReal, ln, pi
+from polyzeta.precision import BigReal, linear_combination, ln, pi
 
 F = Fraction
 
@@ -144,6 +145,38 @@ def test_formal_sum_skips_only_exact_operations():
         for fs in sums:
             got, want = evaluate_formal_sum(fs, prec), naive_formal_sum(fs, prec)
             assert got.prec == prec and got._v == want._v, render_formal_sum(fs)
+    # the one weighted sum behind it, precision.linear_combination, against
+    # 0 plus every product: seeded lists with coefficients 0, +-1 and
+    # Fraction(0), Fraction(+-1), the empty list and an all-zero one, and
+    # lindep's residual on a vector with zero and +-1 coefficients; a term
+    # bound to another precision raises, as it does in the plain sum
+    coeffs += [0, F(0)]
+    drawn = [
+        [(rng.choice(coeffs), rng.randrange(len(specs))) for _ in range(rng.randint(1, 6))]
+        for _ in range(40)
+    ]
+    drawn += [[], [(0, 0), (F(0), 1)]]
+    kinds = {(type(c), c) for terms in drawn for c, _ in terms}
+    assert kinds >= {(t, c) for t in (int, F) for c in (0, 1, -1)}
+    residual_coeffs = (0, 1, -1, 3, 0, -1, -2, 1, 0, 5, -1, 1)
+    assert len(residual_coeffs) == len(specs)
+
+    def plain_sum(terms, prec):
+        total = BigReal(0, prec)
+        for c, x in terms:
+            total = total + x * c
+        return total
+
+    for prec in (Precision(40), Precision(200)):
+        values = [evaluate_lambda(spec, prec) for spec in specs]
+        for terms in drawn:
+            terms = [(c, values[i]) for c, i in terms]
+            got, want = linear_combination(terms, prec), plain_sum(terms, prec)
+            assert got.prec == prec and got._v == want._v, terms
+        want = abs(plain_sum(zip(residual_coeffs, values), prec))
+        assert relations._residual(values, residual_coeffs)._v == want._v
+        with pytest.raises(PrecisionMismatch):
+            linear_combination([(1, values[0])], Precision(prec.digits + 1))
 
 
 def test_equal_formal_sums_hash_alike():

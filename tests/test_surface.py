@@ -53,7 +53,7 @@ def readme_submodule_names() -> list[tuple[str, str]]:
 
 def test_readme_submodule_names_exist():
     pairs = readme_submodule_names()
-    assert len(pairs) == 20
+    assert len(pairs) == 21
     for module, name in pairs:
         assert module is not None, name
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
