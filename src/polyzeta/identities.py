@@ -39,6 +39,8 @@ letter codes ranked by (numerator, denominator), so their int order is the
 `identity_catalog` keeps one spec table per build: each convergent string
 gets one zeta spec and one word, which its duality, stuffle, shuffle and
 reversal identities share, so each spec is built, keyed and rendered once.
+The table also resolves each sum's bodies to specs (`FormalSum._specs`),
+so checking a catalog identity decodes no word.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
 algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
@@ -78,7 +80,7 @@ from math import comb, factorial, isqrt, perm, prod
 from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError
-from .evaluate import evaluate_lambda, evaluate_word
+from .evaluate import evaluate_lambda
 from .model import (
     LambdaSpec,
     delta_spec,
@@ -92,7 +94,17 @@ from .model import (
     word_to_lambda,
     zeta_spec,
 )
-from .precision import BigReal, Precision, linear_combination, ln, pi
+from .precision import (
+    BigReal,
+    Precision,
+    _bits,
+    _bound,
+    _mul,
+    _weighted_sum,
+    linear_combination,
+    ln,
+    pi,
+)
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -111,7 +123,7 @@ class SpecProduct:
     def _sorted(cls, factors: tuple) -> "SpecProduct":
         """A product of factors already in ``key`` order, unsorted."""
         product = object.__new__(cls)
-        object.__setattr__(product, "factors", factors)
+        _set_factors(product, factors)
         return product
 
     def __setattr__(self, name, value):
@@ -128,6 +140,11 @@ class SpecProduct:
 
     def __repr__(self):
         return f"SpecProduct(factors={self.factors!r})"
+
+
+# _sorted binds the slot through its own descriptor, past the __setattr__
+# that refuses assignment
+_set_factors = SpecProduct.factors.__set__
 
 
 def _body_key(body):
@@ -158,9 +175,17 @@ class FormalSum:
     with no zero coefficient and no repeated body.  Coefficients are kept as
     given, ints or Fractions; the two compare, hash and print alike.  A sum
     is immutable, so its hash holds while it sits in a set or a dict.
+
+    ``_specs`` resolves the bodies once: per term, the tuple of specs whose
+    product is the body, ``(spec,)`` for a spec, a product's ``factors``,
+    and ``(word_to_lambda(word),)`` for a word.  It starts as None and is
+    filled whole by the first `evaluate_formal_sum`, or by the producer
+    that has the specs at hand (`identity_catalog`, reversal reductions),
+    so a later evaluation only looks values up.  It holds specs, not
+    values, and it is not part of ==, hash, repr, copy or pickle.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_specs")
 
     def __init__(self, terms=()):
         coeffs: dict = {}
@@ -169,9 +194,8 @@ class FormalSum:
             key = _body_key(body)
             bodies[key] = body
             _add_term(coeffs, key, coeff)
-        object.__setattr__(
-            self, "terms", tuple((coeffs[key], bodies[key]) for key in sorted(coeffs))
-        )
+        _set_terms(self, tuple((coeffs[key], bodies[key]) for key in sorted(coeffs)))
+        _set_specs(self, None)
 
     @classmethod
     def single(cls, body, coeff=1) -> "FormalSum":
@@ -181,12 +205,14 @@ class FormalSum:
         return cls._canonical(((coeff, body),) if coeff else ())
 
     @classmethod
-    def _canonical(cls, terms) -> "FormalSum":
+    def _canonical(cls, terms, specs=None) -> "FormalSum":
         """A FormalSum of terms that are already canonical: in `_body_key`
         order, merged and nonzero.  For producers that emit them so; it
-        skips the keying and the sort."""
+        skips the keying and the sort.  specs, when given, is the sum's
+        ``_specs``, one tuple of specs per term."""
         fs = object.__new__(cls)
-        object.__setattr__(fs, "terms", tuple(terms))
+        _set_terms(fs, tuple(terms))
+        _set_specs(fs, specs)
         return fs
 
     def __setattr__(self, name, value):
@@ -223,6 +249,13 @@ class FormalSum:
         return f"FormalSum({render_formal_sum(self)})"
 
 
+# __init__ and _canonical bind the slots through their own descriptors,
+# past the __setattr__ that refuses assignment, and so does the first
+# evaluation that resolves a sum's bodies
+_set_terms = FormalSum.terms.__set__
+_set_specs = FormalSum._specs.__set__
+
+
 def _render_body(body) -> str:
     if isinstance(body, LambdaSpec):
         return format_spec(body)
@@ -247,24 +280,45 @@ def render_formal_sum(fs: FormalSum) -> str:
     return " ".join(parts)
 
 
+def _body_specs(body) -> tuple:
+    """The specs whose product is body, as `FormalSum` keeps them."""
+    if isinstance(body, LambdaSpec):
+        return (body,)
+    if isinstance(body, tuple):  # a word
+        return (word_to_lambda(body),)
+    return body.factors
+
+
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body)) in term order, through
-    `precision.linear_combination`, so it skips the operations whose result
-    is exactly an operand.  A product of specs starts from its first factor
-    (no 1 * factor), and the empty product is 1."""
+    """Numeric value sum(coeff * value(body)) in term order, by the weighted
+    sum behind `precision.linear_combination`, so it skips the operations
+    whose result is exactly an operand.  A product of specs starts from its
+    first factor (no 1 * factor), and the empty product is 1.
+
+    The bodies' specs come from the sum's ``_specs``, resolved whole on the
+    first evaluation (a divergent word raises before any is kept), so a
+    warm evaluation costs its `evaluate_lambda` lookups and its arithmetic.
+    The products and the sum run on the values' raw floats, with the
+    operations the BigReal operators run, and bind one BigReal at the end;
+    every value comes from `evaluate_lambda` at prec, so none needs its
+    precision checked."""
+    specs = fs._specs
+    if specs is None:
+        specs = tuple(_body_specs(body) for _, body in fs.terms)
+        _set_specs(fs, specs)
+    if len(specs) == 1 and len(specs[0]) == 1 and fs.terms[0][0] == 1:
+        return evaluate_lambda(specs[0][0], prec)  # one unit term: no operation
+    bits = _bits(prec)
     terms = []
-    for coeff, body in fs.terms:
-        if isinstance(body, LambdaSpec):
-            v = evaluate_lambda(body, prec)
-        elif isinstance(body, tuple):
-            v = evaluate_word(body, prec)
-        else:  # a SpecProduct
-            factors = body.factors
-            v = evaluate_lambda(factors[0], prec) if factors else BigReal(1, prec)
+    for (coeff, _), factors in zip(fs.terms, specs):
+        if factors:
+            v = evaluate_lambda(factors[0], prec)._v
             for f in factors[1:]:
-                v = v * evaluate_lambda(f, prec)
+                v = _mul(v, evaluate_lambda(f, prec)._v, bits)
+        else:
+            v = (1, 0)  # the empty product
         terms.append((coeff, v))
-    return linear_combination(terms, prec)
+    return _bound(_weighted_sum(terms, bits), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +736,9 @@ def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
         q, r = divmod(c, scale)
         terms.append((len(ranks), ranks, Fraction(c, scale) if r else q))
     terms.sort()
+    factors = tuple(tuple(map(ranked.__getitem__, ranks)) for _, ranks, _ in terms)
     return FormalSum._canonical(
-        (coeff, SpecProduct._sorted(tuple(map(ranked.__getitem__, ranks))))
-        for _, ranks, coeff in terms
+        [(coeff, SpecProduct._sorted(f)) for (_, _, coeff), f in zip(terms, factors)], factors
     )
 
 
@@ -840,16 +894,14 @@ class Identity(NamedTuple):
     rhs: FormalSum
 
     def to_json(self) -> str:
+        """The identity as one JSON object line with sorted keys: the bytes
+        of ``json.dumps(..., sort_keys=True)``, whose string quoting this
+        uses, without building and walking a dict."""
         import json  # only the export writes JSON; an eval never loads it
 
-        return json.dumps(
-            {
-                "lhs": render_formal_sum(self.lhs),
-                "rhs": render_formal_sum(self.rhs),
-                "tag": self.tag,
-            },
-            sort_keys=True,
-        )
+        quote = json.encoder.encode_basestring_ascii
+        lhs, rhs = render_formal_sum(self.lhs), render_formal_sum(self.rhs)
+        return f'{{"lhs": {quote(lhs)}, "rhs": {quote(rhs)}, "tag": {quote(self.tag)}}}'
 
 
 def _convergent_strings(max_weight: int):
@@ -886,7 +938,9 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     spec is built, keyed and rendered once.  Every body of every identity is
     in the table: products, duals and reversals of these strings are
     convergent strings of no larger weight.  Each identity is emitted in
-    canonical form.
+    canonical form, with its sums' bodies resolved (`FormalSum`) from the
+    table: a word body's spec is its string's spec, so no check of the
+    catalog decodes a word.
     """
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
@@ -894,6 +948,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     strings = _convergent_strings(max_weight)
 
     specs = {s: zeta_spec(*s) for s in strings}
+    resolved = {s: (spec,) for s, spec in specs.items()}  # a term's `_specs` entry
     letters = {s: _zeta_letters(s) for s in strings}
     words = {  # word code -> (exponent string, word)
         _word_code(c): (s, tuple(_LETTERS[x] for x in c)) for s, c in letters.items()
@@ -903,7 +958,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
         # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
         dual, _ = words[_word_code(tuple(1 - c for c in reversed(letters[s])))]
         if dual > s:  # emit each dual pair once
-            lhs, rhs = FormalSum.single(specs[s]), FormalSum.single(specs[dual])
+            lhs, rhs = (FormalSum._canonical(((1, specs[x]),), (resolved[x],)) for x in (s, dual))
             identities.append(Identity("duality", lhs, rhs))
 
     weights = [sum(s) for s in strings]
@@ -912,14 +967,20 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     for i, u in enumerate(strings):
         js = light[max_weight - weights[i]]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
-            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
+            product = SpecProduct((specs[u], specs[v]))
+            lhs = FormalSum._canonical(((1, product),), (product.factors,))
             counts = _stuffle_counts(u, v)
+            order = sorted(counts, key=lambda x: specs[x].key)
             rhs = FormalSum._canonical(
-                (counts[x], specs[x]) for x in sorted(counts, key=lambda x: specs[x].key)
+                [(counts[x], specs[x]) for x in order], tuple(map(resolved.__getitem__, order))
             )
             identities.append(Identity("stuffle", lhs, rhs))
             counts = _shuffle_counts(letters[u], letters[v], 2)
-            rhs = FormalSum._canonical((counts[x], words[x][1]) for x in sorted(counts))
+            order = sorted(counts)
+            rhs = FormalSum._canonical(
+                [(counts[x], words[x][1]) for x in order],
+                tuple(resolved[words[x][0]] for x in order),
+            )
             identities.append(Identity("shuffle", lhs, rhs))
 
     memo: dict = {}  # one regularization memo and one lift memo per build
@@ -927,6 +988,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
             lhs = FormalSum(((1, specs[s]), ((-1) ** len(s), specs[s[::-1]])))
+            _set_specs(lhs, tuple(resolved[body.exponents] for _, body in lhs.terms))
             rhs = _reversal_reduction(s, memo, lifts, specs)
             identities.append(Identity("reversal", lhs, rhs))
 

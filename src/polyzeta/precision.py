@@ -23,7 +23,8 @@ different precisions at once.
 
 `linear_combination` is the package's one weighted sum of values: it skips
 the operations whose result is exactly an operand, so it keeps every bit of
-the plain sum.
+the plain sum.  It adds the values' raw floats through `_weighted_sum`,
+which formal sums call directly, and binds one value at the end.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
@@ -611,6 +612,23 @@ def ln(x, prec: Precision) -> BigReal:
     return _bound(_ln(v, _bits(prec)), prec)
 
 
+def _weighted_sum(terms, bits: int) -> tuple:
+    """sum(c * x) over the (c, x) pairs of terms, c an exact int or Fraction
+    and x a raw float rounded at bits, added left to right, each operation
+    rounded at bits, as a raw float.  It runs the operations that the
+    BigReal operators run, `_neg`, `_mul` by ``_to_raw(c, bits)`` and
+    `_add`, in the same order, so every bit is theirs; the empty sum is 0."""
+    total = None
+    for c, x in terms:
+        if c:
+            if c == -1:
+                x = _neg(x)
+            elif c != 1:
+                x = _mul(x, _to_raw(c, bits), bits)
+            total = x if total is None else _add(total, x, bits)
+    return _ZERO if total is None else total
+
+
 def linear_combination(terms, prec: Precision) -> BigReal:
     """sum(c * x) over the (c, x) pairs of terms, c an exact int or Fraction
     and x a BigReal bound to prec, added left to right, each operation
@@ -620,16 +638,15 @@ def linear_combination(terms, prec: Precision) -> BigReal:
     coefficient adds nothing, 1 or -1 gives x or -x (no product), and the
     first term left seeds the sum (no 0 + term).  Every x is already
     rounded at prec, so the sum keeps every bit of the one that starts from
-    0 and multiplies and adds every term.  The empty sum is 0, and terms
-    bound to another precision raise PrecisionMismatch, as in that sum.
+    0 and multiplies and adds every term.  The empty sum is 0.  Every term
+    must be bound to prec, whatever its coefficient: a term bound to
+    another precision raises PrecisionMismatch, as it does in that sum,
+    also when its coefficient is 0.  The sum runs on the terms' raw floats
+    (`_weighted_sum`) and binds one BigReal at the end.
     """
-    total = None
+    raw = []
     for c, x in terms:
-        if c:
-            term = x if c == 1 else -x if c == -1 else x * c
-            total = term if total is None else total + term
-    if total is None:
-        return BigReal(0, prec)
-    if total.prec != prec:
-        raise PrecisionMismatch(f"terms bound to {total.prec}, not to {prec}")
-    return total
+        if x.prec is not prec and x.prec != prec:
+            raise PrecisionMismatch(f"a term bound to {x.prec}, not to {prec}")
+        raw.append((c, x._v))
+    return _bound(_weighted_sum(raw, _bits(prec)), prec)

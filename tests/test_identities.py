@@ -141,10 +141,17 @@ def test_formal_sum_skips_only_exact_operations():
     ]
     kinds = {type(c) for fs in sums for c, _ in fs.terms if abs(c) == 1}
     assert kinds == {int, F}
+    assert sum(isinstance(b, tuple) for fs in sums for _, b in fs.terms) >= 10
+    # each sum twice at each precision: a fresh twin that resolves its bodies
+    # on the first evaluation, and then the resolved twin
     for prec in (Precision(40), Precision(200)):
         for fs in sums:
-            got, want = evaluate_formal_sum(fs, prec), naive_formal_sum(fs, prec)
-            assert got.prec == prec and got._v == want._v, render_formal_sum(fs)
+            want = naive_formal_sum(fs, prec)
+            twin = FormalSum._canonical(fs.terms)
+            for resolved in (False, True):
+                assert (twin._specs is not None) == resolved
+                got = evaluate_formal_sum(twin, prec)
+                assert got.prec == prec and got._v == want._v, render_formal_sum(fs)
     # the one weighted sum behind it, precision.linear_combination, against
     # 0 plus every product: seeded lists with coefficients 0, +-1 and
     # Fraction(0), Fraction(+-1), the empty list and an all-zero one, and
@@ -175,8 +182,17 @@ def test_formal_sum_skips_only_exact_operations():
             assert got.prec == prec and got._v == want._v, terms
         want = abs(plain_sum(zip(residual_coeffs, values), prec))
         assert relations._residual(values, residual_coeffs)._v == want._v
-        with pytest.raises(PrecisionMismatch):
-            linear_combination([(1, values[0])], Precision(prec.digits + 1))
+        # a term bound to an equal Precision object is bound to prec
+        assert linear_combination([(1, values[0])], Precision(prec.digits))._v == values[0]._v
+        other = Precision(prec.digits + 1)
+        for terms, at in (
+            ([(1, values[0])], other),
+            # a term is checked whatever its coefficient, 0 too
+            ([(0, BigReal(1, other))], prec),
+            ([(1, values[0]), (0, BigReal(1, other))], prec),
+        ):
+            with pytest.raises(PrecisionMismatch):
+                linear_combination(terms, at)
 
 
 def test_equal_formal_sums_hash_alike():
@@ -1193,6 +1209,39 @@ def test_catalog_builds_each_spec_once():
     for body in second:
         assert again.setdefault(body, body) is body
     assert not {id(b) for b in table.values()} & {id(b) for b in again.values()}
+
+
+def test_catalog_resolves_every_body_from_its_table():
+    # every sum of the catalog arrives with its bodies resolved, and a word
+    # body's spec, taken from the spec table, is the word's own spec
+    from polyzeta.model import word_to_lambda
+
+    words = 0
+    for ident in identity_catalog(8):
+        for side in (ident.lhs, ident.rhs):
+            assert len(side._specs) == len(side.terms), ident.to_json()
+            for (_, body), specs in zip(side.terms, side._specs):
+                if isinstance(body, tuple):
+                    words += 1
+                    assert specs == (word_to_lambda(body),)
+                else:
+                    assert specs == identities._body_specs(body)
+    assert words == 489  # the shuffle right-hand sides' terms
+
+
+def test_divergent_word_body_raises_on_every_evaluation():
+    # a word that cannot be decoded leaves its sum unresolved, a word whose
+    # spec diverges resolves but never evaluates: each raises every time
+    from polyzeta import DivergenceError
+
+    trailing_zero = FormalSum([(1, zeta_spec(2)), (2, make_word([2, 0]))])
+    leading_one = FormalSum([(1, zeta_spec(2)), (-1, make_word([1, 0, 1]))])
+    for fs in (trailing_zero, leading_one):
+        for _ in range(2):
+            with pytest.raises(DivergenceError):
+                evaluate_formal_sum(fs, Precision(30))
+    assert trailing_zero._specs is None
+    assert leading_one._specs[1] == (LambdaSpec.of((1, 2), (1, 1)),)
 
 
 def test_identity_catalog_numeric_sample(prec30):

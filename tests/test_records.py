@@ -17,7 +17,7 @@ import pytest
 from polyzeta import BigReal, LambdaSpec, Precision, identity_catalog, lindep, zeta_spec
 from polyzeta.cli import parse_expression
 from polyzeta.evaluate import evaluate_lambda, plan
-from polyzeta.identities import FormalSum, SpecProduct
+from polyzeta.identities import FormalSum, SpecProduct, evaluate_formal_sum
 from polyzeta.precision import pi
 
 PREC = Precision(30, guard=25)
@@ -80,6 +80,27 @@ def test_records_are_immutable():
             setattr(obj, name, None)
     assert spec.exponents == (3, 1, 2) and PREC.digits == 30 and value.prec == PREC
     assert len(fs) == 3 and hash(fs) == fs_hash
+
+
+def test_resolved_bodies_are_not_part_of_a_sum():
+    # the first evaluation fills a sum's ``_specs``; the sum still equals,
+    # hashes and prints as its unresolved twin, its clones start
+    # unresolved, and neither slot can be assigned
+    records = _records()
+    word = (Fraction(0), Fraction(2))
+    fs = FormalSum([(Fraction(-3, 2), records["spec"]), (2, records["product"]), (1, word)])
+    twin = FormalSum(fs.terms)
+    evaluate_formal_sum(fs, PREC)
+    assert fs._specs is not None and twin._specs is None
+    assert fs == twin and hash(fs) == hash(twin) and repr(fs) == repr(twin)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        other = clone(fs)
+        assert other == fs and other._specs is None
+    resolved = fs._specs
+    for name in ("terms", "_specs"):
+        with pytest.raises(AttributeError):
+            setattr(fs, name, None)
+    assert fs._specs is resolved and fs == twin
 
 
 def test_spec_and_product_are_not_tuples():
