@@ -39,8 +39,6 @@ letter codes ranked by (numerator, denominator), so their int order is the
 `identity_catalog` keeps one spec table per build: each convergent string
 gets one zeta spec and one word, which its duality, stuffle, shuffle and
 reversal identities share, so each spec is built, keyed and rendered once.
-The table also resolves each sum's bodies to specs (`FormalSum._specs`),
-so checking a catalog identity decodes no word.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
 algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
@@ -94,17 +92,7 @@ from .model import (
     word_to_lambda,
     zeta_spec,
 )
-from .precision import (
-    BigReal,
-    Precision,
-    _bits,
-    _bound,
-    _mul,
-    _weighted_sum,
-    linear_combination,
-    ln,
-    pi,
-)
+from .precision import BigReal, Precision, _sum_of_products, linear_combination, ln, pi
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -179,10 +167,9 @@ class FormalSum:
     ``_specs`` resolves the bodies once: per term, the tuple of specs whose
     product is the body, ``(spec,)`` for a spec, a product's ``factors``,
     and ``(word_to_lambda(word),)`` for a word.  It starts as None and is
-    filled whole by the first `evaluate_formal_sum`, or by the producer
-    that has the specs at hand (`identity_catalog`, reversal reductions),
-    so a later evaluation only looks values up.  It holds specs, not
-    values, and it is not part of ==, hash, repr, copy or pickle.
+    filled whole by the first `evaluate_formal_sum`, so a later evaluation
+    only looks values up.  It holds specs, not values, and it is not part
+    of ==, hash, repr, copy or pickle.
     """
 
     __slots__ = ("terms", "_specs")
@@ -205,14 +192,13 @@ class FormalSum:
         return cls._canonical(((coeff, body),) if coeff else ())
 
     @classmethod
-    def _canonical(cls, terms, specs=None) -> "FormalSum":
+    def _canonical(cls, terms) -> "FormalSum":
         """A FormalSum of terms that are already canonical: in `_body_key`
         order, merged and nonzero.  For producers that emit them so; it
-        skips the keying and the sort.  specs, when given, is the sum's
-        ``_specs``, one tuple of specs per term."""
+        skips the keying and the sort."""
         fs = object.__new__(cls)
         _set_terms(fs, tuple(terms))
-        _set_specs(fs, specs)
+        _set_specs(fs, None)
         return fs
 
     def __setattr__(self, name, value):
@@ -290,17 +276,16 @@ def _body_specs(body) -> tuple:
 
 
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body)) in term order, by the weighted
-    sum behind `precision.linear_combination`, so it skips the operations
-    whose result is exactly an operand.  A product of specs starts from its
-    first factor (no 1 * factor), and the empty product is 1.
+    """Numeric value sum(coeff * value(body)) in term order, by
+    `precision._sum_of_products`, so it skips the operations whose result
+    is exactly an operand, as `precision.linear_combination` does.  A
+    product of specs starts from its first factor (no 1 * factor), and the
+    empty product is 1.
 
     The bodies' specs come from the sum's ``_specs``, resolved whole on the
     first evaluation (a divergent word raises before any is kept), so a
     warm evaluation costs its `evaluate_lambda` lookups and its arithmetic.
-    The products and the sum run on the values' raw floats, with the
-    operations the BigReal operators run, and bind one BigReal at the end;
-    every value comes from `evaluate_lambda` at prec, so none needs its
+    Every value comes from `evaluate_lambda` at prec, so none needs its
     precision checked."""
     specs = fs._specs
     if specs is None:
@@ -308,17 +293,13 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
         _set_specs(fs, specs)
     if len(specs) == 1 and len(specs[0]) == 1 and fs.terms[0][0] == 1:
         return evaluate_lambda(specs[0][0], prec)  # one unit term: no operation
-    bits = _bits(prec)
-    terms = []
-    for (coeff, _), factors in zip(fs.terms, specs):
-        if factors:
-            v = evaluate_lambda(factors[0], prec)._v
-            for f in factors[1:]:
-                v = _mul(v, evaluate_lambda(f, prec)._v, bits)
-        else:
-            v = (1, 0)  # the empty product
-        terms.append((coeff, v))
-    return _bound(_weighted_sum(terms, bits), prec)
+    return _sum_of_products(
+        [
+            (coeff, [evaluate_lambda(f, prec) for f in factors])
+            for (coeff, _), factors in zip(fs.terms, specs)
+        ],
+        prec,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +717,9 @@ def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
         q, r = divmod(c, scale)
         terms.append((len(ranks), ranks, Fraction(c, scale) if r else q))
     terms.sort()
-    factors = tuple(tuple(map(ranked.__getitem__, ranks)) for _, ranks, _ in terms)
     return FormalSum._canonical(
-        [(coeff, SpecProduct._sorted(f)) for (_, _, coeff), f in zip(terms, factors)], factors
+        (coeff, SpecProduct._sorted(tuple(map(ranked.__getitem__, ranks))))
+        for _, ranks, coeff in terms
     )
 
 
@@ -894,14 +875,16 @@ class Identity(NamedTuple):
     rhs: FormalSum
 
     def to_json(self) -> str:
-        """The identity as one JSON object line with sorted keys: the bytes
-        of ``json.dumps(..., sort_keys=True)``, whose string quoting this
-        uses, without building and walking a dict."""
         import json  # only the export writes JSON; an eval never loads it
 
-        quote = json.encoder.encode_basestring_ascii
-        lhs, rhs = render_formal_sum(self.lhs), render_formal_sum(self.rhs)
-        return f'{{"lhs": {quote(lhs)}, "rhs": {quote(rhs)}, "tag": {quote(self.tag)}}}'
+        return json.dumps(
+            {
+                "lhs": render_formal_sum(self.lhs),
+                "rhs": render_formal_sum(self.rhs),
+                "tag": self.tag,
+            },
+            sort_keys=True,
+        )
 
 
 def _convergent_strings(max_weight: int):
@@ -938,9 +921,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     spec is built, keyed and rendered once.  Every body of every identity is
     in the table: products, duals and reversals of these strings are
     convergent strings of no larger weight.  Each identity is emitted in
-    canonical form, with its sums' bodies resolved (`FormalSum`) from the
-    table: a word body's spec is its string's spec, so no check of the
-    catalog decodes a word.
+    canonical form.
     """
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
@@ -948,7 +929,6 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     strings = _convergent_strings(max_weight)
 
     specs = {s: zeta_spec(*s) for s in strings}
-    resolved = {s: (spec,) for s, spec in specs.items()}  # a term's `_specs` entry
     letters = {s: _zeta_letters(s) for s in strings}
     words = {  # word code -> (exponent string, word)
         _word_code(c): (s, tuple(_LETTERS[x] for x in c)) for s, c in letters.items()
@@ -958,7 +938,7 @@ def identity_catalog(max_weight: int) -> list[Identity]:
         # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
         dual, _ = words[_word_code(tuple(1 - c for c in reversed(letters[s])))]
         if dual > s:  # emit each dual pair once
-            lhs, rhs = (FormalSum._canonical(((1, specs[x]),), (resolved[x],)) for x in (s, dual))
+            lhs, rhs = FormalSum.single(specs[s]), FormalSum.single(specs[dual])
             identities.append(Identity("duality", lhs, rhs))
 
     weights = [sum(s) for s in strings]
@@ -967,20 +947,14 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     for i, u in enumerate(strings):
         js = light[max_weight - weights[i]]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
-            product = SpecProduct((specs[u], specs[v]))
-            lhs = FormalSum._canonical(((1, product),), (product.factors,))
+            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
             counts = _stuffle_counts(u, v)
-            order = sorted(counts, key=lambda x: specs[x].key)
             rhs = FormalSum._canonical(
-                [(counts[x], specs[x]) for x in order], tuple(map(resolved.__getitem__, order))
+                (counts[x], specs[x]) for x in sorted(counts, key=lambda x: specs[x].key)
             )
             identities.append(Identity("stuffle", lhs, rhs))
             counts = _shuffle_counts(letters[u], letters[v], 2)
-            order = sorted(counts)
-            rhs = FormalSum._canonical(
-                [(counts[x], words[x][1]) for x in order],
-                tuple(resolved[words[x][0]] for x in order),
-            )
+            rhs = FormalSum._canonical((counts[x], words[x][1]) for x in sorted(counts))
             identities.append(Identity("shuffle", lhs, rhs))
 
     memo: dict = {}  # one regularization memo and one lift memo per build
@@ -988,7 +962,6 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
             lhs = FormalSum(((1, specs[s]), ((-1) ** len(s), specs[s[::-1]])))
-            _set_specs(lhs, tuple(resolved[body.exponents] for _, body in lhs.terms))
             rhs = _reversal_reduction(s, memo, lifts, specs)
             identities.append(Identity("reversal", lhs, rhs))
 

@@ -23,8 +23,9 @@ different precisions at once.
 
 `linear_combination` is the package's one weighted sum of values: it skips
 the operations whose result is exactly an operand, so it keeps every bit of
-the plain sum.  It adds the values' raw floats through `_weighted_sum`,
-which formal sums call directly, and binds one value at the end.
+the plain sum.  It adds the values' raw floats through `_weighted_sum`
+and binds one value at the end; `_sum_of_products`, which formal sums
+call, sums products of values the same way.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
@@ -650,3 +651,21 @@ def linear_combination(terms, prec: Precision) -> BigReal:
             raise PrecisionMismatch(f"a term bound to {x.prec}, not to {prec}")
         raw.append((c, x._v))
     return _bound(_weighted_sum(raw, _bits(prec)), prec)
+
+
+def _sum_of_products(terms, prec: Precision) -> BigReal:
+    """sum(c * prod(xs)) over the (c, xs) pairs of terms, c an exact int or
+    Fraction and xs a sequence of BigReals bound to prec, which is not
+    checked.  Each product starts from its first factor (no 1 * factor) and
+    the empty product is 1; the products are then summed as in
+    `linear_combination`.  It all runs on raw floats with the operations
+    the BigReal operators run, in their order, so every bit is theirs, and
+    one BigReal is bound at the end."""
+    bits = _bits(prec)
+    raw = []
+    for c, xs in terms:
+        v = xs[0]._v if xs else _ONE
+        for x in xs[1:]:
+            v = _mul(v, x._v, bits)
+        raw.append((c, v))
+    return _bound(_weighted_sum(raw, bits), prec)

@@ -1211,21 +1211,32 @@ def test_catalog_builds_each_spec_once():
     assert not {id(b) for b in table.values()} & {id(b) for b in again.values()}
 
 
-def test_catalog_resolves_every_body_from_its_table():
-    # every sum of the catalog arrives with its bodies resolved, and a word
-    # body's spec, taken from the spec table, is the word's own spec
+def test_catalog_sums_resolve_on_first_evaluation(monkeypatch):
+    # the catalog hands out unresolved sums; the first evaluation resolves
+    # each body, in term order, to the specs whose product it is (a word to
+    # its own spec), and a later evaluation keeps that resolution.  Values
+    # are stubbed: only the resolution is under test
     from polyzeta.model import word_to_lambda
 
+    one = BigReal(1, Precision(10))
+    monkeypatch.setattr(identities, "evaluate_lambda", lambda spec, prec: one)
+    sides = {id(s): s for ident in identity_catalog(8) for s in (ident.lhs, ident.rhs)}
     words = 0
-    for ident in identity_catalog(8):
-        for side in (ident.lhs, ident.rhs):
-            assert len(side._specs) == len(side.terms), ident.to_json()
-            for (_, body), specs in zip(side.terms, side._specs):
-                if isinstance(body, tuple):
-                    words += 1
-                    assert specs == (word_to_lambda(body),)
-                else:
-                    assert specs == identities._body_specs(body)
+    for side in sides.values():  # a stuffle and its shuffle share their lhs
+        assert side._specs is None, side
+        evaluate_formal_sum(side, one.prec)
+        resolved = side._specs
+        assert len(resolved) == len(side.terms), side
+        for (_, body), specs in zip(side.terms, resolved):
+            if isinstance(body, tuple):
+                words += 1
+                assert specs == (word_to_lambda(body),)
+            elif isinstance(body, LambdaSpec):
+                assert specs == (body,)
+            else:
+                assert specs is body.factors
+        evaluate_formal_sum(side, one.prec)
+        assert side._specs is resolved
     assert words == 489  # the shuffle right-hand sides' terms
 
 
