@@ -142,7 +142,7 @@ def _evaluate_via_split(word, p: Fraction, prec: Precision) -> BigReal:
     spec_prec = plan(word_to_lambda(word), prec).working
     total = linear_combination(
         [
-            (t.sign, evaluate_lambda(t.left, spec_prec) * evaluate_lambda(t.right, spec_prec))
+            (t.sign, (evaluate_lambda(t.left, spec_prec), evaluate_lambda(t.right, spec_prec)))
             for t in holder_split(word, p)
         ],
         spec_prec,

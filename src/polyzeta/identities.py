@@ -92,7 +92,7 @@ from .model import (
     word_to_lambda,
     zeta_spec,
 )
-from .precision import BigReal, Precision, _sum_of_products, linear_combination, ln, pi
+from .precision import BigReal, Precision, linear_combination, ln, pi
 
 # ---------------------------------------------------------------------------
 # Formal sums
@@ -161,8 +161,9 @@ class FormalSum:
 
     ``terms`` is a tuple of (coefficient, body) pairs in `_body_key` order,
     with no zero coefficient and no repeated body.  Coefficients are kept as
-    given, ints or Fractions; the two compare, hash and print alike.  A sum
-    is immutable, so its hash holds while it sits in a set or a dict.
+    given, ints or Fractions; the two compare, hash and print alike, and any
+    other coefficient raises TypeError.  A sum is immutable, so its hash
+    holds while it sits in a set or a dict.
 
     ``_specs`` resolves the bodies once: per term, the tuple of specs whose
     product is the body, ``(spec,)`` for a spec, a product's ``factors``,
@@ -178,6 +179,8 @@ class FormalSum:
         coeffs: dict = {}
         bodies: dict = {}
         for coeff, body in terms:
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficients are ints or Fractions, got {type(coeff).__name__}")
             key = _body_key(body)
             bodies[key] = body
             _add_term(coeffs, key, coeff)
@@ -187,9 +190,8 @@ class FormalSum:
     @classmethod
     def single(cls, body, coeff=1) -> "FormalSum":
         """coeff * body as one canonical term, and the empty sum for a zero
-        coeff; the body is checked as __init__ checks it."""
-        _body_key(body)
-        return cls._canonical(((coeff, body),) if coeff else ())
+        coeff; the body and coeff are checked as __init__ checks them."""
+        return cls(((coeff, body),))
 
     @classmethod
     def _canonical(cls, terms) -> "FormalSum":
@@ -217,10 +219,10 @@ class FormalSum:
         return bool(self.terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(self.terms + other.terms)
+        return FormalSum(self.terms + other.terms) if isinstance(other, FormalSum) else NotImplemented
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
+        return self + (-other) if isinstance(other, FormalSum) else NotImplemented
 
     def __neg__(self) -> "FormalSum":
         return FormalSum((-c, b) for c, b in self.terms)
@@ -276,24 +278,20 @@ def _body_specs(body) -> tuple:
 
 
 def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
-    """Numeric value sum(coeff * value(body)) in term order, by
-    `precision._sum_of_products`, so it skips the operations whose result
-    is exactly an operand, as `precision.linear_combination` does.  A
-    product of specs starts from its first factor (no 1 * factor), and the
-    empty product is 1.
+    """Numeric value sum(coeff * value(body)) in term order, by one
+    `precision.linear_combination` over the bodies' products of values, so
+    it skips the operations whose result is exactly an operand: a product
+    starts from its first factor, the empty product is 1, and a sum of the
+    one term 1 * spec is the spec's value itself.
 
     The bodies' specs come from the sum's ``_specs``, resolved whole on the
     first evaluation (a divergent word raises before any is kept), so a
-    warm evaluation costs its `evaluate_lambda` lookups and its arithmetic.
-    Every value comes from `evaluate_lambda` at prec, so none needs its
-    precision checked."""
+    warm evaluation costs its `evaluate_lambda` lookups and its arithmetic."""
     specs = fs._specs
     if specs is None:
         specs = tuple(_body_specs(body) for _, body in fs.terms)
         _set_specs(fs, specs)
-    if len(specs) == 1 and len(specs[0]) == 1 and fs.terms[0][0] == 1:
-        return evaluate_lambda(specs[0][0], prec)  # one unit term: no operation
-    return _sum_of_products(
+    return linear_combination(
         [
             (coeff, [evaluate_lambda(f, prec) for f in factors])
             for (coeff, _), factors in zip(fs.terms, specs)
@@ -803,7 +801,7 @@ def z213(n: int, prec: Precision) -> BigReal:
             left = evaluate_lambda(zeta_spec(4 * j - 1), prec)
             acc = acc - left * evaluate_lambda(zeta_spec(4 * k - 4 * j + 3), prec) * 4
         fours = zagier(n - k, prec) * Fraction(4 ** (n - k))  # zeta({4}^(n-k))
-        terms.append(((-1) ** k, fours * acc))
+        terms.append(((-1) ** k, (fours, acc)))
     return linear_combination(terms, prec) * Fraction(1, 4 ** n)
 
 
@@ -826,10 +824,10 @@ def t5(m: int, n: int, prec: Precision) -> BigReal:
     a_terms, z_terms = [], []
     for k in range(m + 1):
         a = evaluate_lambda(delta_spec(k + n + 1), prec)
-        a_terms.append((comb(n + k, n), a * mu_power(2, m - k, prec)))
+        a_terms.append((comb(n + k, n), (a, mu_power(2, m - k, prec))))
     for k in range(n + 1):
         z = evaluate_lambda(zeta_spec(k + m + 1), prec)
-        z_terms.append(((-1) ** (k + m + 1) * comb(m + k, m), z * mu_power(2, n - k, prec)))
+        z_terms.append(((-1) ** (k + m + 1) * comb(m + k, m), (z, mu_power(2, n - k, prec))))
     first, second = linear_combination(a_terms, prec), linear_combination(z_terms, prec)
     return linear_combination([((-1) ** (m + 1), first), ((-1) ** (n + 1), second)], prec)
 
@@ -846,7 +844,7 @@ def zeta_li_log(n: int, prec: Precision) -> BigReal:
         raise DomainError("n must be nonnegative")
     terms = [(1, evaluate_lambda(zeta_spec(n + 2), prec))]
     for r in range(1, n + 3):
-        terms.append((-1, evaluate_lambda(delta_spec(r), prec) * mu_power(2, n + 2 - r, prec)))
+        terms.append((-1, (evaluate_lambda(delta_spec(r), prec), mu_power(2, n + 2 - r, prec))))
     return linear_combination(terms, prec)
 
 
@@ -855,7 +853,7 @@ def delta_odd(n: int, prec: Precision) -> BigReal:
     if n < 1:
         raise DomainError("n must be a positive integer")
     a = {r: evaluate_lambda(delta_spec(r), prec) for r in range(1, 2 * n)}
-    terms = [((-1) ** (j + 1), a[j] * a[2 * n - j]) for j in range(1, 2 * n)]
+    terms = [((-1) ** (j + 1), (a[j], a[2 * n - j])) for j in range(1, 2 * n)]
     return linear_combination(terms, prec) * Fraction(1, 2)
 
 

@@ -21,11 +21,10 @@ The package itself imports no mpmath.  No precision is global, so no value
 depends on state outside its arguments and threads may compute at
 different precisions at once.
 
-`linear_combination` is the package's one weighted sum of values: it skips
-the operations whose result is exactly an operand, so it keeps every bit of
-the plain sum.  It adds the values' raw floats through `_weighted_sum`
-and binds one value at the end; `_sum_of_products`, which formal sums
-call, sums products of values the same way.
+`linear_combination` is the package's one weighted sum of products of
+values: it skips the operations whose result is exactly an operand, so it
+keeps every bit of the plain sum.  It multiplies and adds the values' raw
+floats in one loop and binds one value at the end.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
@@ -613,59 +612,45 @@ def ln(x, prec: Precision) -> BigReal:
     return _bound(_ln(v, _bits(prec)), prec)
 
 
-def _weighted_sum(terms, bits: int) -> tuple:
-    """sum(c * x) over the (c, x) pairs of terms, c an exact int or Fraction
-    and x a raw float rounded at bits, added left to right, each operation
-    rounded at bits, as a raw float.  It runs the operations that the
-    BigReal operators run, `_neg`, `_mul` by ``_to_raw(c, bits)`` and
-    `_add`, in the same order, so every bit is theirs; the empty sum is 0."""
-    total = None
-    for c, x in terms:
-        if c:
-            if c == -1:
-                x = _neg(x)
-            elif c != 1:
-                x = _mul(x, _to_raw(c, bits), bits)
-            total = x if total is None else _add(total, x, bits)
-    return _ZERO if total is None else total
-
-
 def linear_combination(terms, prec: Precision) -> BigReal:
-    """sum(c * x) over the (c, x) pairs of terms, c an exact int or Fraction
-    and x a BigReal bound to prec, added left to right, each operation
-    rounded at prec.
+    """sum(c * x) over the (c, x) pairs of terms, added left to right, each
+    operation rounded at prec.  c is an exact int or Fraction; anything else
+    raises TypeError.  x is a BigReal bound to prec or a sequence of them,
+    their product, formed from the first factor on; the empty product is 1.
 
-    It skips the operations whose result is exactly an operand: a zero
-    coefficient adds nothing, 1 or -1 gives x or -x (no product), and the
-    first term left seeds the sum (no 0 + term).  Every x is already
-    rounded at prec, so the sum keeps every bit of the one that starts from
-    0 and multiplies and adds every term.  The empty sum is 0.  Every term
-    must be bound to prec, whatever its coefficient: a term bound to
-    another precision raises PrecisionMismatch, as it does in that sum,
-    also when its coefficient is 0.  The sum runs on the terms' raw floats
-    (`_weighted_sum`) and binds one BigReal at the end.
+    It runs the operations of that sum's BigReal operators on the factors'
+    raw floats, in their order, and binds one BigReal at the end, but skips
+    those whose result is exactly an operand: a product starts from its
+    first factor (no 1 * x), a zero coefficient adds nothing, 1 or -1 gives
+    the product or its negation, and the first term left seeds the sum (no
+    0 + term).  Every factor is already rounded at prec, so the sum keeps
+    every bit of the plain one, which builds each product up from 1 and
+    adds every term to 0.  The empty sum is 0, and a sum of the one term
+    1 * x is x itself, no new BigReal.  Every factor must be bound to prec,
+    whatever its coefficient: one bound to another precision raises
+    PrecisionMismatch, as it does in the plain sum, also under a
+    coefficient of 0.
     """
-    raw = []
-    for c, x in terms:
-        if x.prec is not prec and x.prec != prec:
-            raise PrecisionMismatch(f"a term bound to {x.prec}, not to {prec}")
-        raw.append((c, x._v))
-    return _bound(_weighted_sum(raw, _bits(prec)), prec)
-
-
-def _sum_of_products(terms, prec: Precision) -> BigReal:
-    """sum(c * prod(xs)) over the (c, xs) pairs of terms, c an exact int or
-    Fraction and xs a sequence of BigReals bound to prec, which is not
-    checked.  Each product starts from its first factor (no 1 * factor) and
-    the empty product is 1; the products are then summed as in
-    `linear_combination`.  It all runs on raw floats with the operations
-    the BigReal operators run, in their order, so every bit is theirs, and
-    one BigReal is bound at the end."""
     bits = _bits(prec)
-    raw = []
+    total = x = None
     for c, xs in terms:
-        v = xs[0]._v if xs else _ONE
-        for x in xs[1:]:
-            v = _mul(v, x._v, bits)
-        raw.append((c, v))
-    return _bound(_weighted_sum(raw, bits), prec)
+        v = _ONE
+        for x in (xs,) if isinstance(xs, BigReal) else xs:
+            if x.prec is not prec and x.prec != prec:
+                raise PrecisionMismatch(f"a factor bound to {x.prec}, not to {prec}")
+            # a product by the exact 1 is the other factor
+            v = x._v if v is _ONE else _mul(v, x._v, bits)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients are ints or Fractions, got {type(c).__name__}")
+        if not c:
+            continue
+        if c == -1:
+            v = _neg(v)
+        elif c != 1:
+            v = _mul(v, _to_raw(c, bits), bits)
+        total = v if total is None else _add(total, v, bits)
+    # x is the last factor read: a sum that is its very raw float, as the
+    # one term 1 * x leaves it, has its value, so it is x itself
+    if x is not None and total is x._v:
+        return x
+    return _bound(_ZERO if total is None else total, prec)

@@ -4,6 +4,7 @@ of every emitter against the evaluator."""
 
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -153,46 +154,87 @@ def test_formal_sum_skips_only_exact_operations():
                 got = evaluate_formal_sum(twin, prec)
                 assert got.prec == prec and got._v == want._v, render_formal_sum(fs)
     # the one weighted sum behind it, precision.linear_combination, against
-    # 0 plus every product: seeded lists with coefficients 0, +-1 and
-    # Fraction(0), Fraction(+-1), the empty list and an all-zero one, and
-    # lindep's residual on a vector with zero and +-1 coefficients; a term
-    # bound to another precision raises, as it does in the plain sum
+    # 0 plus every product built up from 1: seeded lists of values and of
+    # products of 0 to 3 values, with coefficients 0, +-1 and Fraction(0),
+    # Fraction(+-1), the empty list and an all-zero one, and lindep's
+    # residual on a vector with zero and +-1 coefficients; a factor bound
+    # to another precision raises, as it does in the plain sum
     coeffs += [0, F(0)]
     drawn = [
         [(rng.choice(coeffs), rng.randrange(len(specs))) for _ in range(rng.randint(1, 6))]
         for _ in range(40)
     ]
-    drawn += [[], [(0, 0), (F(0), 1)]]
+    drawn += [
+        [(rng.choice(coeffs), rng.sample(range(len(specs)), rng.randint(0, 3)))
+         for _ in range(rng.randint(1, 6))]
+        for _ in range(40)
+    ]
+    drawn += [[], [(0, 0), (F(0), 1)], [(1, [])], [(-1, [0])]]
     kinds = {(type(c), c) for terms in drawn for c, _ in terms}
     assert kinds >= {(t, c) for t in (int, F) for c in (0, 1, -1)}
+    assert {len(x) for terms in drawn for c, x in terms if c and isinstance(x, list)} == {0, 1, 2, 3}
     residual_coeffs = (0, 1, -1, 3, 0, -1, -2, 1, 0, 5, -1, 1)
     assert len(residual_coeffs) == len(specs)
 
     def plain_sum(terms, prec):
         total = BigReal(0, prec)
         for c, x in terms:
-            total = total + x * c
+            product = BigReal(1, prec)
+            for factor in x if isinstance(x, list) else [x]:
+                product = product * factor
+            total = total + product * c
         return total
 
     for prec in (Precision(40), Precision(200)):
         values = [evaluate_lambda(spec, prec) for spec in specs]
         for terms in drawn:
-            terms = [(c, values[i]) for c, i in terms]
+            terms = [
+                (c, [values[j] for j in i] if isinstance(i, list) else values[i]) for c, i in terms
+            ]
             got, want = linear_combination(terms, prec), plain_sum(terms, prec)
             assert got.prec == prec and got._v == want._v, terms
         want = abs(plain_sum(zip(residual_coeffs, values), prec))
         assert relations._residual(values, residual_coeffs)._v == want._v
         # a term bound to an equal Precision object is bound to prec
         assert linear_combination([(1, values[0])], Precision(prec.digits))._v == values[0]._v
+        # a sum of the one term 1 * x is x itself, as a value or a product
+        for x in (values[0], [values[0]]):
+            assert linear_combination([(1, x)], prec) is values[0]
         other = Precision(prec.digits + 1)
         for terms, at in (
             ([(1, values[0])], other),
-            # a term is checked whatever its coefficient, 0 too
+            ([(1, [values[0], values[1]])], other),
+            # a factor is checked whatever its coefficient, 0 too
             ([(0, BigReal(1, other))], prec),
             ([(1, values[0]), (0, BigReal(1, other))], prec),
+            ([(1, values[0]), (0, [values[1], BigReal(1, other)])], prec),
         ):
             with pytest.raises(PrecisionMismatch):
                 linear_combination(terms, at)
+    # a coefficient is an exact int or Fraction: a float, even 0.0 or +-1.0
+    # where no product is taken, raises, and so does a str
+    x = BigReal(F(1, 3), Precision(30))
+    for c in (1.0, -1.0, 0.0, 0.5, "1"):
+        for term in ((c, x), (c, [x, x]), (c, [])):
+            with pytest.raises(TypeError):
+                linear_combination([(1, x), term], x.prec)
+        with pytest.raises(TypeError):
+            FormalSum([(c, zeta_spec(2))])
+        with pytest.raises(TypeError):
+            FormalSum.single(zeta_spec(2), c)
+
+
+def test_formal_sum_arithmetic_takes_formal_sums_only():
+    # + and - with anything but a FormalSum return NotImplemented, so
+    # Python raises TypeError from either side
+    fs = FormalSum.single(zeta_spec(2))
+    for other in (1, 0, F(1, 2), BigReal(1, Precision(30))):
+        assert fs.__add__(other) is NotImplemented and fs.__sub__(other) is NotImplemented
+        for op in (operator.add, operator.sub):
+            for left, right in ((fs, other), (other, fs)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    assert fs - fs == FormalSum() and fs + fs == FormalSum.single(zeta_spec(2), 2)
 
 
 def test_equal_formal_sums_hash_alike():

@@ -2,8 +2,12 @@
 were taken: the coefficients, the raw bits of the residual and the exact
 float of the exclusion bound, on the benchmark's planted references, its
 relation-free references up to n = 8, and seeded vectors at 30-40 digits,
-where no lift runs and the final pass alone decides."""
+where no lift runs and the final pass alone decides.  The digest has a
+semantic twin: every planted vector gets back a relation that holds exactly
+over Q, and every relation-free one gets none, which holds also for a change
+that moves bits on purpose."""
 
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +30,7 @@ def sha256_lines(lines) -> str:
 def reference_vector(entry):
     """The exact rationals of a relation_hunt reference entry, drawn as the
     benchmark draws them: ``digits + 30`` decimals, and with a planted
-    relation the last entry solved from it."""
+    relation the last entry solved from it; (xs, digits, planted)."""
     rng = random.Random(entry["gen_seed"])
     den = 10 ** (entry["digits"] + 30)
     xs = [Fraction(rng.randrange(den // 10, den), den) * rng.choice((1, -1))
@@ -42,7 +46,7 @@ def reference_vector(entry):
         xs[-1] = -sum(c * x for c, x in zip(coeffs[:-1], xs[:-1])) / coeffs[-1]
     digest = sha256_lines(f"{x.numerator}/{x.denominator}" for x in xs)[:16]
     assert digest == entry["digest"], f"{entry['cell']} no longer regenerates"
-    return xs, entry["digits"]
+    return xs, entry["digits"], entry["kind"] == "planted"
 
 
 def reference_vectors():
@@ -57,7 +61,8 @@ def reference_vectors():
 
 def low_digit_vectors():
     """24 seeded vectors at 30, 35 and 40 digits, n = 4..8, half of them
-    with a planted relation of coefficients in [-9, 9]."""
+    with a planted relation of coefficients in [-9, 9]; (xs, digits,
+    planted) each."""
     rng = random.Random(5500)
     out = []
     for i in range(24):
@@ -68,8 +73,19 @@ def low_digit_vectors():
         if i % 2:
             coeffs = [rng.randint(-9, 9) for _ in range(n - 1)]
             xs[-1] = sum(c * x for c, x in zip(coeffs, xs)) / rng.randint(1, 9)
-        out.append((xs, digits))
+        out.append((xs, digits, bool(i % 2)))
     return out
+
+
+@functools.cache
+def corpus_results():
+    """(xs, planted, lindep result) for every vector of the corpus, run once
+    for both the digest and its semantic twin."""
+    corpus = reference_vectors() + low_digit_vectors()
+    return [
+        (xs, planted, lindep([BigReal(x, Precision(digits)) for x in xs]))
+        for xs, digits, planted in corpus
+    ]
 
 
 def result_line(result) -> str:
@@ -81,11 +97,22 @@ def result_line(result) -> str:
 
 
 def test_lindep_results_keep_every_bit():
-    corpus = reference_vectors() + low_digit_vectors()
-    assert len(corpus) == 80 + 36 + 24
-    results = [
-        lindep([BigReal(x, Precision(digits)) for x in xs]) for xs, digits in corpus
-    ]
+    results = [result for _, _, result in corpus_results()]
+    assert len(results) == 80 + 36 + 24
     low = results[-24:]
     assert any(r.found for r in low) and not all(r.found for r in low)
     assert sha256_lines(result_line(r) for r in results) == RESULTS_SHA256
+
+
+def test_lindep_results_keep_the_relation_contract():
+    # the digest's semantic twin: each planted vector gets back a relation
+    # that holds exactly over Q on the exact inputs, not only to the working
+    # precision, and each relation-free vector gets none, whatever the bits
+    # of the residual and the bound
+    planted = [(xs, r) for xs, p, r in corpus_results() if p]
+    free = [r for _, p, r in corpus_results() if not p]
+    assert len(planted) == 80 + 12 and len(free) == 36 + 12
+    for xs, result in planted:
+        assert result.found, xs
+        assert sum(c * x for c, x in zip(result.coefficients, xs, strict=True)) == 0, xs
+    assert not any(result.found for result in free)

@@ -8,8 +8,9 @@ are its raw float in libmp's layout, the tuple (sign, mantissa, exponent,
 bitcount) that ``conftest.libmp_raw`` makes of the ``_v`` pair (signed
 mantissa, exponent), so the digests taken on that layout still apply.  The
 value digest has a semantic twin: each pinned value within the digit
-contract of its reference, which holds also for a change that moves bits on
-purpose."""
+contract of its reference, and so does the closed-form digest: each closed
+form within a measured bound of itself at 30 more digits.  The twins hold
+also for a change that moves bits on purpose."""
 
 import functools
 import hashlib
@@ -98,11 +99,29 @@ def closed_form_values(prec):
     yield delta_12(prec)
 
 
+@functools.cache
+def closed_forms():
+    """(precision, values) at 30, 50 and 200 digits, evaluated once for both
+    the digest and its semantic twin."""
+    return [(prec, list(closed_form_values(prec))) for prec in map(Precision, (30, 50, 200))]
+
+
 def test_closed_forms_keep_every_bit():
-    raw = [
-        repr(libmp_raw(value))
-        for digits in (30, 50, 200)
-        for value in closed_form_values(Precision(digits))
-    ]
+    raw = [repr(libmp_raw(value)) for _, values in closed_forms() for value in values]
     assert len(raw) == 159
     assert sha256_lines(raw) == CLOSED_FORMS_SHA256
+
+
+def test_closed_forms_keep_the_digit_contract():
+    # the digest's semantic twin: each closed form lies within
+    # 10^-(W - 2) max(1, |v|) of the same closed form at 30 more digits, W =
+    # digits + guard the working digits, whatever its bits.  The bound is
+    # measured, not derived: the worst case is 9.0 10^-W, t5(4, 3) at 30
+    # digits, a value of about -3.2e-6 whose O(1) terms cancel.  A bound
+    # derived from each form's operations is left to the closed-form rows.
+    for prec, values in closed_forms():
+        finer = closed_form_values(Precision(prec.digits + 30))
+        for n, (value, ref) in enumerate(zip(values, finer, strict=True)):
+            ref = ref.to_fraction()
+            bound = Fraction(1, 10 ** (prec.working_dps - 2)) * max(1, abs(ref))
+            assert abs(value.to_fraction() - ref) < bound, (prec.digits, n)
