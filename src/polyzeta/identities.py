@@ -17,7 +17,9 @@ All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
 form parameters) or `SpecProduct`s (products of specs, from reversal
-reductions); every one of them can be evaluated.
+reductions); every one of them can be evaluated.  A spec, a product and a
+sum each keep their text from its first render, so a render joins texts
+already made.
 
 Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
@@ -31,29 +33,41 @@ which skips the keying and the sort.
 The shuffle and stuffle products count instead of listing: a dynamic
 program over the (i, j) states (i letters of one factor and j of the other
 consumed) maps each distinct prefix to its multiplicity, so merged paths
-are added once, not walked one by one.  Shuffle words are base-k ints of
-letter codes ranked by (numerator, denominator), so their int order is the
-`_body_key` order; stuffle prefixes are exponent strings in the catalog and
-(exponent, base) letter strings outside it.
-
-`identity_catalog` keeps one spec table per build: each convergent string
-gets one zeta spec and one word, which its duality, stuffle, shuffle and
-reversal identities share, so each spec is built, keyed and rendered once.
+are added once, not walked one by one.  Prefixes are ints, so a step is a
+multiply-add.  Shuffle words are base-k ints of letter codes ranked by
+(numerator, denominator), so their int order is the `_body_key` order;
+stuffle prefixes are base-radix ints of exponents, a zeta string's rank
+(below), or of letter codes decoded at the end when the letters carry
+bases.  Both DPs run column by column over the right factor and can hold
+their columns from one call to the next, so the catalog, which pairs each
+left factor with its right factors in order, computes each column once per
+shared prefix.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
-algebra over the formal symbol T = "zeta(1)".  A T-polynomial is such a
-dict, keyed by (degree of T, sorted tuple of convergent zeta exponent
-strings), with int coefficients: each polynomial is kept scaled by a
-factorial that clears its denominators, and the one division happens when
-the final degree-0 part becomes a `FormalSum`.  Products concatenate and
-sort the factor tuples; sums merge through `_add_term`.  The inclusion-
-exclusion over the cuts of a string into blocks is summed by a prefix DP on
-the last block, O(depth^2) products instead of one per each of the
-2^(depth-1) cuts.  The memos of this algebra (string -> T-polynomial,
-block -> lifted T-polynomial, exponent string -> zeta spec) are plain dicts
-that the caller passes in: `reversal_reduction` makes fresh ones per call,
-and `identity_catalog` makes one set per build and shares it among all its
-reductions.  No memo here outlives the call that made it.
+algebra over the formal symbol T = "zeta(1)", one `_Reversals` object per
+`reversal_reduction` call or catalog build.  Each zeta string enters it as
+its rank, the base-radix int of its exponents, whose int order is the
+specs' `LambdaSpec.key` order; T is the string (1,), of rank 1, below every
+convergent string.  A T-polynomial is a dict keyed by the sorted tuple of
+the ranks of a product's factors, T's once per power, with int
+coefficients: each polynomial is kept scaled by a factorial that clears
+its denominators, and the one division happens when the final degree-0
+part becomes a `FormalSum`.  Products concatenate and sort the rank
+tuples; sums merge through `_add_term`.  The inclusion-exclusion over the
+cuts of a string into blocks is summed by a prefix DP on the last block,
+O(depth^2) products instead of one per each of the 2^(depth-1) cuts, and
+the DP's rows for a prefix are kept for the next string that shares it.
+The emitted terms sort by (count, ranks) as ints, and each distinct
+product becomes one `SpecProduct` per algebra.  The algebra's memos
+(string -> T-polynomial, block -> lifted T-polynomial, rank -> zeta spec,
+ranks -> product) live as long as the object, so no memo here outlives
+the call that made it.
+
+`identity_catalog` keeps one spec table per build: each convergent string
+gets one rank, one zeta spec and one word with its text, which its
+duality, stuffle, shuffle and reversal identities share, so each spec and
+each product is built, keyed and rendered once, and a shuffle side's text
+is joined from its words' texts as the side is built.
 
 Exponent strings enter through `model.int_tuple` and bases through
 `model.rational`, so a non-integer exponent or a float base raises TypeError
@@ -100,9 +114,13 @@ from .precision import BigReal, Precision, linear_combination, ln, pi
 
 
 class SpecProduct:
-    """A product of lambda values, kept in canonical factor order."""
+    """A product of lambda values, kept in canonical factor order.
 
-    __slots__ = ("factors",)
+    ``_text`` starts as None and keeps `render_formal_sum`'s text of the
+    product from its first use, as `LambdaSpec` keeps its own; it is not
+    part of ==, hash, repr, copy or pickle."""
+
+    __slots__ = ("factors", "_text")
 
     def __new__(cls, factors):
         return cls._sorted(tuple(sorted(factors, key=lambda f: f.key)))
@@ -112,6 +130,7 @@ class SpecProduct:
         """A product of factors already in ``key`` order, unsorted."""
         product = object.__new__(cls)
         _set_factors(product, factors)
+        _set_product_text(product, None)
         return product
 
     def __setattr__(self, name, value):
@@ -130,9 +149,10 @@ class SpecProduct:
         return f"SpecProduct(factors={self.factors!r})"
 
 
-# _sorted binds the slot through its own descriptor, past the __setattr__
-# that refuses assignment
+# _sorted and the first render bind the slots through their own
+# descriptors, past the __setattr__ that refuses assignment
 _set_factors = SpecProduct.factors.__set__
+_set_product_text = SpecProduct._text.__set__
 
 
 def _body_key(body):
@@ -171,9 +191,14 @@ class FormalSum:
     filled whole by the first `evaluate_formal_sum`, so a later evaluation
     only looks values up.  It holds specs, not values, and it is not part
     of ==, hash, repr, copy or pickle.
+
+    ``_text`` keeps `render_formal_sum`'s text from its first use, or from
+    a producer that builds the same text from pieces it already holds, as
+    `identity_catalog` does for its words.  It too is not part of ==, hash,
+    copy or pickle.
     """
 
-    __slots__ = ("terms", "_specs")
+    __slots__ = ("terms", "_specs", "_text")
 
     def __init__(self, terms=()):
         coeffs: dict = {}
@@ -186,6 +211,7 @@ class FormalSum:
             _add_term(coeffs, key, coeff)
         _set_terms(self, tuple((coeffs[key], bodies[key]) for key in sorted(coeffs)))
         _set_specs(self, None)
+        _set_text(self, None)
 
     @classmethod
     def single(cls, body, coeff=1) -> "FormalSum":
@@ -194,13 +220,15 @@ class FormalSum:
         return cls(((coeff, body),))
 
     @classmethod
-    def _canonical(cls, terms) -> "FormalSum":
+    def _canonical(cls, terms, text: str | None = None) -> "FormalSum":
         """A FormalSum of terms that are already canonical: in `_body_key`
         order, merged and nonzero.  For producers that emit them so; it
-        skips the keying and the sort."""
+        skips the keying and the sort.  text, if given, is the sum's
+        `render_formal_sum` text."""
         fs = object.__new__(cls)
         _set_terms(fs, tuple(terms))
         _set_specs(fs, None)
+        _set_text(fs, text)
         return fs
 
     def __setattr__(self, name, value):
@@ -238,10 +266,11 @@ class FormalSum:
 
 
 # __init__ and _canonical bind the slots through their own descriptors,
-# past the __setattr__ that refuses assignment, and so does the first
-# evaluation that resolves a sum's bodies
+# past the __setattr__ that refuses assignment, and so do the first
+# evaluation that resolves a sum's bodies and the first render
 _set_terms = FormalSum.terms.__set__
 _set_specs = FormalSum._specs.__set__
+_set_text = FormalSum._text.__set__
 
 
 def _render_body(body) -> str:
@@ -249,23 +278,37 @@ def _render_body(body) -> str:
         return format_spec(body)
     if isinstance(body, tuple):
         return "W[" + ",".join(map(str, body)) + "]"
-    if not body.factors:  # a SpecProduct
-        return "1"
-    return "*".join(format_spec(f) for f in body.factors)
+    text = body._text  # a SpecProduct
+    if text is None:
+        text = "*".join(map(format_spec, body.factors)) if body.factors else "1"
+        _set_product_text(body, text)
+    return text
+
+
+def _render_terms(pairs) -> str:
+    """The text of a sum given as (coefficient, body text) pairs: "0" for
+    none, else the terms joined by " + " and " - ", the first sign only if
+    it is "-", and a coefficient of magnitude 1 left out."""
+    parts = []
+    for c, text in pairs:
+        coeff = str(c)  # an int's or a Fraction's text leads with its sign
+        if coeff[0] == "-":
+            parts.append("- " + text if coeff == "-1" else f"- {coeff[1:]}*{text}")
+        else:
+            parts.append("+ " + text if coeff == "1" else f"+ {coeff}*{text}")
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def render_formal_sum(fs: FormalSum) -> str:
-    if not fs.terms:
-        return "0"
-    parts = []
-    for i, (c, body) in enumerate(fs.terms):
-        mag = abs(c)
-        text = _render_body(body) if mag == 1 else f"{mag}*{_render_body(body)}"
-        if i == 0:
-            parts.append(text if c > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(parts)
+    """The sum's text, built once and kept on it."""
+    text = fs._text
+    if text is None:
+        text = _render_terms([(c, _render_body(body)) for c, body in fs.terms])
+        _set_text(fs, text)
+    return text
 
 
 def _body_specs(body) -> tuple:
@@ -291,13 +334,13 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
     if specs is None:
         specs = tuple(_body_specs(body) for _, body in fs.terms)
         _set_specs(fs, specs)
-    return linear_combination(
-        [
-            (coeff, [evaluate_lambda(f, prec) for f in factors])
-            for (coeff, _), factors in zip(fs.terms, specs)
-        ],
-        prec,
-    )
+    terms = []
+    for (coeff, _), factors in zip(fs.terms, specs):
+        if len(factors) == 1:  # a lone factor is passed as its value
+            terms.append((coeff, evaluate_lambda(factors[0], prec)))
+        else:
+            terms.append((coeff, [evaluate_lambda(f, prec) for f in factors]))
+    return linear_combination(terms, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +348,7 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
-def _stuffle_counts(s, t, bases=None) -> dict:
+def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     """The interleave/merge paths of the exponent strings s and t, counted:
     a dict from each distinct letter string to its number of paths.
 
@@ -314,37 +357,79 @@ def _stuffle_counts(s, t, bases=None) -> dict:
     the (i, j) state (i letters of s and j of t consumed) emits the letter
     e, its exponent, or, when bases is the pair (a, b) of base strings of s
     and t, the letter (e, A[i] * B[j]), A and B being a and b behind a
-    leading 1 (the empty product).  States run row by row from (0, 0); each
-    maps every distinct prefix to its multiplicity, so paths that agree so
-    far are merged at once.
+    leading 1 (the empty product).  Each state maps every distinct prefix
+    to its multiplicity, so paths that agree so far are merged at once.
+
+    A prefix is kept as its code, the base-radix int of its letters' codes,
+    each in 1..radix-1, so a step is one multiply-add.  Without bases an
+    exponent is its own code: radix (by default one more than the weight of
+    s and t) exceeds every exponent a merge makes, the result is keyed by
+    the codes, and a zeta string's code is its `_Reversals` rank of that
+    radix.  With bases a letter's code is its place in a table of the
+    letters met, and the result is keyed by the letter strings, decoded.
+
+    States run column by column, column j holding the states of that j.
+    Column j depends on s and t[:j] alone, so ``held``, a list
+    [t, columns] that a caller keeps over its calls with one s and no
+    bases, carries the columns of the last t over, and a call starts after
+    the prefix that its t shares with that one.
     """
     m, n = len(s), len(t)
-    if bases is not None:
-        a, b = bases
-        table = [[x * y for y in (1,) + b] for x in (1,) + a]
-    above: list = []
-    for i in range(m + 1):
-        row: list = []
-        for j in range(n + 1):
-            if i == j == 0:
-                row.append({(): 1})
-                continue
-            steps = []
-            if i:
-                steps.append((s[i - 1], above[j]))
-                if j:
-                    steps.append((s[i - 1] + t[j - 1], above[j - 1]))
-            if j:
-                steps.append((t[j - 1], row[j - 1]))
-            out: dict = {}
-            for e, heads in steps:
-                letter = (e if bases is None else (e, table[i][j]),)
+    if bases is None:
+        code = None  # an exponent is its own code
+        if radix is None:
+            radix = sum(s) + sum(t) + 1
+    else:
+        aa, bb = (1,) + tuple(bases[0]), (1,) + tuple(bases[1])
+        table: dict = {}  # letter -> its code, from 1 in the order met
+        radix = 3 * (m + 1) * (n + 1) + 1  # more than the letters a DP meets
+
+        def code(e, i, j):
+            return table.setdefault((e, aa[i] * bb[j]), len(table) + 1)
+
+    last, columns = held if held is not None else ((), [])
+    common = 0
+    while common < min(n, len(last)) and t[common] == last[common]:
+        common += 1
+    del columns[common + 1:]
+    if not columns:  # column 0: the states that consumed s alone
+        column = [{0: 1}]
+        for i in range(1, m + 1):
+            x = s[i - 1] if code is None else code(s[i - 1], i, 0)
+            column.append({head * radix + x: c for head, c in column[i - 1].items()})
+        columns.append(column)
+    for j in range(common + 1, n + 1):
+        before, f = columns[j - 1], t[j - 1]
+        z = f if code is None else code(f, 0, j)
+        column = [{head * radix + z: c for head, c in before[0].items()}]
+        for i in range(1, m + 1):
+            e = s[i - 1]
+            if code is None:
+                x, y, z = e, e + f, f
+            else:
+                x, y, z = code(e, i, j), code(e + f, i, j), code(f, i, j)
+            out = {head * radix + x: c for head, c in column[i - 1].items()}
+            get = out.get
+            for heads, letter in ((before[i - 1], y), (before[i], z)):
                 for head, c in heads.items():
-                    key = head + letter
-                    out[key] = out.get(key, 0) + c
-            row.append(out)
-        above = row
-    return above[n]
+                    key = head * radix + letter
+                    out[key] = get(key, 0) + c
+            column.append(out)
+        columns.append(column)
+    if held is not None:
+        held[0] = t
+    counts = columns[n][m]
+    if code is None:
+        return counts
+    letters = [None, *table]
+    out = {}
+    for key, c in counts.items():
+        string = []
+        while key:
+            key, x = divmod(key, radix)
+            string.append(letters[x])
+        out[tuple(reversed(string))] = c
+    return out
 
 
 def stuffle_identity(u: LambdaSpec, v: LambdaSpec) -> FormalSum:
@@ -386,37 +471,47 @@ def rational_stuffle_check(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _shuffle_counts(c1, c2, k: int) -> dict:
+def _shuffle_counts(c1, c2, k: int, held=None) -> dict:
     """The interleavings of two strings of letter codes 0..k-1, counted: a
     dict from each distinct word's code to its multiplicity.
 
     A word's code is the base-k int of its letter codes behind a leading
     digit 1, so words of equal length compare as ints in the order of their
     code strings.  States (i, j), i letters of c1 and j of c2 consumed, run
-    row by row from (0, 0); each maps every distinct prefix code to its
-    multiplicity, so the work follows the distinct prefixes, not the
-    C(len(c1) + len(c2), len(c1)) interleavings.
+    column by column, column j holding the states of that j; each maps
+    every distinct prefix code to its multiplicity, so the work follows the
+    distinct prefixes, not the C(len(c1) + len(c2), len(c1)) interleavings.
+    Column j depends on c1 and c2[:j] alone, so ``held``, a list
+    [c2, columns] that a caller keeps over its calls with one c1, carries
+    the columns of the last c2 over, as in `_stuffle_counts`.
     """
-    above: list = []
-    for i in range(len(c1) + 1):
-        row: list = []
-        for j in range(len(c2) + 1):
-            if i == j == 0:
-                row.append({1: 1})
-                continue
-            out: dict = {}
-            if i:
-                a = c1[i - 1]
-                for head, c in above[j].items():
-                    out[head * k + a] = c
-            if j:
-                a = c2[j - 1]
-                for head, c in row[j - 1].items():
-                    key = head * k + a
-                    out[key] = out.get(key, 0) + c
-            row.append(out)
-        above = row
-    return above[len(c2)]
+    m, n = len(c1), len(c2)
+    last, columns = held if held is not None else ((), [])
+    common = 0
+    while common < min(n, len(last)) and c2[common] == last[common]:
+        common += 1
+    del columns[common + 1:]
+    if not columns:  # column 0: the states that consumed c1 alone
+        column = [{1: 1}]
+        for i in range(1, m + 1):
+            a = c1[i - 1]
+            column.append({head * k + a: c for head, c in column[i - 1].items()})
+        columns.append(column)
+    for j in range(common + 1, n + 1):
+        before, b = columns[j - 1], c2[j - 1]
+        column = [{head * k + b: c for head, c in before[0].items()}]
+        for i in range(1, m + 1):
+            a = c1[i - 1]
+            out = {head * k + a: c for head, c in column[i - 1].items()}
+            get = out.get
+            for head, c in before[i].items():
+                key = head * k + b
+                out[key] = get(key, 0) + c
+            column.append(out)
+        columns.append(column)
+    if held is not None:
+        held[0] = c2
+    return columns[n][m]
 
 
 def shuffle_words(w1, w2) -> FormalSum:
@@ -590,6 +685,63 @@ def delta_mu_dual(s) -> tuple[int, LambdaSpec]:
 # ---------------------------------------------------------------------------
 
 
+class _Reversals:
+    """The reversal algebra of one `reversal_reduction` call or of one
+    catalog build: the rank code of its zeta strings and its memos.
+
+    A nonempty zeta exponent string enters the algebra as its rank, the
+    base-``radix`` int of its exponents.  ``radix`` exceeds every exponent
+    of the strings reduced, their weight bound, so no digit is 0: a deeper
+    string has the larger rank, and strings of one depth compare as their
+    exponents do.  Rank order is therefore `LambdaSpec.key` order on zeta
+    specs, and T = "zeta(1)", the string (1,), has rank 1, below every
+    convergent string.  ``polys`` maps each string to its T-polynomial
+    (`_regularize_string`), ``lifts`` each block to its lift (`_lift`),
+    ``specs`` each rank to its zeta spec (the catalog fills it first from
+    its spec table, a lone reduction as ranks come out) and ``products``
+    each sorted rank tuple to its `SpecProduct`, so within one algebra each
+    spec and each product is built once.  ``rows`` are the prefix DP's
+    rows of ``last``, the string reduced last (`_reversal_reduction`).
+    """
+
+    __slots__ = ("radix", "polys", "lifts", "specs", "products", "last", "rows")
+
+    def __init__(self, radix: int):
+        self.radix = radix
+        self.polys: dict = {}
+        self.lifts: dict = {}
+        self.specs: dict = {}
+        self.products: dict = {}
+        self.last: tuple = ()
+        self.rows: list = [{(): 1}]
+
+    def rank(self, s: tuple[int, ...]) -> int:
+        """The rank of the exponent string s."""
+        r = 0
+        for e in s:
+            r = r * self.radix + e
+        return r
+
+    def spec(self, r: int) -> LambdaSpec:
+        """The zeta spec of rank r, decoded from its digits on first use."""
+        spec = self.specs.get(r)
+        if spec is None:
+            exponents, rest = [], r
+            while rest:
+                rest, e = divmod(rest, self.radix)
+                exponents.append(e)
+            spec = self.specs[r] = zeta_spec(*reversed(exponents))
+        return spec
+
+    def product(self, ranks: tuple[int, ...]) -> "SpecProduct":
+        """The product of the specs of sorted ranks, built on first use."""
+        product = self.products.get(ranks)
+        if product is None:
+            product = SpecProduct._sorted(tuple(map(self.spec, ranks)))
+            self.products[ranks] = product
+        return product
+
+
 def _t_accumulate(out: dict, p: dict, factor) -> None:
     """out += factor * p for T-polynomials."""
     for key, c in p.items():
@@ -597,12 +749,11 @@ def _t_accumulate(out: dict, p: dict, factor) -> None:
 
 
 def _t_mul(out: dict, p: dict, q: dict, factor: int) -> None:
-    """out += factor * p * q for T-polynomials: degrees add, factor strings
-    merge."""
-    for (d1, f1), c1 in p.items():
+    """out += factor * p * q for T-polynomials: the rank tuples merge."""
+    for f1, c1 in p.items():
         c1 *= factor
-        for (d2, f2), c2 in q.items():
-            _add_term(out, (d1 + d2, tuple(sorted(f1 + f2))), c1 * c2)
+        for f2, c2 in q.items():
+            _add_term(out, tuple(sorted(f1 + f2)), c1 * c2)
 
 
 def _leading_ones(s: tuple[int, ...]) -> int:
@@ -613,15 +764,16 @@ def _leading_ones(s: tuple[int, ...]) -> int:
     return n
 
 
-def _regularize_string(s: tuple[int, ...], memo: dict) -> dict:
+def _regularize_string(s: tuple[int, ...], alg: _Reversals) -> dict:
     """L(s)! times the zeta string s (possibly with leading 1s) as a
     polynomial in the formal divergent symbol T = "zeta(1)", with convergent
     coefficients; L(s) is the number of leading 1s of s.
 
-    The polynomial is a dict mapping (degree of T, sorted tuple of convergent
-    zeta exponent strings) to the int coefficient of that product; zero
-    coefficients are never stored.  Results are kept in ``memo``, keyed by
-    s alone, which the caller scopes to one reduction or one catalog build.
+    The polynomial is a dict mapping the sorted tuple of the ranks of a
+    product's factors, T's rank 1 once per power of T, to the int
+    coefficient of that product; zero coefficients are never stored.
+    Results are kept in ``alg.polys``, keyed by s, for the life of the
+    algebra: one reduction or one catalog build.
 
     Uses the exact product expansion of T with the tail string w = s[1:]:
     inserting the 1 at any slot or merging it into an entry.  Insertions
@@ -636,44 +788,43 @@ def _regularize_string(s: tuple[int, ...], memo: dict) -> dict:
     common truncation of the underlying sums, so substituting the results
     back preserves exact identities.
     """
+    out = alg.polys.get(s)
+    if out is not None:
+        return out
     if not s or s[0] != 1:
-        return {(0, (s,) if s else ()): 1}
-    if s in memo:
-        return memo[s]
+        out = alg.polys[s] = {(alg.rank(s),) if s else (): 1}
+        return out
     w = s[1:]
     lead = _leading_ones(w)
-    out = {
-        (degree + 1, factors): c
-        for (degree, factors), c in _regularize_string(w, memo).items()
-    }
+    # T's rank 1 is the least, so it goes in front of each sorted tuple
+    out = {(1,) + ranks: c for ranks, c in _regularize_string(w, alg).items()}
     for i in range(lead + 1, len(w) + 1):
-        _t_accumulate(out, _regularize_string(w[:i] + (1,) + w[i:], memo), -1)
+        _t_accumulate(out, _regularize_string(w[:i] + (1,) + w[i:], alg), -1)
     for i in range(len(w)):
         merged = w[:i] + (w[i] + 1,) + w[i + 1:]
         scale = perm(lead, lead - i) if i < lead else 1  # lead! / L(merged)!
-        _t_accumulate(out, _regularize_string(merged, memo), -scale)
-    memo[s] = out
+        _t_accumulate(out, _regularize_string(merged, alg), -scale)
+    alg.polys[s] = out
     return out
 
 
-def _lift(block: tuple[int, ...], memo: dict, lifts: dict) -> dict:
+def _lift(block: tuple[int, ...], alg: _Reversals) -> dict:
     """len(block)! times the T-polynomial of block's weak-chain expansion,
-    kept in ``lifts``; every chain has at most len(block) leading 1s."""
-    lifted = lifts.get(block)
+    kept in ``alg.lifts``; every chain has at most len(block) leading 1s."""
+    lifted = alg.lifts.get(block)
     if lifted is None:
         n = factorial(len(block))
         lifted = {}
         for chain in _weak_chains(block):
             scale = n // factorial(_leading_ones(chain))
-            _t_accumulate(lifted, _regularize_string(chain, memo), scale)
-        lifts[block] = lifted
+            _t_accumulate(lifted, _regularize_string(chain, alg), scale)
+        alg.lifts[block] = lifted
     return lifted
 
 
-def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
-    """`reversal_reduction` of a checked exponent string s, with the
-    caller's memos: ``memo`` for `_regularize_string`, ``lifts`` for
-    `_lift` and ``specs``, exponent string -> zeta spec, for the factors.
+def _reversal_reduction(s, alg: _Reversals) -> FormalSum:
+    """`reversal_reduction` of a checked exponent string s in the algebra
+    alg, whose radix exceeds the weight of s.
 
     The inclusion-exclusion runs over the cuts of s into consecutive blocks
     (the maximal runs of constrained indices), a cut into b blocks signed
@@ -684,41 +835,37 @@ def _reversal_reduction(s, memo: dict, lifts: dict, specs: dict) -> FormalSum:
     instead of one per each of the 2^(k - 1) cuts.  The one-block term, the
     fully constrained chain, holds the reversed string, which moves to the
     left-hand side.  The algebra runs on ints and divides by k! once, when
-    the degree-0 part becomes a FormalSum, whose terms are emitted in
-    canonical order.
+    the degree-0 part becomes a FormalSum: its rank tuples sorted by
+    (count, ranks) are the canonical order of its products.
     """
     k = len(s)
     scale = factorial(k)
-    g = [{(0, ()): 1}]
-    for i in range(1, k + 1):
-        g.append({})
+    # g[i] depends on s[:i] alone: keep the rows of the prefix that s shares
+    # with the string reduced last
+    g, last = alg.rows, alg.last
+    common = 0
+    while common < min(k, len(last)) and s[common] == last[common]:
+        common += 1
+    del g[common + 1:]
+    for i in range(common + 1, k + 1):
+        gi: dict = {}
         for j in range(i):
             c = comb(i, j)
-            _t_mul(g[i], g[j], _lift(s[j:i], memo, lifts), c if (i - j) % 2 else -c)
-    total = g[k]
+            _t_mul(gi, g[j], _lift(s[j:i], alg), c if (i - j) % 2 else -c)
+        g.append(gi)
+    alg.last = s
+    total = dict(g[k])
     # the reversed string starts with s[-1] >= 2, so its own scale is 0! = 1
-    _t_accumulate(total, _regularize_string(s[::-1], memo), -scale if k % 2 else scale)
-    bad = {key: c for key, c in total.items() if key[0] != 0}
+    _t_accumulate(total, _regularize_string(s[::-1], alg), -scale if k % 2 else scale)
+    # T's rank 1 is the least, so a surviving power of T leads its tuple
+    bad = {ranks: c for ranks, c in total.items() if ranks and ranks[0] == 1}
     if bad:  # an explicit raise, so that python -O keeps the check
         raise AssertionError(f"divergent degrees failed to cancel: {bad}")
-    # rank the factor strings by their specs' keys, so that each term's
-    # sorted ranks give its factor order and, by (count, ranks), its place
-    found = {f for _, factors in total for f in factors}
-    for f in found - specs.keys():
-        specs[f] = zeta_spec(*f)
-    strings = sorted(found, key=lambda f: specs[f].key)
-    rank = {f: n for n, f in enumerate(strings)}
-    ranked = [specs[f] for f in strings]
     terms = []
-    for (_, factors), c in total.items():
-        ranks = tuple(sorted(map(rank.__getitem__, factors)))
+    for _, ranks, c in sorted((len(ranks), ranks, c) for ranks, c in total.items()):
         q, r = divmod(c, scale)
-        terms.append((len(ranks), ranks, Fraction(c, scale) if r else q))
-    terms.sort()
-    return FormalSum._canonical(
-        (coeff, SpecProduct._sorted(tuple(map(ranked.__getitem__, ranks))))
-        for _, ranks, coeff in terms
-    )
+        terms.append((Fraction(c, scale) if r else q, alg.product(ranks)))
+    return FormalSum._canonical(terms)
 
 
 def reversal_reduction(s) -> FormalSum:
@@ -733,14 +880,14 @@ def reversal_reduction(s) -> FormalSum:
     divergent degrees provably cancel (a leftover raises AssertionError,
     under python -O too).  The algebra runs on plain dicts of ints, scaled
     by depth!; only the degree-0 result is divided and becomes a FormalSum.
-    Each call makes its own memos.
+    Each call makes its own algebra.
     """
     s = int_tuple(s)
     if not s or s[0] < 2 or s[-1] < 2:
         raise DivergenceError(
             "reversal reduction needs first and last exponents >= 2"
         )
-    return _reversal_reduction(s, {}, {}, {})
+    return _reversal_reduction(s, _Reversals(sum(s) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +1020,14 @@ class Identity(NamedTuple):
     rhs: FormalSum
 
     def to_json(self) -> str:
-        import json  # only the export writes JSON; an eval never loads it
+        """One JSON object with the keys lhs, rhs and tag, byte for byte as
+        ``json.dumps(..., sort_keys=True)`` writes it: json's own string
+        quoting, its default separators, keys in sorted order."""
+        # only the export writes JSON; an eval never loads it
+        from json.encoder import encode_basestring_ascii as quote
 
-        return json.dumps(
-            {
-                "lhs": render_formal_sum(self.lhs),
-                "rhs": render_formal_sum(self.rhs),
-                "tag": self.tag,
-            },
-            sort_keys=True,
-        )
+        lhs, rhs = quote(render_formal_sum(self.lhs)), quote(render_formal_sum(self.rhs))
+        return f'{{"lhs": {lhs}, "rhs": {rhs}, "tag": {quote(self.tag)}}}'
 
 
 def _convergent_strings(max_weight: int):
@@ -914,54 +1059,75 @@ def identity_catalog(max_weight: int) -> list[Identity]:
     """Deterministic identity corpus up to a weight bound.
 
     One spec table per build: every convergent string of weight <=
-    max_weight gets one zeta spec and one word, and the duality, stuffle,
-    shuffle and reversal identities all take their bodies from it, so each
-    spec is built, keyed and rendered once.  Every body of every identity is
-    in the table: products, duals and reversals of these strings are
-    convergent strings of no larger weight.  Each identity is emitted in
-    canonical form.
+    max_weight gets one rank in the build's `_Reversals` algebra, one zeta
+    spec and one word, and the duality, stuffle, shuffle and reversal
+    identities all take their bodies from it, so each spec is built, keyed
+    and rendered once, and so is each product, through the algebra's
+    product table.  Every body of every identity is in the table: products,
+    duals and reversals of these strings are convergent strings of no
+    larger weight.  Each side is emitted in canonical order, sorted by rank
+    or word code.
     """
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
     identities: list[Identity] = []
     strings = _convergent_strings(max_weight)
 
-    specs = {s: zeta_spec(*s) for s in strings}
+    alg = _Reversals(max_weight + 1)
+    rank = {s: alg.rank(s) for s in strings}
+    specs = alg.specs
+    for s in strings:
+        specs[rank[s]] = zeta_spec(*s)
     letters = {s: _zeta_letters(s) for s in strings}
-    words = {  # word code -> (exponent string, word)
-        _word_code(c): (s, tuple(_LETTERS[x] for x in c)) for s, c in letters.items()
+    words = {  # word code -> (exponent string, word, the word's text)
+        _word_code(c): (s, tuple(_LETTERS[x] for x in c), "W[" + ",".join(map(str, c)) + "]")
+        for s, c in letters.items()
     }
+
+    def one(spec) -> FormalSum:
+        return FormalSum._canonical(((1, spec),))
 
     for s in strings:
         # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
-        dual, _ = words[_word_code(tuple(1 - c for c in reversed(letters[s])))]
+        dual = words[_word_code(tuple(1 - c for c in reversed(letters[s])))][0]
         if dual > s:  # emit each dual pair once
-            lhs, rhs = FormalSum.single(specs[s]), FormalSum.single(specs[dual])
-            identities.append(Identity("duality", lhs, rhs))
+            identities.append(Identity("duality", one(specs[rank[s]]), one(specs[rank[dual]])))
 
     weights = [sum(s) for s in strings]
     # light[b]: the indices of the strings of weight <= b, ascending
     light = {b: [j for j, w in enumerate(weights) if w <= b] for b in range(max_weight)}
     for i, u in enumerate(strings):
         js = light[max_weight - weights[i]]
+        ru = rank[u]
+        # the right factors come in order, so the DPs hold their columns
+        stuffles: list = [(), []]
+        shuffles: list = [(), []]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
-            lhs = FormalSum.single(SpecProduct((specs[u], specs[v])))
-            counts = _stuffle_counts(u, v)
-            rhs = FormalSum._canonical(
-                (counts[x], specs[x]) for x in sorted(counts, key=lambda x: specs[x].key)
-            )
+            rv = rank[v]
+            lhs = one(alg.product((ru, rv) if ru <= rv else (rv, ru)))
+            # keyed by ranks: the radix is the algebra's
+            counts = _stuffle_counts(u, v, radix=alg.radix, held=stuffles)
+            rhs = FormalSum._canonical([(counts[r], specs[r]) for r in sorted(counts)])
             identities.append(Identity("stuffle", lhs, rhs))
-            counts = _shuffle_counts(letters[u], letters[v], 2)
-            rhs = FormalSum._canonical((counts[x], words[x][1]) for x in sorted(counts))
+            counts = _shuffle_counts(letters[u], letters[v], 2, shuffles)
+            terms = [(counts[x], words[x]) for x in sorted(counts)]
+            rhs = FormalSum._canonical(
+                [(n, word) for n, (_, word, _) in terms],
+                _render_terms([(n, text) for n, (_, _, text) in terms]),
+            )
             identities.append(Identity("shuffle", lhs, rhs))
 
-    memo: dict = {}  # one regularization memo and one lift memo per build
-    lifts: dict = {}
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
-            lhs = FormalSum(((1, specs[s]), ((-1) ** len(s), specs[s[::-1]])))
-            rhs = _reversal_reduction(s, memo, lifts, specs)
-            identities.append(Identity("reversal", lhs, rhs))
+            r, back = rank[s], rank[s[::-1]]
+            sign = (-1) ** len(s)
+            if r == back:  # a palindrome: 2 zeta(s) or 0
+                lhs = FormalSum._canonical(((2, specs[r]),) if sign > 0 else ())
+            elif r < back:
+                lhs = FormalSum._canonical(((1, specs[r]), (sign, specs[back])))
+            else:
+                lhs = FormalSum._canonical(((sign, specs[back]), (1, specs[r])))
+            identities.append(Identity("reversal", lhs, _reversal_reduction(s, alg)))
 
     return identities
 

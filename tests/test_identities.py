@@ -847,15 +847,19 @@ def test_divergent_string_regularization_is_truncation_exact():
     # T instantiated as the truncated harmonic number, both sides agree as
     # rationals, including strings with repeated leading 1s; the int
     # polynomial of a string with L leading 1s is L! times its value
-    from polyzeta.identities import _leading_ones, _regularize_string
+    from polyzeta.identities import _leading_ones, _regularize_string, _Reversals
 
     cap = 14
     harmonic = sum((F(1, n) for n in range(1, cap + 1)), F(0))
     for entries in [(1, 2), (1, 3, 2), (1, 1, 2), (1, 1, 1, 2), (1, 2, 1, 3)]:
         lhs = _truncated_zeta(entries, cap) * factorial(_leading_ones(entries))
         rhs = F(0)
-        # keys are (degree of T, sorted convergent factor strings)
-        for (degree, factors), coeff in _regularize_string(entries, {}).items():
+        radix = sum(entries) + 1
+        # keys are the sorted ranks of the factors, T = zeta(1) being rank 1
+        for ranks, coeff in _regularize_string(entries, _Reversals(radix)).items():
+            assert list(ranks) == sorted(ranks)
+            degree = ranks.count(1)
+            factors = [_unrank(r, radix) for r in ranks[degree:]]
             assert all(f and f[0] != 1 for f in factors)
             assert type(coeff) is int
             prod = F(coeff)
@@ -863,6 +867,31 @@ def test_divergent_string_regularization_is_truncation_exact():
                 prod *= _truncated_zeta(factor, cap)
             rhs += harmonic ** degree * prod
         assert lhs == rhs, entries
+
+
+def _unrank(r: int, radix: int) -> tuple:
+    """The zeta exponent string whose base-radix digits r holds."""
+    digits = []
+    while r:
+        r, e = divmod(r, radix)
+        digits.append(e)
+    return tuple(reversed(digits))
+
+
+def test_ranks_follow_the_spec_key_order():
+    # a rank is the base-radix int of the exponents, radix above every
+    # exponent: ranks sort as the zeta specs' keys do, and T = zeta(1) has
+    # the least rank, 1
+    from polyzeta.identities import _Reversals
+
+    alg = _Reversals(9)
+    strings = identities._convergent_strings(8)
+    ranked = sorted(strings, key=alg.rank)
+    assert ranked == sorted(strings, key=lambda s: zeta_spec(*s).key)
+    assert alg.rank((1,)) == 1 < min(map(alg.rank, strings))
+    for s in strings:
+        assert _unrank(alg.rank(s), 9) == s
+        assert alg.spec(alg.rank(s)) == zeta_spec(*s)
 
 
 def _truncated_formal_sum(fs, cap: int, cache: dict) -> F:
@@ -959,7 +988,7 @@ def test_reversal_reduction_palindrome_vanishes(prec30):
 
 def test_reversal_reduction_raises_when_divergent_degrees_survive(monkeypatch):
     # every string regularizing to T leaves T-degree terms that cannot cancel
-    monkeypatch.setattr(identities, "_regularize_string", lambda s, memo: {(1, ()): 1})
+    monkeypatch.setattr(identities, "_regularize_string", lambda s, alg: {(1,): 1})
     with pytest.raises(AssertionError, match="divergent degrees failed to cancel"):
         reversal_reduction((3, 2))
 
@@ -968,7 +997,7 @@ def test_reversal_reduction_cancellation_check_survives_optimize():
     # python -O strips assert statements; the check is an explicit raise
     code = (
         "from polyzeta import identities\n"
-        "identities._regularize_string = lambda s, memo: {(1, ()): 1}\n"
+        "identities._regularize_string = lambda s, alg: {(1,): 1}\n"
         "try:\n"
         "    identities.reversal_reduction((3, 2))\n"
         "except AssertionError as exc:\n"
@@ -1006,10 +1035,10 @@ def test_catalog_regularizes_each_string_once_per_build(monkeypatch):
     regularize = identities._regularize_string
     misses: list = []
 
-    def counting(s, memo):
-        if s and s[0] == 1 and s not in memo:
+    def counting(s, alg):
+        if s and s[0] == 1 and s not in alg.polys:
             misses.append(s)
-        return regularize(s, memo)
+        return regularize(s, alg)
 
     monkeypatch.setattr(identities, "_regularize_string", counting)
     first = [i.to_json() for i in identity_catalog(8)]
@@ -1044,35 +1073,37 @@ def _reversal_by_masks(s) -> FormalSum:
     exclusion sum over all 2^(k-1) constraint masks, each mask a cut of s
     into blocks: the sum that reversal_reduction computes by a prefix DP.
     The T-polynomials are summed and multiplied here, scaled by k!."""
-    from polyzeta.identities import _lift, _regularize_string
+    from polyzeta.identities import _lift, _regularize_string, _Reversals
 
     def times(p, q):
         out = Counter()
-        for (d1, f1), c1 in p.items():
-            for (d2, f2), c2 in q.items():
-                out[d1 + d2, tuple(sorted(f1 + f2))] += c1 * c2
+        for f1, c1 in p.items():
+            for f2, c2 in q.items():
+                out[tuple(sorted(f1 + f2))] += c1 * c2
         return out
 
     k = len(s)
     scale = factorial(k)
-    memo, lifts = {}, {}
+    radix = sum(s) + 1
+    alg = _Reversals(radix)
     total = Counter()
     for mask in range(1 << (k - 1)):
         blocks = _blocks(s, mask)
-        piece = {(0, ()): scale // prod(factorial(len(b)) for b in blocks)}
+        piece = {(): scale // prod(factorial(len(b)) for b in blocks)}
         for block in blocks:
-            lifted = Counter(_lift(block, memo, lifts))
+            lifted = Counter(_lift(block, alg))
             if len(block) == k:  # the reversed string moves to the left
-                for key, c in _regularize_string(s[::-1], memo).items():
+                for key, c in _regularize_string(s[::-1], alg).items():
                     lifted[key] -= scale * c
             piece = times(piece, lifted)
         sign = -1 if bin(mask).count("1") % 2 else 1
         for key, c in piece.items():
             total[key] += sign * c
-    assert all(degree == 0 for (degree, _), c in total.items() if c)
+    # no power of T, whose rank is 1, survives
+    assert all(1 not in ranks for ranks, c in total.items() if c)
     return FormalSum(
-        (F(c, scale), SpecProduct(tuple(zeta_spec(*f) for f in factors)))
-        for (_, factors), c in total.items()
+        (F(c, scale), SpecProduct(tuple(zeta_spec(*_unrank(r, radix)) for r in ranks)))
+        for ranks, c in total.items()
     )
 
 
@@ -1251,6 +1282,99 @@ def test_catalog_builds_each_spec_once():
     for body in second:
         assert again.setdefault(body, body) is body
     assert not {id(b) for b in table.values()} & {id(b) for b in again.values()}
+
+
+def test_catalog_builds_each_product_and_its_text_once():
+    # the stuffle and shuffle left sides and the reversal right sides take
+    # their products from one table per build: equal products are one
+    # object, which renders once and keeps its text, and the next build
+    # makes its own
+    def products(catalog):
+        return [
+            body
+            for ident in catalog
+            for _, body in ident.lhs.terms + ident.rhs.terms
+            if isinstance(body, SpecProduct)
+        ]
+
+    builds = []
+    for _ in range(2):
+        catalog = identity_catalog(8)
+        assert all(p._text is None for p in products(catalog))
+        lines = [ident.to_json() for ident in catalog]
+        table: dict = {}
+        for product in products(catalog):
+            assert table.setdefault(product, product) is product
+            assert product._text == "*".join(map(str, product.factors))
+        # 68 stuffle and shuffle left sides and 131 reversal products, 64
+        # of which are also left sides
+        assert len(table) == 135
+        builds.append((lines, table))
+    (first, one), (second, two) = builds
+    assert first == second and one == two
+    assert not {id(p) for p in one.values()} & {id(p) for p in two.values()}
+    assert not {id(p._text) for p in one.values() if len(p.factors) > 1} & {
+        id(p._text) for p in two.values() if len(p.factors) > 1
+    }
+
+
+def test_catalog_sides_are_canonical_and_render_as_rebuilt():
+    # every side of every weight-10 identity is the canonical sum of its own
+    # terms, and its text, whether the catalog built it from its word texts
+    # or the first render made it, is the text of that rebuilt sum
+    catalog = identity_catalog(10)
+    assert len(catalog) == 1280
+    for ident in catalog:
+        for side in (ident.lhs, ident.rhs):
+            rebuilt = FormalSum(side.terms)
+            assert rebuilt == side and hash(rebuilt) == hash(side)
+            assert rebuilt._text is None
+            assert render_formal_sum(side) == render_formal_sum(rebuilt), ident.tag
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    # the line is assembled from json's own string quoting; it must match
+    # json.dumps with sorted keys byte for byte, escapes included
+    odd = FormalSum([(F(-3, 7), zeta_spec(2)), (1, make_word([F(1, 2), 2]))])
+    for ident in identity_catalog(6) + [identities.Identity('tag "\\ \u00e9\t', odd, FormalSum())]:
+        want = json.dumps(
+            {"lhs": render_formal_sum(ident.lhs), "rhs": render_formal_sum(ident.rhs), "tag": ident.tag},
+            sort_keys=True,
+        )
+        assert ident.to_json() == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dp_columns_held_over_calls_match_fresh_calls(seed):
+    # the stuffle and shuffle DPs keep the columns of the last right factor
+    # and start after the prefix the next one shares; every call must
+    # count what a fresh call counts, in any order of right factors
+    from polyzeta.identities import _shuffle_counts, _stuffle_counts
+
+    rng = random.Random(seed)
+    s = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+    ts = [tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 5))) for _ in range(30)]
+    if seed % 2:  # as the catalog calls them, and in no order
+        ts.sort()
+    stuffles, shuffles = [(), []], [(), []]
+    for t in ts:
+        assert _stuffle_counts(s, t, radix=30, held=stuffles) == _stuffle_counts(s, t, radix=30)
+        c1, c2 = [e % 3 for e in s], [e % 3 for e in t]
+        assert _shuffle_counts(c1, c2, 3, shuffles) == _shuffle_counts(c1, c2, 3)
+
+
+
+def test_stuffle_codes_are_the_ranks_of_the_radix():
+    # without bases the DP keys each string by its code, which is its rank
+    # in the reversal algebra of the same radix; with bases it keys the
+    # letter strings, and both count the same paths
+    from polyzeta.identities import _Reversals, _stuffle_counts
+
+    alg = _Reversals(10)
+    coded = _stuffle_counts((2, 1), (3,), radix=10)
+    lettered = _stuffle_counts((2, 1), (3,), ((1, 1), (1,)))
+    assert coded == {alg.rank(tuple(e for e, _ in x)): n for x, n in lettered.items()}
+    assert sorted(coded) == [alg.rank(s) for s in [(2, 4), (5, 1), (2, 1, 3), (2, 3, 1), (3, 2, 1)]]
 
 
 def test_catalog_sums_resolve_on_first_evaluation(monkeypatch):

@@ -1,6 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternated pairs.
 
 Usage: python tools/pair_bench.py PARENT CHANGE WORKLOAD SEED
+           [--out FILE] [--claim METRIC]
 
 PARENT and CHANGE are checkouts of this repository.  The script runs
 
@@ -20,17 +21,28 @@ range exceeds that bound, which leaves the metric unresolved.
 The last line of stdout is one JSON object: the workload, the seed, the
 run length, each side's metrics run by run, and per metric both sides'
 quartiles, the wins and the verdict.
+
+With --out FILE that object is also added to the ``runs`` list of FILE, a
+JSON file in the ``BENCH_<n>.json`` layout: ``what``, ``command``,
+``method``, ``facts`` (python version, cores, platform and
+PYTHONDONTWRITEBYTECODE if set), ``claim`` and ``runs``.  A missing FILE
+is created; an existing one keeps its other fields and gains the run.
+--claim METRIC records in ``claim`` that the change claims a gain on
+METRIC of this WORKLOAD; without it a new FILE's claim is null.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 PAIRS = 10
+RULE = "wins >= 9/10 pairs and a median gap above the parent's interquartile range"
 
 
 def _run(checkout: Path, workload: str, seed: str, seconds: int) -> dict:
@@ -52,12 +64,58 @@ def _summary(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _facts() -> dict:
+    facts = {"python": platform.python_version(), "nproc": os.cpu_count(),
+             "platform": platform.platform()}
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        facts["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return facts
+
+
+def _record(path: Path, run: dict, claim: str | None, seconds: int) -> None:
+    """Add run to the BENCH file at path, creating the file if missing."""
+    if path.exists():
+        bench = json.loads(path.read_text(encoding="utf-8"))
+    else:
+        bench = {
+            "what": "end-to-end metrics of perfbench/run.py, parent commit against this"
+                    " change, in alternated pairs, as tools/pair_bench.py's last stdout"
+                    " line; each verdict without a claim is read against the metric's bound",
+            "command": "python3 tools/pair_bench.py PARENT CHANGE <workload> <seed>"
+                       " --out <this file>",
+            "method": "both checkouts side by side; each pair runs parent and change once,"
+                      " alternating which runs first, each run python3 perfbench/run.py"
+                      f" --workload <workload> --seconds {seconds} --seed <seed>; quartiles"
+                      " by statistics.quantiles (exclusive method) over the pairs; a win is"
+                      " a pair where the change reads better, ties count for neither",
+            "facts": _facts(),
+            "claim": None,
+            "runs": [],
+        }
+    if claim is not None:
+        bench["claim"] = {"workload": run["workload"], "metric": claim, "rule": RULE}
+    bench["runs"].append(run)
+    path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 4:
+    options = {"--out": None, "--claim": None}
+    args = []
+    it = iter(argv)
+    for arg in it:
+        if arg in options:
+            options[arg] = next(it, None)
+            if options[arg] is None:
+                sys.exit(__doc__)
+        else:
+            args.append(arg)
+    if len(args) != 4:
         sys.exit(__doc__)
-    parent, change = Path(argv[0]), Path(argv[1])
-    workload, seed = argv[2], argv[3]
+    parent, change = Path(args[0]), Path(args[1])
+    workload, seed = args[2], args[3]
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if options["--claim"] not in (None, *(m["name"] for m in spec["end_to_end"])):
+        sys.exit(f"--claim: no end-to-end metric {options['--claim']!r}")
     seconds = spec["run_seconds"]
     runs = {parent: [], change: []}
     for i in range(PAIRS):
@@ -89,9 +147,12 @@ def main(argv: list[str]) -> int:
         summary[name] = {"parent_q1_median_q3": [p1, pm, p3],
                          "change_q1_median_q3": [c1, cm, c3],
                          "wins": wins, "verdict": verdict}
-    print(json.dumps({"workload": workload, "seed": int(seed), "run_seconds": seconds,
-                      "pairs": PAIRS, "parent_runs": runs[parent],
-                      "change_runs": runs[change], "metrics": summary}))
+    run = {"workload": workload, "seed": int(seed), "run_seconds": seconds,
+           "pairs": PAIRS, "parent_runs": runs[parent],
+           "change_runs": runs[change], "metrics": summary}
+    print(json.dumps(run))
+    if options["--out"] is not None:
+        _record(Path(options["--out"]), run, options["--claim"], seconds)
     return 0
 
 
