@@ -18,7 +18,7 @@ term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
 form parameters) or `SpecProduct`s (products of specs, from reversal
 reductions); every one of them can be evaluated.  A spec, a product and a
-sum each keep their text from its first render, so a render joins texts
+sum each keep their text from their first render, so a render joins texts
 already made.
 
 Every term algebra here is a dict from a hashable key to an exact
