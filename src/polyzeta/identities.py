@@ -348,6 +348,20 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 
 
+def _shared_prefix(held: list, t) -> int:
+    """The length n of the prefix that t shares with the string last in
+    held = [last, rows], where rows[i] depends on last[:i] alone: it keeps
+    rows[:n + 1], which hold for t too, and makes t the last string.  The
+    caller computes the rows past n."""
+    last, rows = held
+    n = 0
+    while n < min(len(t), len(last)) and t[n] == last[n]:
+        n += 1
+    del rows[n + 1:]
+    held[0] = t
+    return n
+
+
 def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     """The interleave/merge paths of the exponent strings s and t, counted:
     a dict from each distinct letter string to its number of paths.
@@ -371,8 +385,7 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     States run column by column, column j holding the states of that j.
     Column j depends on s and t[:j] alone, so ``held``, a list
     [t, columns] that a caller keeps over its calls with one s and no
-    bases, carries the columns of the last t over, and a call starts after
-    the prefix that its t shares with that one.
+    bases, carries the columns of the last t over (`_shared_prefix`).
     """
     m, n = len(s), len(t)
     if bases is None:
@@ -387,11 +400,9 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
         def code(e, i, j):
             return table.setdefault((e, aa[i] * bb[j]), len(table) + 1)
 
-    last, columns = held if held is not None else ((), [])
-    common = 0
-    while common < min(n, len(last)) and t[common] == last[common]:
-        common += 1
-    del columns[common + 1:]
+    if held is None:
+        held = [(), []]
+    common, columns = _shared_prefix(held, t), held[1]
     if not columns:  # column 0: the states that consumed s alone
         column = [{0: 1}]
         for i in range(1, m + 1):
@@ -416,8 +427,6 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
                     out[key] = get(key, 0) + c
             column.append(out)
         columns.append(column)
-    if held is not None:
-        held[0] = t
     counts = columns[n][m]
     if code is None:
         return counts
@@ -486,11 +495,9 @@ def _shuffle_counts(c1, c2, k: int, held=None) -> dict:
     the columns of the last c2 over, as in `_stuffle_counts`.
     """
     m, n = len(c1), len(c2)
-    last, columns = held if held is not None else ((), [])
-    common = 0
-    while common < min(n, len(last)) and c2[common] == last[common]:
-        common += 1
-    del columns[common + 1:]
+    if held is None:
+        held = [(), []]
+    common, columns = _shared_prefix(held, c2), held[1]
     if not columns:  # column 0: the states that consumed c1 alone
         column = [{1: 1}]
         for i in range(1, m + 1):
@@ -509,8 +516,6 @@ def _shuffle_counts(c1, c2, k: int, held=None) -> dict:
                 out[key] = get(key, 0) + c
             column.append(out)
         columns.append(column)
-    if held is not None:
-        held[0] = c2
     return columns[n][m]
 
 
@@ -700,11 +705,11 @@ class _Reversals:
     ``specs`` each rank to its zeta spec (the catalog fills it first from
     its spec table, a lone reduction as ranks come out) and ``products``
     each sorted rank tuple to its `SpecProduct`, so within one algebra each
-    spec and each product is built once.  ``rows`` are the prefix DP's
-    rows of ``last``, the string reduced last (`_reversal_reduction`).
+    spec and each product is built once.  ``rows`` holds the string
+    reduced last and the prefix DP's rows for it (`_shared_prefix`).
     """
 
-    __slots__ = ("radix", "polys", "lifts", "specs", "products", "last", "rows")
+    __slots__ = ("radix", "polys", "lifts", "specs", "products", "rows")
 
     def __init__(self, radix: int):
         self.radix = radix
@@ -712,8 +717,7 @@ class _Reversals:
         self.lifts: dict = {}
         self.specs: dict = {}
         self.products: dict = {}
-        self.last: tuple = ()
-        self.rows: list = [{(): 1}]
+        self.rows: list = [(), [{(): 1}]]
 
     def rank(self, s: tuple[int, ...]) -> int:
         """The rank of the exponent string s."""
@@ -842,18 +846,13 @@ def _reversal_reduction(s, alg: _Reversals) -> FormalSum:
     scale = factorial(k)
     # g[i] depends on s[:i] alone: keep the rows of the prefix that s shares
     # with the string reduced last
-    g, last = alg.rows, alg.last
-    common = 0
-    while common < min(k, len(last)) and s[common] == last[common]:
-        common += 1
-    del g[common + 1:]
+    common, g = _shared_prefix(alg.rows, s), alg.rows[1]
     for i in range(common + 1, k + 1):
         gi: dict = {}
         for j in range(i):
             c = comb(i, j)
             _t_mul(gi, g[j], _lift(s[j:i], alg), c if (i - j) % 2 else -c)
         g.append(gi)
-    alg.last = s
     total = dict(g[k])
     # the reversed string starts with s[-1] >= 2, so its own scale is 0! = 1
     _t_accumulate(total, _regularize_string(s[::-1], alg), -scale if k % 2 else scale)
