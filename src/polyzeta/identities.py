@@ -5,21 +5,22 @@ one function each, used as numeric oracles.
 One enumerator per object.  ``_stuffle_counts`` counts the stuffle paths
 for `stuffle_identity`, the catalog and the exact product rule of
 `rational_stuffle_check` alike, so that rule checks the DP the package
-runs.  ``_weak_chains`` builds the merges of adjacent exponents, for the
-weakly increasing chain sums of reversal reductions and, on a string of 1s,
-for the compositions of ``mu_to_compositions``.  Sign dressings are one
-`itertools.product` over per-slot sign tuples.  One duality map,
-`model.dual_word`: ``delta_mu_dual``'s base-2/unit-sum duality is read back
-from the dual word, and the catalog's MZV duality pairs apply the same map
-to 0/1 letter codes (reverse, swap 0 and 1).
+runs.  ``_weak_chains`` builds the merges of adjacent exponents, on a
+string of 1s the compositions of ``mu_to_compositions``; reversal
+reductions build the same chains of a block from those of its tail
+(``_chains``), and the Tier-1 tests hold their lifts to ``_weak_chains``.
+Sign dressings are one `itertools.product` over per-slot sign tuples.  One
+duality map, `model.dual_word`: ``delta_mu_dual``'s base-2/unit-sum duality
+is read back from the dual word, and the catalog's MZV duality pairs apply
+the same map to 0/1 letter codes (reverse, swap 0 and 1).
 
 All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
 form parameters) or `SpecProduct`s (products of specs, from reversal
 reductions); every one of them can be evaluated.  A spec, a product and a
-sum each keep their text from their first render, so a render joins texts
-already made.
+sum each keep their text from their first render, or from a producer that
+joined it from texts it holds, so a render joins texts already made.
 
 Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
@@ -38,10 +39,10 @@ multiply-add.  Shuffle words are base-k ints of letter codes ranked by
 (numerator, denominator), so their int order is the `_body_key` order;
 stuffle prefixes are base-radix ints of exponents, a zeta string's rank
 (below), or of letter codes decoded at the end when the letters carry
-bases.  Both DPs run column by column over the right factor and can hold
-their columns from one call to the next, so the catalog, which pairs each
-left factor with its right factors in order, computes each column once per
-shared prefix.
+bases.  Both DPs key a state by its two prefixes, in sorted order where
+the product commutes, and can hold their states from one call to the
+next, so the catalog, which keeps one memo per DP over its build, computes
+each state once.
 
 Reversal reductions eliminate divergent intermediates in a polynomial
 algebra over the formal symbol T = "zeta(1)", one `_Reversals` object per
@@ -58,16 +59,17 @@ cuts of a string into blocks is summed by a prefix DP on the last block,
 O(depth^2) products instead of one per each of the 2^(depth-1) cuts, and
 the DP's rows for a prefix are kept for the next string that shares it.
 The emitted terms sort by (count, ranks) as ints, and each distinct
-product becomes one `SpecProduct` per algebra.  The algebra's memos
-(string -> T-polynomial, block -> lifted T-polynomial, rank -> zeta spec,
-ranks -> product) live as long as the object, so no memo here outlives
-the call that made it.
+product becomes one `SpecProduct` with its text per algebra.  The
+algebra's memos (string -> T-polynomial, block -> weak chains and lifted
+T-polynomial, rank -> zeta spec and text, ranks -> product, coefficient
+-> text) live as long as the object, so no memo here outlives the call
+that made it.
 
 `identity_catalog` keeps one spec table per build: each convergent string
-gets one rank, one zeta spec and one word with its text, which its
+gets one rank, one zeta spec and one word with their texts, which its
 duality, stuffle, shuffle and reversal identities share, so each spec and
-each product is built, keyed and rendered once, and a shuffle side's text
-is joined from its words' texts as the side is built.
+each product is built, keyed and rendered once, and every side's text is
+joined from its bodies' texts as the side is built.
 
 Exponent strings enter through `model.int_tuple` and bases through
 `model.rational`, so a non-integer exponent or a float base raises TypeError
@@ -126,11 +128,12 @@ class SpecProduct:
         return cls._sorted(tuple(sorted(factors, key=lambda f: f.key)))
 
     @classmethod
-    def _sorted(cls, factors: tuple) -> "SpecProduct":
-        """A product of factors already in ``key`` order, unsorted."""
+    def _sorted(cls, factors: tuple, text: str | None = None) -> "SpecProduct":
+        """A product of factors already in ``key`` order, unsorted; text, if
+        given, is its `render_formal_sum` text."""
         product = object.__new__(cls)
         _set_factors(product, factors)
-        _set_product_text(product, None)
+        _set_product_text(product, text)
         return product
 
     def __setattr__(self, name, value):
@@ -285,21 +288,38 @@ def _render_body(body) -> str:
     return text
 
 
-def _render_terms(pairs) -> str:
-    """The text of a sum given as (coefficient, body text) pairs: "0" for
-    none, else the terms joined by " + " and " - ", the first sign only if
-    it is "-", and a coefficient of magnitude 1 left out."""
-    parts = []
-    for c, text in pairs:
-        coeff = str(c)  # an int's or a Fraction's text leads with its sign
-        if coeff[0] == "-":
-            parts.append("- " + text if coeff == "-1" else f"- {coeff[1:]}*{text}")
-        else:
-            parts.append("+ " + text if coeff == "1" else f"+ {coeff}*{text}")
-    if not parts:
+def _lead(c) -> str:
+    """The text that leads a term of coefficient c in a sum: its sign
+    between spaces, then its magnitude and "*" unless that is 1."""
+    x = str(c)  # an int's or a Fraction's text leads with its sign
+    if x[0] == "-":
+        return " - " if x == "-1" else f" - {x[1:]}*"
+    return " + " if x == "1" else f" + {x}*"
+
+
+class _Leads(dict):
+    """int coefficient -> its `_lead`, made on first use (a Fraction would
+    hash in Python, slower than `_lead` itself)."""
+
+    __slots__ = ()
+
+    def __missing__(self, c):
+        lead = self[c] = _lead(c)
+        return lead
+
+
+def _join_terms(parts) -> str:
+    """The text of a sum from its terms' texts, each led by its `_lead`:
+    "0" for none, and the first sign only if it is "-"."""
+    text = "".join(parts)
+    if not text:
         return "0"
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _render_terms(pairs) -> str:
+    """The text of a sum given as (coefficient, body text) pairs."""
+    return _join_terms([_lead(c) + t for c, t in pairs])
 
 
 def render_formal_sum(fs: FormalSum) -> str:
@@ -362,7 +382,7 @@ def _shared_prefix(held: list, t) -> int:
     return n
 
 
-def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
+def _stuffle_counts(s: tuple, t: tuple, bases=None, radix=None, memo=None) -> dict:
     """The interleave/merge paths of the exponent strings s and t, counted:
     a dict from each distinct letter string to its number of paths.
 
@@ -371,8 +391,11 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     the (i, j) state (i letters of s and j of t consumed) emits the letter
     e, its exponent, or, when bases is the pair (a, b) of base strings of s
     and t, the letter (e, A[i] * B[j]), A and B being a and b behind a
-    leading 1 (the empty product).  Each state maps every distinct prefix
-    to its multiplicity, so paths that agree so far are merged at once.
+    leading 1 (the empty product).  A path ends in the last letter of s,
+    of t, or of both merged, so the paths of a state are those of its one
+    to three predecessors, each extended by its step's letter.  A state
+    maps every distinct prefix to its multiplicity, so paths that agree so
+    far are merged at once.
 
     A prefix is kept as its code, the base-radix int of its letters' codes,
     each in 1..radix-1, so a step is one multiply-add.  Without bases an
@@ -382,12 +405,12 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     radix.  With bases a letter's code is its place in a table of the
     letters met, and the result is keyed by the letter strings, decoded.
 
-    States run column by column, column j holding the states of that j.
-    Column j depends on s and t[:j] alone, so ``held``, a list
-    [t, columns] that a caller keeps over its calls with one s and no
-    bases, carries the columns of the last t over (`_shared_prefix`).
+    A state is keyed by the prefixes s[:i] and t[:j].  Without bases
+    stuffling commutes, so the two are in sorted order, and ``memo``, a
+    dict that a caller keeps over its calls with one radix and no bases,
+    holds the states, so calls that share prefixes compute them once.  The
+    dicts returned are then the memo's: read them, do not change them.
     """
-    m, n = len(s), len(t)
     if bases is None:
         code = None  # an exponent is its own code
         if radix is None:
@@ -395,39 +418,39 @@ def _stuffle_counts(s, t, bases=None, radix=None, held=None) -> dict:
     else:
         aa, bb = (1,) + tuple(bases[0]), (1,) + tuple(bases[1])
         table: dict = {}  # letter -> its code, from 1 in the order met
-        radix = 3 * (m + 1) * (n + 1) + 1  # more than the letters a DP meets
+        radix = 3 * (len(s) + 1) * (len(t) + 1) + 1  # more than the letters a DP meets
+        memo = None  # the letters depend on the bases
 
         def code(e, i, j):
             return table.setdefault((e, aa[i] * bb[j]), len(table) + 1)
 
-    if held is None:
-        held = [(), []]
-    common, columns = _shared_prefix(held, t), held[1]
-    if not columns:  # column 0: the states that consumed s alone
-        column = [{0: 1}]
-        for i in range(1, m + 1):
-            x = s[i - 1] if code is None else code(s[i - 1], i, 0)
-            column.append({head * radix + x: c for head, c in column[i - 1].items()})
-        columns.append(column)
-    for j in range(common + 1, n + 1):
-        before, f = columns[j - 1], t[j - 1]
-        z = f if code is None else code(f, 0, j)
-        column = [{head * radix + z: c for head, c in before[0].items()}]
-        for i in range(1, m + 1):
-            e = s[i - 1]
-            if code is None:
-                x, y, z = e, e + f, f
-            else:
-                x, y, z = code(e, i, j), code(e + f, i, j), code(f, i, j)
-            out = {head * radix + x: c for head, c in column[i - 1].items()}
-            get = out.get
-            for heads, letter in ((before[i - 1], y), (before[i], z)):
+    if memo is None:
+        memo = {}
+
+    def paths(x: tuple, y: tuple) -> dict:
+        if code is None and x > y:
+            x, y = y, x
+        counts = memo.get((x, y))
+        if counts is None:
+            i, j = len(x), len(y)
+            steps = []  # (the predecessor's paths, the step's exponent)
+            if i:
+                steps.append((paths(x[:-1], y), x[-1]))
+            if i and j:
+                steps.append((paths(x[:-1], y[:-1]), x[-1] + y[-1]))
+            if j:
+                steps.append((paths(x, y[:-1]), y[-1]))
+            counts = {}
+            get = counts.get
+            for heads, e in steps:
+                letter = e if code is None else code(e, i, j)
                 for head, c in heads.items():
                     key = head * radix + letter
-                    out[key] = get(key, 0) + c
-            column.append(out)
-        columns.append(column)
-    counts = columns[n][m]
+                    counts[key] = get(key, 0) + c
+            memo[x, y] = counts = counts or {0: 1}  # no letters: the empty prefix
+        return counts
+
+    counts = paths(s, t)
     if code is None:
         return counts
     letters = [None, *table]
@@ -480,43 +503,40 @@ def rational_stuffle_check(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _shuffle_counts(c1, c2, k: int, held=None) -> dict:
+def _shuffle_counts(c1: tuple, c2: tuple, k: int, memo=None) -> dict:
     """The interleavings of two strings of letter codes 0..k-1, counted: a
     dict from each distinct word's code to its multiplicity.
 
     A word's code is the base-k int of its letter codes behind a leading
     digit 1, so words of equal length compare as ints in the order of their
-    code strings.  States (i, j), i letters of c1 and j of c2 consumed, run
-    column by column, column j holding the states of that j; each maps
-    every distinct prefix code to its multiplicity, so the work follows the
-    distinct prefixes, not the C(len(c1) + len(c2), len(c1)) interleavings.
-    Column j depends on c1 and c2[:j] alone, so ``held``, a list
-    [c2, columns] that a caller keeps over its calls with one c1, carries
-    the columns of the last c2 over, as in `_stuffle_counts`.
+    code strings.  An interleaving of c1 and c2 ends in the last letter of
+    one of them, so the words are those of c1 less its last letter with
+    c2, and of c1 with c2 less its last letter, each extended by that
+    letter.  Each pair of prefixes is one state, mapping every distinct
+    word to its multiplicity, so the work follows the distinct prefixes,
+    not the C(len(c1) + len(c2), len(c1)) interleavings.  Shuffling
+    commutes, so a state is keyed by its prefixes in sorted order, and
+    ``memo``, a dict that a caller keeps over its calls, holds the states,
+    so calls that share prefixes compute them once.  The dicts returned
+    are the memo's: read them, do not change them.
     """
-    m, n = len(c1), len(c2)
-    if held is None:
-        held = [(), []]
-    common, columns = _shared_prefix(held, c2), held[1]
-    if not columns:  # column 0: the states that consumed c1 alone
-        column = [{1: 1}]
-        for i in range(1, m + 1):
-            a = c1[i - 1]
-            column.append({head * k + a: c for head, c in column[i - 1].items()})
-        columns.append(column)
-    for j in range(common + 1, n + 1):
-        before, b = columns[j - 1], c2[j - 1]
-        column = [{head * k + b: c for head, c in before[0].items()}]
-        for i in range(1, m + 1):
-            a = c1[i - 1]
-            out = {head * k + a: c for head, c in column[i - 1].items()}
-            get = out.get
-            for head, c in before[i].items():
+    if memo is None:
+        memo = {}
+    if c1 > c2:
+        c1, c2 = c2, c1
+    counts = memo.get((c1, c2))
+    if counts is None:
+        counts = {}
+        if c1:
+            a = c1[-1]
+            counts = {head * k + a: c for head, c in _shuffle_counts(c1[:-1], c2, k, memo).items()}
+        if c2:
+            b, get = c2[-1], counts.get
+            for head, c in _shuffle_counts(c1, c2[:-1], k, memo).items():
                 key = head * k + b
-                out[key] = get(key, 0) + c
-            column.append(out)
-        columns.append(column)
-    return columns[n][m]
+                counts[key] = get(key, 0) + c
+        memo[c1, c2] = counts or {1: 1}  # two empty strings: the empty word
+    return memo[c1, c2]
 
 
 def shuffle_words(w1, w2) -> FormalSum:
@@ -533,7 +553,7 @@ def shuffle_words(w1, w2) -> FormalSum:
     letters = sorted(set(w1 + w2), key=lambda a: (a.numerator, a.denominator))
     k = len(letters)
     code = {a: n for n, a in enumerate(letters)}
-    counts = _shuffle_counts([code[a] for a in w1], [code[a] for a in w2], k)
+    counts = _shuffle_counts(tuple(code[a] for a in w1), tuple(code[a] for a in w2), k)
     length = len(w1) + len(w2)
     terms = []
     for word in sorted(counts):
@@ -701,22 +721,27 @@ class _Reversals:
     exponents do.  Rank order is therefore `LambdaSpec.key` order on zeta
     specs, and T = "zeta(1)", the string (1,), has rank 1, below every
     convergent string.  ``polys`` maps each string to its T-polynomial
-    (`_regularize_string`), ``lifts`` each block to its lift (`_lift`),
-    ``specs`` each rank to its zeta spec (the catalog fills it first from
-    its spec table, a lone reduction as ranks come out) and ``products``
-    each sorted rank tuple to its `SpecProduct`, so within one algebra each
-    spec and each product is built once.  ``rows`` holds the string
+    (`_regularize_string`), ``chains`` each block to its weak chains
+    (`_chains`), ``lifts`` each block to its lift (`_lift`), ``specs`` and
+    ``texts`` each rank to its zeta spec and that spec's `format_spec`
+    text (the catalog fills them first from its spec table, a lone
+    reduction as ranks come out) and ``products`` each sorted rank tuple to
+    its `SpecProduct`, text set, so within one algebra each spec, each
+    product and each text is built once.  ``rows`` holds the string
     reduced last and the prefix DP's rows for it (`_shared_prefix`).
     """
 
-    __slots__ = ("radix", "polys", "lifts", "specs", "products", "rows")
+    __slots__ = ("radix", "polys", "chains", "lifts", "specs", "texts", "products", "coefficients", "rows")
 
     def __init__(self, radix: int):
         self.radix = radix
         self.polys: dict = {}
+        self.chains: dict = {}
         self.lifts: dict = {}
         self.specs: dict = {}
+        self.texts: dict = {}
         self.products: dict = {}
+        self.coefficients: dict = {}
         self.rows: list = [(), [{(): 1}]]
 
     def rank(self, s: tuple[int, ...]) -> int:
@@ -727,7 +752,8 @@ class _Reversals:
         return r
 
     def spec(self, r: int) -> LambdaSpec:
-        """The zeta spec of rank r, decoded from its digits on first use."""
+        """The zeta spec of rank r, decoded from its digits on first use,
+        with its text."""
         spec = self.specs.get(r)
         if spec is None:
             exponents, rest = [], r
@@ -735,14 +761,17 @@ class _Reversals:
                 rest, e = divmod(rest, self.radix)
                 exponents.append(e)
             spec = self.specs[r] = zeta_spec(*reversed(exponents))
+            self.texts[r] = format_spec(spec)
         return spec
 
     def product(self, ranks: tuple[int, ...]) -> "SpecProduct":
-        """The product of the specs of sorted ranks, built on first use."""
+        """The product of the specs of sorted ranks, built with its text on
+        first use."""
         product = self.products.get(ranks)
         if product is None:
-            product = SpecProduct._sorted(tuple(map(self.spec, ranks)))
-            self.products[ranks] = product
+            factors = tuple(map(self.spec, ranks))
+            text = "*".join(map(self.texts.__getitem__, ranks)) or "1"
+            product = self.products[ranks] = SpecProduct._sorted(factors, text)
         return product
 
 
@@ -753,11 +782,20 @@ def _t_accumulate(out: dict, p: dict, factor) -> None:
 
 
 def _t_mul(out: dict, p: dict, q: dict, factor: int) -> None:
-    """out += factor * p * q for T-polynomials: the rank tuples merge."""
+    """out += factor * p * q for T-polynomials: the rank tuples merge.  A
+    sum that reaches 0 keeps its key; the caller drops those at the end."""
+    get = out.get
     for f1, c1 in p.items():
         c1 *= factor
         for f2, c2 in q.items():
-            _add_term(out, tuple(sorted(f1 + f2)), c1 * c2)
+            # most products put one tuple wholly before the other
+            if not f1 or f1[-1] <= f2[0]:
+                key = f1 + f2
+            elif f2[-1] <= f1[0]:
+                key = f2 + f1
+            else:
+                key = tuple(sorted(f1 + f2))
+            out[key] = get(key, 0) + c1 * c2
 
 
 def _leading_ones(s: tuple[int, ...]) -> int:
@@ -812,16 +850,47 @@ def _regularize_string(s: tuple[int, ...], alg: _Reversals) -> dict:
     return out
 
 
+def _chains(block: tuple[int, ...], alg: _Reversals) -> tuple[list, list]:
+    """block's weak chains (`_weak_chains`) as (ranks, ones): the ranks of
+    the chains that open with an exponent >= 2, and the chains that open
+    with a 1 as strings; kept in ``alg.chains``.
+
+    They are built from the chains of the tail block[1:]: each tail chain
+    takes e = block[0] as a new last entry or merged into its last one, a
+    rank r becoming r * radix + e or r + e.  Only the merge into the lone
+    chain (1,) changes a first entry, so that is the one way a chain that
+    opens with a 1 becomes a rank.  Distinct cuts of a block have distinct
+    partial sums, so no two chains coincide."""
+    got = alg.chains.get(block)
+    if got is None:
+        e = block[0]
+        if len(block) == 1:
+            got = ([], [block]) if e == 1 else ([e], [])
+        else:
+            ranks, ones = _chains(block[1:], alg)
+            got = ([x for r in ranks for x in (r * alg.radix + e, r + e)], [])
+            for chain in ones:
+                got[1].append(chain + (e,))
+                if len(chain) > 1:
+                    got[1].append(chain[:-1] + (chain[-1] + e,))
+                else:
+                    got[0].append(1 + e)
+        alg.chains[block] = got
+    return got
+
+
 def _lift(block: tuple[int, ...], alg: _Reversals) -> dict:
     """len(block)! times the T-polynomial of block's weak-chain expansion,
-    kept in ``alg.lifts``; every chain has at most len(block) leading 1s."""
+    kept in ``alg.lifts``: a chain that opens with an exponent >= 2 is its
+    own monomial, and one with L leading 1s adds len(block)! / L! times its
+    `_regularize_string` polynomial (L <= len(block))."""
     lifted = alg.lifts.get(block)
     if lifted is None:
         n = factorial(len(block))
-        lifted = {}
-        for chain in _weak_chains(block):
-            scale = n // factorial(_leading_ones(chain))
-            _t_accumulate(lifted, _regularize_string(chain, alg), scale)
+        ranks, ones = _chains(block, alg)
+        lifted = {(r,): n for r in ranks}
+        for chain in ones:
+            _t_accumulate(lifted, _regularize_string(chain, alg), n // factorial(_leading_ones(chain)))
         alg.lifts[block] = lifted
     return lifted
 
@@ -852,19 +921,29 @@ def _reversal_reduction(s, alg: _Reversals) -> FormalSum:
         for j in range(i):
             c = comb(i, j)
             _t_mul(gi, g[j], _lift(s[j:i], alg), c if (i - j) % 2 else -c)
-        g.append(gi)
+        g.append({ranks: c for ranks, c in gi.items() if c})
     total = dict(g[k])
     # the reversed string starts with s[-1] >= 2, so its own scale is 0! = 1
     _t_accumulate(total, _regularize_string(s[::-1], alg), -scale if k % 2 else scale)
-    # T's rank 1 is the least, so a surviving power of T leads its tuple
-    bad = {ranks: c for ranks, c in total.items() if ranks and ranks[0] == 1}
-    if bad:  # an explicit raise, so that python -O keeps the check
+    order = sorted(total)
+    # T's rank 1 is the least, so a surviving power of T leads the first tuple
+    if order and order[0][:1] == (1,):  # an explicit raise, so that python -O keeps the check
+        bad = {ranks: total[ranks] for ranks in order if ranks[:1] == (1,)}
         raise AssertionError(f"divergent degrees failed to cancel: {bad}")
-    terms = []
-    for _, ranks, c in sorted((len(ranks), ranks, c) for ranks, c in total.items()):
-        q, r = divmod(c, scale)
-        terms.append((Fraction(c, scale) if r else q, alg.product(ranks)))
-    return FormalSum._canonical(terms)
+    terms, parts = [], []
+    # c -> (c / scale, its `_lead`), over the reductions of this length
+    coefficients = alg.coefficients.setdefault(scale, {})
+    for ranks in sorted(order, key=len):  # by (count, ranks)
+        c = total[ranks]
+        coeff = coefficients.get(c)
+        if coeff is None:
+            q, r = divmod(c, scale)
+            value = Fraction(c, scale) if r else q
+            coeff = coefficients[c] = (value, _lead(value))
+        product = alg.products.get(ranks) or alg.product(ranks)
+        terms.append((coeff[0], product))
+        parts.append(coeff[1] + product._text)
+    return FormalSum._canonical(terms, _join_terms(parts))
 
 
 def reversal_reduction(s) -> FormalSum:
@@ -1022,111 +1101,139 @@ class Identity(NamedTuple):
         """One JSON object with the keys lhs, rhs and tag, byte for byte as
         ``json.dumps(..., sort_keys=True)`` writes it: json's own string
         quoting, its default separators, keys in sorted order."""
-        # only the export writes JSON; an eval never loads it
-        from json.encoder import encode_basestring_ascii as quote
-
-        lhs, rhs = quote(render_formal_sum(self.lhs)), quote(render_formal_sum(self.rhs))
-        return f'{{"lhs": {lhs}, "rhs": {rhs}, "tag": {quote(self.tag)}}}'
+        lhs, rhs = _quote(render_formal_sum(self.lhs)), _quote(render_formal_sum(self.rhs))
+        return f'{{"lhs": {lhs}, "rhs": {rhs}, "tag": {_quote(self.tag)}}}'
 
 
-def _convergent_strings(max_weight: int):
-    """All convergent unsigned MZV strings of weight <= max_weight, sorted:
-    the compositions of each weight n >= 2 with a leading part >= 2."""
-    return sorted(
-        c for n in range(2, max_weight + 1) for c in _weak_chains((1,) * n) if c[0] >= 2
-    )
+def _quote(text: str) -> str:
+    """json's own quoting of text.  Only the export writes JSON and an eval
+    never loads it, so the first call imports json's quoting function and
+    binds it to this name in its place."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
+
+    return _quote(text)
 
 
-def _zeta_letters(s: tuple[int, ...]) -> tuple[int, ...]:
-    """The letter codes of zeta(s)'s word, 0 for dx/x and 1 for dx/(x-1):
-    the codes `shuffle_words` gives the letters 0 and 1."""
-    return tuple(c for e in s for c in (0,) * (e - 1) + (1,))
+def _string_table(max_weight: int) -> list[tuple]:
+    """(s, weight, rank, text, letters) for every convergent unsigned MZV
+    string s of weight <= max_weight, sorted by s: the compositions with a
+    leading part >= 2, walked depth first with the parts ascending, so each
+    string follows its prefix and is built from it.  The rank is of radix
+    max_weight + 1 (`_Reversals.rank`), text is the exponents joined by
+    commas, and letters is the str of the 0/1 letter codes of zeta(s)'s
+    word, an exponent e giving e - 1 0s and a 1: 0 for dx/x, 1 for
+    dx/(x-1), the codes `shuffle_words` gives the letters 0 and 1."""
+    radix, table = max_weight + 1, []
+    stack = [((e,), e, e, str(e), "0" * (e - 1) + "1") for e in range(max_weight, 1, -1)]
+    while stack:
+        table.append(stack.pop())
+        s, weight, rank, text, letters = table[-1]
+        stack += [
+            (s + (e,), weight + e, rank * radix + e, f"{text},{e}", letters + "0" * (e - 1) + "1")
+            for e in range(max_weight - weight, 0, -1)
+        ]
+    return table
 
 
-def _word_code(letters: tuple[int, ...]) -> int:
-    """The base-2 word code of `_shuffle_counts` for 0/1 letter codes."""
-    code = 1
-    for c in letters:
-        code = 2 * code + c
-    return code
+def _convergent_strings(max_weight: int) -> list[tuple[int, ...]]:
+    """All convergent unsigned MZV strings of weight <= max_weight, sorted."""
+    return [row[0] for row in _string_table(max_weight)]
 
 
-_LETTERS = (Fraction(0), Fraction(1))
+# a word's dual reverses its letter codes and swaps 0 and 1, and the bytes
+# of a letter-code str translated by _CODES are the codes as ints
+_SWAP = str.maketrans("01", "10")
+_CODES = bytes.maketrans(b"01", b"\x00\x01")
+_LETTERS = {"0": Fraction(0), "1": Fraction(1)}
 
 
 def identity_catalog(max_weight: int) -> list[Identity]:
     """Deterministic identity corpus up to a weight bound.
 
-    One spec table per build: every convergent string of weight <=
-    max_weight gets one rank in the build's `_Reversals` algebra, one zeta
-    spec and one word, and the duality, stuffle, shuffle and reversal
-    identities all take their bodies from it, so each spec is built, keyed
-    and rendered once, and so is each product, through the algebra's
-    product table.  Every body of every identity is in the table: products,
-    duals and reversals of these strings are convergent strings of no
-    larger weight.  Each side is emitted in canonical order, sorted by rank
-    or word code.
+    One spec table per build (`_string_table`): every convergent string of
+    weight <= max_weight gets one rank in the build's `_Reversals` algebra,
+    one zeta spec, one word and the texts of both, and the duality,
+    stuffle, shuffle and reversal identities all take their bodies from it,
+    so each spec is built, keyed and rendered once, and so is each product,
+    through the algebra's product table.  Every body of every identity is
+    in the table: products, duals and reversals of these strings are
+    convergent strings of no larger weight.  Each side is emitted in
+    canonical order, sorted by rank or word code, with its text joined
+    from its bodies' texts.  A word's code is the base-2 word code of
+    `_shuffle_counts`.
     """
     if max_weight < 3:
         raise ValueError("max_weight must be at least 3")
     identities: list[Identity] = []
-    strings = _convergent_strings(max_weight)
+    table = _string_table(max_weight)
+    strings = [row[0] for row in table]
 
     alg = _Reversals(max_weight + 1)
-    rank = {s: alg.rank(s) for s in strings}
-    specs = alg.specs
-    for s in strings:
-        specs[rank[s]] = zeta_spec(*s)
-    letters = {s: _zeta_letters(s) for s in strings}
-    words = {  # word code -> (exponent string, word, the word's text)
-        _word_code(c): (s, tuple(_LETTERS[x] for x in c), "W[" + ",".join(map(str, c)) + "]")
-        for s, c in letters.items()
-    }
+    specs, texts = alg.specs, alg.texts
+    rank: dict = {}
+    letters: dict = {}  # exponent string -> its word's letter codes, a str
+    codes: dict = {}  # exponent string -> the same codes, as the bytes of their ints
+    coded: dict = {}  # word code -> exponent string
+    words: dict = {}  # word code -> word
+    word_texts: dict = {}  # word code -> the word's text
+    for s, _, r, text, bits in table:
+        rank[s] = r
+        specs[r] = zeta_spec(*s)
+        texts[r] = f"L[{text} | {','.join('1' * len(s))}]"
+        letters[s] = bits
+        codes[s] = bits.encode().translate(_CODES)
+        code = int("1" + bits, 2)
+        coded[code] = s
+        words[code] = tuple(map(_LETTERS.__getitem__, bits))
+        word_texts[code] = f"W[{','.join(bits)}]"
 
-    def one(spec) -> FormalSum:
-        return FormalSum._canonical(((1, spec),))
+    def one(r) -> FormalSum:
+        return FormalSum._canonical(((1, specs[r]),), texts[r])
+
+    leads = _Leads()
+
+    def side(counts: dict, bodies: dict, names: dict) -> FormalSum:
+        """The sum of counts[x] bodies[x] in the order of the keys x, its
+        text joined from the bodies' texts names[x]."""
+        order = sorted(counts)
+        return FormalSum._canonical(
+            [(counts[x], bodies[x]) for x in order], _join_terms([leads[counts[x]] + names[x] for x in order])
+        )
 
     for s in strings:
-        # the `dual_word` dual on 0/1 letter codes: reverse, swap 0 and 1
-        dual = words[_word_code(tuple(1 - c for c in reversed(letters[s])))][0]
+        # the `dual_word` dual on the letter codes
+        dual = coded[int("1" + letters[s][::-1].translate(_SWAP), 2)]
         if dual > s:  # emit each dual pair once
-            identities.append(Identity("duality", one(specs[rank[s]]), one(specs[rank[dual]])))
+            identities.append(Identity("duality", one(rank[s]), one(rank[dual])))
 
-    weights = [sum(s) for s in strings]
+    weights = [row[1] for row in table]
     # light[b]: the indices of the strings of weight <= b, ascending
     light = {b: [j for j, w in enumerate(weights) if w <= b] for b in range(max_weight)}
     for i, u in enumerate(strings):
+        if i == 0 or u[0] != strings[i - 1][0]:
+            # the DPs' states: later left factors, and so their right
+            # factors, open with a larger exponent and share few states with
+            # these, so starting afresh bounds the memos at little cost
+            stuffles: dict = {}
+            shuffles: dict = {}
         js = light[max_weight - weights[i]]
-        ru = rank[u]
-        # the right factors come in order, so the DPs hold their columns
-        stuffles: list = [(), []]
-        shuffles: list = [(), []]
+        ru, cu = rank[u], codes[u]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
             rv = rank[v]
-            lhs = one(alg.product((ru, rv) if ru <= rv else (rv, ru)))
+            product = alg.product((ru, rv) if ru <= rv else (rv, ru))
+            lhs = FormalSum._canonical(((1, product),), product._text)
             # keyed by ranks: the radix is the algebra's
-            counts = _stuffle_counts(u, v, radix=alg.radix, held=stuffles)
-            rhs = FormalSum._canonical([(counts[r], specs[r]) for r in sorted(counts)])
-            identities.append(Identity("stuffle", lhs, rhs))
-            counts = _shuffle_counts(letters[u], letters[v], 2, shuffles)
-            terms = [(counts[x], words[x]) for x in sorted(counts)]
-            rhs = FormalSum._canonical(
-                [(n, word) for n, (_, word, _) in terms],
-                _render_terms([(n, text) for n, (_, _, text) in terms]),
-            )
-            identities.append(Identity("shuffle", lhs, rhs))
+            counts = _stuffle_counts(u, v, radix=alg.radix, memo=stuffles)
+            identities.append(Identity("stuffle", lhs, side(counts, specs, texts)))
+            counts = _shuffle_counts(cu, codes[v], 2, shuffles)
+            identities.append(Identity("shuffle", lhs, side(counts, words, word_texts)))
 
     for s in strings:
         if s[-1] >= 2:  # s[0] >= 2 holds for every convergent string
-            r, back = rank[s], rank[s[::-1]]
-            sign = (-1) ** len(s)
-            if r == back:  # a palindrome: 2 zeta(s) or 0
-                lhs = FormalSum._canonical(((2, specs[r]),) if sign > 0 else ())
-            elif r < back:
-                lhs = FormalSum._canonical(((1, specs[r]), (sign, specs[back])))
-            else:
-                lhs = FormalSum._canonical(((sign, specs[back]), (1, specs[r])))
-            identities.append(Identity("reversal", lhs, _reversal_reduction(s, alg)))
+            counts = {rank[s]: 1}
+            _add_term(counts, rank[s[::-1]], (-1) ** len(s))  # a palindrome: 2 zeta(s) or 0
+            identities.append(Identity("reversal", side(counts, specs, texts), _reversal_reduction(s, alg)))
 
     return identities
 

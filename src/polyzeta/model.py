@@ -47,13 +47,6 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _frac(b) -> Fraction:
-    f = rational(b)
-    if f == 0:
-        raise ValueError("bases must be nonzero")
-    return f
-
-
 class LambdaSpec:
     """Exponent/base pairs of a multiple polylogarithm, outermost first.
 
@@ -70,14 +63,18 @@ class LambdaSpec:
     __slots__ = ("terms", "exponents", "bases", "key", "_text")
 
     def __new__(cls, terms):
-        exponents = int_tuple(s for s, _ in terms)
-        bases = tuple(_frac(b) for _, b in terms)
-        key = (len(bases), exponents, tuple(b.as_integer_ratio() for b in bases))
+        exponents = int_tuple([s for s, _ in terms])
+        # a Fraction skips the call of `rational`, and the one ratio of a
+        # zero Fraction is (0, 1)
+        bases = tuple([b if type(b) is Fraction else rational(b) for _, b in terms])
+        ratios = tuple([b.as_integer_ratio() for b in bases])
+        if (0, 1) in ratios:
+            raise ValueError("bases must be nonzero")
         spec = object.__new__(cls)
         _set_terms(spec, tuple(zip(exponents, bases)))
         _set_exponents(spec, exponents)
         _set_bases(spec, bases)
-        _set_key(spec, key)
+        _set_key(spec, (len(bases), exponents, ratios))
         _set_text(spec, None)
         return spec
 
@@ -128,9 +125,12 @@ _set_terms, _set_exponents, _set_bases, _set_key, _set_text = (
 EMPTY_SPEC = LambdaSpec(())
 
 
+_ONE = Fraction(1)
+
+
 def zeta_spec(*exponents: int) -> LambdaSpec:
     """Unsigned MZV: all bases 1."""
-    return LambdaSpec.of(exponents, (Fraction(1),) * len(exponents))
+    return LambdaSpec(tuple(zip(exponents, (_ONE,) * len(exponents))))
 
 
 def delta_spec(*exponents: int) -> LambdaSpec:

@@ -407,6 +407,24 @@ def test_entry_points_print_pi(argv, stdin, in_subprocess, monkeypatch, capsys):
     assert (code, out) == (0, "3.14159265359\n")
 
 
+def test_package_runs_as_a_module():
+    # python -m polyzeta runs the CLI through the package's __main__, and
+    # an import of that module alone runs nothing
+    src = os.path.dirname(os.path.dirname(polyzeta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyzeta", "eval", "1+1", "--digits", "10"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2.000000000\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import polyzeta.__main__"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_reimport_leaves_no_old_module_alive():
     # a module-level alias that typing caches process-wide (Union[...])
     # would keep the old cli classes, and through their globals every old

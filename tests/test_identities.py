@@ -11,7 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import comb, factorial, prod
 
 import pytest
@@ -1068,12 +1068,48 @@ def test_export_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0].count(b"\n") == 256
 
 
+def _lift_by_definition(block, alg) -> Counter:
+    """len(block)! times the weak-chain expansion of block as a
+    T-polynomial: len(block)! / L(c)! times `_regularize_string` of each
+    chain c of `_weak_chains` (L(c)! times the regularized value of c), with
+    L(c) the leading 1s of c.  No zero coefficient is kept."""
+    from polyzeta.identities import _regularize_string
+
+    n = factorial(len(block))
+    out = Counter()
+    for chain in _weak_chains(block):
+        ones = len(chain) - len(tuple(dropwhile(lambda e: e == 1, chain)))
+        for key, c in _regularize_string(chain, alg).items():
+            out[key] += n // factorial(ones) * c
+    return Counter({key: c for key, c in out.items() if c})
+
+
+def test_lift_is_the_weak_chain_sum():
+    # _lift builds each block's chains from its tail's and takes a chain
+    # that opens with an exponent >= 2 as its own monomial; it must equal
+    # the sum over `_weak_chains` for every block of length <= 8 and weight
+    # <= 11, the blocks of those lengths that the catalogs up to weight 11
+    # reduce, in one algebra as a catalog shares it, and the short ones in
+    # a fresh algebra too
+    from polyzeta.identities import _lift, _Reversals
+
+    shared, oracle = _Reversals(12), _Reversals(12)
+    blocks = [b for n in range(1, 12) for b in _weak_chains((1,) * n) if len(b) <= 8]
+    assert len(blocks) == 2047 - 1 - 11 - 55  # less those of 11, 10 and 9 parts
+    for block in blocks:
+        want = _lift_by_definition(block, oracle)
+        assert _lift(block, shared) == want, block
+        if len(block) <= 4:
+            assert _lift(block, _Reversals(12)) == want, block
+
+
 def _reversal_by_masks(s) -> FormalSum:
     """zeta(s) + (-1)^k zeta(reversed s), k = len(s), as the inclusion-
     exclusion sum over all 2^(k-1) constraint masks, each mask a cut of s
     into blocks: the sum that reversal_reduction computes by a prefix DP.
-    The T-polynomials are summed and multiplied here, scaled by k!."""
-    from polyzeta.identities import _lift, _regularize_string, _Reversals
+    The T-polynomials are summed and multiplied here, scaled by k!, and
+    each block's lift is taken from its definition, not from `_lift`."""
+    from polyzeta.identities import _regularize_string, _Reversals
 
     def times(p, q):
         out = Counter()
@@ -1086,12 +1122,15 @@ def _reversal_by_masks(s) -> FormalSum:
     scale = factorial(k)
     radix = sum(s) + 1
     alg = _Reversals(radix)
+    lifts: dict = {}
     total = Counter()
     for mask in range(1 << (k - 1)):
         blocks = _blocks(s, mask)
         piece = {(): scale // prod(factorial(len(b)) for b in blocks)}
         for block in blocks:
-            lifted = Counter(_lift(block, alg))
+            if block not in lifts:
+                lifts[block] = _lift_by_definition(block, alg)
+            lifted = Counter(lifts[block])
             if len(block) == k:  # the reversed string moves to the left
                 for key, c in _regularize_string(s[::-1], alg).items():
                     lifted[key] -= scale * c
@@ -1236,6 +1275,15 @@ def test_identity_catalog_weight_nine_golden():
     assert digest == "a9ad4c10c1c9fcdb4801cbf9c5554439a5959a168342bae3c990bbe6068c3f31"
 
 
+def test_identity_catalog_weight_eleven_golden():
+    # the CI exports pin weights 6 and 10; weight 11 adds reductions of
+    # depth 9, such as (2, 1, 1, 1, 1, 1, 1, 1, 2) with its seven 1s
+    lines = [ident.to_json() for ident in identity_catalog(11)]
+    assert len(lines) == 2816
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "74fbe390c1c88be685b5c71819a6d6e9501c48d24240c3fe5ad94c8c228bdb35"
+
+
 def test_catalog_products_match_the_public_products():
     # the catalog counts its stuffles and shuffles on exponent strings and
     # 0/1 letter codes, and reads its duals off the codes; each identity
@@ -1287,8 +1335,8 @@ def test_catalog_builds_each_spec_once():
 def test_catalog_builds_each_product_and_its_text_once():
     # the stuffle and shuffle left sides and the reversal right sides take
     # their products from one table per build: equal products are one
-    # object, which renders once and keeps its text, and the next build
-    # makes its own
+    # object, whose text the build joins once from its factors' texts, and
+    # the next build makes its own
     def products(catalog):
         return [
             body
@@ -1300,7 +1348,8 @@ def test_catalog_builds_each_product_and_its_text_once():
     builds = []
     for _ in range(2):
         catalog = identity_catalog(8)
-        assert all(p._text is None for p in products(catalog))
+        # set by the build, before any render
+        assert all(p._text == "*".join(map(str, p.factors)) for p in products(catalog))
         lines = [ident.to_json() for ident in catalog]
         table: dict = {}
         for product in products(catalog):
@@ -1320,12 +1369,13 @@ def test_catalog_builds_each_product_and_its_text_once():
 
 def test_catalog_sides_are_canonical_and_render_as_rebuilt():
     # every side of every weight-10 identity is the canonical sum of its own
-    # terms, and its text, whether the catalog built it from its word texts
-    # or the first render made it, is the text of that rebuilt sum
+    # terms, and its text, which the catalog built from its bodies' texts,
+    # is the text of that rebuilt sum
     catalog = identity_catalog(10)
     assert len(catalog) == 1280
     for ident in catalog:
         for side in (ident.lhs, ident.rhs):
+            assert side._text is not None, ident.tag
             rebuilt = FormalSum(side.terms)
             assert rebuilt == side and hash(rebuilt) == hash(side)
             assert rebuilt._text is None
@@ -1346,22 +1396,25 @@ def test_to_json_writes_what_json_dumps_writes():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dp_columns_held_over_calls_match_fresh_calls(seed):
-    # the stuffle and shuffle DPs keep the columns of the last right factor
-    # and start after the prefix the next one shares; every call must
-    # count what a fresh call counts, in any order of right factors
+    # the stuffle and shuffle DPs keep their states, keyed by the pair of
+    # prefixes, in a memo that the catalog holds over all its calls; every
+    # call must count what a fresh call counts, for any left and right
+    # factors in any order
     from polyzeta.identities import _shuffle_counts, _stuffle_counts
 
     rng = random.Random(seed)
-    s = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+    ss = [tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))) for _ in range(3)]
     ts = [tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 5))) for _ in range(30)]
     if seed % 2:  # as the catalog calls them, and in no order
         ts.sort()
-    stuffles, shuffles = [(), []], [(), []]
-    for t in ts:
-        assert _stuffle_counts(s, t, radix=30, held=stuffles) == _stuffle_counts(s, t, radix=30)
-        c1, c2 = [e % 3 for e in s], [e % 3 for e in t]
-        assert _shuffle_counts(c1, c2, 3, shuffles) == _shuffle_counts(c1, c2, 3)
-
+    stuffles: dict = {}
+    shuffles: dict = {}
+    for s in ss:
+        for t in ts:
+            assert _stuffle_counts(s, t, radix=30, memo=stuffles) == _stuffle_counts(s, t, radix=30)
+            c1, c2 = tuple(e % 3 for e in s), tuple(e % 3 for e in t)
+            assert _shuffle_counts(c1, c2, 3, shuffles) == _shuffle_counts(c1, c2, 3)
+            assert _shuffle_counts(c2, c1, 3, shuffles) == _shuffle_counts(c1, c2, 3)
 
 
 def test_stuffle_codes_are_the_ranks_of_the_radix():

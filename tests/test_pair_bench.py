@@ -1,8 +1,10 @@
 """tools/pair_bench.py --out and --claim: the pair runs land in a file of
-the BENCH_<n>.json layout, created on the first run and extended after."""
+the BENCH_<n>.json layout, created on the first run and extended after; and
+a checkout with bytecode under src/ is refused before any run."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,18 @@ def test_claim_must_name_an_end_to_end_metric():
         tool.main([str(ROOT), str(ROOT), "identity_session", "1", "--claim", "speed"])
     with pytest.raises(SystemExit):  # an option without its value
         tool.main([str(ROOT), str(ROOT), "identity_session", "1", "--out"])
+
+
+def test_refuses_a_checkout_with_bytecode_under_src(tmp_path):
+    # bytecode under either src/ skips the compile that setup_s times, so
+    # the tool names that checkout and stops before any run, deleting nothing
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "polyzeta").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    cache = change / "src" / "polyzeta" / "__pycache__"
+    cache.mkdir()
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{change}: bytecode under src/")):
+        tool.main([str(parent), str(change), "identity_session", "1"])
+    assert cache.is_dir()

@@ -9,7 +9,10 @@ PARENT and CHANGE are checkouts of this repository.  The script runs
 
 with each checkout as its working directory, S the ``run_seconds`` of
 PARENT's BENCHMARK.json, PAIRS times per side, alternating which side runs
-first, and stops if any run is not ``"correct": true``.  For each
+first, and stops if any run is not ``"correct": true``.  It refuses to
+start while either checkout holds a ``__pycache__`` under ``src/``: the
+benchmark imports polyzeta from there, and valid bytecode skips the
+compile that ``setup_s`` otherwise times.  It never deletes one.  For each
 end-to-end metric of that BENCHMARK.json it prints each side's median and
 quartiles, the pairs the change wins (ties count for neither side) and the
 verdict of the rule for claiming a gain: the change wins at least 9 of 10
@@ -116,6 +119,10 @@ def main(argv: list[str]) -> int:
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     if options["--claim"] not in (None, *(m["name"] for m in spec["end_to_end"])):
         sys.exit(f"--claim: no end-to-end metric {options['--claim']!r}")
+    for checkout in (parent, change):
+        caches = sorted((checkout / "src").rglob("__pycache__"))
+        if caches:
+            sys.exit(f"{checkout}: bytecode under src/ skews setup_s; remove {caches[0]} and rerun")
     seconds = spec["run_seconds"]
     runs = {parent: [], change: []}
     for i in range(PAIRS):
