@@ -317,16 +317,11 @@ def _join_terms(parts) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _render_terms(pairs) -> str:
-    """The text of a sum given as (coefficient, body text) pairs."""
-    return _join_terms([_lead(c) + t for c, t in pairs])
-
-
 def render_formal_sum(fs: FormalSum) -> str:
     """The sum's text, built once and kept on it."""
     text = fs._text
     if text is None:
-        text = _render_terms([(c, _render_body(body)) for c, body in fs.terms])
+        text = _join_terms([_lead(c) + _render_body(body) for c, body in fs.terms])
         _set_text(fs, text)
     return text
 

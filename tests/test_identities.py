@@ -1088,9 +1088,9 @@ def test_lift_is_the_weak_chain_sum():
     # _lift builds each block's chains from its tail's and takes a chain
     # that opens with an exponent >= 2 as its own monomial; it must equal
     # the sum over `_weak_chains` for every block of length <= 8 and weight
-    # <= 11, the blocks of those lengths that the catalogs up to weight 11
-    # reduce, in one algebra as a catalog shares it, and the short ones in
-    # a fresh algebra too
+    # <= 11, among them every block of those lengths that the catalogs up
+    # to weight 11 reduce, in one algebra as a catalog shares it, and the
+    # short ones in a fresh algebra too
     from polyzeta.identities import _lift, _Reversals
 
     shared, oracle = _Reversals(12), _Reversals(12)
@@ -1397,7 +1397,7 @@ def test_to_json_writes_what_json_dumps_writes():
 @pytest.mark.parametrize("seed", range(4))
 def test_dp_columns_held_over_calls_match_fresh_calls(seed):
     # the stuffle and shuffle DPs keep their states, keyed by the pair of
-    # prefixes, in a memo that the catalog holds over all its calls; every
+    # prefixes, in a memo that the catalog holds over many calls; every
     # call must count what a fresh call counts, for any left and right
     # factors in any order
     from polyzeta.identities import _shuffle_counts, _stuffle_counts
