@@ -19,7 +19,13 @@ Routes.  ``plan(spec, prec)`` decides once per (spec, prec), before any
 pass, how ``evaluate_lambda`` computes the value: the route and its p, the
 signs that combine the passes' values, the working precision, and per pass
 the spec, the steps and the bits (a frozen ``Plan``).  Only the direct and
-split routes run passes.
+split routes run passes.  A plan reads the spec's int key, the exponents
+and each base's (numerator, denominator), not Fraction arithmetic: the
+geometric tests and p = 2 are ratio comparisons, the suffix bounds and
+the error factor are int products, and the split's signs are parities of
+suffix counts of nonzero letters, read off the exponents and the bases
+equal to 1.  ``plan_nested_sum`` skips the points of its step sequence
+that cannot pass its tail test, and it says why.
 
 * direct -- every base has modulus at least ``GEOMETRIC_THRESHOLD``, or a
   nonpositive exponent forces every modulus above 1, so the pass converges
@@ -88,7 +94,9 @@ three makes the next evaluation cold:
 The dual route adds none: a spec on it holds its own entries in ``plan``
 and ``evaluate_lambda``, and reads its value from the dual's entry, so
 clearing ``evaluate_lambda`` alone still makes every next value run its
-passes again.
+passes again.  Its plan hands the dual's plan the pair of specs and the
+sign it derived (``_mirror``, empty between calls), so a pair derives its
+word and its dual once.
 
 The two (spec, prec) memos are typed, and both functions refuse a prec
 that is not a Precision: a plain tuple equals the Precision of the same
@@ -119,25 +127,29 @@ from .model import (
 from .precision import BigReal, Precision
 
 GEOMETRIC_THRESHOLD = Fraction(3, 2)
+_T_NUM, _T_DEN = GEOMETRIC_THRESHOLD.as_integer_ratio()
 
 
-def _geometric(bases) -> bool:
-    return min(abs(b) for b in bases) >= GEOMETRIC_THRESHOLD
+def _geometric(ratios) -> bool:
+    """Every base n/d, given as its pair, has |n|/d >= GEOMETRIC_THRESHOLD."""
+    return all(abs(n) * _T_DEN >= _T_NUM * d for n, d in ratios)
 
 
-def _suffix_bound(bases) -> Fraction:
+def _suffix_bound(ratios) -> tuple[int, int]:
     """M = prod_j max(1, 1/(|b_j| - 1)), at least |lambda| of every suffix of
-    a spec with these bases, positive exponents and every |b_j| > 1."""
-    bound = Fraction(1)
-    for b in bases:
-        if abs(b) < 2:
-            bound /= abs(b) - 1
-    return bound
+    a spec with these bases, positive exponents and every |b_j| > 1, as a
+    (numerator, denominator) pair: a base n/d with |n| < 2d gives d/(|n| - d)."""
+    num = den = 1
+    for n, d in ratios:
+        if abs(n) < 2 * d:
+            num *= d
+            den *= abs(n) - d
+    return num, den
 
 
-def _decimal_exponent(bound: Fraction) -> int:
-    """Smallest e >= 0 with 10^e >= bound."""
-    ceiling = -(-bound.numerator // bound.denominator)
+def _decimal_exponent(num: int, den: int) -> int:
+    """Smallest e >= 0 with 10^e >= num/den."""
+    ceiling = -(-num // den)
     return len(str(ceiling - 1)) if ceiling > 1 else 0
 
 
@@ -167,24 +179,43 @@ class SumPlan(NamedTuple):
 
 
 def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
+    """The SumPlan of spec at 10^eps_log10.
+
+    It reads the exponents and the bases' (numerator, denominator) pairs:
+    the least modulus num/den by cross products, and r = den/num, the
+    float of 1/min |b_j|.  N is the first point of the sequence max(k, 1),
+    n + max(1, n // 8), ... at which the tail bound is below 10^eps_log10
+    and r(1 + 1/n)^m <= rho.  As m log10(n + 1) >= 0, the bound's log10 is
+    at least (n + 1) log10(r) + log_gap, so no point below least =
+    (eps_log10 - log_gap)/log10(r) - 1 passes.  Each point whose next one
+    is still below least is skipped untested: it misses by at least a step
+    times |log10(r)|, far beyond float rounding.  Every later point is
+    tested as before, so N and tail_log10 are those of testing them all.
+    """
     k = spec.depth
-    rmin = min(abs(b) for b in spec.bases)
-    if rmin <= 1:
+    num, den = 1, 0  # the least |n|/d so far, from an infinite start
+    for n, d in spec.key[2]:
+        if abs(n) * den < num * d:
+            num, den = abs(n), d
+    if num <= den:
         raise UnsupportedSpec(
             f"{format_spec(spec)}: direct summation needs all |b_j| > 1"
         )
-    r = float(1 / rmin)
-    m = (k - 1) + sum(-s for s in spec.exponents if s < 0)
+    r = den / num
+    m = (k - 1) - sum(s for s in spec.exponents if s < 0)
     rho = (1 + r) / 2
     log_r = math.log10(r)
     log_gap = -math.log10(1 - rho)
     n = max(k, 1)
+    least = (eps_log10 - log_gap) / log_r - 1
+    while n + (n // 8 or 1) < least:
+        n += n // 8 or 1
     while True:
         tail = m * math.log10(n + 1) + (n + 1) * log_r + log_gap
         if tail < eps_log10 and r * (1 + 1 / n) ** m <= rho:
             bits = math.ceil(-eps_log10 * math.log2(10)) + _rounding_bits(spec, n)
             return SumPlan(spec, n, tail, bits)
-        n += max(1, n // 8)
+        n += n // 8 or 1
 
 
 def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
@@ -210,8 +241,8 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     exact.  So compiling changes neither these bits nor any stored value.
     """
     k = spec.depth
-    c = 2 + max(max(s, 0) for s in spec.exponents)
-    degree = k + 1 + sum(max(-s, 0) for s in spec.exponents)
+    c = 2 + max(max(spec.exponents), 0)
+    degree = k + 1 - sum(s for s in spec.exponents if s < 0)
     return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
 
 
@@ -320,8 +351,10 @@ class SplitTerm(NamedTuple):
     right: LambdaSpec
 
 
-def _scaled_spec(spec: LambdaSpec, scale: Fraction) -> LambdaSpec:
-    return LambdaSpec(tuple((s, scale * b) for s, b in spec.terms))
+def _scaled_spec(spec: LambdaSpec, num: int, den: int) -> LambdaSpec:
+    """spec with every base multiplied by num/den > 0, from the pairs."""
+    pairs = zip(spec.exponents, spec.key[2])
+    return LambdaSpec(tuple([(s, Fraction(n * num, d * den)) for s, (n, d) in pairs]))
 
 
 def holder_split(word: Word, p: Fraction) -> tuple[SplitTerm, ...]:
@@ -341,31 +374,36 @@ def holder_split(word: Word, p: Fraction) -> tuple[SplitTerm, ...]:
     p = rational(p)
     if p <= 1:
         raise DomainError("split parameter p must exceed 1")
-    q = p / (p - 1)
+    p_num, p_den = p.as_integer_ratio()
     k = word_depth(word)
     weight = len(word)
     terms = []
     for r in range(weight + 1):
-        left = _scaled_spec(word_to_lambda(dual[weight - r:]), q)
-        right = _scaled_spec(word_to_lambda(word[r:]), p)
+        left = _scaled_spec(word_to_lambda(dual[weight - r:]), p_num, p_num - p_den)
+        right = _scaled_spec(word_to_lambda(word[r:]), p_num, p_den)
         sign = -1 if (r + k + left.depth + right.depth) % 2 else 1
         terms.append(SplitTerm(r, sign, left, right))
     return tuple(terms)
 
 
-def _split_parameter(word: Word) -> Fraction:
-    """Choose p so every half of the split is directly summable.
+def _split_parameter(ratios) -> Fraction:
+    """Choose p so every half of the split is directly summable, from the
+    bases' (numerator, denominator) pairs, the word's nonzero letters.
 
     m1 bounds base moduli on the right halves, m2 the complemented moduli on
     the left; feasibility needs p*m1 and q*m2 above 1, always satisfiable
-    because m1 >= 1 and m2 > 0.
+    because m1 >= 1 and m2 > 0.  Both are found, and p = 2 decided, on
+    (numerator, denominator) pairs compared by cross products.
     """
-    m1 = min(abs(a) for a in word if a != 0)
-    m2 = min(
-        [Fraction(1)] + [abs(1 - a) for a in word if a != 1 and a != 0]
-    )
-    if 2 * m1 >= GEOMETRIC_THRESHOLD and 2 * m2 >= GEOMETRIC_THRESHOLD:
+    m1, m2 = (1, 0), (1, 1)  # min |a| from infinity, min |1 - a| (a != 1) from 1
+    for n, d in ratios:
+        if abs(n) * m1[1] < m1[0] * d:
+            m1 = abs(n), d
+        if n != d and abs(d - n) * m2[1] < m2[0] * d:
+            m2 = abs(d - n), d
+    if 2 * m1[0] * _T_DEN >= _T_NUM * m1[1] and 2 * m2[0] * _T_DEN >= _T_NUM * m2[1]:
         return Fraction(2)
+    m1, m2 = Fraction(*m1), Fraction(*m2)
     target = min(GEOMETRIC_THRESHOLD, (1 + m1 + m2) / 2)
     q = target / m2
     return q / (q - 1)
@@ -397,38 +435,58 @@ class Plan(NamedTuple):
     dual: LambdaSpec | None
 
 
+# plan(spec) on the dual route leaves (dual, spec, sign) here for the
+# plan(dual) it calls, which reads its own dual and sign from it.  A plan
+# reads it only when it names its own spec, and then it holds that spec's
+# pair, so a value left by another call never changes a Plan
+_mirror = None
+
+
 @lru_cache(maxsize=4096, typed=True)
 def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     """The Plan of spec at prec; the module docstring derives its routes
     and its working precision."""
+    global _mirror
     if not isinstance(prec, Precision):
         raise TypeError(f"prec must be a Precision, got {prec!r}")
-    route, p, specs, signs, factor = "direct", None, (spec,), (1,), 2
+    route, p, specs, signs, factor = "direct", None, (spec,), (1,), (2, 1)
+    _, exponents, ratios = spec.key
     # no word encoding for nonpositive exponents, but convergence guarantees
     # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
-    if spec.depth and not _geometric(spec.bases) and min(spec.exponents) >= 1:
-        word = lambda_to_word(spec)
-        dual, sign = dual_word(word)
-        dual_spec = word_to_lambda(dual)
+    if spec.depth and not _geometric(ratios) and min(exponents) >= 1:
+        mirror, _mirror = _mirror, None
+        if mirror is None or mirror[0] is not spec:
+            dual, sign = dual_word(lambda_to_word(spec))
+            mirror = spec, word_to_lambda(dual), sign
+        _, dual_spec, sign = mirror
         # the dual's own value costs no more than this spec's: one direct
         # pass when its bases are geometric, else its split, which runs this
         # spec's two passes in mirror order.  Of such a pair the spec with
         # the smaller key runs them and the other takes its value; a dual
         # that diverges as a sum has no value of its own to give.
-        if _geometric(dual_spec.bases) or (
+        if _geometric(dual_spec.key[2]) or (
             dual_spec.key < spec.key and dual_spec.is_convergent()
         ):
+            _mirror = dual_spec, spec, sign
             how = plan(dual_spec, prec)
+            _mirror = None
             return Plan("dual", how.p, (sign,), how.working, how.passes, dual_spec)
-        route, p = "split", _split_parameter(word)
-        specs = _scaled_spec(spec, p), _scaled_spec(dual_spec, p / (p - 1))
-        weight, k = len(word), word_depth(word)
-        signs = tuple(
-            (-1) ** (r + k + word_depth(dual[weight - r:]) + word_depth(word[r:]))
-            for r in range(weight + 1)
-        )
-        factor = 2 * (weight + 1) * (sum(_suffix_bound(s.bases) for s in specs) + 1)
-    working = Precision(prec.digits, prec.guard + _decimal_exponent(factor))
+        route, p = "split", _split_parameter(ratios)
+        p_num, p_den = p.as_integer_ratio()
+        specs = _scaled_spec(spec, p_num, p_den), _scaled_spec(dual_spec, p_num, p_num - p_den)
+        # signs[r] = (-1)^(r + k + depth(dual[weight-r:]) + depth(word[r:])),
+        # from suffix counts of nonzero letters: the exponent is 2k at r = 0,
+        # and passing a letter a adds 1 + [1 - a != 0] - [a != 0], which is
+        # odd just for a letter other than 0 and 1, a base other than 1
+        signs, current = [], 1
+        for s, (n, d) in zip(exponents, ratios):
+            signs += [current] * s
+            current = current if n == d else -current
+        signs = tuple(signs + [current])
+        # 2 (weight + 1) (M_R + M_L + 1), each M a pair, as one pair
+        (m_r, d_r), (m_l, d_l) = _suffix_bound(specs[0].key[2]), _suffix_bound(specs[1].key[2])
+        factor = 2 * len(signs) * (m_r * d_l + m_l * d_r + d_r * d_l), d_r * d_l
+    working = Precision(prec.digits, prec.guard + _decimal_exponent(*factor))
     # each pass's values are within 2*10^-D: its plan cuts the tail below
     # 10^-D and its bits keep the rounding below 10^-D.  A suffix has no more
     # levels and no smaller base modulus, so the pass's plan bounds its tail too.

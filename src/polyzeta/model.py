@@ -125,7 +125,7 @@ _set_terms, _set_exponents, _set_bases, _set_key, _set_text = (
 EMPTY_SPEC = LambdaSpec(())
 
 
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def zeta_spec(*exponents: int) -> LambdaSpec:
@@ -186,15 +186,15 @@ def check_convergence(spec: LambdaSpec) -> tuple[bool, str]:
     Convergent iff all |b_j| >= 1, all s_j >= 1 and (b_1, s_1) != (1, 1);
     or all |b_j| > 1 with arbitrary integer exponents.
     """
-    if spec.depth == 0:
+    # on the key's (numerator, denominator) pairs: |b| > 1 is |num| > den
+    _, exponents, ratios = spec.key
+    if all(abs(n) > d for n, d in ratios):
         return True, ""
-    if all(abs(b) > 1 for b in spec.bases):
-        return True, ""
-    if any(abs(b) < 1 for b in spec.bases):
+    if any(abs(n) < d for n, d in ratios):
         return False, "a base has modulus below 1"
-    if any(s < 1 for s in spec.exponents):
+    if min(exponents) < 1:
         return False, "nonpositive exponent with a base of modulus 1"
-    if spec.terms[0] == (1, Fraction(1)):
+    if exponents[0] == 1 and ratios[0] == (1, 1):
         return False, "leading term (s, b) = (1, 1) diverges like the harmonic series"
     return True, ""
 
@@ -245,13 +245,18 @@ def word_depth(word: Word) -> int:
 
 
 def word_convergent(word: Word) -> tuple[bool, str]:
-    if not word:
+    return _ratios_convergent([a.as_integer_ratio() for a in word])
+
+
+def _ratios_convergent(ratios) -> tuple[bool, str]:
+    """word_convergent on the letters' (numerator, denominator) pairs."""
+    if not ratios:
         return True, ""
-    if word[-1] == 0:
+    if ratios[-1][0] == 0:
         return False, "trailing dx/x form diverges at 0"
-    if word[0] == 1:
+    if ratios[0] == (1, 1):
         return False, "leading dx/(x-1) form diverges at 1"
-    if any(0 < a < 1 for a in word):
+    if any(0 < n < d for n, d in ratios):
         return False, "a letter in (0, 1) puts the pole of dx/(x-a) inside the path"
     return True, ""
 
@@ -261,12 +266,12 @@ def lambda_to_word(spec: LambdaSpec) -> Word:
 
     The lambda value equals (-1)^depth times the word's iterated integral.
     """
-    if any(s < 1 for s in spec.exponents):
+    if spec.depth and min(spec.exponents) < 1:
         raise UnsupportedSpec("words require positive exponents")
     require_convergent(spec)
     out: list[Fraction] = []
     for s, b in spec.terms:
-        out.extend([Fraction(0)] * (s - 1))
+        out += [_ZERO] * (s - 1)
         out.append(b)
     return tuple(out)
 
@@ -278,12 +283,17 @@ def word_to_lambda(word: Word) -> LambdaSpec:
     terms = []
     zeros = 0
     for a in word:
-        if a == 0:
-            zeros += 1
-        else:
+        if a:
             terms.append((zeros + 1, a))
             zeros = 0
+        else:
+            zeros += 1
     return LambdaSpec(tuple(terms))
+
+
+# 1 - a for the letters of +-1 words and of their duals, by (numerator,
+# denominator); any other letter's complement is made from its pair
+_COMPLEMENTS = {(0, 1): _ONE, (1, 1): _ZERO, (-1, 1): Fraction(2), (2, 1): Fraction(-1)}
 
 
 def dual_word(word: Word) -> tuple[Word, int]:
@@ -293,12 +303,19 @@ def dual_word(word: Word) -> tuple[Word, int]:
     (-1)^(weight + depth(word) + depth(dual)).
     """
     word = make_word(word)
-    ok, reason = word_convergent(word)
+    ratios = list(map(Fraction.as_integer_ratio, word))
+    ok, reason = _ratios_convergent(ratios)
     if not ok:
         raise DivergenceError(f"word {word} diverges: {reason}")
     # the dual converges too: dual[-1] = 1 - word[0] != 0, dual[0] =
-    # 1 - word[-1] != 1, and 1 - a lies in (0, 1) exactly when a does
-    dual = tuple(1 - a for a in reversed(word))
-    sign = -1 if (len(word) + word_depth(word) + word_depth(dual)) % 2 else 1
+    # 1 - word[-1] != 1, and 1 - a lies in (0, 1) exactly when a does.  A
+    # letter n/d has the complement (d - n)/d, in lowest terms as n/d is
+    dual = tuple([
+        _COMPLEMENTS[r] if r in _COMPLEMENTS else Fraction(r[1] - r[0], r[1])
+        for r in reversed(ratios)
+    ])
+    # a letter a adds 1 + [a != 0] + [1 - a != 0] to weight + depth(word) +
+    # depth(dual), an odd count just when a is neither 0 nor 1
+    sign = -1 if sum(0 != n != d for n, d in ratios) % 2 else 1
     return dual, sign
 

@@ -121,7 +121,7 @@ def test_full_value_pass_matches_every_suffix_pass():
     # the direct and dual routes read values[0] only; the full-value pass
     # must give it bit for bit, at the same bits
     specs = full_value_specs()
-    assert evaluate._geometric(specs[-1].bases)  # the dual takes the direct pass
+    assert evaluate._geometric(specs[-1].key[2])  # the dual takes the direct pass
     for spec in specs:
         for dps in (30, 120):
             terms = plan_nested_sum(spec, -dps).terms
@@ -765,7 +765,7 @@ def test_split_pass_suffixes_stay_within_their_bound():
         dps = how.working.working_dps
         adaptive += how.p != 2
         for run in how.passes:
-            bound = evaluate._suffix_bound(run.spec.bases)
+            bound = F(*evaluate._suffix_bound(run.spec.key[2]))
             values, bits = suffix_sums(run.spec, run.terms, dps)
             for v in values:
                 # each value is within 2*10^-dps of the suffix it sums
@@ -1003,11 +1003,14 @@ def own_split(spec, prec):
     working precision, the signed products of their suffixes and one
     rounding.  Returns the value and the two pass plans."""
     word = lambda_to_word(spec)
-    terms = holder_split(word, evaluate._split_parameter(word))
+    terms = holder_split(word, evaluate._split_parameter(spec.key[2]))
     specs = terms[0].right, terms[-1].left
     weight = len(word)
-    factor = 2 * (weight + 1) * (sum(evaluate._suffix_bound(s.bases) for s in specs) + 1)
-    working = Precision(prec.digits, prec.guard + evaluate._decimal_exponent(factor))
+    bounds = sum(F(*evaluate._suffix_bound(s.key[2])) for s in specs)
+    factor = 2 * (weight + 1) * (bounds + 1)
+    working = Precision(
+        prec.digits, prec.guard + evaluate._decimal_exponent(*factor.as_integer_ratio())
+    )
     runs = [plan_nested_sum(s, -working.working_dps) for s in specs]
     right, left = (
         evaluate._compiled_pass(*run.spec.key[1:], True)(run.terms, 1 << run.bits)
@@ -1096,7 +1099,7 @@ def test_a_word_without_a_mirror_stays_split():
     adaptive = 0
     for spec in random_split_specs(36):
         word = lambda_to_word(spec)
-        if evaluate._split_parameter(word) != 2:
+        if evaluate._split_parameter(spec.key[2]) != 2:
             assert not word_to_lambda(dual_word(word)[0]).is_convergent(), spec
             adaptive += 1
             if adaptive == 12:

@@ -7,6 +7,7 @@ every entry of each row, is the oracle of the Gram-matrix LLL that moves only
 the transform: both must make the same decisions.
 """
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -351,6 +352,34 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     assert residual < F(1, 10 ** (total // 2))  # a fixed threshold accepts c
     assert not _accepts(c, residual, total)
     assert _accepts(c, F(0), total)  # an exact relation of that norm passes
+
+
+def residual_at(seed, f, n=6, digits=40):
+    """n exact rationals whose last entry is solved so that a primitive c
+    with small entries leaves c.x = f |c|_1 / C exactly, C = 10^(digits-10):
+    (values at digits, c sign-normalized as lindep reports it)."""
+    rng = random.Random(seed)
+    den = 10 ** (digits + 30)
+    xs = [F(rng.randrange(den // 10, den), den) * rng.choice((1, -1)) for _ in range(n - 1)]
+    while True:
+        c = [rng.randint(-9, 9) for _ in range(n)]
+        if c[-1] and math.gcd(*c) == 1:
+            break
+    target = f * F(sum(map(abs, c)), 10 ** (digits - 10))
+    xs.append((target - sum(ci * x for ci, x in zip(c, xs))) / c[-1])
+    prec = Precision(digits)
+    sign = 1 if next(ci for ci in c if ci) > 0 else -1
+    return [BigReal(x, prec) for x in xs], tuple(sign * ci for ci in c)
+
+
+def test_accepts_holds_the_residual_to_its_bound():
+    # a relation whose residual is half the bound |c|_1 / C is found, and
+    # one at twice the bound is not: a looser residual test would accept it
+    for seed in range(3):
+        values, c = residual_at(seed, F(1, 2))
+        assert lindep(values).coefficients == c, seed
+        values, c = residual_at(seed, 2)
+        assert not lindep(values).found, seed
 
 
 def rational_vector(rng, n, digits, relations=0):

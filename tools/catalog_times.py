@@ -14,7 +14,8 @@ by newlines, as the benchmark's `identity_session` digests them.
 Per weight it prints the number of identities and, per TREE, the least
 time over all rounds and its growth over the previous weight.  With two
 trees it adds the second tree's change against the first and whether their
-digests are the same; with one it prints the digest.
+digests are the same; with one it prints the digest.  Each digest is
+printed in full, all 64 hex digits, so a golden can be read off the table.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def main(argv: list[str]) -> int:
             growth = f"x{t / previous[n]:.2f}" if previous[n] else "-"
             line += f" {t * 1000:>12.2f} {growth:>7}"
             previous[n] = t
-        shown = " ".join(d[:16] for d in sorted(set.union(*digests)))
+        shown = " ".join(sorted(set.union(*digests)))
         if len(trees) == 2:
             same = len(set.union(*digests)) == 1
             line += f" {best[1] / best[0] - 1:>+7.1%}  {shown} {'same' if same else 'DIFFERENT'}"
