@@ -392,18 +392,14 @@ def _split_parameter(ratios) -> Fraction:
 
     m1 bounds base moduli on the right halves, m2 the complemented moduli on
     the left; feasibility needs p*m1 and q*m2 above 1, always satisfiable
-    because m1 >= 1 and m2 > 0.  Both are found, and p = 2 decided, on
-    (numerator, denominator) pairs compared by cross products.
+    because m1 >= 1 and m2 > 0.  As 2*m1 >= 2, p = 2 exactly when 2*m2
+    reaches the threshold, which is decided on the pairs: 2|1 - a| =
+    2|d - n|/d for each letter a = n/d other than 1.
     """
-    m1, m2 = (1, 0), (1, 1)  # min |a| from infinity, min |1 - a| (a != 1) from 1
-    for n, d in ratios:
-        if abs(n) * m1[1] < m1[0] * d:
-            m1 = abs(n), d
-        if n != d and abs(d - n) * m2[1] < m2[0] * d:
-            m2 = abs(d - n), d
-    if 2 * m1[0] * _T_DEN >= _T_NUM * m1[1] and 2 * m2[0] * _T_DEN >= _T_NUM * m2[1]:
+    if all(n == d or 2 * abs(d - n) * _T_DEN >= _T_NUM * d for n, d in ratios):
         return Fraction(2)
-    m1, m2 = Fraction(*m1), Fraction(*m2)
+    m1 = min(Fraction(abs(n), d) for n, d in ratios)
+    m2 = min([Fraction(1)] + [Fraction(abs(d - n), d) for n, d in ratios if n != d])
     target = min(GEOMETRIC_THRESHOLD, (1 + m1 + m2) / 2)
     q = target / m2
     return q / (q - 1)

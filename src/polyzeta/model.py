@@ -245,11 +245,8 @@ def word_depth(word: Word) -> int:
 
 
 def word_convergent(word: Word) -> tuple[bool, str]:
-    return _ratios_convergent([a.as_integer_ratio() for a in word])
-
-
-def _ratios_convergent(ratios) -> tuple[bool, str]:
-    """word_convergent on the letters' (numerator, denominator) pairs."""
+    # on the letters' (numerator, denominator) pairs
+    ratios = [a.as_integer_ratio() for a in word]
     if not ratios:
         return True, ""
     if ratios[-1][0] == 0:
@@ -291,9 +288,9 @@ def word_to_lambda(word: Word) -> LambdaSpec:
     return LambdaSpec(tuple(terms))
 
 
-# 1 - a for the letters of +-1 words and of their duals, by (numerator,
-# denominator); any other letter's complement is made from its pair
-_COMPLEMENTS = {(0, 1): _ONE, (1, 1): _ZERO, (-1, 1): Fraction(2), (2, 1): Fraction(-1)}
+# 1 - a for the letters of +-1 words, by (numerator, denominator); any other
+# letter's complement is made from its pair
+_COMPLEMENTS = {(0, 1): _ONE, (1, 1): _ZERO, (-1, 1): Fraction(2)}
 
 
 def dual_word(word: Word) -> tuple[Word, int]:
@@ -303,13 +300,13 @@ def dual_word(word: Word) -> tuple[Word, int]:
     (-1)^(weight + depth(word) + depth(dual)).
     """
     word = make_word(word)
-    ratios = list(map(Fraction.as_integer_ratio, word))
-    ok, reason = _ratios_convergent(ratios)
+    ok, reason = word_convergent(word)
     if not ok:
         raise DivergenceError(f"word {word} diverges: {reason}")
     # the dual converges too: dual[-1] = 1 - word[0] != 0, dual[0] =
     # 1 - word[-1] != 1, and 1 - a lies in (0, 1) exactly when a does.  A
     # letter n/d has the complement (d - n)/d, in lowest terms as n/d is
+    ratios = list(map(Fraction.as_integer_ratio, word))
     dual = tuple([
         _COMPLEMENTS[r] if r in _COMPLEMENTS else Fraction(r[1] - r[0], r[1])
         for r in reversed(ratios)
