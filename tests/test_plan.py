@@ -11,7 +11,7 @@ from fractions import Fraction
 from polyzeta import DivergenceError, LambdaSpec, Precision, UnsupportedSpec, parse_spec
 from polyzeta import evaluate
 from polyzeta.acceptance import word_corpus
-from polyzeta.evaluate import GEOMETRIC_THRESHOLD, Plan, SumPlan, _rounding_bits, plan
+from polyzeta.evaluate import GEOMETRIC_THRESHOLD, Plan, SumPlan, plan
 from polyzeta.model import format_spec, word_to_lambda
 
 F = Fraction
@@ -65,6 +65,13 @@ def _geometric_by_definition(bases):
     return min(abs(b) for b in bases) >= GEOMETRIC_THRESHOLD
 
 
+def _rounding_bits_by_definition(spec, terms):
+    k = spec.depth
+    c = 2 + max(max(s, 0) for s in spec.exponents)
+    degree = k + 1 + sum(max(-s, 0) for s in spec.exponents)
+    return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+
+
 def _nested_sum_by_definition(spec, eps_log10):
     k = spec.depth
     rmin = min(abs(b) for b in spec.bases)
@@ -79,7 +86,7 @@ def _nested_sum_by_definition(spec, eps_log10):
     while True:
         tail = m * math.log10(n + 1) + (n + 1) * log_r + log_gap
         if tail < eps_log10 and r * (1 + 1 / n) ** m <= rho:
-            bits = math.ceil(-eps_log10 * math.log2(10)) + _rounding_bits(spec, n)
+            bits = math.ceil(-eps_log10 * math.log2(10)) + _rounding_bits_by_definition(spec, n)
             return SumPlan(spec, n, tail, bits)
         n += max(1, n // 8)
 
