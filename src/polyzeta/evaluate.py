@@ -178,6 +178,9 @@ class SumPlan(NamedTuple):
     bits: int
 
 
+_NEAR_ONE = "a base modulus this close to 1 cannot be summed"
+
+
 def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
     """The SumPlan of spec at 10^eps_log10.
 
@@ -204,6 +207,10 @@ def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
     r = den / num
     m = (k - 1) - sum(s for s in spec.exponents if s < 0)
     rho = (1 + r) / 2
+    if rho == 1:
+        # r is within float rounding of 1, so 1 - rho is 0 and no float tail
+        # bound exists (nor a number of terms that could be run)
+        raise UnsupportedSpec(f"{format_spec(spec)}: {_NEAR_ONE}")
     log_r = math.log10(r)
     log_gap = -math.log10(1 - rho)
     n = max(k, 1)
@@ -486,7 +493,14 @@ def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     # each pass's values are within 2*10^-D: its plan cuts the tail below
     # 10^-D and its bits keep the rounding below 10^-D.  A suffix has no more
     # levels and no smaller base modulus, so the pass's plan bounds its tail too.
-    passes = tuple(plan_nested_sum(s, -working.working_dps) for s in specs if s.depth)
+    try:
+        passes = tuple(plan_nested_sum(s, -working.working_dps) for s in specs if s.depth)
+    except UnsupportedSpec:
+        if route == "direct":
+            raise
+        # the split's halves have every |b_j| > 1 and fail only near 1, on
+        # scaled bases: name the spec that was asked for
+        raise UnsupportedSpec(f"{format_spec(spec)}: {_NEAR_ONE}") from None
     return Plan(route, p, signs, working, passes, None)
 
 

@@ -1,19 +1,22 @@
 """Integer-relation discovery over vectors of high-precision reals.
 
-One integral LLL, `_lll` (Lovasz parameter 3/4), serves every reduction.
-It tracks the Gram-Schmidt data through the scaled integers lambda_ij and
-the Gram determinants d_i, so every division is exact.  It runs on the Gram
-matrix of the basis and moves only the n-column unimodular transform:
-`lll_reduce` and the final pass multiply that transform back into their
-rows, and the lifts use it as it is.  `lindep` embeds the input reals into
-the classical relation lattice (e_i | round(C x_i)) and accepts a candidate
-c only when its norm is under a cap and the recomputed |sum c_i x_i| is
-below |c|_1 / C (``_accepts``).
+One integral LLL, `_lll`, serves every reduction, at the Lovasz parameter
+its caller passes: 3/4 (`LOVASZ`) for `lll_reduce` and the final pass, 3/10
+(`LIFT_LOVASZ`) for the lifts.  It tracks the Gram-Schmidt data through the
+scaled integers lambda_ij and the Gram determinants d_i, so every division
+is exact.  It runs on the Gram matrix of the basis and moves only the
+n-column unimodular transform: `lll_reduce` and the final pass multiply that
+transform back into their rows, and the lifts use it as it is.  `lindep`
+embeds the input reals into the classical relation lattice
+(e_i | round(C x_i)) and accepts a candidate c only when its norm is under a
+cap and the recomputed |sum c_i x_i| is below |c|_1 / C (``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
 `STAGE_DIGITS` digits of the column to the basis the previous lift reduced,
 truncated to about `LIFT_BITS` bits, and records the unimodular transform.
+A lift reduces weakly, at 3/10: it only has to bring the basis close enough
+for the next stage, and LLL terminates for any parameter above 1/4.
 After each lift, `lindep` tests the transform's rows against its acceptance
 test and returns the first that passes, skipping the remaining lifts.  Only
 when no row of any lift passes does the final pass run: the exact LLL on the
@@ -21,7 +24,9 @@ full, untruncated lattice, reached through the transform, so the basis that
 the "no relation" verdict and its exclusion bound read is LLL-reduced
 whatever the lifts did.  Each lift and the final pass is a stage that offers
 candidates (``_stages``); `lindep` runs the one residual and acceptance test
-over them all.
+over them all.  So a candidate from a weakly reduced lift is as certified as
+one from the final pass: the test reads the candidate, not how reduced the
+basis it came from was.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .errors import InsufficientPrecision
 from .model import int_tuple
 from .precision import BigReal, linear_combination
 
-LOVASZ_NUM = 3
-LOVASZ_DEN = 4
+# Lovasz parameter, as (numerator, denominator), of `lll_reduce` and of the
+# exact final pass, whose basis the "no relation" verdict reads.
+LOVASZ = (3, 4)
 MIN_LINDEP_DIGITS = 30
 # Digits of the scaled column that each lift of the staged reduction adds.
 # Wider stages make fewer LLL calls but give each more swaps on larger
@@ -47,6 +53,13 @@ STAGE_DIGITS = 30
 # Fewer bits make each lift's Gram numbers smaller; too few leave the lift
 # too coarse to reduce, which moves its work on to the next stage.
 LIFT_BITS = 100
+# Lovasz parameter of every lift.  A lift only has to bring the basis close
+# enough for the next stage, and LLL terminates for any parameter in
+# (1/4, 1].  A weaker one makes fewer swaps and size reductions in each
+# lift, but leaves its rows longer, which moves work on to the next stage
+# and the final pass.  Of 2/5, 1/3, 3/10 and 27/100, 3/10 ran the
+# benchmark's relation_hunt references fastest (ROADMAP dead ends).
+LIFT_LOVASZ = (3, 10)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -70,20 +83,21 @@ def _times(v, rows):
     return [[_dot(vrow, column) for column in columns] for vrow in v]
 
 
-def _lll(gram):
+def _lll(gram, lovasz):
     """Integral LLL of a basis B given by its Gram matrix, of which it reads
     only the lower triangle (``_gram``).
 
     Returns (V, d): the unimodular transform V, whose rows give the reduced
-    basis as V B, and the Gram determinants d_0 = 1, ..., d_n of that
-    basis.  This is Cohen's all-integer LLL (Algorithm 2.6.7), with Lovasz
-    parameter 3/4 and the scaled integers lambda_kj = d_(j+1) mu_kj, so
-    every division is exact.  It needs b_k . b_j only when it first visits
-    row k, and then row k is still b_k: size reductions and swaps move rows
-    at or below kmax only.  Each row j < k so far combines b_0, ..., b_(k-1)
-    alone, so b_k . b_j is V_j . G[k].  Each size reduction and swap moves
-    V's n entries alone.
+    basis as V B, and the Gram determinants d_0 = 1, ..., d_n of that basis.
+    This is Cohen's all-integer LLL (Algorithm 2.6.7), with Lovasz parameter
+    num/den for lovasz = (num, den), 1/4 < num/den <= 1, and the scaled
+    integers lambda_kj = d_(j+1) mu_kj, so every division is exact.  It
+    needs b_k . b_j only when it first visits row k, and then row k is still
+    b_k: size reductions and swaps move rows at or below kmax only.  Each
+    row j < k so far combines b_0, ..., b_(k-1) alone, so b_k . b_j is
+    V_j . G[k].  Each size reduction and swap moves V's n entries alone.
     """
+    num, den = lovasz
     n = len(gram)
     v = _identity(n)
     lam = [[0] * n for _ in range(n)]
@@ -139,8 +153,8 @@ def _lll(gram):
                     d[k + 1] = u
         while True:
             size_reduce(k, k - 1)
-            if LOVASZ_DEN * d[k + 1] * d[k - 1] < (
-                LOVASZ_NUM * d[k] * d[k] - LOVASZ_DEN * lam[k][k - 1] ** 2
+            if den * d[k + 1] * d[k - 1] < (
+                num * d[k] * d[k] - den * lam[k][k - 1] ** 2
             ):
                 swap(k, kmax)
                 k = max(1, k - 1)
@@ -160,7 +174,7 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     rows = [int_tuple(row) for row in rows]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must have equal lengths")
-    v, _ = _lll(_gram(rows))
+    v, _ = _lll(_gram(rows), LOVASZ)
     return [tuple(row) for row in _times(v, rows)]
 
 
@@ -171,12 +185,15 @@ def _lifts(column, total):
     the identity.  For e = STAGE_DIGITS, 2 STAGE_DIGITS, ... below total, a
     lift takes the column's leading e digits c and shifts the rows
     (U_i | U_i c) right until the second-smallest keeps about LIFT_BITS
-    bits.  It reduces them with identity columns appended, whose part of the
-    reduced basis is the unimodular transform V, and U becomes V U.  Those
-    columns only carry V, so the lift hands `_lll` the Gram matrix of the
-    shifted rows with 1 added on its diagonal, which is the Gram matrix of
-    the rows with the identity columns, and takes V from it as it is.  With
-    total <= STAGE_DIGITS there is no lift.
+    bits.  It reduces them at LIFT_LOVASZ, 3/10, with identity columns
+    appended, whose part of the reduced basis is the unimodular transform
+    V, and U becomes V U.  Those columns only carry V, so the lift hands
+    `_lll` the Gram matrix of the shifted rows with 1 added on its diagonal,
+    which is the Gram matrix of the rows with the identity columns, and
+    takes V from it as it is.  With total <= STAGE_DIGITS there is no lift.
+    A weakly reduced lift is no less sound: its rows are candidates that
+    `lindep` tests as any other, and the final pass reduces at 3/4 whatever
+    basis the lifts leave.
     """
     u = _identity(len(column))
     for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
@@ -188,7 +205,7 @@ def _lifts(column, total):
         gram = _gram([[v >> shift for v in row] for row in rows])
         for row in gram:
             row[-1] += 1  # the diagonal entry
-        transform, _ = _lll(gram)
+        transform, _ = _lll(gram, LIFT_LOVASZ)
         u = _times(transform, u)
         yield u
 
@@ -302,7 +319,7 @@ def _stages(column, total):
     # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
     # full relation lattice
     rows = [row + [_dot(row, column)] for row in u]
-    transform, grams = _lll(_gram(rows))
+    transform, grams = _lll(_gram(rows), LOVASZ)
     best = min(_times(transform, rows), key=lambda row: _dot(row, row))
     yield [best[:n]], grams
 
@@ -375,9 +392,11 @@ def lindep(values) -> RelationResult:
     Why a candidate from a lift is as certified as one from the final pass.
     Neither test asks where c came from: the counting argument is about
     every integer vector under the cap, so a c that passes is a relation
-    with the same confidence whichever reduction produced it.  The lifts
-    only find it sooner.  "No relation" is still the exact final pass's
-    verdict, with the exclusion bound read from its Gram determinants.
+    with the same confidence whichever reduction produced it, and however
+    weakly: the lifts reduce at Lovasz parameter 3/10, the final pass at
+    3/4.  The lifts only find it sooner.  "No relation" is still the exact
+    final pass's verdict, with the exclusion bound read from its Gram
+    determinants, and that basis is LLL-reduced at 3/4.
 
     Which relation.  When the inputs satisfy several independent relations,
     the result is the first candidate that passes: an exact relation under

@@ -283,6 +283,19 @@ def test_run_eval_divergent_z_names_its_arguments(capsys):
     )
 
 
+def test_run_eval_base_within_float_rounding_of_one_names_its_spec(capsys):
+    # 1/b rounds to 1.0 as a float, so no tail bound exists: the split's
+    # plan refuses the spec asked for, in one line and without a traceback
+    assert run(["eval", "zp(100000000000000000001/100000000000000000000, 2)",
+                "--digits", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: L[2 | 100000000000000000001/100000000000000000000]:"
+        " a base modulus this close to 1 cannot be summed\n"
+    )
+
+
 def test_eval_lindep_expression(prec50):
     result = eval_expression(
         parse_expression("lindep([z(3), Pi^2*log(2), zp(2,2,1), zp(2,3)])"),

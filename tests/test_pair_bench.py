@@ -1,6 +1,7 @@
 """tools/pair_bench.py --out and --claim: the pair runs land in a file of
 the BENCH_<n>.json layout, created on the first run and extended after; and
-a checkout with bytecode under src/ is refused before any run."""
+checkouts that do not lie side by side, or one with bytecode under src/,
+are refused before any run."""
 
 import importlib.util
 import json
@@ -58,3 +59,21 @@ def test_refuses_a_checkout_with_bytecode_under_src(tmp_path):
     with pytest.raises(SystemExit, match="^" + re.escape(f"{change}: bytecode under src/")):
         tool.main([str(parent), str(change), "identity_session", "1"])
     assert cache.is_dir()
+
+
+def test_refuses_checkouts_that_do_not_share_a_directory(tmp_path):
+    # where a checkout lies moves setup_s and peak_rss_mb, so the tool names
+    # both checkouts and stops before any run, deleting nothing
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "elsewhere" / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "polyzeta").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    with pytest.raises(SystemExit, match="^" + re.escape(
+            f"{parent} and {change} lie in different directories")):
+        tool.main([str(parent), str(change), "identity_session", "1"])
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "elsewhere", "elsewhere/change", "elsewhere/change/BENCHMARK.json",
+        "elsewhere/change/src", "elsewhere/change/src/polyzeta",
+        "parent", "parent/BENCHMARK.json", "parent/src", "parent/src/polyzeta",
+    ]

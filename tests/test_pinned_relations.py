@@ -20,7 +20,7 @@ from polyzeta import BigReal, Precision, lindep
 from conftest import libmp_raw
 
 REFS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs")
-RESULTS_SHA256 = "db940c98bb462420dde13be657969260ed1e73aa708a9df441ad0add1e1dc09c"
+RESULTS_SHA256 = "ce31f6a543d86c8d278807bbc5ff4be06cd521fcc0c16ca6366b037286b2a639"
 
 
 def sha256_lines(lines) -> str:

@@ -8,6 +8,8 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from polyzeta import DivergenceError, LambdaSpec, Precision, UnsupportedSpec, parse_spec
 from polyzeta import evaluate
 from polyzeta.acceptance import word_corpus
@@ -290,3 +292,26 @@ def test_plan_nested_sum_replays_in_exact_fractions():
             assert not tail_bound_holds(before, r, m, eps), run
             checked += 1
     assert len(runs) >= 600 and checked >= 0.95 * len(runs)
+
+
+@pytest.mark.parametrize("exponents, scaled", [((-1,), False), ((2,), True), ((2, 1), True)])
+def test_plan_refuses_a_base_within_float_rounding_of_one(monkeypatch, exponents, scaled):
+    # min |b_j| = 1 + 10^-20 makes r = 1/min |b_j| round to 1.0, so 1 - rho
+    # is 0 and no float tail bound exists; the plan names the spec, also
+    # when the pass that fails is a scaled half of the split
+    near_one = Fraction(10 ** 20 + 1, 10 ** 20)
+    spec = LambdaSpec.of(exponents, (near_one,) * len(exponents))
+    planned = []
+    plan_nested_sum = evaluate.plan_nested_sum
+
+    def recording(run_spec, eps_log10):
+        planned.append(run_spec)
+        return plan_nested_sum(run_spec, eps_log10)
+
+    monkeypatch.setattr(evaluate, "plan_nested_sum", recording)
+    with pytest.raises(UnsupportedSpec) as raised:
+        plan(spec, Precision(30))
+    assert str(raised.value) == (
+        f"{format_spec(spec)}: a base modulus this close to 1 cannot be summed"
+    )
+    assert (planned[-1] != spec) == scaled

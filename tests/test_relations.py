@@ -28,8 +28,8 @@ from polyzeta.acceptance import planted_relation
 from polyzeta.precision import ln, pi
 from polyzeta.relations import (
     LIFT_BITS,
-    LOVASZ_DEN,
-    LOVASZ_NUM,
+    LIFT_LOVASZ,
+    LOVASZ,
     STAGE_DIGITS,
     _accepts,
     _dot,
@@ -83,9 +83,11 @@ def lattice_vectors(rows, radius):
     return out
 
 
-# The row-form oracle of `relations._lll`: the same integral LLL, reducing
-# the rows themselves, so it moves every entry of each row.
-def _lll_with_grams(rows):
+# The row-form oracle of `relations._lll`: the same integral LLL at the
+# Lovasz parameter (numerator, denominator), reducing the rows themselves, so
+# it moves every entry of each row.
+def _lll_with_grams(rows, lovasz):
+    num, den = lovasz
     b = [list(int(x) for x in row) for row in rows]
     n = len(b)
     lam = [[0] * n for _ in range(n)]
@@ -134,8 +136,8 @@ def _lll_with_grams(rows):
                     d[k + 1] = u
         while True:
             size_reduce(k, k - 1)
-            if LOVASZ_DEN * d[k + 1] * d[k - 1] < (
-                LOVASZ_NUM * d[k] * d[k] - LOVASZ_DEN * lam[k][k - 1] ** 2
+            if den * d[k + 1] * d[k - 1] < (
+                num * d[k] * d[k] - den * lam[k][k - 1] ** 2
             ):
                 swap(k, kmax)
                 k = max(1, k - 1)
@@ -327,8 +329,8 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     transforms = []
     lll = relations._lll
 
-    def recording(gram):
-        v, grams = lll(gram)
+    def recording(gram, lovasz):
+        v, grams = lll(gram, lovasz)
         transforms.append(v)
         return v, grams
 
@@ -404,9 +406,9 @@ def counting_lll(monkeypatch):
     calls = []
     lll = relations._lll
 
-    def recording(gram):
+    def recording(gram, lovasz):
         calls.append(len(gram))
-        return lll(gram)
+        return lll(gram, lovasz)
 
     monkeypatch.setattr(relations, "_lll", recording)
     return calls
@@ -600,7 +602,7 @@ def staged_lll(column, total):
     for u in _lifts(column, total):
         pass
     rows = [row + [_dot(row, column)] for row in u]
-    v, grams = _lll(_gram(rows))
+    v, grams = _lll(_gram(rows), LOVASZ)
     return [tuple(row) for row in _times(v, rows)], grams
 
 
@@ -638,30 +640,35 @@ def test_lll_reduce_keeps_reduced_input(rows):
 
 # -- the Gram-matrix LLL against the row-form oracle ------------------------------
 
+def lift_basis(u, column, total, e):
+    """The basis that the lift adding the column's leading e digits reduces,
+    from the transform U before it: the rows (U_i | U_i c) shifted right, as
+    `_lifts` shifts them, with the identity columns appended."""
+    unit = 10 ** (total - e)
+    lifted = [(v + unit // 2) // unit for v in column]
+    rows = [row + [_dot(row, lifted)] for row in u]
+    sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
+    shift = max(sizes[1] - LIFT_BITS, 0)
+    return [[v >> shift for v in row] + ident for row, ident in zip(rows, _identity(len(u)))]
+
+
 def oracle_stages(column, total):
     """lindep's staged reduction with every lattice reduced in row form:
-    for each lift, the identity-column block of its reduced rows (the
-    transform V) and its Gram determinants; last, the final pass's rows
-    (U_i | U_i column), its reduced rows and its Gram determinants."""
+    for each lift, at LIFT_LOVASZ, the identity-column block of its reduced
+    rows (the transform V) and its Gram determinants; last, at LOVASZ, the
+    final pass's rows (U_i | U_i column), its reduced rows and its Gram
+    determinants."""
     n = len(column)
-    identity = _identity(n)
-    u = identity
+    u = _identity(n)
     stages = []
     for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
-        unit = 10 ** (total - e)
-        lifted = [(v + unit // 2) // unit for v in column]
-        rows = [row + [_dot(row, lifted)] for row in u]
-        sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
-        shift = max(sizes[1] - LIFT_BITS, 0)
-        reduced, grams = _lll_with_grams(
-            [[v >> shift for v in row] + ident for row, ident in zip(rows, identity)]
-        )
+        reduced, grams = _lll_with_grams(lift_basis(u, column, total, e), LIFT_LOVASZ)
         transform = [list(row[n + 1:]) for row in reduced]
         stages.append((transform, grams))
         u = [[sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
              for trow in transform]
     rows = [row + [_dot(row, column)] for row in u]
-    return stages, (rows, *_lll_with_grams(rows))
+    return stages, (rows, *_lll_with_grams(rows, LOVASZ))
 
 
 @pytest.mark.parametrize(
@@ -677,10 +684,12 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
     total = digits - 10
     column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
     calls = []
+    lovaszes = []
     lll = relations._lll
 
-    def recording(gram):
-        calls.append(lll(gram))
+    def recording(gram, lovasz):
+        lovaszes.append(lovasz)
+        calls.append(lll(gram, lovasz))
         return calls[-1]
 
     monkeypatch.setattr(relations, "_lll", recording)
@@ -688,18 +697,49 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
         pass
     lifts, (rows, reduced, grams) = oracle_stages(column, total)
     assert len(lifts) == (total - 1) // STAGE_DIGITS
+    assert lovaszes == [LIFT_LOVASZ] * len(lifts) + [LOVASZ]
     assert calls[:-1] == lifts
     v, d = calls[-1]
     assert d == grams
     assert [tuple(row) for row in _times(v, rows)] == reduced
 
 
+def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
+    # each lift's reduced basis, its shifted rows with identity columns times
+    # the transform V, is LLL-reduced at 3/10; some are not at 3/4, so the
+    # lifts do run at the weaker parameter
+    transforms = []
+    lll = relations._lll
+
+    def recording(gram, lovasz):
+        transforms.append(lll(gram, lovasz)[0])
+        return transforms[-1], None
+
+    monkeypatch.setattr(relations, "_lll", recording)
+    lifts = weak = 0
+    for n, digits, planted in [(4, 100, False), (6, 200, True), (8, 300, False), (12, 200, False)]:
+        total = digits - 10
+        column, _ = scaled_column(random.Random(4900 + n + digits), n, total, planted)
+        transforms.clear()
+        us = [_identity(n), *_lifts(column, total)]
+        assert len(transforms) == len(us) - 1 == (total - 1) // STAGE_DIGITS
+        for u, e, v in zip(us, range(STAGE_DIGITS, total, STAGE_DIGITS), transforms):
+            basis = _times(v, lift_basis(u, column, total, e))
+            assert_lll_reduced(basis, delta=F(3, 10))
+            lifts += 1
+            try:
+                assert_lll_reduced(basis)
+            except AssertionError:
+                weak += 1
+    assert lifts == 23 and weak > 0
+
+
 @pytest.mark.parametrize(
     "rows", [[], [[5, -3]], [[201, 37], [1648, 297]]], ids=["n0", "n1", "n2"]
 )
 def test_gram_lll_matches_the_row_form_oracle_on_small_bases(rows):
-    reduced, grams = _lll_with_grams(rows)
-    v, d = _lll(_gram(rows))
+    reduced, grams = _lll_with_grams(rows, LOVASZ)
+    v, d = _lll(_gram(rows), LOVASZ)
     assert d == grams
     assert [tuple(row) for row in _times(v, rows)] == reduced
     assert lll_reduce(rows) == reduced
@@ -708,7 +748,7 @@ def test_gram_lll_matches_the_row_form_oracle_on_small_bases(rows):
 @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0], [1, 1]]], ids=["dependent", "zero-row"])
 def test_gram_lll_rejects_dependent_rows_as_the_oracle_does(rows):
     with pytest.raises(ValueError) as expected:
-        _lll_with_grams(rows)
+        _lll_with_grams(rows, LOVASZ)
     with pytest.raises(ValueError) as raised:
         lll_reduce(rows)
     assert str(raised.value) == str(expected.value)

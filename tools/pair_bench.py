@@ -10,9 +10,11 @@ PARENT and CHANGE are checkouts of this repository.  The script runs
 with each checkout as its working directory, S the ``run_seconds`` of
 PARENT's BENCHMARK.json, PAIRS times per side, alternating which side runs
 first, and stops if any run is not ``"correct": true``.  It refuses to
-start while either checkout holds a ``__pycache__`` under ``src/``: the
-benchmark imports polyzeta from there, and valid bytecode skips the
-compile that ``setup_s`` otherwise times.  It never deletes one.  For each
+start unless both checkouts lie in one directory: where a checkout lies
+moves ``setup_s`` and ``peak_rss_mb`` by itself.  It also refuses while
+either checkout holds a ``__pycache__`` under ``src/``: the benchmark
+imports polyzeta from there, and valid bytecode skips the compile that
+``setup_s`` otherwise times.  It never deletes anything.  For each
 end-to-end metric of that BENCHMARK.json it prints each side's median and
 quartiles, the pairs the change wins (ties count for neither side) and the
 verdict of the rule for claiming a gain: the change wins at least 9 of 10
@@ -119,6 +121,9 @@ def main(argv: list[str]) -> int:
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     if options["--claim"] not in (None, *(m["name"] for m in spec["end_to_end"])):
         sys.exit(f"--claim: no end-to-end metric {options['--claim']!r}")
+    if parent.resolve().parent != change.resolve().parent:
+        sys.exit(f"{parent} and {change} lie in different directories, which skews setup_s"
+                 " and peak_rss_mb; put both checkouts side by side and rerun")
     for checkout in (parent, change):
         caches = sorted((checkout / "src").rglob("__pycache__"))
         if caches:
