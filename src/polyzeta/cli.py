@@ -61,11 +61,11 @@ MAX_EXPONENT_BITS = 64
 # well below Python's recursion limit.
 MAX_PARSE_DEPTH = 100
 # bound on `identities export --weight`: the catalog grows about 2.2x per
-# weight; weight 10 (1280 identities) builds and writes in 0.25-0.32 s at
-# 22 MB peak RSS (Python 3.11, 2-core Xeon).  identity_catalog(11) and (12)
-# took 0.687 s and 2.68 s on the same machine; the bound stays at 10 until
-# the exact MZV reduction that reads the same products lands (ROADMAP
-# items 15 and 5)
+# weight and its build about 3.5x.  `tools/catalog_times.py --weights 10-12`
+# (least of 3 rounds, a build with its JSON lines, Python 3.11, 2-core Xeon)
+# read 46 ms at weight 10 (1280 identities), 158 ms at 11 (2816) and 0.60 s
+# at 12 (6144); the bound stays at 10 until the exact MZV reduction that
+# reads the same products lands (ROADMAP items 15 and 5)
 MAX_EXPORT_WEIGHT = 10
 # errors in the user's input or request: printed as one `error:` line
 _USER_ERRORS = (PolyzetaError, ValueError, ZeroDivisionError)

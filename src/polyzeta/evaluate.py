@@ -94,9 +94,7 @@ three makes the next evaluation cold:
 The dual route adds none: a spec on it holds its own entries in ``plan``
 and ``evaluate_lambda``, and reads its value from the dual's entry, so
 clearing ``evaluate_lambda`` alone still makes every next value run its
-passes again.  Its plan hands the dual's plan the pair of specs and the
-sign it derived (``_mirror``, empty between calls), so a pair derives its
-word and its dual once.
+passes again.
 
 The two (spec, prec) memos are typed, and both functions refuse a prec
 that is not a Precision: a plain tuple equals the Precision of the same
@@ -438,18 +436,10 @@ class Plan(NamedTuple):
     dual: LambdaSpec | None
 
 
-# plan(spec) on the dual route leaves (dual, spec, sign) here for the
-# plan(dual) it calls, which reads its own dual and sign from it.  A plan
-# reads it only when it names its own spec, and then it holds that spec's
-# pair, so a value left by another call never changes a Plan
-_mirror = None
-
-
 @lru_cache(maxsize=4096, typed=True)
 def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     """The Plan of spec at prec; the module docstring derives its routes
     and its working precision."""
-    global _mirror
     if not isinstance(prec, Precision):
         raise TypeError(f"prec must be a Precision, got {prec!r}")
     route, p, specs, signs, factor = "direct", None, (spec,), (1,), (2, 1)
@@ -457,22 +447,18 @@ def plan(spec: LambdaSpec, prec: Precision) -> Plan:
     # no word encoding for nonpositive exponents, but convergence guarantees
     # all |b_j| > 1 there, so the direct pass still applies at its slower ratio
     if spec.depth and not _geometric(ratios) and min(exponents) >= 1:
-        mirror, _mirror = _mirror, None
-        if mirror is None or mirror[0] is not spec:
-            dual, sign = dual_word(lambda_to_word(spec))
-            mirror = spec, word_to_lambda(dual), sign
-        _, dual_spec, sign = mirror
+        dual, sign = dual_word(lambda_to_word(spec))
+        dual_spec = word_to_lambda(dual)
         # the dual's own value costs no more than this spec's: one direct
         # pass when its bases are geometric, else its split, which runs this
         # spec's two passes in mirror order.  Of such a pair the spec with
-        # the smaller key runs them and the other takes its value; a dual
-        # that diverges as a sum has no value of its own to give.
+        # the smaller key runs them and the other takes its value, and the
+        # dual's plan derives its own pair; a dual that diverges as a sum
+        # has no value of its own to give.
         if _geometric(dual_spec.key[2]) or (
             dual_spec.key < spec.key and dual_spec.is_convergent()
         ):
-            _mirror = dual_spec, spec, sign
             how = plan(dual_spec, prec)
-            _mirror = None
             return Plan("dual", how.p, (sign,), how.working, how.passes, dual_spec)
         route, p = "split", _split_parameter(ratios)
         p_num, p_den = p.as_integer_ratio()

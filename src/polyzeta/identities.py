@@ -18,9 +18,10 @@ All symbolic output is a `FormalSum`: an exact-rational linear combination of
 term bodies in a fixed canonical order, so rendered identities are
 byte-stable.  Bodies are `LambdaSpec`s, integral words (tuples of rational
 form parameters) or `SpecProduct`s (products of specs, from reversal
-reductions); every one of them can be evaluated.  A spec, a product and a
-sum each keep their text from their first render, or from a producer that
-joined it from texts it holds, so a render joins texts already made.
+reductions); every one of them can be evaluated.  A sum keeps its text
+from its first render, or from a producer that joined it from texts it
+holds, as the catalog does from its spec and product tables; a spec's or a
+product's text is built afresh wherever a render needs it.
 
 Every term algebra here is a dict from a hashable key to an exact
 coefficient (an int until a division makes it a Fraction), and `_add_term`
@@ -61,9 +62,9 @@ the DP's rows for a prefix are kept for the next string that shares it.
 The emitted terms sort by (count, ranks) as ints, and each distinct
 product becomes one `SpecProduct` with its text per algebra.  The
 algebra's memos (string -> T-polynomial, block -> weak chains and lifted
-T-polynomial, rank -> zeta spec and text, ranks -> product, coefficient
--> text) live as long as the object, so no memo here outlives the call
-that made it.
+T-polynomial, rank -> zeta spec and text, ranks -> product and text,
+coefficient -> text) live as long as the object, so no memo here
+outlives the call that made it.
 
 `identity_catalog` keeps one spec table per build: each convergent string
 gets one rank, one zeta spec and one word with their texts, which its
@@ -90,6 +91,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, factorial, isqrt, perm, prod
 from typing import NamedTuple
 
@@ -116,24 +118,18 @@ from .precision import BigReal, Precision, linear_combination, ln, pi
 
 
 class SpecProduct:
-    """A product of lambda values, kept in canonical factor order.
+    """A product of lambda values, kept in canonical factor order."""
 
-    ``_text`` starts as None and keeps `render_formal_sum`'s text of the
-    product from its first use, as `LambdaSpec` keeps its own; it is not
-    part of ==, hash, repr, copy or pickle."""
-
-    __slots__ = ("factors", "_text")
+    __slots__ = ("factors",)
 
     def __new__(cls, factors):
         return cls._sorted(tuple(sorted(factors, key=lambda f: f.key)))
 
     @classmethod
-    def _sorted(cls, factors: tuple, text: str | None = None) -> "SpecProduct":
-        """A product of factors already in ``key`` order, unsorted; text, if
-        given, is its `render_formal_sum` text."""
+    def _sorted(cls, factors: tuple) -> "SpecProduct":
+        """A product of factors already in ``key`` order, unsorted."""
         product = object.__new__(cls)
         _set_factors(product, factors)
-        _set_product_text(product, text)
         return product
 
     def __setattr__(self, name, value):
@@ -152,10 +148,9 @@ class SpecProduct:
         return f"SpecProduct(factors={self.factors!r})"
 
 
-# _sorted and the first render bind the slots through their own
-# descriptors, past the __setattr__ that refuses assignment
+# _sorted binds the slot through its own descriptor, past the __setattr__
+# that refuses assignment
 _set_factors = SpecProduct.factors.__set__
-_set_product_text = SpecProduct._text.__set__
 
 
 def _body_key(body):
@@ -197,8 +192,9 @@ class FormalSum:
 
     ``_text`` keeps `render_formal_sum`'s text from its first use, or from
     a producer that builds the same text from pieces it already holds, as
-    `identity_catalog` does for its words.  It too is not part of ==, hash,
-    copy or pickle.
+    `identity_catalog` does from its spec and product tables.  It is the
+    one text any body or sum keeps: specs and products keep none.  It too
+    is not part of ==, hash, copy or pickle.
     """
 
     __slots__ = ("terms", "_specs", "_text")
@@ -281,11 +277,7 @@ def _render_body(body) -> str:
         return format_spec(body)
     if isinstance(body, tuple):
         return "W[" + ",".join(map(str, body)) + "]"
-    text = body._text  # a SpecProduct
-    if text is None:
-        text = "*".join(map(format_spec, body.factors)) if body.factors else "1"
-        _set_product_text(body, text)
-    return text
+    return "*".join(map(format_spec, body.factors)) or "1"  # a SpecProduct
 
 
 def _lead(c) -> str:
@@ -394,11 +386,11 @@ def _stuffle_counts(s: tuple, t: tuple, bases=None, radix=None, memo=None) -> di
 
     A prefix is kept as its code, the base-radix int of its letters' codes,
     each in 1..radix-1, so a step is one multiply-add.  Without bases an
-    exponent is its own code: radix (by default one more than the weight of
-    s and t) exceeds every exponent a merge makes, the result is keyed by
-    the codes, and a zeta string's code is its `_Reversals` rank of that
-    radix.  With bases a letter's code is its place in a table of the
-    letters met, and the result is keyed by the letter strings, decoded.
+    exponent is its own code: radix, which the caller passes, exceeds every
+    exponent a merge makes, the result is keyed by the codes, and a zeta
+    string's code is its `_Reversals` rank of that radix.  With bases a
+    letter's code is its place in a table of the letters met, and the
+    result is keyed by the letter strings, decoded.
 
     A state is keyed by the prefixes s[:i] and t[:j].  Without bases
     stuffling commutes, so the two are in sorted order, and ``memo``, a
@@ -408,8 +400,6 @@ def _stuffle_counts(s: tuple, t: tuple, bases=None, radix=None, memo=None) -> di
     """
     if bases is None:
         code = None  # an exponent is its own code
-        if radix is None:
-            radix = sum(s) + sum(t) + 1
     else:
         aa, bb = (1,) + tuple(bases[0]), (1,) + tuple(bases[1])
         table: dict = {}  # letter -> its code, from 1 in the order met
@@ -648,8 +638,8 @@ def _weak_chains(s: tuple[int, ...]) -> list[tuple[int, ...]]:
     from the last exponent backwards, the last entry of each being the open
     block: every earlier exponent opens a block of its own or joins the
     open one.  On s = (1,)*n the strings are the 2^(n-1) compositions of n,
-    each once, which is how ``mu_to_compositions`` and
-    ``_convergent_strings`` draw them.
+    each once, which is how ``mu_to_compositions`` draws them
+    (``_string_table`` walks the catalog's strings depth first instead).
     """
     chains = [s[-1:]]
     for e in reversed(s[:-1]):
@@ -721,9 +711,10 @@ class _Reversals:
     ``texts`` each rank to its zeta spec and that spec's `format_spec`
     text (the catalog fills them first from its spec table, a lone
     reduction as ranks come out) and ``products`` each sorted rank tuple to
-    its `SpecProduct`, text set, so within one algebra each spec, each
-    product and each text is built once.  ``rows`` holds the string
-    reduced last and the prefix DP's rows for it (`_shared_prefix`).
+    the pair of its `SpecProduct` and that product's `render_formal_sum`
+    text, so within one algebra each spec, each product and each text is
+    built once.  ``rows`` holds the string reduced last and the prefix
+    DP's rows for it (`_shared_prefix`).
     """
 
     __slots__ = ("radix", "polys", "chains", "lifts", "specs", "texts", "products", "coefficients", "rows")
@@ -759,15 +750,15 @@ class _Reversals:
             self.texts[r] = format_spec(spec)
         return spec
 
-    def product(self, ranks: tuple[int, ...]) -> "SpecProduct":
-        """The product of the specs of sorted ranks, built with its text on
+    def product(self, ranks: tuple[int, ...]) -> tuple["SpecProduct", str]:
+        """The product of the specs of sorted ranks and its text, built on
         first use."""
-        product = self.products.get(ranks)
-        if product is None:
+        got = self.products.get(ranks)
+        if got is None:
             factors = tuple(map(self.spec, ranks))
             text = "*".join(map(self.texts.__getitem__, ranks)) or "1"
-            product = self.products[ranks] = SpecProduct._sorted(factors, text)
-        return product
+            got = self.products[ranks] = SpecProduct._sorted(factors), text
+        return got
 
 
 def _t_accumulate(out: dict, p: dict, factor) -> None:
@@ -935,9 +926,9 @@ def _reversal_reduction(s, alg: _Reversals) -> FormalSum:
             q, r = divmod(c, scale)
             value = Fraction(c, scale) if r else q
             coeff = coefficients[c] = (value, _lead(value))
-        product = alg.products.get(ranks) or alg.product(ranks)
+        product, text = alg.products.get(ranks) or alg.product(ranks)
         terms.append((coeff[0], product))
-        parts.append(coeff[1] + product._text)
+        parts.append(coeff[1] + text)
     return FormalSum._canonical(terms, _join_terms(parts))
 
 
@@ -1100,16 +1091,6 @@ class Identity(NamedTuple):
         return f'{{"lhs": {lhs}, "rhs": {rhs}, "tag": {_quote(self.tag)}}}'
 
 
-def _quote(text: str) -> str:
-    """json's own quoting of text.  Only the export writes JSON and an eval
-    never loads it, so the first call imports json's quoting function and
-    binds it to this name in its place."""
-    global _quote
-    from json.encoder import encode_basestring_ascii as _quote
-
-    return _quote(text)
-
-
 def _string_table(max_weight: int) -> list[tuple]:
     """(s, weight, rank, text, letters) for every convergent unsigned MZV
     string s of weight <= max_weight, sorted by s: the compositions with a
@@ -1129,11 +1110,6 @@ def _string_table(max_weight: int) -> list[tuple]:
             for e in range(max_weight - weight, 0, -1)
         ]
     return table
-
-
-def _convergent_strings(max_weight: int) -> list[tuple[int, ...]]:
-    """All convergent unsigned MZV strings of weight <= max_weight, sorted."""
-    return [row[0] for row in _string_table(max_weight)]
 
 
 # a word's dual reverses its letter codes and swaps 0 and 1, and the bytes
@@ -1216,8 +1192,8 @@ def identity_catalog(max_weight: int) -> list[Identity]:
         ru, cu = rank[u], codes[u]
         for v in map(strings.__getitem__, js[bisect_left(js, i):]):  # every v >= u
             rv = rank[v]
-            product = alg.product((ru, rv) if ru <= rv else (rv, ru))
-            lhs = FormalSum._canonical(((1, product),), product._text)
+            product, text = alg.product((ru, rv) if ru <= rv else (rv, ru))
+            lhs = FormalSum._canonical(((1, product),), text)
             # keyed by ranks: the radix is the algebra's
             counts = _stuffle_counts(u, v, radix=alg.radix, memo=stuffles)
             identities.append(Identity("stuffle", lhs, side(counts, specs, texts)))

@@ -56,11 +56,10 @@ class LambdaSpec:
     is (depth, exponents, (numerator, denominator) of each base), all ints;
     the three are built once with ``terms``.  ``key`` is the spec's one
     identity: equality and hashing read it, `identities` sorts by it and
-    the evaluator's compile memo is keyed by its parts.  ``_text`` starts
-    as None and keeps `format_spec`'s text from its first use.
+    the evaluator's compile memo is keyed by its parts.
     """
 
-    __slots__ = ("terms", "exponents", "bases", "key", "_text")
+    __slots__ = ("terms", "exponents", "bases", "key")
 
     def __new__(cls, terms):
         exponents = int_tuple([s for s, _ in terms])
@@ -75,7 +74,6 @@ class LambdaSpec:
         _set_exponents(spec, exponents)
         _set_bases(spec, bases)
         _set_key(spec, (len(bases), exponents, ratios))
-        _set_text(spec, None)
         return spec
 
     def __setattr__(self, name, value):
@@ -116,9 +114,9 @@ class LambdaSpec:
         return format_spec(self)
 
 
-# __new__ and format_spec bind the slots through their own descriptors,
-# past the __setattr__ that refuses assignment
-_set_terms, _set_exponents, _set_bases, _set_key, _set_text = (
+# __new__ binds the slots through their own descriptors, past the
+# __setattr__ that refuses assignment
+_set_terms, _set_exponents, _set_bases, _set_key = (
     getattr(LambdaSpec, name).__set__ for name in LambdaSpec.__slots__
 )
 
@@ -149,15 +147,10 @@ def mu_spec(*bases) -> LambdaSpec:
 
 
 def format_spec(spec: LambdaSpec) -> str:
-    """Canonical text form ``L[s1,...,sk | b1,...,bk]``, built once per
-    spec and kept on it."""
-    text = spec._text
-    if text is None:
-        ss = ",".join(map(str, spec.exponents))
-        bs = ",".join(map(str, spec.bases))
-        text = f"L[{ss} | {bs}]" if spec.depth else "L[]"
-        _set_text(spec, text)
-    return text
+    """Canonical text form ``L[s1,...,sk | b1,...,bk]``."""
+    if not spec.depth:
+        return "L[]"
+    return f"L[{','.join(map(str, spec.exponents))} | {','.join(map(str, spec.bases))}]"
 
 
 def parse_spec(text: str) -> LambdaSpec:

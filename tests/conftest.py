@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import mpmath
 import pytest
 
@@ -31,3 +34,15 @@ def prec40():
 def prec50():
     return Precision(50)
 
+
+@pytest.fixture
+def load_tool():
+    """A loader of a script under tools/ by name, as a fresh module each call."""
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

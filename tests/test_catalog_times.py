@@ -3,11 +3,12 @@ JSON lines: one row per weight with the count, each tree's least time and
 growth, and the digest of the lines, which two trees must share."""
 
 import hashlib
-import importlib.util
+import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "catalog_times.py"
 
 # the catalog's JSON lines at weights 3-5, joined by newlines
 DIGESTS = {
@@ -16,13 +17,6 @@ DIGESTS = {
     5: "2cfd8a3c1296989a6ca8a9dad83fee004c57e02d3daa46fb35dc4bf63b86f326",
 }
 COUNTS = {3: 3, 4: 8, 5: 20}
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("catalog_times", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_the_digests_are_the_catalog_lines():
@@ -34,8 +28,8 @@ def test_the_digests_are_the_catalog_lines():
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
-def test_catalog_times_prints_one_row_per_weight(capsys, monkeypatch):
-    tool = load_tool()
+def test_catalog_times_prints_one_row_per_weight(capsys, monkeypatch, load_tool):
+    tool = load_tool("catalog_times")
     monkeypatch.setattr(tool, "BUDGET_S", 0.0)  # two builds a process
     assert tool.main([str(ROOT), str(ROOT), "--weights", "3-5", "--rounds", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
@@ -55,11 +49,32 @@ def test_catalog_times_prints_one_row_per_weight(capsys, monkeypatch):
         assert cells[-2:] == [DIGESTS[w], "same"]
 
 
-def test_catalog_times_one_tree_prints_the_digest(capsys, monkeypatch):
-    tool = load_tool()
+def test_catalog_times_one_tree_prints_the_digest(capsys, monkeypatch, load_tool):
+    tool = load_tool("catalog_times")
     monkeypatch.setattr(tool, "BUDGET_S", 0.0)
     assert tool.main([str(ROOT), "--weights", "4", "--rounds", "1"]) == 0
     _, row = capsys.readouterr().out.splitlines()
     cells = row.split()
     assert cells[:2] == ["4", "8"] and cells[3] == "-"
     assert cells[-1] == DIGESTS[4]
+
+
+def test_a_failed_child_names_its_tree_and_shows_its_stderr(tmp_path, load_tool):
+    # an empty tree has no polyzeta to import: the script stops with one
+    # line that names the tree, then the child's own traceback
+    tool = load_tool("catalog_times")
+    empty = tmp_path / "empty"
+    (empty / "src").mkdir(parents=True)
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(empty), "--weights", "3", "--rounds", "1"])
+    first, *rest = str(stop.value.code).splitlines()
+    assert re.fullmatch(re.escape(f"{empty}: ") + r".* exited with status 1:", first)
+    assert rest[-1] == "ModuleNotFoundError: No module named 'polyzeta'"
+
+
+@pytest.mark.parametrize("options", [["--weights"], ["--rounds", "x"], ["--weights", "a-b"]])
+def test_a_bad_option_exits_with_the_usage(options, load_tool):
+    tool = load_tool("catalog_times")
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(ROOT), *options])
+    assert stop.value.code == tool.__doc__

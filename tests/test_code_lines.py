@@ -2,11 +2,6 @@
 docstrings, comment-only lines and blank lines do not count, and a
 triple-quoted string that is no docstring counts every line it spans."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-
 SOURCE = '''"""Module docstring,
 over two lines."""
 
@@ -34,15 +29,8 @@ class C:
 CODE_LINES = 8
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_code_lines_counts_only_code(tmp_path, capsys):
-    tool = load_tool()
+def test_code_lines_counts_only_code(tmp_path, capsys, load_tool):
+    tool = load_tool("code_lines")
     package = tmp_path / "src" / "polyzeta"
     package.mkdir(parents=True)
     (package / "synthetic.py").write_text(SOURCE, encoding="utf-8")

@@ -885,7 +885,7 @@ def test_ranks_follow_the_spec_key_order():
     from polyzeta.identities import _Reversals
 
     alg = _Reversals(9)
-    strings = identities._convergent_strings(8)
+    strings = [row[0] for row in identities._string_table(8)]
     ranked = sorted(strings, key=alg.rank)
     assert ranked == sorted(strings, key=lambda s: zeta_spec(*s).key)
     assert alg.rank((1,)) == 1 < min(map(alg.rank, strings))
@@ -1020,7 +1020,7 @@ def test_catalog_reversals_match_the_reduction_run_alone():
     # (an odd-depth palindrome has an empty left-hand side, so the strings
     # come from the catalog's own list, in its order)
     reversals = [i for i in identity_catalog(9) if i.tag == "reversal"]
-    strings = [s for s in identities._convergent_strings(9) if s[-1] >= 2]
+    strings = [row[0] for row in identities._string_table(9) if row[0][-1] >= 2]
     assert len(reversals) == len(strings) == 128
     for ident, s in zip(reversals, strings):
         alone = reversal_reduction(s)
@@ -1335,35 +1335,35 @@ def test_catalog_builds_each_spec_once():
 def test_catalog_builds_each_product_and_its_text_once():
     # the stuffle and shuffle left sides and the reversal right sides take
     # their products from one table per build: equal products are one
-    # object, whose text the build joins once from its factors' texts, and
-    # the next build makes its own
-    def products(catalog):
-        return [
-            body
-            for ident in catalog
-            for _, body in ident.lhs.terms + ident.rhs.terms
-            if isinstance(body, SpecProduct)
-        ]
-
+    # object, whose text the build joins once from its factors' texts (every
+    # left side of a product holds that one text object, set before any
+    # render), and the next build makes its own
     builds = []
     for _ in range(2):
         catalog = identity_catalog(8)
-        # set by the build, before any render
-        assert all(p._text == "*".join(map(str, p.factors)) for p in products(catalog))
+        texts: dict = {}
+        for ident in catalog:
+            if ident.tag in ("stuffle", "shuffle"):
+                [(_, product)] = ident.lhs.terms
+                assert ident.lhs._text == "*".join(map(str, product.factors))
+                assert texts.setdefault(product, ident.lhs._text) is ident.lhs._text
         lines = [ident.to_json() for ident in catalog]
         table: dict = {}
-        for product in products(catalog):
-            assert table.setdefault(product, product) is product
-            assert product._text == "*".join(map(str, product.factors))
+        for ident in catalog:
+            for side in (ident.lhs, ident.rhs):
+                for _, body in side.terms:
+                    if isinstance(body, SpecProduct):
+                        assert table.setdefault(body, body) is body
+                        assert "*".join(map(str, body.factors)) in render_formal_sum(side)
         # 68 stuffle and shuffle left sides and 131 reversal products, 64
         # of which are also left sides
-        assert len(table) == 135
-        builds.append((lines, table))
-    (first, one), (second, two) = builds
+        assert len(texts) == 68 and len(table) == 135
+        builds.append((lines, table, texts))
+    (first, one, texts_one), (second, two, texts_two) = builds
     assert first == second and one == two
     assert not {id(p) for p in one.values()} & {id(p) for p in two.values()}
-    assert not {id(p._text) for p in one.values() if len(p.factors) > 1} & {
-        id(p._text) for p in two.values() if len(p.factors) > 1
+    assert not {id(t) for p, t in texts_one.items() if len(p.factors) > 1} & {
+        id(t) for p, t in texts_two.items() if len(p.factors) > 1
     }
 
 

@@ -2,18 +2,12 @@
 relation_hunt cell: counts read from cProfile's call counts, which two runs
 must give alike."""
 
-import importlib.util
+import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "lll_counts.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("lll_counts", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def tiny_corpus(tool):
@@ -24,8 +18,8 @@ def tiny_corpus(tool):
             for cell in ("planted-n4-d100", "none-n4-d100")]
 
 
-def test_two_runs_count_alike(monkeypatch):
-    tool = load_tool()
+def test_two_runs_count_alike(monkeypatch, load_tool):
+    tool = load_tool("lll_counts")
     vectors = tiny_corpus(tool)
     runs = []
     for seed in ("0", "1"):
@@ -40,8 +34,8 @@ def test_two_runs_count_alike(monkeypatch):
     assert free["verdict"][0] is None and free["verdict"][1] is not None
 
 
-def test_two_trees_print_each_cell_the_totals_and_the_verdicts(capsys, monkeypatch):
-    tool = load_tool()
+def test_two_trees_print_each_cell_the_totals_and_the_verdicts(capsys, monkeypatch, load_tool):
+    tool = load_tool("lll_counts")
     vectors = tiny_corpus(tool)
     monkeypatch.setattr(tool, "_references", lambda tree: vectors)
     assert tool.main([str(ROOT), str(ROOT)]) == 0
@@ -56,3 +50,18 @@ def test_two_trees_print_each_cell_the_totals_and_the_verdicts(capsys, monkeypat
         assert first.split() == second.split()
     assert change.split("|")[2].split() == ["+0.0%"] * 5
     assert verdicts == "verdicts: all 2 the same"
+
+
+def test_a_failed_child_names_its_tree_and_shows_its_stderr(tmp_path, monkeypatch, load_tool):
+    # an empty tree has no polyzeta to import: the script stops with one
+    # line that names the tree, then the child's own traceback
+    tool = load_tool("lll_counts")
+    vectors = tiny_corpus(tool)
+    monkeypatch.setattr(tool, "_references", lambda tree: vectors)
+    empty = tmp_path / "empty"
+    (empty / "src").mkdir(parents=True)
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(empty)])
+    first, *rest = str(stop.value.code).splitlines()
+    assert re.fullmatch(re.escape(f"{empty}: ") + r".* exited with status 1:", first)
+    assert rest[-1] == "ModuleNotFoundError: No module named 'polyzeta'"

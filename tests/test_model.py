@@ -230,13 +230,11 @@ def test_spec_text_roundtrip():
 
 
 def test_spec_derived_data_is_built_once():
-    # the strings, the int key and the text are built once per spec; an
-    # equal spec built afresh has an equal key, hash and repr
+    # the strings and the int key are built once per spec; an equal spec
+    # built afresh has an equal key, hash and repr
     spec = LambdaSpec.of((2, 1), (1, F(-1, 2)))
     assert spec.exponents is spec.exponents == (2, 1)
     assert spec.bases is spec.bases == (F(1), F(-1, 2))
-    text = format_spec(spec)
-    assert format_spec(spec) is text
     key = spec.key
     assert key is spec.key and key == (2, (2, 1), ((1, 1), (-1, 2)))
     assert all(type(x) is int for x in (key[0], *key[1], *sum(key[2], ())))

@@ -3,7 +3,6 @@ the BENCH_<n>.json layout, created on the first run and extended after; and
 checkouts that do not lie side by side, or one with bytecode under src/,
 are refused before any run."""
 
-import importlib.util
 import json
 import re
 from pathlib import Path
@@ -11,18 +10,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "pair_bench.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("pair_bench", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_record_writes_and_extends_the_bench_layout(tmp_path):
-    tool = load_tool()
+def test_record_writes_and_extends_the_bench_layout(tmp_path, load_tool):
+    tool = load_tool("pair_bench")
     out = tmp_path / "BENCH_x.json"
     run = {"workload": "identity_session", "seed": 1, "run_seconds": 15, "pairs": 10,
            "parent_runs": [], "change_runs": [], "metrics": {}}
@@ -38,18 +29,18 @@ def test_record_writes_and_extends_the_bench_layout(tmp_path):
     assert [r["seed"] for r in bench["runs"]] == [1, 7]
 
 
-def test_claim_must_name_an_end_to_end_metric():
-    tool = load_tool()
+def test_claim_must_name_an_end_to_end_metric(load_tool):
+    tool = load_tool("pair_bench")
     with pytest.raises(SystemExit, match="no end-to-end metric 'speed'"):
         tool.main([str(ROOT), str(ROOT), "identity_session", "1", "--claim", "speed"])
     with pytest.raises(SystemExit):  # an option without its value
         tool.main([str(ROOT), str(ROOT), "identity_session", "1", "--out"])
 
 
-def test_refuses_a_checkout_with_bytecode_under_src(tmp_path):
+def test_refuses_a_checkout_with_bytecode_under_src(tmp_path, load_tool):
     # bytecode under either src/ skips the compile that setup_s times, so
     # the tool names that checkout and stops before any run, deleting nothing
-    tool = load_tool()
+    tool = load_tool("pair_bench")
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         (checkout / "src" / "polyzeta").mkdir(parents=True)
@@ -61,10 +52,10 @@ def test_refuses_a_checkout_with_bytecode_under_src(tmp_path):
     assert cache.is_dir()
 
 
-def test_refuses_checkouts_that_do_not_share_a_directory(tmp_path):
+def test_refuses_checkouts_that_do_not_share_a_directory(tmp_path, load_tool):
     # where a checkout lies moves setup_s and peak_rss_mb, so the tool names
     # both checkouts and stops before any run, deleting nothing
-    tool = load_tool()
+    tool = load_tool("pair_bench")
     parent, change = tmp_path / "parent", tmp_path / "elsewhere" / "change"
     for checkout in (parent, change):
         (checkout / "src" / "polyzeta").mkdir(parents=True)
@@ -77,3 +68,18 @@ def test_refuses_checkouts_that_do_not_share_a_directory(tmp_path):
         "elsewhere/change/src", "elsewhere/change/src/polyzeta",
         "parent", "parent/BENCHMARK.json", "parent/src", "parent/src/polyzeta",
     ]
+
+
+def test_a_failed_run_names_its_checkout_and_shows_its_stderr(tmp_path, load_tool):
+    # a checkout without perfbench/run.py fails its first run: the tool
+    # stops with one line that names the checkout, then python's own error
+    tool = load_tool("pair_bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(parent), str(change), "identity_session", "1"])
+    first, *rest = str(stop.value.code).splitlines()
+    assert re.fullmatch(re.escape(f"{parent}: ") + r".* exited with status 2:", first)
+    assert "can't open file" in rest[-1] and "run.py" in rest[-1]

@@ -225,28 +225,25 @@ def test_plan_is_the_plan_by_definition():
     assert min(seen.values()) >= 50, seen
 
 
-def test_a_dual_route_pair_derives_its_word_and_dual_once(monkeypatch):
-    # a cold plan on the dual route plans its dual from the pair it derived,
-    # so a pair makes one word, one dual and one dual spec, as a spec
-    # planned alone does; a direct plan makes none
-    calls = []
-    for name in ("lambda_to_word", "dual_word", "word_to_lambda"):
-        def counted(*args, real=getattr(evaluate, name), name=name):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(evaluate, name, counted)
-    prec = Precision(30)
+def test_a_dual_route_pair_plans_alike_in_any_order():
+    # each plan derives its own word and dual, so a pair's plans do not
+    # depend on which member is planned first, or on the other being
+    # planned at all: word then dual, dual then word, and each alone, from
+    # a cleared memo, all give the plans by definition
+    words = word_corpus(40, 9, seed=4301)
+    pairs = [(word_to_lambda(w), word_to_lambda(tuple(1 - a for a in reversed(w))))
+             for w in words]
     routes = set()
-    for spec in word_pairs(40, 4301) + seeded_specs(4301, 200, REPLAY_BASES):
-        if not spec.is_convergent():
-            continue
-        plan.cache_clear()
-        calls.clear()
-        how = plan(spec, prec)
-        once = [] if how.route == "direct" else ["dual_word", "lambda_to_word", "word_to_lambda"]
-        assert sorted(calls) == once, spec
-        routes.add((how.route, how.p is None))
-    assert routes >= {("direct", True), ("dual", True), ("dual", False), ("split", False)}
+    for digits in (30, 200):
+        prec = Precision(digits)
+        for word, dual in pairs:
+            want = {spec: outcome(_plan_by_definition, spec, prec) for spec in (word, dual)}
+            for order in ((word, dual), (dual, word), (word,), (dual,)):
+                plan.cache_clear()
+                for spec in order:
+                    assert outcome(plan, spec, prec) == want[spec], (spec, order, digits)
+            routes.update(plan(spec, prec).route for spec in (word, dual))
+    assert routes == {"dual", "split"}
 
 
 def sequence_before(n0, terms):

@@ -46,26 +46,33 @@ print(json.dumps({"count": len(lines), "best_s": best, "sha256": digest}))
 
 
 def _measure(tree: Path, weight: int) -> dict:
-    """One fresh process in tree: the count, least build time and digest."""
-    out = subprocess.run(
+    """One fresh process in tree: the count, least build time and digest.
+    A failed process stops the script with its stderr."""
+    child = subprocess.run(
         [sys.executable, "-c", CHILD, str(weight), str(BUDGET_S)],
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
+        capture_output=True, text=True,
+    )
+    if child.returncode:
+        sys.exit(f"{tree}: the catalog process exited with status {child.returncode}:\n"
+                 + child.stderr.rstrip())
+    return json.loads(child.stdout)
 
 
 def _parse(argv: list[str]) -> tuple[list[Path], range, int]:
     trees, weights, rounds = [], range(8, 13), 3
     args = iter(argv)
-    for arg in args:
-        if arg == "--weights":
-            lo, _, hi = next(args).partition("-")
-            weights = range(int(lo), int(hi or lo) + 1)
-        elif arg == "--rounds":
-            rounds = int(next(args))
-        else:
-            trees.append(Path(arg))
+    try:
+        for arg in args:
+            if arg == "--weights":
+                lo, _, hi = next(args).partition("-")
+                weights = range(int(lo), int(hi or lo) + 1)
+            elif arg == "--rounds":
+                rounds = int(next(args))
+            else:
+                trees.append(Path(arg))
+    except (StopIteration, ValueError):  # an option without its value, or not an int
+        sys.exit(__doc__)
     if not 1 <= len(trees) <= 2 or rounds < 1 or not weights or weights[0] < 3:
         sys.exit(__doc__)
     return trees, weights, rounds

@@ -91,13 +91,17 @@ def _references(tree: Path) -> list[dict]:
 
 
 def _count(tree: Path, vectors: list[dict]) -> list[dict]:
-    """One fresh process in tree: each vector's counts and verdict."""
-    out = subprocess.run(
+    """One fresh process in tree: each vector's counts and verdict.  A
+    failed process stops the script with its stderr."""
+    child = subprocess.run(
         [sys.executable, "-c", CHILD, *COUNTS],
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        input=json.dumps(vectors), capture_output=True, text=True, check=True,
-    ).stdout
-    return [json.loads(line) for line in out.splitlines()]
+        input=json.dumps(vectors), capture_output=True, text=True,
+    )
+    if child.returncode:
+        sys.exit(f"{tree}: the counting process exited with status {child.returncode}:\n"
+                 + child.stderr.rstrip())
+    return [json.loads(line) for line in child.stdout.splitlines()]
 
 
 def main(argv: list[str]) -> int:

@@ -51,13 +51,17 @@ RULE = "wins >= 9/10 pairs and a median gap above the parent's interquartile ran
 
 
 def _run(checkout: Path, workload: str, seed: str, seconds: int) -> dict:
-    """One benchmark run in checkout: its metrics, by name."""
-    out = subprocess.run(
+    """One benchmark run in checkout: its metrics, by name.  A failed run
+    stops the script with its stderr."""
+    child = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--seed", seed],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if child.returncode:
+        sys.exit(f"{checkout}: the benchmark run exited with status {child.returncode}:\n"
+                 + child.stderr.rstrip())
+    result = json.loads(child.stdout.strip().splitlines()[-1])
     if result["correct"] is not True:
         sys.exit(f"{checkout}: run not correct: {result}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
