@@ -36,10 +36,15 @@ def prec50():
 
 
 @pytest.fixture
-def load_tool():
-    """A loader of a script under tools/ by name, as a fresh module each call."""
+def load_tool(monkeypatch):
+    """A loader of a script under tools/ by name, as a fresh module each call.
+    tools/ goes on sys.path, as it does for a script run from there, so the
+    tools find the module they share."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+
     def load(name):
-        path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+        path = tools / f"{name}.py"
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -30,7 +30,7 @@ def test_the_digests_are_the_catalog_lines():
 
 def test_catalog_times_prints_one_row_per_weight(capsys, monkeypatch, load_tool):
     tool = load_tool("catalog_times")
-    monkeypatch.setattr(tool, "BUDGET_S", 0.0)  # two builds a process
+    monkeypatch.setattr(tool, "BUDGET_S", 0.0)  # TIMED_BUILDS builds a process
     assert tool.main([str(ROOT), str(ROOT), "--weights", "3-5", "--rounds", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == [

@@ -83,3 +83,43 @@ def test_a_failed_run_names_its_checkout_and_shows_its_stderr(tmp_path, load_too
     first, *rest = str(stop.value.code).splitlines()
     assert re.fullmatch(re.escape(f"{parent}: ") + r".* exited with status 2:", first)
     assert "can't open file" in rest[-1] and "run.py" in rest[-1]
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["two checkouts", "one checkout twice"])
+def test_each_side_runs_ten_times_and_the_first_side_alternates(
+        same, tmp_path, monkeypatch, capsys, load_tool):
+    # a faked run puts its call number in every metric, so each side's runs
+    # show when they ran, also where one checkout stands on both sides
+    tool = load_tool("pair_bench")
+    parent, change = (tmp_path / "tree",) * 2 if same else (tmp_path / "parent", tmp_path / "change")
+    for checkout in {parent, change}:
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        return dict.fromkeys(names, 100 + len(calls))
+
+    monkeypatch.setattr(tool, "_run", fake_run)
+    assert tool.main([str(parent), str(change), "identity_session", "1"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # the parent goes first in pairs 1, 3, 5, ... and the change in 2, 4, 6, ...
+    assert calls == [parent, change, change, parent] * 5
+    assert [r["wall_s"] for r in result["parent_runs"]] == [101 + 2 * i + i % 2 for i in range(10)]
+    assert [r["wall_s"] for r in result["change_runs"]] == [102 + 2 * i - i % 2 for i in range(10)]
+    assert result["suspect_runs"] == []
+
+
+def test_a_suspect_run_lies_five_times_from_its_sides_median(load_tool):
+    # BENCH_45.json's identity_session seed-1 parent run 9 read wall_s
+    # 0.00072 s against 0.015-0.017 s in the other 19 runs of that code
+    tool = load_tool("pair_bench")
+    bench = json.loads((ROOT / "BENCH_45.json").read_text(encoding="utf-8"))
+    run, = [r for r in bench["runs"] if r["workload"] == "identity_session" and r["seed"] == 1]
+    suspects = tool._suspects({"parent": run["parent_runs"], "change": run["change_runs"]})
+    assert [(s["side"], s["run"]) for s in suspects] == [("parent", 9)]
+    assert suspects[0]["wall_s"] == run["parent_runs"][8]["wall_s"]
+    assert 22 < suspects[0]["ratio"] < 23

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from trees import command_line, run
 
 COUNTS = ("lifts", "lift_swaps", "lift_reductions", "final_swaps", "final_reductions")
 HEADS = ("lifts", "lift swaps", "lift sizered", "final swaps", "final sizered")
@@ -91,23 +91,13 @@ def _references(tree: Path) -> list[dict]:
 
 
 def _count(tree: Path, vectors: list[dict]) -> list[dict]:
-    """One fresh process in tree: each vector's counts and verdict.  A
-    failed process stops the script with its stderr."""
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD, *COUNTS],
-        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        input=json.dumps(vectors), capture_output=True, text=True,
-    )
-    if child.returncode:
-        sys.exit(f"{tree}: the counting process exited with status {child.returncode}:\n"
-                 + child.stderr.rstrip())
-    return [json.loads(line) for line in child.stdout.splitlines()]
+    """One fresh process in tree: each vector's counts and verdict."""
+    out = run(tree, "counting process", ["-c", CHILD, *COUNTS], stdin=json.dumps(vectors))
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def main(argv: list[str]) -> int:
-    trees = [Path(arg) for arg in argv]
-    if not 1 <= len(trees) <= 2:
-        sys.exit(__doc__)
+    trees = [Path(arg) for arg in command_line(argv, __doc__, {1, 2}, {})[0]]
     vectors = _references(trees[0])
     results = [_count(tree, vectors) for tree in trees]
     width = max(len(v["cell"]) for v in vectors) + 1

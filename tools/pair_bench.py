@@ -21,11 +21,14 @@ verdict of the rule for claiming a gain: the change wins at least 9 of 10
 pairs, and its median is better than the parent's by more than the
 parent's interquartile range.  Without a gain, the verdict compares the
 change's median with the metric's bound, unless the parent's interquartile
-range exceeds that bound, which leaves the metric unresolved.
+range exceeds that bound, which leaves the metric unresolved.  After the
+table it names every suspect run, one whose ``wall_s`` lies more than
+SUSPECT times above or below its side's median; a suspect stays in the
+series and changes no verdict.
 
 The last line of stdout is one JSON object: the workload, the seed, the
-run length, each side's metrics run by run, and per metric both sides'
-quartiles, the wins and the verdict.
+run length, each side's metrics run by run, per metric both sides'
+quartiles, the wins and the verdict, and the suspect runs.
 
 With --out FILE that object is also added to the ``runs`` list of FILE, a
 JSON file in the ``BENCH_<n>.json`` layout: ``what``, ``command``,
@@ -42,29 +45,38 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
+from trees import command_line, run, turns
+
 PAIRS = 10
+SUSPECT = 5
 RULE = "wins >= 9/10 pairs and a median gap above the parent's interquartile range"
 
 
 def _run(checkout: Path, workload: str, seed: str, seconds: int) -> dict:
-    """One benchmark run in checkout: its metrics, by name.  A failed run
-    stops the script with its stderr."""
-    child = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--seed", seed],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    if child.returncode:
-        sys.exit(f"{checkout}: the benchmark run exited with status {child.returncode}:\n"
-                 + child.stderr.rstrip())
-    result = json.loads(child.stdout.strip().splitlines()[-1])
+    """One benchmark run in checkout: its metrics, by name."""
+    out = run(checkout, "benchmark run", ["perfbench/run.py", "--workload", workload,
+                                          "--seconds", str(seconds), "--seed", seed])
+    result = json.loads(out.strip().splitlines()[-1])
     if result["correct"] is not True:
         sys.exit(f"{checkout}: run not correct: {result}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _suspects(runs: dict[str, list[dict]]) -> list[dict]:
+    """Every run whose wall_s lies more than SUSPECT times above or below
+    its side's median, as its side, its number counted from 1, its wall_s
+    and that ratio."""
+    found = []
+    for side, side_runs in runs.items():
+        median = statistics.median(r["wall_s"] for r in side_runs)
+        for n, r in enumerate(side_runs, 1):
+            ratio = max(r["wall_s"] / median, median / r["wall_s"])
+            if ratio > SUSPECT:
+                found.append({"side": side, "run": n, "wall_s": r["wall_s"], "ratio": ratio})
+    return found
 
 
 def _summary(values: list[float]) -> tuple[float, float, float]:
@@ -108,20 +120,9 @@ def _record(path: Path, run: dict, claim: str | None, seconds: int) -> None:
 
 
 def main(argv: list[str]) -> int:
-    options = {"--out": None, "--claim": None}
-    args = []
-    it = iter(argv)
-    for arg in it:
-        if arg in options:
-            options[arg] = next(it, None)
-            if options[arg] is None:
-                sys.exit(__doc__)
-        else:
-            args.append(arg)
-    if len(args) != 4:
-        sys.exit(__doc__)
-    parent, change = Path(args[0]), Path(args[1])
-    workload, seed = args[2], args[3]
+    (parent, change, workload, seed), options = command_line(
+        argv, __doc__, {4}, {"--out": (Path, None), "--claim": (str, None)})
+    parent, change = Path(parent), Path(change)
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     if options["--claim"] not in (None, *(m["name"] for m in spec["end_to_end"])):
         sys.exit(f"--claim: no end-to-end metric {options['--claim']!r}")
@@ -133,11 +134,10 @@ def main(argv: list[str]) -> int:
         if caches:
             sys.exit(f"{checkout}: bytecode under src/ skews setup_s; remove {caches[0]} and rerun")
     seconds = spec["run_seconds"]
-    runs = {parent: [], change: []}
+    runs = {"parent": [], "change": []}
     for i in range(PAIRS):
-        order = (parent, change) if i % 2 == 0 else (change, parent)
-        for checkout in order:
-            runs[checkout].append(_run(checkout, workload, seed, seconds))
+        for side, checkout in turns([("parent", parent), ("change", change)], i):
+            runs[side].append(_run(checkout, workload, seed, seconds))
         print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
 
     print(f"{workload} seed {seed}, {PAIRS} alternated pairs of {seconds} s runs,"
@@ -147,8 +147,8 @@ def main(argv: list[str]) -> int:
     summary = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        before = [run[name] for run in runs[parent]]
-        after = [run[name] for run in runs[change]]
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
         wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
         (p1, pm, p3), (c1, cm, c3) = _summary(before), _summary(after)
         gain = sign * (pm - cm)
@@ -163,12 +163,15 @@ def main(argv: list[str]) -> int:
         summary[name] = {"parent_q1_median_q3": [p1, pm, p3],
                          "change_q1_median_q3": [c1, cm, c3],
                          "wins": wins, "verdict": verdict}
-    run = {"workload": workload, "seed": int(seed), "run_seconds": seconds,
-           "pairs": PAIRS, "parent_runs": runs[parent],
-           "change_runs": runs[change], "metrics": summary}
-    print(json.dumps(run))
+    suspects = _suspects(runs)
+    for s in suspects:
+        print(f"suspect: {s['side']} run {s['run']}, wall_s x{s['ratio']:.1f} from its side's median")
+    result = {"workload": workload, "seed": int(seed), "run_seconds": seconds,
+              "pairs": PAIRS, "parent_runs": runs["parent"],
+              "change_runs": runs["change"], "metrics": summary, "suspect_runs": suspects}
+    print(json.dumps(result))
     if options["--out"] is not None:
-        _record(Path(options["--out"]), run, options["--claim"], seconds)
+        _record(options["--out"], result, options["--claim"], seconds)
     return 0
 
 
