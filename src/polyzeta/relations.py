@@ -1,15 +1,16 @@
 """Integer-relation discovery over vectors of high-precision reals.
 
 One integral LLL, `_lll`, serves every reduction, at the Lovasz parameter
-its caller passes: 3/4 (`LOVASZ`) for `lll_reduce` and the final pass, 3/10
-(`LIFT_LOVASZ`) for the lifts.  It tracks the Gram-Schmidt data through the
-scaled integers lambda_ij and the Gram determinants d_i, so every division
-is exact.  It runs on the Gram matrix of the basis and moves only the
-n-column unimodular transform: `lll_reduce` and the final pass multiply that
-transform back into their rows, and the lifts use it as it is.  `lindep`
-embeds the input reals into the classical relation lattice
-(e_i | round(C x_i)) and accepts a candidate c only when its norm is under a
-cap and the recomputed |sum c_i x_i| is below |c|_1 / C (``_accepts``).
+its caller passes: 3/4 (`LOVASZ`) for `lll_reduce`, the pre pass and the
+final pass, 3/10 (`LIFT_LOVASZ`) for the lifts.  It tracks the Gram-Schmidt
+data through the scaled integers lambda_ij and the Gram determinants d_i,
+so every division is exact.  It runs on the Gram matrix of the basis and
+moves only the n-column unimodular transform: `lll_reduce` and the final
+pass multiply that transform back into their rows, and the lifts and the
+pre pass use it as it is.  `lindep` embeds the input reals into the
+classical relation lattice (e_i | round(C x_i)) and accepts a candidate c
+only when its norm is under a cap and the recomputed |sum c_i x_i| is below
+|c|_1 / C (``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
@@ -19,10 +20,15 @@ A lift reduces weakly, at 3/10: it only has to bring the basis close enough
 for the next stage, and LLL terminates for any parameter above 1/4.
 After each lift, `lindep` tests the transform's rows against its acceptance
 test and returns the first that passes, skipping the remaining lifts.  Only
-when no row of any lift passes does the final pass run: the exact LLL on the
-full, untruncated lattice, reached through the transform, so the basis that
-the "no relation" verdict and its exclusion bound read is LLL-reduced
-whatever the lifts did.  Each lift and the final pass is a stage that offers
+when no row of any lift passes do the last two passes run.  The pre pass is
+one more lift, over the whole column and at 3/4: its entries are truncated
+as a lift's are, so its Gram numbers have about 200 bits, and it does
+nearly all of the 3/4 reduction cheaply.  It offers no candidates.  The
+final pass is the exact LLL on the full, untruncated lattice, reached
+through the transform, so the basis that the "no relation" verdict and its
+exclusion bound read is LLL-reduced whatever the passes before it did;
+after the pre pass it has almost nothing left to do on its Gram numbers of
+about 2000 bits.  Each lift and the final pass is a stage that offers
 candidates (``_stages``); `lindep` runs the one residual and acceptance test
 over them all.  So a candidate from a weakly reduced lift is as certified as
 one from the final pass: the test reads the candidate, not how reduced the
@@ -178,35 +184,42 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     return [tuple(row) for row in _times(v, rows)]
 
 
+def _lift(u, column, lovasz):
+    """The transform V U after one lift of U against ``column``.
+
+    The rows (U_i | U_i column) are shifted right until the second-smallest
+    keeps about LIFT_BITS bits, and reduced at ``lovasz`` with identity
+    columns appended, whose part of the reduced basis is the unimodular
+    transform V.  Those columns only carry V, so `_lll` gets the Gram
+    matrix of the shifted rows with 1 added on its diagonal, which is the
+    Gram matrix of the rows with the identity columns, and V comes back
+    from it as it is.
+    """
+    rows = [row + [_dot(row, column)] for row in u]
+    sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
+    shift = max(sizes[1] - LIFT_BITS, 0)
+    gram = _gram([[v >> shift for v in row] for row in rows])
+    for row in gram:
+        row[-1] += 1  # the diagonal entry
+    transform, _ = _lll(gram, lovasz)
+    return _times(transform, u)
+
+
 def _lifts(column, total):
     """Yield the transform U after each lift of the staged reduction.
 
     ``column`` holds the inputs scaled by 10^total and rounded.  U starts as
     the identity.  For e = STAGE_DIGITS, 2 STAGE_DIGITS, ... below total, a
-    lift takes the column's leading e digits c and shifts the rows
-    (U_i | U_i c) right until the second-smallest keeps about LIFT_BITS
-    bits.  It reduces them at LIFT_LOVASZ, 3/10, with identity columns
-    appended, whose part of the reduced basis is the unimodular transform
-    V, and U becomes V U.  Those columns only carry V, so the lift hands
-    `_lll` the Gram matrix of the shifted rows with 1 added on its diagonal,
-    which is the Gram matrix of the rows with the identity columns, and
-    takes V from it as it is.  With total <= STAGE_DIGITS there is no lift.
-    A weakly reduced lift is no less sound: its rows are candidates that
-    `lindep` tests as any other, and the final pass reduces at 3/4 whatever
-    basis the lifts leave.
+    lift (``_lift``) reduces U against the column's leading e digits, at
+    LIFT_LOVASZ, 3/10, and U becomes V U.  With total <= STAGE_DIGITS there
+    is no lift.  A weakly reduced lift is no less sound: its rows are
+    candidates that `lindep` tests as any other, and the pre pass and the
+    final pass reduce at 3/4 whatever basis the lifts leave.
     """
     u = _identity(len(column))
     for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
         unit = 10 ** (total - e)
-        lifted = [(v + unit // 2) // unit for v in column]
-        rows = [row + [_dot(row, lifted)] for row in u]
-        sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
-        shift = max(sizes[1] - LIFT_BITS, 0)
-        gram = _gram([[v >> shift for v in row] for row in rows])
-        for row in gram:
-            row[-1] += 1  # the diagonal entry
-        transform, _ = _lll(gram, LIFT_LOVASZ)
-        u = _times(transform, u)
+        u = _lift(u, [(v + unit // 2) // unit for v in column], LIFT_LOVASZ)
         yield u
 
 
@@ -250,17 +263,24 @@ def _accepts(coeffs, residual: Fraction, total: int) -> bool:
 
 
 def _scaled_column(values, total):
-    """round(10^total x_i), half away from zero, from each input's exact
-    float."""
+    """round(C x_i), C = 10^total, half away from zero, from each input's
+    exact float, in ints alone.
+
+    The float is x = m 2^e, its (mantissa, exponent) pair.  With e >= 0,
+    C x = (m C) 2^e is an int.  With e = -k < 0, C x = m C / 2^k, and
+    rounding |C x| half up is floor(|m| C / 2^k + 1/2)
+    = floor((|m| C + 2^(k-1)) / 2^k), a right shift by k of |m| C + 2^(k-1);
+    the sign of m goes back on after.  Zero is (0, 0), the first case.
+    """
     scale = 10 ** total
     column = []
     for x in values:
-        scaled = x.to_fraction() * scale
-        column.append(
-            int(scaled + Fraction(1, 2))
-            if scaled >= 0
-            else -int(-scaled + Fraction(1, 2))
-        )
+        man, exp = x._v
+        if exp >= 0:
+            column.append(man * scale << exp)
+        else:
+            rounded = (abs(man) * scale + (1 << (-exp - 1))) >> -exp
+            column.append(rounded if man > 0 else -rounded)
     return column
 
 
@@ -304,18 +324,24 @@ def _stages(column, total):
     """Yield (candidates, grams) for each stage of the reduction, in order.
 
     A lift offers the rows of its transform that ``_candidates`` keeps, in
-    norm order, with grams None.  The final pass, the exact LLL from the last
-    transform, offers only the shortest row of its basis, with its Gram
-    determinants for the exclusion bound.  It offers no other row: offering
-    every row of the final basis, on 2000 seeded 30-60-digit vectors with
-    relations planted just above the norm cap, turned one "no relation"
-    into a relation that is not exact (n = 10 at 40 digits, |c| = 532.8
-    under the cap of 533.7).
+    norm order, with grams None.  When a lift ran, the pre pass follows: one
+    more ``_lift``, against the whole column and at LOVASZ, 3/4, which
+    offers nothing.  Its numbers are truncated to about LIFT_BITS bits, so
+    its swaps are cheap, and it leaves a basis close to 3/4-reduced.  The
+    final pass, the exact LLL from the last transform, offers only the
+    shortest row of its basis, with its Gram determinants for the exclusion
+    bound; from the pre pass's transform it has few swaps left to make.
+    It offers no other row: offering every row of the final basis, on 2000
+    seeded 30-60-digit vectors with relations planted just above the norm
+    cap, turned one "no relation" into a relation that is not exact
+    (n = 10 at 40 digits, |c| = 532.8 under the cap of 533.7).
     """
     n = len(column)
     u = _identity(n)
     for u in _lifts(column, total):
         yield _candidates(u, column), None
+    if total > STAGE_DIGITS:
+        u = _lift(u, column, LOVASZ)
     # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
     # full relation lattice
     rows = [row + [_dot(row, column)] for row in u]
@@ -328,23 +354,31 @@ def _exclusion_bound(grams, n: int, total: int) -> float:
     """A lower bound on the norm of any exact relation, from the Gram
     determinants of the final pass's basis.
 
-    min_i |b*_i| bounds the shortest lattice vector; an exact relation c
-    lifts to a lattice vector of norm <= |c| sqrt(1 + n/4).  The searched
-    norm cap also limits what was certified.  Work in natural logs: at high
-    precision both quantities exceed the float range, and clamping the bound
-    down to the largest float keeps it a valid lower bound.
+    min_i |b*_i| bounds the shortest lattice vector lambda_1; an exact
+    relation c lifts to the lattice vector (c | c.column), and
+    |c.column| <= |c|_1 / 2 <= |c| sqrt(n) / 2, so its norm is at most
+    |c| sqrt(1 + n/4).  So |c| >= min_i |b*_i| / sqrt(1 + n/4), with
+    |b*_i|^2 = d_(i+1) / d_i.  The searched norm cap also limits what was
+    certified.  Work in natural logs: at high precision both quantities
+    exceed the float range, and clamping the bound down to the largest float
+    keeps it a valid lower bound.
     """
+    # an exact relation's lattice vector has norm at most |c| sqrt(lift)
+    lift = 1 + Fraction(n, 4)
     log_min_gso = min(
         math.log(grams[i + 1]) - math.log(grams[i]) for i in range(n)
     )
     log_bound = min(
-        (log_min_gso - math.log(1 + n / 4)) / 2,
+        (log_min_gso - math.log(lift)) / 2,
         total * math.log(10) / (n + 1),
     )
     bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
-    # exp can round past the cap C^(1/(n+1)); compare exactly, as `_accepts`
-    # does, and step down to the float below it
-    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total):
+    # log and exp can round past either side, min_i |b*_i| / sqrt(lift) or
+    # the cap C^(1/(n+1)); compare both exactly, as `_accepts` does, and step
+    # down to the float below them
+    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total) or any(
+        Fraction(bound) ** 2 * lift * grams[i] > grams[i + 1] for i in range(n)
+    ):
         bound = math.nextafter(bound, 0)
     return bound
 
@@ -367,7 +401,9 @@ def lindep(values) -> RelationResult:
     |sum c_i x_i| < |c|_1 / C.  The candidates are the rows of the transform
     after each lift of the staged reduction, shortest first, and last the
     shortest vector of the exact final LLL; the first that passes is
-    returned, and the lifts after it and the final pass are skipped.
+    returned, and the lifts after it, the pre pass and the final pass are
+    skipped.  The pre pass, a truncated 3/4 lift over the whole column, runs
+    between the last lift and the final pass and offers no candidate.
 
     Why both tests.  An exact relation c leaves a residual of at most |c|_1
     times the inputs' error, which is ten digits below 1/C, so it passes.
@@ -396,7 +432,8 @@ def lindep(values) -> RelationResult:
     weakly: the lifts reduce at Lovasz parameter 3/10, the final pass at
     3/4.  The lifts only find it sooner.  "No relation" is still the exact
     final pass's verdict, with the exclusion bound read from its Gram
-    determinants, and that basis is LLL-reduced at 3/4.
+    determinants, and that basis is LLL-reduced at 3/4, on the untruncated
+    lattice, whatever the truncated pre pass left it.
 
     Which relation.  When the inputs satisfy several independent relations,
     the result is the first candidate that passes: an exact relation under

@@ -35,6 +35,7 @@ from polyzeta.relations import (
     _dot,
     _gram,
     _identity,
+    _lift,
     _lifts,
     _lll,
     _times,
@@ -336,7 +337,8 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
 
     monkeypatch.setattr(relations, "_lll", recording)
     assert not lindep([BigReal(x, prec) for x in xs]).found
-    lifts = transforms[:-1]  # the last call is the exact final pass
+    # the last two calls are the truncated 3/4 pass and the exact final pass
+    lifts = transforms[:-2]
     assert len(lifts) == 2
     # each lift's transform V makes the rows V U
     n = len(xs)
@@ -434,10 +436,39 @@ def test_lindep_without_relation_runs_every_lift_and_the_final_pass(monkeypatch)
     xs, _ = rational_vector(random.Random(5101), 12, 400)
     result = lindep([BigReal(x, prec) for x in xs])
     assert not result.found
-    assert len(calls) == 13  # lifts at 30, 60, ..., 360 digits, then the exact pass
+    # lifts at 30, 60, ..., 360 digits, the truncated 3/4 pass over all 390
+    # digits, then the exact pass
+    assert len(calls) == 14
     assert calls[-1] == 12  # the final pass reduces the n rows (U_i | U_i column)
     assert 10 ** 3 < result.exclusion_bound  # the cap C^(1/13) = 10^30
     assert under_norm_cap(result.exclusion_bound, 12, 400)
+
+
+def test_scaled_column_rounds_half_away_from_zero():
+    # seeded floats m 2^e with both signs, zero, e below and above 0, and
+    # e = -(total + 1), where C x = 5^total m / 2 ends in exactly .5; each
+    # entry must be round(C x) half away from zero, taken in Fractions
+    prec = Precision(40)
+    total = prec.digits - 10
+    rng = random.Random(5600)
+    pairs = [(0, 0)]
+    for _ in range(200):
+        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
+                      rng.randint(-250, 60)))
+    for _ in range(40):
+        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
+                      -(total + 1)))
+    values = [BigReal(pair, prec) for pair in pairs]
+    assert [x._v for x in values] == pairs  # every float is as drawn
+    want = []
+    for x in values:
+        scaled = x.to_fraction() * 10 ** total
+        rounded = math.floor(abs(scaled) + F(1, 2))
+        want.append(rounded if scaled >= 0 else -rounded)
+    exps = [exp for _, exp in pairs]
+    assert min(exps) < 0 <= max(exps) and 0 in want
+    assert sum(x.to_fraction() * 10 ** total % 1 == F(1, 2) for x in values) >= 40
+    assert relations._scaled_column(values, total) == want
 
 
 def test_lindep_holds_lift_candidates_to_the_norm_cap():
@@ -596,11 +627,14 @@ def scaled_column(rng, n, total, planted):
 
 
 def staged_lll(column, total):
-    """Every lift of the staged reduction, then the exact final pass from the
-    last transform: the basis lindep's "no relation" verdict reads."""
+    """Every lift of the staged reduction, the truncated 3/4 pass over the
+    whole column when a lift ran, then the exact final pass from the last
+    transform: the basis lindep's "no relation" verdict reads."""
     u = _identity(len(column))
     for u in _lifts(column, total):
         pass
+    if total > STAGE_DIGITS:
+        u = _lift(u, column, LOVASZ)
     rows = [row + [_dot(row, column)] for row in u]
     v, grams = _lll(_gram(rows), LOVASZ)
     return [tuple(row) for row in _times(v, rows)], grams
@@ -633,6 +667,84 @@ def test_staged_reduction_without_lifts_is_the_single_pass():
     assert reduced == lll_reduce(full)
 
 
+def shortest_norm2(basis):
+    """lambda_1^2 of the lattice the rows span, exactly: Fincke-Pohst
+    enumeration, in Fractions, of every integer x with |x B|^2 <= |b_1|^2,
+    where |x B|^2 = sum_i |b*_i|^2 (x_i + sum_(j>i) mu_ji x_j)^2."""
+    n = len(basis)
+    gram = [[_dot(a, b) for b in basis] for a in basis]
+    mu = [[F(0)] * n for _ in range(n)]
+    star = []  # |b*_i|^2
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * star[k] for k in range(j))) / star[j]
+        star.append(gram[i][i] - sum(mu[i][k] ** 2 * star[k] for k in range(i)))
+    norms = [gram[0][0]]
+    x = [0] * n
+
+    def search(i, room):
+        # room: what coordinates i, i - 1, ..., 0 may still add to |x B|^2
+        if i < 0:
+            if any(x):
+                norms.append(sum(xi * _dot(row, x) for xi, row in zip(x, gram)))
+            return
+        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
+        reach = math.isqrt(math.floor(room / star[i])) + 1
+        for xi in range(math.floor(center) - reach, math.ceil(center) + reach + 1):
+            step = star[i] * (xi - center) ** 2
+            if step <= room:
+                x[i] = xi
+                search(i - 1, room - step)
+        x[i] = 0
+
+    search(n - 1, F(gram[0][0]))
+    return min(norms)
+
+
+def near_relation_vector(seed, n, digits, near):
+    """n exact rationals of digits + 30 decimals, at digits, each of whose
+    last ``near`` entries is solved so that some c with entries in [-9, 9]
+    leaves c.x = f |c|_1 / C, f in [10, 1000], C = 10^(digits-10): a short
+    vector (c | c.column) of the relation lattice, which lindep's residual
+    test rejects."""
+    rng = random.Random(seed)
+    den = 10 ** (digits + 30)
+    xs = [F(rng.randrange(den // 10, den), den) * rng.choice((1, -1)) for _ in range(n - near)]
+    for _ in range(near):
+        c = [rng.randint(-9, 9) for _ in xs] + [rng.randint(1, 9)]
+        target = F(rng.randint(10, 1000) * sum(map(abs, c)), 10 ** (digits - 10))
+        xs.append((target - sum(a * x for a, x in zip(c, xs))) / c[-1])
+    prec = Precision(digits)
+    return [BigReal(x, prec) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "seed, n, digits, near",
+    [(1, 3, 48, 1), (2, 3, 32, 1), (5, 5, 38, 2), (6, 5, 56, 1), (7, 4, 60, 1),
+     (9, 4, 49, 2), (13, 4, 39, 1)],
+)
+def test_exclusion_bound_is_under_the_shortest_vector_over_the_lift_factor(seed, n, digits, near):
+    # an exact relation c lifts to a lattice vector of norm at most
+    # |c| sqrt(1 + n/4), so the bound times that factor may not pass
+    # lambda_1 of the final basis's lattice, compared exactly
+    values = near_relation_vector(seed, n, digits, near)
+    result = lindep(values)
+    assert not result.found
+    total = digits - 10
+    reduced, grams = staged_lll(relations._scaled_column(values, total), total)
+    assert result.exclusion_bound == relations._exclusion_bound(grams, n, total)
+    shortest = shortest_norm2(reduced)
+    least = min(F(grams[i + 1], grams[i]) for i in range(n))  # min |b*_i|^2
+    lift = 1 + F(n, 4)
+    # the Gram-Schmidt term sets the bound: min |b*_i| is under the cap
+    # C^(1/(n+1)), and lambda_1 lies within sqrt(lift) of it, so a bound
+    # without the lift factor, or raised by e sqrt(lift), passes
+    # lambda_1 / sqrt(lift)
+    assert least ** (n + 1) < 10 ** (2 * total)
+    assert least <= shortest < least * lift
+    assert F(result.exclusion_bound) ** 2 * lift <= shortest
+
+
 @pytest.mark.parametrize("rows", [[], [(3,)]], ids=["no-rows", "one-row"])
 def test_lll_reduce_keeps_reduced_input(rows):
     assert lll_reduce(rows) == rows
@@ -654,15 +766,17 @@ def lift_basis(u, column, total, e):
 
 def oracle_stages(column, total):
     """lindep's staged reduction with every lattice reduced in row form:
-    for each lift, at LIFT_LOVASZ, the identity-column block of its reduced
-    rows (the transform V) and its Gram determinants; last, at LOVASZ, the
-    final pass's rows (U_i | U_i column), its reduced rows and its Gram
-    determinants."""
+    for each lift, at LIFT_LOVASZ, and then, when a lift ran, for the
+    truncated pass over the whole column at LOVASZ, the identity-column
+    block of its reduced rows (the transform V) and its Gram determinants;
+    last, at LOVASZ, the final pass's rows (U_i | U_i column), its reduced
+    rows and its Gram determinants."""
     n = len(column)
     u = _identity(n)
     stages = []
-    for e in range(STAGE_DIGITS, total, STAGE_DIGITS):
-        reduced, grams = _lll_with_grams(lift_basis(u, column, total, e), LIFT_LOVASZ)
+    lifts = [(e, LIFT_LOVASZ) for e in range(STAGE_DIGITS, total, STAGE_DIGITS)]
+    for e, lovasz in lifts + [(total, LOVASZ)] * bool(lifts):
+        reduced, grams = _lll_with_grams(lift_basis(u, column, total, e), lovasz)
         transform = [list(row[n + 1:]) for row in reduced]
         stages.append((transform, grams))
         u = [[sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
@@ -677,10 +791,10 @@ def oracle_stages(column, total):
      (12, 300, False), (12, 100, True), (5, 400, False), (9, 400, True)],
 )
 def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, digits, planted):
-    # each lift reduces the Gram matrix of its shifted rows, plus 1 on the
-    # diagonal for the identity columns it drops; its transform V must be the
-    # oracle's identity block, and the final pass's V times its rows the
-    # oracle's reduced rows
+    # each lift, and the truncated pass after them, reduces the Gram matrix
+    # of its shifted rows, plus 1 on the diagonal for the identity columns it
+    # drops; its transform V must be the oracle's identity block, and the
+    # final pass's V times its rows the oracle's reduced rows
     total = digits - 10
     column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
     calls = []
@@ -695,10 +809,11 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
     monkeypatch.setattr(relations, "_lll", recording)
     for _ in relations._stages(column, total):
         pass
-    lifts, (rows, reduced, grams) = oracle_stages(column, total)
-    assert len(lifts) == (total - 1) // STAGE_DIGITS
-    assert lovaszes == [LIFT_LOVASZ] * len(lifts) + [LOVASZ]
-    assert calls[:-1] == lifts
+    stages, (rows, reduced, grams) = oracle_stages(column, total)
+    lifts = (total - 1) // STAGE_DIGITS
+    assert len(stages) == lifts + 1
+    assert lovaszes == [LIFT_LOVASZ] * lifts + [LOVASZ, LOVASZ]
+    assert calls[:-1] == stages
     v, d = calls[-1]
     assert d == grams
     assert [tuple(row) for row in _times(v, rows)] == reduced

@@ -11,15 +11,19 @@ polyzeta from TREE/src and runs lindep on every vector, with each call of
 ``relations._lll`` under a profiler of its own.  A swap or a size reduction
 is a call of ``_lll``'s closure ``swap`` or ``size_reduce``, read from
 cProfile's call counts, so the counts depend on the code and the inputs
-alone, not on the machine's speed, and the package carries no counter.  A
-call of ``_lll`` from ``_lifts`` is a lift, one from ``_stages`` the final
-pass.
+alone, not on the machine's speed, and the package carries no counter.
+The caller of ``_lll`` names the phase (the child's ``phases``): a call from ``_lifts`` is a
+lift and one from ``_stages`` the final pass.  A call from ``_lift``, the
+lift body, is named by ``_lift``'s own caller: from ``_lifts`` a lift, from
+``_stages`` the truncated 3/4 pass before the final one ("pre").  Any other
+caller stops the child with a message that names it.
 
 Per cell and TREE it prints the lifts run, the swaps and size reductions
-of the lifts and those of the final pass, summed over the cell's vectors,
-and then their totals.  With two trees it adds each total's change and
-whether every vector's verdict, its coefficients or else its exclusion
-bound, is the same in both.
+of the lifts, of the pre pass and of the final pass, summed over the
+cell's vectors, and then their totals; a tree without the pre pass reads 0
+there.  With two trees it adds each total's change ("new" where the first
+tree reads 0 and the second does not) and whether every vector's verdict,
+its coefficients or else its exclusion bound, is the same in both.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from pathlib import Path
 
 from trees import command_line, run
 
-COUNTS = ("lifts", "lift_swaps", "lift_reductions", "final_swaps", "final_reductions")
-HEADS = ("lifts", "lift swaps", "lift sizered", "final swaps", "final sizered")
+COUNTS = ("lifts", "lift_swaps", "lift_reductions", "pre_swaps", "pre_reductions",
+          "final_swaps", "final_reductions")
+HEADS = ("lifts", "lift swaps", "lift sizered", "pre swaps", "pre sizered",
+         "final swaps", "final sizered")
 
 CHILD = """
 import cProfile, json, sys
@@ -41,9 +47,18 @@ from polyzeta import BigReal, Precision, lindep, relations
 
 lll = relations._lll
 calls = []
+# the phase of each caller of _lll, and of each caller of the lift body
+phases = {"_lifts": "lift", "_stages": "final", "_lift < _lifts": "lift",
+          "_lift < _stages": "pre"}
 
 def profiled(*args):
-    phase = {"_lifts": "lift", "_stages": "final"}[sys._getframe(1).f_code.co_name]
+    caller = sys._getframe(1)
+    name = caller.f_code.co_name
+    if name not in phases:
+        name += " < " + caller.f_back.f_code.co_name
+    if name not in phases:
+        sys.exit(f"relations._lll called from {name}, which names no phase")
+    phase = phases[name]
     profile = cProfile.Profile()
     profile.enable()
     try:
@@ -96,6 +111,13 @@ def _count(tree: Path, vectors: list[dict]) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
+def _change(before: int, after: int) -> str:
+    """A total's relative change, or "new" where it grew from 0."""
+    if before:
+        return f"{after / before - 1:+.1%}"
+    return "new" if after else "+0.0%"
+
+
 def main(argv: list[str]) -> int:
     trees = [Path(arg) for arg in command_line(argv, __doc__, {1, 2}, {})[0]]
     vectors = _references(trees[0])
@@ -120,7 +142,7 @@ def main(argv: list[str]) -> int:
     if len(trees) == 2:
         before, after = totals
         print(f"{'change':<{width}}" + " |" + " " * 17 * len(COUNTS) + " |" + "".join(
-            f" {after[c] / before[c] - 1 if before[c] else 0:>+16.1%}" for c in COUNTS))
+            f" {_change(before[c], after[c]):>16}" for c in COUNTS))
         differ = [v["cell"] for v, a, b in zip(vectors, *results) if a["verdict"] != b["verdict"]]
         if differ:
             print(f"verdicts: {len(differ)} of {len(vectors)} differ, in {', '.join(differ)}")
