@@ -65,7 +65,7 @@ MAX_PARSE_DEPTH = 100
 # (least of 3 rounds, a build with its JSON lines, Python 3.11, 2-core Xeon)
 # read 46 ms at weight 10 (1280 identities), 158 ms at 11 (2816) and 0.60 s
 # at 12 (6144); the bound stays at 10 until the exact MZV reduction that
-# reads the same products lands (ROADMAP items 15 and 5)
+# reads the same products lands (ROADMAP item 5)
 MAX_EXPORT_WEIGHT = 10
 # errors in the user's input or request: printed as one `error:` line
 _USER_ERRORS = (PolyzetaError, ValueError, ZeroDivisionError)

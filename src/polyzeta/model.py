@@ -6,12 +6,11 @@ is its iterated-integral encoding: a tuple of 1-form parameters where 0
 stands for the form dx/x and a nonzero value b for dx/(x-b).  Conversions
 and convergence checks between these encodings live here, and so does
 `dual_word`, the package's one duality map: it reverses the path (x -> 1 - x)
-and reads the word back.  MZV duality, the evaluator's dual route, the left
-halves of `evaluate.holder_split` and the base-2/unit-sum duality of
-`identities.delta_mu_dual` all go through it.  All base arithmetic is
-exact.  Exponents enter through `int_tuple` and bases, letters and
-parameters through `rational`, so a float is refused, never truncated or
-read as its binary fraction.
+and reads the word back.  MZV duality, the evaluator's dual route and the
+left halves of `evaluate.holder_split` all go through it.  All base
+arithmetic is exact.  Exponents enter through `int_tuple` and bases,
+letters and parameters through `rational`, so a float is refused, never
+truncated or read as its binary fraction.
 """
 
 from __future__ import annotations

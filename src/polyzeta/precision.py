@@ -594,6 +594,24 @@ def to_decimal_string(x: BigReal, d: int) -> str:
     return _render(x._v, d, rounded=True)
 
 
+def round_scaled(x: BigReal, scale: int) -> int:
+    """round(scale x), half away from zero, for a positive int scale, from
+    x's exact float in ints alone.
+
+    The float is x = m 2^e, its (mantissa, exponent) pair.  With e >= 0,
+    scale x = (m scale) 2^e is an int.  With e = -k < 0, scale x =
+    m scale / 2^k, and rounding |scale x| half up is
+    floor(|m| scale / 2^k + 1/2) = floor((|m| scale + 2^(k-1)) / 2^k), a
+    right shift by k of |m| scale + 2^(k-1); the sign of m goes back on
+    after.  Zero is (0, 0), the first case.
+    """
+    man, exp = x._v
+    if exp >= 0:
+        return man * scale << exp
+    rounded = (abs(man) * scale + (1 << (-exp - 1))) >> -exp
+    return rounded if man > 0 else -rounded
+
+
 def pi(prec: Precision) -> BigReal:
     return _bound(_named_constant("pi", _bits(prec), _NEAREST), prec)
 

@@ -8,9 +8,10 @@ so every division is exact.  It runs on the Gram matrix of the basis and
 moves only the n-column unimodular transform: `lll_reduce` and the final
 pass multiply that transform back into their rows, and the lifts and the
 pre pass use it as it is.  `lindep` embeds the input reals into the
-classical relation lattice (e_i | round(C x_i)) and accepts a candidate c
-only when its norm is under a cap and the recomputed |sum c_i x_i| is below
-|c|_1 / C (``_accepts``).
+classical relation lattice (e_i | round(C x_i)), each entry rounded from
+the input's exact float by `precision.round_scaled`, and accepts a
+candidate c only when its norm is under a cap and the recomputed
+|sum c_i x_i| is below |c|_1 / C (``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientPrecision
 from .model import int_tuple
-from .precision import BigReal, linear_combination
+from .precision import BigReal, linear_combination, round_scaled
 
 # Lovasz parameter, as (numerator, denominator), of `lll_reduce` and of the
 # exact final pass, whose basis the "no relation" verdict reads.
@@ -262,28 +263,6 @@ def _accepts(coeffs, residual: Fraction, total: int) -> bool:
     )
 
 
-def _scaled_column(values, total):
-    """round(C x_i), C = 10^total, half away from zero, from each input's
-    exact float, in ints alone.
-
-    The float is x = m 2^e, its (mantissa, exponent) pair.  With e >= 0,
-    C x = (m C) 2^e is an int.  With e = -k < 0, C x = m C / 2^k, and
-    rounding |C x| half up is floor(|m| C / 2^k + 1/2)
-    = floor((|m| C + 2^(k-1)) / 2^k), a right shift by k of |m| C + 2^(k-1);
-    the sign of m goes back on after.  Zero is (0, 0), the first case.
-    """
-    scale = 10 ** total
-    column = []
-    for x in values:
-        man, exp = x._v
-        if exp >= 0:
-            column.append(man * scale << exp)
-        else:
-            rounded = (abs(man) * scale + (1 << (-exp - 1))) >> -exp
-            column.append(rounded if man > 0 else -rounded)
-    return column
-
-
 def _residual(values, coeffs) -> BigReal:
     """|sum c_i x_i| in the inputs' working precision, the one residual that
     lindep's acceptance reads on every path: `precision.linear_combination`,
@@ -455,7 +434,7 @@ def lindep(values) -> RelationResult:
     require_lindep_digits(digits)
 
     total = digits - 10
-    column = _scaled_column(values, total)
+    column = [round_scaled(x, 10 ** total) for x in values]
     for candidates, grams in _stages(column, total):
         for coeffs in candidates:
             residual = _residual(values, coeffs)

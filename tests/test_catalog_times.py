@@ -60,16 +60,17 @@ def test_catalog_times_one_tree_prints_the_digest(capsys, monkeypatch, load_tool
 
 
 def test_a_failed_child_names_its_tree_and_shows_its_stderr(tmp_path, load_tool):
-    # an empty tree has no polyzeta to import: the script stops with one
+    # a tree whose polyzeta fails to import: the script stops with one
     # line that names the tree, then the child's own traceback
     tool = load_tool("catalog_times")
-    empty = tmp_path / "empty"
-    (empty / "src").mkdir(parents=True)
+    broken = tmp_path / "broken"
+    (broken / "src" / "polyzeta").mkdir(parents=True)
+    (broken / "src" / "polyzeta" / "__init__.py").write_text('raise ImportError("planted")\n')
     with pytest.raises(SystemExit) as stop:
-        tool.main([str(empty), "--weights", "3", "--rounds", "1"])
+        tool.main([str(broken), "--weights", "3", "--rounds", "1"])
     first, *rest = str(stop.value.code).splitlines()
-    assert re.fullmatch(re.escape(f"{empty}: ") + r".* exited with status 1:", first)
-    assert rest[-1] == "ModuleNotFoundError: No module named 'polyzeta'"
+    assert re.fullmatch(re.escape(f"{broken}: ") + r".* exited with status 1:", first)
+    assert rest[-1] == "ImportError: planted"
 
 
 @pytest.mark.parametrize("options", [["--weights"], ["--rounds", "x"], ["--weights", "a-b"]])
@@ -78,3 +79,25 @@ def test_a_bad_option_exits_with_the_usage(options, load_tool):
     with pytest.raises(SystemExit) as stop:
         tool.main([str(ROOT), *options])
     assert stop.value.code == tool.__doc__
+
+
+@pytest.mark.parametrize("argv", [["--help"], [str(ROOT), "-w", "3"]])
+def test_an_unknown_option_exits_with_the_usage(argv, load_tool):
+    tool = load_tool("catalog_times")
+    with pytest.raises(SystemExit) as stop:
+        tool.main(argv)
+    assert stop.value.code == tool.__doc__
+
+
+def test_a_bad_tree_is_named_before_any_child_runs(tmp_path, monkeypatch, load_tool):
+    # a second tree that is missing, or a directory without src/polyzeta,
+    # stops the script before the first tree's first process
+    tool = load_tool("catalog_times")
+    measured = []
+    monkeypatch.setattr(tool, "_measure", lambda tree, weight: measured.append(tree))
+    for bad in (tmp_path / "missing", tmp_path):
+        with pytest.raises(SystemExit) as stop:
+            tool.main([str(ROOT), str(bad), "--weights", "3", "--rounds", "1"])
+        assert stop.value.code == (
+            f"{bad}: not a checkout of this repository (no src/polyzeta directory)")
+    assert measured == []

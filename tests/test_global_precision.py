@@ -11,8 +11,10 @@ import pytest
 
 from polyzeta import BigReal, Precision, evaluate_lambda, lindep, parse_spec, to_decimal_string
 from polyzeta.cli import run
-from polyzeta.identities import delta_odd, t5
+from polyzeta.identities import t5
 from polyzeta.precision import ln, pi
+
+from paper_forms import delta_odd
 
 
 @pytest.fixture

@@ -33,20 +33,11 @@ from polyzeta import identities, relations
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
-    _weak_chains,
-    alternating_source_spec,
-    alternating_to_mu,
-    cyclotomic_expand,
-    delta_odd,
-    delta_mu_dual,
     delta_negative_exact,
-    delta_one_negative_exact,
     evaluate_formal_sum,
     export_identities,
     li2_half,
     mu_power,
-    mu_source_spec,
-    mu_to_compositions,
     rational_stuffle_check,
     render_formal_sum,
     reversal_reduction,
@@ -54,11 +45,24 @@ from polyzeta.identities import (
     t5,
     z213,
     zagier,
-    zeta_li_log,
 )
 from polyzeta.evaluate import evaluate_word
 from polyzeta.model import delta_spec, make_word, mu_spec
 from polyzeta.precision import BigReal, linear_combination, ln, pi
+
+import paper_forms
+from paper_forms import (
+    _weak_chains,
+    alternating_source_spec,
+    alternating_to_mu,
+    cyclotomic_expand,
+    delta_mu_dual,
+    delta_odd,
+    delta_one_negative_exact,
+    mu_source_spec,
+    mu_to_compositions,
+    zeta_li_log,
+)
 
 F = Fraction
 
@@ -1170,7 +1174,7 @@ def test_reversal_reduction_validates():
 # -- Bernoulli and closed forms ---------------------------------------------------
 
 def bernoulli(n):
-    return identities._bernoulli_numbers(n)[n]
+    return paper_forms._bernoulli_numbers(n)[n]
 
 
 def test_bernoulli_values():

@@ -58,18 +58,19 @@ def test_two_trees_print_each_cell_the_totals_and_the_verdicts(capsys, monkeypat
 
 
 def test_a_failed_child_names_its_tree_and_shows_its_stderr(tmp_path, monkeypatch, load_tool):
-    # an empty tree has no polyzeta to import: the script stops with one
+    # a tree whose polyzeta fails to import: the script stops with one
     # line that names the tree, then the child's own traceback
     tool = load_tool("lll_counts")
     vectors = tiny_corpus(tool)
     monkeypatch.setattr(tool, "_references", lambda tree: vectors)
-    empty = tmp_path / "empty"
-    (empty / "src").mkdir(parents=True)
+    broken = tmp_path / "broken"
+    (broken / "src" / "polyzeta").mkdir(parents=True)
+    (broken / "src" / "polyzeta" / "__init__.py").write_text('raise ImportError("planted")\n')
     with pytest.raises(SystemExit) as stop:
-        tool.main([str(empty)])
+        tool.main([str(broken)])
     first, *rest = str(stop.value.code).splitlines()
-    assert re.fullmatch(re.escape(f"{empty}: ") + r".* exited with status 1:", first)
-    assert rest[-1] == "ModuleNotFoundError: No module named 'polyzeta'"
+    assert re.fullmatch(re.escape(f"{broken}: ") + r".* exited with status 1:", first)
+    assert rest[-1] == "ImportError: planted"
 
 
 def patched_tree(tmp_path, old, new):
@@ -106,3 +107,26 @@ def test_an_unknown_caller_of_lll_stops_the_count_and_is_named(tmp_path, monkeyp
         tool.main([str(tree)])
     assert str(stop.value.code).splitlines()[-1] == (
         "relations._lll called from _lift < <lambda>, which names no phase")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [str(ROOT), "--weights", "3"]])
+def test_an_unknown_option_exits_with_the_usage(argv, load_tool):
+    tool = load_tool("lll_counts")
+    with pytest.raises(SystemExit) as stop:
+        tool.main(argv)
+    assert stop.value.code == tool.__doc__
+
+
+def test_a_bad_tree_is_named_before_any_tree_is_counted(tmp_path, monkeypatch, load_tool):
+    # a second tree that is missing, or a directory without src/polyzeta,
+    # stops the script before it reads or counts the first
+    tool = load_tool("lll_counts")
+    read = []
+    monkeypatch.setattr(tool, "_references", lambda tree: read.append(tree))
+    monkeypatch.setattr(tool, "_count", lambda tree, vectors: read.append(tree))
+    for bad in (tmp_path / "missing", tmp_path):
+        with pytest.raises(SystemExit) as stop:
+            tool.main([str(ROOT), str(bad)])
+        assert stop.value.code == (
+            f"{bad}: not a checkout of this repository (no src/polyzeta directory)")
+    assert read == []

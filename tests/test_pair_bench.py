@@ -70,13 +70,23 @@ def test_refuses_checkouts_that_do_not_share_a_directory(tmp_path, load_tool):
     ]
 
 
+def test_refuses_a_checkout_without_src_polyzeta(tmp_path, load_tool):
+    # a missing checkout is named before its BENCHMARK.json is read
+    tool = load_tool("pair_bench")
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(ROOT), str(missing), "identity_session", "1"])
+    assert stop.value.code == (
+        f"{missing}: not a checkout of this repository (no src/polyzeta directory)")
+
+
 def test_a_failed_run_names_its_checkout_and_shows_its_stderr(tmp_path, load_tool):
     # a checkout without perfbench/run.py fails its first run: the tool
     # stops with one line that names the checkout, then python's own error
     tool = load_tool("pair_bench")
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
-        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "polyzeta").mkdir(parents=True)
         (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     with pytest.raises(SystemExit) as stop:
         tool.main([str(parent), str(change), "identity_session", "1"])
@@ -93,7 +103,7 @@ def test_each_side_runs_ten_times_and_the_first_side_alternates(
     tool = load_tool("pair_bench")
     parent, change = (tmp_path / "tree",) * 2 if same else (tmp_path / "parent", tmp_path / "change")
     for checkout in {parent, change}:
-        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "polyzeta").mkdir(parents=True)
         (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [m["name"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]

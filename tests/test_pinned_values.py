@@ -19,18 +19,10 @@ import os
 from fractions import Fraction
 
 from polyzeta import Precision, evaluate_lambda, parse_spec
-from polyzeta.identities import (
-    delta_12,
-    delta_odd,
-    li2_half,
-    mu_power,
-    t5,
-    z213,
-    zagier,
-    zeta_li_log,
-)
+from polyzeta.identities import delta_12, li2_half, mu_power, t5, z213, zagier
 
 from conftest import libmp_raw
+from paper_forms import delta_odd, zeta_li_log
 
 REFS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs")
 # the reference pools and the digits their benchmark workloads run at

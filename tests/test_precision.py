@@ -7,7 +7,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import mpmath
 import pytest
@@ -426,6 +426,34 @@ def test_to_fraction_exact_roundtrip():
     assert abs(v.to_fraction() - q) < Fraction(1, 10 ** 45)
     w = BigReal(Fraction(5, 8), prec)  # exactly dyadic
     assert w.to_fraction() == Fraction(5, 8)
+
+
+def test_round_scaled_rounds_half_away_from_zero():
+    # seeded floats m 2^e with both signs, zero, e below and above 0, and
+    # e = -(total + 1), where C x = 5^total m / 2 ends in exactly .5, for
+    # C = 10^total, lindep's scale at 40 digits; each must round to
+    # round(C x) half away from zero, taken in Fractions
+    prec = Precision(40)
+    total = prec.digits - 10
+    rng = random.Random(5600)
+    pairs = [(0, 0)]
+    for _ in range(200):
+        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
+                      rng.randint(-250, 60)))
+    for _ in range(40):
+        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
+                      -(total + 1)))
+    values = [BigReal(pair, prec) for pair in pairs]
+    assert [x._v for x in values] == pairs  # every float is as drawn
+    want = []
+    for x in values:
+        scaled = x.to_fraction() * 10 ** total
+        rounded = floor(abs(scaled) + Fraction(1, 2))
+        want.append(rounded if scaled >= 0 else -rounded)
+    exps = [exp for _, exp in pairs]
+    assert min(exps) < 0 <= max(exps) and 0 in want
+    assert sum(x.to_fraction() * 10 ** total % 1 == Fraction(1, 2) for x in values) >= 40
+    assert [precision.round_scaled(x, 10 ** total) for x in values] == want
 
 
 @given(

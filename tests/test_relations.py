@@ -25,7 +25,7 @@ from polyzeta import (
 )
 from polyzeta import relations
 from polyzeta.acceptance import planted_relation
-from polyzeta.precision import ln, pi
+from polyzeta.precision import ln, pi, round_scaled
 from polyzeta.relations import (
     LIFT_BITS,
     LIFT_LOVASZ,
@@ -403,6 +403,11 @@ def rational_vector(rng, n, digits, relations=0):
     return xs, planted
 
 
+def lindep_column(values, total):
+    """lindep's column: each input's float scaled by 10^total and rounded."""
+    return [round_scaled(x, 10 ** total) for x in values]
+
+
 def counting_lll(monkeypatch):
     """Record each call of the reduction that lindep makes."""
     calls = []
@@ -444,33 +449,6 @@ def test_lindep_without_relation_runs_every_lift_and_the_final_pass(monkeypatch)
     assert under_norm_cap(result.exclusion_bound, 12, 400)
 
 
-def test_scaled_column_rounds_half_away_from_zero():
-    # seeded floats m 2^e with both signs, zero, e below and above 0, and
-    # e = -(total + 1), where C x = 5^total m / 2 ends in exactly .5; each
-    # entry must be round(C x) half away from zero, taken in Fractions
-    prec = Precision(40)
-    total = prec.digits - 10
-    rng = random.Random(5600)
-    pairs = [(0, 0)]
-    for _ in range(200):
-        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
-                      rng.randint(-250, 60)))
-    for _ in range(40):
-        pairs.append((rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 120)) | 1),
-                      -(total + 1)))
-    values = [BigReal(pair, prec) for pair in pairs]
-    assert [x._v for x in values] == pairs  # every float is as drawn
-    want = []
-    for x in values:
-        scaled = x.to_fraction() * 10 ** total
-        rounded = math.floor(abs(scaled) + F(1, 2))
-        want.append(rounded if scaled >= 0 else -rounded)
-    exps = [exp for _, exp in pairs]
-    assert min(exps) < 0 <= max(exps) and 0 in want
-    assert sum(x.to_fraction() * 10 ** total % 1 == F(1, 2) for x in values) >= 40
-    assert relations._scaled_column(values, total) == want
-
-
 def test_lindep_holds_lift_candidates_to_the_norm_cap():
     # x = (1, p/q) with p, q of 65 digits at 190 digits: the norm cap is
     # C^(1/3) = 1e60, and the 150-digit lift holds the relation (p, -q) of
@@ -480,7 +458,7 @@ def test_lindep_holds_lift_candidates_to_the_norm_cap():
     prec = Precision(190)
     values = [BigReal(1, prec), BigReal(F(p, q), prec)]
     total = prec.digits - 10
-    column = relations._scaled_column(values, total)
+    column = lindep_column(values, total)
     *_, u = relations._lifts(column, total)
     assert [p, -q] in u or [-p, q] in u
     assert not relations._prefilter_rejects([p, -q], column)
@@ -524,7 +502,7 @@ def test_prefilter_rejects_only_rows_that_fail_the_residual_test():
     for xs, prec in multi_relation_corpus() + free:
         values = [BigReal(x, prec) for x in xs]
         total = prec.digits - 10
-        column = relations._scaled_column(values, total)
+        column = lindep_column(values, total)
         for u in relations._lifts(column, total):
             for c in u:
                 if not relations._prefilter_rejects(c, column):
@@ -731,7 +709,7 @@ def test_exclusion_bound_is_under_the_shortest_vector_over_the_lift_factor(seed,
     result = lindep(values)
     assert not result.found
     total = digits - 10
-    reduced, grams = staged_lll(relations._scaled_column(values, total), total)
+    reduced, grams = staged_lll(lindep_column(values, total), total)
     assert result.exclusion_bound == relations._exclusion_bound(grams, n, total)
     shortest = shortest_norm2(reduced)
     least = min(F(grams[i + 1], grams[i]) for i in range(n))  # min |b*_i|^2

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from trees import command_line, run, turns
+from trees import command_line, read_tree, run, turns
 
 BUDGET_S = 0.5
 TIMED_BUILDS = 5
@@ -62,7 +62,7 @@ def _weights(text: str) -> range:
 def main(argv: list[str]) -> int:
     trees, options = command_line(argv, __doc__, {1, 2}, {
         "--weights": (_weights, range(8, 13)), "--rounds": (int, 3)})
-    trees, weights, rounds = [Path(t) for t in trees], options["--weights"], options["--rounds"]
+    trees, weights, rounds = [read_tree(t) for t in trees], options["--weights"], options["--rounds"]
     if rounds < 1 or not weights or weights[0] < 3:
         sys.exit(__doc__)
     header = f"{'weight':>6} {'identities':>10}"

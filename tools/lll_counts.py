@@ -33,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from trees import command_line, run
+from trees import command_line, read_tree, run
 
 COUNTS = ("lifts", "lift_swaps", "lift_reductions", "pre_swaps", "pre_reductions",
           "final_swaps", "final_reductions")
@@ -119,7 +119,7 @@ def _change(before: int, after: int) -> str:
 
 
 def main(argv: list[str]) -> int:
-    trees = [Path(arg) for arg in command_line(argv, __doc__, {1, 2}, {})[0]]
+    trees = [read_tree(arg) for arg in command_line(argv, __doc__, {1, 2}, {})[0]]
     vectors = _references(trees[0])
     results = [_count(tree, vectors) for tree in trees]
     width = max(len(v["cell"]) for v in vectors) + 1

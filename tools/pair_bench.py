@@ -48,7 +48,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from trees import command_line, run, turns
+from trees import command_line, read_tree, run, turns
 
 PAIRS = 10
 SUSPECT = 5
@@ -122,7 +122,7 @@ def _record(path: Path, run: dict, claim: str | None, seconds: int) -> None:
 def main(argv: list[str]) -> int:
     (parent, change, workload, seed), options = command_line(
         argv, __doc__, {4}, {"--out": (Path, None), "--claim": (str, None)})
-    parent, change = Path(parent), Path(change)
+    parent, change = read_tree(parent), read_tree(change)
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     if options["--claim"] not in (None, *(m["name"] for m in spec["end_to_end"])):
         sys.exit(f"--claim: no end-to-end metric {options['--claim']!r}")
