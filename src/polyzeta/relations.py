@@ -7,11 +7,14 @@ data through the scaled integers lambda_ij and the Gram determinants d_i,
 so every division is exact.  It runs on the Gram matrix of the basis and
 moves only the n-column unimodular transform: `lll_reduce` and the final
 pass multiply that transform back into their rows, and the lifts and the
-pre pass use it as it is.  `lindep` embeds the input reals into the
-classical relation lattice (e_i | round(C x_i)), each entry rounded from
-the input's exact float by `precision.round_scaled`, and accepts a
-candidate c only when its norm is under a cap and the recomputed
-|sum c_i x_i| is below |c|_1 / C (``_accepts``).
+pre pass use it as it is.  It is one loop, with its size reductions and
+swaps written inline, and it returns its swap and size-reduction counts
+with the transform, which `tools/lll_counts.py` reads.  `lindep` embeds
+the input reals into the classical relation lattice (e_i | round(C x_i)),
+each entry rounded from the input's exact float by
+`precision.round_scaled`, and accepts a candidate c only when its norm is
+under a cap and the recomputed |sum c_i x_i| is below |c|_1 / C
+(``_accepts``).
 
 The relation lattice is reduced at growing precision, in the lift-reduce
 manner of Novocin, Stehle and Villard: each lift adds the next
@@ -94,8 +97,12 @@ def _lll(gram, lovasz):
     """Integral LLL of a basis B given by its Gram matrix, of which it reads
     only the lower triangle (``_gram``).
 
-    Returns (V, d): the unimodular transform V, whose rows give the reduced
-    basis as V B, and the Gram determinants d_0 = 1, ..., d_n of that basis.
+    Returns (V, d, swaps, reductions): the unimodular transform V, whose
+    rows give the reduced basis as V B, the Gram determinants d_0 = 1, ...,
+    d_n of that basis, the number of swaps, and the number of size-reduction
+    visits, each pair (k, l) whose lambda_kl is tested, whether it reduces
+    or not.  The counts depend on the basis alone, so tools read them as
+    the reduction's work.
     This is Cohen's all-integer LLL (Algorithm 2.6.7), with Lovasz parameter
     num/den for lovasz = (num, den), 1/4 < num/den <= 1, and the scaled
     integers lambda_kj = d_(j+1) mu_kj, so every division is exact.  It
@@ -103,43 +110,21 @@ def _lll(gram, lovasz):
     b_k: size reductions and swaps move rows at or below kmax only.  Each
     row j < k so far combines b_0, ..., b_(k-1) alone, so b_k . b_j is
     V_j . G[k].  Each size reduction and swap moves V's n entries alone.
+
+    One loop does it all, in Cohen's order: at row k it size-reduces
+    lambda_k(k-1), then tests the Lovasz condition; when it fails, rows k-1
+    and k swap and k steps back, and otherwise row k is size-reduced against
+    rows k-2, ..., 0 and k advances.  Both are written inline, without a
+    call per visit.
     """
     num, den = lovasz
     n = len(gram)
     v = _identity(n)
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)
-
-    def size_reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            # q is +-1 in most reductions, which need no products
-            if q == 1:
-                v[k] = list(map(operator.sub, v[k], v[l]))
-            elif q == -1:
-                v[k] = list(map(operator.add, v[k], v[l]))
-            else:
-                v[k] = [a - q * b for a, b in zip(v[k], v[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k, kmax):
-        v[k], v[k - 1] = v[k - 1], v[k]
-        # swapping the rows swaps lambda_kj and lambda_(k-1)j for j < k - 1;
-        # lambda_k(k-1) stays, and no entry on or above the diagonal is read
-        lam[k], lam[k - 1] = lam[k - 1], lam[k]
-        lm = lam[k][k - 1] = lam[k - 1][k - 1]
-        old_d, next_d = d[k], d[k + 1]
-        new_d = (d[k - 1] * next_d + lm * lm) // old_d
-        for row in lam[k + 1:kmax + 1]:
-            t = row[k]
-            row[k] = (next_d * row[k - 1] - lm * t) // old_d
-            row[k - 1] = (new_d * t + lm * row[k]) // next_d
-        d[k] = new_d
-
+    swaps = reductions = 0
     if n == 0:
-        return v, d
+        return v, d, swaps, reductions
     d[1] = gram[0][0]
     if d[1] == 0:
         raise ValueError("rows must be linearly independent (zero row)")
@@ -158,19 +143,56 @@ def _lll(gram, lovasz):
                     if u == 0:
                         raise ValueError("rows must be linearly independent")
                     d[k + 1] = u
-        while True:
-            size_reduce(k, k - 1)
-            if den * d[k + 1] * d[k - 1] < (
-                num * d[k] * d[k] - den * lam[k][k - 1] ** 2
-            ):
-                swap(k, kmax)
-                k = max(1, k - 1)
+        l = k - 1
+        row = lam[k]
+        old_d = d[k]
+        lm = row[l]
+        reductions += 1
+        if 2 * abs(lm) > old_d:
+            q = (2 * lm + old_d) // (2 * old_d)
+            # q is +-1 in most reductions, which need no products
+            if q == 1:
+                v[k] = list(map(operator.sub, v[k], v[l]))
+            elif q == -1:
+                v[k] = list(map(operator.add, v[k], v[l]))
             else:
-                for l in range(k - 2, -1, -1):
-                    size_reduce(k, l)
-                k += 1
-                break
-    return v, d
+                v[k] = [a - q * b for a, b in zip(v[k], v[l])]
+            lm = row[l] = lm - q * old_d
+            for i in range(l):
+                row[i] -= q * lam[l][i]
+        next_d = d[k + 1]
+        if den * next_d * d[l] < num * old_d * old_d - den * (lm * lm):
+            swaps += 1
+            v[k], v[l] = v[l], v[k]
+            # swapping the rows swaps lambda_kj and lambda_(k-1)j for j < k - 1;
+            # lambda_k(k-1) stays, and no entry on or above the diagonal is read
+            lam[k], lam[l] = lam[l], row
+            lam[k][l] = lm
+            new_d = (d[l] * next_d + lm * lm) // old_d
+            if kmax > k:
+                for below in lam[k + 1:kmax + 1]:
+                    t = below[k]
+                    below[k] = (next_d * below[l] - lm * t) // old_d
+                    below[l] = (new_d * t + lm * below[k]) // next_d
+            d[k] = new_d
+            k = l or 1
+            continue
+        reductions += l
+        for l in range(k - 2, -1, -1):
+            bound = d[l + 1]
+            if 2 * abs(row[l]) > bound:
+                q = (2 * row[l] + bound) // (2 * bound)
+                if q == 1:
+                    v[k] = list(map(operator.sub, v[k], v[l]))
+                elif q == -1:
+                    v[k] = list(map(operator.add, v[k], v[l]))
+                else:
+                    v[k] = [a - q * b for a, b in zip(v[k], v[l])]
+                row[l] -= q * bound
+                for i in range(l):
+                    row[i] -= q * lam[l][i]
+        k += 1
+    return v, d, swaps, reductions
 
 
 def lll_reduce(rows) -> list[tuple[int, ...]]:
@@ -181,7 +203,7 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     rows = [int_tuple(row) for row in rows]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must have equal lengths")
-    v, _ = _lll(_gram(rows), LOVASZ)
+    v, *_ = _lll(_gram(rows), LOVASZ)
     return [tuple(row) for row in _times(v, rows)]
 
 
@@ -197,12 +219,12 @@ def _lift(u, column, lovasz):
     from it as it is.
     """
     rows = [row + [_dot(row, column)] for row in u]
-    sizes = sorted(max(abs(v) for v in row).bit_length() for row in rows)
+    sizes = sorted(max(map(abs, row)).bit_length() for row in rows)
     shift = max(sizes[1] - LIFT_BITS, 0)
     gram = _gram([[v >> shift for v in row] for row in rows])
     for row in gram:
         row[-1] += 1  # the diagonal entry
-    transform, _ = _lll(gram, lovasz)
+    transform, *_ = _lll(gram, lovasz)
     return _times(transform, u)
 
 
@@ -324,7 +346,7 @@ def _stages(column, total):
     # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
     # full relation lattice
     rows = [row + [_dot(row, column)] for row in u]
-    transform, grams = _lll(_gram(rows), LOVASZ)
+    transform, grams, *_ = _lll(_gram(rows), LOVASZ)
     best = min(_times(transform, rows), key=lambda row: _dot(row, row))
     yield [best[:n]], grams
 

@@ -1,6 +1,6 @@
 """tools/lll_counts.py, the LLL swaps and size reductions of lindep per
-relation_hunt cell: counts read from cProfile's call counts, which two runs
-must give alike."""
+relation_hunt cell: the counts that each call of relations._lll returns,
+which two runs must give alike."""
 
 import re
 import shutil
@@ -107,6 +107,21 @@ def test_an_unknown_caller_of_lll_stops_the_count_and_is_named(tmp_path, monkeyp
         tool.main([str(tree)])
     assert str(stop.value.code).splitlines()[-1] == (
         "relations._lll called from _lift < <lambda>, which names no phase")
+
+
+def test_a_tree_whose_lll_returns_no_counts_stops_the_count_and_is_named(
+        tmp_path, monkeypatch, load_tool):
+    # an _lll that returns only (V, d), as before it counted its work
+    tool = load_tool("lll_counts")
+    vectors = tiny_corpus(tool)
+    monkeypatch.setattr(tool, "_references", lambda tree: vectors)
+    tree = patched_tree(tmp_path, "\n    return v, d, swaps, reductions\n",
+                        "\n    return v, d\n")
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(tree)])
+    first, *rest = str(stop.value.code).splitlines()
+    assert first == f"{tree}: the counting process exited with status 1:"
+    assert rest == ["relations._lll returns no swap and size-reduction counts"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], [str(ROOT), "--weights", "3"]])

@@ -86,13 +86,16 @@ def lattice_vectors(rows, radius):
 
 # The row-form oracle of `relations._lll`: the same integral LLL at the
 # Lovasz parameter (numerator, denominator), reducing the rows themselves, so
-# it moves every entry of each row.
+# it moves every entry of each row.  It returns the reduced rows, the Gram
+# determinants, the swaps and the size-reduction visits (calls of
+# size_reduce), which `_lll` must count alike.
 def _lll_with_grams(rows, lovasz):
     num, den = lovasz
     b = [list(int(x) for x in row) for row in rows]
     n = len(b)
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)
+    swaps = reductions = 0
 
     def size_reduce(k, l):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -116,7 +119,7 @@ def _lll_with_grams(rows, lovasz):
         d[k] = new_d
 
     if n == 0:
-        return [], d
+        return [], d, swaps, reductions
     d[1] = _dot(b[0], b[0])
     if d[1] == 0:
         raise ValueError("rows must be linearly independent (zero row)")
@@ -137,17 +140,20 @@ def _lll_with_grams(rows, lovasz):
                     d[k + 1] = u
         while True:
             size_reduce(k, k - 1)
+            reductions += 1
             if den * d[k + 1] * d[k - 1] < (
                 num * d[k] * d[k] - den * lam[k][k - 1] ** 2
             ):
                 swap(k, kmax)
+                swaps += 1
                 k = max(1, k - 1)
             else:
                 for l in range(k - 2, -1, -1):
                     size_reduce(k, l)
+                    reductions += 1
                 k += 1
                 break
-    return [tuple(row) for row in b], d
+    return [tuple(row) for row in b], d, swaps, reductions
 
 
 def test_identity_fixed_point():
@@ -331,9 +337,9 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     lll = relations._lll
 
     def recording(gram, lovasz):
-        v, grams = lll(gram, lovasz)
-        transforms.append(v)
-        return v, grams
+        result = lll(gram, lovasz)
+        transforms.append(result[0])
+        return result
 
     monkeypatch.setattr(relations, "_lll", recording)
     assert not lindep([BigReal(x, prec) for x in xs]).found
@@ -614,7 +620,7 @@ def staged_lll(column, total):
     if total > STAGE_DIGITS:
         u = _lift(u, column, LOVASZ)
     rows = [row + [_dot(row, column)] for row in u]
-    v, grams = _lll(_gram(rows), LOVASZ)
+    v, grams, _, _ = _lll(_gram(rows), LOVASZ)
     return [tuple(row) for row in _times(v, rows)], grams
 
 
@@ -746,17 +752,18 @@ def oracle_stages(column, total):
     """lindep's staged reduction with every lattice reduced in row form:
     for each lift, at LIFT_LOVASZ, and then, when a lift ran, for the
     truncated pass over the whole column at LOVASZ, the identity-column
-    block of its reduced rows (the transform V) and its Gram determinants;
-    last, at LOVASZ, the final pass's rows (U_i | U_i column), its reduced
-    rows and its Gram determinants."""
+    block of its reduced rows (the transform V), its Gram determinants, its
+    swaps and its size-reduction visits; last, at LOVASZ, the final pass's
+    rows (U_i | U_i column), its reduced rows, its Gram determinants and its
+    two counts."""
     n = len(column)
     u = _identity(n)
     stages = []
     lifts = [(e, LIFT_LOVASZ) for e in range(STAGE_DIGITS, total, STAGE_DIGITS)]
     for e, lovasz in lifts + [(total, LOVASZ)] * bool(lifts):
-        reduced, grams = _lll_with_grams(lift_basis(u, column, total, e), lovasz)
+        reduced, *rest = _lll_with_grams(lift_basis(u, column, total, e), lovasz)
         transform = [list(row[n + 1:]) for row in reduced]
-        stages.append((transform, grams))
+        stages.append((transform, *rest))
         u = [[sum(t * u[k][j] for k, t in enumerate(trow)) for j in range(n)]
              for trow in transform]
     rows = [row + [_dot(row, column)] for row in u]
@@ -772,7 +779,8 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
     # each lift, and the truncated pass after them, reduces the Gram matrix
     # of its shifted rows, plus 1 on the diagonal for the identity columns it
     # drops; its transform V must be the oracle's identity block, and the
-    # final pass's V times its rows the oracle's reduced rows
+    # final pass's V times its rows the oracle's reduced rows; every call
+    # makes the oracle's swaps and size-reduction visits
     total = digits - 10
     column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
     calls = []
@@ -787,13 +795,13 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
     monkeypatch.setattr(relations, "_lll", recording)
     for _ in relations._stages(column, total):
         pass
-    stages, (rows, reduced, grams) = oracle_stages(column, total)
+    stages, (rows, reduced, *final) = oracle_stages(column, total)
     lifts = (total - 1) // STAGE_DIGITS
     assert len(stages) == lifts + 1
     assert lovaszes == [LIFT_LOVASZ] * lifts + [LOVASZ, LOVASZ]
     assert calls[:-1] == stages
-    v, d = calls[-1]
-    assert d == grams
+    v, *counted = calls[-1]
+    assert counted == final
     assert [tuple(row) for row in _times(v, rows)] == reduced
 
 
@@ -805,8 +813,9 @@ def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
     lll = relations._lll
 
     def recording(gram, lovasz):
-        transforms.append(lll(gram, lovasz)[0])
-        return transforms[-1], None
+        result = lll(gram, lovasz)
+        transforms.append(result[0])
+        return result
 
     monkeypatch.setattr(relations, "_lll", recording)
     lifts = weak = 0
@@ -831,9 +840,9 @@ def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
     "rows", [[], [[5, -3]], [[201, 37], [1648, 297]]], ids=["n0", "n1", "n2"]
 )
 def test_gram_lll_matches_the_row_form_oracle_on_small_bases(rows):
-    reduced, grams = _lll_with_grams(rows, LOVASZ)
-    v, d = _lll(_gram(rows), LOVASZ)
-    assert d == grams
+    reduced, *counted = _lll_with_grams(rows, LOVASZ)
+    v, *rest = _lll(_gram(rows), LOVASZ)
+    assert rest == counted
     assert [tuple(row) for row in _times(v, rows)] == reduced
     assert lll_reduce(rows) == reduced
 
@@ -845,3 +854,39 @@ def test_gram_lll_rejects_dependent_rows_as_the_oracle_does(rows):
     with pytest.raises(ValueError) as raised:
         lll_reduce(rows)
     assert str(raised.value) == str(expected.value)
+
+
+def test_gram_lll_matches_the_row_form_oracle_on_random_bases():
+    # n = 1-6 rows of n to n + 2 entries of at most 2^0-2^40, and in half
+    # the bases at most 2^0-2^2: small entries make Lovasz tests that hold
+    # with equality, where `<` and `<=` part (at both parameters in this
+    # sample).  One basis in ten gets a zero first row or a row that sums
+    # two rows before it.  The rows of an independent B are a basis, so
+    # V B determines V
+    rng = random.Random(4950)
+    errors = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        bound = 2 ** rng.choice((rng.randint(0, 2), rng.randint(0, 40)))
+        rows = [[rng.randint(-bound, bound) for _ in range(n + rng.randint(0, 2))]]
+        rows += [[rng.randint(-bound, bound) for _ in rows[0]] for _ in range(n - 1)]
+        planted = rng.random()
+        if planted < 0.05:
+            rows[0] = [0] * len(rows[0])
+        elif planted < 0.1 and n > 2:
+            i, j = rng.sample(range(n - 1), 2)
+            rows[-1] = [a + b for a, b in zip(rows[i], rows[j])]
+        for lovasz in (LIFT_LOVASZ, LOVASZ):
+            try:
+                reduced, *counted = _lll_with_grams(rows, lovasz)
+            except ValueError as expected:
+                errors.add(str(expected))
+                with pytest.raises(ValueError) as raised:
+                    _lll(_gram(rows), lovasz)
+                assert str(raised.value) == str(expected), rows
+                continue
+            v, *rest = _lll(_gram(rows), lovasz)
+            assert rest == counted, (rows, lovasz)
+            assert [tuple(row) for row in _times(v, rows)] == reduced, (rows, lovasz)
+    assert errors == {"rows must be linearly independent",
+                      "rows must be linearly independent (zero row)"}

@@ -7,16 +7,16 @@ TREE is a checkout of this repository.  The vectors are the 140 references
 of the first TREE's ``perfbench/refs/relation_hunt.json``, in 35 cells,
 drawn as the benchmark draws them (``relation_vector`` of its
 ``perfbench/workloads.py``).  For each TREE one python process imports
-polyzeta from TREE/src and runs lindep on every vector, with each call of
-``relations._lll`` under a profiler of its own.  A swap or a size reduction
-is a call of ``_lll``'s closure ``swap`` or ``size_reduce``, read from
-cProfile's call counts, so the counts depend on the code and the inputs
-alone, not on the machine's speed, and the package carries no counter.
-The caller of ``_lll`` names the phase (the child's ``phases``): a call from ``_lifts`` is a
-lift and one from ``_stages`` the final pass.  A call from ``_lift``, the
-lift body, is named by ``_lift``'s own caller: from ``_lifts`` a lift, from
-``_stages`` the truncated 3/4 pass before the final one ("pre").  Any other
-caller stops the child with a message that names it.
+polyzeta from TREE/src and runs lindep on every vector, reading the swaps
+and size reductions that each call of ``relations._lll`` returns with its
+transform.  The counts depend on the code and the inputs alone, not on the
+machine's speed.  A tree whose ``_lll`` returns no counts stops the child
+with a message that names the tree.  The caller of ``_lll`` names the
+phase (the child's ``phases``): a call from ``_lifts`` is a lift and one
+from ``_stages`` the final pass.  A call from ``_lift``, the lift body, is
+named by ``_lift``'s own caller: from ``_lifts`` a lift, from ``_stages``
+the truncated 3/4 pass before the final one ("pre").  Any other caller
+stops the child with a message that names it.
 
 Per cell and TREE it prints the lifts run, the swaps and size reductions
 of the lifts, of the pre pass and of the final pass, summed over the
@@ -41,7 +41,7 @@ HEADS = ("lifts", "lift swaps", "lift sizered", "pre swaps", "pre sizered",
          "final swaps", "final sizered")
 
 CHILD = """
-import cProfile, json, sys
+import json, sys
 from fractions import Fraction
 from polyzeta import BigReal, Precision, lindep, relations
 
@@ -51,27 +51,20 @@ calls = []
 phases = {"_lifts": "lift", "_stages": "final", "_lift < _lifts": "lift",
           "_lift < _stages": "pre"}
 
-def profiled(*args):
+def counted(*args):
     caller = sys._getframe(1)
     name = caller.f_code.co_name
     if name not in phases:
         name += " < " + caller.f_back.f_code.co_name
     if name not in phases:
         sys.exit(f"relations._lll called from {name}, which names no phase")
-    phase = phases[name]
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        return lll(*args)
-    finally:
-        profile.disable()
-        names = {}
-        for entry in profile.getstats():
-            name = getattr(entry.code, "co_name", None)
-            names[name] = names.get(name, 0) + entry.callcount
-        calls.append((phase, names.get("swap", 0), names.get("size_reduce", 0)))
+    result = lll(*args)
+    if len(result) != 4:
+        sys.exit("relations._lll returns no swap and size-reduction counts")
+    calls.append((phases[name], *result[2:]))
+    return result
 
-relations._lll = profiled
+relations._lll = counted
 for vector in json.load(sys.stdin):
     prec = Precision(vector["digits"])
     calls.clear()
