@@ -4,12 +4,15 @@ One integral LLL, `_lll`, serves every reduction, at the Lovasz parameter
 its caller passes: 3/4 (`LOVASZ`) for `lll_reduce`, the pre pass and the
 final pass, 3/10 (`LIFT_LOVASZ`) for the lifts.  It tracks the Gram-Schmidt
 data through the scaled integers lambda_ij and the Gram determinants d_i,
-so every division is exact.  It runs on the Gram matrix of the basis and
-moves only the n-column unimodular transform: `lll_reduce` and the final
-pass multiply that transform back into their rows, and the lifts and the
-pre pass use it as it is.  It is one loop, with its size reductions and
-swaps written inline, and it returns its swap and size-reduction counts
-with the transform, which `tools/lll_counts.py` reads.  `lindep` embeds
+so every division is exact.  It carries each row as one integer whose
+fixed-width fields are the row's entries, so a size reduction or a swap is
+one integer operation, and unpacks a row only where it reads its entries;
+the width is derived from the longest input row.  `lll_reduce` and the
+final pass carry their rows and get them back reduced; the lifts and the
+pre pass carry the unimodular transform, read against the Gram matrix of
+their rows.  It is one loop, with its size reductions and swaps written
+inline, and it returns its swap and size-reduction counts with the rows,
+which `tools/lll_counts.py` reads.  `lindep` embeds
 the input reals into the classical relation lattice (e_i | round(C x_i)),
 each entry rounded from the input's exact float by
 `precision.round_scaled`, and accepts a candidate c only when its norm is
@@ -93,39 +96,87 @@ def _times(v, rows):
     return [[_dot(vrow, column) for column in columns] for vrow in v]
 
 
-def _lll(gram, lovasz):
-    """Integral LLL of a basis B given by its Gram matrix, of which it reads
-    only the lower triangle (``_gram``).
+def _pack(row, width):
+    """The integer sum_i row_i 2^(width i) that `_lll` carries for a row."""
+    return sum(x << width * i for i, x in enumerate(row))
 
-    Returns (V, d, swaps, reductions): the unimodular transform V, whose
-    rows give the reduced basis as V B, the Gram determinants d_0 = 1, ...,
-    d_n of that basis, the number of swaps, and the number of size-reduction
-    visits, each pair (k, l) whose lambda_kl is tested, whether it reduces
-    or not.  The counts depend on the basis alone, so tools read them as
-    the reduction's work.
+
+def _unpack(packed, width, count):
+    """The first ``count`` entries of a row that `_lll` packed as
+    sum_i v_i 2^(width i), each v_i in [-2^(width-1), 2^(width-1)): its
+    balanced base-2^width digits, read by shift and mask."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    entries = []
+    for _ in range(count):
+        packed += half
+        entries.append((packed & mask) - half)
+        packed >>= width
+    return entries
+
+
+def _lll(rows, metric, lovasz):
+    """Integral LLL of a basis b_0, ..., b_(n-1) whose inner products are
+    b_j . b_k = rows_j . metric_k.
+
+    It has two forms.  Called with the basis as both rows and metric, it
+    carries the rows themselves and returns them reduced, as `lll_reduce`
+    and the final pass do.  Called with the identity as rows and the lower
+    triangle of a Gram matrix G = B B^T as metric (``_gram``), it carries
+    the unimodular transform V and returns it, the reduced basis being V B,
+    as a lift does.  Returns (rows, d, swaps, reductions): the carried rows
+    reduced, the Gram determinants d_0 = 1, ..., d_n of the reduced basis,
+    the number of swaps, and the number of size-reduction visits, each pair
+    (k, l) whose lambda_kl is tested, whether it reduces or not.  The counts
+    depend on the basis alone, so tools read them as the reduction's work.
+
     This is Cohen's all-integer LLL (Algorithm 2.6.7), with Lovasz parameter
     num/den for lovasz = (num, den), 1/4 < num/den <= 1, and the scaled
     integers lambda_kj = d_(j+1) mu_kj, so every division is exact.  It
     needs b_k . b_j only when it first visits row k, and then row k is still
-    b_k: size reductions and swaps move rows at or below kmax only.  Each
-    row j < k so far combines b_0, ..., b_(k-1) alone, so b_k . b_j is
-    V_j . G[k].  Each size reduction and swap moves V's n entries alone.
+    rows_k: size reductions and swaps move rows at or below kmax only, so
+    b_k . b_j is the carried row j, as it stands, times metric_k.  One loop
+    does it all, in Cohen's order: at row k it size-reduces lambda_k(k-1),
+    then tests the Lovasz condition; when it fails, rows k-1 and k swap and
+    k steps back, and otherwise row k is size-reduced against rows k-2,
+    ..., 0 and k advances.
 
-    One loop does it all, in Cohen's order: at row k it size-reduces
-    lambda_k(k-1), then tests the Lovasz condition; when it fails, rows k-1
-    and k swap and k steps back, and otherwise row k is size-reduced against
-    rows k-2, ..., 0 and k advances.  Both are written inline, without a
-    call per visit.
+    Each carried row v is one integer, sum_i v_i 2^(w i) (``_pack``), so a
+    size reduction or a swap is one integer operation on the whole row.
+    Packing is additive, so the integer is exact whatever the entries are
+    in between; a row is unpacked (``_unpack``) only where its entries are
+    read, at a first visit and at the return, and each entry read must then
+    lie in [-2^(w-1), 2^(w-1)).  The width w is derived so that it does:
+    - the rows read are size-reduced, |mu_ij| <= 1/2 for j < i, or
+      untouched: rows 0, ..., k-1 and the untouched row k at the first visit
+      of k, every row at the return;
+    - no swap raises max_i |b*_i|: size reductions keep every b*_i, and a
+      swap at k gives b*_(k-1) the squared length |b*_k|^2 + mu^2
+      |b*_(k-1)|^2, which the failed test puts below |b*_(k-1)|^2, and b*_k
+      the length |b*_(k-1)| |b*_k| over that new length, which is at most
+      |b*_(k-1)| since the new length is at least |b*_k|;
+    - so with M = max_i |b_i|^2 of the input, the largest rows_i . metric_i,
+      every |b*_i|^2 stays at most M, a size-reduced row has |b_i|^2 =
+      |b*_i|^2 + sum_j mu_ij^2 |b*_j|^2 <= (1 + (n-1)/4) M = (n+3) M / 4,
+      an untouched one |b_i|^2 <= M, and no entry of a basis vector
+      exceeds its norm.
+    Every entry read is an integer of square at most (n+3) M / 4, so at
+    most E = isqrt((n+3) M / 4), and w = 1 + bitlength(E).  The carried
+    rows form holds this bound for any basis.  The transform of the Gram
+    form holds it only when V is itself part of the basis, as in a lift,
+    whose Gram matrix includes the identity columns that carry V.
     """
     num, den = lovasz
-    n = len(gram)
-    v = _identity(n)
-    lam = [[0] * n for _ in range(n)]
+    n = len(rows)
     d = [1] * (n + 1)
     swaps = reductions = 0
     if n == 0:
-        return v, d, swaps, reductions
-    d[1] = gram[0][0]
+        return [], d, swaps, reductions
+    top = max(map(_dot, rows, metric))
+    width = math.isqrt((n + 3) * top // 4).bit_length() + 1
+    v = [_pack(row, width) for row in rows]
+    lam = [[0] * n for _ in range(n)]
+    d[1] = _dot(rows[0], metric[0])
     if d[1] == 0:
         raise ValueError("rows must be linearly independent (zero row)")
     k = 1
@@ -133,8 +184,9 @@ def _lll(gram, lovasz):
     while k < n:
         if k > kmax:
             kmax = k
+            read = metric[k]
             for j in range(k + 1):
-                u = _dot(v[j], gram[k])
+                u = _dot(_unpack(v[j], width, len(read)) if j < k else rows[k], read)
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -150,13 +202,13 @@ def _lll(gram, lovasz):
         reductions += 1
         if 2 * abs(lm) > old_d:
             q = (2 * lm + old_d) // (2 * old_d)
-            # q is +-1 in most reductions, which need no products
+            # q is +-1 in most reductions, which need no product
             if q == 1:
-                v[k] = list(map(operator.sub, v[k], v[l]))
+                v[k] -= v[l]
             elif q == -1:
-                v[k] = list(map(operator.add, v[k], v[l]))
+                v[k] += v[l]
             else:
-                v[k] = [a - q * b for a, b in zip(v[k], v[l])]
+                v[k] -= q * v[l]
             lm = row[l] = lm - q * old_d
             for i in range(l):
                 row[i] -= q * lam[l][i]
@@ -183,16 +235,16 @@ def _lll(gram, lovasz):
             if 2 * abs(row[l]) > bound:
                 q = (2 * row[l] + bound) // (2 * bound)
                 if q == 1:
-                    v[k] = list(map(operator.sub, v[k], v[l]))
+                    v[k] -= v[l]
                 elif q == -1:
-                    v[k] = list(map(operator.add, v[k], v[l]))
+                    v[k] += v[l]
                 else:
-                    v[k] = [a - q * b for a, b in zip(v[k], v[l])]
+                    v[k] -= q * v[l]
                 row[l] -= q * bound
                 for i in range(l):
                     row[i] -= q * lam[l][i]
         k += 1
-    return v, d, swaps, reductions
+    return [_unpack(row, width, len(rows[0])) for row in v], d, swaps, reductions
 
 
 def lll_reduce(rows) -> list[tuple[int, ...]]:
@@ -203,8 +255,8 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
     rows = [int_tuple(row) for row in rows]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must have equal lengths")
-    v, *_ = _lll(_gram(rows), LOVASZ)
-    return [tuple(row) for row in _times(v, rows)]
+    reduced, *_ = _lll(rows, rows, LOVASZ)
+    return [tuple(row) for row in reduced]
 
 
 def _lift(u, column, lovasz):
@@ -213,10 +265,12 @@ def _lift(u, column, lovasz):
     The rows (U_i | U_i column) are shifted right until the second-smallest
     keeps about LIFT_BITS bits, and reduced at ``lovasz`` with identity
     columns appended, whose part of the reduced basis is the unimodular
-    transform V.  Those columns only carry V, so `_lll` gets the Gram
-    matrix of the shifted rows with 1 added on its diagonal, which is the
-    Gram matrix of the rows with the identity columns, and V comes back
-    from it as it is.
+    transform V.  Those columns only carry V, so `_lll` carries the
+    identity against the Gram matrix of the shifted rows with 1 added on its
+    diagonal, which is the Gram matrix of the rows with the identity
+    columns, and V comes back from it as it is.  Being part of the lattice,
+    V's entries stay within the width that `_lll` derives from that Gram
+    matrix.
     """
     rows = [row + [_dot(row, column)] for row in u]
     sizes = sorted(max(map(abs, row)).bit_length() for row in rows)
@@ -224,7 +278,7 @@ def _lift(u, column, lovasz):
     gram = _gram([[v >> shift for v in row] for row in rows])
     for row in gram:
         row[-1] += 1  # the diagonal entry
-    transform, *_ = _lll(gram, lovasz)
+    transform, *_ = _lll(_identity(len(u)), gram, lovasz)
     return _times(transform, u)
 
 
@@ -346,8 +400,8 @@ def _stages(column, total):
     # U is unimodular, so the exact LLL of (U_i | U_i column) reduces the
     # full relation lattice
     rows = [row + [_dot(row, column)] for row in u]
-    transform, grams, *_ = _lll(_gram(rows), LOVASZ)
-    best = min(_times(transform, rows), key=lambda row: _dot(row, row))
+    reduced, grams, *_ = _lll(rows, rows, LOVASZ)
+    best = min(reduced, key=lambda row: _dot(row, row))
     yield [best[:n]], grams
 
 
@@ -364,24 +418,28 @@ def _exclusion_bound(grams, n: int, total: int) -> float:
     exceed the float range, and clamping the bound down to the largest float
     keeps it a valid lower bound.
     """
-    # an exact relation's lattice vector has norm at most |c| sqrt(lift)
-    lift = 1 + Fraction(n, 4)
+    # an exact relation's lattice vector has norm at most |c| sqrt(lift),
+    # lift = 1 + n/4 = (4 + n)/4
     log_min_gso = min(
         math.log(grams[i + 1]) - math.log(grams[i]) for i in range(n)
     )
     log_bound = min(
-        (log_min_gso - math.log(lift)) / 2,
+        (log_min_gso - math.log(1 + n / 4)) / 2,
         total * math.log(10) / (n + 1),
     )
     bound = math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else sys.float_info.max
     # log and exp can round past either side, min_i |b*_i| / sqrt(lift) or
-    # the cap C^(1/(n+1)); compare both exactly, as `_accepts` does, and step
-    # down to the float below them
-    while Fraction(bound) ** (2 * (n + 1)) > 10 ** (2 * total) or any(
-        Fraction(bound) ** 2 * lift * grams[i] > grams[i + 1] for i in range(n)
-    ):
+    # the cap C^(1/(n+1)); compare both exactly, as `_accepts` does, with the
+    # bound as m/q, and step down to the float below them
+    power = 2 * (n + 1)
+    cap = 10 ** (2 * total)
+    while True:
+        m, q = bound.as_integer_ratio()
+        if m ** power <= cap * q ** power and all(
+            m * m * (4 + n) * grams[i] <= 4 * q * q * grams[i + 1] for i in range(n)
+        ):
+            return bound
         bound = math.nextafter(bound, 0)
-    return bound
 
 
 def require_lindep_digits(digits: int) -> None:

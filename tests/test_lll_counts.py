@@ -111,12 +111,14 @@ def test_an_unknown_caller_of_lll_stops_the_count_and_is_named(tmp_path, monkeyp
 
 def test_a_tree_whose_lll_returns_no_counts_stops_the_count_and_is_named(
         tmp_path, monkeypatch, load_tool):
-    # an _lll that returns only (V, d), as before it counted its work
+    # an _lll that returns only its rows and d, as before it counted its work
     tool = load_tool("lll_counts")
     vectors = tiny_corpus(tool)
     monkeypatch.setattr(tool, "_references", lambda tree: vectors)
-    tree = patched_tree(tmp_path, "\n    return v, d, swaps, reductions\n",
-                        "\n    return v, d\n")
+    tree = patched_tree(
+        tmp_path,
+        "\n    return [_unpack(row, width, len(rows[0])) for row in v], d, swaps, reductions\n",
+        "\n    return [_unpack(row, width, len(rows[0])) for row in v], d\n")
     with pytest.raises(SystemExit) as stop:
         tool.main([str(tree)])
     first, *rest = str(stop.value.code).splitlines()

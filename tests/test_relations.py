@@ -3,8 +3,9 @@
 The reducedness oracle recomputes the Gram-Schmidt data in exact Fraction
 arithmetic straight from the definition, independently of the integral
 bookkeeping inside lll_reduce.  The row-form integral LLL below, which moves
-every entry of each row, is the oracle of the Gram-matrix LLL that moves only
-the transform: both must make the same decisions.
+every entry of each row as a list, is the oracle of `relations._lll`, which
+carries each row as one packed integer and reads it against the rows or a
+Gram matrix: both must make the same decisions.
 """
 
 import math
@@ -33,12 +34,13 @@ from polyzeta.relations import (
     STAGE_DIGITS,
     _accepts,
     _dot,
-    _gram,
     _identity,
     _lift,
     _lifts,
     _lll,
+    _pack,
     _times,
+    _unpack,
     lll_reduce,
 )
 
@@ -336,8 +338,8 @@ def test_lindep_rejects_candidates_from_the_lifts(monkeypatch):
     transforms = []
     lll = relations._lll
 
-    def recording(gram, lovasz):
-        result = lll(gram, lovasz)
+    def recording(rows, metric, lovasz):
+        result = lll(rows, metric, lovasz)
         transforms.append(result[0])
         return result
 
@@ -419,9 +421,9 @@ def counting_lll(monkeypatch):
     calls = []
     lll = relations._lll
 
-    def recording(gram, lovasz):
-        calls.append(len(gram))
-        return lll(gram, lovasz)
+    def recording(rows, metric, lovasz):
+        calls.append(len(rows))
+        return lll(rows, metric, lovasz)
 
     monkeypatch.setattr(relations, "_lll", recording)
     return calls
@@ -620,8 +622,8 @@ def staged_lll(column, total):
     if total > STAGE_DIGITS:
         u = _lift(u, column, LOVASZ)
     rows = [row + [_dot(row, column)] for row in u]
-    v, grams, _, _ = _lll(_gram(rows), LOVASZ)
-    return [tuple(row) for row in _times(v, rows)], grams
+    reduced, grams, _, _ = _lll(rows, rows, LOVASZ)
+    return [tuple(row) for row in reduced], grams
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "relation-free"])
@@ -770,26 +772,27 @@ def oracle_stages(column, total):
     return stages, (rows, *_lll_with_grams(rows, LOVASZ))
 
 
-@pytest.mark.parametrize(
-    "n, digits, planted",
-    [(4, 100, False), (6, 200, True), (8, 300, False), (10, 200, False),
-     (12, 300, False), (12, 100, True), (5, 400, False), (9, 400, True)],
-)
+# the lindep vectors whose every stage is checked against the oracle
+STAGE_CASES = [(4, 100, False), (6, 200, True), (8, 300, False), (10, 200, False),
+               (12, 300, False), (12, 100, True), (5, 400, False), (9, 400, True)]
+
+
+@pytest.mark.parametrize("n, digits, planted", STAGE_CASES)
 def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, digits, planted):
     # each lift, and the truncated pass after them, reduces the Gram matrix
     # of its shifted rows, plus 1 on the diagonal for the identity columns it
     # drops; its transform V must be the oracle's identity block, and the
-    # final pass's V times its rows the oracle's reduced rows; every call
-    # makes the oracle's swaps and size-reduction visits
+    # rows the final pass carries must come back as the oracle's reduced
+    # rows; every call makes the oracle's swaps and size-reduction visits
     total = digits - 10
     column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
     calls = []
     lovaszes = []
     lll = relations._lll
 
-    def recording(gram, lovasz):
+    def recording(rows, metric, lovasz):
         lovaszes.append(lovasz)
-        calls.append(lll(gram, lovasz))
+        calls.append(lll(rows, metric, lovasz))
         return calls[-1]
 
     monkeypatch.setattr(relations, "_lll", recording)
@@ -800,9 +803,9 @@ def test_gram_lll_matches_the_row_form_oracle_on_lindep_stages(monkeypatch, n, d
     assert len(stages) == lifts + 1
     assert lovaszes == [LIFT_LOVASZ] * lifts + [LOVASZ, LOVASZ]
     assert calls[:-1] == stages
-    v, *counted = calls[-1]
+    carried, *counted = calls[-1]
     assert counted == final
-    assert [tuple(row) for row in _times(v, rows)] == reduced
+    assert [tuple(row) for row in carried] == reduced
 
 
 def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
@@ -812,8 +815,8 @@ def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
     transforms = []
     lll = relations._lll
 
-    def recording(gram, lovasz):
-        result = lll(gram, lovasz)
+    def recording(rows, metric, lovasz):
+        result = lll(rows, metric, lovasz)
         transforms.append(result[0])
         return result
 
@@ -841,9 +844,9 @@ def test_each_lift_is_reduced_at_the_lift_parameter(monkeypatch):
 )
 def test_gram_lll_matches_the_row_form_oracle_on_small_bases(rows):
     reduced, *counted = _lll_with_grams(rows, LOVASZ)
-    v, *rest = _lll(_gram(rows), LOVASZ)
+    carried, *rest = _lll(rows, rows, LOVASZ)
     assert rest == counted
-    assert [tuple(row) for row in _times(v, rows)] == reduced
+    assert [tuple(row) for row in carried] == reduced
     assert lll_reduce(rows) == reduced
 
 
@@ -856,15 +859,19 @@ def test_gram_lll_rejects_dependent_rows_as_the_oracle_does(rows):
     assert str(raised.value) == str(expected.value)
 
 
-def test_gram_lll_matches_the_row_form_oracle_on_random_bases():
-    # n = 1-6 rows of n to n + 2 entries of at most 2^0-2^40, and in half
-    # the bases at most 2^0-2^2: small entries make Lovasz tests that hold
-    # with equality, where `<` and `<=` part (at both parameters in this
-    # sample).  One basis in ten gets a zero first row or a row that sums
-    # two rows before it.  The rows of an independent B are a basis, so
-    # V B determines V
+def random_bases():
+    """The bases of the random-bases test, as lists of rows.
+
+    First 300 of n = 1-6 rows of n to n + 2 entries of at most 2^0-2^40, and
+    in half the bases at most 2^0-2^2: small entries make Lovasz tests that
+    hold with equality, where `<` and `<=` part (at both parameters in this
+    sample).  One basis in ten gets a zero first row or a row that sums two
+    rows before it.  Then 24 wide bases of n = 2-16 rows, the first two of
+    16, with entries of up to 2^100-2^400: knapsack bases (I | a) with one or
+    two wide columns, the shape of the final pass's rows (U_i | U_i column),
+    alternating with dense bases of n to n + 2 wide entries.
+    """
     rng = random.Random(4950)
-    errors = set()
     for _ in range(300):
         n = rng.randint(1, 6)
         bound = 2 ** rng.choice((rng.randint(0, 2), rng.randint(0, 40)))
@@ -876,17 +883,106 @@ def test_gram_lll_matches_the_row_form_oracle_on_random_bases():
         elif planted < 0.1 and n > 2:
             i, j = rng.sample(range(n - 1), 2)
             rows[-1] = [a + b for a, b in zip(rows[i], rows[j])]
+        yield rows
+    rng = random.Random(5000)
+    for i in range(24):
+        n = 16 if i < 2 else rng.randint(2, 16)
+        bound = 2 ** rng.randint(100, 400)
+        if i % 2:
+            m = n + rng.randint(0, 2)
+            yield [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+        else:
+            wide = rng.randint(1, 2)
+            yield [ident + [rng.randint(-bound, bound) for _ in range(wide)]
+                   for ident in _identity(n)]
+
+
+def test_gram_lll_matches_the_row_form_oracle_on_random_bases():
+    # `_lll` carrying the rows themselves, as lll_reduce and the final pass
+    # call it, must return the oracle's reduced rows, d and counts, or raise
+    # its ValueError
+    errors = set()
+    for rows in random_bases():
         for lovasz in (LIFT_LOVASZ, LOVASZ):
             try:
                 reduced, *counted = _lll_with_grams(rows, lovasz)
             except ValueError as expected:
                 errors.add(str(expected))
                 with pytest.raises(ValueError) as raised:
-                    _lll(_gram(rows), lovasz)
+                    _lll(rows, rows, lovasz)
                 assert str(raised.value) == str(expected), rows
                 continue
-            v, *rest = _lll(_gram(rows), lovasz)
+            carried, *rest = _lll(rows, rows, lovasz)
             assert rest == counted, (rows, lovasz)
-            assert [tuple(row) for row in _times(v, rows)] == reduced, (rows, lovasz)
+            assert [tuple(row) for row in carried] == reduced, (rows, lovasz)
     assert errors == {"rows must be linearly independent",
                       "rows must be linearly independent (zero row)"}
+
+
+# -- the packed rows of `relations._lll` ------------------------------------------
+
+@pytest.mark.parametrize("width", [2, 3, 8, 64, 65, 130])
+def test_packed_rows_round_trip_at_the_field_edges(width):
+    # each field holds [-2^(width-1), 2^(width-1)); a first visit reads
+    # fewer fields than the row holds, and a row may be out of range in
+    # between, as long as it is back in range when it is read
+    half = 1 << (width - 1)
+    edges = [half - 1, -(half - 1), -half, 0]
+    rows = [edges, edges[::-1], [-half] * 5, [half - 1] * 5, [0] * 4,
+            [1, -half, half - 1, -1, 0, -half, 0, half - 1]]
+    for row in rows:
+        packed = _pack(row, width)
+        for count in range(len(row) + 1):
+            assert _unpack(packed, width, count) == row[:count], (row, count)
+    a, b = [-half, half - 1, -1, 1], [-half, half - 1, half - 1, -half]
+    twice = _pack(a, width) + 2 * _pack(b, width)  # every field out of range
+    assert _unpack(twice - 2 * _pack(b, width), width, len(a)) == a
+
+
+def unpacked_ratios(monkeypatch):
+    """Run `relations._lll` over the stages of STAGE_CASES and over the
+    random bases carried as rows, and check every unpack: each entry e read
+    has 4 e^2 <= (n + 3) M, M = max_i rows_i . metric_i, the width is
+    1 + bitlength(isqrt((n + 3) M / 4)), and both forms unpack.  Returns
+    each unpack's largest |e| / sqrt((n + 3) M / 4)."""
+    lll, unpack = relations._lll, relations._unpack
+    calls = []
+    forms = set()
+    ratios = []
+
+    def recording_lll(rows, metric, lovasz):
+        calls.append(((len(rows) + 3) * max(map(_dot, rows, metric)), metric is rows))
+        try:
+            return lll(rows, metric, lovasz)
+        finally:
+            calls.pop()
+
+    def recording_unpack(packed, width, count):
+        entries = unpack(packed, width, count)
+        limit, form = calls[-1]
+        assert width == math.isqrt(limit // 4).bit_length() + 1
+        assert all(4 * e * e <= limit for e in entries)
+        forms.add(form)
+        ratios.append(math.sqrt(F(4 * max(map(abs, entries), default=0) ** 2, limit)))
+        return entries
+
+    monkeypatch.setattr(relations, "_lll", recording_lll)
+    monkeypatch.setattr(relations, "_unpack", recording_unpack)
+    for n, digits, planted in STAGE_CASES:
+        total = digits - 10
+        column, _ = scaled_column(random.Random(4800 + n + digits), n, total, planted)
+        for _ in relations._stages(column, total):
+            pass
+    for rows in random_bases():
+        for lovasz in (LIFT_LOVASZ, LOVASZ):
+            try:
+                relations._lll(rows, rows, lovasz)
+            except ValueError:
+                pass
+    assert forms == {True, False}
+    return ratios
+
+
+def test_every_unpacked_entry_lies_under_the_derived_bound(monkeypatch):
+    ratios = unpacked_ratios(monkeypatch)
+    assert 0 < max(ratios) <= 1

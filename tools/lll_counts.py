@@ -9,7 +9,7 @@ drawn as the benchmark draws them (``relation_vector`` of its
 ``perfbench/workloads.py``).  For each TREE one python process imports
 polyzeta from TREE/src and runs lindep on every vector, reading the swaps
 and size reductions that each call of ``relations._lll`` returns with its
-transform.  The counts depend on the code and the inputs alone, not on the
+reduced rows or transform.  The counts depend on the code and the inputs alone, not on the
 machine's speed.  A tree whose ``_lll`` returns no counts stops the child
 with a message that names the tree.  The caller of ``_lll`` names the
 phase (the child's ``phases``): a call from ``_lifts`` is a lift and one
