@@ -61,7 +61,8 @@ product becomes one `SpecProduct` with its text per algebra.  The
 algebra's memos (string -> T-polynomial, block -> weak chains and lifted
 T-polynomial, rank -> zeta spec and text, ranks -> product and text,
 coefficient -> text) live as long as the object, so no memo here
-outlives the call that made it.
+outlives the call that made it.  The specs are interned in `model`, whose
+table holds them weakly, so it keeps nothing past a build either.
 
 `identity_catalog` keeps one spec table per build: each convergent string
 gets one rank, one zeta spec and one word with their texts, which its

@@ -11,12 +11,21 @@ left halves of `evaluate.holder_split` all go through it.  All base
 arithmetic is exact.  Exponents enter through `int_tuple` and bases,
 letters and parameters through `rational`, so a float is refused, never
 truncated or read as its binary fraction.
+
+Specs are hash-consed: there is one live `LambdaSpec` per ``key``, so equal
+specs are one object, and equality and hashing are object identity, which
+every memo and dict keyed by specs compares and hashes in C.  The table
+that finds a spec by its key holds it weakly, so a spec that nothing else
+references leaves it.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+# the builtin core of weakref, which costs no import: weak references and
+# the atomic removal that WeakValueDictionary uses
+from _weakref import _remove_dead_weakref, ref as _weak_ref
 from fractions import Fraction
 
 from .errors import DivergenceError, UnsupportedSpec
@@ -54,11 +63,14 @@ class LambdaSpec:
     ``exponents`` and ``bases`` are the two strings as tuples, and ``key``
     is (depth, exponents, (numerator, denominator) of each base), all ints;
     the three are built once with ``terms``.  ``key`` is the spec's one
-    identity: equality and hashing read it, `identities` sorts by it and
-    the evaluator's compile memo is keyed by its parts.
+    identity: every constructor, copy and pickle returns the one live spec
+    with its key, found in a table that holds specs weakly, so equal specs
+    are the same object and equality and hashing are the object's own.
+    `identities` sorts by ``key`` and the evaluator's compile memo is keyed
+    by its parts.
     """
 
-    __slots__ = ("terms", "exponents", "bases", "key")
+    __slots__ = ("terms", "exponents", "bases", "key", "__weakref__")
 
     def __new__(cls, terms):
         exponents = int_tuple([s for s, _ in terms])
@@ -68,11 +80,16 @@ class LambdaSpec:
         ratios = tuple([b.as_integer_ratio() for b in bases])
         if (0, 1) in ratios:
             raise ValueError("bases must be nonzero")
-        spec = object.__new__(cls)
-        _set_terms(spec, tuple(zip(exponents, bases)))
-        _set_exponents(spec, exponents)
-        _set_bases(spec, bases)
-        _set_key(spec, (len(bases), exponents, ratios))
+        key = (len(bases), exponents, ratios)
+        ref = _INTERNED.get(key)
+        spec = None if ref is None else ref()
+        if spec is None:
+            spec = object.__new__(cls)
+            _set_terms(spec, tuple(zip(exponents, bases)))
+            _set_exponents(spec, exponents)
+            _set_bases(spec, bases)
+            _set_key(spec, key)
+            spec = _intern(spec)
         return spec
 
     def __setattr__(self, name, value):
@@ -80,12 +97,6 @@ class LambdaSpec:
 
     def __reduce__(self):
         return LambdaSpec, (self.terms,)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaSpec) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"LambdaSpec(terms={self.terms!r})"
@@ -116,8 +127,31 @@ class LambdaSpec:
 # __new__ binds the slots through their own descriptors, past the
 # __setattr__ that refuses assignment
 _set_terms, _set_exponents, _set_bases, _set_key = (
-    getattr(LambdaSpec, name).__set__ for name in LambdaSpec.__slots__
+    getattr(LambdaSpec, name).__set__ for name in LambdaSpec.__slots__[:4]
 )
+
+# key -> weak reference to the one live spec with that key
+_INTERNED: dict = {}
+
+
+def _intern(spec: LambdaSpec) -> LambdaSpec:
+    """The one live spec with spec's key: spec itself, unless another thread
+    entered an equal spec first.
+
+    ``dict.setdefault`` and ``_remove_dead_weakref`` are each one atomic
+    step, so two threads that build one key get one object; an entry is
+    dropped only while its reference is dead, by the dying spec's callback
+    or by a builder that found it, never while it holds a live spec.
+    """
+    key = spec.key
+    ref = _weak_ref(spec, lambda _, key=key: _remove_dead_weakref(_INTERNED, key))
+    while (held := _INTERNED.setdefault(key, ref)) is not ref:
+        live = held()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_INTERNED, key)
+    return spec
+
 
 EMPTY_SPEC = LambdaSpec(())
 

@@ -918,8 +918,9 @@ def test_three_memos_and_the_plan_numbers():
 
 
 def test_warm_lookup_hashes_no_fraction(monkeypatch):
-    # a spec hashes its int key, so a cached value is found without running
-    # Fraction.__hash__, which is Python code and a modular inverse per base
+    # a spec is interned by its int key and hashes by identity, so neither
+    # building it nor finding its cached value runs Fraction.__hash__, which
+    # is Python code and a modular inverse per base
     spec, prec = zeta_spec(3, 1, 2, 2, 1, 1, 1, 1), Precision(50)
     value = evaluate_lambda(spec, prec)
 

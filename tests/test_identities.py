@@ -2,6 +2,7 @@
 (rational product rule, truncated lattice counts), and numeric consistency
 of every emitter against the evaluator."""
 
+import gc
 import hashlib
 import json
 import operator
@@ -29,7 +30,7 @@ from polyzeta import (
     stuffle_identity,
     zeta_spec,
 )
-from polyzeta import identities, relations
+from polyzeta import evaluate, identities, model, relations
 from polyzeta.identities import (
     FormalSum,
     SpecProduct,
@@ -1315,8 +1316,11 @@ def test_catalog_products_match_the_public_products():
 
 
 def test_catalog_builds_each_spec_once():
-    # within one build, equal spec bodies (and equal words) are one object;
-    # the next build makes its own, so no table outlives its build
+    # within one build, equal spec bodies (and equal words) are one object.
+    # Specs are interned, so two live builds share one object per equal
+    # spec, and the intern table holds its specs weakly, so no table
+    # outlives its build: once both builds and the evaluator's memos are
+    # dropped, none of the specs they made is left in it
     def bodies(catalog):
         out = []
         for ident in catalog:
@@ -1324,6 +1328,9 @@ def test_catalog_builds_each_spec_once():
                 out.extend(body.factors if isinstance(body, SpecProduct) else (body,))
         return out
 
+    for memo in (evaluate.plan, evaluate.evaluate_lambda):
+        memo.cache_clear()
+    held = set(model._INTERNED)
     first = bodies(identity_catalog(8))
     table: dict = {}
     for body in first:
@@ -1333,7 +1340,60 @@ def test_catalog_builds_each_spec_once():
     again: dict = {}
     for body in second:
         assert again.setdefault(body, body) is body
-    assert not {id(b) for b in table.values()} & {id(b) for b in again.values()}
+    specs = [(a, b) for a, b in zip(first, second) if isinstance(a, LambdaSpec)]
+    assert specs and all(a is b for a, b in specs)
+    built = {a.key for a, _ in specs} - held
+    assert len(built) > 100
+    del first, second, table, again, specs, body
+    gc.collect()
+    assert not built & set(model._INTERNED)
+
+
+def test_warm_identity_checks_run_no_model_code():
+    # the 50 checks of weight <= 6 from identity_catalog(8) at 40 digits, as
+    # the benchmark's identity_session runs them.  Once they are warm, a pass
+    # over them calls no Python code of model.py: the memos hash and compare
+    # interned specs in C (with a Python __hash__ and __eq__ on the spec, a
+    # pass made 227 and 126 calls of them)
+    def weight(body):
+        if isinstance(body, tuple):
+            return len(body)
+        factors = body.factors if isinstance(body, SpecProduct) else (body,)
+        return sum(f.weight for f in factors)
+
+    prec = Precision(40)
+    checks = [
+        ident for ident in identity_catalog(8)
+        if max((weight(b) for _, b in ident.lhs.terms + ident.rhs.terms), default=0) <= 6
+    ]
+    assert len(checks) == 50
+
+    def check_all():
+        for ident in checks:
+            evaluate_formal_sum(ident.lhs, prec) - evaluate_formal_sum(ident.rhs, prec)
+
+    def python_calls(run, *args):
+        """run(*args) and the Python frames it entered, by file and name."""
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = run(*args)
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    check_all()
+    calls, _ = python_calls(check_all)
+    assert calls and not {c: n for c, n in calls.items() if c[0] == model.__file__}
+    # a warm evaluate_lambda hit runs no Python frame at all
+    spec = zeta_spec(3, 1, 2)
+    value = evaluate_lambda(spec, prec)
+    assert python_calls(evaluate_lambda, spec, prec) == (Counter(), value)
 
 
 def test_catalog_builds_each_product_and_its_text_once():

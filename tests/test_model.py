@@ -1,6 +1,12 @@
-"""Data model: conversions, convergence, duality maps, round trips."""
+"""Data model: conversions, convergence, duality maps, round trips, and the
+interning of specs: one live object per key."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,7 +25,9 @@ from polyzeta import (
     word_to_lambda,
     zeta_spec,
 )
+from polyzeta import model
 from polyzeta.acceptance import random_z_entries
+from polyzeta.evaluate import holder_split
 from polyzeta.model import (
     check_convergence,
     constant_base_spec,
@@ -241,6 +249,77 @@ def test_spec_derived_data_is_built_once():
     fresh = LambdaSpec.of((2, 1), (1, F(-1, 2)))
     assert fresh.key == spec.key
     assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
+
+
+def test_equal_specs_are_one_object():
+    # every constructor returns the one live spec of its key
+    mzv = zeta_spec(3, 1)
+    assert mzv is LambdaSpec(((3, F(1)), (1, F(1))))
+    assert mzv is LambdaSpec.of((3, 1), (1, 1))  # int bases, the equal Fractions
+    assert mzv is LambdaSpec.of((3, True), (F(1), 1))  # a True exponent, 1
+    assert mzv is constant_base_spec(1, (3, 1))
+    assert mzv is parse_spec("L[3,1 | 1,1]")
+    assert mzv is lambda_from_z_string((3, 1))
+    assert mzv is word_to_lambda(make_word((0, 0, 1, 1)))
+    assert delta_spec(2, 1) is constant_base_spec(F(2), (2, 1)) is parse_spec("L[2,1 | 2,2]")
+    assert mu_spec(-1, 1) is LambdaSpec.of((1, 1), (F(-1), 1)) is lambda_from_z_string((-1, -1))
+    assert parse_spec("L[]") is LambdaSpec(()) is model.EMPTY_SPEC
+    # the halves of the split of z(2, 1) at p = 2: the right half at r = 0
+    # is 2 * word, L[2,1 | 2,2]
+    split = holder_split(lambda_to_word(zeta_spec(2, 1)), 2)
+    assert split[0].right is delta_spec(2, 1)
+    for term in split:
+        for half in (term.left, term.right):
+            assert half is LambdaSpec.of(half.exponents, half.bases)
+    # so equality and hashing are the object's own
+    assert LambdaSpec.__eq__ is object.__eq__ and LambdaSpec.__hash__ is object.__hash__
+
+
+def test_copies_and_pickles_return_the_one_spec():
+    spec = LambdaSpec.of((3, 1, 2), (F(2), F(-1), F(3, 2)))
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert clone(spec) is spec
+
+
+def test_a_spec_nothing_references_leaves_the_table():
+    spec = LambdaSpec.of((7, 5), (F(123457, 1000), 3))
+    key, ref = spec.key, weakref.ref(spec)
+    assert model._INTERNED[key]() is spec
+    del spec
+    assert ref() is None and key not in model._INTERNED
+    # the key builds a new spec, which the table then holds
+    again = LambdaSpec.of((7, 5), (F(123457, 1000), 3))
+    assert model._INTERNED[key]() is again
+
+
+def test_threads_that_build_one_key_get_one_object():
+    # 4 threads (more than the cores) build the same 200 new keys at once,
+    # switching every microsecond, in 10 rounds of fresh keys; every key
+    # must come back as one object
+    rounds = [[((5, 3), (F(1000 + i, 7), F(-2 - i))) for i in range(j, j + 200)]
+              for j in range(0, 2000, 200)]
+    start = threading.Barrier(4, timeout=30)
+    results = [[] for _ in range(4)]
+
+    def build(slot):
+        for keys in rounds:
+            start.wait()
+            results[slot] += [LambdaSpec.of(*k) for k in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,), daemon=True) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for specs in zip(*results):
+        assert len({id(spec) for spec in specs}) == 1
+        assert model._INTERNED[specs[0].key]() is specs[0]
 
 
 def test_rational_keeps_an_exact_fraction():

@@ -3,9 +3,8 @@
 Specs, products, formal sums, precisions, catalog identities, relation
 results, parse trees and plans each come back equal, with the same hash,
 repr and str, from `copy.copy`, `copy.deepcopy` and a pickle round trip.
-A spec's slots are ``terms``, ``exponents``, ``bases`` and ``key``; its hash
-reads ``key`` and its str reads ``exponents`` and ``bases``, so a clone that
-lost one fails.
+A spec's slots are ``terms``, ``exponents``, ``bases`` and ``key``, and
+specs are interned, so a spec's clone is the spec itself.
 """
 
 import copy
