@@ -63,6 +63,24 @@ plus the guard digits.  A pass run to D digits stops where the plan's tail
 bound is below 10^-D and keeps its rounding below 10^-D
 (``_rounding_bits``), so each suffix value it returns is within 2*10^-D.
 
+The rounding is bounded by each level's contraction.  With positive
+exponents and every |b_j| > 1, a step sets c_j = floor(a_j / b_j) for
+each level's stored a_j, then t_j = floor(c_j / n^i) for i = 1..s_j, each
+a suffix sum's term (floor(floor(x/n)/n) = floor(x/n^2), so each t is one
+floor of the exact quotient), and stores a_(j-1) = c_(j-1) + t_j, the
+innermost level keeping c.  Let beta_j = |b_j|/(|b_j| - 1) and g_j bound
+the error of a_j / b_j in units.  A floor costs under one unit and n^i >=
+1, so t_j is off by under g_j + 2, and an error e of a_j becomes at most
+e/|b_j| + 3 + g_(j+1) in a step: starting exact, it stays under beta_j
+(3 + g_(j+1)), since beta/|b| + 1 = beta.  So g_j = (3 + g_(j+1))/(|b_j|
+- 1), with g = 0 inside the innermost level, and after N steps every
+suffix sum is off by under N (max g + 2) units of 2^-bits.  The pass
+takes that bound's bits plus a fixed margin of 16, never more than the
+general N^(k+1+sum max(-s_j, 0)) bound, which alone covers nonpositive
+exponents.  Bases of modulus 2, as in a split at p = 2, add 3 units a
+level, so the depth-499 left pass of z(500) at 10 digits plans 153 bits,
+where N^(k+1) planned about 3,600.
+
 * direct -- the value is one suffix value, so D = W + 1 suffices.
 
 * split -- the value is sum_r sign_r * L_r * R_r over weight+1 products.  A
@@ -126,6 +144,7 @@ from .precision import BigReal, Precision
 
 GEOMETRIC_THRESHOLD = Fraction(3, 2)
 _T_NUM, _T_DEN = GEOMETRIC_THRESHOLD.as_integer_ratio()
+_ROUNDING_MARGIN = 16  # bits past the derived floor-error bound (_rounding_bits)
 
 
 def _geometric(ratios) -> bool:
@@ -226,15 +245,24 @@ def plan_nested_sum(spec: LambdaSpec, eps_log10: float) -> SumPlan:
 def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     """Bits that `terms` kernel steps of floor rounding can cost.
 
-    Every multiplier in a step has modulus at most 1 (1/b_j, 1/n) except
-    n^a_j with a_j = max(-s_j, 0), and a level makes at most
-    c = 2 + max(s_j, 0) floor roundings per step, each off by under one
-    unit.  So a level's error grows per step by at most n^a_j times (c plus
-    the error of the level below), and the innermost power b_k^-n gains at
-    most one unit per step.  Induction up the levels bounds every stored
-    value's error after N steps by (1 + k c) N^D units, D = k + 1 + sum a_j.
+    With every exponent positive, each level's error contracts, as the
+    module docstring's error budget derives: with g_j = (3 + g_(j+1)) /
+    (|b_j| - 1) from the innermost level out (g = 0 below it), every suffix
+    sum is off by under N (max_j g_j + 2) units after N steps.  The bits
+    are that bound's ceil(log2), computed in ints from the key, plus
+    `_ROUNDING_MARGIN` bits, and never more than the general bound below.
 
-    The full-value pass is covered by the same bound: a level divides once
+    With a nonpositive exponent the level's multiplier n^-s_j exceeds 1,
+    so the error can grow, and the general bound holds.  Every multiplier
+    in a step has modulus at most 1 (1/b_j, 1/n) except n^a_j with a_j =
+    max(-s_j, 0), and a level makes at most c = 2 + max(s_j, 0) floor
+    roundings per step, each off by under one unit.  So a level's error
+    grows per step by at most n^a_j times (c plus the error of the level
+    below), and the innermost power b_k^-n gains at most one unit per
+    step.  Induction up the levels bounds every stored value's error after
+    N steps by (1 + k c) N^D units, D = k + 1 + sum a_j.
+
+    The full-value pass is covered by the same bounds: a level divides once
     by n^s_j where the every-suffix pass divides s_j times by n, so it makes
     at most 2 floor roundings per level and step, never more than c.  Its
     value is in fact bit-identical to the every-suffix pass's full value,
@@ -248,7 +276,17 @@ def _rounding_bits(spec: LambdaSpec, terms: int) -> int:
     k = spec.depth
     c = 2 + max(max(spec.exponents), 0)
     degree = k + 1 - sum(s for s in spec.exponents if s < 0)
-    return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+    bits = math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+    if min(spec.exponents) < 1:
+        return bits
+    # g_j = (3 + g_(j+1)) / (|b_j| - 1) as num / den, and the largest g
+    num, den, top, top_den = 0, 1, 0, 1
+    for n, d in reversed(spec.key[2]):
+        num, den = d * (3 * den + num), (abs(n) - d) * den
+        if num * top_den > top * den:
+            top, top_den = num, den
+    units = -(-max(terms, 1) * (top + 2 * top_den) // top_den)
+    return min(bits, (units - 1).bit_length() + _ROUNDING_MARGIN)
 
 
 def _power_of_two_exponent(x: int) -> int | None:

@@ -177,11 +177,13 @@ class FormalSum:
     other coefficient raises TypeError.  A sum is immutable, so its hash
     holds while it sits in a set or a dict.
 
-    ``_specs`` resolves the bodies once: per term, the tuple of specs whose
-    product is the body, ``(spec,)`` for a spec, a product's ``factors``,
-    and ``(word_to_lambda(word),)`` for a word.  It starts as None and is
+    ``_specs`` resolves the bodies once: per term, the pair of its
+    coefficient and the tuple of specs whose product is the body,
+    ``(spec,)`` for a spec, a product's ``factors``, and
+    ``(word_to_lambda(word),)`` for a word.  It starts as None and is
     filled whole by the first `evaluate_formal_sum`, so a later evaluation
-    only looks values up.  It holds specs, not values, and it is not part
+    hands these pairs to `linear_combination` as they are and only looks
+    values up.  It holds specs, not values, and it is not part
     of ==, hash, repr, copy or pickle.
 
     ``_text`` keeps `render_formal_sum`'s text from its first use, or from
@@ -328,20 +330,16 @@ def evaluate_formal_sum(fs: FormalSum, prec: Precision) -> BigReal:
     starts from its first factor, the empty product is 1, and a sum of the
     one term 1 * spec is the spec's value itself.
 
-    The bodies' specs come from the sum's ``_specs``, resolved whole on the
-    first evaluation (a divergent word raises before any is kept), so a
-    warm evaluation costs its `evaluate_lambda` lookups and its arithmetic."""
+    The (coefficient, specs) pairs come from the sum's ``_specs``, resolved
+    whole on the first evaluation (a divergent word raises before any is
+    kept), and `linear_combination` reads each spec's value through
+    `evaluate_lambda` as it reaches it, so a warm evaluation builds no
+    term list and costs its lookups and its arithmetic."""
     specs = fs._specs
     if specs is None:
-        specs = tuple(_body_specs(body) for _, body in fs.terms)
+        specs = tuple((coeff, _body_specs(body)) for coeff, body in fs.terms)
         _set_specs(fs, specs)
-    terms = []
-    for (coeff, _), factors in zip(fs.terms, specs):
-        if len(factors) == 1:  # a lone factor is passed as its value
-            terms.append((coeff, evaluate_lambda(factors[0], prec)))
-        else:
-            terms.append((coeff, [evaluate_lambda(f, prec) for f in factors]))
-    return linear_combination(terms, prec)
+    return linear_combination(specs, prec, evaluate_lambda)
 
 
 # ---------------------------------------------------------------------------

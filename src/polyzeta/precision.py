@@ -24,7 +24,14 @@ different precisions at once.
 `linear_combination` is the package's one weighted sum of products of
 values: it skips the operations whose result is exactly an operand, so it
 keeps every bit of the plain sum.  It multiplies and adds the values' raw
-floats in one loop and binds one value at the end.
+floats in one loop and binds one value at the end.  Given a value
+function, it reads each factor through it, ``value(f, prec)``, as the
+loop reaches it, so a caller that keeps (coefficient, arguments) pairs,
+as a formal sum keeps (coefficient, specs) for `evaluate_lambda`, hands
+them over with no per-term container.  A binary operator whose operand
+is a BigReal of the same Precision reads its bits from a table keyed by
+the Precision and binds its result in place, so each operation runs one
+frame of its own past the raw-float arithmetic.
 
 ``str()`` truncates to ``digits`` significant digits and
 `to_decimal_string` rounds to nearest.  `pi` sums Machin's arctangent
@@ -74,17 +81,20 @@ class Precision(namedtuple("Precision", "digits guard")):
         return self.digits + self.guard
 
 
-_DPS_BITS: dict[int, int] = {}  # working dps -> binary precision
+class _BitsTable(dict):
+    """Precision -> the binary precision of its working digits, as mpmath's
+    dps setting makes it: computed on a Precision's first use, after which
+    ``_BITS[prec]`` is one dict lookup, with no ``working_dps`` call."""
+
+    __slots__ = ()
+
+    def __missing__(self, prec) -> int:
+        bits = self[prec] = max(1, int(round((prec.working_dps + 1) * 3.3219280948873626)))
+        return bits
 
 
-def _bits(prec: Precision) -> int:
-    """The binary precision of prec's working digits, as mpmath's dps
-    setting makes it; computed once per working dps."""
-    dps = prec.working_dps
-    bits = _DPS_BITS.get(dps)
-    if bits is None:
-        bits = _DPS_BITS[dps] = max(1, int(round((dps + 1) * 3.3219280948873626)))
-    return bits
+_BITS = _BitsTable()
+_bits = _BITS.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +135,6 @@ def _round(man: int, exp: int, bits: int, rnd: str = _NEAREST) -> tuple:
         return (man, exp)
     zeros = (man & -man).bit_length() - 1
     return (man >> zeros, exp + zeros)
-
-
-def _neg(s: tuple) -> tuple:
-    return (-s[0], s[1])
 
 
 def _add(s: tuple, t: tuple, bits: int) -> tuple:
@@ -443,29 +449,53 @@ def _to_raw(value, bits: int) -> tuple:
     A Fraction p/q rounds p first and then the quotient, as mpmath's
     ``mpf(p) / q`` does.
     """
-    if isinstance(value, Fraction):
-        return _div(_round(value.numerator, 0, bits), (value.denominator, 0), bits)
+    # an int first: an isinstance test against Fraction, an ABC, runs a
+    # Python-level __instancecheck__ for anything that is not a Fraction
     if isinstance(value, int):
         return _round(int(value), 0, bits)
     if type(value) is tuple and len(value) == 2 and all(isinstance(x, int) for x in value):
         return _round(int(value[0]), value[1], bits)
+    if isinstance(value, Fraction):
+        return _div(_round(value.numerator, 0, bits), (value.denominator, 0), bits)
     raise TypeError(
         "expected an int, a Fraction or a (mantissa, exponent) pair of ints,"
         f" got {type(value).__name__}"
     )
 
 
-def _operator(fn):
-    """A BigReal method applying fn to both operands' raw floats, rounding
-    to nearest at the operands' precision; the result is bound to it."""
+def _operator(fn, negate=False):
+    """A BigReal method applying fn to both operands' raw floats, the
+    other's negated first when negate, rounding to nearest at the operands'
+    precision; the result is bound to it.  A BigReal of the same Precision
+    is read as it is, with no `_coerce` call."""
 
     def method(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _bound(fn(self._v, o, _bits(self.prec)), self.prec)
+        prec = self.prec
+        if type(other) is BigReal and (other.prec is prec or other.prec == prec):
+            o = other._v
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        if negate:
+            o = (-o[0], o[1])
+        x = _new(BigReal)
+        _set_prec(x, prec)
+        _set_v(x, fn(self._v, o, _BITS[prec]))
+        return x
 
     return method
+
+
+def _reflected(method):
+    """The reflected form of a BigReal operator method: other op self, with
+    other an int or a Fraction rounded at self's precision."""
+
+    def reflected(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else method(_bound(o, self.prec), self)
+
+    return reflected
 
 
 def _comparison(test):
@@ -525,11 +555,11 @@ class BigReal:
         return NotImplemented
 
     __add__ = __radd__ = _operator(_add)
-    __sub__ = _operator(lambda a, b, bits: _add(a, _neg(b), bits))
-    __rsub__ = _operator(lambda a, b, bits: _add(b, _neg(a), bits))
+    __sub__ = _operator(_add, negate=True)
+    __rsub__ = _reflected(__sub__)
     __mul__ = __rmul__ = _operator(_mul)
     __truediv__ = _operator(_div)
-    __rtruediv__ = _operator(lambda a, b, bits: _div(b, a, bits))
+    __rtruediv__ = _reflected(__truediv__)
     __lt__ = _comparison(lambda c: c < 0)
     __le__ = _comparison(lambda c: c <= 0)
     __gt__ = _comparison(lambda c: c > 0)
@@ -545,7 +575,8 @@ class BigReal:
         return _bound(_pow_int(self._v, n, _bits(self.prec)), self.prec)
 
     def __neg__(self):
-        return _bound(_neg(self._v), self.prec)
+        man, exp = self._v
+        return _bound((-man, exp), self.prec)
 
     def __abs__(self):
         man, exp = self._v
@@ -577,11 +608,12 @@ class BigReal:
 # __setattr__ that refuses assignment, and cheaper than object.__setattr__
 _set_prec = BigReal.prec.__set__
 _set_v = BigReal._v.__set__
+_new = object.__new__
 
 
 def _bound(v: tuple, prec: Precision) -> BigReal:
     """The BigReal of the raw float v, already rounded at prec's bits."""
-    x = object.__new__(BigReal)
+    x = _new(BigReal)
     _set_prec(x, prec)
     _set_v(x, v)
     return x
@@ -630,11 +662,16 @@ def ln(x, prec: Precision) -> BigReal:
     return _bound(_ln(v, _bits(prec)), prec)
 
 
-def linear_combination(terms, prec: Precision) -> BigReal:
+def linear_combination(terms, prec: Precision, value=None) -> BigReal:
     """sum(c * x) over the (c, x) pairs of terms, added left to right, each
     operation rounded at prec.  c is an exact int or Fraction; anything else
     raises TypeError.  x is a BigReal bound to prec or a sequence of them,
     their product, formed from the first factor on; the empty product is 1.
+    With a value function, x is a sequence of its arguments, and each
+    factor is ``value(f, prec)`` for an f of x, read as the loop reaches
+    it: `polyzeta.identities.evaluate_formal_sum` hands over a sum's own
+    (coefficient, specs) pairs with `evaluate_lambda`, so no per-term
+    container is built.
 
     It runs the operations of that sum's BigReal operators on the factors'
     raw floats, in their order, and binds one BigReal at the end, but skips
@@ -649,11 +686,13 @@ def linear_combination(terms, prec: Precision) -> BigReal:
     PrecisionMismatch, as it does in the plain sum, also under a
     coefficient of 0.
     """
-    bits = _bits(prec)
+    bits = _BITS[prec]
     total = x = None
     for c, xs in terms:
         v = _ONE
         for x in (xs,) if isinstance(xs, BigReal) else xs:
+            if value is not None:
+                x = value(x, prec)
             if x.prec is not prec and x.prec != prec:
                 raise PrecisionMismatch(f"a factor bound to {x.prec}, not to {prec}")
             # a product by the exact 1 is the other factor
@@ -663,7 +702,7 @@ def linear_combination(terms, prec: Precision) -> BigReal:
         if not c:
             continue
         if c == -1:
-            v = _neg(v)
+            v = (-v[0], v[1])
         elif c != 1:
             v = _mul(v, _to_raw(c, bits), bits)
         total = v if total is None else _add(total, v, bits)
@@ -671,4 +710,7 @@ def linear_combination(terms, prec: Precision) -> BigReal:
     # one term 1 * x leaves it, has its value, so it is x itself
     if x is not None and total is x._v:
         return x
-    return _bound(_ZERO if total is None else total, prec)
+    x = _new(BigReal)
+    _set_prec(x, prec)
+    _set_v(x, _ZERO if total is None else total)
+    return x

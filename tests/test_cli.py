@@ -620,7 +620,8 @@ def read_until(stream, text: str) -> str:
 
 @pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT")
 def test_ctrl_c_in_the_repl_drops_the_line_and_prompts_again():
-    # SIGINT while z(500) runs (several seconds at 10 digits) drops that line
+    # SIGINT while zp(100001/100000, 2, 2) runs (about 24 s at 10 digits: a
+    # base this near 1 takes the split at an adaptive p) drops that line
     # with no traceback, and the REPL reads the next one.  The child gets
     # SIGINT's default action back, which a shell running this suite in the
     # background may have set to ignore; Python then installs its handler
@@ -636,7 +637,7 @@ def test_ctrl_c_in_the_repl_drops_the_line_and_prompts_again():
         proc.stdin.write(":digits 10\n")
         proc.stdin.flush()
         read_until(proc.stderr, "precision set to 10 digits\n> ")
-        proc.stdin.write("z(500)\n")
+        proc.stdin.write("zp(100001/100000, 2, 2)\n")
         proc.stdin.flush()
         time.sleep(0.5)
         proc.send_signal(signal.SIGINT)

@@ -1349,12 +1349,10 @@ def test_catalog_builds_each_spec_once():
     assert not built & set(model._INTERNED)
 
 
-def test_warm_identity_checks_run_no_model_code():
-    # the 50 checks of weight <= 6 from identity_catalog(8) at 40 digits, as
-    # the benchmark's identity_session runs them.  Once they are warm, a pass
-    # over them calls no Python code of model.py: the memos hash and compare
-    # interned specs in C (with a Python __hash__ and __eq__ on the spec, a
-    # pass made 227 and 126 calls of them)
+def warm_identity_checks():
+    """check_all, which runs the 50 checks of weight <= 6 from
+    identity_catalog(8) at 40 digits, as the benchmark's identity_session
+    runs them, once run so that they are warm."""
     def weight(body):
         if isinstance(body, tuple):
             return len(body)
@@ -1372,28 +1370,58 @@ def test_warm_identity_checks_run_no_model_code():
         for ident in checks:
             evaluate_formal_sum(ident.lhs, prec) - evaluate_formal_sum(ident.rhs, prec)
 
-    def python_calls(run, *args):
-        """run(*args) and the Python frames it entered, by file and name."""
-        calls = Counter()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
-
-        sys.setprofile(profile)
-        try:
-            result = run(*args)
-        finally:
-            sys.setprofile(None)
-        return calls, result
-
     check_all()
-    calls, _ = python_calls(check_all)
+    return check_all
+
+
+def python_calls(run, *args):
+    """run(*args) and the Python frames it entered, by file and name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+def test_warm_identity_checks_run_no_model_code():
+    # once the checks are warm, a pass over them calls no Python code of
+    # model.py: the memos hash and compare interned specs in C (with a
+    # Python __hash__ and __eq__ on the spec, a pass made 227 and 126 calls
+    # of them)
+    calls, _ = python_calls(warm_identity_checks())
     assert calls and not {c: n for c, n in calls.items() if c[0] == model.__file__}
     # a warm evaluate_lambda hit runs no Python frame at all
+    prec = Precision(40)
     spec = zeta_spec(3, 1, 2)
     value = evaluate_lambda(spec, prec)
     assert python_calls(evaluate_lambda, spec, prec) == (Counter(), value)
+
+
+def test_warm_identity_checks_run_one_frame_per_operation():
+    # a warm pass over the checks runs the BigReal arithmetic on raw floats:
+    # each sum is one linear_combination that reads its values through
+    # evaluate_lambda, and the one subtraction skips _coerce, _bits and
+    # _bound.  An int coefficient is tested as an int before any test
+    # against Fraction, an ABC whose isinstance runs a Python-level
+    # __instancecheck__.  Python-level calls of the pass, check_all's own
+    # included: 1525 with a term list per sum and BigReal operators through
+    # _coerce, _bits and _bound, 839 without, of which 45 and 0 were
+    # __instancecheck__
+    import abc
+
+    calls, _ = python_calls(warm_identity_checks())
+    assert not calls[abc.__file__, "__instancecheck__"]
+    names = Counter(name for _, name in calls.elements())
+    assert not names["_coerce"] + names["_bits"] + names["_bound"] + names["working_dps"]
+    assert names["linear_combination"] == names["evaluate_formal_sum"] == 100
+    assert sum(calls.values()) <= 839, calls
 
 
 def test_catalog_builds_each_product_and_its_text_once():
@@ -1496,9 +1524,10 @@ def test_stuffle_codes_are_the_ranks_of_the_radix():
 
 def test_catalog_sums_resolve_on_first_evaluation(monkeypatch):
     # the catalog hands out unresolved sums; the first evaluation resolves
-    # each body, in term order, to the specs whose product it is (a word to
-    # its own spec), and a later evaluation keeps that resolution.  Values
-    # are stubbed: only the resolution is under test
+    # each term, in term order, to its coefficient and the specs whose
+    # product its body is (a word to its own spec), and a later evaluation
+    # keeps that resolution.  Values are stubbed: only the resolution is
+    # under test
     from polyzeta.model import word_to_lambda
 
     one = BigReal(1, Precision(10))
@@ -1510,7 +1539,8 @@ def test_catalog_sums_resolve_on_first_evaluation(monkeypatch):
         evaluate_formal_sum(side, one.prec)
         resolved = side._specs
         assert len(resolved) == len(side.terms), side
-        for (_, body), specs in zip(side.terms, resolved):
+        for (coeff, body), (c, specs) in zip(side.terms, resolved):
+            assert c is coeff, side
             if isinstance(body, tuple):
                 words += 1
                 assert specs == (word_to_lambda(body),)
@@ -1535,7 +1565,7 @@ def test_divergent_word_body_raises_on_every_evaluation():
             with pytest.raises(DivergenceError):
                 evaluate_formal_sum(fs, Precision(30))
     assert trailing_zero._specs is None
-    assert leading_one._specs[1] == (LambdaSpec.of((1, 2), (1, 1)),)
+    assert leading_one._specs[1] == (-1, (LambdaSpec.of((1, 2), (1, 1)),))
 
 
 def test_identity_catalog_numeric_sample(prec30):

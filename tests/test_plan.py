@@ -71,7 +71,21 @@ def _rounding_bits_by_definition(spec, terms):
     k = spec.depth
     c = 2 + max(max(s, 0) for s in spec.exponents)
     degree = k + 1 + sum(max(-s, 0) for s in spec.exponents)
-    return math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+    general = math.ceil(math.log2(1 + k * c) + degree * math.log2(max(terms, 1)))
+    if min(spec.exponents) < 1:
+        return general
+    # with positive exponents, each level's floor error contracts: g_j =
+    # (3 + g_(j+1)) / (|b_j| - 1), and the passes' sums stay under
+    # N (max g + 2) units, given 16 bits more, never above the general bound
+    g, gs = F(0), []
+    for b in reversed(spec.bases):
+        g = (3 + g) / (abs(b) - 1)
+        gs.append(g)
+    bound = max(terms, 1) * (max(gs) + 2)
+    bits = 0
+    while 2 ** bits < bound:
+        bits += 1
+    return min(general, bits + 16)
 
 
 def _nested_sum_by_definition(spec, eps_log10):

@@ -234,17 +234,27 @@ def test_precision_validation():
 
 
 def test_bits_match_dps_to_prec():
-    # the memo of binary precisions per working dps gives libmp's own value,
-    # on first use and from the memo
-    from types import SimpleNamespace
+    # the table of binary precisions, keyed by the Precision, gives libmp's
+    # own value for its working dps, on first use and from the table.  A
+    # Precision's working dps runs from 30; the table takes any hashable key
+    # with a working_dps, so a stand-in key reaches dps 1-29 too, and is
+    # dropped after
+    from collections import namedtuple
 
     from mpmath import libmp
 
-    from polyzeta.precision import _bits
+    from polyzeta.precision import _BITS, _bits
 
+    Key = namedtuple("Key", "working_dps")
     for _ in range(2):
         for dps in range(1, 2001):
-            assert _bits(SimpleNamespace(working_dps=dps)) == libmp.dps_to_prec(dps)
+            assert _bits(Key(dps)) == libmp.dps_to_prec(dps)
+            if dps >= 30:
+                digits = min(dps - 20, 1000)
+                prec = Precision(digits, dps - digits)
+                assert _bits(prec) == _BITS[prec] == libmp.dps_to_prec(dps)
+    for dps in range(1, 2001):
+        del _BITS[Key(dps)]
 
 
 def test_bigreal_hashes_like_an_equal_int_or_fraction():
